@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-diff test test-backends regression sim-sweep fuzz-smoke race-sim check bench bench-pr4 bench-pr9 bench-all verify
+.PHONY: build vet lint lint-diff test test-benchmark test-backends regression sim-sweep fuzz-smoke race-sim check bench bench-pr4 bench-pr9 bench-all verify
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,12 @@ lint-diff:
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is its own module (the one benchmark BENCHMARK.json
+# declares), so `go build/test ./...` never compiles it: vet and test it
+# here so an API drift in core or vstore is caught before the gate runs.
+test-benchmark:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Durability across the physical backend matrix: the recovery and
 # conformance suites (which already subtest fs + mem) re-run pinned,
@@ -63,7 +69,7 @@ fuzz-smoke:
 race-sim:
 	$(GO) test -race -run 'Sim|Chaos' ./...
 
-check: build vet lint test test-backends regression race-sim
+check: build vet lint test test-benchmark test-backends regression race-sim
 
 # Read-path benchmarks (Figures 3, 4 and 8), recorded machine-readably
 # in BENCH_PR3.json under the "observability" label, with p50/p95/p99

@@ -115,6 +115,69 @@ func TestRebuildViewEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRebuildViewRacesLivePuts: RebuildView re-derives a row through
+// the regular propagation protocol, so it serializes with live writes
+// to the same base key on the row lock. While a writer keeps moving one
+// ticket between assignees, rebuilds run back to back; afterwards the
+// ticket is visible exactly once, under its last assignee, and the
+// versioned view holds exactly one live row for it. (The direct-write
+// rebuild this replaced took no row lock and walked no chain.)
+func TestRebuildViewRacesLivePuts(t *testing.T) {
+	db := openTickets(t, vstore.Config{})
+	c := db.Client(0)
+	ctx := ctxT(t)
+	stop, rebuilt := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				rebuilt <- nil
+				return
+			default:
+			}
+			if err := db.RebuildView(ctx, "assignedto"); err != nil {
+				rebuilt <- err
+				return
+			}
+		}
+	}()
+	const puts, users = 300, 5
+	for i := 0; i < puts; i++ {
+		vals := vstore.Values{"assignedto": fmt.Sprintf("u%d", i%users), "status": fmt.Sprint(i)}
+		if err := c.Put(ctx, "ticket", "1", vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-rebuilt; err != nil {
+		t.Fatal(err)
+	}
+	if err := db.QuiesceViews(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < users; u++ {
+		rows, err := c.GetView(ctx, "assignedto", fmt.Sprintf("u%d", u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u != (puts-1)%users {
+			if len(rows) != 0 {
+				t.Fatalf("ticket still visible under superseded key u%d: %v", u, rows)
+			}
+			continue
+		}
+		if len(rows) != 1 || string(rows[0].Columns["status"].Value) != fmt.Sprint(puts-1) {
+			t.Fatalf("last key u%d shows %v", u, rows)
+		}
+	}
+	if d, err := db.DiagnoseView("assignedto"); err != nil || d.LiveRows != 1 {
+		t.Fatalf("want exactly one live row after racing rebuilds, got %+v (%v)", d, err)
+	}
+	if st := db.Stats(); st.Views.PropagationsDropped != 0 {
+		t.Fatalf("%d propagations abandoned", st.Views.PropagationsDropped)
+	}
+}
+
 func TestDiagnoseView(t *testing.T) {
 	db := openTickets(t, vstore.Config{})
 	c := db.Client(0)

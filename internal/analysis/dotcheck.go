@@ -17,15 +17,19 @@ import (
 //     would then double-count. Callers outside client.go (and the
 //     coordinator package itself) are diagnostics.
 //
-//  2. On the view/backfill/propagation paths (internal/core and
-//     internal/backfill), a model.Cell copied from a read row and
-//     placed into a ColumnUpdate must flow through the central strip —
-//     either the placement is dominated in the CFG by a
-//     cell.StripDot() call, or the destination slice is handed to a
-//     stripping helper (a same-package function whose body strips its
-//     updates parameter with model.StripDots — the one-hop summary).
-//     Constructing a cell with explicit Dot/Ctx fields there is flagged
-//     outright.
+//  2. On the view/backfill/propagation paths (internal/core,
+//     internal/backfill and internal/sim, whose backfill scenario
+//     forwards quorum-read base cells toward a view), a model.Cell
+//     copied from a read row and placed into a ColumnUpdate must flow
+//     through the central strip — either the placement is dominated in
+//     the CFG by a cell.StripDot() call, or the destination slice is
+//     handed to a stripping helper: a same-package function whose body
+//     passes its updates parameter to model.StripDots or to core.TaskFor
+//     (the one-hop summary; a Task's cells are only ever written by the
+//     shared round's put, which strips). Constructing a cell with
+//     explicit Dot/Ctx fields there is flagged outright. The sim's
+//     client.go is exempt like the root package's: it is the simulated
+//     client-put path, where dots are minted.
 //
 //  3. Stripping must go through model.Cell.StripDot / model.StripDots
 //     rather than zeroing .Dot/.Ctx fields inline, so the strip
@@ -39,7 +43,7 @@ var DotCheck = &Pass{
 func runDotCheck(u *Unit) {
 	d := &dotCheck{u: u}
 	d.checkStampDotCallers()
-	if u.InDirs("internal/core", "internal/backfill") {
+	if u.InDirs("internal/core", "internal/backfill", "internal/sim") {
 		d.checkDerivedWrites()
 	}
 }
@@ -60,8 +64,7 @@ func (d *dotCheck) checkStampDotCallers() {
 		return
 	}
 	for _, file := range u.Pkg.Files {
-		base := filepath.Base(u.Pkg.Fset.Position(file.Pos()).Filename)
-		if u.RelDir == "" && base == "client.go" {
+		if d.isClientPutPath(file) {
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -79,11 +82,21 @@ func (d *dotCheck) checkStampDotCallers() {
 	}
 }
 
+// isClientPutPath reports the files sanctioned to mint dots: client.go
+// of the root package, and of the simulator (its simulated clients).
+func (d *dotCheck) isClientPutPath(file *ast.File) bool {
+	base := filepath.Base(d.u.Pkg.Fset.Position(file.Pos()).Filename)
+	return base == "client.go" && (d.u.RelDir == "" || d.u.RelDir == "internal/sim")
+}
+
 // checkDerivedWrites runs rules 2 and 3 over the view-maintenance
 // packages.
 func (d *dotCheck) checkDerivedWrites() {
 	d.collectStrippers()
 	for _, file := range d.u.Pkg.Files {
+		if d.isClientPutPath(file) {
+			continue
+		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -96,8 +109,8 @@ func (d *dotCheck) checkDerivedWrites() {
 }
 
 // collectStrippers builds the one-hop summary: a function is a
-// stripping helper when its body calls model.StripDots on one of its
-// parameters (viewPut is the canonical one).
+// stripping helper when its body hands one of its parameters to
+// model.StripDots (Round.put is the canonical one) or to core.TaskFor.
 func (d *dotCheck) collectStrippers() {
 	d.strippers = map[*types.Func]bool{}
 	for _, file := range d.u.Pkg.Files {
@@ -127,14 +140,13 @@ func (d *dotCheck) collectStrippers() {
 					return false
 				}
 				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) != 1 {
+				if !ok || !d.isStripDotsCall(call) {
 					return true
 				}
-				if !d.isStripDotsCall(call) {
-					return true
-				}
-				if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok && params[id.Name] {
-					found = true
+				for _, arg := range call.Args {
+					if id, ok := ast.Unparen(arg).(*ast.Ident); ok && params[id.Name] {
+						found = true
+					}
 				}
 				return true
 			})
@@ -145,11 +157,22 @@ func (d *dotCheck) collectStrippers() {
 	}
 }
 
-// isStripDotsCall reports a call to model.StripDots.
+// isStripDotsCall reports a call whose updates argument is stripped
+// before any of it reaches a coordinator: model.StripDots itself, or
+// core.TaskFor, whose Task only ever writes through the stripping put
+// of the shared propagation round.
 func (d *dotCheck) isStripDotsCall(call *ast.CallExpr) bool {
 	fn := d.u.calleeFunc(call)
-	return fn != nil && fn.Name() == "StripDots" && fn.Pkg() != nil &&
-		fn.Pkg().Path() == d.u.ModPath+"/internal/model"
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	switch fn.Pkg().Path() {
+	case d.u.ModPath + "/internal/model":
+		return fn.Name() == "StripDots"
+	case d.u.ModPath + "/internal/core":
+		return fn.Name() == "TaskFor"
+	}
+	return false
 }
 
 // checkInlineStrips flags rule 3: zeroing Dot/Ctx fields inline

@@ -239,10 +239,47 @@ func (c *Controller) Start(view string, snapshotTS int64, parts []Partition, fil
 
 func partKey(base string, node int) string { return fmt.Sprintf("%s\x00%d", base, node) }
 
+// Sweep fills every row of the partitions once, synchronously, with the
+// controller's page size and fill parallelism but no lifecycle and no
+// checkpoints: re-deriving a view that already exists (DB.RebuildView)
+// changes neither its state nor what a crash must resume.
+func (c *Controller) Sweep(ctx context.Context, parts []Partition, fill Filler) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	r := &run{
+		cp:     Checkpoint{Marks: make([]PartitionMark, len(parts))},
+		cancel: cancel, sem: make(chan struct{}, c.opts.Parallel), seen: map[string]bool{},
+	}
+	c.scanAll(ctx, r, parts, fill)
+	return r.err
+}
+
 func (c *Controller) runBackfill(ctx context.Context, r *run, parts []Partition, fill Filler) {
 	defer close(r.done)
-	// Partitions scan concurrently — each node pages its own rows —
-	// while the shared fill semaphore bounds total in-flight fills.
+	c.scanAll(ctx, r, parts, fill)
+	c.mu.Lock()
+	failed := r.err != nil
+	if !failed {
+		r.state = StateLive
+	}
+	c.mu.Unlock()
+	if failed {
+		return
+	}
+	// The checkpoint has served its purpose; clearing it is best-effort
+	// (a stale Done-everywhere checkpoint resumes to an instant no-op).
+	_ = c.opts.Store.Clear(r.view)
+	close(r.live)
+	if c.opts.OnLive != nil {
+		c.opts.OnLive(r.view)
+	}
+}
+
+// scanAll scans every unfinished partition to exhaustion, recording the
+// first failure in r.err. Partitions scan concurrently — each node
+// pages its own rows — while the shared fill semaphore bounds total
+// in-flight fills.
+func (c *Controller) scanAll(ctx context.Context, r *run, parts []Partition, fill Filler) {
 	var wg sync.WaitGroup
 	for i := range parts {
 		c.mu.Lock()
@@ -265,22 +302,6 @@ func (c *Controller) runBackfill(ctx context.Context, r *run, parts []Partition,
 		}(i)
 	}
 	wg.Wait()
-	c.mu.Lock()
-	failed := r.err != nil
-	if !failed {
-		r.state = StateLive
-	}
-	c.mu.Unlock()
-	if failed {
-		return
-	}
-	// The checkpoint has served its purpose; clearing it is best-effort
-	// (a stale Done-everywhere checkpoint resumes to an instant no-op).
-	_ = c.opts.Store.Clear(r.view)
-	close(r.live)
-	if c.opts.OnLive != nil {
-		c.opts.OnLive(r.view)
-	}
 }
 
 // scanPartition pages one partition to exhaustion: its high-water mark
@@ -377,7 +398,9 @@ func snapshotLocked(r *run) Checkpoint {
 // writes are idempotent — aborting the backfill over it would turn a
 // benign storage hiccup into an unavailable view.
 func (c *Controller) saveCheckpoint(cp Checkpoint) {
-	_ = c.opts.Store.Save(cp)
+	if cp.View != "" { // a Sweep has no view lifecycle to resume
+		_ = c.opts.Store.Save(cp)
+	}
 }
 
 // State returns a view's lifecycle state.

@@ -127,6 +127,39 @@ func mustDefine(t *testing.T, h *harness, def core.Def) {
 	}
 }
 
+// refill re-derives a view the one way there is: every base key's
+// quorum-read row goes through Manager.BackfillPropagate — the
+// core-level shape of DB.RebuildView and of CreateView's backfill.
+func (h *harness) refill(t *testing.T, view string) {
+	t.Helper()
+	ctx, co, mgr := ctxT(t), h.c.Coordinator(0), h.mgrs[0]
+	for _, def := range h.reg.Defs(view) {
+		keys := map[string]bool{}
+		for _, n := range h.c.Nodes {
+			for _, e := range n.TableSnapshot(def.Base) {
+				key, _, err := model.DecodeKey(e.Key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys[key] = true
+			}
+		}
+		for key := range keys {
+			row, err := co.Get(ctx, def.Base, key, append([]string{def.ViewKeyColumn}, def.Materialized...), 2, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var updates []model.ColumnUpdate
+			for col, cell := range row {
+				updates = append(updates, model.ColumnUpdate{Column: col, Cell: cell})
+			}
+			if err := mgr.BackfillPropagate(ctx, def, key, updates); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func getView(t *testing.T, m *core.Manager, view, key string) []core.ViewRow {
 	t.Helper()
 	rows, err := m.GetView(ctxT(t), view, key, nil)
@@ -463,7 +496,6 @@ func TestBackfill(t *testing.T) {
 	}
 	// Populate the base table before the view exists.
 	co := h.c.Coordinator(0)
-	base := map[string]model.Row{}
 	for i := 0; i < 20; i++ {
 		id := fmt.Sprintf("%d", i)
 		assignee := fmt.Sprintf("user-%d", i%4)
@@ -474,10 +506,6 @@ func TestBackfill(t *testing.T) {
 		if err := co.Put(ctxT(t), "ticket", id, updates, 3); err != nil {
 			t.Fatal(err)
 		}
-		base[id] = model.Row{
-			"assignedto": {Value: []byte(assignee), TS: int64(i + 1)},
-			"status":     {Value: []byte("open"), TS: int64(i + 1)},
-		}
 	}
 	def := ticketDef()
 	if err := h.c.CreateTable(def.Name); err != nil {
@@ -486,10 +514,7 @@ func TestBackfill(t *testing.T) {
 	if err := h.reg.Define(def); err != nil {
 		t.Fatal(err)
 	}
-	d, _ := h.reg.View(def.Name)
-	if err := core.Backfill(ctxT(t), co, d, base, 2); err != nil {
-		t.Fatal(err)
-	}
+	h.refill(t, def.Name)
 	for u := 0; u < 4; u++ {
 		rows := getView(t, h.mgrs[1], "assignedto", fmt.Sprintf("user-%d", u))
 		if len(rows) != 5 {
@@ -504,26 +529,6 @@ func TestBackfill(t *testing.T) {
 	h.quiesce(t)
 	if rows := getView(t, h.mgrs[0], "assignedto", "user-9"); len(rows) != 1 || rows[0].BaseKey != "0" {
 		t.Fatalf("update over backfilled row failed: %v", rows)
-	}
-}
-
-func TestMergeBaseSnapshots(t *testing.T) {
-	h := newHarness(t, core.Options{}, 4)
-	mustDefine(t, h, ticketDef())
-	loadTickets(t, h)
-	var snaps [][]model.Entry
-	for _, n := range h.c.Nodes {
-		snaps = append(snaps, n.TableSnapshot("ticket"))
-	}
-	merged, err := core.MergeBaseSnapshots(snaps...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged) != 7 {
-		t.Fatalf("merged %d base rows, want 7", len(merged))
-	}
-	if string(merged["2"]["assignedto"].Value) != "kmsalem" {
-		t.Fatalf("merged row 2: %v", merged["2"])
 	}
 }
 

@@ -266,21 +266,7 @@ func TestRebuildRecoversLostPropagations(t *testing.T) {
 		t.Fatal("precondition: view should not know about ghost yet")
 	}
 
-	d, _ := h.reg.View("assignedto")
-	var baseSnaps, viewSnaps [][]model.Entry
-	for _, n := range h.c.Nodes {
-		baseSnaps = append(baseSnaps, n.TableSnapshot("ticket"))
-		viewSnaps = append(viewSnaps, n.TableSnapshot("assignedto"))
-	}
-	baseRows, err := core.MergeBaseSnapshots(baseSnaps...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viewEntries := h.viewEntries("assignedto")
-	if err := core.Rebuild(ctxT(t), co, d, baseRows, viewEntries, 2); err != nil {
-		t.Fatal(err)
-	}
-	_ = viewSnaps
+	h.refill(t, "assignedto")
 
 	// Ticket 1 must now be under ghost only; ticket 5's status fixed.
 	if rows := getView(t, h.mgrs[0], "assignedto", "ghost"); len(rows) != 1 || rows[0].BaseKey != "1" {
@@ -317,20 +303,8 @@ func TestRebuildIsIdempotent(t *testing.T) {
 	h := newHarness(t, core.Options{}, 4)
 	mustDefine(t, h, ticketDef())
 	loadTickets(t, h)
-	d, _ := h.reg.View("assignedto")
-	co := h.c.Coordinator(0)
 	for round := 0; round < 2; round++ {
-		var baseSnaps [][]model.Entry
-		for _, n := range h.c.Nodes {
-			baseSnaps = append(baseSnaps, n.TableSnapshot("ticket"))
-		}
-		baseRows, err := core.MergeBaseSnapshots(baseSnaps...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.Rebuild(ctxT(t), co, d, baseRows, h.viewEntries("assignedto"), 2); err != nil {
-			t.Fatal(err)
-		}
+		h.refill(t, "assignedto")
 	}
 	// Figure 1's view must be byte-for-byte intact.
 	rows := getView(t, h.mgrs[0], "assignedto", "rliu")

@@ -341,19 +341,7 @@ func TestJoinRebuild(t *testing.T) {
 	}, 3); err != nil {
 		t.Fatal(err)
 	}
-	for _, def := range h.reg.Defs("by_customer") {
-		var snaps [][]model.Entry
-		for _, n := range h.c.Nodes {
-			snaps = append(snaps, n.TableSnapshot(def.Base))
-		}
-		baseRows, err := core.MergeBaseSnapshots(snaps...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.Rebuild(ctxT(t), co, def, baseRows, h.viewEntries("by_customer"), 2); err != nil {
-			t.Fatal(err)
-		}
-	}
+	h.refill(t, "by_customer")
 	rows := getView(t, h.mgrs[0], "by_customer", "k1")
 	if len(rows) != 2 {
 		t.Fatalf("rebuilt join rows = %v", rows)

@@ -12,8 +12,9 @@ import (
 // open: versioned views accumulate one stale row per superseded view
 // key forever ("update chains can grow longer"), and abandoned
 // propagations (coordinator crash, retry timeout) can leave a view
-// permanently missing updates. Prune truncates old stale rows; Rebuild
-// re-derives the view from the base table.
+// permanently missing updates. Prune truncates old stale rows; a
+// rebuild is a backfill over the existing view
+// (Manager.BackfillPropagate for every base key).
 
 // Prune removes stale rows whose pointer timestamp is older than
 // horizonTS from a versioned view, shortening chains that hot rows
@@ -38,7 +39,7 @@ func Prune(ctx context.Context, co *coord.Coordinator, def *Def, entries []model
 		return 0, err
 	}
 	for _, r := range rows {
-		if r.Next.IsNull() || string(r.Next.Value) == r.ViewKey {
+		if r.Next.IsNull() || r.Live() {
 			continue // unlinked or live
 		}
 		if r.Next.TS >= horizonTS {
@@ -56,11 +57,13 @@ func Prune(ctx context.Context, co *coord.Coordinator, def *Def, entries []model
 		for col, cell := range r.Cells {
 			updates = append(updates, model.Deletion(model.Qualify(r.BaseKey, col), maxTS(cell.TS, r.Next.TS)))
 		}
-		if r.Deleted.Exists() {
-			updates = append(updates, model.Deletion(model.Qualify(r.BaseKey, ColDeleted), maxTS(r.Deleted.TS, r.Next.TS)))
-		}
-		if r.Ready.Exists() {
-			updates = append(updates, model.Deletion(model.Qualify(r.BaseKey, ColReady), maxTS(r.Ready.TS, r.Next.TS)))
+		for _, m := range []struct {
+			col  string
+			cell model.Cell
+		}{{ColDeleted, r.Deleted}, {ColReady, r.Ready}, {ColPrev, r.Prev}} {
+			if m.cell.Exists() {
+				updates = append(updates, model.Deletion(model.Qualify(r.BaseKey, m.col), maxTS(m.cell.TS, r.Next.TS)))
+			}
 		}
 		if err := co.Put(ctx, def.Name, r.ViewKey, updates, w); err != nil {
 			return removed, fmt.Errorf("core: pruning %q/%q: %w", r.ViewKey, r.BaseKey, err)
@@ -75,69 +78,6 @@ func maxTS(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// Rebuild re-derives a view from the merged current base-table state:
-// it re-writes every row the view should contain (like Backfill) and
-// marks rows for base keys whose view structure points at a different
-// live key than the base table implies. Because every write carries
-// the base cells' timestamps, rebuilding never regresses data that is
-// newer than the base state used — it only fills in what propagation
-// lost (e.g. after abandoned propagations or an operator-restored base
-// table).
-//
-// For base rows whose current view key is NULL (deleted), the live row
-// cannot be located without scanning the view, so the caller should
-// pass the view's merged entries; rows whose base key no longer has a
-// view key get their deletion marker refreshed.
-func Rebuild(ctx context.Context, co *coord.Coordinator, def *Def, baseRows map[string]model.Row, viewEntries []model.Entry, w int) error {
-	// First, the straightforward part: ensure every row that should be
-	// in the view is present and live (idempotent Backfill).
-	if err := Backfill(ctx, co, def, baseRows, w); err != nil {
-		return err
-	}
-
-	// Second, reconcile structure: any view row that is live for a base
-	// key whose base-table view key differs must be superseded, exactly
-	// as a propagation of the winning update would have done.
-	rows, err := DecodeVersionedView(viewEntries)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if r.Next.IsNull() || string(r.Next.Value) != r.ViewKey {
-			continue // not live
-		}
-		ns, baseKey := SplitStoredKey(r.BaseKey)
-		if ns != def.namespace {
-			continue // another join side's row
-		}
-		base, ok := baseRows[baseKey]
-		if !ok {
-			continue
-		}
-		vk := base[def.ViewKeyColumn]
-		switch {
-		case vk.Exists() && !vk.Tombstone && string(vk.Value) != r.ViewKey && vk.TS >= r.Next.TS:
-			// Base says the live key moved: point this row at the
-			// winner (Backfill above already wrote the winner's row).
-			err := co.Put(ctx, def.Name, r.ViewKey, []model.ColumnUpdate{
-				{Column: model.Qualify(r.BaseKey, ColNext), Cell: model.Cell{Value: vk.Value, TS: vk.TS}},
-			}, w) // r.BaseKey is the stored key, already namespaced
-			if err != nil {
-				return fmt.Errorf("core: rebuild supersede %q/%q: %w", r.ViewKey, r.BaseKey, err)
-			}
-		case vk.Exists() && vk.Tombstone && vk.TS >= r.Next.TS:
-			// Base says the row was deleted: refresh the marker.
-			err := co.Put(ctx, def.Name, r.ViewKey, []model.ColumnUpdate{
-				{Column: model.Qualify(r.BaseKey, ColDeleted), Cell: model.Cell{Value: []byte("1"), TS: vk.TS}},
-			}, w)
-			if err != nil {
-				return fmt.Errorf("core: rebuild delete-mark %q/%q: %w", r.ViewKey, r.BaseKey, err)
-			}
-		}
-	}
-	return nil
 }
 
 // Diagnostics summarizes a versioned view's internal health: how much
@@ -170,22 +110,11 @@ func Diagnose(entries []model.Entry) (Diagnostics, error) {
 		return Diagnostics{}, err
 	}
 	d := Diagnostics{OldestStaleTS: model.NullTS}
-	// Group per base key to walk chains.
-	chains := map[string]map[string]VersionedRow{}
-	for _, r := range rows {
-		if r.Next.IsNull() {
-			continue
-		}
-		if chains[r.BaseKey] == nil {
-			chains[r.BaseKey] = map[string]VersionedRow{}
-		}
-		chains[r.BaseKey][r.ViewKey] = r
-	}
-	for _, chain := range chains {
+	for _, chain := range Chains(rows) {
 		for vk, r := range chain {
-			if string(r.Next.Value) == vk {
+			if r.Live() {
 				d.LiveRows++
-				if r.Deleted.Exists() && !r.Deleted.Tombstone && r.Deleted.TS >= r.Next.TS {
+				if r.Suppressed() {
 					d.DeletedRows++
 				}
 				continue
@@ -194,20 +123,9 @@ func Diagnose(entries []model.Entry) (Diagnostics, error) {
 			if d.OldestStaleTS == model.NullTS || r.Next.TS < d.OldestStaleTS {
 				d.OldestStaleTS = r.Next.TS
 			}
-			// Walk to the live row, bounded by the chain size.
-			hops, cur := 0, vk
-			for limit := len(chain) + 1; limit > 0; limit-- {
-				row, ok := chain[cur]
-				if !ok {
-					break // dangling (mid-propagation); count what we walked
-				}
-				next := string(row.Next.Value)
-				if next == cur {
-					break
-				}
-				hops++
-				cur = next
-			}
+			// Hops to the live row; a chain dangling mid-propagation counts
+			// what was walked.
+			_, hops := FollowChain(chain, vk)
 			d.TotalChainHops += hops
 			if hops > d.MaxChainLength {
 				d.MaxChainLength = hops

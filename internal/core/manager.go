@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,9 +19,10 @@ import (
 type Manager struct {
 	reg *Registry
 	co  *coord.Coordinator
+	// round is the shared propagation protocol over this coordinator.
+	round Round
 
-	pendMu  sync.Mutex
-	pending int
+	pending atomic.Int64 // in-flight propagations
 
 	// slots implements the bounded propagation backlog
 	// (Options.MaxPendingPropagations); nil when unbounded.
@@ -76,6 +76,14 @@ type Stats struct {
 	ChainHopsSaved atomic.Int64
 	// LiveKeyLookups counts GetLiveKey invocations.
 	LiveKeyLookups atomic.Int64
+	// Compressions counts stale pointers rewritten by path compression.
+	Compressions atomic.Int64
+	// GhostDetours counts chain walks that ended at an unpublished row
+	// (an interrupted promotion) and detoured through its origin.
+	GhostDetours atomic.Int64
+	// HelpedPublishes counts ready markers published on behalf of an
+	// interrupted promotion whose redirect provably completed.
+	HelpedPublishes atomic.Int64
 	// ViewReads counts GetView calls.
 	ViewReads atomic.Int64
 	// ReadSpins counts view reads that had to wait on an initializing
@@ -86,6 +94,10 @@ type Stats struct {
 // NewManager returns a view manager bound to one coordinator.
 func NewManager(reg *Registry, co *coord.Coordinator) *Manager {
 	m := &Manager{reg: reg, co: co}
+	m.round = Round{
+		Port: coordPort{m}, Stats: &m.stats, Obs: reg.obs,
+		MaxChainHops: reg.opts.MaxChainHops, PathCompression: reg.opts.PathCompression,
+	}
 	if n := reg.opts.MaxPendingPropagations; n > 0 {
 		m.slots = make(chan struct{}, n)
 	}
@@ -102,24 +114,41 @@ func (m *Manager) Registry() *Registry { return m.reg }
 // operations during propagation, per Algorithm 2's note.
 func (m *Manager) majority() int { return m.co.N()/2 + 1 }
 
-func (m *Manager) trackStart() {
-	m.pendMu.Lock()
-	m.pending++
-	m.pendMu.Unlock()
+// coordPort is the production Port: quorum rounds through the manager's
+// coordinator, serialized by the registry's lock service. In
+// ModePropagators a round already runs on the row's dedicated
+// propagator, which provides the serialization.
+type coordPort struct{ m *Manager }
+
+func (p coordPort) Get(ctx context.Context, table, row string, cols []string) (model.Row, error) {
+	return p.m.co.Get(ctx, table, row, cols, p.m.majority(), false)
 }
 
-func (m *Manager) trackEnd() {
-	m.pendMu.Lock()
-	m.pending--
-	m.pendMu.Unlock()
+func (p coordPort) MultiGet(ctx context.Context, table string, rows, cols []string) ([]model.Row, error) {
+	reads := make([]coord.RowRead, len(rows))
+	for i, row := range rows {
+		reads[i] = coord.RowRead{Row: row, Columns: cols}
+	}
+	return p.m.co.MultiGet(ctx, table, reads, p.m.majority())
+}
+
+func (p coordPort) Put(ctx context.Context, table, row string, updates []model.ColumnUpdate) error {
+	return p.m.co.Put(ctx, table, row, updates, p.m.majority())
+}
+
+func (p coordPort) Serialize(key string, exclusive bool) func() {
+	switch {
+	case p.m.reg.opts.Mode != ModeLocks:
+		return func() {}
+	case exclusive:
+		return p.m.reg.locks.Lock(key)
+	default:
+		return p.m.reg.locks.RLock(key)
+	}
 }
 
 // PendingPropagations reports in-flight propagation count.
-func (m *Manager) PendingPropagations() int {
-	m.pendMu.Lock()
-	defer m.pendMu.Unlock()
-	return m.pending
-}
+func (m *Manager) PendingPropagations() int { return int(m.pending.Load()) }
 
 // Quiesce blocks until no propagation scheduled through this manager
 // is in flight, or the context expires.
@@ -136,18 +165,6 @@ func (m *Manager) Quiesce(ctx context.Context) error {
 	}
 }
 
-// propTask is one view's maintenance work for a single base-table Put.
-type propTask struct {
-	def  *Def
-	vk   *model.ColumnUpdate // update to the view-key column, if any
-	mats []model.ColumnUpdate
-	// bulk marks a backfill fill: it skips the simulated
-	// PropagationDelay (which models a busy live-update queue, not a
-	// bulk scan) but still competes for propagation slots so a fill
-	// can't starve live maintenance.
-	bulk bool
-}
-
 // Put performs a base-table write with write quorum w, implementing
 // Algorithm 1: when the table has views and the update touches a view
 // key or view-materialized column, the write carries a pre-read of the
@@ -161,7 +178,7 @@ func (m *Manager) Put(ctx context.Context, table, row string, updates []model.Co
 	if m.reg.IsView(table) {
 		return fmt.Errorf("core: table %q is a view; views are not updateable", table)
 	}
-	tasks, cols := m.buildTasks(table, updates)
+	tasks, cols := m.buildTasks(table, row, updates)
 	if len(tasks) == 0 {
 		// Algorithm 1, else branch: a plain Put. The post-ack catalog
 		// fence still runs: a view defined while this write was in
@@ -169,17 +186,7 @@ func (m *Manager) Put(ctx context.Context, table, row string, updates []model.Co
 		if err := m.co.Put(ctx, table, row, updates, w); err != nil {
 			return err
 		}
-		lateDones := m.scheduleLate(ctx, table, row, updates, nil, trace.FromContext(ctx), onPropagated)
-		if m.reg.opts.SyncPropagation {
-			for _, d := range lateDones {
-				select {
-				case <-d:
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-		}
-		return nil
+		return m.awaitIfSync(ctx, m.scheduleLate(ctx, table, row, updates, nil, trace.FromContext(ctx), onPropagated))
 	}
 
 	var collectors coord.Collectors
@@ -212,53 +219,58 @@ func (m *Manager) Put(ctx context.Context, table, row string, updates []model.Co
 
 	var doneChans []<-chan struct{}
 	putSpan := trace.FromContext(ctx)
-	for _, t := range tasks {
-		done := m.schedule(t, row, collectors[t.def.ViewKeyColumn], putSpan, onPropagated)
-		doneChans = append(doneChans, done)
+	for i := range tasks {
+		t := &tasks[i]
+		doneChans = append(doneChans, m.schedule(t, collectors[t.def.ViewKeyColumn], putSpan, onPropagated))
 	}
 	doneChans = append(doneChans, m.scheduleLate(ctx, table, row, updates, tasks, putSpan, onPropagated)...)
-	if m.il != nil && intentErr == nil {
-		go func() {
-			for _, d := range doneChans {
-				<-d
-			}
-			m.il.LogDone(intentID) //nolint:errcheck // replayed intents are idempotent
-		}()
-	}
 	if intentErr != nil {
 		// The base write happened and propagation is scheduled, but
 		// durability of the intent failed: surface it like any other
 		// failed (unacknowledged) write so the client retries.
 		return fmt.Errorf("core: log propagation intent: %w", intentErr)
 	}
-	if m.reg.opts.SyncPropagation {
-		for _, d := range doneChans {
-			select {
-			case <-d:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
+	if m.il != nil {
+		// A lost done record only costs an idempotent replay.
+		afterAll(doneChans, func() { _ = m.il.LogDone(intentID) })
+	}
+	return m.awaitIfSync(ctx, doneChans)
+}
+
+// awaitIfSync implements Options.SyncPropagation: the Put returns only
+// once the propagations it started have finished.
+func (m *Manager) awaitIfSync(ctx context.Context, dones []<-chan struct{}) error {
+	if !m.reg.opts.SyncPropagation {
+		return nil
+	}
+	for _, d := range dones {
+		select {
+		case <-d:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
 	return nil
 }
 
+// afterAll runs fn once every propagation in dones has finished.
+func afterAll(dones []<-chan struct{}, fn func()) {
+	go func() {
+		for _, d := range dones {
+			<-d
+		}
+		fn()
+	}()
+}
+
 // buildTasks splits a base-table update set into per-view propagation
 // tasks plus the sorted view-key columns the write must pre-read.
-func (m *Manager) buildTasks(table string, updates []model.ColumnUpdate) ([]propTask, []string) {
-	var tasks []propTask
+func (m *Manager) buildTasks(table, row string, updates []model.ColumnUpdate) ([]Task, []string) {
+	var tasks []Task
 	preCols := map[string]bool{}
 	for _, def := range m.reg.ViewsOn(table) {
-		t := propTask{def: def}
-		for i := range updates {
-			switch {
-			case updates[i].Column == def.ViewKeyColumn:
-				t.vk = &updates[i]
-			case def.isMaterialized(updates[i].Column):
-				t.mats = append(t.mats, updates[i])
-			}
-		}
-		if t.vk == nil && len(t.mats) == 0 {
+		t, ok := TaskFor(def, row, updates)
+		if !ok {
 			continue
 		}
 		tasks = append(tasks, t)
@@ -280,7 +292,7 @@ func (m *Manager) buildTasks(table string, updates []model.ColumnUpdate) ([]prop
 // intent should stay pending (it survives in the log for the next
 // recovery).
 func (m *Manager) Repropagate(ctx context.Context, table, row string, updates []model.ColumnUpdate, onDone func()) error {
-	tasks, cols := m.buildTasks(table, updates)
+	tasks, cols := m.buildTasks(table, row, updates)
 	if len(tasks) == 0 {
 		// The view catalog changed since the intent was logged; there
 		// is nothing left to converge.
@@ -294,7 +306,8 @@ func (m *Manager) Repropagate(ctx context.Context, table, row string, updates []
 		return err
 	}
 	var doneChans []<-chan struct{}
-	for _, t := range tasks {
+	for i := range tasks {
+		t := &tasks[i]
 		vc := collectors[t.def.ViewKeyColumn]
 		// The write-time pre-images were lost with the crash; keep the
 		// NULL guess in the pool so the walk can always fall back to the
@@ -302,16 +315,11 @@ func (m *Manager) Repropagate(ctx context.Context, table, row string, updates []
 		// write itself spins on a view row the crash prevented from ever
 		// being created.
 		vc.Seed(model.NullCell)
-		doneChans = append(doneChans, m.schedule(t, row, vc, nil, nil))
+		doneChans = append(doneChans, m.schedule(t, vc, nil, nil))
 	}
-	go func() {
-		for _, d := range doneChans {
-			<-d
-		}
-		if onDone != nil {
-			onDone()
-		}
-	}()
+	if onDone != nil {
+		afterAll(doneChans, onDone)
+	}
 	return nil
 }
 
@@ -328,8 +336,8 @@ func (m *Manager) Repropagate(ctx context.Context, table, row string, updates []
 // here drops the late propagation (rare double fault: catalog change
 // racing an unreachable quorum); the view's backfill scan or a
 // RebuildView repairs such rows.
-func (m *Manager) scheduleLate(ctx context.Context, table, row string, updates []model.ColumnUpdate, scheduled []propTask, putSpan *trace.Span, onPropagated func(string, error)) []<-chan struct{} {
-	late, cols := m.buildTasks(table, updates)
+func (m *Manager) scheduleLate(ctx context.Context, table, row string, updates []model.ColumnUpdate, scheduled []Task, putSpan *trace.Span, onPropagated func(string, error)) []<-chan struct{} {
+	late, cols := m.buildTasks(table, row, updates)
 	if len(late) == len(scheduled) {
 		return nil
 	}
@@ -337,10 +345,10 @@ func (m *Manager) scheduleLate(ctx context.Context, table, row string, updates [
 	for _, t := range scheduled {
 		have[t.def.Name] = true
 	}
-	missing := make([]propTask, 0, len(late))
-	for _, t := range late {
-		if !have[t.def.Name] {
-			missing = append(missing, t)
+	missing := make([]*Task, 0, len(late))
+	for i := range late {
+		if !have[late[i].def.Name] {
+			missing = append(missing, &late[i])
 		}
 	}
 	if len(missing) == 0 {
@@ -360,16 +368,10 @@ func (m *Manager) scheduleLate(ctx context.Context, table, row string, updates [
 	for _, t := range missing {
 		vc := collectors[t.def.ViewKeyColumn]
 		vc.Seed(model.NullCell)
-		dones = append(dones, m.schedule(t, row, vc, putSpan, onPropagated))
+		dones = append(dones, m.schedule(t, vc, putSpan, onPropagated))
 	}
 	if intentLogged {
-		all := append([]<-chan struct{}(nil), dones...)
-		go func() {
-			for _, d := range all {
-				<-d
-			}
-			m.il.LogDone(intentID) //nolint:errcheck // replayed intents are idempotent
-		}()
+		afterAll(dones, func() { _ = m.il.LogDone(intentID) })
 	}
 	return dones
 }
@@ -382,25 +384,14 @@ func (m *Manager) scheduleLate(ctx context.Context, table, row string, updates [
 // on the per-row lock service and converge by LWW — a backfill write
 // that loses the race degrades into a stale-chain insert stamped below
 // the live row's timestamps, exactly what path compression would later
-// produce. onDone fires when the propagation finishes and receives its
-// outcome: non-nil means the propagation was abandoned (retry budget
-// exhausted under load) and the caller must re-issue the fill — the
-// fill is idempotent, so retrying is always safe. A non-nil return
-// from BackfillPropagate itself means nothing was scheduled.
-func (m *Manager) BackfillPropagate(ctx context.Context, def *Def, row string, updates []model.ColumnUpdate, onDone func(error)) error {
-	t := propTask{def: def, bulk: true}
-	for i := range updates {
-		switch {
-		case updates[i].Column == def.ViewKeyColumn:
-			t.vk = &updates[i]
-		case def.isMaterialized(updates[i].Column):
-			t.mats = append(t.mats, updates[i])
-		}
-	}
-	if t.vk == nil && len(t.mats) == 0 {
-		if onDone != nil {
-			onDone(nil)
-		}
+// produce. The fill keeps retrying for as long as ctx lives (its caller
+// is waiting on it; MaxPropagationRetry bounds only live propagations).
+// It returns the propagation's outcome: non-nil means the pre-image read
+// failed or the fill was abandoned because ctx ended. The fill is
+// idempotent, so re-issuing it is always safe.
+func (m *Manager) BackfillPropagate(ctx context.Context, def *Def, row string, updates []model.ColumnUpdate) error {
+	t, ok := TaskFor(def, row, updates)
+	if !ok {
 		return nil
 	}
 	collectors, err := m.co.GetVersions(ctx, def.Base, row, []string{def.ViewKeyColumn}, m.majority())
@@ -409,17 +400,12 @@ func (m *Manager) BackfillPropagate(ctx context.Context, def *Def, row string, u
 	}
 	vc := collectors[def.ViewKeyColumn]
 	vc.Seed(model.NullCell)
+	t.fill = ctx
 	// onPropagated happens-before close(done) inside schedule's finish,
-	// so reading perr after <-done is race-free.
+	// so reading perr after the receive is race-free.
 	var perr error
-	done := m.schedule(t, row, vc, nil, func(_ string, err error) { perr = err })
-	go func() {
-		<-done
-		if onDone != nil {
-			onDone(perr)
-		}
-	}()
-	return nil
+	<-m.schedule(&t, vc, nil, func(_ string, err error) { perr = err })
+	return perr
 }
 
 // Delete tombstones the given columns of a base row; deleting the
@@ -436,8 +422,8 @@ func (m *Manager) Delete(ctx context.Context, table, row string, columns []strin
 // schedule hands a propagation task to the configured concurrency
 // control and returns a channel closed when it finishes. The per-row
 // locking (or propagator serialization) happens per attempt inside the
-// retry machinery, never across backoff waits — see runPropagation.
-func (m *Manager) schedule(t propTask, baseKey string, vc *coord.VersionCollector, putSpan *trace.Span, onPropagated func(string, error)) <-chan struct{} {
+// retry machinery, never across backoff waits — see Port.Serialize.
+func (m *Manager) schedule(t *Task, vc *coord.VersionCollector, putSpan *trace.Span, onPropagated func(string, error)) <-chan struct{} {
 	// Backpressure: when the backlog is full, the base-table Put
 	// blocks here until an older propagation completes — the bounded
 	// maintenance capacity that makes sustained hot-row write storms
@@ -445,7 +431,7 @@ func (m *Manager) schedule(t propTask, baseKey string, vc *coord.VersionCollecto
 	if m.slots != nil {
 		m.slots <- struct{}{}
 	}
-	m.trackStart()
+	m.pending.Add(1)
 	// The staleness gauge clock starts at enqueue, not at execution:
 	// a deliberate PropagationDelay is staleness too.
 	obsID := m.reg.obs.startPropagation(t.def.Name, m.reg.clk.Now())
@@ -453,7 +439,7 @@ func (m *Manager) schedule(t propTask, baseKey string, vc *coord.VersionCollecto
 	// own root span linked to the Put's trace rather than a child.
 	psp := putSpan.LinkedRootRetained("propagate")
 	psp.SetAttr("view", t.def.Name)
-	psp.SetAttr("base_key", baseKey)
+	psp.SetAttr("base_key", t.baseKey)
 	done := make(chan struct{})
 	finish := func(err error) {
 		m.reg.obs.finishPropagation(obsID, t.def.Name, m.reg.clk.Now(), err)
@@ -461,7 +447,7 @@ func (m *Manager) schedule(t propTask, baseKey string, vc *coord.VersionCollecto
 		if onPropagated != nil {
 			onPropagated(t.def.Name, err)
 		}
-		m.trackEnd()
+		m.pending.Add(-1)
 		if m.slots != nil {
 			<-m.slots
 		}
@@ -470,19 +456,122 @@ func (m *Manager) schedule(t propTask, baseKey string, vc *coord.VersionCollecto
 	start := func() {
 		switch m.reg.opts.Mode {
 		case ModePropagators:
-			m.runPropagationViaPool(t, baseKey, vc, psp, finish)
+			m.runPropagationViaPool(t, vc, psp, finish)
 		default: // ModeLocks
 			go func() {
-				finish(m.runPropagation(t, baseKey, vc, psp))
+				finish(m.runPropagation(t, vc, psp))
 			}()
 		}
 	}
-	if d := m.reg.opts.PropagationDelay; d != nil && !t.bulk {
+	if d := m.reg.opts.PropagationDelay; d != nil && t.fill == nil {
 		m.reg.clk.AfterFunc(d(), start)
 	} else {
 		start()
 	}
 	return done
+}
+
+// retry is one propagation's state across the rounds of Algorithm 1,
+// lines 5-7: choose a view-key guess from the collected versions and
+// invoke PropagateUpdate until one attempt succeeds. Guesses are tried
+// newest first; when all collected guesses fail, the propagation waits
+// for more versions from straggler replicas or retries after a backoff
+// (the failing guesses' writers may propagate in the meantime). A live
+// propagation is abandoned and counted after MaxPropagationRetry; a
+// backfill fill, whose filler is waiting on it, when its context ends.
+type retry struct {
+	m       *Manager
+	t       *Task
+	vc      *coord.VersionCollector
+	ctx     context.Context
+	cancel  context.CancelFunc
+	backoff time.Duration
+}
+
+func (m *Manager) newRetry(t *Task, vc *coord.VersionCollector, sp *trace.Span) *retry {
+	r := &retry{m: m, t: t, vc: vc, backoff: m.reg.opts.RetryBackoff}
+	if t.fill != nil {
+		r.ctx, r.cancel = context.WithCancel(t.fill)
+	} else {
+		r.ctx, r.cancel = context.WithTimeout(context.Background(), m.reg.opts.MaxPropagationRetry)
+	}
+	r.ctx = trace.NewContext(r.ctx, sp)
+	return r
+}
+
+// attempt runs one round. It reports over=true with the propagation's
+// outcome, or over=false with how long to back off before the next one.
+func (r *retry) attempt() (over bool, err error, wait time.Duration) {
+	done, err := r.m.round.Try(r.ctx, r.t, r.vc)
+	if done {
+		return true, err, 0
+	}
+	if r.ctx.Err() != nil {
+		r.m.stats.Abandoned.Add(1)
+		return true, fmt.Errorf("core: propagation to %q for base row %q abandoned (%v)",
+			r.t.def.Name, r.t.baseKey, r.ctx.Err()), 0
+	}
+	wait = r.backoff
+	if r.backoff *= 2; r.backoff > 50*time.Millisecond {
+		r.backoff = 50 * time.Millisecond
+	}
+	return false, nil, wait
+}
+
+// runPropagation drives the retry loop on the calling goroutine
+// (ModeLocks): the row lock is taken per round inside Round.Try, never
+// across the wait below.
+func (m *Manager) runPropagation(t *Task, vc *coord.VersionCollector, sp *trace.Span) error {
+	r := m.newRetry(t, vc, sp)
+	defer r.cancel()
+	for {
+		over, err, wait := r.attempt()
+		if over {
+			return err
+		}
+		// Changed() stays closed once collection completes (so late
+		// waiters see completion); after that only the backoff can make
+		// a retry worthwhile, so stop selecting on it or the loop would
+		// busy-spin through its remaining retries.
+		changed := vc.Changed()
+		if vc.Complete() {
+			changed = nil
+		}
+		select {
+		case <-r.ctx.Done():
+		case <-changed:
+		case <-m.reg.clk.After(wait):
+		}
+	}
+}
+
+// runPropagationViaPool drives the same retry loop through the
+// dedicated propagator pool (ModePropagators). Each round runs as one
+// pool job on the base row's propagator; between rounds the job
+// reschedules itself with a timer instead of sleeping, so a propagation
+// waiting for its guesses to resolve never blocks the propagator —
+// other rows' jobs, and crucially the very propagations this one is
+// waiting for, keep flowing.
+func (m *Manager) runPropagationViaPool(t *Task, vc *coord.VersionCollector, sp *trace.Span, finish func(error)) {
+	r := m.newRetry(t, vc, sp)
+	var step func()
+	submit := func() {
+		if !m.reg.pool.Submit(t.lockKey, step) {
+			// Pool shut down: finish inline.
+			r.cancel()
+			finish(m.runPropagation(t, vc, sp))
+		}
+	}
+	step = func() {
+		over, err, wait := r.attempt()
+		if over {
+			r.cancel()
+			finish(err)
+			return
+		}
+		m.reg.clk.AfterFunc(wait, submit)
+	}
+	submit()
 }
 
 // GetView reads a view by view key (Algorithm 4): it returns one

@@ -34,7 +34,8 @@ type pendingProp struct {
 	enq  time.Time
 }
 
-func newViewObs() *ViewObs {
+// NewViewObs returns empty instrumentation.
+func NewViewObs() *ViewObs {
 	return &ViewObs{
 		perView: map[string]*metrics.AtomicHist{},
 		pending: map[uint64]pendingProp{},

@@ -101,7 +101,60 @@ type VersionedRow struct {
 	Next    model.Cell
 	Ready   model.Cell
 	Deleted model.Cell
-	Cells   model.Row
+	Prev    model.Cell // the promotion's redo intent (ColPrev)
+	Cells   model.Row  // view-materialized data
+}
+
+// Live reports a chain terminus: the row's pointer names the row itself.
+func (r VersionedRow) Live() bool { return !r.Next.IsNull() && string(r.Next.Value) == r.ViewKey }
+
+// Published reports whether the ready marker is as fresh as the pointer;
+// until then a live row is still being initialized (Section IV-F).
+func (r VersionedRow) Published() bool {
+	return r.Ready.Exists() && !r.Ready.Tombstone && r.Ready.TS >= r.Next.TS
+}
+
+// Suppressed reports a deletion marker as fresh as the pointer: the
+// base row's view key was deleted while this row was live.
+func (r VersionedRow) Suppressed() bool {
+	return r.Deleted.Exists() && !r.Deleted.Tombstone && r.Deleted.TS >= r.Next.TS
+}
+
+// Visible reports whether a view read returns the row: live, published,
+// not suppressed, and not a versioning anchor.
+func (r VersionedRow) Visible() bool {
+	return r.Live() && r.Published() && !r.Suppressed() && !IsInternalKey(r.ViewKey)
+}
+
+// Chains groups a versioned view's linked rows (those with a pointer) by
+// base key, then view key.
+func Chains(rows []VersionedRow) map[string]map[string]VersionedRow {
+	byBase := map[string]map[string]VersionedRow{}
+	for _, r := range rows {
+		if r.Next.IsNull() {
+			continue // never linked (e.g. only data cells written)
+		}
+		if byBase[r.BaseKey] == nil {
+			byBase[r.BaseKey] = map[string]VersionedRow{}
+		}
+		byBase[r.BaseKey][r.ViewKey] = r
+	}
+	return byBase
+}
+
+// FollowChain follows pointers from view key vk through one base key's
+// chain and returns the row it stopped at and the hops it took. It stops
+// at a live row, at a key the chain has no row for (a dangling pointer),
+// or, with hops > len(chain), because the pointers cycle.
+func FollowChain(chain map[string]VersionedRow, vk string) (end string, hops int) {
+	for end = vk; hops <= len(chain); hops++ {
+		r, ok := chain[end]
+		if !ok || r.Live() {
+			break
+		}
+		end = string(r.Next.Value)
+	}
+	return end, hops
 }
 
 // DecodeVersionedView reconstructs the versioned view structure from a
@@ -121,7 +174,7 @@ func DecodeVersionedView(entries []model.Entry) ([]VersionedRow, error) {
 		k := key{viewKey, baseKey}
 		r := rows[k]
 		if r == nil {
-			r = &VersionedRow{ViewKey: viewKey, BaseKey: baseKey, Next: model.NullCell, Ready: model.NullCell, Deleted: model.NullCell, Cells: model.Row{}}
+			r = &VersionedRow{ViewKey: viewKey, BaseKey: baseKey, Next: model.NullCell, Ready: model.NullCell, Deleted: model.NullCell, Prev: model.NullCell, Cells: model.Row{}}
 			rows[k] = r
 		}
 		switch col {
@@ -131,6 +184,8 @@ func DecodeVersionedView(entries []model.Entry) ([]VersionedRow, error) {
 			r.Ready = e.Cell
 		case ColDeleted:
 			r.Deleted = e.Cell
+		case ColPrev:
+			r.Prev = e.Cell
 		case ColBase:
 			// implied by the qualifier; ignored
 		default:
@@ -160,48 +215,30 @@ func DecodeVersionedView(entries []model.Entry) ([]VersionedRow, error) {
 //   - the live row's key matches expectedLive (pass nil to skip the
 //     content check).
 func CheckVersionedInvariants(rows []VersionedRow, expectedLive map[string]string) error {
-	byBase := map[string]map[string]VersionedRow{}
-	for _, r := range rows {
-		if r.Next.IsNull() {
-			continue // never linked (e.g. only data cells written)
-		}
-		if byBase[r.BaseKey] == nil {
-			byBase[r.BaseKey] = map[string]VersionedRow{}
-		}
-		byBase[r.BaseKey][r.ViewKey] = r
-	}
+	byBase := Chains(rows)
 	for baseKey, chain := range byBase {
 		var live []string
 		for vk, r := range chain {
-			if string(r.Next.Value) == vk {
+			if r.Live() {
 				live = append(live, vk)
 			}
 		}
 		if len(live) != 1 {
 			return fmt.Errorf("core: base row %q has %d live rows %v, want exactly 1", baseKey, len(live), live)
 		}
-		lr := chain[live[0]]
-		if !lr.Ready.Exists() || lr.Ready.Tombstone || lr.Ready.TS < lr.Next.TS {
+		if lr := chain[live[0]]; !lr.Published() {
 			return fmt.Errorf("core: base row %q live row %q not ready (%v vs next %v)", baseKey, live[0], lr.Ready, lr.Next)
 		}
 		for vk := range chain {
-			cur := vk
-			for hop := 0; ; hop++ {
-				if hop > len(chain) {
-					return fmt.Errorf("core: base row %q has a pointer cycle from %q", baseKey, vk)
-				}
-				r, ok := chain[cur]
-				if !ok {
-					return fmt.Errorf("core: base row %q chain from %q dangles at %q", baseKey, vk, cur)
-				}
-				next := string(r.Next.Value)
-				if next == cur {
-					break
-				}
-				cur = next
+			end, hops := FollowChain(chain, vk)
+			if hops > len(chain) {
+				return fmt.Errorf("core: base row %q has a pointer cycle from %q", baseKey, vk)
 			}
-			if cur != live[0] {
-				return fmt.Errorf("core: base row %q chain from %q ends at %q, want live %q", baseKey, vk, cur, live[0])
+			if _, ok := chain[end]; !ok {
+				return fmt.Errorf("core: base row %q chain from %q dangles at %q", baseKey, vk, end)
+			}
+			if end != live[0] {
+				return fmt.Errorf("core: base row %q chain from %q ends at %q, want live %q", baseKey, vk, end, live[0])
 			}
 		}
 		if expectedLive != nil {

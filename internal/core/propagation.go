@@ -4,135 +4,143 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
-	"vstore/internal/coord"
 	"vstore/internal/model"
 	"vstore/internal/trace"
 )
+
+// This file is the single definition of one propagation round:
+// PropagateUpdate, GetLiveKey and CopyData (Algorithms 2-3), written
+// against the narrow Port below. Production (Manager over a
+// coord.Coordinator and the lock service), the deterministic simulator
+// (internal/sim over its virtual-time quorum primitives) and tests
+// (fakes that fail chosen writes) all run these functions; only the
+// retry loops around a round differ per runtime.
+//
+// Promotion is redo-safe. A quorum failure midway through the "new row
+// wins" sequence leaves a half-created self-pointing row — created
+// (step 1) but never published (step 4). Such a ghost looks live to a
+// naive Algorithm 3 walk, and when the promoted view key was previously
+// a stale chain link, step 1's self-pointer severs the chain there, so
+// even a walk from the anchor dead-ends at the ghost. Two rules fix it.
+// Step 1 records the row being superseded in a ColPrev cell written
+// atomically with the self-pointer. And a walk trusts a self-pointing
+// terminus only when its ready marker is current: otherwise resolution
+// detours through the recorded origin (resolveLive).
 
 // errKeyMissing is the retryable failure of Algorithm 3: the guessed
 // view key does not (yet) exist in the view, because the base-table
 // update that wrote it has not propagated.
 var errKeyMissing = errors.New("core: view key not found in view")
 
-// runPropagation is the coordinator's retry loop of Algorithm 1, lines
-// 5-7: choose a view-key guess from the collected versions and invoke
-// PropagateUpdate until one attempt succeeds. Guesses are tried newest
-// first; when all collected guesses fail, the loop waits for more
-// versions from straggler replicas or retries after a backoff (the
-// failing guesses' writers may propagate in the meantime). After
-// MaxPropagationRetry the propagation is abandoned and counted.
-//
-// The concurrency-control resource (the per-row lock, or the dedicated
-// propagator in pool mode) is held only across a single round of
-// attempts, never across the backoff wait. This matters for liveness:
-// the paper's progress argument (Section IV-D) relies on some *other*
-// unpropagated update being able to proceed while this one's guesses
-// are still unresolved — holding the row's exclusive lock while
-// waiting for that very update would deadlock until timeout.
-func (m *Manager) runPropagation(t propTask, baseKey string, vc *coord.VersionCollector, sp *trace.Span) error {
-	opts := m.reg.opts
-	ctx, cancel := context.WithTimeout(context.Background(), opts.MaxPropagationRetry)
-	defer cancel()
-	ctx = trace.NewContext(ctx, sp)
-	backoff := opts.RetryBackoff
-	lockKey := t.def.Name + "\x00" + t.def.storedKey(baseKey)
+// errUnresolved is the retryable "a ghost is in the way" failure: the
+// walk ended at an unpublished row and the detour could not settle it
+// either. Distinct from errKeyMissing so it never licenses row creation.
+var errUnresolved = errors.New("core: live row resolution blocked by an unfinished promotion")
 
-	for {
-		done, err := m.tryRound(ctx, t, baseKey, lockKey, vc)
-		if done {
-			return err
-		}
-		if ctx.Err() != nil {
-			m.stats.Abandoned.Add(1)
-			return fmt.Errorf("core: propagation to %q for base row %q abandoned after %v",
-				t.def.Name, baseKey, opts.MaxPropagationRetry)
-		}
-		// Changed() stays closed once collection completes (so late
-		// waiters see completion); after that only the backoff can make
-		// a retry worthwhile, so stop selecting on it or the loop would
-		// busy-spin through its remaining retries.
-		changed := vc.Changed()
-		if vc.Complete() {
-			changed = nil
-		}
-		select {
-		case <-ctx.Done():
-		case <-changed:
-		case <-m.reg.clk.After(backoff):
-		}
-		if backoff *= 2; backoff > 50*time.Millisecond {
-			backoff = 50 * time.Millisecond
-		}
-	}
+// readyValue is the value of every ready and deletion marker. Cell
+// values are immutable throughout the store, so one slice serves all.
+var readyValue = []byte("1")
+
+// Port is everything a propagation round needs from the runtime under
+// it. All reads and writes use the majority quorum Algorithm 2 mandates.
+type Port interface {
+	// Get reads the named columns of one row.
+	Get(ctx context.Context, table, row string, cols []string) (model.Row, error)
+	// MultiGet reads the same columns of several rows of one table in a
+	// single round trip; result i belongs to rows[i].
+	MultiGet(ctx context.Context, table string, rows, cols []string) ([]model.Row, error)
+	// Put writes cells into one row.
+	Put(ctx context.Context, table, row string, updates []model.ColumnUpdate) error
+	// Serialize blocks until the caller may run one round for key — a
+	// view name and stored base key — exclusively for view-key updates,
+	// shared for materialized-column updates, and returns the release.
+	// It is held across a single round, never across a backoff wait: the
+	// paper's progress argument (Section IV-D) relies on some other
+	// unpropagated update proceeding while this one's guesses are still
+	// unresolved.
+	Serialize(key string, exclusive bool) (release func())
 }
 
-// runPropagationViaPool drives the same retry loop through the
-// dedicated propagator pool (ModePropagators). Each round runs as one
-// pool job on the base row's propagator; between rounds the job
-// reschedules itself with time.AfterFunc instead of sleeping, so a
-// propagation waiting for its guesses to resolve never blocks the
-// propagator — other rows' jobs, and crucially the very propagations
-// this one is waiting for, keep flowing.
-func (m *Manager) runPropagationViaPool(t propTask, baseKey string, vc *coord.VersionCollector, sp *trace.Span, finish func(error)) {
-	opts := m.reg.opts
-	ctx, cancel := context.WithTimeout(context.Background(), opts.MaxPropagationRetry)
-	ctx = trace.NewContext(ctx, sp)
-	lockKey := t.def.Name + "\x00" + t.def.storedKey(baseKey)
-	backoff := opts.RetryBackoff
-
-	var step func()
-	step = func() {
-		done, err := m.tryRound(ctx, t, baseKey, lockKey, vc)
-		if done {
-			cancel()
-			finish(err)
-			return
-		}
-		if ctx.Err() != nil {
-			m.stats.Abandoned.Add(1)
-			cancel()
-			finish(fmt.Errorf("core: propagation to %q for base row %q abandoned after %v",
-				t.def.Name, baseKey, opts.MaxPropagationRetry))
-			return
-		}
-		d := backoff
-		if backoff *= 2; backoff > 50*time.Millisecond {
-			backoff = 50 * time.Millisecond
-		}
-		m.reg.clk.AfterFunc(d, func() {
-			if !m.reg.pool.Submit(lockKey, step) {
-				// Pool shut down mid-retry: finish inline.
-				cancel()
-				finish(m.runPropagation(t, baseKey, vc, sp))
-			}
-		})
-	}
-	if !m.reg.pool.Submit(lockKey, step) {
-		cancel()
-		finish(m.runPropagation(t, baseKey, vc, sp))
-	}
+// Pool is a propagation's guess pool: the view-key versions collected
+// from the replicas so far, newest first, and whether every replica has
+// reported.
+type Pool interface {
+	Versions() []model.Cell
+	Complete() bool
 }
 
-// tryRound makes one pass over the currently collected guesses, holding
-// the row's propagation lock (exclusive for view-key updates, shared
-// for materialized-column updates) in ModeLocks. In ModePropagators the
-// caller already runs on the row's dedicated propagator, which provides
-// the serialization. It reports done=true when the propagation
+// Task is one view's maintenance work for a single base-row Put.
+type Task struct {
+	def  *Def
+	vk   *model.ColumnUpdate // update to the view-key column, if any
+	mats []model.ColumnUpdate
+	// fill, when non-nil, marks a backfill fill and bounds its retries
+	// (the filler waits on that context). A fill also skips the simulated
+	// PropagationDelay, which models a busy live-update queue, not a bulk
+	// scan, but still competes for propagation slots so it cannot starve
+	// live maintenance.
+	fill context.Context
+
+	baseKey string
+	stored  string // the base key as view rows spell it (Def.storedKey)
+	lockKey string // Port.Serialize key
+	anchor  string // the base row's chain anchor
+	// hop is the qualified ColNext, ColReady, ColPrev. A chain hop reads
+	// the first two; the third joins them once a walk ends at a ghost.
+	hop [3]string
+}
+
+// TaskFor splits a base row's update set into the part one view must
+// maintain; ok is false when the updates touch neither the view key nor
+// a materialized column.
+func TaskFor(def *Def, baseKey string, updates []model.ColumnUpdate) (t Task, ok bool) {
+	t = Task{def: def, baseKey: baseKey}
+	for i := range updates {
+		switch {
+		case updates[i].Column == def.ViewKeyColumn:
+			t.vk = &updates[i]
+		case def.isMaterialized(updates[i].Column):
+			t.mats = append(t.mats, updates[i])
+		}
+	}
+	if t.vk == nil && len(t.mats) == 0 {
+		return t, false
+	}
+	t.stored = def.storedKey(baseKey)
+	t.lockKey = def.Name + "\x00" + t.stored
+	t.anchor = nullRowKey(t.stored)
+	t.hop = [3]string{model.Qualify(t.stored, ColNext), model.Qualify(t.stored, ColReady), model.Qualify(t.stored, ColPrev)}
+	return t, true
+}
+
+// deletes reports whether the task cannot create a view row: it carries
+// no view-key update, or a view-key deletion.
+func (t *Task) deletes() bool { return t.vk == nil || t.vk.Cell.Tombstone }
+
+// Round runs propagation rounds over one Port, reporting through the
+// shared instruments.
+type Round struct {
+	Port
+	Stats *Stats
+	Obs   *ViewObs
+	// MaxChainHops caps a chain walk (cycle guard); PathCompression makes
+	// a walk rewrite the stale pointers it traversed.
+	MaxChainHops    int
+	PathCompression bool
+}
+
+// Try makes one pass over the currently collected guesses while
+// serialized on the base row. It reports done=true when the propagation
 // completed (successfully or as a provable no-op).
-func (m *Manager) tryRound(ctx context.Context, t propTask, baseKey, lockKey string, vc *coord.VersionCollector) (bool, error) {
-	if m.reg.opts.Mode == ModeLocks {
-		var release func()
-		if t.vk != nil {
-			release = m.reg.locks.Lock(lockKey)
-		} else {
-			release = m.reg.locks.RLock(lockKey)
-		}
-		defer release()
-	}
+func (r *Round) Try(ctx context.Context, t *Task, pool Pool) (bool, error) {
+	release := r.Serialize(t.lockKey, t.vk != nil)
+	defer release()
 
-	guesses := vc.Versions()
+	// Completeness is sampled first: a pool complete now cannot be
+	// missing a version from the snapshot taken after it.
+	complete := pool.Complete()
+	guesses := pool.Versions()
 	anyWritten, anyLive := false, false
 	for _, g := range guesses {
 		if g.Exists() {
@@ -150,8 +158,8 @@ func (m *Manager) tryRound(ctx context.Context, t propTask, baseKey, lockKey str
 	// a deleted view key may still have a live (not yet
 	// deletion-marked) view row that a re-propagated deletion must
 	// stamp, so those fall through to the chain walks below.
-	if !anyWritten && vc.Complete() && (t.vk == nil || t.vk.Cell.Tombstone) {
-		m.stats.NoOps.Add(1)
+	if !anyWritten && complete && t.deletes() {
+		r.Stats.NoOps.Add(1)
 		return true, nil
 	}
 	// With a complete pool holding no live guess, a deletion (or
@@ -161,24 +169,24 @@ func (m *Manager) tryRound(ctx context.Context, t propTask, baseKey, lockKey str
 	// quorum, and folds the winning state itself. A live guess forbids
 	// the shortcut — the row it names may exist unanchored mid-create,
 	// so the walk must keep retrying until it resolves.
-	noView := vc.Complete() && !anyLive && (t.vk == nil || t.vk.Cell.Tombstone)
+	noView := complete && !anyLive && t.deletes()
 
-	// With several live guesses the chain walks ahead share one batched
-	// lookup of every start key's Next pointer (one round trip instead
-	// of one Get per guess).
-	pre := m.prefetchStarts(ctx, t.def, baseKey, guesses)
+	// With several guesses the chain walks ahead share one batched
+	// lookup of every start key (one round trip instead of one Get per
+	// guess).
+	pre := r.prefetchStarts(ctx, t, guesses)
 
 	for _, g := range guesses {
-		err := m.propagateOnce(ctx, t, baseKey, g, pre)
+		err := r.propagateOnce(ctx, t, g, pre)
 		if err == nil {
-			m.stats.Propagations.Add(1)
+			r.Stats.Propagations.Add(1)
 			return true, nil
 		}
 		if noView && g.IsNull() && errors.Is(err, errKeyMissing) {
-			m.stats.NoOps.Add(1)
+			r.Stats.NoOps.Add(1)
 			return true, nil
 		}
-		m.stats.FailedAttempts.Add(1)
+		r.Stats.FailedAttempts.Add(1)
 		if ctx.Err() != nil {
 			return false, err
 		}
@@ -186,38 +194,48 @@ func (m *Manager) tryRound(ctx context.Context, t propTask, baseKey, lockKey str
 	return false, nil
 }
 
-// viewPut writes cells into a versioned view row with the majority
-// quorum mandated by Algorithm 2. Dot metadata is stripped: dots name
-// client base-table writes, and a view cell derived from a dotted base
-// cell is not itself a causal event — carrying the dot over would make
-// two view rows derived from concurrent base writes look like sibling
-// view writes and double-count them.
-func (m *Manager) viewPut(ctx context.Context, view, rowKey string, updates []model.ColumnUpdate) error {
+// put is the one place a view row is written during propagation. Dot
+// metadata is stripped: dots name client base-table writes, and a view
+// cell derived from a dotted base cell is not itself a causal event —
+// carrying the dot over would make two view rows derived from
+// concurrent base writes look like sibling view writes and double-count
+// them.
+func (r *Round) put(ctx context.Context, t *Task, rowKey string, updates []model.ColumnUpdate) error {
 	model.StripDots(updates)
-	return m.co.Put(ctx, view, rowKey, updates, m.majority())
+	return r.Put(ctx, t.def.Name, rowKey, updates)
+}
+
+// startKey resolves a guess to the view row its chain walk starts at. A
+// NULL guess (the replica had no view key before the update) starts from
+// the base row's chain anchor; see nullRowKey.
+func (t *Task) startKey(guess model.Cell) string {
+	if guess.IsNull() {
+		return t.anchor
+	}
+	return string(guess.Value)
+}
+
+// cellOf reads one cell of a quorum-read row; ports may leave a
+// never-written cell out or pad it with NullCell.
+func cellOf(row model.Row, col string) model.Cell {
+	if c, ok := row[col]; ok {
+		return c
+	}
+	return model.NullCell
 }
 
 // propagateOnce is PropagateUpdate (Algorithm 2) for one guess. It
 // handles a view-key update, view-materialized column updates, or both
 // at once (the multi-column extension the paper describes in IV-C).
-func (m *Manager) propagateOnce(ctx context.Context, t propTask, baseKey string, guess model.Cell, pre map[string]model.Row) error {
-	def := t.def
-	// Resolve the guess to a starting view-row key. A NULL guess (the
-	// replica had no view key before the update) starts from the base
-	// row's chain anchor; see nullRowKey.
-	start := nullRowKey(def.storedKey(baseKey))
-	if !guess.IsNull() {
-		start = string(guess.Value)
-	}
-
-	kLive, tLive, err := m.getLiveKey(ctx, def, baseKey, start, pre)
+func (r *Round) propagateOnce(ctx context.Context, t *Task, guess model.Cell, pre map[string]model.Row) error {
+	kLive, tLive, err := r.resolveLive(ctx, t, t.startKey(guess), pre)
 	creating := false
 	if err != nil {
 		// A missing anchor together with a NULL guess means no view
 		// row has ever been created for this base row: a view-key
 		// update may create the first one. Any other failure is a bad
 		// guess — retried by the caller with another version.
-		if errors.Is(err, errKeyMissing) && guess.IsNull() && t.vk != nil && !t.vk.Cell.Tombstone {
+		if errors.Is(err, errKeyMissing) && guess.IsNull() && !t.deletes() {
 			creating, kLive, tLive = true, "", model.NullTS
 		} else {
 			return err
@@ -226,12 +244,11 @@ func (m *Manager) propagateOnce(ctx context.Context, t propTask, baseKey string,
 
 	target := kLive // row that will receive materialized-column cells
 	if t.vk != nil {
-		target, err = m.propagateViewKey(ctx, def, baseKey, *t.vk, kLive, tLive, creating)
-		if err != nil {
+		if target, err = r.propagateViewKey(ctx, t, kLive, tLive, creating); err != nil {
 			return err
 		}
 	}
-	if len(t.mats) > 0 && def.Selects(target) {
+	if len(t.mats) > 0 && t.def.Selects(target) {
 		// Algorithm 2 line 12: write the new values into the live row.
 		// The cells carry the base-table timestamps, so stale
 		// propagations lose to fresher cell values automatically.
@@ -240,11 +257,9 @@ func (m *Manager) propagateOnce(ctx context.Context, t propTask, baseKey string,
 		// moves into the selection, CopyData re-seeds from the base.)
 		updates := make([]model.ColumnUpdate, 0, len(t.mats))
 		for _, u := range t.mats {
-			updates = append(updates, model.ColumnUpdate{Column: model.Qualify(def.storedKey(baseKey), u.Column), Cell: u.Cell})
+			updates = append(updates, model.ColumnUpdate{Column: model.Qualify(t.stored, u.Column), Cell: u.Cell})
 		}
-		if err := m.viewPut(ctx, def.Name, target, updates); err != nil {
-			return err
-		}
+		return r.put(ctx, t, target, updates)
 	}
 	return nil
 }
@@ -252,92 +267,79 @@ func (m *Manager) propagateOnce(ctx context.Context, t propTask, baseKey string,
 // propagateViewKey handles the view-key branch of Algorithm 2 and
 // returns the key of the row that now represents the base row's
 // current state (where bundled materialized updates should land).
-func (m *Manager) propagateViewKey(ctx context.Context, def *Def, baseKey string, vk model.ColumnUpdate, kLive string, tLive int64, creating bool) (string, error) {
-	stored := def.storedKey(baseKey)
-	qNext := model.Qualify(stored, ColNext)
-	qBase := model.Qualify(stored, ColBase)
-	qReady := model.Qualify(stored, ColReady)
-	tNew := vk.Cell.TS
-
-	if vk.Cell.Tombstone {
+func (r *Round) propagateViewKey(ctx context.Context, t *Task, kLive string, tLive int64, creating bool) (string, error) {
+	vk := t.vk.Cell
+	tNew := vk.TS
+	if vk.Tombstone {
 		// Deletion of the view key: the row stays in the versioned
 		// view (it anchors stale chains) but is marked deleted. Reads
 		// skip rows whose deletion is at least as new as their live
 		// pointer.
-		upd := []model.ColumnUpdate{{Column: model.Qualify(stored, ColDeleted), Cell: model.Cell{Value: []byte("1"), TS: tNew}}}
-		if err := m.viewPut(ctx, def.Name, kLive, upd); err != nil {
-			return "", err
-		}
-		return kLive, nil
+		return kLive, r.put(ctx, t, kLive, []model.ColumnUpdate{
+			{Column: model.Qualify(t.stored, ColDeleted), Cell: model.Cell{Value: readyValue, TS: tNew}},
+		})
 	}
 
-	kNew := string(vk.Cell.Value)
+	kNew := string(vk.Value)
+	self := model.ColumnUpdate{Column: t.hop[0], Cell: model.Cell{Value: vk.Value, TS: tNew}}
+	ready := model.ColumnUpdate{Column: t.hop[1], Cell: model.Cell{Value: readyValue, TS: tNew}}
+
 	// The live row's Next cell holds exactly the winning view-key
 	// write (value kLive at tLive), so LWW comparison against it
 	// decides whether this update supersedes the live row — including
 	// the timestamp-tie case the paper leaves to Cassandra semantics.
-	newWins := creating || vk.Cell.Wins(model.Cell{Value: []byte(kLive), TS: tLive})
-
 	switch {
 	case kNew == kLive:
-		// Case 2c: the key is already live; refresh its timestamps
-		// (no effect if tNew is older, by Put semantics).
-		return kNew, m.viewPut(ctx, def.Name, kNew, []model.ColumnUpdate{
-			{Column: qBase, Cell: model.Cell{Value: []byte(baseKey), TS: tNew}},
-			{Column: qNext, Cell: model.Cell{Value: []byte(kNew), TS: tNew}},
-			{Column: qReady, Cell: model.Cell{Value: []byte("1"), TS: tNew}},
-		})
+		// Case 2c: the key is already live; refresh its timestamps (no
+		// effect if tNew is older, by Put semantics). Pointer and ready
+		// marker travel in one put, so a replica that observes the
+		// refreshed pointer also observes the refreshed marker.
+		return kNew, r.put(ctx, t, kNew, []model.ColumnUpdate{self, ready})
 
-	case newWins:
+	case creating || vk.Wins(model.Cell{Value: []byte(kLive), TS: tLive}):
 		// The new row becomes the live row. Order matters for
-		// concurrent readers (Section IV-F): (1) create the row
-		// without its ready marker — inaccessible; (2) copy the
-		// view-materialized cells; (3) turn the old live row stale;
-		// (4) publish the new row by writing its ready marker.
-		if err := m.viewPut(ctx, def.Name, kNew, []model.ColumnUpdate{
-			{Column: qBase, Cell: model.Cell{Value: []byte(baseKey), TS: tNew}},
-			{Column: qNext, Cell: model.Cell{Value: []byte(kNew), TS: tNew}},
-		}); err != nil {
+		// concurrent readers (Section IV-F) and for redo: (1) create
+		// the row self-pointing, without its ready marker —
+		// inaccessible — and record the row it supersedes; (2) copy the
+		// view-materialized cells; (3) turn the old live row (the
+		// anchor when creating) stale; (4) publish the new row by
+		// writing its ready marker.
+		prev := model.ColumnUpdate{Column: t.hop[2], Cell: model.Cell{Value: []byte(kLive), TS: tNew}}
+		if err := r.put(ctx, t, kNew, []model.ColumnUpdate{self, prev}); err != nil {
 			return "", err
 		}
 		// Rows outside the view's selection are structure-only: they
 		// anchor stale chains but never carry materialized data.
-		if def.Selects(kNew) {
-			if err := m.copyData(ctx, def, baseKey, kLive, kNew, creating); err != nil {
+		if t.def.Selects(kNew) {
+			if err := r.copyData(ctx, t, kLive, kNew, creating); err != nil {
 				return "", err
 			}
 		}
 		staleRow := kLive
 		if creating {
-			staleRow = nullRowKey(stored)
+			staleRow = t.anchor
 		}
-		if err := m.viewPut(ctx, def.Name, staleRow, []model.ColumnUpdate{
-			{Column: qBase, Cell: model.Cell{Value: []byte(baseKey), TS: tNew}},
-			{Column: qNext, Cell: model.Cell{Value: []byte(kNew), TS: tNew}},
-		}); err != nil {
+		if err := r.put(ctx, t, staleRow, []model.ColumnUpdate{self}); err != nil {
 			return "", err
 		}
-		if err := m.viewPut(ctx, def.Name, kNew, []model.ColumnUpdate{
-			{Column: qReady, Cell: model.Cell{Value: []byte("1"), TS: tNew}},
-		}); err != nil {
-			return "", err
-		}
-		return kNew, nil
+		return kNew, r.put(ctx, t, kNew, []model.ColumnUpdate{ready})
 
 	default:
 		// The update is older than the live row: record it as a stale
 		// row pointing (directly) at the live row, so later guesses of
-		// kNew can still find the live row. If kNew already exists as
-		// a stale row with a newer pointer, the Put loses LWW and the
-		// existing pointer survives, as Definition 3 requires.
-		if err := m.viewPut(ctx, def.Name, kNew, []model.ColumnUpdate{
-			{Column: qBase, Cell: model.Cell{Value: []byte(baseKey), TS: tNew}},
-			{Column: qNext, Cell: model.Cell{Value: []byte(kLive), TS: tNew}},
-		}); err != nil {
-			return "", err
-		}
-		// Bundled materialized updates still target the live row.
-		return kLive, nil
+		// kNew can still find the live row. The pointer is stamped at
+		// the live row's timestamp, not tNew — what path compression
+		// would later write, and redo-safe: if kNew is a ghost of this
+		// very update's earlier interrupted attempt, its self-pointer at
+		// tNew loses to this cell (the live row won at tNew, so tLive >
+		// tNew, or the tie broke on value — and then kLive is the larger
+		// value too). If kNew already exists as a stale row with a newer
+		// pointer, the Put loses LWW and the existing pointer survives,
+		// as Definition 3 requires. Bundled materialized updates still
+		// target the live row.
+		return kLive, r.put(ctx, t, kNew, []model.ColumnUpdate{
+			{Column: t.hop[0], Cell: model.Cell{Value: []byte(kLive), TS: tLive}},
+		})
 	}
 }
 
@@ -363,141 +365,227 @@ func (m *Manager) propagateViewKey(ctx context.Context, def *Def, baseKey string
 //
 // Because the copied cells keep their base-table timestamps, merging
 // in base state never regresses the view and preserves convergence.
-func (m *Manager) copyData(ctx context.Context, def *Def, baseKey, kOld, kNew string, creating bool) error {
-	stored := def.storedKey(baseKey)
-	merged := model.Row{} // unqualified column → winning cell
-	fold := func(col string, cell model.Cell) {
-		if !cell.Exists() || cell.Tombstone {
-			return
-		}
-		if old, ok := merged[col]; ok {
-			merged[col] = model.Merge(old, cell)
-		} else {
-			merged[col] = cell
+func (r *Round) copyData(ctx context.Context, t *Task, kOld, kNew string, creating bool) error {
+	def := t.def
+	nMat := len(def.Materialized)
+	// updates[i] accumulates materialized column i; the last slot is the
+	// deletion marker. Slots nothing folded into are dropped at the end.
+	updates := make([]model.ColumnUpdate, nMat+1)
+	for i, c := range def.Materialized {
+		updates[i].Column = model.Qualify(t.stored, c)
+	}
+	updates[nMat].Column = model.Qualify(t.stored, ColDeleted)
+	for i := range updates {
+		updates[i].Cell = model.NullCell
+	}
+	fold := func(i int, cell model.Cell) {
+		if !cell.IsNull() {
+			updates[i].Cell = model.Merge(updates[i].Cell, cell)
 		}
 	}
 
 	// Base-table state: materialized columns, plus the view-key column
 	// to learn whether the row is currently deleted.
-	baseCols := append(append([]string(nil), def.Materialized...), def.ViewKeyColumn)
-	base, err := m.co.Get(ctx, def.Base, baseKey, baseCols, m.majority(), false)
+	baseCols := append(append(make([]string, 0, nMat+1), def.Materialized...), def.ViewKeyColumn)
+	base, err := r.Get(ctx, def.Base, t.baseKey, baseCols)
 	if err != nil {
 		return err
 	}
-	for _, c := range def.Materialized {
-		fold(c, base[c])
+	for i, c := range def.Materialized {
+		fold(i, cellOf(base, c))
 	}
-	if vk, ok := base[def.ViewKeyColumn]; ok && vk.Exists() && vk.Tombstone {
-		fold(ColDeleted, model.Cell{Value: []byte("1"), TS: vk.TS})
+	if vk := cellOf(base, def.ViewKeyColumn); vk.Exists() && vk.Tombstone {
+		fold(nMat, model.Cell{Value: readyValue, TS: vk.TS})
 	}
 
 	// Old live row state, when one exists.
 	if !creating {
-		cols := make([]string, 0, len(def.Materialized)+1)
-		for _, c := range def.Materialized {
-			cols = append(cols, model.Qualify(stored, c))
+		cols := make([]string, len(updates))
+		for i := range updates {
+			cols[i] = updates[i].Column
 		}
-		cols = append(cols, model.Qualify(stored, ColDeleted))
-		qualified, err := m.co.Get(ctx, def.Name, kOld, cols, m.majority(), false)
+		old, err := r.Get(ctx, def.Name, kOld, cols)
 		if err != nil {
 			return err
 		}
-		for q, cell := range qualified {
-			if _, col, ok := model.Unqualify(q); ok {
-				fold(col, cell)
-			}
+		for i, q := range cols {
+			fold(i, cellOf(old, q))
 		}
 	}
 
-	updates := make([]model.ColumnUpdate, 0, len(merged))
-	for col, cell := range merged {
-		updates = append(updates, model.ColumnUpdate{Column: model.Qualify(stored, col), Cell: cell})
+	n := 0
+	for _, u := range updates {
+		if u.Cell.Exists() {
+			updates[n] = u
+			n++
+		}
 	}
-	if len(updates) == 0 {
+	if n == 0 {
 		return nil
 	}
-	return m.viewPut(ctx, def.Name, kNew, updates)
+	return r.put(ctx, t, kNew, updates[:n])
 }
 
-// prefetchStarts resolves the Next pointers of every distinct chain
-// start key among the guesses in one batched quorum read, so the
-// chain walks of propagateOnce begin with their first hop — and, when
-// one guess's chain leads through another guess's key, later hops too
-// — already in hand. The returned map feeds getLiveKey's cache.
+// prefetchStarts reads every distinct chain start key among the guesses
+// in one batched quorum read, so the chain walks of propagateOnce begin
+// with their first hop — and, when one guess's chain leads through
+// another guess's key, later hops too — already in hand. The returned
+// map feeds walkChain's cache.
 //
 // The prefetch is a performance hint with the same quorum strength as
 // the per-hop Gets it replaces: a row written between the batch and
 // the walk is simply not seen this round, which at worst costs one
 // extra retry, exactly like a Get issued at batch time would have.
 // Any batch failure degrades to the unbatched walk.
-func (m *Manager) prefetchStarts(ctx context.Context, def *Def, baseKey string, guesses []model.Cell) map[string]model.Row {
+func (r *Round) prefetchStarts(ctx context.Context, t *Task, guesses []model.Cell) map[string]model.Row {
 	if len(guesses) < 2 {
 		return nil // a single start key gains nothing over its plain Get
 	}
-	stored := def.storedKey(baseKey)
-	qNext := model.Qualify(stored, ColNext)
-	seen := make(map[string]bool, len(guesses))
-	reads := make([]coord.RowRead, 0, len(guesses))
+	starts := make([]string, 0, len(guesses))
+next:
 	for _, g := range guesses {
-		start := nullRowKey(stored)
-		if !g.IsNull() {
-			start = string(g.Value)
+		start := t.startKey(g)
+		for _, s := range starts {
+			if s == start {
+				continue next
+			}
 		}
-		if seen[start] {
-			continue
-		}
-		seen[start] = true
-		reads = append(reads, coord.RowRead{Row: start, Columns: []string{qNext}})
+		starts = append(starts, start)
 	}
-	if len(reads) < 2 {
+	if len(starts) < 2 {
 		return nil
 	}
-	rows, err := m.co.MultiGet(ctx, def.Name, reads, m.majority())
+	rows, err := r.MultiGet(ctx, t.def.Name, starts, t.hop[:2])
 	if err != nil {
 		return nil
 	}
-	m.stats.BatchedLookups.Add(1)
-	pre := make(map[string]model.Row, len(reads))
-	for i, rd := range reads {
-		pre[rd.Row] = rows[i]
+	r.Stats.BatchedLookups.Add(1)
+	pre := make(map[string]model.Row, len(starts))
+	for i, s := range starts {
+		pre[s] = rows[i]
 	}
 	return pre
 }
 
-// getLiveKey is Algorithm 3: starting from a guessed view key, follow
-// Next pointers through stale rows until the live row (self-pointer)
-// is found. Returns errKeyMissing when the starting key has no row for
-// this base key — the guess's update has not propagated yet.
+// terminus is the self-pointing row a chain walk ended at.
+type terminus struct {
+	key       string
+	ts        int64
+	published bool // ready marker at least as fresh as the pointer
+}
+
+// terminusOf judges whether row — kv's pointer and ready marker, read
+// in one request — is a self-pointing terminus.
+func (t *Task) terminusOf(kv string, row model.Row) (end terminus, ok bool) {
+	next, ready := cellOf(row, t.hop[0]), cellOf(row, t.hop[1])
+	if next.IsNull() || string(next.Value) != kv {
+		return terminus{}, false
+	}
+	return terminus{key: kv, ts: next.TS, published: !ready.IsNull() && ready.TS >= next.TS}, true
+}
+
+// resolveLive finds the authoritative live row for a base key. A walk
+// is trusted only when it ends at a published row. An unpublished
+// self-pointing terminus is an interrupted promotion; its ColPrev cell
+// names the row it was superseding (rows written before that cell
+// existed detour via the anchor), and a detour walk from there
+// disambiguates the two interrupted shapes:
+//
+//   - The detour reaches a published live row: the interrupted
+//     promotion never redirected it (it may even have severed the
+//     chain by re-promoting an old stale key). That row is the
+//     authority; proceeding against it demotes or redoes the ghost.
+//   - The detour arrives back at the unpublished terminus: the only
+//     pointer into an unpublished row is its own promotion's redirect
+//     (stale inserts and compression only target published rows), so
+//     the redirect — and the copy step ordered before it — completed.
+//     Only the publish was lost, and any operation may finish it.
+//
+// A walk that ends at a published row pays nothing for any of this;
+// the origin cell is only read once a ghost is in the way.
+func (r *Round) resolveLive(ctx context.Context, t *Task, start string, pre map[string]model.Row) (string, int64, error) {
+	ghost, err := r.walkChain(ctx, t, start, pre)
+	if err != nil || ghost.published {
+		return ghost.key, ghost.ts, err
+	}
+	r.Stats.GhostDetours.Add(1)
+	// Pointer, marker and origin in one fresh request, so the per-replica
+	// atomicity of the create step's write carries over to the merged
+	// read (the walk's own view of the row may be a prefetched snapshot).
+	row, err := r.Get(ctx, t.def.Name, ghost.key, t.hop[:])
+	if err != nil {
+		return "", 0, err
+	}
+	ghost, ok := t.terminusOf(ghost.key, row)
+	switch {
+	case !ok:
+		return "", 0, fmt.Errorf("%w: %q was redirected mid-resolution", errUnresolved, start)
+	case ghost.published:
+		return ghost.key, ghost.ts, nil
+	}
+	detour := t.anchor
+	if prev := cellOf(row, t.hop[2]); !prev.IsNull() && len(prev.Value) > 0 {
+		detour = string(prev.Value)
+	}
+	live, err := r.walkChain(ctx, t, detour, nil)
+	switch {
+	case err != nil:
+		// Deliberately not errKeyMissing: view rows exist (the ghost
+		// does), so a missing detour row must not license creation.
+		return "", 0, fmt.Errorf("%w: %q detour via %q: %v", errUnresolved, ghost.key, detour, err)
+	case live.published:
+		return live.key, live.ts, nil
+	case live.key != ghost.key:
+		return "", 0, fmt.Errorf("%w: %q and %q both unpublished", errUnresolved, ghost.key, live.key)
+	}
+	// Redirect provably done: help the interrupted promotion over the
+	// line by publishing its ready marker.
+	if err := r.put(ctx, t, ghost.key, []model.ColumnUpdate{
+		{Column: t.hop[1], Cell: model.Cell{Value: readyValue, TS: ghost.ts}},
+	}); err != nil {
+		return "", 0, err
+	}
+	r.Stats.HelpedPublishes.Add(1)
+	return ghost.key, ghost.ts, nil
+}
+
+// walkChain is Algorithm 3: starting from a guessed view key, follow
+// Next pointers through stale rows to the self-pointing terminus. It
+// returns errKeyMissing when the starting key has no row for this base
+// key — the guess's update has not propagated yet. Each hop reads the
+// pointer and the ready marker in a single request, so judging the
+// terminus costs no extra round trip.
 //
 // pre optionally carries rows prefetched by prefetchStarts; hops whose
 // key is in the batch skip their quorum round trip (an empty
 // prefetched row means the quorum saw no such row, which is exactly
 // errKeyMissing — also no round trip).
 //
-// With Options.PathCompression the traversed stale rows are rewritten
-// to point directly at the live row (at the live pointer's timestamp,
-// which dominates every stale pointer), flattening hot chains the way
-// union-find path compression does.
-func (m *Manager) getLiveKey(ctx context.Context, def *Def, baseKey, start string, pre map[string]model.Row) (string, int64, error) {
-	m.stats.LiveKeyLookups.Add(1)
-	qNext := model.Qualify(def.storedKey(baseKey), ColNext)
+// With PathCompression the traversed stale rows are rewritten to point
+// directly at the terminus (at its pointer's timestamp, which dominates
+// every stale pointer), flattening hot chains the way union-find path
+// compression does — but only toward a published terminus: compressing
+// toward an unpublished row would splice a ghost into real chains.
+func (r *Round) walkChain(ctx context.Context, t *Task, start string, pre map[string]model.Row) (terminus, error) {
+	r.Stats.LiveKeyLookups.Add(1)
+	view := t.def.Name
 	kv := start
 	var visited []string
 	walk := trace.FromContext(ctx).Child("chain.walk")
 	if walk != nil {
-		walk.SetAttr("view", def.Name)
+		walk.SetAttr("view", view)
 		walk.SetAttr("start", start)
 		ctx = trace.NewContext(ctx, walk)
 	}
 	defer func() {
-		// Rows visited, counting the live terminus: 1 = no stale hops.
-		m.reg.obs.ChainLen.Observe(int64(len(visited)) + 1)
+		// Rows visited, counting the terminus: 1 = no stale hops.
+		r.Obs.ChainLen.Observe(int64(len(visited)) + 1)
 		if walk != nil {
 			walk.SetAttr("hops", fmt.Sprint(len(visited)))
 			walk.Finish()
 		}
 	}()
-	for hop := 0; hop < m.reg.opts.MaxChainHops; hop++ {
+	for hop := 0; hop < r.MaxChainHops; hop++ {
 		row, ok := pre[kv]
 		if ok {
 			// A prefetched row serves at most one hop: it is a
@@ -506,41 +594,41 @@ func (m *Manager) getLiveKey(ctx context.Context, def *Def, baseKey, start strin
 			// the snapshot's stale pointer and the current chain forever
 			// (stale A→B cached, fresh B→A, cached A→B, ...).
 			delete(pre, kv)
-			m.stats.ChainHopsSaved.Add(1)
+			r.Stats.ChainHopsSaved.Add(1)
 		} else {
 			var err error
-			row, err = m.co.Get(ctx, def.Name, kv, []string{qNext}, m.majority(), false)
-			if err != nil {
-				return "", 0, err
+			if row, err = r.Get(ctx, view, kv, t.hop[:2]); err != nil {
+				return terminus{}, err
 			}
 		}
-		next, ok := row[qNext]
-		if !ok || next.IsNull() {
-			return "", 0, fmt.Errorf("%w: %q (base row %q)", errKeyMissing, kv, baseKey)
+		next := cellOf(row, t.hop[0])
+		if next.IsNull() {
+			return terminus{}, fmt.Errorf("%w: %q (base row %q)", errKeyMissing, kv, t.baseKey)
 		}
 		if hop > 0 {
-			m.stats.ChainHops.Add(1)
+			r.Stats.ChainHops.Add(1)
 		}
-		if string(next.Value) == kv {
-			if m.reg.opts.PathCompression && len(visited) > 1 {
-				m.compressChain(ctx, def, baseKey, visited[:len(visited)-1], kv, next.TS)
+		if end, ok := t.terminusOf(kv, row); ok {
+			if end.published && r.PathCompression && len(visited) > 1 {
+				r.compressChain(ctx, t, visited[:len(visited)-1], end)
 			}
-			return kv, next.TS, nil
+			return end, nil
 		}
 		visited = append(visited, kv)
 		kv = string(next.Value)
 	}
-	return "", 0, fmt.Errorf("core: stale chain for base row %q exceeded %d hops (cycle?)", baseKey, m.reg.opts.MaxChainHops)
+	return terminus{}, fmt.Errorf("core: stale chain for base row %q exceeded %d hops (cycle?)", t.baseKey, r.MaxChainHops)
 }
 
 // compressChain rewrites traversed stale pointers to address the live
 // row directly. Failures are ignored: compression is a performance
 // hint, never needed for correctness.
-func (m *Manager) compressChain(ctx context.Context, def *Def, baseKey string, staleKeys []string, kLive string, tLive int64) {
-	qNext := model.Qualify(def.storedKey(baseKey), ColNext)
+func (r *Round) compressChain(ctx context.Context, t *Task, staleKeys []string, live terminus) {
 	for _, kv := range staleKeys {
-		_ = m.viewPut(ctx, def.Name, kv, []model.ColumnUpdate{
-			{Column: qNext, Cell: model.Cell{Value: []byte(kLive), TS: tLive}},
-		})
+		if r.put(ctx, t, kv, []model.ColumnUpdate{
+			{Column: t.hop[0], Cell: model.Cell{Value: []byte(live.key), TS: live.ts}},
+		}) == nil {
+			r.Stats.Compressions.Add(1)
+		}
 	}
 }

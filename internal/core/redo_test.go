@@ -1,0 +1,297 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"vstore/internal/model"
+)
+
+// Protocol-level regression for interrupted promotions: the shared
+// propagation round runs against a fake Port that refuses the k-th
+// write of a "new row wins" sequence (create / copy / redirect /
+// publish), a second propagation and a reader then run over the
+// wreckage, and the interrupted update is retried the way the retry
+// loop or intent replay would. Before redo-safe promotion lived in this
+// package, k=2..4 left a self-pointing row nothing could tell from the
+// live one (double-live rows, severed chains).
+
+// fakePort is a single-copy store — every read is a perfect quorum
+// read — that can fail one chosen view-table write.
+type fakePort struct {
+	t      *testing.T
+	tables map[string]map[string]model.Row
+	// failIn, when positive, fails the failIn-th write of the next
+	// promotion of view key failKey, counted from its create step (the
+	// first put that makes failKey point at itself).
+	failKey  string
+	failIn   int
+	counting bool
+}
+
+var errInjected = errors.New("injected write-quorum failure")
+
+func (f *fakePort) row(table, row string) model.Row {
+	if f.tables[table] == nil {
+		f.tables[table] = map[string]model.Row{}
+	}
+	if f.tables[table][row] == nil {
+		f.tables[table][row] = model.Row{}
+	}
+	return f.tables[table][row]
+}
+
+func (f *fakePort) Get(_ context.Context, table, row string, cols []string) (model.Row, error) {
+	out := model.Row{}
+	for _, c := range cols {
+		if cell, ok := f.row(table, row)[c]; ok {
+			out[c] = cell
+		}
+	}
+	return out, nil
+}
+
+func (f *fakePort) MultiGet(ctx context.Context, table string, rows, cols []string) ([]model.Row, error) {
+	out := make([]model.Row, len(rows))
+	for i, r := range rows {
+		out[i], _ = f.Get(ctx, table, r, cols)
+	}
+	return out, nil
+}
+
+func (f *fakePort) Put(_ context.Context, table, row string, updates []model.ColumnUpdate) error {
+	if f.failIn > 0 {
+		for _, u := range updates {
+			_, col, _ := model.Unqualify(u.Column)
+			f.counting = f.counting || (col == ColNext && row == f.failKey && string(u.Cell.Value) == row)
+		}
+		if f.counting {
+			if f.failIn--; f.failIn == 0 {
+				f.counting = false
+				return errInjected
+			}
+		}
+	}
+	// The invariant helping rests on: a pointer into an unpublished row
+	// is only ever written by that row's own promotion (its redirect,
+	// from the origin it recorded). Stale inserts and path compression
+	// must target published rows, or a ghost gets spliced into chains.
+	for _, u := range updates {
+		stored, col, _ := model.Unqualify(u.Column)
+		if target := string(u.Cell.Value); col == ColNext && target != row {
+			cells := f.row(table, target)
+			next, ready := cells[model.Qualify(stored, ColNext)], cells[model.Qualify(stored, ColReady)]
+			published := string(next.Value) == target && !ready.IsNull() && ready.TS >= next.TS
+			origin := string(cells[model.Qualify(stored, ColPrev)].Value)
+			if origin == "" {
+				origin = nullRowKey(stored)
+			}
+			if !published && row != origin {
+				f.t.Errorf("pointer %q -> %q targets an unpublished row whose origin is %q", row, target, origin)
+			}
+		}
+	}
+	dst := f.row(table, row)
+	for _, u := range updates {
+		if !u.Cell.Dot.IsZero() || u.Cell.Ctx != nil {
+			f.t.Errorf("view cell %s/%s carries dot metadata", row, u.Column)
+		}
+		dst[u.Column] = model.Merge(cellOf(dst, u.Column), u.Cell)
+	}
+	return nil
+}
+
+func (f *fakePort) Serialize(string, bool) func() { return func() {} }
+
+// staticPool is a complete guess pool.
+type staticPool []model.Cell
+
+func (p staticPool) Versions() []model.Cell { return p }
+func (p staticPool) Complete() bool         { return true }
+
+func TestInterruptedPromotionIsRedoSafe(t *testing.T) {
+	const bk = "r"
+	vk := func(key string, ts int64) BaseUpdate {
+		return BaseUpdate{BaseKey: bk, Column: "k", Cell: model.Cell{Value: []byte(key), TS: ts}}
+	}
+	mat := func(val string, ts int64) BaseUpdate {
+		return BaseUpdate{BaseKey: bk, Column: "m", Cell: model.Cell{Value: []byte(val), TS: ts}}
+	}
+	shapes := []struct {
+		name    string
+		history []BaseUpdate // propagated cleanly first
+		victim  BaseUpdate   // its promotion is interrupted, then retried
+		second  BaseUpdate   // propagates in between
+		// staleAt, when set, is a view key that must end as a stale row
+		// whose pointer carries the live row's timestamp.
+		staleAt string
+		// severs: the victim re-promotes a stale chain link, so its
+		// unpublished self-pointer cuts the anchor off from the live row.
+		severs bool
+	}{
+		{name: "first creation, then a materialized update",
+			history: []BaseUpdate{mat("m0", 1)}, victim: vk("k1", 10), second: mat("m1", 11)},
+		{name: "supersede the live row, then a materialized update",
+			history: []BaseUpdate{mat("m0", 1), vk("k1", 10)}, victim: vk("k2", 20), second: mat("m1", 21)},
+		{name: "supersede the live row, overtaken by a newer key",
+			history: []BaseUpdate{mat("m0", 1), vk("k1", 10)}, victim: vk("k2", 20), second: vk("k3", 30), staleAt: "k2"},
+		{name: "re-promote a stale chain link (severs the chain), older key in between",
+			history: []BaseUpdate{mat("m0", 1), vk("k0", 5), vk("k1", 10), vk("k2", 20)}, victim: vk("k1", 30), second: vk("k3", 25), staleAt: "k3", severs: true},
+		{name: "re-promote a stale chain link, overtaken by a newer key",
+			history: []BaseUpdate{mat("m0", 1), vk("k0", 5), vk("k1", 10), vk("k2", 20)}, victim: vk("k1", 30), second: vk("k4", 40), staleAt: "k1", severs: true},
+	}
+	steps := []string{"create", "copy", "redirect", "publish"}
+	for _, sh := range shapes {
+		for k, step := range steps {
+			// The guess pool besides the NULL seed: the row's previous view
+			// key (what a write's pre-read collects), or its current one
+			// (what intent replay and backfill re-read).
+			for _, pool := range []string{"preimage", "replay"} {
+				t.Run(fmt.Sprintf("%s/fail %s/%s pool", sh.name, step, pool), func(t *testing.T) {
+					def := &Def{Name: "v", Base: "b", ViewKeyColumn: "k", Materialized: []string{"m"}}
+					port := &fakePort{t: t, tables: map[string]map[string]model.Row{}}
+					var stats Stats
+					round := Round{Port: port, Stats: &stats, Obs: NewViewObs(), MaxChainHops: 64, PathCompression: true}
+
+					var acked []BaseUpdate
+					// ack applies the update to the base row and returns its
+					// propagation's guess pool.
+					ack := func(u BaseUpdate) staticPool {
+						acked = append(acked, u)
+						base := port.row(def.Base, bk)
+						guess := cellOf(base, def.ViewKeyColumn)
+						base[u.Column] = model.Merge(cellOf(base, u.Column), u.Cell)
+						if pool == "replay" {
+							guess = cellOf(base, def.ViewKeyColumn)
+						}
+						return staticPool{guess, model.NullCell}
+					}
+					try := func(u BaseUpdate, guesses staticPool) bool {
+						task, ok := TaskFor(def, bk, []model.ColumnUpdate{{Column: u.Column, Cell: u.Cell}})
+						if !ok {
+							t.Fatalf("update %v is irrelevant to the view", u)
+						}
+						done, _ := round.Try(context.Background(), &task, guesses)
+						return done
+					}
+					for _, u := range sh.history {
+						if !try(u, ack(u)) {
+							t.Fatalf("history update %v did not propagate", u)
+						}
+					}
+
+					// The victim's first round walks from one guess only, so
+					// no second guess finishes what the injected failure
+					// interrupted.
+					victimPool := ack(sh.victim)
+					first := victimPool[:1]
+					if pool == "replay" {
+						first = victimPool[1:] // its own key has no row yet
+					}
+					port.failKey, port.failIn = string(sh.victim.Cell.Value), k+1
+					if try(sh.victim, first) {
+						t.Fatalf("promotion completed although its %s write failed", step)
+					}
+					if port.failIn != 0 {
+						t.Fatalf("promotion made fewer than %d writes", k+1)
+					}
+					// Both propagations now retry round by round, like the
+					// drive loops, the second one first.
+					secondPool := ack(sh.second)
+					secondDone, victimDone := false, false
+					for i := 0; i < 8 && !(secondDone && victimDone); i++ {
+						secondDone = secondDone || try(sh.second, secondPool)
+						victimDone = victimDone || try(sh.victim, victimPool)
+					}
+					if !secondDone || !victimDone {
+						t.Fatalf("propagations never completed (second %v, victim %v)", secondDone, victimDone)
+					}
+
+					// Structure: exactly one live row per base key, published,
+					// every chain reaching it (Definition 3).
+					var entries []model.Entry
+					for row, cells := range port.tables[def.Name] {
+						for col, cell := range cells {
+							entries = append(entries, model.Entry{Key: model.EncodeKey(row, col), Cell: cell})
+						}
+					}
+					vrows, err := DecodeVersionedView(entries)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := ExpectedView(def, nil, acked)
+					expectedLive := map[string]string{}
+					for _, r := range want {
+						expectedLive[r.BaseKey] = r.ViewKey
+					}
+					if err := CheckVersionedInvariants(vrows, expectedLive); err != nil {
+						t.Fatal(err)
+					}
+					// Content: a reader (Algorithm 4) over every view row sees
+					// exactly Definition 2's view.
+					var got []ViewRow
+					for viewKey, cells := range port.tables[def.Name] {
+						if IsInternalKey(viewKey) {
+							continue
+						}
+						rows, initializing := assembleViewRows([]*Def{def}, viewKey, cells, nil)
+						if initializing {
+							t.Errorf("view row %q still reads as initializing", viewKey)
+						}
+						got = append(got, rows...)
+					}
+					SortViewRows(got)
+					if len(got) != len(want) {
+						t.Fatalf("reader sees %v, oracle wants %v", got, want)
+					}
+					for i := range want {
+						if got[i].ViewKey != want[i].ViewKey || got[i].BaseKey != want[i].BaseKey || !got[i].Cells["m"].Equal(want[i].Cells["m"]) {
+							t.Fatalf("reader sees %v, oracle wants %v", got, want)
+						}
+					}
+					if sh.staleAt != "" {
+						live := want[0].ViewKey
+						liveTS := cellOf(port.row(def.Name, live), model.Qualify(bk, ColNext)).TS
+						ptr := cellOf(port.row(def.Name, sh.staleAt), model.Qualify(bk, ColNext))
+						if string(ptr.Value) != live || ptr.TS != liveTS {
+							t.Fatalf("stale row %q points at %v, want the live row %q at its timestamp %d", sh.staleAt, ptr, live, liveTS)
+						}
+					}
+					// The lost publish (and only it) is finished by whoever
+					// finds the redirect done.
+					if step == "publish" && stats.HelpedPublishes.Load() == 0 {
+						t.Error("nobody published the ready marker the interrupted promotion lost")
+					}
+					// A walk meets the ghost when it starts there or when the
+					// ghost cut the chain; it must then have gone around it.
+					meetsGhost := sh.severs || string(secondPool[0].Value) == string(sh.victim.Cell.Value)
+					if step != "create" && meetsGhost && stats.GhostDetours.Load() == 0 {
+						t.Error("no walk ever detoured around the unpublished row")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPrevIsReserved: a view cannot materialize a base column named
+// like the redo-intent cell, and verification tooling reports the cell
+// as structure, not data.
+func TestPrevIsReserved(t *testing.T) {
+	d := Def{Name: "v", Base: "b", ViewKeyColumn: "k", Materialized: []string{ColPrev}}
+	if err := d.Validate(); err == nil {
+		t.Fatal("view materializing __prev accepted")
+	}
+	rows, err := DecodeVersionedView([]model.Entry{
+		{Key: model.EncodeKey("k2", model.Qualify("r", ColNext)), Cell: model.Cell{Value: []byte("k2"), TS: 2}},
+		{Key: model.EncodeKey("k2", model.Qualify("r", ColPrev)), Cell: model.Cell{Value: []byte("k1"), TS: 2}},
+	})
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("decode: %v %v", rows, err)
+	}
+	if string(rows[0].Prev.Value) != "k1" || len(rows[0].Cells) != 0 {
+		t.Fatalf("__prev decoded as data: %+v", rows[0])
+	}
+}

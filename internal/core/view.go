@@ -38,6 +38,9 @@ import (
 // model.Qualify(baseKey, <name>).
 const (
 	// ColBase is the paper's "B" column: the base key of the view row.
+	// The qualifier of every cell already carries the base key and
+	// nothing ever read this one, so propagation no longer writes it;
+	// the name stays reserved for the rows on disk that have it.
 	ColBase = "__base"
 	// ColNext is the versioning pointer. A live row points to itself.
 	ColNext = "__next"
@@ -51,6 +54,13 @@ const (
 	// the versioned view as chain anchor but reads skip it while the
 	// deletion is current.
 	ColDeleted = "__del"
+	// ColPrev is a promotion's redo intent: the view key of the row being
+	// superseded, written atomically with the new row's self-pointer.
+	// Live-row resolution detours through it when a walk ends at a row
+	// that was created but never published (see resolveLive). Rows
+	// written before this column existed lack it; resolution then
+	// detours via the chain anchor.
+	ColPrev = "__prev"
 )
 
 // nullKeyPrefix starts the reserved view-row key that anchors the
@@ -67,11 +77,6 @@ func nullRowKey(baseKey string) string { return nullKeyPrefix + baseKey }
 // IsInternalKey reports whether a view-row key is a versioning anchor
 // rather than an application view key.
 func IsInternalKey(viewKey string) bool { return strings.HasPrefix(viewKey, nullKeyPrefix) }
-
-// AnchorKey returns the reserved chain-anchor view key for a base row;
-// external harnesses (the deterministic simulator) use it to mirror
-// the propagation algorithm's NULL-key handling.
-func AnchorKey(baseKey string) string { return nullRowKey(baseKey) }
 
 // Def defines a view (Definition 1 of the paper).
 type Def struct {
@@ -201,7 +206,7 @@ func (d *Def) Validate() error {
 
 func isReserved(col string) bool {
 	switch col {
-	case ColBase, ColNext, ColReady, ColDeleted:
+	case ColBase, ColNext, ColReady, ColDeleted, ColPrev:
 		return true
 	}
 	return false
@@ -358,7 +363,7 @@ func NewRegistry(opts Options) *Registry {
 		byName: map[string][]*Def{},
 		byBase: map[string][]*Def{},
 		locks:  locks.NewManager(),
-		obs:    newViewObs(),
+		obs:    NewViewObs(),
 	}
 	if opts.Mode == ModePropagators {
 		r.pool = propagate.NewPool(opts.Propagators)

@@ -84,6 +84,20 @@ func TestMergeCommutativeWithDots(t *testing.T) {
 	}
 }
 
+// TestMergeCommutativeOnFullTie pins sim seed 9 of the backfill
+// scenario: two distinct client writes of the same value at the same
+// timestamp tie completely under LWW, and replicas that merged them in
+// different orders kept different dots — diverging forever, because
+// anti-entropy digests cover the dot.
+func TestMergeCommutativeOnFullTie(t *testing.T) {
+	a := stamped("k2", 119, 2, 13)
+	b := stamped("k2", 119, 2, 17)
+	ab, ba := Merge(a, b), Merge(b, a)
+	if ab.Dot != ba.Dot || !ab.Ctx.Equal(ba.Ctx) {
+		t.Fatalf("merge order decided the surviving dot: %v vs %v", ab.Dot, ba.Dot)
+	}
+}
+
 // TestRowDigestSensitiveToMetadata: two replicas holding the same
 // value/timestamp but different causal contexts have NOT converged —
 // the digest must expose that so anti-entropy repairs it.

@@ -104,9 +104,13 @@ func (c Cell) Wins(old Cell) bool {
 // join as a lattice and canonical cells already contain their own dot
 // — which is what makes replica state a join-semilattice and
 // guarantees convergence under anti-entropy.
+//
+// Two distinct client writes can tie completely under LWW (same
+// timestamp, same value); the dot then breaks the tie, so every replica
+// also agrees on which write names the survivor.
 func Merge(a, b Cell) Cell {
 	w, l := a, b
-	if b.Wins(a) {
+	if b.Wins(a) || (a.Dot != b.Dot && !a.Wins(b) && dotBefore(a.Dot, b.Dot)) {
 		w, l = b, a
 	}
 	if l.Dot.IsZero() && len(l.Ctx) == 0 {
@@ -117,6 +121,14 @@ func Merge(a, b Cell) Cell {
 	}
 	w.Ctx = dvv.Absorb(w.Ctx, l.Ctx, w.Dot, l.Dot)
 	return w
+}
+
+// dotBefore orders dots by (node, sequence).
+func dotBefore(a, b dvv.Dot) bool {
+	if a.Node != b.Node {
+		return a.Node < b.Node
+	}
+	return a.Seq < b.Seq
 }
 
 // Concurrent reports whether the two cells were produced by causally

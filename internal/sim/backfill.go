@@ -4,10 +4,11 @@ package sim
 // identical in shape to the from-birth byview) is defined mid-run and
 // filled by scanning every node's base-table partition while clients
 // keep writing. Each scanned row is routed through the regular
-// propagation machinery — a backfill write is just a propagation of the
-// row's current quorum-merged state, so a racing live update resolves
-// by LWW exactly like two concurrent propagations would (the backfilled
-// cells carry the original base timestamps and lose to anything newer).
+// propagation protocol (core.Round) — a backfill write is just a
+// propagation of the row's current quorum-merged state, so a racing
+// live update resolves by LWW exactly like two concurrent propagations
+// would (the backfilled cells carry the original base timestamps and
+// lose to anything newer).
 // The coverage argument is the same fence DB.CreateViewAsync relies on:
 // writes acked before the view existed are quorum-visible to the scan's
 // reads; writes acked after it get their own ack-time propagation.
@@ -184,10 +185,16 @@ func (w *world) bfScanFinished(gen int, id transport.NodeID) {
 }
 
 // backfillFill propagates one base row's current state into the
-// backfilled view: quorum-read the row, then run the view-key cell
-// (creating or promoting the view row) and the materialized cell
-// through the regular propagation rounds. The guess pool starts from
-// NULL — the view had no pre-images before it existed.
+// backfilled view, like the real DB's filler: quorum-read the row, then
+// run its view-key and materialized cells through one regular
+// propagation (creating or promoting the view row and seeding its
+// data). The view had no pre-images before it existed, hence the
+// nullPool. The propagation shares the pending/inflight
+// accounting of an ack-time one, so the staleness-gauge invariant and
+// the per-key quiescence gating hold for fills too. Fill lag is not
+// observed into PropLag — the histogram measures client-visible
+// write-to-view staleness, and a bulk fill of an hours-old cell is not
+// that.
 func (w *world) backfillFill(p *Proc, id transport.NodeID, gen, epoch int, bk string) {
 	alive := w.bfAliveFn(gen)
 	var merged model.Row
@@ -205,10 +212,7 @@ func (w *world) backfillFill(p *Proc, id transport.NodeID, gen, epoch int, bk st
 		if err == nil {
 			break
 		}
-		p.Sleep(backoff)
-		if backoff *= 2; backoff > 16*time.Millisecond {
-			backoff = 16 * time.Millisecond
-		}
+		p.Backoff(&backoff, 16*time.Millisecond)
 	}
 	vk, ok := merged[vkCol]
 	if !ok || !vk.Exists() {
@@ -217,34 +221,13 @@ func (w *world) backfillFill(p *Proc, id transport.NodeID, gen, epoch int, bk st
 		// itself once it is acked.
 		return
 	}
-	if w.runBackfillProp(p, id, gen, epoch, bk, model.ColumnUpdate{Column: vkCol, Cell: vk}) != propDone {
-		return
+	updates := []model.ColumnUpdate{{Column: vkCol, Cell: vk}}
+	if mat, ok := merged[matCol]; ok && !mat.IsNull() {
+		updates = append(updates, model.ColumnUpdate{Column: matCol, Cell: mat})
 	}
-	if vk.Tombstone {
-		return // row is deletion-marked; no materialized data to fill
-	}
-	if mat, ok := merged[matCol]; ok && mat.Exists() && !mat.Tombstone {
-		w.runBackfillProp(p, id, gen, epoch, bk, model.ColumnUpdate{Column: matCol, Cell: mat})
-	}
-}
-
-// runBackfillProp runs one backfill propagation with the same
-// pending/inflight accounting as an ack-time propagation, so the
-// staleness-gauge invariant and the per-key quiescence gating hold for
-// fills too. Fill lag is not observed into PropLag — the histogram
-// measures client-visible write-to-view staleness, and a bulk fill of
-// an hours-old cell is not that.
-func (w *world) runBackfillProp(p *Proc, id transport.NodeID, gen, epoch int, bk string, u model.ColumnUpdate) int {
-	vers := &versionSet{}
-	vers.cells.Add(model.NullCell)
-	pid := w.nextPropID
-	w.nextPropID++
-	w.propPending[pid] = w.s.Now()
-	w.inflight[bk]++
-	st := w.runPropagation(p, id, w.bfDef, bk, u, vers, epoch, w.bfAliveFn(gen))
-	delete(w.propPending, pid)
-	if st == propDone {
+	retire := w.trackPropagation(bk)
+	if w.runPropagation(p, id, w.bfDef, bk, updates, nullPool(), epoch, alive) == propDone {
 		w.report.BackfillFills++
 	}
-	return st
+	retire()
 }

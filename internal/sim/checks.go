@@ -50,21 +50,6 @@ func (w *world) oracleViewTables() []string {
 	return ts
 }
 
-// chainsByBase groups linked rows (Next non-null) per base key.
-func chainsByBase(rows []core.VersionedRow) map[string]map[string]core.VersionedRow {
-	byBase := map[string]map[string]core.VersionedRow{}
-	for _, r := range rows {
-		if r.Next.IsNull() {
-			continue
-		}
-		if byBase[r.BaseKey] == nil {
-			byBase[r.BaseKey] = map[string]core.VersionedRow{}
-		}
-		byBase[r.BaseKey][r.ViewKey] = r
-	}
-	return byBase
-}
-
 func sortedKeys(m map[string]map[string]core.VersionedRow) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -85,7 +70,7 @@ func (w *world) checkAcyclic() error {
 		if err != nil {
 			return err
 		}
-		byBase := chainsByBase(rows)
+		byBase := core.Chains(rows)
 		for _, baseKey := range sortedKeys(byBase) {
 			chain := byBase[baseKey]
 			starts := make([]string, 0, len(chain))
@@ -94,20 +79,8 @@ func (w *world) checkAcyclic() error {
 			}
 			sort.Strings(starts)
 			for _, vk := range starts {
-				cur := vk
-				for hop := 0; ; hop++ {
-					if hop > len(chain) {
-						return fmt.Errorf("view %q base row %q has a pointer cycle from view key %q", table, baseKey, vk)
-					}
-					r, ok := chain[cur]
-					if !ok {
-						break // dangles mid-flight; tolerated until quiescent
-					}
-					next := string(r.Next.Value)
-					if next == cur {
-						break
-					}
-					cur = next
+				if _, hops := core.FollowChain(chain, vk); hops > len(chain) {
+					return fmt.Errorf("view %q base row %q has a pointer cycle from view key %q", table, baseKey, vk)
 				}
 			}
 		}
@@ -125,22 +98,6 @@ func (w *world) foldVK(bk string) model.Cell {
 		}
 	}
 	return out
-}
-
-// visible reports whether a versioned row is an application-visible
-// live row: self-pointing, published (ready fresh), not deleted, and
-// not a versioning anchor.
-func visible(r core.VersionedRow) bool {
-	if r.Next.IsNull() || string(r.Next.Value) != r.ViewKey {
-		return false
-	}
-	if !r.Ready.Exists() || r.Ready.Tombstone || r.Ready.TS < r.Next.TS {
-		return false
-	}
-	if r.Deleted.Exists() && !r.Deleted.Tombstone && r.Deleted.TS >= r.Next.TS {
-		return false
-	}
-	return !core.IsInternalKey(r.ViewKey)
 }
 
 // checkQuiescentRows runs the full Definition-3 oracle per base key,
@@ -166,7 +123,7 @@ func (w *world) checkQuiescentRows() error {
 				if err != nil {
 					return err
 				}
-				byBase = chainsByBase(rows)
+				byBase = core.Chains(rows)
 				byDef[def.Name] = byBase
 			}
 			if err := w.checkBaseKey(def, bk, byBase[bk]); err != nil {
@@ -201,7 +158,7 @@ func (w *world) checkBaseKey(def *core.Def, bk string, chain map[string]core.Ver
 	}
 	var visRows []core.VersionedRow
 	for _, r := range filtered {
-		if visible(r) {
+		if r.Visible() {
 			visRows = append(visRows, r)
 		}
 	}
@@ -265,7 +222,7 @@ func (w *world) finalCheck() error {
 	if err := core.CheckVersionedInvariants(rows, nil); err != nil {
 		return err
 	}
-	byBase := chainsByBase(rows)
+	byBase := core.Chains(rows)
 	for _, bk := range sortedKeys(byBase) {
 		if err := w.checkBaseKey(w.def, bk, byBase[bk]); err != nil {
 			return err
@@ -290,7 +247,7 @@ func (w *world) finalCheck() error {
 func (w *world) visibleViewRows(rows []core.VersionedRow, def *core.Def) []core.ViewRow {
 	var out []core.ViewRow
 	for _, r := range rows {
-		if !visible(r) {
+		if !r.Visible() {
 			continue
 		}
 		vr := core.ViewRow{ViewKey: r.ViewKey, BaseKey: r.BaseKey, Cells: model.Row{}}
@@ -347,7 +304,7 @@ func (w *world) checkBackfillCompleteness(byviewVisible []core.ViewRow) error {
 	if err := core.CheckVersionedInvariants(rows, nil); err != nil {
 		return fmt.Errorf("backfill-completeness: %w", err)
 	}
-	byBase := chainsByBase(rows)
+	byBase := core.Chains(rows)
 	for _, bk := range sortedKeys(byBase) {
 		if err := w.checkBaseKey(w.bfDef, bk, byBase[bk]); err != nil {
 			return fmt.Errorf("backfill-completeness: %w", err)

@@ -1,13 +1,11 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"vstore/internal/antientropy"
 	"vstore/internal/core"
-	"vstore/internal/dvv"
 	"vstore/internal/lsm"
 	"vstore/internal/metrics"
 	"vstore/internal/model"
@@ -229,9 +227,11 @@ type Report struct {
 	Invariant string
 	FailedAt  time.Duration
 
-	Acked              int // acknowledged client writes
-	Propagations       int // completed update propagations
-	PropagationRetries int // failed attempts and retry rounds
+	Acked int // acknowledged client writes
+	// Read from the core.Stats the shared propagation round updates —
+	// the instruments DB.Stats reports in production.
+	Propagations       int // completed update propagations, provable no-ops included
+	PropagationRetries int // failed PropagateUpdate attempts
 	ChainHops          int // stale rows traversed by GetLiveKey
 	Compressions       int // stale pointers rewritten by path compression
 	FinalViewRows      int // application-visible view rows at the end
@@ -249,7 +249,8 @@ type Report struct {
 	// PropLag is the distribution of enqueue→applied propagation lag
 	// in virtual-time microseconds — the same staleness gauge DB.Stats
 	// exposes, here measured against the deterministic clock. ChainLen
-	// is the per-walk chain length (rows touched, 1 = no stale hops).
+	// is the per-walk chain length (rows touched, 1 = no stale hops),
+	// from the same core.ViewObs histogram DB.Stats snapshots.
 	PropLag  metrics.HistSnapshot
 	ChainLen metrics.HistSnapshot
 }
@@ -259,28 +260,27 @@ func ReplayCommand(seed int64) string {
 	return fmt.Sprintf("MV_SEED=%d go test -run TestSimReplay ./internal/sim  (or: go run ./cmd/mvverify -sim -seed %d)", seed, seed)
 }
 
-// errSimKeyMissing is the retryable failure of Algorithm 3 in the sim:
-// the guessed view key has no row yet.
-var errSimKeyMissing = errors.New("sim: view key not found in view")
-
 // versionSet collects the distinct pre-image view-key versions observed
-// by a write's replica responses — the propagation's guess pool.
+// by a write's replica responses — the propagation's guess pool
+// (core.Pool).
 type versionSet struct {
 	cells    model.VersionSet
 	complete bool // all N replicas reported
 }
 
+func (v *versionSet) Versions() []model.Cell { return v.cells.Cells() }
+func (v *versionSet) Complete() bool         { return v.complete }
+
 // world is the mutable state of one simulation run. It is only touched
 // from the scheduler's thread of control, so it needs no locks.
 type world struct {
-	cfg       Config
-	s         *Scheduler
-	fab       *Fabric
-	ring      *ring.Ring
-	nodes     []*node.Node
-	agents    []*antientropy.Agent
-	def       *core.Def
-	placement func(table, row string) []transport.NodeID
+	cfg    Config
+	s      *Scheduler
+	fab    *Fabric
+	ring   *ring.Ring
+	nodes  []*node.Node
+	agents []*antientropy.Agent
+	def    *core.Def
 
 	// Durable mode: each node's storage root, and a per-node restart
 	// epoch — a propagation thread belongs to the epoch of the
@@ -307,11 +307,15 @@ type world struct {
 	// propPending mirrors what DB.Stats' staleness gauge tracks: one
 	// entry per in-flight propagation, keyed by an id, holding the
 	// virtual enqueue time. The staleness-pending-consistent invariant
-	// ties it to inflight; propLag/chainLen feed the Report.
+	// ties it to inflight; propLag feeds the Report.
 	propPending map[uint64]time.Duration
 	nextPropID  uint64
 	propLag     metrics.AtomicHist
-	chainLen    metrics.AtomicHist
+
+	// stats and obs are the production instruments every propagation
+	// round of the run reports through (core.Round).
+	stats core.Stats
+	obs   *core.ViewObs
 
 	// Online-backfill scenario state (CreateViewAt > 0). bfGen counts
 	// view generations — a drop + re-create is a new generation with a
@@ -343,6 +347,7 @@ func Run(cfg Config) *Report {
 		inflight:    map[string]int{},
 		propPending: map[uint64]time.Duration{},
 		dotSeqs:     make([]uint64, cfg.Nodes),
+		obs:         core.NewViewObs(),
 		report:      &Report{Seed: cfg.Seed},
 	}
 
@@ -351,9 +356,6 @@ func Run(cfg Config) *Report {
 		ids[i] = transport.NodeID(i)
 	}
 	w.ring = ring.New(ids, 16)
-	w.placement = func(table, row string) []transport.NodeID {
-		return w.ring.ReplicasFor(table+"\x00"+row, cfg.N)
-	}
 	w.durable = cfg.Dir != "" || cfg.Backend != nil
 	var root physical.Backend
 	if w.durable {
@@ -366,52 +368,28 @@ func Run(cfg Config) *Report {
 			root = physfs.New(cfg.Dir)
 		}
 	}
+	w.nodes = make([]*node.Node, cfg.Nodes)
+	w.agents = make([]*antientropy.Agent, cfg.Nodes)
+	w.storages = make([]*wal.Storage, cfg.Nodes)
+	w.backends = make([]physical.Backend, cfg.Nodes)
+	w.faults = make([]*faulty.Backend, cfg.Nodes)
+	w.epochs = make([]int, cfg.Nodes)
 	for _, id := range ids {
-		var storage *wal.Storage
 		if w.durable {
-			nb := physical.Sub(root, fmt.Sprintf("node-%d", id))
-			var fb *faulty.Backend
-			if cfg.StorageFaultProb > 0 {
-				p := cfg.StorageFaultProb
-				fb = faulty.New(nb, faulty.Options{
+			w.backends[id] = physical.Sub(root, fmt.Sprintf("node-%d", id))
+			if p := cfg.StorageFaultProb; p > 0 {
+				w.faults[id] = faulty.New(w.backends[id], faulty.Options{
 					Seed:       cfg.Seed + 7919*int64(id),
 					AppendFail: p, SyncFail: p, CreateFail: p, AtomicFail: p, RemoveFail: p,
 				})
-				nb = fb
-				// Storage must open cleanly before the run begins; the
-				// schedule only bites once clients are writing.
-				fb.SetEnabled(false)
-			}
-			w.backends = append(w.backends, nb)
-			w.faults = append(w.faults, fb)
-			var err error
-			storage, err = wal.OpenStorage(nb, w.walOpts)
-			if err != nil {
-				w.report.Err = fmt.Errorf("sim: open storage for node %d: %w", id, err)
-				w.report.Trace = s.Trace()
-				return w.report
-			}
-			if fb != nil {
-				fb.SetEnabled(true)
-			}
-		} else {
-			w.backends = append(w.backends, nil)
-			w.faults = append(w.faults, nil)
-		}
-		n := node.New(node.Options{ID: id, LSM: w.lsmOptions(id), Durable: storage})
-		if storage != nil {
-			if _, _, err := n.Recover(); err != nil {
-				w.report.Err = fmt.Errorf("sim: recover node %d: %w", id, err)
-				w.report.Trace = s.Trace()
-				return w.report
+				w.backends[id] = w.faults[id]
 			}
 		}
-		n.SetPlacement(w.placement)
-		w.fab.Register(id, n)
-		w.nodes = append(w.nodes, n)
-		w.storages = append(w.storages, storage)
-		w.epochs = append(w.epochs, 0)
-		w.agents = append(w.agents, w.newAgent(n))
+		if _, err := w.openNode(id); err != nil {
+			w.report.Err = fmt.Errorf("sim: %w", err)
+			w.report.Trace = s.Trace()
+			return w.report
+		}
 	}
 	w.def = &core.Def{Name: viewTable, Base: baseTable, ViewKeyColumn: vkCol, Materialized: []string{matCol}}
 
@@ -475,8 +453,12 @@ func Run(cfg Config) *Report {
 		w.report.ConcurrentWrites += int(n.ConcurrentWrites())
 	}
 	w.report.Err = err
+	w.report.Propagations = int(w.stats.Propagations.Load() + w.stats.NoOps.Load())
+	w.report.PropagationRetries = int(w.stats.FailedAttempts.Load())
+	w.report.ChainHops = int(w.stats.ChainHops.Load())
+	w.report.Compressions = int(w.stats.Compressions.Load())
 	w.report.PropLag = w.propLag.Snapshot()
-	w.report.ChainLen = w.chainLen.Snapshot()
+	w.report.ChainLen = w.obs.ChainLen.Snapshot()
 	w.report.Events = s.Trace().Len()
 	w.report.TraceHash = s.Trace().Hash()
 	w.report.Trace = s.Trace()
@@ -536,6 +518,38 @@ func (w *world) scheduleChaos() {
 	}
 }
 
+// openNode builds node id from whatever its backend holds — nothing at
+// the start of a run, the survivors of a crash afterwards — and wires it
+// into the fabric. Storage is opened and recovered with fault injection
+// off: the torn state a crash left behind is the fault being digested;
+// recovery itself runs on healthy storage (its reads are never faulted
+// anyway, but orphan GC and the fresh WAL segments must not fail
+// spuriously). It returns the propagation intents logged but not done.
+func (w *world) openNode(id transport.NodeID) (intents []wal.Intent, err error) {
+	var st *wal.Storage
+	if w.durable {
+		if fb := w.faults[id]; fb != nil {
+			fb.SetEnabled(false)
+		}
+		if st, err = wal.OpenStorage(w.backends[id], w.walOpts); err != nil {
+			return nil, fmt.Errorf("node %d: open storage: %w", id, err)
+		}
+	}
+	n := node.New(node.Options{ID: id, LSM: w.lsmOptions(id), Durable: st})
+	if st != nil {
+		if _, intents, err = n.Recover(); err != nil {
+			return nil, fmt.Errorf("node %d: recover: %w", id, err)
+		}
+		if fb := w.faults[id]; fb != nil && w.s.Now() < w.cfg.Duration {
+			fb.SetEnabled(true)
+		}
+	}
+	n.SetPlacement(w.replicas)
+	w.fab.Register(id, n)
+	w.nodes[id], w.storages[id], w.agents[id] = n, st, w.newAgent(n)
+	return intents, nil
+}
+
 // crashRestart is the durable-mode kill: the node loses its entire
 // volatile state at an arbitrary virtual instant — memtables, index
 // fragments, every propagation thread it was coordinating — and comes
@@ -551,34 +565,13 @@ func (w *world) crashRestart(id transport.NodeID) {
 	// The dying node's sibling observations would vanish with it.
 	w.report.ConcurrentWrites += int(w.nodes[id].ConcurrentWrites())
 	old := w.storages[id]
-	_ = old.Abandon() // crash model: no final sync
-	// Reopen and recover with fault injection off: the torn state the
-	// crash left behind is the fault being digested; recovery itself
-	// runs on healthy storage (its reads are never faulted anyway, but
-	// orphan GC and the fresh WAL segments must not fail spuriously).
-	if fb := w.faults[id]; fb != nil {
-		fb.SetEnabled(false)
-	}
-	st, err := wal.OpenStorage(w.backends[id], w.walOpts)
+	_ = old.Abandon()              // crash model: no final sync
+	intents, err := w.openNode(id) // replaces the dead node's handler
 	if err != nil {
-		w.s.Fail(fmt.Errorf("crash-restart node %d: reopen: %w", id, err))
+		w.s.Fail(fmt.Errorf("crash-restart: %w", err))
 		return
 	}
-	n := node.New(node.Options{ID: id, LSM: w.lsmOptions(id), Durable: st})
-	_, intents, err := n.Recover()
-	if err != nil {
-		w.s.Fail(fmt.Errorf("crash-restart node %d: recover: %w", id, err))
-		return
-	}
-	if fb := w.faults[id]; fb != nil && w.s.Now() < w.cfg.Duration {
-		fb.SetEnabled(true)
-	}
-	n.SetPlacement(w.placement)
-	w.fab.Register(id, n) // replaces the dead node's handler
 	w.fab.SetDown(id, false)
-	w.nodes[id] = n
-	w.storages[id] = st
-	w.agents[id] = w.newAgent(n)
 	w.report.CrashRestarts++
 	w.s.Record("crash-restart", fmt.Sprintf("node %d recovered, %d intents pending", id, len(intents)))
 
@@ -594,43 +587,14 @@ func (w *world) crashRestart(id transport.NodeID) {
 		// real Manager re-running buildTasks over the current registry:
 		// byview always; the backfilled view when one is active (a
 		// generation created after the intent was logged gets a
-		// harmless idempotent re-application of current state).
-		targets := w.propTargets()
-		remaining := len(targets)
-		for _, tgt := range targets {
-			tgt := tgt
-			w.inflight[bk]++
-			pid := w.nextPropID
-			w.nextPropID++
-			w.propPending[pid] = w.s.Now()
-			w.s.Go(0, fmt.Sprintf("replay-intent %s %s %s ts=%d", tgt.def.Name, bk, u.Column, u.Cell.TS), func(pp *Proc) {
-				// The write-time pre-images died with the coordinator, so
-				// the pool restarts from the conservative NULL guess (walk
-				// from the anchor; license creation if no view row exists)
-				// and the recovered coordinator re-reads the replicas'
-				// current view-key versions, like a fresh Repropagate.
-				// NULL must stay in the pool: after the crash every replica
-				// may already report this very write as the current
-				// version, and if its view row was never created, a pool
-				// holding only that version walks to a nonexistent row
-				// forever. Replay is idempotent — LWW cells and the
-				// redo-safe promotion sequence make a second (or partial
-				// re-)application converge to the same rows.
-				vers := &versionSet{}
-				vers.cells.Add(model.NullCell)
-				switch w.runPropagation(pp, id, tgt.def, bk, u, vers, epoch, tgt.alive) {
-				case propDone:
-					w.propLag.Observe(int64((w.s.Now() - w.propPending[pid]) / time.Microsecond))
-					remaining--
-				case propDropped:
-					remaining--
-				}
-				if remaining == 0 {
-					_ = w.storages[id].LogIntentDone(it.ID) // stays pending; next restart retries
-				}
-				delete(w.propPending, pid)
-			})
-		}
+		// harmless idempotent re-application of current state). The
+		// write-time pre-images died with the coordinator, so every pool
+		// restarts from NULL. Replay is idempotent — LWW cells and the
+		// redo-safe promotion sequence make a second (or partial re-)
+		// application converge to the same rows.
+		w.startPropagations(0, "replay-intent", id, bk, u, nil, epoch, func() {
+			_ = w.storages[id].LogIntentDone(it.ID) // stays pending; next restart retries
+		})
 	}
 	// A backfill scan that was running on this node died with it;
 	// restart it from its checkpoint.
@@ -686,238 +650,68 @@ func (w *world) antiEntropyRound() {
 	}
 }
 
-// --- Workload --------------------------------------------------------------
+// --- Quorum primitives ------------------------------------------------------
 
-func (w *world) runClient(p *Proc, id int) {
-	cfg := w.cfg
-	rnd := w.s.Rand()
-	meanGap := int64(cfg.Duration) / int64(cfg.OpsPerClient)
-	for op := 0; op < cfg.OpsPerClient; op++ {
-		p.Sleep(time.Duration(rnd.Int63n(meanGap) + 1))
-		row := rnd.Intn(cfg.BaseRows)
-		if cfg.SkewedWrites && rnd.Intn(10) < 7 && cfg.BaseRows > 2 {
-			row = rnd.Intn(2) // hot keys r0/r1
-		}
-		bk := fmt.Sprintf("r%d", row)
-		coordID := transport.NodeID(rnd.Intn(cfg.Nodes))
-		// Dense timestamps force LWW collisions and tie-breaking.
-		ts := int64(rnd.Intn(cfg.Clients*cfg.OpsPerClient)) + 1
-		var u model.ColumnUpdate
-		switch r := rnd.Intn(10); {
-		case r < 5:
-			u = model.Update(vkCol, []byte(fmt.Sprintf("k%d", rnd.Intn(cfg.ViewKeys))), ts)
-		case r < 6:
-			u = model.Deletion(vkCol, ts)
-		default:
-			u = model.Update(matCol, []byte(fmt.Sprintf("v%d-%d", id, op)), ts)
-		}
-		w.putWithRetry(p, coordID, bk, u)
-	}
-}
-
-// putWithRetry is the client side of Algorithm 1: a quorum base-table
-// write carrying a pre-read of the view-key column, retried with the
-// same cell until acknowledged (so the final base state is exactly the
-// set of acknowledged updates), then an asynchronous propagation.
-func (w *world) putWithRetry(p *Proc, coordID transport.NodeID, bk string, u model.ColumnUpdate) {
-	w.pendingOps[bk]++
-	// Stamp the write once, before the retry loop: retries resend the
-	// same causal event, so a replica applying the second attempt over
-	// the first sees its own dot already in the context and counts no
-	// phantom sibling. The context is the coordinator's self entry —
-	// per-coordinator sequence numbers are contiguous, so a later dot
-	// from the same coordinator subsumes all its earlier ones.
-	w.dotSeqs[coordID]++
-	u.Cell.Dot = dvv.Dot{Node: uint32(coordID), Seq: w.dotSeqs[coordID]}
-	u.Cell.Ctx = dvv.VV{uint32(coordID): w.dotSeqs[coordID]}
-	vers := &versionSet{}
-	req := transport.PutReq{Table: baseTable, Row: bk, Updates: []model.ColumnUpdate{u}, ReturnVersionsOf: []string{vkCol}}
-	replicas := w.replicas(baseTable, bk)
-	quorum := len(replicas)/2 + 1
-	backoff := 2 * time.Millisecond
-	for attempt := 0; ; attempt++ {
-		if attempt > 5000 {
-			w.s.Fail(fmt.Errorf("client write to %s (col %s, ts %d) still unacked after %d attempts", bk, u.Column, u.Cell.TS, attempt))
-			w.pendingOps[bk]--
-			return
-		}
-		acks := w.broadcastPut(p, coordID, replicas, req, vers)
-		if acks >= quorum {
-			// Durable mode, the Algorithm-1 ordering the WAL enforces:
-			// the propagation intent is logged at the coordinator after
-			// the quorum write succeeds and before the client sees the
-			// ack, so a coordinator crash from here on leaves a
-			// replayable record, never a silently stale view. A failed
-			// intent append (injected ENOSPC, a crashed coordinator log)
-			// therefore means the write is NOT acknowledged: the client
-			// retries the whole operation — the resend carries the same
-			// dot, so replicas treat it as the same causal event — and a
-			// fresh intent id is allocated on the next attempt.
-			var intentID uint64
-			var epoch int
-			intentLogged := false
-			if w.durable {
-				st := w.storages[coordID]
-				epoch = w.epochs[coordID]
-				intentID = st.NextIntentID()
-				if err := st.LogIntentStart(wal.Intent{ID: intentID, Table: baseTable, Row: bk, Updates: []model.ColumnUpdate{u}}); err != nil {
-					w.s.Record("intent-log-fail", fmt.Sprintf("base=%s col=%s ts=%d: %v", bk, u.Column, u.Cell.TS, err))
-					p.Sleep(backoff)
-					if backoff *= 2; backoff > 20*time.Millisecond {
-						backoff = 20 * time.Millisecond
-					}
-					continue
-				}
-				intentLogged = true
-			}
-			w.report.Acked++
-			w.acked = append(w.acked, core.BaseUpdate{BaseKey: bk, Column: u.Column, Cell: u.Cell})
-			w.pendingOps[bk]--
-			w.s.Record("put-ack", fmt.Sprintf("base=%s col=%s ts=%d attempt=%d", bk, u.Column, u.Cell.TS, attempt))
-			var delay time.Duration
-			if w.cfg.MaxPropDelay > 0 {
-				delay = time.Duration(w.s.Rand().Int63n(int64(w.cfg.MaxPropDelay)))
-			}
-			// One propagation per view active at ack time — the same
-			// fence DB.CreateViewAsync relies on: writes acked before
-			// the define are quorum-visible to the backfill scan's
-			// reads, writes acked after it get their own propagation.
-			// The intent is marked done only when every target settled
-			// (done, or its view was dropped); a crashed target keeps
-			// it pending for replay.
-			targets := w.propTargets()
-			remaining := len(targets)
-			for _, tgt := range targets {
-				tgt := tgt
-				// Staleness clock starts now, not when the delayed
-				// propagation fires: the scheduling delay is lag a view
-				// reader can observe.
-				pid := w.nextPropID
-				w.nextPropID++
-				w.propPending[pid] = w.s.Now()
-				w.inflight[bk]++
-				tvers := vers
-				if tgt.fresh {
-					// A view defined mid-stream never saw this write's
-					// pre-read; its pool restarts from the NULL guess
-					// plus fresh replica reads (the scheduleLate mirror).
-					tvers = &versionSet{}
-					tvers.cells.Add(model.NullCell)
-				}
-				w.s.Go(delay, fmt.Sprintf("propagate %s %s %s ts=%d", tgt.def.Name, bk, u.Column, u.Cell.TS), func(pp *Proc) {
-					switch w.runPropagation(pp, coordID, tgt.def, bk, u, tvers, epoch, tgt.alive) {
-					case propDone:
-						w.propLag.Observe(int64((w.s.Now() - w.propPending[pid]) / time.Microsecond))
-						remaining--
-					case propDropped:
-						remaining--
-					}
-					if intentLogged && remaining == 0 {
-						_ = w.storages[coordID].LogIntentDone(intentID) // stays pending; next restart retries
-					}
-					delete(w.propPending, pid)
-				})
-			}
-			return
-		}
-		p.Sleep(backoff)
-		if backoff *= 2; backoff > 20*time.Millisecond {
-			backoff = 20 * time.Millisecond
-		}
-	}
-}
-
-// broadcastPut fans req out to the replicas and parks until every one
-// has replied or errored; it returns the ack count and feeds pre-image
-// view-key versions into vers.
-func (w *world) broadcastPut(p *Proc, from transport.NodeID, replicas []transport.NodeID, req transport.PutReq, vers *versionSet) int {
-	type agg struct {
-		acks, replies int
-		resolved      bool
-	}
-	res := p.Await(func(resolve func(interface{})) {
-		a := &agg{}
-		n := len(replicas)
+// gather sends req to every replica and parks until each has replied or
+// errored, handing every successful response to onResp; it returns the
+// number of acks.
+func (w *world) gather(p *Proc, from transport.NodeID, replicas []transport.NodeID, req transport.Request, onResp func(transport.Response)) int {
+	return p.Await(func(resolve func(interface{})) {
+		acks, replies := 0, 0
 		for _, to := range replicas {
 			w.fab.Send(from, to, req, func(r transport.Result) {
-				a.replies++
 				if r.Err == nil {
-					a.acks++
-					if vers != nil && len(req.ReturnVersionsOf) > 0 {
-						if pr, ok := r.Resp.(transport.PutResp); ok {
-							for _, col := range req.ReturnVersionsOf {
-								vers.cells.Add(pr.Old[col])
-							}
-						}
-					}
+					acks++
+					onResp(r.Resp)
 				}
-				if !a.resolved && a.replies == n {
-					a.resolved = true
-					if vers != nil && a.acks == n {
-						vers.complete = true
-					}
-					resolve(a.acks)
+				if replies++; replies == len(replicas) {
+					resolve(acks)
 				}
 			})
 		}
+	}).(int)
+}
+
+// broadcastPut fans a write out to the replicas; it returns the ack
+// count and, when vers is non-nil, feeds the replicas' pre-image
+// view-key versions into it (complete when every replica answered).
+func (w *world) broadcastPut(p *Proc, from transport.NodeID, replicas []transport.NodeID, req transport.PutReq, vers *versionSet) int {
+	acks := w.gather(p, from, replicas, req, func(resp transport.Response) {
+		if pr, ok := resp.(transport.PutResp); ok && vers != nil {
+			vers.cells.Add(pr.Old[vkCol])
+		}
 	})
-	return res.(int)
+	if vers != nil && acks == len(replicas) {
+		vers.complete = true
+	}
+	return acks
 }
 
 // quorumGet reads the requested columns of one row with a majority
 // quorum, LWW-merging the replica responses.
 func (w *world) quorumGet(p *Proc, from transport.NodeID, table, row string, cols []string) (model.Row, error) {
 	replicas := w.replicas(table, row)
-	quorum := len(replicas)/2 + 1
-	type agg struct {
-		acks, replies int
-		merged        model.Row
-		resolved      bool
-	}
-	res := p.Await(func(resolve func(interface{})) {
-		a := &agg{merged: model.Row{}}
-		n := len(replicas)
-		req := transport.GetReq{Table: table, Row: row, Columns: cols}
-		for _, to := range replicas {
-			w.fab.Send(from, to, req, func(r transport.Result) {
-				a.replies++
-				if r.Err == nil {
-					a.acks++
-					if gr, ok := r.Resp.(transport.GetResp); ok {
-						for _, c := range cols {
-							if cell, ok := gr.Cells[c]; ok {
-								if old, seen := a.merged[c]; seen {
-									a.merged[c] = model.Merge(old, cell)
-								} else {
-									a.merged[c] = cell
-								}
-							}
-						}
-					}
+	merged := model.Row{}
+	acks := w.gather(p, from, replicas, transport.GetReq{Table: table, Row: row, Columns: cols}, func(resp transport.Response) {
+		for _, c := range cols {
+			if cell, ok := resp.(transport.GetResp).Cells[c]; ok {
+				if old, seen := merged[c]; seen {
+					cell = model.Merge(old, cell)
 				}
-				if !a.resolved && a.replies == n {
-					a.resolved = true
-					resolve(a)
-				}
-			})
+				merged[c] = cell
+			}
 		}
 	})
-	a := res.(*agg)
-	if a.acks < quorum {
-		return nil, fmt.Errorf("sim: read quorum failed for %s/%q (%d/%d)", table, row, a.acks, quorum)
+	if quorum := len(replicas)/2 + 1; acks < quorum {
+		return nil, fmt.Errorf("sim: read quorum failed for %s/%q (%d/%d)", table, row, acks, quorum)
 	}
-	return a.merged, nil
+	return merged, nil
 }
 
 // viewPut writes cells into a view row with the majority quorum
-// Algorithm 2 mandates. Dot metadata is stripped: dots name client
-// base-table writes, and view cells derived from them are not causal
-// events of their own (mirrors core.Manager.viewPut).
+// Algorithm 2 mandates (simPort.Put; the shared round has already
+// stripped the cells' dot metadata).
 func (w *world) viewPut(p *Proc, from transport.NodeID, table, rowKey string, updates []model.ColumnUpdate) error {
-	for i := range updates {
-		updates[i].Cell.Dot = dvv.Dot{}
-		updates[i].Cell.Ctx = nil
-	}
 	replicas := w.replicas(table, rowKey)
 	quorum := len(replicas)/2 + 1
 	req := transport.PutReq{Table: table, Row: rowKey, Updates: updates}

@@ -1,31 +1,15 @@
 package sim
 
-// Port of the view-maintenance algorithms (internal/core's propagation,
-// Algorithms 1-3 of the paper) onto the simulated quorum primitives.
-// The control flow mirrors core/propagation.go, with one refinement the
-// simulator's fault schedules forced: redo-safe live-row resolution.
-//
-// A quorum failure midway through the "new row wins" sequence leaves a
-// half-created self-pointing row — created (step 1) but never published
-// (step 4). Such a "ghost" looks live to a naive Algorithm 3 walk, and
-// worse, when the promoted view key was previously a stale chain link,
-// step 1's self-pointer severs the chain there, so even a walk from the
-// anchor dead-ends at the ghost. The fix has two parts. First, step 1
-// records the promotion's origin (the row being superseded) in a
-// __prev cell written atomically with the self-pointer. Second, the
-// walk reads the __ready marker, and a self-pointing terminus that was
-// never published is not trusted: resolution detours to a second walk
-// from the recorded origin. That walk either reaches the genuinely
-// live row (the interrupted promotion never redirected it — proceed
-// against it, which also demotes or redoes the ghost), or it arrives
-// back at the ghost through its origin — proof the redirect (and
-// therefore the copy) completed, making it safe for anyone to finish
-// the interrupted promotion by publishing the ready marker (helping).
+// The simulator runs the shipping propagation protocol — core.Round,
+// Algorithms 2-3 with redo-safe promotion — over a simPort that maps
+// core.Port onto the simulated quorum primitives. What lives here is
+// only what differs from production: the virtual-time lock service and
+// the drive loop around a round (restart epochs, view liveness, never
+// abandoning, refreshing the guess pool from replica reads).
 
 import (
-	"errors"
+	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"vstore/internal/core"
@@ -67,6 +51,44 @@ func (w *world) unlock(key string) {
 	w.s.Schedule(0, "lock-grant", key, func() { grant(nil) })
 }
 
+// simPort is core.Port for one propagation thread: quorum rounds from
+// coordinator `from` over the fabric, parked on proc p. The lock is per
+// view per base key (two views' maintenance of one base key writes
+// disjoint rows) and always exclusive.
+type simPort struct {
+	w    *world
+	p    *Proc
+	from transport.NodeID
+}
+
+func (sp simPort) Get(_ context.Context, table, row string, cols []string) (model.Row, error) {
+	return sp.w.quorumGet(sp.p, sp.from, table, row, cols)
+}
+
+// MultiGet reads the rows one quorum round after another: the batch is
+// an optimization of the real transport, but its semantics — walks
+// served from a point-in-time snapshot — are what the oracle should see.
+func (sp simPort) MultiGet(_ context.Context, table string, rows, cols []string) ([]model.Row, error) {
+	out := make([]model.Row, len(rows))
+	for i, row := range rows {
+		r, err := sp.w.quorumGet(sp.p, sp.from, table, row, cols)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
+	}
+	return out, nil
+}
+
+func (sp simPort) Put(_ context.Context, table, row string, updates []model.ColumnUpdate) error {
+	return sp.w.viewPut(sp.p, sp.from, table, row, updates)
+}
+
+func (sp simPort) Serialize(key string, _ bool) func() {
+	sp.w.lock(sp.p, key)
+	return func() { sp.w.unlock(key) }
+}
+
 // Propagation outcomes. Crashed and dropped differ for intent
 // bookkeeping: a crashed propagation is still owed to its view (the
 // re-enqueued intent redoes it), while a dropped view owes nothing.
@@ -82,54 +104,116 @@ const (
 // heal at cfg.Duration, so every propagation eventually completes (a
 // propagation stuck past its attempt budget is itself a violation).
 //
-// def is the target view (byview, or a backfilled-view generation).
-// epoch is the coordinator's restart epoch at the time this
-// propagation was started (always 0 in memory mode). In durable runs a
-// CrashRestart bumps the node's epoch, and a propagation thread whose
-// epoch has passed aborts at its next step — it died with its process;
-// the intent the coordinator logged before acking was recovered from
-// disk and re-enqueued by the restart. alive, when non-nil, is the
-// target view's liveness check: a dropped view's propagations abort as
-// propDropped (there is nothing left to maintain).
-func (w *world) runPropagation(p *Proc, coordID transport.NodeID, def *core.Def, bk string, u model.ColumnUpdate, vers *versionSet, epoch int, alive func() bool) int {
-	isVK := u.Column == def.ViewKeyColumn
+// def is the target view (byview, or a backfilled-view generation) and
+// updates the base-row cells to propagate into it. epoch is the
+// coordinator's restart epoch at the time this propagation was started
+// (always 0 in memory mode). In durable runs a CrashRestart bumps the
+// node's epoch, and a propagation thread whose epoch has passed aborts
+// at its next step — it died with its process; the intent the
+// coordinator logged before acking was recovered from disk and
+// re-enqueued by the restart. alive, when non-nil, is the target view's
+// liveness check: a dropped view's propagations abort as propDropped
+// (there is nothing left to maintain).
+func (w *world) runPropagation(p *Proc, coordID transport.NodeID, def *core.Def, bk string, updates []model.ColumnUpdate, vers *versionSet, epoch int, alive func() bool) int {
+	what := fmt.Sprintf("view=%s base=%s col=%s ts=%d", def.Name, bk, updates[0].Column, updates[0].Cell.TS)
+	task, _ := core.TaskFor(def, bk, updates) // sim updates always touch the view
+	round := core.Round{
+		Port: simPort{w, p, coordID}, Stats: &w.stats, Obs: w.obs,
+		MaxChainHops: w.cfg.MaxChainHops, PathCompression: w.cfg.PathCompression,
+	}
 	backoff := time.Millisecond
 	status := propCrashed
 	for attempt := 0; ; attempt++ {
 		if alive != nil && !alive() {
-			w.s.Record("prop-dropped", fmt.Sprintf("view=%s base=%s col=%s ts=%d", def.Name, bk, u.Column, u.Cell.TS))
+			w.s.Record("prop-dropped", what)
 			status = propDropped
 			break
 		}
 		if w.durable && w.epochs[coordID] != epoch {
-			w.s.Record("prop-aborted", fmt.Sprintf("view=%s base=%s col=%s ts=%d coord=%d crashed", def.Name, bk, u.Column, u.Cell.TS, coordID))
-			status = propCrashed
+			w.s.Record("prop-aborted", fmt.Sprintf("%s coord=%d crashed", what, coordID))
 			break
 		}
 		if attempt > 2000 {
-			w.s.Fail(fmt.Errorf("propagation for view %q base %q (col %s, ts %d) stuck after %d attempts", def.Name, bk, u.Column, u.Cell.TS, attempt))
-			status = propCrashed
+			w.s.Fail(fmt.Errorf("propagation %s stuck after %d attempts", what, attempt))
 			break
 		}
-		if w.tryPropRound(p, coordID, def, bk, u, isVK, vers) {
-			w.report.Propagations++
+		// Round errors are failed guesses; the loop retries them all.
+		if done, _ := round.Try(context.Background(), &task, vers); done {
 			status = propDone
 			break
 		}
-		w.report.PropagationRetries++
-		p.Sleep(backoff)
-		if backoff *= 2; backoff > 16*time.Millisecond {
-			backoff = 16 * time.Millisecond
-		}
+		p.Backoff(&backoff, 16*time.Millisecond)
 		if !vers.complete {
 			w.refreshVersions(p, coordID, bk, vers)
 		}
 	}
 	w.inflight[bk]--
 	if status == propDone {
-		w.s.Record("prop-done", fmt.Sprintf("view=%s base=%s col=%s ts=%d", def.Name, bk, u.Column, u.Cell.TS))
+		w.s.Record("prop-done", what)
 	}
 	return status
+}
+
+// nullPool is the guess pool of a propagation without pre-images — a
+// replayed intent, a backfill fill, a view defined after the write's
+// pre-read. It starts from the conservative NULL guess (walk from the
+// anchor; license creation if no view row exists) and grows by fresh
+// replica reads. NULL must stay in the pool: every replica may already
+// report the propagated write itself as the current version, and if its
+// view row was never created, a pool holding only that version walks to
+// a nonexistent row forever.
+func nullPool() *versionSet {
+	vers := &versionSet{}
+	vers.cells.Add(model.NullCell)
+	return vers
+}
+
+// trackPropagation enters a propagation for base key bk into the
+// staleness gauge and the quiescence gating; the returned function
+// retires it and reports how long it was pending. The clock starts now,
+// not when a delayed propagation fires: the scheduling delay is lag a
+// view reader can observe.
+func (w *world) trackPropagation(bk string) (retire func() time.Duration) {
+	pid := w.nextPropID
+	w.nextPropID++
+	w.propPending[pid] = w.s.Now()
+	w.inflight[bk]++
+	return func() time.Duration {
+		lag := w.s.Now() - w.propPending[pid]
+		delete(w.propPending, pid)
+		return lag
+	}
+}
+
+// startPropagations starts one propagation of u per view active right
+// now — the same fence DB.CreateViewAsync relies on: writes acked
+// before the define are quorum-visible to the backfill scan's reads,
+// writes acked after it get their own propagation. vers is the write's
+// pre-image pool, nil when it has none; a view defined mid-stream never
+// saw that pre-read either and gets a nullPool. settled runs once every
+// target is done or its view was dropped; a crashed target never
+// settles, keeping the intent pending for replay.
+func (w *world) startPropagations(delay time.Duration, kind string, coordID transport.NodeID, bk string, u model.ColumnUpdate, vers *versionSet, epoch int, settled func()) {
+	targets := w.propTargets()
+	remaining := len(targets)
+	for _, tgt := range targets {
+		tgt, tvers := tgt, vers
+		if tvers == nil || tgt.fresh {
+			tvers = nullPool()
+		}
+		retire := w.trackPropagation(bk)
+		w.s.Go(delay, fmt.Sprintf("%s %s %s %s ts=%d", kind, tgt.def.Name, bk, u.Column, u.Cell.TS), func(pp *Proc) {
+			status := w.runPropagation(pp, coordID, tgt.def, bk, []model.ColumnUpdate{u}, tvers, epoch, tgt.alive)
+			if lag := retire(); status == propDone {
+				w.propLag.Observe(int64(lag / time.Microsecond))
+			}
+			if status != propCrashed {
+				if remaining--; remaining == 0 {
+					settled()
+				}
+			}
+		})
+	}
 }
 
 // refreshVersions augments the guess pool with the view-key versions
@@ -139,423 +223,15 @@ func (w *world) runPropagation(p *Proc, coordID transport.NodeID, def *core.Def,
 // answered.
 func (w *world) refreshVersions(p *Proc, coordID transport.NodeID, bk string, vers *versionSet) {
 	replicas := w.replicas(baseTable, bk)
-	type agg struct {
-		acks, replies int
-		resolved      bool
-	}
-	res := p.Await(func(resolve func(interface{})) {
-		a := &agg{}
-		n := len(replicas)
-		req := transport.GetReq{Table: baseTable, Row: bk, Columns: []string{vkCol}}
-		for _, to := range replicas {
-			w.fab.Send(coordID, to, req, func(r transport.Result) {
-				a.replies++
-				if r.Err == nil {
-					a.acks++
-					if gr, ok := r.Resp.(transport.GetResp); ok {
-						cell, ok := gr.Cells[vkCol]
-						if !ok {
-							cell = model.NullCell
-						}
-						vers.cells.Add(cell)
-					}
-				}
-				if !a.resolved && a.replies == n {
-					a.resolved = true
-					resolve(a.acks)
-				}
-			})
+	req := transport.GetReq{Table: baseTable, Row: bk, Columns: []string{vkCol}}
+	acks := w.gather(p, coordID, replicas, req, func(resp transport.Response) {
+		cell, ok := resp.(transport.GetResp).Cells[vkCol]
+		if !ok {
+			cell = model.NullCell
 		}
+		vers.cells.Add(cell)
 	})
-	if res.(int) == len(replicas) {
+	if acks == len(replicas) {
 		vers.complete = true
-	}
-}
-
-// tryPropRound makes one pass over the current guesses while holding
-// the base key's propagation lock — held across the round, never across
-// the backoff (the paper's liveness argument, Section IV-D). The lock
-// is per view per base key: two views' maintenance of one base key is
-// independent (they write disjoint rows).
-func (w *world) tryPropRound(p *Proc, coordID transport.NodeID, def *core.Def, bk string, u model.ColumnUpdate, isVK bool, vers *versionSet) bool {
-	lk := def.Name + "\x00" + bk
-	w.lock(p, lk)
-	defer w.unlock(lk)
-
-	guesses := vers.cells.Cells()
-	anyWritten, anyLive := false, false
-	for _, g := range guesses {
-		if g.Exists() {
-			anyWritten = true
-			if !g.Tombstone {
-				anyLive = true
-			}
-		}
-	}
-	// Every replica reporting "no view key ever written" means no view
-	// row exists (Definition 1): nothing to maintain for a materialized
-	// column, nothing to delete for a view-key deletion. Tombstoned
-	// pre-images do NOT qualify — a deleted view key may still have a
-	// live (not yet deletion-marked) view row that a re-propagated
-	// deletion must stamp, so those fall through to the chain walks.
-	if !anyWritten && vers.complete && (!isVK || u.Cell.Tombstone) {
-		return true
-	}
-	// With a complete pool holding no live guess, a deletion (or
-	// mat-only update) whose walk finds no anchor at the quorum is a
-	// provable no-op: any concurrent view-key creation's CopyData
-	// quorum-reads the base row, intersects this update's acked write
-	// quorum, and folds the winning state itself. A live guess forbids
-	// the shortcut — the row it names may exist unanchored mid-create,
-	// so the walk must keep retrying until it resolves.
-	noView := vers.complete && !anyLive && (!isVK || u.Cell.Tombstone)
-	for _, g := range guesses {
-		err := w.propagateOnce(p, coordID, def, bk, u, isVK, g)
-		if err == nil {
-			return true
-		}
-		if noView && g.IsNull() && errors.Is(err, errSimKeyMissing) {
-			w.s.Record("prop-noop", fmt.Sprintf("base=%s col=%s ts=%d no view row", bk, u.Column, u.Cell.TS))
-			return true
-		}
-		w.report.PropagationRetries++
-	}
-	return false
-}
-
-// liveRow is the result of resolving a base key's live view row: a
-// published (or just-helped-to-published) self-pointing row.
-type liveRow struct {
-	key string
-	ts  int64
-}
-
-// errSimUnresolved is the retryable "a ghost is in the way" failure:
-// the walk ended at an unpublished row and the detour could not settle
-// it either. Distinct from errSimKeyMissing so it never licenses row
-// creation.
-var errSimUnresolved = errors.New("sim: live row resolution blocked by an unfinished promotion")
-
-// resolveLive finds the authoritative live row for a base key. A walk
-// is trusted only when it ends at a published row. An unpublished
-// self-pointing terminus is an interrupted promotion; its __prev cell
-// (written atomically with the self-pointer) names the row it was
-// superseding, and a detour walk from there disambiguates the two
-// interrupted shapes:
-//
-//   - The detour reaches a published live row: the interrupted
-//     promotion never redirected it (it may even have severed the
-//     chain by re-promoting an old stale key). That row is the
-//     authority; proceeding against it demotes or redoes the ghost.
-//   - The detour arrives back at the unpublished terminus: the only
-//     pointer into an unpublished row is its own promotion's redirect
-//     (stale inserts and compression only target published rows), so
-//     the redirect — and the copy step ordered before it — completed.
-//     Only the publish was lost, and any operation may finish it.
-func (w *world) resolveLive(p *Proc, coordID transport.NodeID, def *core.Def, bk, start string) (liveRow, error) {
-	t, err := w.walkChain(p, coordID, def, bk, start)
-	if err != nil {
-		return liveRow{}, err
-	}
-	if t.published {
-		return liveRow{key: t.key, ts: t.ts}, nil
-	}
-	detour := core.AnchorKey(bk)
-	if t.prev.Exists() && !t.prev.Tombstone && len(t.prev.Value) > 0 {
-		detour = string(t.prev.Value)
-	}
-	t2, err := w.walkChain(p, coordID, def, bk, detour)
-	if err != nil {
-		// Deliberately not errSimKeyMissing: view rows exist (the ghost
-		// does), so a missing detour row must not license creation.
-		return liveRow{}, fmt.Errorf("%w: %q detour via %q: %v", errSimUnresolved, t.key, detour, err)
-	}
-	if t2.published {
-		return liveRow{key: t2.key, ts: t2.ts}, nil
-	}
-	if t2.key == t.key {
-		// Redirect provably done: help the interrupted promotion over
-		// the line by publishing its ready marker.
-		if err := w.viewPut(p, coordID, def.Name, t.key, []model.ColumnUpdate{
-			{Column: model.Qualify(bk, core.ColReady), Cell: model.Cell{Value: []byte("1"), TS: t.ts}},
-		}); err != nil {
-			return liveRow{}, err
-		}
-		w.s.Record("help-publish", fmt.Sprintf("base=%s row=%s ts=%d", bk, t.key, t.ts))
-		return liveRow{key: t.key, ts: t.ts}, nil
-	}
-	return liveRow{}, fmt.Errorf("%w: %q and %q both unpublished", errSimUnresolved, t.key, t2.key)
-}
-
-// propagateOnce is PropagateUpdate (Algorithm 2) for one guess.
-func (w *world) propagateOnce(p *Proc, coordID transport.NodeID, def *core.Def, bk string, u model.ColumnUpdate, isVK bool, guess model.Cell) error {
-	start := core.AnchorKey(bk)
-	if !guess.IsNull() {
-		start = string(guess.Value)
-	}
-	lr, err := w.resolveLive(p, coordID, def, bk, start)
-	creating := false
-	if err != nil {
-		// A missing anchor with a NULL guess means no view row was ever
-		// created: a view-key write may create the first one. Any other
-		// failure is a bad guess, retried with another version.
-		if errors.Is(err, errSimKeyMissing) && guess.IsNull() && isVK && !u.Cell.Tombstone {
-			creating, lr = true, liveRow{ts: model.NullTS}
-		} else {
-			return err
-		}
-	}
-	if isVK {
-		_, err := w.propagateViewKey(p, coordID, def, bk, u, lr, creating)
-		return err
-	}
-	// Materialized-column update: Algorithm 2 line 12, write the cell
-	// into the live row (base-table timestamps make stale propagations
-	// lose automatically). Rows outside the selection carry no data.
-	if def.Selects(lr.key) {
-		return w.viewPut(p, coordID, def.Name, lr.key, []model.ColumnUpdate{
-			{Column: model.Qualify(bk, u.Column), Cell: u.Cell},
-		})
-	}
-	return nil
-}
-
-// propagateViewKey is the view-key branch of Algorithm 2, ordered for
-// concurrent readers exactly like core/propagation.go: create without
-// the ready marker, copy data, redirect the old live row, publish.
-func (w *world) propagateViewKey(p *Proc, coordID transport.NodeID, def *core.Def, bk string, u model.ColumnUpdate, lr liveRow, creating bool) (string, error) {
-	qNext := model.Qualify(bk, core.ColNext)
-	qBase := model.Qualify(bk, core.ColBase)
-	qReady := model.Qualify(bk, core.ColReady)
-	tNew := u.Cell.TS
-
-	if u.Cell.Tombstone {
-		// View-key deletion: the live row stays (it anchors chains) but
-		// is marked deleted.
-		err := w.viewPut(p, coordID, def.Name, lr.key, []model.ColumnUpdate{
-			{Column: model.Qualify(bk, core.ColDeleted), Cell: model.Cell{Value: []byte("1"), TS: tNew}},
-		})
-		return lr.key, err
-	}
-
-	kNew := string(u.Cell.Value)
-	newWins := creating || u.Cell.Wins(model.Cell{Value: []byte(lr.key), TS: lr.ts})
-
-	switch {
-	case kNew == lr.key:
-		// Already live: refresh the row's timestamps. The base, pointer
-		// and ready cells travel in one put, so any replica that
-		// observes the refreshed pointer also observes the refreshed
-		// ready marker (single-request reads keep them consistent).
-		return kNew, w.viewPut(p, coordID, def.Name, kNew, []model.ColumnUpdate{
-			{Column: qBase, Cell: model.Cell{Value: []byte(bk), TS: tNew}},
-			{Column: qNext, Cell: model.Cell{Value: []byte(kNew), TS: tNew}},
-			{Column: qReady, Cell: model.Cell{Value: []byte("1"), TS: tNew}},
-		})
-
-	case newWins:
-		return w.promote(p, coordID, def, bk, u, lr.key, creating)
-
-	default:
-		// Older than the live row: record a stale row pointing at it.
-		// The pointer is stamped at the live row's timestamp, not tNew —
-		// equivalent to what path compression would later write, and
-		// redo-safe: if kNew is a ghost of this very update's earlier
-		// interrupted attempt, its self-pointer at tNew loses to this
-		// cell (the live row won at tNew, so lr.ts > tNew, or the tie
-		// broke on value — and then lr.key is the larger value too).
-		if err := w.viewPut(p, coordID, def.Name, kNew, []model.ColumnUpdate{
-			{Column: qBase, Cell: model.Cell{Value: []byte(bk), TS: tNew}},
-			{Column: qNext, Cell: model.Cell{Value: []byte(lr.key), TS: lr.ts}},
-		}); err != nil {
-			return "", err
-		}
-		return lr.key, nil
-	}
-}
-
-// promote runs the four-step "new row wins" sequence of Algorithm 2:
-// create the new row self-pointing but unpublished, copy data into it,
-// redirect the old live row (the anchor when creating), and only then
-// publish the ready marker. The creation step additionally records the
-// superseded row in a __prev cell — the redo intent that lets any later
-// resolution detour around this row if the sequence is interrupted.
-func (w *world) promote(p *Proc, coordID transport.NodeID, def *core.Def, bk string, u model.ColumnUpdate, kOld string, creating bool) (string, error) {
-	qNext := model.Qualify(bk, core.ColNext)
-	qBase := model.Qualify(bk, core.ColBase)
-	qReady := model.Qualify(bk, core.ColReady)
-	tNew := u.Cell.TS
-	kNew := string(u.Cell.Value)
-
-	if err := w.viewPut(p, coordID, def.Name, kNew, []model.ColumnUpdate{
-		{Column: qBase, Cell: model.Cell{Value: []byte(bk), TS: tNew}},
-		{Column: qNext, Cell: model.Cell{Value: []byte(kNew), TS: tNew}},
-		{Column: model.Qualify(bk, colPrev), Cell: model.Cell{Value: []byte(kOld), TS: tNew}},
-	}); err != nil {
-		return "", err
-	}
-	if def.Selects(kNew) {
-		if err := w.copyData(p, coordID, def, bk, kOld, kNew, creating); err != nil {
-			return "", err
-		}
-	}
-	staleRow := kOld
-	if creating {
-		staleRow = core.AnchorKey(bk)
-	}
-	if err := w.viewPut(p, coordID, def.Name, staleRow, []model.ColumnUpdate{
-		{Column: qBase, Cell: model.Cell{Value: []byte(bk), TS: tNew}},
-		{Column: qNext, Cell: model.Cell{Value: []byte(kNew), TS: tNew}},
-	}); err != nil {
-		return "", err
-	}
-	if err := w.viewPut(p, coordID, def.Name, kNew, []model.ColumnUpdate{
-		{Column: qReady, Cell: model.Cell{Value: []byte("1"), TS: tNew}},
-	}); err != nil {
-		return "", err
-	}
-	return kNew, nil
-}
-
-// copyData seeds the new live row: the old live row's materialized
-// cells LWW-merged with a quorum read of the base row (recovering cells
-// whose propagation no-opped before any view row existed).
-func (w *world) copyData(p *Proc, coordID transport.NodeID, def *core.Def, bk, kOld, kNew string, creating bool) error {
-	merged := model.Row{}
-	fold := func(col string, cell model.Cell) {
-		if !cell.Exists() || cell.Tombstone {
-			return
-		}
-		if old, ok := merged[col]; ok {
-			merged[col] = model.Merge(old, cell)
-		} else {
-			merged[col] = cell
-		}
-	}
-
-	baseCols := append(append([]string(nil), def.Materialized...), def.ViewKeyColumn)
-	base, err := w.quorumGet(p, coordID, baseTable, bk, baseCols)
-	if err != nil {
-		return err
-	}
-	for _, c := range def.Materialized {
-		fold(c, base[c])
-	}
-	if vk, ok := base[def.ViewKeyColumn]; ok && vk.Exists() && vk.Tombstone {
-		fold(core.ColDeleted, model.Cell{Value: []byte("1"), TS: vk.TS})
-	}
-
-	if !creating {
-		cols := make([]string, 0, len(def.Materialized)+1)
-		for _, c := range def.Materialized {
-			cols = append(cols, model.Qualify(bk, c))
-		}
-		cols = append(cols, model.Qualify(bk, core.ColDeleted))
-		qualified, err := w.quorumGet(p, coordID, def.Name, kOld, cols)
-		if err != nil {
-			return err
-		}
-		for _, q := range cols {
-			if cell, ok := qualified[q]; ok {
-				if _, col, ok := model.Unqualify(q); ok {
-					fold(col, cell)
-				}
-			}
-		}
-	}
-
-	cols := make([]string, 0, len(merged))
-	for col := range merged {
-		cols = append(cols, col)
-	}
-	sort.Strings(cols)
-	updates := make([]model.ColumnUpdate, 0, len(cols))
-	for _, col := range cols {
-		updates = append(updates, model.ColumnUpdate{Column: model.Qualify(bk, col), Cell: merged[col]})
-	}
-	if len(updates) == 0 {
-		return nil
-	}
-	return w.viewPut(p, coordID, def.Name, kNew, updates)
-}
-
-// colPrev is the sim's redo-intent column: the row a promotion is
-// superseding, written atomically with the new row's self-pointer. It
-// rides in the view row like any qualified cell; the oracle ignores it
-// (only materialized columns are compared).
-const colPrev = "__prev"
-
-// terminus is the self-pointing row a chain walk ended at.
-type terminus struct {
-	key       string
-	ts        int64
-	published bool       // ready marker at least as fresh as the pointer
-	prev      model.Cell // the promotion's recorded origin (redo intent)
-}
-
-// walkChain is Algorithm 3: follow Next pointers from a view key to the
-// self-pointing terminus. Each hop reads the pointer, ready marker and
-// redo intent in a single request, so the per-replica atomicity of the
-// writes that produced them carries over to the merged read. The
-// traversed chain is compressed only when the terminus is published —
-// compressing toward an unpublished row would splice a ghost into real
-// chains.
-func (w *world) walkChain(p *Proc, coordID transport.NodeID, def *core.Def, bk, start string) (terminus, error) {
-	qNext := model.Qualify(bk, core.ColNext)
-	qReady := model.Qualify(bk, core.ColReady)
-	qPrev := model.Qualify(bk, colPrev)
-	kv := start
-	var visited []string
-	for hop := 0; hop < w.cfg.MaxChainHops; hop++ {
-		row, err := w.quorumGet(p, coordID, def.Name, kv, []string{qNext, qReady, qPrev})
-		if err != nil {
-			return terminus{}, err
-		}
-		next, ok := row[qNext]
-		if !ok || next.IsNull() {
-			return terminus{}, fmt.Errorf("%w: %q (base row %q)", errSimKeyMissing, kv, bk)
-		}
-		if hop > 0 {
-			w.report.ChainHops++
-		}
-		if string(next.Value) == kv {
-			w.chainLen.Observe(int64(len(visited)) + 1)
-			ready, ok := row[qReady]
-			if !ok {
-				ready = model.NullCell
-			}
-			prev, ok := row[qPrev]
-			if !ok {
-				prev = model.NullCell
-			}
-			t := terminus{
-				key:       kv,
-				ts:        next.TS,
-				published: ready.Exists() && !ready.Tombstone && ready.TS >= next.TS,
-				prev:      prev,
-			}
-			if t.published && w.cfg.PathCompression && len(visited) > 1 {
-				w.compressChain(p, coordID, def, bk, visited[:len(visited)-1], kv, next.TS)
-			}
-			return t, nil
-		}
-		visited = append(visited, kv)
-		kv = string(next.Value)
-	}
-	return terminus{}, fmt.Errorf("sim: stale chain for base row %q exceeded %d hops (cycle?)", bk, w.cfg.MaxChainHops)
-}
-
-// compressChain rewrites traversed stale pointers to address the live
-// row directly, at the live pointer's timestamp. Best effort: failures
-// are ignored, compression is never needed for correctness.
-func (w *world) compressChain(p *Proc, coordID transport.NodeID, def *core.Def, bk string, staleKeys []string, kLive string, tLive int64) {
-	qNext := model.Qualify(bk, core.ColNext)
-	for _, kv := range staleKeys {
-		if err := w.viewPut(p, coordID, def.Name, kv, []model.ColumnUpdate{
-			{Column: qNext, Cell: model.Cell{Value: []byte(kLive), TS: tLive}},
-		}); err == nil {
-			w.report.Compressions++
-			w.s.Record("compress", fmt.Sprintf("view=%s base=%s %s->%s", def.Name, bk, kv, kLive))
-		}
 	}
 }

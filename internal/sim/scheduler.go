@@ -243,3 +243,12 @@ func (p *Proc) Sleep(d time.Duration) {
 		p.s.Schedule(d, "timer", "", func() { resolve(nil) })
 	})
 }
+
+// Backoff sleeps for *d, then doubles it up to max: the pacing of every
+// retry loop in the simulator.
+func (p *Proc) Backoff(d *time.Duration, max time.Duration) {
+	p.Sleep(*d)
+	if *d *= 2; *d > max {
+		*d = max
+	}
+}

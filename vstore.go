@@ -577,9 +577,19 @@ const backfillWaitTimeout = 30 * time.Minute
 // node-by-node over the stored row order while live writes keep
 // flowing.
 func (db *DB) startBackfill(view string) error {
+	parts, err := db.backfillPartitions(view)
+	if err != nil {
+		return err
+	}
+	return db.bf.Start(view, db.now().UnixMicro(), parts, db.backfillFiller(view))
+}
+
+// backfillPartitions lists the scan shards that cover every base row
+// of a view: one per (base table, node).
+func (db *DB) backfillPartitions(view string) ([]backfill.Partition, error) {
 	defs := db.registry.Defs(view)
 	if len(defs) == 0 {
-		return fmt.Errorf("vstore: view %q vanished during backfill", view)
+		return nil, fmt.Errorf("vstore: unknown view %q", view)
 	}
 	var parts []backfill.Partition
 	seen := map[string]bool{}
@@ -599,7 +609,7 @@ func (db *DB) startBackfill(view string) error {
 			})
 		}
 	}
-	return db.bf.Start(view, db.now().UnixMicro(), parts, db.backfillFiller(view))
+	return parts, nil
 }
 
 // backfillFiller returns the per-key fill function: quorum-merge the
@@ -609,11 +619,11 @@ func (db *DB) startBackfill(view string) error {
 // by LWW. Cells keep their original base timestamps — a backfill write
 // racing a newer live write lands strictly below it in the chain.
 //
-// A propagation abandoned under load (retry budget exhausted, surfaced
-// through BackfillPropagate's onDone error) would silently lose the
-// row if treated as success, so the whole fill — fresh quorum read
-// plus re-propagation — is retried with backoff; the fill is
-// idempotent, making the retry always safe.
+// The propagation itself retries for as long as the backfill's context
+// lives; what can fail a fill is one of its quorum reads (replicas
+// unreachable). Failing the whole view over that would be harsh, so the
+// fill — fresh quorum read plus propagation, idempotent — is retried
+// with backoff a few times first.
 func (db *DB) backfillFiller(view string) backfill.Filler {
 	clk := clock.Or(db.cfg.Clock)
 	return func(ctx context.Context, base, row string) error {
@@ -648,8 +658,7 @@ func (db *DB) backfillFiller(view string) backfill.Filler {
 }
 
 // backfillFillAttempts bounds how often one row's fill is re-issued
-// when its propagation is abandoned under load before the backfill
-// fails the whole view.
+// after a failed quorum read before the backfill fails the whole view.
 const backfillFillAttempts = 5
 
 // fillOnce performs one read-then-propagate round for a single view
@@ -668,17 +677,7 @@ func (db *DB) fillOnce(ctx context.Context, mgr *core.Manager, co *coord.Coordin
 		updates = append(updates, model.ColumnUpdate{Column: col, Cell: cell})
 	}
 	sort.Slice(updates, func(a, b int) bool { return updates[a].Column < updates[b].Column })
-	var perr error
-	done := make(chan struct{})
-	if err := mgr.BackfillPropagate(ctx, d, row, updates, func(e error) { perr = e; close(done) }); err != nil {
-		return err
-	}
-	select {
-	case <-done:
-		return perr
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return mgr.BackfillPropagate(ctx, d, row, updates)
 }
 
 // WaitViewLive blocks until the named view's online backfill completes
@@ -777,6 +776,14 @@ type ViewStats struct {
 	ChainHopsSaved int64 `json:"chain_hops_saved"`
 	BatchedLookups int64 `json:"batched_lookups"`
 	LiveKeyLookups int64 `json:"live_key_lookups"`
+	// Compressions counts stale pointers rewritten by path compression.
+	// GhostDetours counts chain walks that ended at a row an interrupted
+	// promotion created but never published and detoured through its
+	// recorded origin; HelpedPublishes the ready markers then published
+	// on that promotion's behalf.
+	Compressions    int64 `json:"compressions"`
+	GhostDetours    int64 `json:"ghost_detours"`
+	HelpedPublishes int64 `json:"helped_publishes"`
 
 	// Pending is the number of in-flight propagations right now;
 	// OldestPendingLag how long the oldest has been outstanding.
@@ -846,6 +853,9 @@ func (db *DB) Stats() Stats {
 		s.Views.ChainHopsSaved += ms.ChainHopsSaved.Load()
 		s.Views.BatchedLookups += ms.BatchedLookups.Load()
 		s.Views.LiveKeyLookups += ms.LiveKeyLookups.Load()
+		s.Views.Compressions += ms.Compressions.Load()
+		s.Views.GhostDetours += ms.GhostDetours.Load()
+		s.Views.HelpedPublishes += ms.HelpedPublishes.Load()
 		s.Views.Pending += m.PendingPropagations()
 	}
 	obs := db.registry.Obs()
@@ -928,6 +938,9 @@ func (s Stats) Delta(prev Stats) Stats {
 	d.Views.ChainHopsSaved -= prev.Views.ChainHopsSaved
 	d.Views.BatchedLookups -= prev.Views.BatchedLookups
 	d.Views.LiveKeyLookups -= prev.Views.LiveKeyLookups
+	d.Views.Compressions -= prev.Views.Compressions
+	d.Views.GhostDetours -= prev.Views.GhostDetours
+	d.Views.HelpedPublishes -= prev.Views.HelpedPublishes
 	d.Views.PropagationLag = s.Views.PropagationLag.Sub(prev.Views.PropagationLag)
 	d.Views.ChainLength = s.Views.ChainLength.Sub(prev.Views.ChainLength)
 	d.Views.ReadLatency = s.Views.ReadLatency.Sub(prev.Views.ReadLatency)
@@ -1083,29 +1096,20 @@ func (db *DB) PruneViewBefore(ctx context.Context, view string, horizonTS int64)
 	return core.Prune(ctx, db.cluster.Coordinator(0), defs[0], entries, horizonTS, db.cfg.WriteQuorum)
 }
 
-// RebuildView re-derives a view from the base table's current merged
-// contents, repairing rows lost to abandoned propagations or operator
-// surgery. The view stays online during the rebuild; writes carry
-// base-table timestamps so newer data is never regressed.
+// RebuildView re-derives an existing view from its base tables,
+// repairing rows lost to abandoned propagations or operator surgery. It
+// is CreateView's online backfill run over a view that already exists:
+// every base key is quorum-read and pushed through the regular
+// propagation protocol (row lock, chain walk, redo-safe promotion), so
+// it serializes with live writes to the same key and, because cells
+// keep their base-table timestamps, never regresses newer data. The
+// view stays Live and readable throughout.
 func (db *DB) RebuildView(ctx context.Context, view string) error {
-	defs, entries, err := db.viewState(view)
+	parts, err := db.backfillPartitions(view)
 	if err != nil {
 		return err
 	}
-	for _, def := range defs {
-		snaps := make([][]model.Entry, 0, db.cluster.Size())
-		for _, n := range db.cluster.Nodes {
-			snaps = append(snaps, n.TableSnapshot(def.Base))
-		}
-		baseRows, err := core.MergeBaseSnapshots(snaps...)
-		if err != nil {
-			return err
-		}
-		if err := core.Rebuild(ctx, db.cluster.Coordinator(0), def, baseRows, entries, db.cfg.WriteQuorum); err != nil {
-			return err
-		}
-	}
-	return nil
+	return db.bf.Sweep(ctx, parts, db.backfillFiller(view))
 }
 
 // Tables lists all registered tables (bases and views).
