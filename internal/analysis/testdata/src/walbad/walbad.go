@@ -75,3 +75,26 @@ func viaApplyHelperGood(log *wal.Log, mem *memtable.Memtable, c model.Cell) {
 	_ = log.Append([]byte("rec"))
 	applyHelper(mem, c)
 }
+
+// rowApplyOnly writes a row's cells — the loop every store write runs
+// — without logging any of them.
+func rowApplyOnly(mem *memtable.Memtable, cells []model.Cell) {
+	for _, c := range cells {
+		mem.Apply([]byte("k"), c) // want "not dominated by a WAL append"
+	}
+}
+
+// rowLogThenApply is lsm.Store.ApplyRow's shape: per cell, a guarded
+// append that can end the row early, then the apply, whose pre-image
+// the caller keeps.
+func rowLogThenApply(log *wal.Log, mem *memtable.Memtable, cells, old []model.Cell) error {
+	for i, c := range cells {
+		if log != nil {
+			if err := log.Append([]byte("rec")); err != nil {
+				return err
+			}
+		}
+		old[i], _ = mem.Apply([]byte("k"), c)
+	}
+	return nil
+}

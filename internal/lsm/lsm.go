@@ -68,9 +68,15 @@ func (o Options) withDefaults() Options {
 type Store struct {
 	opts Options
 
+	// mu is the engine's only lock: the memtable has none of its own.
+	// Writers hold it exclusively, readers share it.
 	mu   sync.RWMutex
 	mem  *memtable.Memtable
 	segs []*sstable.Table // newest first
+	// keyBuf is the write path's storage-key scratch, reused across
+	// calls under mu. Nothing below the store keeps a key it is handed:
+	// the WAL encodes it into its record, the memtable copies it.
+	keyBuf []byte
 	// segIDs mirrors segs with the Persist-assigned run ids (all zero
 	// in memory-only mode).
 	segIDs []uint64
@@ -120,21 +126,58 @@ func (s *Store) Recover(entries []model.Entry) {
 	s.mu.Unlock()
 }
 
-// Apply merges one cell into the store, write-ahead-logging it first
-// when the store is durable. An error means the cell is neither logged
-// nor applied and the write must not be acknowledged.
+// Apply merges one cell into the store: ApplyRow with a single update.
 func (s *Store) Apply(row, column string, c model.Cell) error {
-	key := model.EncodeKey(row, column)
+	u := [1]model.ColumnUpdate{{Column: column, Cell: c}}
+	return s.ApplyRow(row, u[:], nil)
+}
+
+// ApplyRow merges the updates into one row, in order, under one
+// acquisition of the store lock: every write to the store takes this
+// path. Each cell is write-ahead-logged, when the store is durable,
+// and then applied with one memtable descent; the row's keys are built
+// in one reused buffer. The flush threshold is checked after every
+// cell, so a row flushes exactly where cell-at-a-time writes would and
+// the files on disk do not depend on how cells were batched.
+//
+// old, when non-nil, must be as long as updates; old[i] receives the
+// cell the store held for updates[i].Column just before that update
+// was applied, LWW-merged across the memtable and every run, or
+// model.NullCell if it held none. A caller that needs pre-images — a
+// pre-read, a sibling check — gets them from the lookup the write makes
+// anyway. With old nil the write is blind and no run is consulted.
+// The price of the single lookup: the runs' bloom probes and index
+// searches for a pre-image happen under the exclusive lock, where a
+// separate read before the write would have shared it, so readers of
+// this table wait for them. A store whose memtable has never flushed
+// has no runs to search.
+//
+// An error means the failing cell and those after it are neither
+// logged nor applied and the write must not be acknowledged; cells
+// before it stay applied, which LWW merging makes safe to retry whole.
+func (s *Store) ApplyRow(row string, updates []model.ColumnUpdate, old []model.Cell) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.opts.Persist != nil {
-		if err := s.opts.Persist.AppendMutation(key, c); err != nil {
-			return err
+	s.keyBuf = model.AppendKey(s.keyBuf[:0], row, "")
+	prefix := len(s.keyBuf)
+	for i := range updates {
+		u := &updates[i]
+		s.keyBuf = append(s.keyBuf[:prefix], u.Column...)
+		key := s.keyBuf
+		if s.opts.Persist != nil {
+			if err := s.opts.Persist.AppendMutation(key, u.Cell); err != nil {
+				return err
+			}
 		}
-	}
-	s.mem.Apply(key, c)
-	if s.mem.ApproxBytes() >= s.opts.FlushBytes {
-		return s.flushLocked()
+		prev, found := s.mem.Apply(key, u.Cell)
+		if old != nil {
+			old[i], _ = s.mergeRuns(key, prev, found)
+		}
+		if s.mem.ApproxBytes() >= s.opts.FlushBytes {
+			if err := s.flushLocked(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -252,28 +295,29 @@ func (s *Store) RunCount() int {
 	return len(s.segs)
 }
 
+// keyScratch is the stack space a read builds its storage keys in;
+// longer keys spill to the heap.
+const keyScratch = 128
+
 // Get returns the LWW-winning cell for (row, column) across all runs.
 // The boolean reports whether any version (including a tombstone)
 // exists.
 func (s *Store) Get(row, column string) (model.Cell, bool) {
-	key := model.EncodeKey(row, column)
+	var scratch [keyScratch]byte
+	key := model.AppendKey(scratch[:0], row, column)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.getLocked(key)
+	c, ok := s.mem.Get(key)
+	return s.mergeRuns(key, c, ok)
 }
 
-// getLocked merges one storage key across the memtable and all
-// non-prunable runs. Caller holds mu (read or write). Runs whose
-// bloom filter or key bounds exclude the key are skipped without
+// mergeRuns folds the sstable runs' versions of one storage key into
+// the memtable's (best, found). Caller holds mu (read or write). Runs
+// whose bloom filter or key bounds exclude the key are skipped without
 // touching their indexes — but every run that may contain the key IS
 // consulted, because client-supplied timestamps mean any run can hold
 // the winning cell.
-func (s *Store) getLocked(key []byte) (model.Cell, bool) {
-	best := model.NullCell
-	found := false
-	if c, ok := s.mem.Get(key); ok {
-		best, found = c, true
-	}
+func (s *Store) mergeRuns(key []byte, best model.Cell, found bool) (model.Cell, bool) {
 	for _, t := range s.segs {
 		if !t.MayContainKey(key) {
 			s.prunedPoint.Inc()
@@ -301,7 +345,8 @@ type rowBufs struct {
 }
 
 func (s *Store) GetRow(row string) model.Row {
-	prefix := model.RowPrefix(row)
+	var scratch [keyScratch]byte
+	prefix := model.AppendKey(scratch[:0], row, "")
 	buf := rowScratch.Get().(*rowBufs)
 	runs := buf.runs[:0]
 	s.mu.RLock()
@@ -343,18 +388,19 @@ func (s *Store) GetRow(row string) model.Row {
 
 // GetColumns returns the requested columns of the row. Missing cells
 // come back as model.NullCell so the caller sees an entry per column.
+// The row's keys are built in one stack buffer, under one acquisition
+// of the store lock.
 func (s *Store) GetColumns(row string, columns []string) model.Row {
-	out := model.Row{}
-	var keyBuf []byte
+	out := make(model.Row, len(columns))
+	var scratch [keyScratch]byte
+	key := model.AppendKey(scratch[:0], row, "")
+	prefix := len(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, col := range columns {
-		keyBuf = model.AppendKey(keyBuf[:0], row, col)
-		c, ok := s.getLocked(keyBuf)
-		if !ok {
-			c = model.NullCell
-		}
-		out[col] = c
+		key = append(key[:prefix], col...)
+		c, ok := s.mem.Get(key)
+		out[col], _ = s.mergeRuns(key, c, ok)
 	}
 	return out
 }

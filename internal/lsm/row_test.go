@@ -1,0 +1,101 @@
+package lsm
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"vstore/internal/model"
+	"vstore/internal/race"
+)
+
+// TestApplyRowMatchesCellAtATime writes the same rows to two stores —
+// one ApplyRow per row, one Apply per cell — with a threshold that
+// flushes in the middle of rows. The stores must end up identical run
+// for run (same flush points, same compactions), and the pre-images
+// ApplyRow hands back must be what a Get just before each cell's write
+// returns, across memtable and runs.
+func TestApplyRowMatchesCellAtATime(t *testing.T) {
+	rows, cells := New(small()), New(small())
+	rng := rand.New(rand.NewSource(8))
+	cols := []string{"a", "b", "", "skey", "zz", "c\x00", "payload"}
+	for i := 0; i < 600; i++ {
+		row := fmt.Sprintf("row-%02d", rng.Intn(15))
+		updates := make([]model.ColumnUpdate, 1+rng.Intn(6))
+		for j := range updates {
+			c := model.Cell{Value: bytes.Repeat([]byte{'v'}, rng.Intn(30)), TS: int64(rng.Intn(50))}
+			if rng.Intn(6) == 0 {
+				c = model.Cell{TS: c.TS, Tombstone: true}
+			}
+			updates[j] = model.ColumnUpdate{Column: cols[rng.Intn(len(cols))], Cell: c}
+		}
+		want := make([]model.Cell, len(updates))
+		for j, u := range updates {
+			want[j], _ = cells.Get(row, u.Column)
+			if err := cells.Apply(row, u.Column, u.Cell); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var old []model.Cell
+		if i%4 != 0 { // every fourth row is a blind write
+			old = make([]model.Cell, len(updates))
+		}
+		if err := rows.ApplyRow(row, updates, old); err != nil {
+			t.Fatal(err)
+		}
+		if old != nil && !reflect.DeepEqual(old, want) {
+			t.Fatalf("row %d: pre-images %v, want %v", i, old, want)
+		}
+		rs, cs := rows.Stats(), cells.Stats()
+		rs.RunsPrunedPoint, cs.RunsPrunedPoint = 0, 0 // the Gets above prune too
+		if rs != cs {
+			t.Fatalf("row %d: stats diverged: by row %+v, by cell %+v", i, rs, cs)
+		}
+	}
+	if st := rows.Stats(); st.Flushes < 10 || st.Compactions == 0 {
+		t.Fatalf("workload too small to flush mid-row and compact: %+v", st)
+	}
+	if got, want := rows.Snapshot(), cells.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stores differ: by row %d entries, by cell %d", len(got), len(want))
+	}
+}
+
+// TestAllocations pins the steady state of the storage hot path in a
+// memory store: overwriting a cell allocates nothing, a new cell its
+// skiplist node, and a two-column read only the row it returns.
+func TestAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := New(Options{Seed: 1})
+	rows := make([]string, 2048)
+	val := []byte("sec-00000001")
+	for i := range rows {
+		rows[i] = fmt.Sprintf("data-%08d", i)
+	}
+	i := 0
+	if got := testing.AllocsPerRun(len(rows)-1, func() {
+		_ = s.Apply(rows[i], "skey", model.Cell{Value: val, TS: 1})
+		i++
+	}); got > 1 {
+		t.Errorf("Apply of a new cell allocates %v times, want at most 1", got)
+	}
+	updates := []model.ColumnUpdate{model.Update("skey", val, 2), model.Update("payload", val, 2), model.Update("skey", val, 3)}
+	_ = s.ApplyRow(rows[0], updates, nil)
+	var old [3]model.Cell
+	i = 0
+	if got := testing.AllocsPerRun(len(rows)-1, func() {
+		_ = s.Apply(rows[i], "skey", model.Cell{Value: val, TS: 2})
+		_ = s.ApplyRow(rows[0], updates, old[:])
+		_, _ = s.Get(rows[i], "skey")
+		i++
+	}); got != 0 {
+		t.Errorf("overwriting and reading existing cells allocates %v times, want 0", got)
+	}
+	cols := []string{"skey", "payload"}
+	if got := testing.AllocsPerRun(1000, func() { _ = s.GetColumns(rows[0], cols) }); got > 2 {
+		t.Errorf("GetColumns of two columns allocates %v times, want at most 2 (the row it returns)", got)
+	}
+}

@@ -6,86 +6,76 @@ package memtable
 
 import (
 	"bytes"
-	"sync"
 
 	"vstore/internal/model"
 	"vstore/internal/skiplist"
 )
 
-// Memtable is a concurrency-safe sorted run of (storage key → cell).
+// Memtable is a sorted run of (storage key → cell). It has no lock of
+// its own: lsm.Store, its only owner, already serializes writers and
+// admits readers together, and a second lock under that one bought
+// nothing.
 type Memtable struct {
-	mu   sync.RWMutex
-	list *skiplist.List
+	list  *skiplist.List[model.Cell]
+	bytes int64
 }
 
 // New returns an empty memtable.
 func New(seed int64) *Memtable {
-	return &Memtable{list: skiplist.New(seed)}
+	return &Memtable{list: skiplist.New[model.Cell](seed)}
 }
 
 // cellOverhead approximates the fixed per-cell footprint beyond the
-// value payload (timestamp + tombstone flag); the skiplist itself
-// accounts for key bytes on insert.
+// key and value payload (timestamp + tombstone flag).
 const cellOverhead = 9
 
-// Apply merges the cell into the entry stored under key. If the cell
-// loses the LWW comparison against the stored cell, the memtable is
-// unchanged — Put is idempotent and order-insensitive.
-func (m *Memtable) Apply(key []byte, c model.Cell) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.list.Upsert(key, func(old any, ok bool) any {
-		if !ok {
-			m.list.AddBytes(int64(len(c.Value)) + cellOverhead)
-			return c
-		}
-		oldc := old.(model.Cell)
-		merged := model.Merge(oldc, c)
-		// Keep the byte estimate tracking the retained value: a merge
-		// that replaces the value adjusts by the size delta, one that
-		// loses leaves the accounting untouched.
-		m.list.AddBytes(int64(len(merged.Value)) - int64(len(oldc.Value)))
-		return merged
-	})
+// Apply merges the cell into the entry stored under key, in one
+// descent, and returns the cell held before (ok false if there was
+// none). If the cell loses the LWW comparison against the stored cell,
+// the memtable is unchanged — Put is idempotent and order-insensitive.
+func (m *Memtable) Apply(key []byte, cell model.Cell) (old model.Cell, ok bool) {
+	v, inserted := m.list.Upsert(key)
+	if inserted {
+		*v = cell
+		m.bytes += int64(len(key)+len(cell.Value)) + cellOverhead
+		return model.NullCell, false
+	}
+	old = *v
+	*v = model.Merge(old, cell)
+	// Keep the byte estimate tracking the retained value: a merge that
+	// replaces the value adjusts by the size delta, one that loses
+	// leaves the accounting untouched.
+	m.bytes += int64(len(v.Value) - len(old.Value))
+	return old, true
 }
 
 // Get returns the cell stored under key.
 func (m *Memtable) Get(key []byte) (model.Cell, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	v, ok := m.list.Get(key)
-	if !ok {
-		return model.NullCell, false
+	if c, ok := m.list.Get(key); ok {
+		return c, true
 	}
-	return v.(model.Cell), true
+	return model.NullCell, false
 }
 
 // Len returns the number of distinct cells held.
-func (m *Memtable) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.list.Len()
-}
+func (m *Memtable) Len() int { return m.list.Len() }
 
-// ApproxBytes estimates the memory footprint, used to trigger flushes.
-func (m *Memtable) ApproxBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.list.ApproxBytes()
-}
+// ApproxBytes estimates the memory footprint, used to trigger flushes:
+// key and value bytes plus a fixed overhead per cell.
+func (m *Memtable) ApproxBytes() int64 { return m.bytes }
 
 // ScanPrefix returns all entries whose key starts with prefix, in key
-// order. The result is materialized so no lock is held afterwards;
-// rows are small in this system (a handful of columns).
+// order. The result is materialized so the caller can merge it after
+// letting go of the store lock; rows are small in this system (a
+// handful of columns). Keys alias the memtable's storage, which is
+// never rewritten, and must not be modified.
 func (m *Memtable) ScanPrefix(prefix []byte) []model.Entry {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	var out []model.Entry
 	for it := m.list.Seek(prefix); it.Valid(); it.Next() {
 		if !bytes.HasPrefix(it.Key(), prefix) {
 			break
 		}
-		out = append(out, model.Entry{Key: append([]byte(nil), it.Key()...), Cell: it.Value().(model.Cell)})
+		out = append(out, model.Entry{Key: it.Key(), Cell: it.Value()})
 	}
 	return out
 }
@@ -97,41 +87,20 @@ func (m *Memtable) ScanPrefix(prefix []byte) []model.Entry {
 // prefix starts at the beginning; keys still under the prefix (columns
 // of the cursor row itself) are skipped.
 func (m *Memtable) RowsFrom(after []byte, maxRows int) []string {
-	if maxRows <= 0 {
-		return nil
+	rc := model.NewRowCollector(after, maxRows)
+	for it := m.list.Seek(after); it.Valid() && rc.Add(it.Key()); it.Next() {
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []string
-	var last string
-	for it := m.list.Seek(after); it.Valid(); it.Next() {
-		if len(after) > 0 && bytes.HasPrefix(it.Key(), after) {
-			continue
-		}
-		row, _, err := model.DecodeKey(it.Key())
-		if err != nil {
-			continue
-		}
-		if len(out) > 0 && row == last {
-			continue
-		}
-		if len(out) == maxRows {
-			break
-		}
-		out = append(out, row)
-		last = row
-	}
-	return out
+	return rc.Rows()
 }
 
 // Snapshot returns every entry in key order. Used when flushing the
-// memtable into an sstable and by anti-entropy digests.
+// memtable into an sstable and by anti-entropy digests. Keys alias the
+// memtable's storage, which is never rewritten — not even after the
+// memtable itself is dropped — and must not be modified.
 func (m *Memtable) Snapshot() []model.Entry {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	out := make([]model.Entry, 0, m.list.Len())
 	for it := m.list.Iter(); it.Valid(); it.Next() {
-		out = append(out, model.Entry{Key: append([]byte(nil), it.Key()...), Cell: it.Value().(model.Cell)})
+		out = append(out, model.Entry{Key: it.Key(), Cell: it.Value()})
 	}
 	return out
 }

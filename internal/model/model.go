@@ -313,13 +313,65 @@ var ErrBadKey = errors.New("model: malformed storage key")
 
 // DecodeKey splits a storage key back into its (row, column) pair.
 func DecodeKey(key []byte) (row, column string, err error) {
+	row, n, err := DecodeRow(key)
+	if err != nil {
+		return "", "", err
+	}
+	return row, string(key[n:]), nil
+}
+
+// DecodeRow returns the row a storage key belongs to and the length of
+// its row prefix: key[:prefixLen] equals RowPrefix(row), and the column
+// name follows it. Scans use the prefix to step over a row's remaining
+// cells without decoding each one.
+func DecodeRow(key []byte) (row string, prefixLen int, err error) {
 	n, sz := binary.Uvarint(key)
 	if sz <= 0 || uint64(len(key)-sz) < n {
-		return "", "", ErrBadKey
+		return "", 0, ErrBadKey
 	}
-	body := key[sz:]
-	return string(body[:n]), string(body[n:]), nil
+	prefixLen = sz + int(n)
+	return string(key[sz:prefixLen]), prefixLen, nil
 }
+
+// RowCollector gathers distinct row names from storage keys fed to it
+// in key order — the loop shared by the memtable's and the sstables'
+// RowsFrom. Cells of one row are adjacent and share their row prefix,
+// so a row's name is decoded once, when the prefix changes, not once
+// per cell.
+type RowCollector struct {
+	prefix []byte // row prefix to step over: the cursor row's, then the last row's
+	rows   []string
+	max    int
+}
+
+// NewRowCollector collects up to max rows, skipping keys under the
+// after prefix (the cells of a paging cursor's own row; empty skips
+// nothing).
+func NewRowCollector(after []byte, max int) RowCollector {
+	return RowCollector{prefix: after, max: max}
+}
+
+// Add offers the next key and reports whether the collector wants
+// more. Malformed keys are skipped. key must stay unmodified until the
+// collector is done, as keys of immutable runs do.
+func (rc *RowCollector) Add(key []byte) bool {
+	if len(rc.prefix) > 0 && bytes.HasPrefix(key, rc.prefix) {
+		return true
+	}
+	if len(rc.rows) >= rc.max {
+		return false
+	}
+	row, n, err := DecodeRow(key)
+	if err != nil {
+		return true
+	}
+	rc.prefix = key[:n]
+	rc.rows = append(rc.rows, row)
+	return true
+}
+
+// Rows returns the rows collected, in the order their keys arrived.
+func (rc *RowCollector) Rows() []string { return rc.rows }
 
 // --- Qualified column names ---------------------------------------------
 //

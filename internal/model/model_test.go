@@ -322,3 +322,42 @@ func TestCellString(t *testing.T) {
 		t.Fatalf("value string %q", s)
 	}
 }
+
+// TestRowCollector feeds sorted storage keys — several cells per row, a
+// malformed key among them — and checks the paging rules every
+// RowsFrom shares: the cursor row's own cells are stepped over, each
+// row is named once, malformed keys are skipped, and the collector
+// stops asking once it is full.
+func TestRowCollector(t *testing.T) {
+	keys := [][]byte{
+		EncodeKey("a", "c1"), EncodeKey("a", "c2"),
+		EncodeKey("b", ""), EncodeKey("b", "c"),
+		EncodeKey("c", "c"),
+		EncodeKey("ab", "c"), // longer rows sort after shorter ones
+		{0x05, 'x'},          // claims a 5-byte row, holds 1
+	}
+	collect := func(after []byte, max int) ([]string, int) {
+		rc := NewRowCollector(after, max)
+		fed := 0
+		for _, k := range keys {
+			fed++
+			if !rc.Add(k) {
+				break
+			}
+		}
+		return rc.Rows(), fed
+	}
+	if got, _ := collect(nil, 10); !reflect.DeepEqual(got, []string{"a", "b", "c", "ab"}) {
+		t.Fatalf("from the start: %q", got)
+	}
+	if got, _ := collect(RowPrefix("a"), 10); !reflect.DeepEqual(got, []string{"b", "c", "ab"}) {
+		t.Fatalf("after row a: %q", got)
+	}
+	got, fed := collect(nil, 2)
+	if !reflect.DeepEqual(got, []string{"a", "b"}) || fed != 5 {
+		t.Fatalf("page of 2: %q after %d keys, want [a b] and a stop at the first key past row b", got, fed)
+	}
+	if got, _ := collect(nil, 0); got != nil {
+		t.Fatalf("page of 0: %q", got)
+	}
+}

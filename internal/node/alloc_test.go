@@ -1,0 +1,68 @@
+package node
+
+import (
+	"fmt"
+	"testing"
+
+	"vstore/internal/dvv"
+	"vstore/internal/model"
+	"vstore/internal/race"
+	"vstore/internal/transport"
+)
+
+// TestPutAllocations pins what one replica put costs a memory-mode node
+// on a table without indexes, once its cells exist: the request
+// bookkeeping (worker slot, counter, catalog lookup, row lock), the
+// sibling check and the store write allocate nothing, so what is left
+// is what the reply is made of.
+func TestPutAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	n := New(Options{ID: 1})
+	val := []byte("sec-00000001")
+	rows := make([]string, 1024)
+	for i := range rows {
+		rows[i] = fmt.Sprintf("data-%08d", i)
+	}
+	dot := dvv.Dot{Node: 1, Seq: 1}
+	reqs := func(dotted bool, versionsOf []string) []transport.Request {
+		out := make([]transport.Request, len(rows))
+		for i, row := range rows {
+			updates := []model.ColumnUpdate{model.Update("skey", val, 1), model.Update("payload", val, 1)}
+			if dotted {
+				for j := range updates {
+					updates[j].Cell.Dot, updates[j].Cell.Ctx = dot, dvv.VV{dot.Node: dot.Seq}
+				}
+			}
+			out[i] = transport.PutReq{Table: "data", Row: row, Updates: updates, ReturnVersionsOf: versionsOf}
+		}
+		return out
+	}
+	measure := func(reqs []transport.Request) float64 {
+		i := 0
+		return testing.AllocsPerRun(len(reqs)-1, func() {
+			if _, err := n.HandleRequest(0, reqs[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	measure(reqs(false, nil)) // create the cells
+	// A view-maintenance put: undotted, no pre-read, empty reply.
+	if got := measure(reqs(false, nil)); got > 0 {
+		t.Errorf("blind put allocates %v times, want 0", got)
+	}
+	// A client put: dotted, so every cell is checked for a sibling.
+	if got := measure(reqs(true, nil)); got > 0 {
+		t.Errorf("dotted put allocates %v times, want 0", got)
+	}
+	// A client put on a table with a view: the pre-read's reply is a
+	// one-entry row: map header and bucket.
+	if got := measure(reqs(true, []string{"skey"})); got > 2 {
+		t.Errorf("put with a pre-read allocates %v times, want at most 2 (the reply row)", got)
+	}
+	if got := n.RequestCounts()["put"]; got < int64(4*(len(rows)-1)) {
+		t.Errorf("put counter = %d, want every request counted", got)
+	}
+}

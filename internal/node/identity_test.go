@@ -1,0 +1,143 @@
+package node
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io/fs"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"vstore/internal/dvv"
+	"vstore/internal/lsm"
+	"vstore/internal/model"
+	physfs "vstore/internal/physical/fs"
+	"vstore/internal/transport"
+	"vstore/internal/wal"
+)
+
+// Hashes recorded by running this test's script at commit 3271699 (the
+// parent of the row-at-a-time storage path). They pin what the storage
+// rewrite must not move: the bytes of every WAL segment, sstable run
+// and manifest a durable node writes, and every pre-image a put
+// returns. Re-record only for a deliberate on-disk format change.
+const (
+	identityFilesHash = "ba7c31c0f40da362e617edd6532768a02277845c2db6fcbcda0cb56439a0f4f9"
+	identityReadsHash = "72eaf71ac9edafa830b01dad7f50741992addefedaf39576934c50757d2f9ef8"
+)
+
+// TestDurableBytesIdentical replays a fixed script of puts — rows of
+// one to six cells, columns out of sorted order and repeated, stale and
+// tied timestamps, tombstones, dotted cells, pre-reads — and replicated
+// entry batches through a durable node whose memtable flushes every few
+// rows, then hashes the files left on disk.
+func TestDurableBytesIdentical(t *testing.T) {
+	dir := t.TempDir()
+	st, err := wal.OpenStorage(physfs.New(dir), wal.Options{Policy: wal.SyncAlways, SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(Options{ID: 2, LSM: lsm.Options{FlushBytes: 512, CompactAt: 4, Seed: 7}, Durable: st})
+
+	rng := rand.New(rand.NewSource(20130408))
+	cols := []string{"skey", "payload", "a", "zz", "m\x00id", "", "status", "k" + string(model.EncodeKey("base-7", "payload"))}
+	reads := sha256.New()
+	cell := func(i int) model.Cell {
+		c := model.Cell{TS: int64(1000 + rng.Intn(40))}
+		switch rng.Intn(8) {
+		case 0:
+			c.Tombstone = true
+		case 1: // empty value
+		default:
+			c.Value = []byte(fmt.Sprintf("v%d-%0*d", i, rng.Intn(40), i))
+		}
+		if rng.Intn(3) == 0 {
+			c.Dot = dvv.Dot{Node: uint32(1 + rng.Intn(3)), Seq: uint64(1 + rng.Intn(50))}
+			c.Ctx = dvv.VV{c.Dot.Node: c.Dot.Seq}
+			if rng.Intn(2) == 0 {
+				c.Ctx[uint32(1+rng.Intn(3))] = uint64(1 + rng.Intn(50))
+				c.Ctx[c.Dot.Node] = c.Dot.Seq
+			}
+		}
+		return c
+	}
+	for i := 0; i < 600; i++ {
+		table := []string{"data", "view"}[rng.Intn(2)]
+		row := fmt.Sprintf("row-%0*d", 1+rng.Intn(3), rng.Intn(9))
+		if rng.Intn(25) == 0 {
+			var entries []model.Entry
+			for j := rng.Intn(7); j >= 0; j-- {
+				entries = append(entries, model.Entry{
+					Key:  model.EncodeKey(fmt.Sprintf("row-%d", rng.Intn(9)), cols[rng.Intn(len(cols))]),
+					Cell: cell(i),
+				})
+			}
+			if _, err := n.HandleRequest(0, transport.ApplyEntriesReq{Table: table, Entries: entries}); err != nil {
+				t.Fatalf("step %d: apply entries: %v", i, err)
+			}
+			continue
+		}
+		req := transport.PutReq{Table: table, Row: row}
+		for j := rng.Intn(6); j >= 0; j-- {
+			req.Updates = append(req.Updates, model.ColumnUpdate{Column: cols[rng.Intn(len(cols))], Cell: cell(i)})
+		}
+		for j := rng.Intn(3); j > 0; j-- {
+			req.ReturnVersionsOf = append(req.ReturnVersionsOf, cols[rng.Intn(len(cols))])
+		}
+		resp, err := n.HandleRequest(0, req)
+		if err != nil {
+			t.Fatalf("step %d: put: %v", i, err)
+		}
+		old := resp.(transport.PutResp).Old
+		names := make([]string, 0, len(old))
+		for c := range old {
+			names = append(names, c)
+		}
+		sort.Strings(names)
+		for _, c := range names {
+			o := old[c]
+			fmt.Fprintf(reads, "%d %q %q %d %v %v %v\n", i, c, o.Value, o.TS, o.Tombstone, o.Dot, dvv.AppendMeta(nil, o.Dot, o.Ctx))
+		}
+	}
+	if got := n.ConcurrentWrites(); got == 0 {
+		t.Fatal("script produced no concurrent siblings; the dotted path is not exercised")
+	}
+	fmt.Fprintf(reads, "siblings %d\n", n.ConcurrentWrites())
+	for _, table := range []string{"data", "view"} {
+		if s := n.TableStats(table); s.Flushes < 3 || s.Compactions == 0 {
+			t.Fatalf("script too small to flush and compact %s: %+v", table, s)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	files := sha256.New()
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(files, "%s %d %x\n", filepath.ToSlash(rel), len(data), sha256.Sum256(data))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(files.Sum(nil)); got != identityFilesHash {
+		t.Errorf("on-disk bytes moved: files hash %s, want %s", got, identityFilesHash)
+	}
+	if got := hex.EncodeToString(reads.Sum(nil)); got != identityReadsHash {
+		t.Errorf("pre-images moved: reads hash %s, want %s", got, identityReadsHash)
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"vstore/internal/clock"
 	"vstore/internal/dvv"
 	"vstore/internal/lsm"
+	"vstore/internal/metrics"
 	"vstore/internal/model"
 	"vstore/internal/ring"
 	"vstore/internal/trace"
@@ -67,9 +68,12 @@ type Node struct {
 	opts Options
 	clk  clock.Clock
 
-	mu      sync.RWMutex
-	tables  map[string]*lsm.Store
-	indexes map[string]map[string]*lsm.Store // table → column → fragment
+	mu     sync.RWMutex
+	tables map[string]*lsm.Store
+	// indexes maps table → column → fragment. The inner maps are
+	// copy-on-write (CreateIndex installs a new one), so a request
+	// reads the one lookup handed it without holding mu.
+	indexes map[string]map[string]*lsm.Store
 
 	sem chan struct{}
 
@@ -82,14 +86,32 @@ type Node struct {
 	// propagation, synchronous index maintenance) per row.
 	rowLocks [64]sync.Mutex
 
-	stats struct {
-		mu       sync.Mutex
-		requests map[string]int64
-		// concurrentWrites counts dotted client writes that arrived
-		// causally concurrent with the cell they met locally — the
-		// sibling clobbers the plain LWW model resolved silently.
-		concurrentWrites int64
-	}
+	// requests counts handled requests by kind.
+	requests [numKinds]metrics.Counter
+	// concurrentWrites counts dotted client writes that arrived
+	// causally concurrent with the cell they met locally — the sibling
+	// clobbers the plain LWW model resolved silently.
+	concurrentWrites metrics.Counter
+}
+
+// reqKind indexes the per-kind request counters; kindNames holds the
+// names RequestCounts reports them under.
+type reqKind int
+
+const (
+	kindPut reqKind = iota
+	kindGet
+	kindGetDigest
+	kindMultiGet
+	kindApply
+	kindIndexQuery
+	kindDigest
+	kindBucketFetch
+	numKinds
+)
+
+var kindNames = [numKinds]string{
+	"put", "get", "getdigest", "multiget", "apply", "indexquery", "digest", "bucketfetch",
 }
 
 // New returns an empty node.
@@ -103,7 +125,6 @@ func New(opts Options) *Node {
 	if opts.Workers > 0 {
 		n.sem = make(chan struct{}, opts.Workers)
 	}
-	n.stats.requests = map[string]int64{}
 	return n
 }
 
@@ -115,11 +136,20 @@ func (n *Node) ID() transport.NodeID { return n.opts.ID }
 // for a table created at the cluster level without a registration
 // round.
 func (n *Node) table(name string) *lsm.Store {
+	t, _ := n.lookup(name)
+	return t
+}
+
+// lookup returns the store for name and the table's index fragments by
+// column — nil, on all but the secondary-index baseline's tables —
+// under one acquisition of the read lock, so a request pays for the
+// node's catalog once.
+func (n *Node) lookup(name string) (*lsm.Store, map[string]*lsm.Store) {
 	n.mu.RLock()
-	t := n.tables[name]
+	t, frags := n.tables[name], n.indexes[name]
 	n.mu.RUnlock()
 	if t != nil {
-		return t
+		return t, frags
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -127,7 +157,7 @@ func (n *Node) table(name string) *lsm.Store {
 		t = lsm.New(n.tableLSMOptions(name, len(n.tables)))
 		n.tables[name] = t
 	}
-	return t
+	return t, n.indexes[name]
 }
 
 // tableLSMOptions derives one table's engine options, wiring in the
@@ -179,15 +209,16 @@ func (n *Node) Recover() (wal.RecoveryStats, []wal.Intent, error) {
 // local store.
 func (n *Node) CreateIndex(table, column string) {
 	n.mu.Lock()
-	if n.indexes[table] == nil {
-		n.indexes[table] = map[string]*lsm.Store{}
-	}
 	if _, ok := n.indexes[table][column]; ok {
 		n.mu.Unlock()
 		return
 	}
 	frag := lsm.New(n.opts.LSM)
-	n.indexes[table][column] = frag
+	frags := map[string]*lsm.Store{column: frag}
+	for c, f := range n.indexes[table] {
+		frags[c] = f
+	}
+	n.indexes[table] = frags
 	n.mu.Unlock()
 
 	// Back-fill from current local content.
@@ -200,77 +231,46 @@ func (n *Node) CreateIndex(table, column string) {
 	}
 }
 
-// indexFragment returns the local fragment for table.column, if any.
-func (n *Node) indexFragment(table, column string) *lsm.Store {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.indexes[table][column]
-}
-
-// indexedColumns returns the indexed columns of a table.
-func (n *Node) indexedColumns(table string) []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	cols := make([]string, 0, len(n.indexes[table]))
-	for c := range n.indexes[table] {
-		cols = append(cols, c)
-	}
-	return cols
-}
-
 func (n *Node) rowLock(table, row string) *sync.Mutex {
-	return &n.rowLocks[ring.Hash64(table+"\x00"+row)%uint64(len(n.rowLocks))]
-}
-
-func (n *Node) count(kind string) {
-	n.stats.mu.Lock()
-	n.stats.requests[kind]++
-	n.stats.mu.Unlock()
-}
-
-// noteConcurrent records one replica-side sibling observation: the
-// incoming dotted write and the locally stored cell were causally
-// concurrent, so LWW resolution is about to pick a deterministic
-// winner between writes neither of which observed the other.
-func (n *Node) noteConcurrent() {
-	n.stats.mu.Lock()
-	n.stats.concurrentWrites++
-	n.stats.mu.Unlock()
+	return &n.rowLocks[ring.HashJoined(table, row)%uint64(len(n.rowLocks))]
 }
 
 // ConcurrentWrites returns how many causally concurrent sibling
-// writes this replica has observed. Each conflicting write pair is
-// counted at every replica that sees both sides, so cluster-wide
-// aggregation counts replica observations, not distinct pairs.
-func (n *Node) ConcurrentWrites() int64 {
-	n.stats.mu.Lock()
-	defer n.stats.mu.Unlock()
-	return n.stats.concurrentWrites
-}
+// writes this replica has observed: an incoming dotted write and the
+// locally stored cell were causally concurrent, so LWW resolution
+// picked a deterministic winner between writes neither of which
+// observed the other. Each conflicting write pair is counted at every
+// replica that sees both sides, so cluster-wide aggregation counts
+// replica observations, not distinct pairs.
+func (n *Node) ConcurrentWrites() int64 { return n.concurrentWrites.Load() }
 
-// RequestCounts returns a copy of the per-kind request counters.
+// RequestCounts returns the number of requests handled so far, by
+// kind; kinds never seen are absent.
 func (n *Node) RequestCounts() map[string]int64 {
-	n.stats.mu.Lock()
-	defer n.stats.mu.Unlock()
-	out := make(map[string]int64, len(n.stats.requests))
-	for k, v := range n.stats.requests {
-		out[k] = v
+	out := make(map[string]int64, numKinds)
+	for k := range n.requests {
+		if v := n.requests[k].Load(); v > 0 {
+			out[kindNames[k]] = v
+		}
 	}
 	return out
 }
 
-// acquire takes a worker slot and simulates the service time.
-func (n *Node) acquire(cost time.Duration) func() {
+// acquire counts the request, takes a worker slot and simulates the
+// service time; release gives the slot back.
+func (n *Node) acquire(kind reqKind, cost time.Duration) {
 	if n.sem != nil {
 		n.sem <- struct{}{}
 	}
 	if cost > 0 {
 		n.clk.Sleep(cost)
 	}
-	return func() {
-		if n.sem != nil {
-			<-n.sem
-		}
+	n.requests[kind].Inc()
+}
+
+func (n *Node) release() {
+	if n.sem != nil {
+		<-n.sem
 	}
 }
 
@@ -316,32 +316,26 @@ func (n *Node) HandleRequest(from transport.NodeID, req transport.Request) (tran
 
 func (n *Node) handlePut(r transport.PutReq) (transport.Response, error) {
 	cost := n.opts.Service.Write
-	indexed := n.indexedColumns(r.Table)
-	touchesIndex := false
-	for _, u := range r.Updates {
-		for _, ic := range indexed {
-			if u.Column == ic {
-				touchesIndex = true
+	if n.opts.Service.IndexWrite > 0 {
+		_, frags := n.lookup(r.Table)
+		for _, u := range r.Updates {
+			if frags[u.Column] != nil {
+				cost += n.opts.Service.IndexWrite
+				break
 			}
 		}
-	}
-	if touchesIndex {
-		cost += n.opts.Service.IndexWrite
 	}
 	if len(r.ReturnVersionsOf) > 0 {
 		cost += n.opts.Service.Read
 	}
-	release := n.acquire(cost)
-	defer release()
-	n.count("put")
+	n.acquire(kindPut, cost)
+	defer n.release()
 
-	t := n.table(r.Table)
 	sp := n.span(r.Span, "node.put", nil)
 	if sp != nil && n.opts.Durable != nil {
 		sp.SetAttr("wal.sync", n.opts.Durable.Policy().String())
 	}
 	defer sp.Finish()
-	resp := transport.PutResp{}
 
 	// The pre-read (Get-then-Put) and index maintenance both need the
 	// read-modify-write to be atomic per row.
@@ -349,51 +343,114 @@ func (n *Node) handlePut(r transport.PutReq) (transport.Response, error) {
 	lock.Lock()
 	defer lock.Unlock()
 
-	if len(r.ReturnVersionsOf) > 0 {
-		resp.Old = model.Row{}
-		for _, col := range r.ReturnVersionsOf {
-			old, ok := t.Get(r.Row, col)
-			if !ok {
-				old = model.NullCell
-			}
-			resp.Old[col] = old
-		}
+	// The fragments are read under the row lock, not before the wait for
+	// a worker slot: an index created during that wait back-filled
+	// without this write, which therefore has to maintain it.
+	t, frags := n.lookup(r.Table)
+	var resp transport.PutResp
+	var err error
+	if len(frags) == 0 {
+		resp.Old, err = n.putRow(t, r)
+	} else {
+		resp.Old, err = n.putIndexedRow(t, frags, r)
 	}
-
-	for _, u := range r.Updates {
-		if err := n.applyWithIndexes(r.Table, t, r.Row, u); err != nil {
-			// The write is not durable; failing the request keeps it
-			// unacknowledged so the coordinator can retry or fail.
-			return nil, fmt.Errorf("node %d: apply: %w", n.opts.ID, err)
-		}
+	if err != nil {
+		// The write is not durable; failing the request keeps it
+		// unacknowledged so the coordinator can retry or fail.
+		return nil, fmt.Errorf("node %d: apply: %w", n.opts.ID, err)
 	}
 	return resp, nil
 }
 
-// applyWithIndexes applies one column update and keeps any local index
-// fragment synchronized, mirroring Cassandra's synchronous local index
-// maintenance. The caller holds the row lock. An error means the
-// update was not applied (durable mode failed to log it).
-func (n *Node) applyWithIndexes(table string, t *lsm.Store, row string, u model.ColumnUpdate) error {
-	frag := n.indexFragment(table, u.Column)
-	if frag == nil {
-		// Only dotted writes (client writes) pay the extra local read;
-		// internal view-maintenance writes keep the blind fast path.
-		if !u.Cell.Dot.IsZero() {
-			if old, ok := t.Get(row, u.Column); ok && model.Concurrent(old, u.Cell) {
-				n.noteConcurrent()
-			}
+// putRow is the put every un-indexed table takes: one row-level store
+// write whose single lookup per cell also yields the pre-images the
+// request asked for and the cell each dotted (client) update has to be
+// checked against for a concurrent sibling. Internal view-maintenance
+// writes are undotted and ask for nothing, so they stay blind. The
+// caller holds the row lock.
+func (n *Node) putRow(t *lsm.Store, r transport.PutReq) (model.Row, error) {
+	wantOld := len(r.ReturnVersionsOf) > 0
+	for i := 0; !wantOld && i < len(r.Updates); i++ {
+		wantOld = !r.Updates[i].Cell.Dot.IsZero()
+	}
+	if !wantOld {
+		return nil, t.ApplyRow(r.Row, r.Updates, nil)
+	}
+	var scratch [4]model.Cell // pre-images of a typical put stay on the stack
+	old := scratch[:]
+	if len(r.Updates) > len(scratch) {
+		old = make([]model.Cell, len(r.Updates))
+	}
+	old = old[:len(r.Updates)]
+	if err := t.ApplyRow(r.Row, r.Updates, old); err != nil {
+		return nil, err
+	}
+	for i, u := range r.Updates {
+		if model.Concurrent(old[i], u.Cell) {
+			n.concurrentWrites.Inc()
 		}
-		return t.Apply(row, u.Column, u.Cell)
 	}
-	old, _ := t.Get(row, u.Column)
-	if model.Concurrent(old, u.Cell) {
-		n.noteConcurrent()
+	if len(r.ReturnVersionsOf) == 0 {
+		return nil, nil
 	}
-	merged := model.Merge(old, u.Cell)
-	if err := t.Apply(row, u.Column, u.Cell); err != nil {
+	pre := make(model.Row, len(r.ReturnVersionsOf))
+	for _, col := range r.ReturnVersionsOf {
+		// The pre-image is what the row held before the request: the
+		// first update to the column saw it; a column the request does
+		// not write still holds it.
+		i := 0
+		for i < len(r.Updates) && r.Updates[i].Column != col {
+			i++
+		}
+		if i < len(r.Updates) {
+			pre[col] = old[i]
+		} else {
+			pre[col], _ = t.Get(r.Row, col)
+		}
+	}
+	return pre, nil
+}
+
+// putIndexedRow is the put of a table with native secondary indexes
+// (the baseline the paper compares views against): cell at a time,
+// each keeping its fragment in step.
+func (n *Node) putIndexedRow(t *lsm.Store, frags map[string]*lsm.Store, r transport.PutReq) (model.Row, error) {
+	var pre model.Row
+	if len(r.ReturnVersionsOf) > 0 {
+		pre = t.GetColumns(r.Row, r.ReturnVersionsOf)
+	}
+	for _, u := range r.Updates {
+		if err := n.applyWithIndex(t, frags[u.Column], r.Row, u); err != nil {
+			return nil, err
+		}
+	}
+	return pre, nil
+}
+
+// applyWithIndex applies one column update and keeps the column's
+// local index fragment (nil if it has none) synchronized, mirroring
+// Cassandra's synchronous local index maintenance. The caller holds
+// the row lock. An error means the update was not applied (durable
+// mode failed to log it).
+func (n *Node) applyWithIndex(t *lsm.Store, frag *lsm.Store, row string, u model.ColumnUpdate) error {
+	// Only dotted (client) writes and indexed columns need the cell
+	// they replace; replicated view-maintenance cells stay blind.
+	var pre [1]model.Cell
+	var wantOld []model.Cell
+	if frag != nil || !u.Cell.Dot.IsZero() {
+		wantOld = pre[:]
+	}
+	if err := t.ApplyRow(row, []model.ColumnUpdate{u}, wantOld); err != nil {
 		return err
 	}
+	old := pre[0]
+	if model.Concurrent(old, u.Cell) {
+		n.concurrentWrites.Inc()
+	}
+	if frag == nil {
+		return nil
+	}
+	merged := model.Merge(old, u.Cell)
 	if merged.Equal(old) {
 		return nil // update lost LWW locally; index unchanged
 	}
@@ -412,9 +469,8 @@ func (n *Node) applyWithIndexes(table string, t *lsm.Store, row string, u model.
 }
 
 func (n *Node) handleGet(r transport.GetReq) (transport.Response, error) {
-	release := n.acquire(n.opts.Service.Read)
-	defer release()
-	n.count("get")
+	n.acquire(kindGet, n.opts.Service.Read)
+	defer n.release()
 	t := n.table(r.Table)
 	sp := n.span(r.Span, "node.get", t)
 	defer sp.Finish()
@@ -432,9 +488,8 @@ func (n *Node) handleGet(r transport.GetReq) (transport.Response, error) {
 // themselves, halving neither the read cost nor the row lock rules —
 // only the reply size and the coordinator-side merge work.
 func (n *Node) handleGetDigest(r transport.GetDigestReq) (transport.Response, error) {
-	release := n.acquire(n.opts.Service.Read)
-	defer release()
-	n.count("getdigest")
+	n.acquire(kindGetDigest, n.opts.Service.Read)
+	defer n.release()
 	t := n.table(r.Table)
 	sp := n.span(r.Span, "node.digest", t)
 	defer sp.Finish()
@@ -451,9 +506,8 @@ func (n *Node) handleGetDigest(r transport.GetDigestReq) (transport.Response, er
 // costs a full Service.Read — batching saves round trips and
 // coordinator fan-out overhead, not storage work.
 func (n *Node) handleMultiGet(r transport.MultiGetReq) (transport.Response, error) {
-	release := n.acquire(time.Duration(len(r.Rows)) * n.opts.Service.Read)
-	defer release()
-	n.count("multiget")
+	n.acquire(kindMultiGet, time.Duration(len(r.Rows))*n.opts.Service.Read)
+	defer n.release()
 	t := n.table(r.Table)
 	sp := n.span(r.Span, "node.multiget", t)
 	sp.SetAttr("rows", fmt.Sprint(len(r.Rows)))
@@ -470,10 +524,8 @@ func (n *Node) handleMultiGet(r transport.MultiGetReq) (transport.Response, erro
 }
 
 func (n *Node) handleApplyEntries(r transport.ApplyEntriesReq) (transport.Response, error) {
-	release := n.acquire(n.opts.Service.Write)
-	defer release()
-	n.count("apply")
-	t := n.table(r.Table)
+	n.acquire(kindApply, n.opts.Service.Write)
+	defer n.release()
 	for _, e := range r.Entries {
 		row, col, err := model.DecodeKey(e.Key)
 		if err != nil {
@@ -481,7 +533,8 @@ func (n *Node) handleApplyEntries(r transport.ApplyEntriesReq) (transport.Respon
 		}
 		lock := n.rowLock(r.Table, row)
 		lock.Lock()
-		err = n.applyWithIndexes(r.Table, t, row, model.ColumnUpdate{Column: col, Cell: e.Cell})
+		t, frags := n.lookup(r.Table) // under the row lock, as in handlePut
+		err = n.applyWithIndex(t, frags[col], row, model.ColumnUpdate{Column: col, Cell: e.Cell})
 		lock.Unlock()
 		if err != nil {
 			return nil, fmt.Errorf("node %d: apply entries: %w", n.opts.ID, err)
@@ -491,14 +544,13 @@ func (n *Node) handleApplyEntries(r transport.ApplyEntriesReq) (transport.Respon
 }
 
 func (n *Node) handleIndexQuery(r transport.IndexQueryReq) (transport.Response, error) {
-	release := n.acquire(n.opts.Service.IndexRead)
-	defer release()
-	n.count("indexquery")
-	frag := n.indexFragment(r.Table, r.Column)
+	n.acquire(kindIndexQuery, n.opts.Service.IndexRead)
+	defer n.release()
+	t, frags := n.lookup(r.Table)
+	frag := frags[r.Column]
 	if frag == nil {
 		return transport.IndexQueryResp{}, nil
 	}
-	t := n.table(r.Table)
 	var matches []transport.IndexMatch
 	for col, cell := range frag.GetRow(string(r.Value)) {
 		if cell.IsNull() {
@@ -566,16 +618,14 @@ func (n *Node) sharedSnapshot(table string, peer transport.NodeID) []model.Entry
 }
 
 func (n *Node) handleDigest(r transport.DigestReq) (transport.Response, error) {
-	release := n.acquire(n.opts.Service.Read)
-	defer release()
-	n.count("digest")
+	n.acquire(kindDigest, n.opts.Service.Read)
+	defer n.release()
 	return transport.DigestResp{Leaves: BucketDigests(n.sharedSnapshot(r.Table, r.For), r.Buckets)}, nil
 }
 
 func (n *Node) handleBucketFetch(r transport.BucketFetchReq) (transport.Response, error) {
-	release := n.acquire(n.opts.Service.Read)
-	defer release()
-	n.count("bucketfetch")
+	n.acquire(kindBucketFetch, n.opts.Service.Read)
+	defer n.release()
 	var out []model.Entry
 	for _, e := range n.sharedSnapshot(r.Table, r.For) {
 		if BucketOf(e.Key, r.Buckets) == r.Bucket {
@@ -656,7 +706,6 @@ func BucketDigests(entries []model.Entry, buckets int) []uint64 {
 // slot). Used when reloading a checkpoint; index fragments are kept
 // consistent the same way replicated applies are.
 func (n *Node) RestoreTable(table string, entries []model.Entry) error {
-	t := n.table(table)
 	for _, e := range entries {
 		row, col, err := model.DecodeKey(e.Key)
 		if err != nil {
@@ -664,7 +713,8 @@ func (n *Node) RestoreTable(table string, entries []model.Entry) error {
 		}
 		lock := n.rowLock(table, row)
 		lock.Lock()
-		err = n.applyWithIndexes(table, t, row, model.ColumnUpdate{Column: col, Cell: e.Cell})
+		t, frags := n.lookup(table) // under the row lock, as in handlePut
+		err = n.applyWithIndex(t, frags[col], row, model.ColumnUpdate{Column: col, Cell: e.Cell})
 		lock.Unlock()
 		if err != nil {
 			return err

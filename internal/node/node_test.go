@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vstore/internal/clock"
 	"vstore/internal/model"
 	"vstore/internal/transport"
 )
@@ -167,6 +168,42 @@ func TestIndexBackfill(t *testing.T) {
 	}
 }
 
+// gateClock parks every service-time sleep until released, reporting
+// each one, so a test can act while a request waits for its slot.
+type gateClock struct {
+	clock.Clock
+	asleep, wake chan struct{}
+}
+
+func (g gateClock) Sleep(time.Duration) {
+	g.asleep <- struct{}{}
+	<-g.wake
+}
+
+// TestIndexCreatedWhilePutWaits creates an index while a put sits out
+// its service time. The back-fill cannot see the put, so the put must
+// see the index.
+func TestIndexCreatedWhilePutWaits(t *testing.T) {
+	clk := gateClock{Clock: clock.Wall, asleep: make(chan struct{}), wake: make(chan struct{})}
+	n := New(Options{ID: 1, Clock: clk, Service: ServiceTimes{Write: time.Millisecond, IndexWrite: time.Millisecond}})
+	done := make(chan error)
+	go func() {
+		_, err := n.HandleRequest(0, transport.PutReq{
+			Table: "t", Row: "u1", Updates: []model.ColumnUpdate{model.Update("city", []byte("x"), 1)},
+		})
+		done <- err
+	}()
+	<-clk.asleep
+	n.CreateIndex("t", "city")
+	close(clk.wake)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if m := queryIndex(t, n, "t", "city", "x"); len(m) != 1 || m[0].Row != "u1" {
+		t.Fatalf("index created during the put's wait lacks the put: %v", m)
+	}
+}
+
 func TestIndexQueryReturnsColumns(t *testing.T) {
 	n := New(Options{ID: 1})
 	n.CreateIndex("t", "city")
@@ -299,8 +336,8 @@ func TestRequestCounts(t *testing.T) {
 	put(t, n, "t", "r", "c", "v", 1)
 	get(t, n, "t", "r", "c")
 	counts := n.RequestCounts()
-	if counts["put"] != 1 || counts["get"] != 1 {
-		t.Fatalf("counts = %v", counts)
+	if counts["put"] != 1 || counts["get"] != 1 || len(counts) != 2 {
+		t.Fatalf("counts = %v, want one put, one get and no kind never seen", counts)
 	}
 }
 

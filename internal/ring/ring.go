@@ -7,7 +7,6 @@ package ring
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 )
@@ -19,11 +18,34 @@ type NodeID int32
 // (dedicated propagators, anti-entropy bucketing) can partition work
 // the same way the ring partitions data. FNV-1a alone distributes
 // similar short keys poorly, so its output is passed through a
-// splitmix64 finalizer for avalanche.
+// splitmix64 finalizer for avalanche. The FNV loop is written out: it
+// runs on every placement and every row lock, and hash/fnv costs a
+// hasher and a byte-slice copy per call. Placement depends on these
+// values never changing.
 func Hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return mix64(h.Sum64())
+	return mix64(fnv1a(fnvOffset, s))
+}
+
+// HashJoined returns Hash64(a + "\x00" + b) without building the
+// string.
+func HashJoined(a, b string) uint64 {
+	h := fnv1a(fnvOffset, a)
+	h *= fnvPrime // the separator byte: h ^ 0 is h
+	return mix64(fnv1a(h, b))
+}
+
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// fnv1a folds s into the 64-bit FNV-1a state h.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
 }
 
 // mix64 is the splitmix64 finalizer.
@@ -139,13 +161,15 @@ func (r *Ring) ReplicasFor(key string, n int) []NodeID {
 	h := Hash64(key)
 	start := sort.Search(len(r.tokens), func(i int) bool { return r.tokens[i].hash >= h })
 	out := make([]NodeID, 0, n)
-	seen := make(map[NodeID]bool, n)
+walk:
 	for i := 0; len(out) < n && i < len(r.tokens); i++ {
 		t := r.tokens[(start+i)%len(r.tokens)]
-		if !seen[t.node] {
-			seen[t.node] = true
-			out = append(out, t.node)
+		for _, have := range out { // n is the replication factor: a handful
+			if have == t.node {
+				continue walk
+			}
 		}
+		out = append(out, t.node)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -134,5 +135,51 @@ func BenchmarkReplicasFor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.ReplicasFor(fmt.Sprintf("key-%d", i%4096), 3)
+	}
+}
+
+// TestHashValuesPinned holds Hash64 to values recorded from the
+// hash/fnv implementation it replaced. Replica placement, propagator
+// partitioning, anti-entropy buckets and the nodes' row-lock stripes
+// all hang off these numbers: a change here silently re-homes every
+// row of every deployed store.
+func TestHashValuesPinned(t *testing.T) {
+	pinned := []struct {
+		s    string
+		want uint64
+	}{
+		{"", 0xc3817c016ba4ff30},
+		{"a", 0x5f29c2aadd9b8527},
+		{"data\x00data-00000001", 0x6107f1cbf9daba00},
+		{"bysec\x00sec-00000042", 0xb736eb64aceae0},
+		{"node-3-vnode-17", 0xd2eea81291198d3},
+		{"t\x00", 0xff1ed6a5ec4a083},
+		{"\x00row", 0x1117abafb8cd5b6f},
+		{"héllo wörld \xff\xfe", 0x2db6757dce537e4b},
+	}
+	for _, p := range pinned {
+		if got := Hash64(p.s); got != p.want {
+			t.Errorf("Hash64(%q) = %#x, want %#x", p.s, got, p.want)
+		}
+		for i := 0; i < len(p.s); i++ {
+			if p.s[i] == 0 {
+				if got := HashJoined(p.s[:i], p.s[i+1:]); got != p.want {
+					t.Errorf("HashJoined(%q, %q) = %#x, want %#x", p.s[:i], p.s[i+1:], got, p.want)
+				}
+			}
+		}
+	}
+	r := New([]NodeID{0, 1, 2, 3}, 0)
+	for key, want := range map[string][]NodeID{
+		"data\x00data-00000001": {0, 3, 2},
+		"bysec\x00sec-00000042": {0, 2, 1},
+		"x":                     {1, 3, 0},
+	} {
+		if got := r.ReplicasFor(key, 3); !reflect.DeepEqual(got, want) {
+			t.Errorf("ReplicasFor(%q) = %v, want %v", key, got, want)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { r.ReplicasFor("data\x00data-00000001", 3) }); got > 1 {
+		t.Errorf("ReplicasFor allocates %v times, want only its result", got)
 	}
 }

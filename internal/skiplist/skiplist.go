@@ -1,147 +1,202 @@
 // Package skiplist implements an ordered byte-string map used as the
 // backbone of the storage engine's memtable. Keys are compared
-// lexicographically. The list supports point lookup, insert-or-update
-// with a caller-supplied merge function, and ordered iteration from a
-// seek position — everything an LSM memtable needs.
+// lexicographically. The list supports point lookup, find-or-insert in
+// one descent, and ordered iteration from a seek position — everything
+// an LSM memtable needs.
 //
-// The list is not safe for concurrent use; the memtable layered above
-// provides locking.
+// The list is typed and allocation-lean: values live unboxed inside
+// the nodes, keys are copied into a per-list bump arena, and towers of
+// up to inlineHeight levels (255 nodes in 256) sit inside the node, so
+// an insert is one allocation and an update of an existing key none.
+//
+// The list is not safe for concurrent use: writers need exclusive
+// access, readers may share it. The storage engine's lock provides
+// that.
 package skiplist
 
 import (
 	"bytes"
-	"math/rand"
+	"math/bits"
 )
 
 const (
 	maxHeight = 16
-	// pBits controls tower height: each level is kept with
-	// probability 1/4, the classic LSM choice (LevelDB, RocksDB).
+	// Each level is kept with probability 1/4, the classic LSM choice
+	// (LevelDB, RocksDB).
 	pBits = 2
+	// inlineHeight levels of a tower are stored in the node itself.
+	// Taller towers — one node in 4^inlineHeight — spill the rest into
+	// a second allocation.
+	inlineHeight = 4
+	// arenaChunk is the size of the blocks keys are copied into.
+	arenaChunk = 16 << 10
 )
 
-type node struct {
+// node keeps what a search reads — the key and the low links, which
+// are most of the links a descent follows — together in its first 64
+// bytes, ahead of the value. With the value between key and links the
+// list measured no faster than the boxed one it replaced.
+type node[V any] struct {
 	key   []byte
-	value any
-	next  []*node
+	tower [inlineHeight]*node[V]
+	tall  *[maxHeight - inlineHeight]*node[V]
+	value V
 }
 
-// List is an ordered map from []byte keys to arbitrary values.
-type List struct {
-	head   *node
+func (n *node[V]) next(level int) *node[V] {
+	if uint(level) < inlineHeight {
+		return n.tower[level]
+	}
+	return n.tall[level-inlineHeight]
+}
+
+func (n *node[V]) setNext(level int, x *node[V]) {
+	if uint(level) < inlineHeight {
+		n.tower[level] = x
+		return
+	}
+	n.tall[level-inlineHeight] = x
+}
+
+// List is an ordered map from []byte keys to values of type V.
+type List[V any] struct {
+	head   *node[V]
 	height int
 	length int
-	bytes  int64
-	rnd    *rand.Rand
+	rnd    uint64
+	arena  []byte
 }
 
 // New returns an empty list. The seed makes tower heights (and thus
 // performance characteristics) reproducible; correctness never depends
 // on it.
-func New(seed int64) *List {
-	return &List{
-		head:   &node{next: make([]*node, maxHeight)},
+func New[V any](seed int64) *List[V] {
+	// splitmix64 of the seed: nearby seeds give unrelated streams, and
+	// the xorshift state below must not be zero.
+	x := uint64(seed) + 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return &List[V]{
+		head:   &node[V]{tall: new([maxHeight - inlineHeight]*node[V])},
 		height: 1,
-		rnd:    rand.New(rand.NewSource(seed)),
+		rnd:    (x ^ (x >> 31)) | 1,
 	}
 }
 
 // Len returns the number of entries.
-func (l *List) Len() int { return l.length }
+func (l *List[V]) Len() int { return l.length }
 
-// ApproxBytes returns a rough count of key bytes stored, used by the
-// memtable to decide when to flush. Values are sized by the caller via
-// AddBytes.
-func (l *List) ApproxBytes() int64 { return l.bytes }
-
-// AddBytes lets the caller account for value payload sizes.
-func (l *List) AddBytes(n int64) { l.bytes += n }
-
-func (l *List) randomHeight() int {
-	h := 1
-	for h < maxHeight && l.rnd.Intn(1<<pBits) == 0 {
-		h++
-	}
-	return h
+func (l *List[V]) randomHeight() int {
+	l.rnd ^= l.rnd << 13
+	l.rnd ^= l.rnd >> 7
+	l.rnd ^= l.rnd << 17
+	// Every pBits trailing zero bits (probability 1/4) add a level; the
+	// sentinel bit caps the height.
+	return 1 + bits.TrailingZeros64(l.rnd|1<<(pBits*(maxHeight-1)))/pBits
 }
 
-// findGE returns the first node with key >= key, filling prev with the
-// rightmost node before that position at every level when prev is
-// non-nil.
-func (l *List) findGE(key []byte, prev []*node) *node {
+// copyKey copies key into the arena. The copy is never written again,
+// which is what lets iterators and scans hand it out without copying.
+func (l *List[V]) copyKey(key []byte) []byte {
+	if len(key) > cap(l.arena)-len(l.arena) {
+		l.arena = make([]byte, 0, max(arenaChunk, len(key)))
+	}
+	off := len(l.arena)
+	l.arena = append(l.arena, key...)
+	return l.arena[off:len(l.arena):len(l.arena)]
+}
+
+// findGE returns the first node with key >= key and whether it is key.
+// When prev is non-nil and key is absent, prev[i] for every level
+// i < l.height is left at the last node of that level sorting before
+// key (the head if none): where an insert of key links in.
+func (l *List[V]) findGE(key []byte, prev *[maxHeight]*node[V]) (*node[V], bool) {
 	x := l.head
+	var bound *node[V] // first node known to be >= key
 	for level := l.height - 1; level >= 0; level-- {
-		for x.next[level] != nil && bytes.Compare(x.next[level].key, key) < 0 {
-			x = x.next[level]
+		for {
+			nx := x.next(level)
+			if nx == nil || nx == bound {
+				break
+			}
+			if c := bytes.Compare(nx.key, key); c >= 0 {
+				if c == 0 {
+					return nx, true
+				}
+				bound = nx
+				break
+			}
+			x = nx
 		}
 		if prev != nil {
 			prev[level] = x
 		}
 	}
-	return x.next[0]
+	return bound, false
 }
 
 // Get returns the value stored under key.
-func (l *List) Get(key []byte) (any, bool) {
-	n := l.findGE(key, nil)
-	if n != nil && bytes.Equal(n.key, key) {
+func (l *List[V]) Get(key []byte) (V, bool) {
+	if n, ok := l.findGE(key, nil); ok {
 		return n.value, true
 	}
-	return nil, false
+	var zero V
+	return zero, false
 }
 
-// Set stores value under key, replacing any existing value.
-func (l *List) Set(key []byte, value any) {
-	l.Upsert(key, func(old any, ok bool) any { return value })
-}
-
-// Upsert looks up key and stores the result of merge(old, found). The
-// merge function receives the existing value (if any) and returns the
-// value to store. This is how the memtable applies last-writer-wins
-// cell semantics without a separate read.
-func (l *List) Upsert(key []byte, merge func(old any, ok bool) any) {
-	prev := make([]*node, maxHeight)
-	n := l.findGE(key, prev)
-	if n != nil && bytes.Equal(n.key, key) {
-		n.value = merge(n.value, true)
-		return
+// Upsert looks key up, inserting it with a zero value if absent, and
+// returns a pointer to the value with whether it was inserted. The
+// caller stores or merges through the pointer, so applying
+// last-writer-wins to a cell is one descent with no separate read. The
+// pointer stays valid for the list's life; writing through it needs
+// the same exclusive access Upsert does.
+func (l *List[V]) Upsert(key []byte) (v *V, inserted bool) {
+	var prev [maxHeight]*node[V]
+	if n, ok := l.findGE(key, &prev); ok {
+		return &n.value, false
 	}
 	h := l.randomHeight()
-	if h > l.height {
-		for level := l.height; level < h; level++ {
-			prev[level] = l.head
-		}
-		l.height = h
+	for l.height < h {
+		prev[l.height] = l.head
+		l.height++
 	}
-	nn := &node{key: append([]byte(nil), key...), value: merge(nil, false), next: make([]*node, h)}
+	n := &node[V]{key: l.copyKey(key)}
+	if h > inlineHeight {
+		n.tall = new([maxHeight - inlineHeight]*node[V])
+	}
 	for level := 0; level < h; level++ {
-		nn.next[level] = prev[level].next[level]
-		prev[level].next[level] = nn
+		n.setNext(level, prev[level].next(level))
+		prev[level].setNext(level, n)
 	}
 	l.length++
-	l.bytes += int64(len(key))
+	return &n.value, true
 }
 
 // Iterator walks the list in key order.
-type Iterator struct {
-	n *node
+type Iterator[V any] struct {
+	n *node[V]
 }
 
 // Iter returns an iterator positioned at the first entry.
-func (l *List) Iter() *Iterator { return &Iterator{n: l.head.next[0]} }
+func (l *List[V]) Iter() Iterator[V] { return Iterator[V]{n: l.head.tower[0]} }
 
 // Seek returns an iterator positioned at the first entry with
 // key >= from.
-func (l *List) Seek(from []byte) *Iterator { return &Iterator{n: l.findGE(from, nil)} }
+func (l *List[V]) Seek(from []byte) Iterator[V] {
+	n, _ := l.findGE(from, nil)
+	return Iterator[V]{n: n}
+}
 
 // Valid reports whether the iterator is positioned at an entry.
-func (it *Iterator) Valid() bool { return it.n != nil }
+func (it *Iterator[V]) Valid() bool { return it.n != nil }
 
-// Key returns the current key. The slice must not be modified.
-func (it *Iterator) Key() []byte { return it.n.key }
+// Key returns the current key. It aliases the list's arena and must
+// not be modified; it stays valid, and unchanged, for as long as the
+// caller holds it.
+func (it *Iterator[V]) Key() []byte { return it.n.key }
 
 // Value returns the current value.
-func (it *Iterator) Value() any { return it.n.value }
+func (it *Iterator[V]) Value() V { return it.n.value }
 
 // Next advances to the following entry.
-func (it *Iterator) Next() { it.n = it.n.next[0] }
+func (it *Iterator[V]) Next() { it.n = it.n.tower[0] }

@@ -208,30 +208,10 @@ func (t *Table) ScanPrefix(prefix []byte) []model.Entry {
 // copying entries. Keys still under the prefix (columns of the cursor
 // row itself) are skipped.
 func (t *Table) RowsFrom(after []byte, maxRows int) []string {
-	if maxRows <= 0 {
-		return nil
+	rc := model.NewRowCollector(after, maxRows)
+	for i := t.seekIdx(after); i < len(t.entries) && rc.Add(t.entries[i].Key); i++ {
 	}
-	var out []string
-	var last string
-	for i := t.seekIdx(after); i < len(t.entries); i++ {
-		k := t.entries[i].Key
-		if len(after) > 0 && bytes.HasPrefix(k, after) {
-			continue
-		}
-		row, _, err := model.DecodeKey(k)
-		if err != nil {
-			continue
-		}
-		if len(out) > 0 && row == last {
-			continue
-		}
-		if len(out) == maxRows {
-			break
-		}
-		out = append(out, row)
-		last = row
-	}
-	return out
+	return rc.Rows()
 }
 
 // Iter returns an iterator over the whole table.
