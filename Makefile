@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-diff test test-benchmark test-backends regression sim-sweep fuzz-smoke race-sim check bench bench-pr4 bench-pr9 bench-all bench-pairs verify
+.PHONY: build vet lint lint-diff test test-benchmark test-backends regression sim-sweep fuzz-smoke race-sim check bench-all bench-pairs verify
 
 build:
 	$(GO) build ./...
@@ -73,31 +73,8 @@ race-sim:
 
 check: build vet lint test test-benchmark test-backends regression race-sim
 
-# Read-path benchmarks (Figures 3, 4 and 8), recorded machine-readably
-# in BENCH_PR3.json under the "observability" label, with p50/p95/p99
-# columns from the DB-side latency histograms. The "baseline" label
-# (pre-observability numbers) was recorded from the previous checkout
-# with:
-#   go run ./cmd/mvbench -benchinput <go-test-bench-output> \
-#       -benchjson BENCH_PR3.json -benchlabel baseline
-bench:
-	$(GO) run ./cmd/mvbench -gobench 'Fig3|Fig4|Fig8' -benchtime 1s \
-		-benchjson BENCH_PR3.json -benchlabel observability
-
-# Durable write overhead per fsync policy plus cold-start recovery,
-# recorded next to the in-memory baseline it must not regress.
-bench-pr4:
-	$(GO) run ./cmd/mvbench -gobench 'Durability' -benchtime 1s \
-		-benchjson BENCH_PR4.json -benchlabel durability
-
-# Online-view cost: full-backfill throughput over a populated base
-# table, and MV-read p50/p95/p99 while a backfill races the readers
-# next to the steady-state (view live) numbers it must stay close to.
-bench-pr9:
-	$(GO) run ./cmd/mvbench -gobench 'Backfill|OnlineView' -benchtime 1s \
-		-benchjson BENCH_PR9.json -benchlabel online-views
-
-# Every Go benchmark, text output only.
+# Every Go benchmark, text output only. Numbers that count are recorded
+# by bench-pairs below, not here.
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -1,7 +1,6 @@
-// Online-view benchmarks for `make bench-pr9`: the throughput of a
-// CreateView backfill over an already-populated base table, and the
-// MV-read tail latency while a backfill is racing the reads versus
-// after the view has gone live. Recorded as BENCH_PR9.json.
+// Online-view benchmarks: the throughput of a CreateView backfill over
+// an already-populated base table, and the MV-read tail latency while a
+// backfill is racing the reads versus after the view has gone live.
 package vstore_test
 
 import (

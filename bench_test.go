@@ -30,7 +30,7 @@ type benchEnv struct {
 }
 
 // reportPercentiles attaches the DB-side latency distribution for the
-// benchmarked op class as extra metrics, so `make bench` JSON output
+// benchmarked op class as extra metrics, so `make bench-all` output
 // carries tail latency next to ns/op. The histogram tracks whole-run
 // client latency in µs buckets; setup traffic uses other op classes,
 // so the snapshot reflects the benchmark loop alone.
@@ -336,41 +336,3 @@ func BenchmarkFig8SkewHotRow(b *testing.B)   { benchSkew(b, 1, false) }
 func BenchmarkFig8SkewNarrow(b *testing.B)   { benchSkew(b, 16, false) }
 func BenchmarkFig8SkewWide(b *testing.B)     { benchSkew(b, 4096, false) }
 func BenchmarkFig8SkewHotRowPC(b *testing.B) { benchSkew(b, 1, true) }
-
-// --- Ablation: combined Get-then-Put ----------------------------------------
-
-func BenchmarkAblationCombinedPreRead(b *testing.B) {
-	db, err := vstore.Open(vstore.Config{
-		Seed:    1,
-		Views:   vstore.ViewOptions{CombinedGetThenPut: true},
-		Storage: benchStorage,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(db.Close)
-	ctx := context.Background()
-	if err := db.CreateTable("data"); err != nil {
-		b.Fatal(err)
-	}
-	c := db.Client(0)
-	for i := 0; i < benchRows; i++ {
-		if err := c.Put(ctx, "data", key(i), vstore.Values{"skey": sec(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := db.CreateView(vstore.ViewDef{Name: "bysec", Base: "data", ViewKey: "skey"}); err != nil {
-		b.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Put(ctx, "data", key(r.Intn(benchRows)), vstore.Values{"skey": sec(r.Intn(benchRows * 2))}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	ctx2, cancel := context.WithTimeout(ctx, time.Minute)
-	defer cancel()
-	db.QuiesceViews(ctx2)
-}

@@ -18,12 +18,9 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"time"
@@ -50,26 +47,10 @@ func main() {
 		duration  = flag.Duration("duration", 0, "measurement window per throughput point (default 2s)")
 		fixedOps  = flag.Int("ops", 0, "operations per latency measurement (default 3000; paper used 100k)")
 		seed      = flag.Int64("seed", 1, "random seed")
-
-		gobench    = flag.String("gobench", "", "run `go test -bench <pattern> -benchmem` on the module root and record the results")
-		benchtime  = flag.String("benchtime", "", "-benchtime forwarded to go test (e.g. 1s, 5x)")
-		benchinput = flag.String("benchinput", "", "parse pre-captured `go test -bench` output from this file ('-' = stdin) instead of running go test")
-		benchjson  = flag.String("benchjson", "", "merge parsed benchmark results into this JSON file (label → name → metrics)")
-		benchlabel = flag.String("benchlabel", "current", "label the results are stored under in -benchjson")
 	)
 	flag.Var(&figs, "fig", "figure number to reproduce (3..8); repeatable")
 	flag.Var(&ablations, "ablation", "ablation to run: preread|sync|concurrency|compression|matwidth; repeatable")
 	flag.Parse()
-
-	if *gobench != "" || *benchinput != "" {
-		if err := runGoBench(*gobench, *benchtime, *benchinput, *benchjson, *benchlabel); err != nil {
-			fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-			os.Exit(1)
-		}
-		if len(figs) == 0 && len(ablations) == 0 && !*all {
-			return
-		}
-	}
 
 	cfg := bench.Defaults()
 	if *quick {
@@ -166,63 +147,4 @@ func main() {
 			fmt.Printf("  wrote %s\n\n", path)
 		}
 	}
-}
-
-// runGoBench captures `go test -bench` output (by running the Go
-// benchmarks in the module root, or from a pre-captured file) and
-// records the parsed ns/op, B/op and allocs/op per benchmark. With
-// -benchjson the results are merged under -benchlabel, so a baseline
-// and an optimized run can sit side by side in one machine-readable
-// file (see BENCH_PR2.json).
-func runGoBench(pattern, benchtime, input, jsonPath, label string) error {
-	var raw []byte
-	switch {
-	case input == "-":
-		var err error
-		if raw, err = io.ReadAll(os.Stdin); err != nil {
-			return err
-		}
-	case input != "":
-		var err error
-		if raw, err = os.ReadFile(input); err != nil {
-			return err
-		}
-	default:
-		args := []string{"test", "-run", "^$", "-bench", pattern, "-benchmem"}
-		if benchtime != "" {
-			args = append(args, "-benchtime", benchtime)
-		}
-		args = append(args, ".")
-		cmd := exec.Command("go", args...)
-		var buf bytes.Buffer
-		cmd.Stdout = io.MultiWriter(&buf, os.Stdout)
-		cmd.Stderr = os.Stderr
-		fmt.Printf("running: go %s\n", strings.Join(args, " "))
-		if err := cmd.Run(); err != nil {
-			return fmt.Errorf("go test -bench: %w", err)
-		}
-		raw = buf.Bytes()
-	}
-
-	results, err := bench.ParseGoBench(bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	if len(results) == 0 {
-		return fmt.Errorf("no benchmark results found (pattern %q)", pattern)
-	}
-	if jsonPath == "" {
-		fmt.Printf("parsed %d benchmark results (no -benchjson; not recorded)\n", len(results))
-		return nil
-	}
-	if err := bench.MergeBenchJSON(jsonPath, label, results); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %d results under label %q in %s\n", len(results), label, jsonPath)
-	if label != "baseline" {
-		if tbl, err := bench.CompareBenchJSON(jsonPath, "baseline", label); err == nil {
-			fmt.Print(tbl)
-		}
-	}
-	return nil
 }

@@ -52,7 +52,6 @@ func main() {
 		keys     = flag.Int("keys", 6, "distinct view-key values")
 		seed     = flag.Int64("seed", defaultSeed(), "starting seed (round i uses seed+i; MV_SEED overrides)")
 		mode     = flag.String("mode", "locks", "propagation concurrency: locks|propagators")
-		combined = flag.Bool("combined", false, "combined Get-then-Put pre-read")
 		compress = flag.Bool("compress", false, "path compression")
 		chaos    = flag.Bool("chaos", false, "bounce nodes during the workload")
 		simMode  = flag.Bool("sim", false, "deterministic virtual-time simulation (replayable traces)")
@@ -89,7 +88,6 @@ func main() {
 	}
 
 	opts := core.Options{
-		CombinedGetThenPut:  *combined,
 		PathCompression:     *compress,
 		MaxPropagationRetry: 30 * time.Second,
 	}

@@ -1,8 +1,7 @@
 // Durability benchmarks: the write-path cost of each WAL fsync policy
-// against the in-memory baseline, and cold-start recovery speed. These
-// feed BENCH_PR4.json via `make bench-pr4`; the in-memory MV figures in
-// BENCH_PR3.json must stay flat since the default configuration never
-// touches the durable path.
+// against the in-memory baseline, and cold-start recovery speed. The
+// in-memory MV figures must stay flat since the default configuration
+// never touches the durable path.
 package vstore_test
 
 import (

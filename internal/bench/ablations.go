@@ -28,17 +28,17 @@ func AblationPreRead(cfg Config) (Figure, error) {
 	}
 	variants := []struct {
 		label    string
-		combined bool
+		separate bool
 	}{
-		{"separate", false},
-		{"combined", true},
+		{"separate", true},
+		{"combined", false},
 	}
 	for i, v := range variants {
-		db, err := writeScenario(cfg, "mv", vstore.ViewOptions{CombinedGetThenPut: v.combined})
+		db, err := writeScenario(cfg, "mv", vstore.ViewOptions{})
 		if err != nil {
 			return Figure{}, err
 		}
-		op := writeOp(db, cfg)
+		op := writeOp(db, cfg, v.separate)
 		res := workload.RunFixedOps(cfg.FixedOps, cfg.Seed, func(r *rand.Rand) error { return op(0, r) })
 		db.Close()
 		if res.Errors > 0 {
@@ -220,7 +220,7 @@ func AblationSyncMaintenance(cfg Config) (Figure, error) {
 		if err != nil {
 			return Figure{}, err
 		}
-		op := writeOp(db, cfg)
+		op := writeOp(db, cfg, false)
 		res := workload.RunFixedOps(cfg.FixedOps/2, cfg.Seed, func(r *rand.Rand) error { return op(0, r) })
 		db.Close()
 		if res.Errors > 0 {

@@ -324,12 +324,21 @@ func readOp(db *vstore.DB, cfg Config, path string) func(client int, r *rand.Ran
 
 // writeOp returns the closed-loop update operation of Figures 5/6:
 // update the secondary-key column of a uniformly chosen row to a fresh
-// value.
-func writeOp(db *vstore.DB, cfg Config) func(client int, r *rand.Rand) error {
+// value. With separatePreRead the driver first issues the explicit
+// view-key Get of the paper's prototype ("Get-then-Put" as two quorum
+// rounds, Algorithm 1 lines 2-3); the store itself carries the pre-read
+// on the Put, the combination Section IV-C proposes.
+func writeOp(db *vstore.DB, cfg Config, separatePreRead bool) func(client int, r *rand.Rand) error {
 	keys := workload.Uniform{N: cfg.Rows, Prefix: "data-"}
 	ctx := context.Background()
 	return func(client int, r *rand.Rand) error {
-		return db.Client(client).Put(ctx, tableName, keys.Next(r), vstore.Values{
+		c, key := db.Client(client), keys.Next(r)
+		if separatePreRead {
+			if _, err := c.Get(ctx, tableName, key, vstore.WithColumns(secKeyCol)); err != nil {
+				return err
+			}
+		}
+		return c.Put(ctx, tableName, key, vstore.Values{
 			secKeyCol: secValue(r.Intn(cfg.Rows * 2)),
 		})
 	}

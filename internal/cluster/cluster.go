@@ -148,7 +148,7 @@ func Open(cfg Config) (*Cluster, error) {
 		indexes: map[string][]string{},
 	}
 	placement := func(table, row string) []transport.NodeID {
-		return c.Ring.ReplicasFor(table+"\x00"+row, cfg.N)
+		return c.Ring.ReplicasForRow(table, row, cfg.N)
 	}
 	for _, id := range ids {
 		var storage *wal.Storage

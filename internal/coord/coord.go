@@ -14,12 +14,15 @@
 // Algorithm 1: a Put that atomically pre-reads the view-key column at
 // every replica and keeps collecting the distinct versions seen after
 // the client has been acknowledged, feeding update propagation.
+//
+// Every operation is an exchange run by the one quorum round of
+// round.go.
 package coord
 
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -42,11 +45,6 @@ type Options struct {
 	HintReplayInterval time.Duration
 	// DisableReadRepair turns off background repair of stale replicas.
 	DisableReadRepair bool
-	// DisableDigestReads turns off the digest-read optimization and
-	// makes every quorum Get fetch full rows from all replicas (the
-	// pre-digest behavior; useful for ablations and as an escape
-	// hatch).
-	DisableDigestReads bool
 	// Clock supplies timeouts and tickers; nil uses the wall clock.
 	Clock clock.Clock
 }
@@ -74,14 +72,13 @@ type Coordinator struct {
 	ring  *ring.Ring
 	trans transport.Transport
 	// sync is non-nil when the fabric completes calls on the caller's
-	// goroutine (transport.SyncCaller); quorum operations then skip
-	// the per-call goroutine, channel and timeout timer.
+	// goroutine (transport.SyncCaller); only the round reads it.
 	sync transport.SyncCaller
 	opts Options
 	clk  clock.Clock
 
 	hintMu sync.Mutex
-	hints  map[transport.NodeID][]hint
+	hints  map[transport.NodeID][]transport.ApplyEntriesReq
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -97,8 +94,10 @@ type Coordinator struct {
 	// and the per-row causal context accumulated so far.
 	dotMu  sync.Mutex
 	dotSeq uint64
-	rowCtx map[string]dvv.VV
+	rowCtx map[rowID]dvv.VV
 }
+
+type rowID struct{ table, row string }
 
 // Stats counts coordinator activity for tests and observability.
 type Stats struct {
@@ -120,11 +119,6 @@ type Stats struct {
 	MultiGetRows int64
 }
 
-type hint struct {
-	table   string
-	entries []model.Entry
-}
-
 // New returns a coordinator for node self.
 func New(self transport.NodeID, rg *ring.Ring, tr transport.Transport, opts Options) *Coordinator {
 	c := &Coordinator{
@@ -133,7 +127,7 @@ func New(self transport.NodeID, rg *ring.Ring, tr transport.Transport, opts Opti
 		trans: tr,
 		opts:  opts.withDefaults(),
 		clk:   clock.Or(opts.Clock),
-		hints: map[transport.NodeID][]hint{},
+		hints: map[transport.NodeID][]transport.ApplyEntriesReq{},
 		stop:  make(chan struct{}),
 	}
 	c.sync, _ = tr.(transport.SyncCaller)
@@ -198,14 +192,14 @@ func (c *Coordinator) bump(f func(*Stats)) {
 // carry contexts that do not cover each other's dots — that is
 // exactly what replica-side sibling detection keys on.
 func (c *Coordinator) StampDot(table, row string) (dvv.Dot, dvv.VV) {
-	key := placementKey(table, row)
+	key := rowID{table, row}
 	c.dotMu.Lock()
 	defer c.dotMu.Unlock()
 	c.dotSeq++
 	d := dvv.Dot{Node: uint32(c.self), Seq: c.dotSeq}
 	ctx := c.rowCtx[key].WithDot(d)
 	if c.rowCtx == nil {
-		c.rowCtx = map[string]dvv.VV{}
+		c.rowCtx = map[rowID]dvv.VV{}
 	}
 	c.rowCtx[key] = ctx
 	return d, ctx
@@ -223,14 +217,18 @@ func (c *Coordinator) SeedDotSeq(seq uint64) {
 	c.dotMu.Unlock()
 }
 
-// placementKey combines table and row so distinct tables spread
-// independently around the ring; in particular a view table's rows are
-// placed by *view key*, which is the whole point of the view.
-func placementKey(table, row string) string { return table + "\x00" + row }
-
 // ReplicasFor exposes replica placement (used by anti-entropy).
 func (c *Coordinator) ReplicasFor(table, row string) []transport.NodeID {
-	return c.ring.ReplicasFor(placementKey(table, row), c.opts.N)
+	return c.ring.ReplicasForRow(table, row, c.opts.N)
+}
+
+// span opens the trace span of one coordinator operation.
+func (c *Coordinator) span(ctx context.Context, name, table, row string, q quorum) *trace.Span {
+	sp := trace.FromContext(ctx).Child(name)
+	sp.SetAttr("table", table)
+	sp.SetAttr("row", row)
+	sp.SetAttr("replicas", strconv.Itoa(len(q.replicas)))
+	return sp
 }
 
 // VersionCollector accumulates the distinct pre-image versions of the
@@ -350,7 +348,7 @@ func (cs Collectors) addRow(row model.Row) {
 
 // Put writes column updates to a row with write quorum w.
 func (c *Coordinator) Put(ctx context.Context, table, row string, updates []model.ColumnUpdate, w int) error {
-	_, err := c.put(ctx, table, row, updates, w, nil)
+	_, err := c.PutWithPreRead(ctx, table, row, updates, w, nil)
 	return err
 }
 
@@ -359,317 +357,69 @@ func (c *Coordinator) Put(ctx context.Context, table, row string, updates []mode
 // updates. The returned collectors carry the distinct pre-image
 // versions per column; they keep filling after this call returns.
 func (c *Coordinator) PutWithPreRead(ctx context.Context, table, row string, updates []model.ColumnUpdate, w int, versionCols []string) (Collectors, error) {
-	return c.put(ctx, table, row, updates, w, versionCols)
-}
-
-func (c *Coordinator) put(ctx context.Context, table, row string, updates []model.ColumnUpdate, w int, versionCols []string) (Collectors, error) {
 	c.bump(func(s *Stats) { s.Puts++ })
-	replicas := c.ring.ReplicasFor(placementKey(table, row), c.opts.N)
-	if len(replicas) == 0 {
-		return nil, fmt.Errorf("coord: no replicas for %s/%s", table, row)
+	q, err := c.quorumFor(table, row, w)
+	if err != nil {
+		return nil, err
 	}
-	if w <= 0 {
-		w = 1
-	}
-	if w > len(replicas) {
-		w = len(replicas)
-	}
-	sp := trace.FromContext(ctx).Child("coord.put")
-	sp.SetAttr("table", table)
-	sp.SetAttr("row", row)
-	sp.SetAttr("replicas", fmt.Sprint(len(replicas)))
+	sp := c.span(ctx, "coord.put", table, row, q)
 	defer sp.Finish()
-	cs := newCollectors(versionCols, len(replicas))
-	req := transport.PutReq{Table: table, Row: row, Updates: updates, ReturnVersionsOf: versionCols, Span: sp}
-	if c.sync != nil {
-		return cs, c.putSync(cs, req, replicas, w, table, row, updates)
+	x := &collect{c: c, cs: newCollectors(versionCols, len(q.replicas)), plain: plain{
+		transport.PutReq{Table: table, Row: row, Updates: updates, ReturnVersionsOf: versionCols, Span: sp}}}
+	if err := c.round(ctx, writeKind, q, true, x); err != nil {
+		c.bump(func(s *Stats) { s.QuorumFails++ })
+		return x.cs, err
 	}
-
-	type ack struct {
-		node transport.NodeID
-		err  error
-	}
-	acks := make(chan ack, len(replicas))
-	for _, rep := range replicas {
-		rep := rep
-		ch := c.trans.Call(c.self, rep, req)
-		go func() {
-			var res transport.Result
-			select {
-			case res = <-ch:
-			case <-c.clk.After(c.opts.RequestTimeout):
-				res = transport.Result{From: rep, Err: context.DeadlineExceeded}
-			}
-			if res.Err != nil {
-				cs.addRow(nil)
-				c.storeHint(rep, table, row, updates)
-				acks <- ack{node: rep, err: res.Err}
-				return
-			}
-			pr, ok := res.Resp.(transport.PutResp)
-			if !ok {
-				cs.addRow(nil)
-				acks <- ack{node: rep, err: fmt.Errorf("coord: unexpected response %T", res.Resp)}
-				return
-			}
-			cs.addRow(pr.Old)
-			acks <- ack{node: rep}
-		}()
-	}
-
-	successes, failures := 0, 0
-	for successes < w {
-		select {
-		case a := <-acks:
-			if a.err != nil {
-				failures++
-				if failures > len(replicas)-w {
-					c.bump(func(s *Stats) { s.QuorumFails++ })
-					return cs, fmt.Errorf("%w: %d/%d acks, last error: %v", ErrQuorumFailed, successes, w, a.err)
-				}
-			} else {
-				successes++
-			}
-		case <-ctx.Done():
-			c.bump(func(s *Stats) { s.QuorumFails++ })
-			return cs, fmt.Errorf("%w: %v", ErrQuorumFailed, ctx.Err())
-		}
-	}
-	return cs, nil
+	return x.cs, nil
 }
 
-// GetVersions is the separate pre-read of Algorithm 1 line 2 as the
-// paper's prototype ran it: a Get that returns all distinct versions
-// of the given columns found among the replicas, not just the latest.
-// It returns after r replies; collection continues in the background.
+// GetVersions is the pre-read of Algorithm 1 line 2 on its own, for
+// propagations that have no Put to ride on (intent replay, backfill, a
+// view created while the write was in flight): a Get that returns all
+// distinct versions of the given columns found among the replicas, not
+// just the latest. It returns after r replies; collection continues in
+// the background.
 func (c *Coordinator) GetVersions(ctx context.Context, table, row string, cols []string, r int) (Collectors, error) {
 	c.bump(func(s *Stats) { s.Gets++ })
-	replicas := c.ring.ReplicasFor(placementKey(table, row), c.opts.N)
-	if len(replicas) == 0 {
-		return nil, fmt.Errorf("coord: no replicas for %s/%s", table, row)
+	q, err := c.quorumFor(table, row, r)
+	if err != nil {
+		return nil, err
 	}
-	if r <= 0 {
-		r = 1
-	}
-	if r > len(replicas) {
-		r = len(replicas)
-	}
-	sp := trace.FromContext(ctx).Child("coord.preread")
-	sp.SetAttr("table", table)
-	sp.SetAttr("row", row)
+	sp := c.span(ctx, "coord.preread", table, row, q)
 	defer sp.Finish()
-	cs := newCollectors(cols, len(replicas))
-	req := transport.GetReq{Table: table, Row: row, Columns: cols, Span: sp}
-	if c.sync != nil {
-		return cs, c.getVersionsSync(cs, req, replicas, r)
-	}
-	acks := make(chan error, len(replicas))
-	for _, rep := range replicas {
-		rep := rep
-		ch := c.trans.Call(c.self, rep, req)
-		go func() {
-			var res transport.Result
-			select {
-			case res = <-ch:
-			case <-c.clk.After(c.opts.RequestTimeout):
-				res = transport.Result{From: rep, Err: context.DeadlineExceeded}
-			}
-			if res.Err != nil {
-				cs.addRow(nil)
-				acks <- res.Err
-				return
-			}
-			gr, ok := res.Resp.(transport.GetResp)
-			if !ok {
-				cs.addRow(nil)
-				acks <- fmt.Errorf("coord: unexpected response %T", res.Resp)
-				return
-			}
-			cs.addRow(gr.Cells)
-			acks <- nil
-		}()
-	}
-	successes, failures := 0, 0
-	for successes < r {
-		select {
-		case err := <-acks:
-			if err != nil {
-				failures++
-				if failures > len(replicas)-r {
-					return cs, fmt.Errorf("%w: %d/%d replies, last error: %v", ErrQuorumFailed, successes, r, err)
-				}
-			} else {
-				successes++
-			}
-		case <-ctx.Done():
-			return cs, fmt.Errorf("%w: %v", ErrQuorumFailed, ctx.Err())
-		}
-	}
-	return cs, nil
+	x := &collect{c: c, cs: newCollectors(cols, len(q.replicas)), plain: plain{
+		transport.GetReq{Table: table, Row: row, Columns: cols, Span: sp}}}
+	return x.cs, c.round(ctx, preReadKind, q, true, x)
 }
 
-// Get reads the requested columns of a row with read quorum r. If
-// allColumns is set every cell of the row is returned. The returned
-// row maps column → winning cell; never-written columns are omitted.
-//
-// When r ≥ 2 the coordinator first tries a digest read (Cassandra
-// style): the full row from one replica and 64-bit digests from the
-// rest. Matching digests prove the replicas hold identical cells, so
-// the full row already is the quorum answer and no per-replica row
-// transfer or merge is needed. Any mismatch, error or short quorum
-// falls back to the classic full-row round below, which also repairs
-// the divergence it finds.
-func (c *Coordinator) Get(ctx context.Context, table, row string, columns []string, r int, allColumns bool) (model.Row, error) {
-	c.bump(func(s *Stats) { s.Gets++ })
-	replicas := c.ring.ReplicasFor(placementKey(table, row), c.opts.N)
-	if len(replicas) == 0 {
-		return nil, fmt.Errorf("coord: no replicas for %s/%s", table, row)
-	}
-	if r <= 0 {
-		r = 1
-	}
-	if r > len(replicas) {
-		r = len(replicas)
-	}
-	sp := trace.FromContext(ctx).Child("coord.get")
-	sp.SetAttr("table", table)
-	sp.SetAttr("row", row)
-	sp.SetAttr("replicas", fmt.Sprint(len(replicas)))
-	defer sp.Finish()
-	if !c.opts.DisableDigestReads && r >= 2 && len(replicas) >= 2 {
-		if drow, ok := c.getDigest(ctx, sp, table, row, columns, r, allColumns, replicas); ok {
-			return drow, nil
-		}
-	}
-	if c.sync != nil {
-		return c.getFullSync(sp, table, row, columns, r, allColumns, replicas)
-	}
-	return c.getFullAsync(ctx, sp, table, row, columns, r, allColumns, replicas)
+// collect is the exchange of the rounds that gather pre-images, a Put
+// or a GetVersions: each replica's row into the collectors and, for a
+// Put, a hint for every replica the write did not reach.
+type collect struct {
+	plain
+	c  *Coordinator
+	cs Collectors
 }
 
-// getFullAsync is the classic asynchronous quorum read: full rows
-// from every replica, return after r replies, keep collecting and
-// read-repair stragglers in the background.
-func (c *Coordinator) getFullAsync(ctx context.Context, sp *trace.Span, table, row string, columns []string, r int, allColumns bool, replicas []transport.NodeID) (model.Row, error) {
-	req := transport.GetReq{Table: table, Row: row, Columns: columns, AllColumns: allColumns, Span: sp}
-
-	type reply struct {
-		node  transport.NodeID
-		cells model.Row
-		err   error
+func (x *collect) fold(res transport.Result) (int, error) {
+	var pre model.Row
+	switch resp := res.Resp.(type) {
+	case transport.PutResp:
+		pre = resp.Old
+	case transport.GetResp:
+		pre = resp.Cells
+	default:
+		res.Err = failure(res)
 	}
-	replies := make(chan reply, len(replicas))
-	for _, rep := range replicas {
-		rep := rep
-		ch := c.trans.Call(c.self, rep, req)
-		go func() {
-			var res transport.Result
-			select {
-			case res = <-ch:
-			case <-c.clk.After(c.opts.RequestTimeout):
-				res = transport.Result{From: rep, Err: context.DeadlineExceeded}
-			}
-			if res.Err != nil {
-				replies <- reply{node: rep, err: res.Err}
-				return
-			}
-			gr, ok := res.Resp.(transport.GetResp)
-			if !ok {
-				replies <- reply{node: rep, err: fmt.Errorf("coord: unexpected response %T", res.Resp)}
-				return
-			}
-			replies <- reply{node: rep, cells: gr.Cells}
-		}()
-	}
-
-	merged := model.Row{}
-	responders := make(map[transport.NodeID]model.Row, len(replicas))
-	successes, failures := 0, 0
-	for successes < r {
-		select {
-		case rep := <-replies:
-			if rep.err != nil {
-				failures++
-				if failures > len(replicas)-r {
-					return nil, fmt.Errorf("%w: %d/%d replies, last error: %v", ErrQuorumFailed, successes, r, rep.err)
-				}
-				continue
-			}
-			successes++
-			responders[rep.node] = rep.cells
-			for col, cell := range rep.cells {
-				if !cell.Exists() {
-					continue
-				}
-				if old, ok := merged[col]; ok {
-					merged[col] = model.Merge(old, cell)
-				} else {
-					merged[col] = cell
-				}
-			}
-		case <-ctx.Done():
-			return nil, fmt.Errorf("%w: %v", ErrQuorumFailed, ctx.Err())
+	if res.Err != nil {
+		x.cs.addRow(nil)
+		if put, ok := x.req.(transport.PutReq); ok {
+			x.c.storeHint(res.From, put.Table, put.Row, put.Updates)
 		}
+		return 0, res.Err
 	}
-
-	result := merged.Clone()
-	if !c.opts.DisableReadRepair {
-		// Finish collecting in the background and repair stragglers.
-		pending := len(replicas) - successes - failures
-		c.goTracked(func() {
-			deadline := c.clk.After(c.opts.RequestTimeout)
-			for i := 0; i < pending; i++ {
-				select {
-				case rep := <-replies:
-					if rep.err != nil {
-						continue
-					}
-					responders[rep.node] = rep.cells
-					for col, cell := range rep.cells {
-						if !cell.Exists() {
-							continue
-						}
-						if old, ok := merged[col]; ok {
-							merged[col] = model.Merge(old, cell)
-						} else {
-							merged[col] = cell
-						}
-					}
-				case <-deadline:
-					i = pending
-				case <-c.stop:
-					return
-				}
-			}
-			c.readRepair(table, row, merged, responders)
-		})
-	}
-	return result, nil
-}
-
-// readRepair pushes the merged winning cells to every responder that
-// returned stale or missing versions.
-func (c *Coordinator) readRepair(table, row string, merged model.Row, responders map[transport.NodeID]model.Row) {
-	for nodeID, seen := range responders {
-		var fix []model.Entry
-		for col, win := range merged {
-			have, ok := seen[col]
-			if !ok || win.Wins(have) {
-				fix = append(fix, model.Entry{Key: model.EncodeKey(row, col), Cell: win})
-			}
-		}
-		if len(fix) == 0 {
-			continue
-		}
-		c.bump(func(s *Stats) { s.ReadRepairs++ })
-		ch := c.trans.Call(c.self, nodeID, transport.ApplyEntriesReq{Table: table, Entries: fix})
-		go func() {
-			select {
-			case <-ch:
-			case <-c.clk.After(c.opts.RequestTimeout):
-			}
-		}()
-	}
+	x.cs.addRow(pre)
+	return 1, nil
 }
 
 // --- Hinted handoff --------------------------------------------------------
@@ -680,7 +430,7 @@ func (c *Coordinator) storeHint(target transport.NodeID, table, row string, upda
 		entries = append(entries, model.Entry{Key: model.EncodeKey(row, u.Column), Cell: u.Cell})
 	}
 	c.hintMu.Lock()
-	c.hints[target] = append(c.hints[target], hint{table: table, entries: entries})
+	c.hints[target] = append(c.hints[target], transport.ApplyEntriesReq{Table: table, Entries: entries})
 	c.hintMu.Unlock()
 	c.bump(func(s *Stats) { s.HintsStored++ })
 }
@@ -715,21 +465,12 @@ func (c *Coordinator) hintLoop() {
 func (c *Coordinator) ReplayHints() {
 	c.hintMu.Lock()
 	pending := c.hints
-	c.hints = map[transport.NodeID][]hint{}
+	c.hints = map[transport.NodeID][]transport.ApplyEntriesReq{}
 	c.hintMu.Unlock()
 
 	for target, hs := range pending {
 		for _, h := range hs {
-			ch := c.trans.Call(c.self, target, transport.ApplyEntriesReq{Table: h.table, Entries: h.entries})
-			var res transport.Result
-			select {
-			case res = <-ch:
-			case <-c.clk.After(c.opts.RequestTimeout):
-				res.Err = context.DeadlineExceeded
-			case <-c.stop:
-				res.Err = errors.New("shutdown")
-			}
-			if res.Err != nil {
+			if err := c.push(target, h); err != nil {
 				c.hintMu.Lock()
 				c.hints[target] = append(c.hints[target], h)
 				c.hintMu.Unlock()

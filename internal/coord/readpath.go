@@ -5,188 +5,116 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"vstore/internal/model"
 	"vstore/internal/trace"
 	"vstore/internal/transport"
 )
 
-// This file holds the optimized read and write rounds:
+// This file holds the read exchanges:
 //
-//   - synchronous quorum rounds for fabrics that implement
-//     transport.SyncCaller (the Direct fabric). Read rounds visit the
-//     replicas serially on the caller's goroutine — no channel, timer
-//     or goroutine per call. Write and pre-read rounds keep their
-//     replica handlers concurrent (callAllSync) because they sit on
-//     the contended path: serializing them collapses throughput on
-//     hot rows;
-//   - digest reads (Cassandra style): one full row plus digests;
+//   - the digest read (Cassandra style): one full row plus digests;
+//   - the full read: every replica's row, merged with LWW, divergent
+//     replicas repaired;
 //   - MultiGet: several rows of one table resolved per replica set in
 //     one request each, used by view-maintenance chain walks.
 
-// errShutdown is reported for calls abandoned because the coordinator
-// is closing.
-var errShutdown = errors.New("coord: shutting down")
-
-// callWait issues one request and blocks for its result, preferring
-// the synchronous fabric path when available.
-func (c *Coordinator) callWait(rep transport.NodeID, req transport.Request) transport.Result {
-	if c.sync != nil {
-		return c.sync.CallSync(c.self, rep, req)
+// Get reads the requested columns of a row with read quorum r. If
+// allColumns is set every cell of the row is returned. The returned
+// row maps column → winning cell; never-written columns are omitted.
+//
+// When r ≥ 2 the coordinator first tries a digest read: the full row
+// from one replica and 64-bit digests from the rest. Matching digests
+// prove the replicas hold identical cells, so the full row already is
+// the quorum answer and no per-replica row transfer or merge is
+// needed. Any mismatch before the answer is out, an unreachable full
+// replica or a short quorum falls back to the full-row round, which
+// also repairs the divergence it finds.
+func (c *Coordinator) Get(ctx context.Context, table, row string, columns []string, r int, allColumns bool) (model.Row, error) {
+	c.bump(func(s *Stats) { s.Gets++ })
+	q, err := c.quorumFor(table, row, r)
+	if err != nil {
+		return nil, err
 	}
-	select {
-	case res := <-c.trans.Call(c.self, rep, req):
-		return res
-	case <-c.clk.After(c.opts.RequestTimeout):
-		return transport.Result{From: rep, Err: context.DeadlineExceeded}
-	case <-c.stop:
-		return transport.Result{From: rep, Err: errShutdown}
+	sp := c.span(ctx, "coord.get", table, row, q)
+	defer sp.Finish()
+	// Read repair is what late replies are for: without it a read asks
+	// no more replicas than its quorum needs.
+	repair := !c.opts.DisableReadRepair
+	reread := transport.GetReq{Table: table, Row: row, Columns: columns, AllColumns: allColumns}
+	get := reread
+	get.Span = sp
+	if q.need >= 2 {
+		// The full row comes from the coordinator's own node when it is
+		// a replica (no network hop in the simulated fabric), else from
+		// the first replica; either way it is asked first.
+		for i, rep := range q.replicas {
+			if rep == c.self {
+				q.replicas[0], q.replicas[i] = rep, q.replicas[0]
+			}
+		}
+		d := &digestRead{c: c, replicas: q.replicas, fullNode: q.replicas[0],
+			full: get, digest: transport.GetDigestReq(get), reread: reread}
+		if c.round(ctx, readKind, q, repair, d) == nil {
+			c.bump(func(s *Stats) { s.DigestReads++ })
+			return d.fullRow, nil
+		}
 	}
+	f := &fullRead{c: c, plain: plain{get}, table: table, row: row,
+		merged: model.Row{}, responders: make(map[transport.NodeID]model.Row, len(q.replicas))}
+	if err := c.round(ctx, readKind, q, repair, f); err != nil {
+		return nil, err
+	}
+	if f.handed != nil {
+		return f.handed, nil
+	}
+	return f.merged, nil
 }
 
-// callAllSync delivers req to every replica through the synchronous
-// fabric, overlapping the replica handlers (goroutines for all but the
-// last replica, which runs on the caller) and returning once all have
-// answered. Unlike the asynchronous fan-out there is no channel, timer
-// or collector bookkeeping per call — but the handlers still execute
-// concurrently: a serial loop here triples the latency of every quorum
-// round, and on contended rows that backlog snowballs (propagations
-// hold their row lock per round, so slower rounds mean more failed
-// guesses mean more rounds).
-func (c *Coordinator) callAllSync(replicas []transport.NodeID, req transport.Request) []transport.Result {
-	results := make([]transport.Result, len(replicas))
-	var wg sync.WaitGroup
-	for i := 0; i < len(replicas)-1; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = c.sync.CallSync(c.self, replicas[i], req)
-		}(i)
-	}
-	last := len(replicas) - 1
-	results[last] = c.sync.CallSync(c.self, replicas[last], req)
-	wg.Wait()
-	return results
+// fullRead is the exchange of the classic quorum read: full rows from
+// every replica, merged with LWW; once all are in, every responder
+// that returned stale or missing versions is repaired.
+type fullRead struct {
+	plain
+	c          *Coordinator
+	table, row string
+	merged     model.Row // LWW merge of the replies folded so far
+	handed     model.Row // the caller's snapshot, if stragglers are still merging
+	responders map[transport.NodeID]model.Row
 }
 
-// putSync is the write round over a synchronous fabric: all replicas
-// are written concurrently, hints are stored for failures, and the
-// collectors are fully populated by the time it returns.
-func (c *Coordinator) putSync(cs Collectors, req transport.PutReq, replicas []transport.NodeID, w int, table, row string, updates []model.ColumnUpdate) error {
-	successes := 0
-	var lastErr error
-	for i, res := range c.callAllSync(replicas, req) {
-		if res.Err != nil {
-			cs.addRow(nil)
-			c.storeHint(replicas[i], table, row, updates)
-			lastErr = res.Err
-			continue
-		}
-		pr, ok := res.Resp.(transport.PutResp)
-		if !ok {
-			cs.addRow(nil)
-			lastErr = fmt.Errorf("coord: unexpected response %T", res.Resp)
-			continue
-		}
-		cs.addRow(pr.Old)
-		successes++
+func (f *fullRead) fold(res transport.Result) (int, error) {
+	resp, ok := res.Resp.(transport.GetResp)
+	if !ok || res.Err != nil {
+		return 0, failure(res)
 	}
-	if successes < w {
-		c.bump(func(s *Stats) { s.QuorumFails++ })
-		return fmt.Errorf("%w: %d/%d acks, last error: %v", ErrQuorumFailed, successes, w, lastErr)
-	}
-	return nil
+	f.responders[res.From] = resp.Cells
+	mergeRow(f.merged, resp.Cells)
+	return 1, nil
 }
 
-// getVersionsSync is the pre-read round over a synchronous fabric:
-// every replica's versions land in the collectors before it returns.
-func (c *Coordinator) getVersionsSync(cs Collectors, req transport.GetReq, replicas []transport.NodeID, r int) error {
-	successes := 0
-	var lastErr error
-	for _, res := range c.callAllSync(replicas, req) {
-		if res.Err != nil {
-			cs.addRow(nil)
-			lastErr = res.Err
-			continue
-		}
-		gr, ok := res.Resp.(transport.GetResp)
-		if !ok {
-			cs.addRow(nil)
-			lastErr = fmt.Errorf("coord: unexpected response %T", res.Resp)
-			continue
-		}
-		cs.addRow(gr.Cells)
-		successes++
-	}
-	if successes < r {
-		return fmt.Errorf("%w: %d/%d replies, last error: %v", ErrQuorumFailed, successes, r, lastErr)
-	}
-	return nil
-}
+func (f *fullRead) detach() { f.handed = f.merged.Clone() }
 
-// getFullSync is the synchronous quorum read: full rows from every
-// replica inline, merged with LWW, and divergent replicas repaired
-// before returning. Visiting all replicas (rather than stopping at r)
-// preserves the full read-repair coverage of the async path.
-func (c *Coordinator) getFullSync(sp *trace.Span, table, row string, columns []string, r int, allColumns bool, replicas []transport.NodeID) (model.Row, error) {
-	req := transport.GetReq{Table: table, Row: row, Columns: columns, AllColumns: allColumns, Span: sp}
-	merged := model.Row{}
-	responders := make(map[transport.NodeID]model.Row, len(replicas))
-	successes := 0
-	var lastErr error
-	for _, rep := range replicas {
-		if c.opts.DisableReadRepair && successes >= r {
-			break
-		}
-		res := c.sync.CallSync(c.self, rep, req)
-		if res.Err != nil {
-			lastErr = res.Err
-			continue
-		}
-		gr, ok := res.Resp.(transport.GetResp)
-		if !ok {
-			lastErr = fmt.Errorf("coord: unexpected response %T", res.Resp)
-			continue
-		}
-		successes++
-		responders[rep] = gr.Cells
-		mergeRow(merged, gr.Cells)
-	}
-	if successes < r {
-		return nil, fmt.Errorf("%w: %d/%d replies, last error: %v", ErrQuorumFailed, successes, r, lastErr)
-	}
-	if !c.opts.DisableReadRepair {
-		c.readRepair(table, row, merged, responders)
-	}
-	// merged is a fresh map per call and nothing here retains it, so
-	// no defensive clone is needed (unlike the async path, whose
-	// background straggler collector keeps merging into its map).
-	return merged, nil
-}
+func (f *fullRead) settled() { f.c.readRepair(f.table, f.row, f.merged, f.responders) }
 
 // compactRow strips never-written padding cells (replicas answer
 // column reads with NullCell placeholders) so digest-read results
 // match the classic merge path, which drops them implicitly. The map
 // is only copied when padding is present.
 func compactRow(r model.Row) model.Row {
-	clean := true
-	for _, cell := range r {
-		if !cell.Exists() {
-			clean = false
-			break
+	for _, pad := range r {
+		if pad.Exists() {
+			continue
 		}
-	}
-	if clean {
-		return r
-	}
-	out := make(model.Row, len(r))
-	for col, cell := range r {
-		if cell.Exists() {
-			out[col] = cell
+		out := make(model.Row, len(r))
+		for col, cell := range r {
+			if cell.Exists() {
+				out[col] = cell
+			}
 		}
+		return out
 	}
-	return out
+	return r
 }
 
 // mergeRow folds the existing cells of src into dst with LWW.
@@ -203,222 +131,116 @@ func mergeRow(dst, src model.Row) {
 	}
 }
 
+// readRepair pushes the merged winning cells to every responder that
+// returned stale or missing versions.
+func (c *Coordinator) readRepair(table, row string, merged model.Row, responders map[transport.NodeID]model.Row) {
+	for nodeID, seen := range responders {
+		var fix []model.Entry
+		for col, win := range merged {
+			have, ok := seen[col]
+			if !ok || win.Wins(have) {
+				fix = append(fix, model.Entry{Key: model.EncodeKey(row, col), Cell: win})
+			}
+		}
+		if len(fix) == 0 {
+			continue
+		}
+		c.bump(func(s *Stats) { s.ReadRepairs++ })
+		// Fire and forget: the read that found the divergence does not
+		// wait for its repair.
+		c.goTracked(func() { _ = c.push(nodeID, transport.ApplyEntriesReq{Table: table, Entries: fix}) })
+	}
+}
+
 // --- Digest reads ----------------------------------------------------------
 
-// getDigest attempts to serve a quorum read with one full row and
-// digests from the other replicas. It reports ok=false when the read
-// must fall back to a full-row round: a digest mismatched (replicas
-// diverge and must be merged), or too few digests arrived.
-func (c *Coordinator) getDigest(ctx context.Context, sp *trace.Span, table, row string, columns []string, r int, allColumns bool, replicas []transport.NodeID) (model.Row, bool) {
-	if c.sync != nil {
-		return c.getDigestSync(sp, table, row, columns, r, allColumns, replicas)
-	}
-	return c.getDigestAsync(ctx, sp, table, row, columns, r, allColumns, replicas)
+// errDiverged vetoes a digest read: a replica's digest disagrees with
+// the full row, so the replicas must be merged.
+var errDiverged = errors.New("coord: replica digests diverge")
+
+// digestRead is the exchange of the digest read: the full row from one
+// replica, digests from the rest. Digests are asked of every other
+// replica — not just r-1 — so the read keeps the divergence-detection
+// coverage of the full read. A digest that disagrees before the round
+// returns vetoes it; one that arrives later marks its replica stale,
+// and once every reply is in the stale replicas are re-read and
+// repaired.
+type digestRead struct {
+	c            *Coordinator
+	replicas     []transport.NodeID
+	fullNode     transport.NodeID
+	full, digest transport.Request
+	reread       transport.GetReq // full without its span, for repair after it finished
+
+	fullRow  model.Row // never mutated once set: Get hands it to its caller
+	want     uint64
+	haveFull bool
+	early    []transport.Result // digests that arrived before the full row
+	stale    []transport.NodeID
 }
 
-// fullReplicaIndex picks which replica serves the full row: the
-// coordinator's own node when it is a replica (no network hop in the
-// simulated fabric), else the first replica.
-func (c *Coordinator) fullReplicaIndex(replicas []transport.NodeID) int {
-	for i, rep := range replicas {
-		if rep == c.self {
-			return i
-		}
+func (d *digestRead) request(to transport.NodeID) transport.Request {
+	if to == d.fullNode {
+		return d.full
 	}
-	return 0
+	return d.digest
 }
 
-// getDigestSync runs the digest round inline. Digests are requested
-// from every other replica — not just r-1 — so the read keeps the
-// full divergence-detection coverage of the classic path without any
-// background goroutine.
-func (c *Coordinator) getDigestSync(sp *trace.Span, table, row string, columns []string, r int, allColumns bool, replicas []transport.NodeID) (model.Row, bool) {
-	fullIdx := c.fullReplicaIndex(replicas)
-	fres := c.sync.CallSync(c.self, replicas[fullIdx], transport.GetReq{Table: table, Row: row, Columns: columns, AllColumns: allColumns, Span: sp})
-	if fres.Err != nil {
-		return nil, false
-	}
-	gr, ok := fres.Resp.(transport.GetResp)
-	if !ok {
-		return nil, false
-	}
-	// RowDigest skips padding cells, so compacting first cannot
-	// change the comparison against the other replicas' digests.
-	fullRow := compactRow(gr.Cells)
-	want := model.RowDigest(fullRow)
-	dreq := transport.GetDigestReq{Table: table, Row: row, Columns: columns, AllColumns: allColumns, Span: sp}
-	matches := 1 // the full replica agrees with itself
-	for i, rep := range replicas {
-		if i == fullIdx {
-			continue
+func (d *digestRead) fold(res transport.Result) (int, error) {
+	if res.Err != nil {
+		if res.From == d.fullNode {
+			return 0, veto{res.Err} // no full row, no digest read
 		}
-		res := c.sync.CallSync(c.self, rep, dreq)
-		if res.Err != nil {
-			continue // an unreachable replica never vetoes; quorum decides below
-		}
-		dr, ok := res.Resp.(transport.GetDigestResp)
-		if !ok {
-			continue
-		}
-		if dr.Digest != want {
-			c.bump(func(s *Stats) { s.DigestMismatches++ })
-			return nil, false
-		}
-		matches++
+		return 0, res.Err // an unreachable replica never vetoes; quorum decides
 	}
-	if matches < r {
-		return nil, false
+	switch resp := res.Resp.(type) {
+	case transport.GetResp:
+		// RowDigest skips padding cells, so compacting first cannot
+		// change the comparison against the other replicas' digests.
+		d.fullRow = compactRow(resp.Cells)
+		d.want = model.RowDigest(d.fullRow)
+		d.haveFull = true
+		acks := 1 // the full replica agrees with itself
+		for _, e := range d.early {
+			n, err := d.fold(e)
+			if err != nil {
+				return 0, err
+			}
+			acks += n
+		}
+		return acks, nil
+	case transport.GetDigestResp:
+		if !d.haveFull {
+			d.early = append(d.early, res)
+			return 0, nil
+		}
+		if resp.Digest != d.want {
+			d.c.bump(func(s *Stats) { s.DigestMismatches++ })
+			d.stale = append(d.stale, res.From)
+			return 0, veto{errDiverged}
+		}
+		return 1, nil
 	}
-	c.bump(func(s *Stats) { s.DigestReads++ })
-	return fullRow, true
+	return 0, failure(res)
 }
 
-// getDigestAsync runs the digest round over an asynchronous fabric:
-// the full read and all digest requests fan out concurrently, and the
-// read returns as soon as the full row plus r-1 matching digests are
-// in. Late digests are drained in the background; a late mismatch
-// triggers a targeted full read and repair of the divergent replica.
-func (c *Coordinator) getDigestAsync(ctx context.Context, sp *trace.Span, table, row string, columns []string, r int, allColumns bool, replicas []transport.NodeID) (model.Row, bool) {
-	fullIdx := c.fullReplicaIndex(replicas)
-	type dreply struct {
-		node transport.NodeID
-		resp transport.Response
-		err  error
-	}
-	replies := make(chan dreply, len(replicas))
-	dreq := transport.GetDigestReq{Table: table, Row: row, Columns: columns, AllColumns: allColumns, Span: sp}
-	for i, rep := range replicas {
-		rep := rep
-		var req transport.Request = dreq
-		if i == fullIdx {
-			req = transport.GetReq{Table: table, Row: row, Columns: columns, AllColumns: allColumns, Span: sp}
-		}
-		ch := c.trans.Call(c.self, rep, req)
-		go func() {
-			select {
-			case res := <-ch:
-				replies <- dreply{node: rep, resp: res.Resp, err: res.Err}
-			case <-c.clk.After(c.opts.RequestTimeout):
-				replies <- dreply{node: rep, err: context.DeadlineExceeded}
-			}
-		}()
-	}
+func (d *digestRead) detach() {}
 
-	var fullRow model.Row
-	var want uint64
-	haveFull := false
-	var buffered []dreply // digests that arrived before the full row
-	matchers := make([]transport.NodeID, 0, len(replicas)-1)
-	received, failures := 0, 0
-	checkDigest := func(d dreply) bool {
-		dr, ok := d.resp.(transport.GetDigestResp)
-		if !ok || dr.Digest != want {
-			if ok {
-				c.bump(func(s *Stats) { s.DigestMismatches++ })
-			}
-			return false
-		}
-		matchers = append(matchers, d.node)
-		return true
+// settled repairs the replicas whose digests disagreed with the
+// trusted full row: a full read over just them, starting from the full
+// row and taking every other replica to hold it (its digest matched,
+// or it did not answer and a push it does not need is harmless), merges
+// what they hold and pushes the winning cells to whoever is stale.
+func (d *digestRead) settled() {
+	if len(d.stale) == 0 {
+		return
 	}
-	for received < len(replicas) {
-		var d dreply
-		select {
-		case d = <-replies:
-		case <-ctx.Done():
-			return nil, false
-		case <-c.stop:
-			return nil, false
-		}
-		received++
-		if d.err != nil {
-			failures++
-			if failures > len(replicas)-r {
-				return nil, false // quorum unreachable; let the fallback report it
-			}
-			continue
-		}
-		if gr, ok := d.resp.(transport.GetResp); ok {
-			fullRow = compactRow(gr.Cells)
-			want = model.RowDigest(fullRow)
-			haveFull = true
-			for _, b := range buffered {
-				if !checkDigest(b) {
-					return nil, false
-				}
-			}
-			buffered = nil
-		} else if !haveFull {
-			buffered = append(buffered, d)
-		} else if !checkDigest(d) {
-			return nil, false
-		}
-		if haveFull && 1+len(matchers) >= r {
-			break
-		}
+	f := &fullRead{c: d.c, plain: plain{d.reread}, table: d.reread.Table, row: d.reread.Row,
+		merged: d.fullRow.Clone(), responders: make(map[transport.NodeID]model.Row, len(d.replicas))}
+	for _, rep := range d.replicas {
+		f.responders[rep] = d.fullRow
 	}
-	if !haveFull || 1+len(matchers) < r {
-		return nil, false
-	}
-	c.bump(func(s *Stats) { s.DigestReads++ })
-	if remaining := len(replicas) - received; remaining > 0 && !c.opts.DisableReadRepair {
-		fullNode := replicas[fullIdx]
-		c.goTracked(func() {
-			deadline := c.clk.After(c.opts.RequestTimeout)
-			var stale []transport.NodeID
-			for i := 0; i < remaining; i++ {
-				select {
-				case d := <-replies:
-					if d.err != nil {
-						continue
-					}
-					if dr, ok := d.resp.(transport.GetDigestResp); ok {
-						if dr.Digest == want {
-							matchers = append(matchers, d.node)
-						} else {
-							c.bump(func(s *Stats) { s.DigestMismatches++ })
-							stale = append(stale, d.node)
-						}
-					}
-				case <-deadline:
-					i = remaining
-				case <-c.stop:
-					return
-				}
-			}
-			if len(stale) > 0 {
-				c.repairDivergent(table, row, columns, allColumns, fullRow, fullNode, matchers, stale)
-			}
-		})
-	}
-	return fullRow, true
-}
-
-// repairDivergent full-reads the replicas whose digests disagreed
-// with the trusted full row, merges what they hold, and pushes the
-// winning cells back to whoever is stale. fullRow is never mutated:
-// it may have been handed to the caller of Get.
-func (c *Coordinator) repairDivergent(table, row string, columns []string, allColumns bool, fullRow model.Row, fullNode transport.NodeID, fresh, stale []transport.NodeID) {
-	merged := fullRow.Clone()
-	responders := make(map[transport.NodeID]model.Row, 1+len(fresh)+len(stale))
-	responders[fullNode] = fullRow
-	for _, rep := range fresh {
-		responders[rep] = fullRow // digest matched: identical content
-	}
-	greq := transport.GetReq{Table: table, Row: row, Columns: columns, AllColumns: allColumns}
-	for _, rep := range stale {
-		res := c.callWait(rep, greq)
-		if res.Err != nil {
-			continue
-		}
-		gr, ok := res.Resp.(transport.GetResp)
-		if !ok {
-			continue
-		}
-		responders[rep] = gr.Cells
-		mergeRow(merged, gr.Cells)
-	}
-	c.readRepair(table, row, merged, responders)
+	_ = d.c.round(context.Background(), readKind, quorum{d.stale, 1}, true, f)
 }
 
 // --- MultiGet --------------------------------------------------------------
@@ -435,11 +257,30 @@ func replicaSetKey(reps []transport.NodeID) string {
 	return string(b)
 }
 
-// multiGetGroup is one batch of rows sharing a replica set.
-type multiGetGroup struct {
-	replicas []transport.NodeID
-	idxs     []int // positions in the caller's reads slice
-	rows     []transport.RowRead
+// multiRead is the exchange of one MultiGet batch: the rows sharing a
+// replica set, each reply merged index-aligned into the caller's
+// result. It never drains: the rows are the caller's once the round
+// returns.
+type multiRead struct {
+	plain
+	q    quorum
+	rows []transport.RowRead
+	idxs []int // positions of rows in the caller's reads slice
+	out  []model.Row
+}
+
+func (m *multiRead) fold(res transport.Result) (int, error) {
+	resp, ok := res.Resp.(transport.MultiGetResp)
+	if !ok || res.Err != nil {
+		return 0, failure(res)
+	}
+	if len(resp.Rows) != len(m.idxs) {
+		return 0, fmt.Errorf("coord: node %d answered %d of %d rows", res.From, len(resp.Rows), len(m.idxs))
+	}
+	for j, cells := range resp.Rows {
+		mergeRow(m.out[m.idxs[j]], cells)
+	}
+	return 1, nil
 }
 
 // MultiGet reads several rows of one table, each with read quorum r,
@@ -457,118 +298,31 @@ func (c *Coordinator) MultiGet(ctx context.Context, table string, reads []RowRea
 		s.MultiGets++
 		s.MultiGetRows += int64(len(reads))
 	})
-	groups := map[string]*multiGetGroup{}
-	var order []*multiGetGroup
+	out := make([]model.Row, len(reads))
+	groups := map[string]*multiRead{}
+	var order []*multiRead
 	for i, rd := range reads {
-		reps := c.ring.ReplicasFor(placementKey(table, rd.Row), c.opts.N)
-		if len(reps) == 0 {
-			return nil, fmt.Errorf("coord: no replicas for %s/%s", table, rd.Row)
+		q, err := c.quorumFor(table, rd.Row, r)
+		if err != nil {
+			return nil, err
 		}
-		key := replicaSetKey(reps)
+		key := replicaSetKey(q.replicas)
 		g := groups[key]
 		if g == nil {
-			g = &multiGetGroup{replicas: reps}
+			g = &multiRead{q: q, out: out}
 			groups[key] = g
 			order = append(order, g)
 		}
 		g.idxs = append(g.idxs, i)
 		g.rows = append(g.rows, rd)
+		out[i] = model.Row{}
 	}
-	out := make([]model.Row, len(reads))
+	sp := trace.FromContext(ctx)
 	for _, g := range order {
-		if err := c.multiGetGroup(ctx, table, g, r, out); err != nil {
+		g.req = transport.MultiGetReq{Table: table, Rows: g.rows, Span: sp}
+		if err := c.round(ctx, readKind, g.q, false, g); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// multiGetGroup resolves one replica-set batch into out.
-func (c *Coordinator) multiGetGroup(ctx context.Context, table string, g *multiGetGroup, r int, out []model.Row) error {
-	if r <= 0 {
-		r = 1
-	}
-	if r > len(g.replicas) {
-		r = len(g.replicas)
-	}
-	for _, idx := range g.idxs {
-		out[idx] = model.Row{}
-	}
-	req := transport.MultiGetReq{Table: table, Rows: g.rows, Span: trace.FromContext(ctx)}
-	merge := func(resp transport.MultiGetResp) bool {
-		if len(resp.Rows) != len(g.rows) {
-			return false
-		}
-		for j, cells := range resp.Rows {
-			mergeRow(out[g.idxs[j]], cells)
-		}
-		return true
-	}
-
-	if c.sync != nil {
-		successes := 0
-		var lastErr error
-		for _, rep := range g.replicas {
-			if successes >= r {
-				break
-			}
-			res := c.sync.CallSync(c.self, rep, req)
-			if res.Err != nil {
-				lastErr = res.Err
-				continue
-			}
-			mr, ok := res.Resp.(transport.MultiGetResp)
-			if !ok || !merge(mr) {
-				lastErr = fmt.Errorf("coord: unexpected response %T", res.Resp)
-				continue
-			}
-			successes++
-		}
-		if successes < r {
-			return fmt.Errorf("%w: %d/%d replies, last error: %v", ErrQuorumFailed, successes, r, lastErr)
-		}
-		return nil
-	}
-
-	replies := make(chan transport.Result, len(g.replicas))
-	for _, rep := range g.replicas {
-		rep := rep
-		ch := c.trans.Call(c.self, rep, req)
-		go func() {
-			select {
-			case res := <-ch:
-				replies <- res
-			case <-c.clk.After(c.opts.RequestTimeout):
-				replies <- transport.Result{From: rep, Err: context.DeadlineExceeded}
-			}
-		}()
-	}
-	successes, failures := 0, 0
-	for successes < r {
-		var res transport.Result
-		select {
-		case res = <-replies:
-		case <-ctx.Done():
-			return fmt.Errorf("%w: %v", ErrQuorumFailed, ctx.Err())
-		case <-c.stop:
-			return fmt.Errorf("%w: %v", ErrQuorumFailed, errShutdown)
-		}
-		if res.Err != nil {
-			failures++
-			if failures > len(g.replicas)-r {
-				return fmt.Errorf("%w: %d/%d replies, last error: %v", ErrQuorumFailed, successes, r, res.Err)
-			}
-			continue
-		}
-		mr, ok := res.Resp.(transport.MultiGetResp)
-		if !ok || !merge(mr) {
-			failures++
-			if failures > len(g.replicas)-r {
-				return fmt.Errorf("%w: %d/%d replies, unexpected response %T", ErrQuorumFailed, successes, r, res.Resp)
-			}
-			continue
-		}
-		successes++
-	}
-	return nil
 }

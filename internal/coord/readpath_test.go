@@ -7,35 +7,8 @@ import (
 	"time"
 
 	"vstore/internal/model"
-	"vstore/internal/node"
-	"vstore/internal/ring"
 	"vstore/internal/transport"
 )
-
-// newSimHarness wires the same topology as newHarness but over the
-// asynchronous simulated fabric, exercising the concurrent fan-out
-// variants of the read paths.
-func newSimHarness(t *testing.T, nNodes int, opts Options, sim transport.SimOptions) *harness {
-	t.Helper()
-	sim.Logf = t.Logf
-	ids := make([]transport.NodeID, nNodes)
-	for i := range ids {
-		ids[i] = transport.NodeID(i)
-	}
-	h := &harness{ring: ring.New(ids, 32), trans: transport.NewSim(sim)}
-	for _, id := range ids {
-		n := node.New(node.Options{ID: id})
-		h.trans.Register(id, n)
-		h.nodes = append(h.nodes, n)
-		h.coords = append(h.coords, New(id, h.ring, h.trans, opts))
-	}
-	t.Cleanup(func() {
-		for _, c := range h.coords {
-			c.Close()
-		}
-	})
-	return h
-}
 
 // divergeReplica writes a newer cell directly to a single replica,
 // bypassing the coordinator — injected staleness: the other replicas
@@ -53,26 +26,32 @@ func divergeReplica(t *testing.T, h *harness, c *Coordinator, rep transport.Node
 }
 
 func TestDigestReadServesConsistentReplicas(t *testing.T) {
-	h := newHarness(t, 3, Options{N: 3})
-	c := h.coords[0]
-	if err := c.Put(ctxT(t), "t", "r", []model.ColumnUpdate{model.Update("c", []byte("v"), 1)}, 3); err != nil {
-		t.Fatal(err)
-	}
-	row, err := c.Get(ctxT(t), "t", "r", []string{"c"}, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(row["c"].Value) != "v" {
-		t.Fatalf("Get = %v", row)
-	}
-	st := c.Stats()
-	if st.DigestReads != 1 || st.DigestMismatches != 0 {
-		t.Fatalf("stats = %+v, want exactly one digest read and no mismatches", st)
-	}
+	forEachFabric(t, func(t *testing.T, tr transport.Transport) {
+		h := newHarness(t, tr, 3, Options{N: 3})
+		c := h.coords[0]
+		if err := c.Put(ctxT(t), "t", "r", []model.ColumnUpdate{model.Update("c", []byte("v"), 1)}, 3); err != nil {
+			t.Fatal(err)
+		}
+		row, err := c.Get(ctxT(t), "t", "r", []string{"c"}, 2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(row["c"].Value) != "v" {
+			t.Fatalf("Get = %v", row)
+		}
+		st := c.Stats()
+		if st.DigestReads != 1 || st.DigestMismatches != 0 {
+			t.Fatalf("stats = %+v, want exactly one digest read and no mismatches", st)
+		}
+	})
 }
 
 func TestDigestMismatchFallsBackAndRepairs(t *testing.T) {
-	h := newHarness(t, 3, Options{N: 3, RequestTimeout: 200 * time.Millisecond})
+	// Direct only: that the read itself returns the diverged replica's
+	// value holds where every reply is folded, and counted, before Get
+	// returns. TestDigestMismatchAsyncRepairsDivergence is the
+	// asynchronous twin.
+	h := newHarness(t, transport.NewDirect(), 3, Options{N: 3, RequestTimeout: 200 * time.Millisecond})
 	c := h.coords[0]
 	if err := c.Put(ctxT(t), "t", "r", []model.ColumnUpdate{model.Update("c", []byte("old"), 1)}, 3); err != nil {
 		t.Fatal(err)
@@ -102,89 +81,93 @@ func TestDigestMismatchFallsBackAndRepairs(t *testing.T) {
 }
 
 func TestDigestReadToleratesPartitionedDigestReplica(t *testing.T) {
-	h := newHarness(t, 4, Options{N: 3, RequestTimeout: 100 * time.Millisecond})
-	// Pick a coordinator that is itself a replica, so the full row is
-	// read locally and a digest replica can be partitioned away.
-	var c *Coordinator
-	var reps []transport.NodeID
-	for _, cand := range h.coords {
-		rs := cand.ReplicasFor("t", "r")
-		for _, rep := range rs {
-			if rep == cand.Self() {
-				c, reps = cand, rs
+	forEachFabric(t, func(t *testing.T, tr transport.Transport) {
+		h := newHarness(t, tr, 4, Options{N: 3, RequestTimeout: 100 * time.Millisecond})
+		// Pick a coordinator that is itself a replica, so the full row is
+		// read locally and a digest replica can be partitioned away.
+		var c *Coordinator
+		var reps []transport.NodeID
+		for _, cand := range h.coords {
+			rs := cand.ReplicasFor("t", "r")
+			for _, rep := range rs {
+				if rep == cand.Self() {
+					c, reps = cand, rs
+				}
 			}
 		}
-	}
-	if c == nil {
-		t.Fatal("no coordinator is a replica")
-	}
-	if err := c.Put(ctxT(t), "t", "r", []model.ColumnUpdate{model.Update("c", []byte("v"), 1)}, 3); err != nil {
-		t.Fatal(err)
-	}
-	var cut transport.NodeID
-	for _, rep := range reps {
-		if rep != c.Self() {
-			cut = rep
-			break
+		if c == nil {
+			t.Fatal("no coordinator is a replica")
 		}
-	}
-	h.trans.Partition(c.Self(), cut, true)
+		if err := c.Put(ctxT(t), "t", "r", []model.ColumnUpdate{model.Update("c", []byte("v"), 1)}, 3); err != nil {
+			t.Fatal(err)
+		}
+		var cut transport.NodeID
+		for _, rep := range reps {
+			if rep != c.Self() {
+				cut = rep
+				break
+			}
+		}
+		h.trans.Partition(c.Self(), cut, true)
 
-	row, err := c.Get(ctxT(t), "t", "r", []string{"c"}, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(row["c"].Value) != "v" {
-		t.Fatalf("Get = %v", row)
-	}
-	// One digest errored out, but full + remaining digest still make
-	// the quorum of two, so the fast path must have served the read.
-	if st := c.Stats(); st.DigestReads != 1 {
-		t.Fatalf("stats = %+v, want the digest fast path to tolerate the partition", st)
-	}
+		row, err := c.Get(ctxT(t), "t", "r", []string{"c"}, 2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(row["c"].Value) != "v" {
+			t.Fatalf("Get = %v", row)
+		}
+		// One digest errored out, but full + remaining digest still make
+		// the quorum of two, so the fast path must have served the read.
+		if st := c.Stats(); st.DigestReads != 1 {
+			t.Fatalf("stats = %+v, want the digest fast path to tolerate the partition", st)
+		}
+	})
 }
 
 func TestDigestReadFallsBackWhenFullReplicaUnreachable(t *testing.T) {
-	h := newHarness(t, 4, Options{N: 3, RequestTimeout: 100 * time.Millisecond})
-	// Pick a coordinator that is NOT a replica: its full-row request
-	// goes to the first replica, which we then partition away.
-	var c *Coordinator
-	var reps []transport.NodeID
-	for _, cand := range h.coords {
-		rs := cand.ReplicasFor("t", "r")
-		isReplica := false
-		for _, rep := range rs {
-			if rep == cand.Self() {
-				isReplica = true
+	forEachFabric(t, func(t *testing.T, tr transport.Transport) {
+		h := newHarness(t, tr, 4, Options{N: 3, RequestTimeout: 100 * time.Millisecond})
+		// Pick a coordinator that is NOT a replica: its full-row request
+		// goes to the first replica, which we then partition away.
+		var c *Coordinator
+		var reps []transport.NodeID
+		for _, cand := range h.coords {
+			rs := cand.ReplicasFor("t", "r")
+			isReplica := false
+			for _, rep := range rs {
+				if rep == cand.Self() {
+					isReplica = true
+				}
+			}
+			if !isReplica {
+				c, reps = cand, rs
 			}
 		}
-		if !isReplica {
-			c, reps = cand, rs
+		if c == nil {
+			t.Fatal("every coordinator is a replica")
 		}
-	}
-	if c == nil {
-		t.Fatal("every coordinator is a replica")
-	}
-	if err := c.Put(ctxT(t), "t", "r", []model.ColumnUpdate{model.Update("c", []byte("v"), 1)}, 3); err != nil {
-		t.Fatal(err)
-	}
-	h.trans.Partition(c.Self(), reps[0], true)
+		if err := c.Put(ctxT(t), "t", "r", []model.ColumnUpdate{model.Update("c", []byte("v"), 1)}, 3); err != nil {
+			t.Fatal(err)
+		}
+		h.trans.Partition(c.Self(), reps[0], true)
 
-	row, err := c.Get(ctxT(t), "t", "r", []string{"c"}, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(row["c"].Value) != "v" {
-		t.Fatalf("Get = %v", row)
-	}
-	if st := c.Stats(); st.DigestReads != 0 {
-		t.Fatalf("stats = %+v, want fallback (full replica unreachable), not a digest read", st)
-	}
+		row, err := c.Get(ctxT(t), "t", "r", []string{"c"}, 2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(row["c"].Value) != "v" {
+			t.Fatalf("Get = %v", row)
+		}
+		if st := c.Stats(); st.DigestReads != 0 {
+			t.Fatalf("stats = %+v, want fallback (full replica unreachable), not a digest read", st)
+		}
+	})
 }
 
 func TestDigestReadAsyncOverSimFabric(t *testing.T) {
-	h := newSimHarness(t, 3, Options{N: 3, RequestTimeout: time.Second},
-		transport.SimOptions{Latency: time.Millisecond, Seed: 42})
+	h := newHarness(t, transport.NewSim(transport.SimOptions{Latency: time.Millisecond, Seed: 42}),
+		3, Options{N: 3, RequestTimeout: time.Second})
 	c := h.coords[0]
 	if err := c.Put(ctxT(t), "t", "r", []model.ColumnUpdate{model.Update("c", []byte("v"), 1)}, 3); err != nil {
 		t.Fatal(err)
@@ -202,8 +185,8 @@ func TestDigestReadAsyncOverSimFabric(t *testing.T) {
 }
 
 func TestDigestMismatchAsyncRepairsDivergence(t *testing.T) {
-	h := newSimHarness(t, 3, Options{N: 3, RequestTimeout: time.Second},
-		transport.SimOptions{Latency: time.Millisecond, Seed: 7})
+	h := newHarness(t, transport.NewSim(transport.SimOptions{Latency: time.Millisecond, Seed: 7}),
+		3, Options{N: 3, RequestTimeout: time.Second})
 	c := h.coords[0]
 	if err := c.Put(ctxT(t), "t", "r", []model.ColumnUpdate{model.Update("c", []byte("old"), 1)}, 3); err != nil {
 		t.Fatal(err)
@@ -224,68 +207,72 @@ func TestDigestMismatchAsyncRepairsDivergence(t *testing.T) {
 }
 
 func TestMultiGetBatchesRows(t *testing.T) {
-	h := newHarness(t, 5, Options{N: 3})
-	c := h.coords[0]
-	const rows = 8
-	reads := make([]RowRead, 0, rows+1)
-	for i := 0; i < rows; i++ {
-		row := fmt.Sprintf("r%d", i)
-		val := fmt.Sprintf("v%d", i)
-		if err := c.Put(ctxT(t), "t", row, []model.ColumnUpdate{model.Update("c", []byte(val), 1)}, 3); err != nil {
+	forEachFabric(t, func(t *testing.T, tr transport.Transport) {
+		h := newHarness(t, tr, 5, Options{N: 3})
+		c := h.coords[0]
+		const rows = 8
+		reads := make([]RowRead, 0, rows+1)
+		for i := 0; i < rows; i++ {
+			row := fmt.Sprintf("r%d", i)
+			val := fmt.Sprintf("v%d", i)
+			if err := c.Put(ctxT(t), "t", row, []model.ColumnUpdate{model.Update("c", []byte(val), 1)}, 3); err != nil {
+				t.Fatal(err)
+			}
+			reads = append(reads, RowRead{Row: row, Columns: []string{"c"}})
+		}
+		reads = append(reads, RowRead{Row: "ghost", Columns: []string{"c"}})
+
+		got, err := c.MultiGet(ctxT(t), "t", reads, 2)
+		if err != nil {
 			t.Fatal(err)
 		}
-		reads = append(reads, RowRead{Row: row, Columns: []string{"c"}})
-	}
-	reads = append(reads, RowRead{Row: "ghost", Columns: []string{"c"}})
-
-	got, err := c.MultiGet(ctxT(t), "t", reads, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != rows+1 {
-		t.Fatalf("got %d results, want %d", len(got), rows+1)
-	}
-	for i := 0; i < rows; i++ {
-		want := fmt.Sprintf("v%d", i)
-		if string(got[i]["c"].Value) != want {
-			t.Fatalf("row %d = %v, want %q", i, got[i], want)
+		if len(got) != rows+1 {
+			t.Fatalf("got %d results, want %d", len(got), rows+1)
 		}
-	}
-	if got[rows] == nil || len(got[rows]) != 0 {
-		t.Fatalf("missing row = %v, want empty non-nil row", got[rows])
-	}
-	st := c.Stats()
-	if st.MultiGets != 1 || st.MultiGetRows != rows+1 {
-		t.Fatalf("stats = %+v, want one MultiGet covering %d rows", st, rows+1)
-	}
+		for i := 0; i < rows; i++ {
+			want := fmt.Sprintf("v%d", i)
+			if string(got[i]["c"].Value) != want {
+				t.Fatalf("row %d = %v, want %q", i, got[i], want)
+			}
+		}
+		if got[rows] == nil || len(got[rows]) != 0 {
+			t.Fatalf("missing row = %v, want empty non-nil row", got[rows])
+		}
+		st := c.Stats()
+		if st.MultiGets != 1 || st.MultiGetRows != rows+1 {
+			t.Fatalf("stats = %+v, want one MultiGet covering %d rows", st, rows+1)
+		}
+	})
 }
 
 func TestMultiGetQuorumFailure(t *testing.T) {
-	h := newHarness(t, 3, Options{N: 3, RequestTimeout: 100 * time.Millisecond, HintReplayInterval: -1})
-	c := h.coords[0]
-	if err := c.Put(ctxT(t), "t", "r", []model.ColumnUpdate{model.Update("c", []byte("v"), 1)}, 3); err != nil {
-		t.Fatal(err)
-	}
-	reps := c.ReplicasFor("t", "r")
-	for _, rep := range reps[:2] {
-		h.trans.SetDown(rep, true)
-	}
-	if _, err := c.MultiGet(ctxT(t), "t", []RowRead{{Row: "r", Columns: []string{"c"}}}, 2); !errors.Is(err, ErrQuorumFailed) {
-		t.Fatalf("err = %v, want ErrQuorumFailed", err)
-	}
-	// A single reachable replica still satisfies r=1.
-	got, err := c.MultiGet(ctxT(t), "t", []RowRead{{Row: "r", Columns: []string{"c"}}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[0]["c"].Value) != "v" {
-		t.Fatalf("MultiGet r=1 = %v", got)
-	}
+	forEachFabric(t, func(t *testing.T, tr transport.Transport) {
+		h := newHarness(t, tr, 3, Options{N: 3, RequestTimeout: 100 * time.Millisecond, HintReplayInterval: -1})
+		c := h.coords[0]
+		if err := c.Put(ctxT(t), "t", "r", []model.ColumnUpdate{model.Update("c", []byte("v"), 1)}, 3); err != nil {
+			t.Fatal(err)
+		}
+		reps := c.ReplicasFor("t", "r")
+		for _, rep := range reps[:2] {
+			h.trans.SetDown(rep, true)
+		}
+		if _, err := c.MultiGet(ctxT(t), "t", []RowRead{{Row: "r", Columns: []string{"c"}}}, 2); !errors.Is(err, ErrQuorumFailed) {
+			t.Fatalf("err = %v, want ErrQuorumFailed", err)
+		}
+		// A single reachable replica still satisfies r=1.
+		got, err := c.MultiGet(ctxT(t), "t", []RowRead{{Row: "r", Columns: []string{"c"}}}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got[0]["c"].Value) != "v" {
+			t.Fatalf("MultiGet r=1 = %v", got)
+		}
+	})
 }
 
 func TestMultiGetOverSimFabric(t *testing.T) {
-	h := newSimHarness(t, 4, Options{N: 3, RequestTimeout: time.Second},
-		transport.SimOptions{Latency: time.Millisecond, Seed: 11})
+	h := newHarness(t, transport.NewSim(transport.SimOptions{Latency: time.Millisecond, Seed: 11}),
+		4, Options{N: 3, RequestTimeout: time.Second})
 	c := h.coords[0]
 	for i := 0; i < 4; i++ {
 		row := fmt.Sprintf("r%d", i)

@@ -1,0 +1,255 @@
+package coord
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+
+	"vstore/internal/transport"
+)
+
+// This file is the coordinator's one quorum round. Every operation —
+// Put with or without its pre-read, GetVersions, the digest and the
+// full read, MultiGet's per-replica-set read, repair and hint pushes —
+// is an exchange run by round; nothing else in the package sends a
+// request, waits on a reply or knows which fabric it is on.
+
+// kind is what a round is for. It fixes how a synchronous fabric runs
+// the round (see roundSync): a property of the request, not a setting.
+type kind uint8
+
+const (
+	readKind    kind = iota // Get, digest read, MultiGet, repair's re-read
+	preReadKind             // GetVersions
+	writeKind               // Put with or without pre-read, repair and hint pushes
+)
+
+// quorum is where a round goes: a record's replicas and how many of
+// them must answer.
+type quorum struct {
+	replicas []transport.NodeID
+	need     int
+}
+
+// quorumFor places (table, row) and clamps need to [1, replicas].
+func (c *Coordinator) quorumFor(table, row string, need int) (quorum, error) {
+	replicas := c.ring.ReplicasForRow(table, row, c.opts.N)
+	if len(replicas) == 0 {
+		return quorum{}, fmt.Errorf("coord: no replicas for %s/%s", table, row)
+	}
+	return quorum{replicas, min(max(need, 1), len(replicas))}, nil
+}
+
+// exchange is an operation's half of a round: which request goes to
+// which replica, and what a reply means. A round calls its methods one
+// at a time, never concurrently.
+type exchange interface {
+	// request returns what to send to replica to.
+	request(to transport.NodeID) transport.Request
+	// fold takes one replica's result (res.From is the replica asked; a
+	// timeout or a shutdown arrives as res.Err) and returns how many
+	// replicas it settles in the round's favour: 1, or 0 with why it
+	// counts against. A reply that cannot be judged yet returns (0, nil)
+	// and is counted by the later reply that lets fold judge it; a veto
+	// fails the round whatever the count.
+	fold(res transport.Result) (acks int, err error)
+	// detach runs on the caller's goroutine when a draining round is
+	// about to return with replies outstanding: folds from here on run
+	// concurrently with the caller and must not touch what it is handed.
+	detach()
+	// settled runs after the last reply of a successful draining round
+	// has been folded.
+	settled()
+}
+
+// plain is embedded by exchanges that send every replica the same
+// request, boxed once; its hooks do nothing.
+type plain struct{ req transport.Request }
+
+func (p plain) request(transport.NodeID) transport.Request { return p.req }
+func (plain) detach()                                      {}
+func (plain) settled()                                     {}
+
+// veto is a fold verdict that fails its round at once.
+type veto struct{ error }
+
+// errShutdown fails calls abandoned because the coordinator is closing.
+var errShutdown = errors.New("coord: shutting down")
+
+// tally counts fold verdicts toward a round's outcome: won once need
+// replicas answered, lost once more than spare did not — or at once on
+// a veto, a done context or shutdown, which use up every spare.
+type tally struct {
+	need, spare int
+	acks, nacks int
+	cause       error
+}
+
+func (t *tally) count(acks int, err error) {
+	t.acks += acks
+	if _, vetoed := err.(veto); vetoed {
+		t.fail(err)
+	} else if err != nil {
+		t.nacks, t.cause = t.nacks+1, err
+	}
+}
+
+func (t *tally) fail(cause error) { t.nacks, t.cause = t.spare+1, cause }
+
+func (t *tally) lost() bool { return t.nacks > t.spare }
+func (t *tally) won() bool  { return !t.lost() && t.acks >= t.need }
+
+// round runs one quorum round of exchange x over q and returns nil once
+// q.need replicas answered, else ErrQuorumFailed wrapping the cause. A
+// context already done sends nothing. With drain set, replies that
+// arrive after the round is won are still folded, and x.settled runs
+// after the last; without it a won round asks and folds no more. A
+// lost round is abandoned: its outstanding replies are dropped.
+func (c *Coordinator) round(ctx context.Context, k kind, q quorum, drain bool, x exchange) error {
+	t := tally{need: q.need, spare: len(q.replicas) - q.need}
+	switch {
+	case ctx.Err() != nil:
+		t.fail(ctx.Err())
+	case c.sync != nil:
+		c.roundSync(k, q, drain, x, &t)
+	default:
+		c.roundAsync(ctx, q, drain, x, &t)
+	}
+	if t.won() {
+		return nil
+	}
+	return fmt.Errorf("%w: %d/%d replies: %w", ErrQuorumFailed, t.acks, t.need, t.cause)
+}
+
+// roundSync runs a round over a fabric that completes calls on the
+// caller's goroutine: no channel, timer or goroutine per call, and
+// every reply is folded — and counted, so a late veto still fails the
+// round — before it returns. Read rounds visit the replicas serially;
+// write and pre-read rounds overlap their handlers first.
+func (c *Coordinator) roundSync(k kind, q quorum, drain bool, x exchange, t *tally) {
+	var results []transport.Result
+	if k != readKind && len(q.replicas) > 1 {
+		results = c.overlapped(q.replicas, x)
+	}
+	for i, rep := range q.replicas {
+		if t.lost() || t.won() && !drain {
+			return
+		}
+		var res transport.Result
+		if results != nil {
+			res = results[i]
+		} else {
+			res = c.sync.CallSync(c.self, rep, x.request(rep))
+		}
+		res.From = rep
+		t.count(x.fold(res))
+	}
+	if t.won() && drain {
+		x.settled()
+	}
+}
+
+// overlapped asks every replica at once over the synchronous fabric —
+// goroutines for all but the last replica, which runs on the caller —
+// and returns once all have answered. Write and pre-read rounds sit on
+// the contended path, where a serial loop triples the latency of every
+// round: propagations hold their row lock per round, slower rounds
+// mean more failed guesses mean more rounds, and that backlog
+// snowballs (the Fig 8 collapse).
+func (c *Coordinator) overlapped(replicas []transport.NodeID, x exchange) []transport.Result {
+	results := make([]transport.Result, len(replicas))
+	last := len(replicas) - 1
+	var wg sync.WaitGroup
+	for i, rep := range replicas[:last] {
+		req := x.request(rep)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i] = c.sync.CallSync(c.self, rep, req)
+		}()
+	}
+	results[last] = c.sync.CallSync(c.self, replicas[last], x.request(replicas[last]))
+	wg.Wait()
+	return results
+}
+
+// roundAsync runs a round over an asynchronous fabric: every request
+// is sent at once, the round returns as soon as it is won or lost, and
+// a won draining round folds its stragglers on a goroutine Close awaits.
+func (c *Coordinator) roundAsync(ctx context.Context, q quorum, drain bool, x exchange, t *tally) {
+	// One send per replica, so forwarders never block.
+	replies := make(chan transport.Result, len(q.replicas))
+	for _, rep := range q.replicas {
+		go c.forward(rep, c.trans.Call(c.self, rep, x.request(rep)), replies)
+	}
+	pending := len(q.replicas)
+	for !t.won() && !t.lost() { // decided by the last reply at the latest
+		select {
+		case res := <-replies:
+			pending--
+			t.count(x.fold(res))
+		case <-ctx.Done():
+			t.fail(ctx.Err())
+		case <-c.stop:
+			t.fail(errShutdown)
+		}
+	}
+	switch {
+	case !t.won() || !drain:
+	case pending == 0:
+		x.settled()
+	default:
+		x.detach()
+		c.goTracked(func() {
+			for ; pending > 0; pending-- {
+				select {
+				case res := <-replies:
+					x.fold(res) // counted by nobody: the round has returned
+				case <-c.stop:
+					return
+				}
+			}
+			x.settled()
+		})
+	}
+}
+
+// forward delivers one call's result to its round — or its timeout, or
+// the shutdown.
+func (c *Coordinator) forward(rep transport.NodeID, ch <-chan transport.Result, replies chan<- transport.Result) {
+	var res transport.Result
+	select {
+	case res = <-ch:
+	case <-c.clk.After(c.opts.RequestTimeout):
+		res.Err = context.DeadlineExceeded
+	case <-c.stop:
+		res.Err = errShutdown
+	}
+	res.From = rep
+	replies <- res
+}
+
+// push delivers already-timestamped entries to one replica (read
+// repair, hint replay): a write round over one replica.
+func (c *Coordinator) push(to transport.NodeID, req transport.ApplyEntriesReq) error {
+	return c.round(context.Background(), writeKind, quorum{[]transport.NodeID{to}, 1}, false, &ack{plain{req}})
+}
+
+// ack is the exchange of a push: the reply counts, nothing is kept.
+type ack struct{ plain }
+
+func (*ack) fold(res transport.Result) (int, error) {
+	if _, ok := res.Resp.(transport.AckResp); !ok || res.Err != nil {
+		return 0, failure(res)
+	}
+	return 1, nil
+}
+
+// failure is why res does not carry the response its round asked for.
+func failure(res transport.Result) error {
+	if res.Err != nil {
+		return res.Err
+	}
+	return fmt.Errorf("coord: unexpected response %T from node %d", res.Resp, res.From)
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"vstore/internal/clock"
 	"vstore/internal/cluster"
 	"vstore/internal/core"
 	"vstore/internal/model"
@@ -693,4 +694,61 @@ func TestAbandonedPropagationCounted(t *testing.T) {
 	if h.mgrs[0].Stats().Abandoned.Load() == 0 {
 		t.Fatal("abandoned propagation not counted")
 	}
+}
+
+// holdClock parks every AfterFunc callback until the test runs it, so a
+// PropagationDelay holds propagation back for as long as the test likes.
+type holdClock struct {
+	clock.Clock
+	mu   sync.Mutex
+	held []func()
+}
+
+func (c *holdClock) AfterFunc(_ time.Duration, f func()) func() bool {
+	c.mu.Lock()
+	c.held = append(c.held, f)
+	c.mu.Unlock()
+	return func() bool { return false }
+}
+
+func (c *holdClock) release() {
+	c.mu.Lock()
+	held := c.held
+	c.held = nil
+	c.mu.Unlock()
+	for _, f := range held {
+		f()
+	}
+}
+
+// Algorithm 1's Get-then-Put is one quorum round: with propagation held
+// back, a view-key Put has cost the coordinator one Put and no Get, and
+// the replicas N put requests and no reads of any kind.
+func TestViewKeyPutIsOneQuorumRound(t *testing.T) {
+	clk := &holdClock{Clock: clock.Wall}
+	h := newHarness(t, core.Options{Clock: clk, PropagationDelay: func() time.Duration { return time.Hour }}, 4)
+	if err := h.reg.Define(ticketDef()); err != nil {
+		t.Fatal(err)
+	}
+	err := h.mgrs[0].Put(ctxT(t), "ticket", "1", []model.ColumnUpdate{model.Update("assignedto", []byte("rliu"), 1)}, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := h.c.Coordinator(0).Stats(); st.Puts != 1 || st.Gets != 0 {
+		t.Errorf("coordinator stats = %+v, want one Put and no Get", st)
+	}
+	requests := map[string]int64{}
+	for _, n := range h.c.Nodes {
+		for kind, v := range n.RequestCounts() {
+			requests[kind] += v
+		}
+	}
+	if len(requests) != 1 || requests["put"] != 3 {
+		t.Errorf("replica requests = %v, want N=3 puts and nothing else", requests)
+	}
+	if h.mgrs[0].PendingPropagations() != 1 {
+		t.Fatalf("pending propagations = %d, want the held-back one", h.mgrs[0].PendingPropagations())
+	}
+	clk.release()
+	h.quiesce(t)
 }

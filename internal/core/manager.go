@@ -189,19 +189,10 @@ func (m *Manager) Put(ctx context.Context, table, row string, updates []model.Co
 		return m.awaitIfSync(ctx, m.scheduleLate(ctx, table, row, updates, nil, trace.FromContext(ctx), onPropagated))
 	}
 
-	var collectors coord.Collectors
-	var err error
-	if m.reg.opts.CombinedGetThenPut {
-		// The optimization of Section IV-C: one combined request.
-		collectors, err = m.co.PutWithPreRead(ctx, table, row, updates, w, cols)
-	} else {
-		// The prototype's two rounds: Get old view keys, then Put.
-		// This is what makes MV writes ~2.5x slower in Figure 5.
-		collectors, err = m.co.GetVersions(ctx, table, row, cols, w)
-		if err == nil {
-			err = m.co.Put(ctx, table, row, updates, w)
-		}
-	}
+	// One round: the Get of Algorithm 1 line 2 rides on the Put (the
+	// combination Section IV-C proposes; the prototype ran two rounds,
+	// which internal/bench reproduces from the driver for Figures 5/6).
+	collectors, err := m.co.PutWithPreRead(ctx, table, row, updates, w, cols)
 	if err != nil {
 		return err
 	}
@@ -284,6 +275,21 @@ func (m *Manager) buildTasks(table, row string, updates []model.ColumnUpdate) ([
 	return tasks, cols
 }
 
+// recollect builds the pre-image pools of a propagation that has no Put
+// to ride on: the current versions of cols re-read at majority quorum,
+// each pool seeded with the NULL guess. The write-time pre-images are
+// gone (lost with a crashed coordinator, or never taken because the
+// view did not exist yet); NULL keeps the chain anchor reachable, so a
+// pool holding only the replayed write itself cannot spin on a view row
+// that was never created.
+func (m *Manager) recollect(ctx context.Context, table, row string, cols []string) (coord.Collectors, error) {
+	collectors, err := m.co.GetVersions(ctx, table, row, cols, m.majority())
+	for _, vc := range collectors {
+		vc.Seed(model.NullCell)
+	}
+	return collectors, err
+}
+
 // Repropagate re-enqueues a recovered propagation intent: it re-reads
 // the current view-key versions at majority quorum and schedules the
 // same per-view tasks a fresh Put of updates would have. onDone fires
@@ -301,21 +307,14 @@ func (m *Manager) Repropagate(ctx context.Context, table, row string, updates []
 		}
 		return nil
 	}
-	collectors, err := m.co.GetVersions(ctx, table, row, cols, m.majority())
+	collectors, err := m.recollect(ctx, table, row, cols)
 	if err != nil {
 		return err
 	}
 	var doneChans []<-chan struct{}
 	for i := range tasks {
 		t := &tasks[i]
-		vc := collectors[t.def.ViewKeyColumn]
-		// The write-time pre-images were lost with the crash; keep the
-		// NULL guess in the pool so the walk can always fall back to the
-		// chain anchor. Without it, a pool holding only the replayed
-		// write itself spins on a view row the crash prevented from ever
-		// being created.
-		vc.Seed(model.NullCell)
-		doneChans = append(doneChans, m.schedule(t, vc, nil, nil))
+		doneChans = append(doneChans, m.schedule(t, collectors[t.def.ViewKeyColumn], nil, nil))
 	}
 	if onDone != nil {
 		afterAll(doneChans, onDone)
@@ -354,7 +353,7 @@ func (m *Manager) scheduleLate(ctx context.Context, table, row string, updates [
 	if len(missing) == 0 {
 		return nil
 	}
-	collectors, err := m.co.GetVersions(ctx, table, row, cols, m.majority())
+	collectors, err := m.recollect(ctx, table, row, cols)
 	if err != nil {
 		return nil
 	}
@@ -366,9 +365,7 @@ func (m *Manager) scheduleLate(ctx context.Context, table, row string, updates [
 	}
 	dones := make([]<-chan struct{}, 0, len(missing))
 	for _, t := range missing {
-		vc := collectors[t.def.ViewKeyColumn]
-		vc.Seed(model.NullCell)
-		dones = append(dones, m.schedule(t, vc, putSpan, onPropagated))
+		dones = append(dones, m.schedule(t, collectors[t.def.ViewKeyColumn], putSpan, onPropagated))
 	}
 	if intentLogged {
 		afterAll(dones, func() { _ = m.il.LogDone(intentID) })
@@ -394,12 +391,11 @@ func (m *Manager) BackfillPropagate(ctx context.Context, def *Def, row string, u
 	if !ok {
 		return nil
 	}
-	collectors, err := m.co.GetVersions(ctx, def.Base, row, []string{def.ViewKeyColumn}, m.majority())
+	collectors, err := m.recollect(ctx, def.Base, row, []string{def.ViewKeyColumn})
 	if err != nil {
 		return err
 	}
 	vc := collectors[def.ViewKeyColumn]
-	vc.Seed(model.NullCell)
 	t.fill = ctx
 	// onPropagated happens-before close(done) inside schedule's finish,
 	// so reading perr after the receive is race-free.

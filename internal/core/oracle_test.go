@@ -168,14 +168,6 @@ func TestRandomizedOraclePropagatorsMode(t *testing.T) {
 	}
 }
 
-func TestRandomizedOracleCombinedGetThenPut(t *testing.T) {
-	for seed := int64(20); seed <= 22; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			randomWorkload(t, core.Options{CombinedGetThenPut: true}, seed, 120)
-		})
-	}
-}
-
 func TestRandomizedOraclePathCompression(t *testing.T) {
 	for seed := int64(30); seed <= 32; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

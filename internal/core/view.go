@@ -17,6 +17,13 @@
 // row no matter which updates have already propagated; view reads
 // (Algorithm 4) filter to live rows so applications never see the
 // versioning.
+//
+// The "Get-then-Put" of Algorithm 1 is one request here, always: the
+// base-table Put asks every replica for the view-key pre-images it
+// overwrites (the combination Section IV-C proposes), and their replies
+// are the propagation's guesses. There is no separate pre-read round
+// and no option for one; Coordinator.GetVersions serves only the
+// propagations that have no Put to ride on (Manager.recollect).
 package core
 
 import (
@@ -248,12 +255,6 @@ type Options struct {
 	// Propagators sizes the dedicated pool for ModePropagators.
 	// Default 8.
 	Propagators int
-	// CombinedGetThenPut merges the pre-read of Algorithm 1 line 2
-	// into the Put request itself (one round instead of two), the
-	// optimization the paper describes but did not prototype. Off by
-	// default to match the measured system (Figure 5's 2.5x MV write
-	// latency comes from the separate read).
-	CombinedGetThenPut bool
 	// SyncPropagation makes base-table Puts block until propagation
 	// completes. Used by tests and by the synchronous-maintenance
 	// ablation; the paper's system is asynchronous (off).

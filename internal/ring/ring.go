@@ -150,6 +150,19 @@ func (r *Ring) Size() int {
 // multi-master and all replicas are equal. If n exceeds the member
 // count, all members are returned.
 func (r *Ring) ReplicasFor(key string, n int) []NodeID {
+	return r.replicasAt(Hash64(key), n)
+}
+
+// ReplicasForRow is ReplicasFor(table + "\x00" + row, n) without
+// building the key: the one placement function of the store. Tables
+// spread independently around the ring; in particular a view table's
+// rows are placed by *view key*, which is the whole point of the view.
+func (r *Ring) ReplicasForRow(table, row string, n int) []NodeID {
+	return r.replicasAt(HashJoined(table, row), n)
+}
+
+// replicasAt walks the ring from hash h.
+func (r *Ring) replicasAt(h uint64, n int) []NodeID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.tokens) == 0 || n <= 0 {
@@ -158,7 +171,6 @@ func (r *Ring) ReplicasFor(key string, n int) []NodeID {
 	if n > len(r.nodes) {
 		n = len(r.nodes)
 	}
-	h := Hash64(key)
 	start := sort.Search(len(r.tokens), func(i int) bool { return r.tokens[i].hash >= h })
 	out := make([]NodeID, 0, n)
 walk:

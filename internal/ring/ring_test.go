@@ -183,3 +183,32 @@ func TestHashValuesPinned(t *testing.T) {
 		t.Errorf("ReplicasFor allocates %v times, want only its result", got)
 	}
 }
+
+// TestReplicasForRowMatchesJoinedKey pins the store's one placement
+// function to the joined-key form every earlier version hashed:
+// coordinator placement, the simulator's traces and on-disk layouts all
+// assume ReplicasForRow(t, r, n) == ReplicasFor(t+"\x00"+r, n).
+func TestReplicasForRowMatchesJoinedKey(t *testing.T) {
+	r := New(ids(7), 32)
+	for _, c := range []struct{ table, row string }{
+		{"data", "data-00000001"},
+		{"bysec", "sec-00000042"},
+		{"", ""},
+		{"t", ""},
+		{"", "row"},
+		{"a\x00b", "c"},
+		{"a", "b\x00c"},
+		{"\x00", "\x00\x00"},
+		{"héllo", "wörld \xff\xfe"},
+	} {
+		for _, n := range []int{0, 1, 3, 7, 9} {
+			got, want := r.ReplicasForRow(c.table, c.row, n), r.ReplicasFor(c.table+"\x00"+c.row, n)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("ReplicasForRow(%q, %q, %d) = %v, want %v", c.table, c.row, n, got, want)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { r.ReplicasForRow("data", "data-00000001", 3) }); got > 1 {
+		t.Errorf("ReplicasForRow allocates %v times, want only its result", got)
+	}
+}

@@ -722,5 +722,5 @@ func (w *world) viewPut(p *Proc, from transport.NodeID, table, rowKey string, up
 }
 
 func (w *world) replicas(table, row string) []transport.NodeID {
-	return w.ring.ReplicasFor(table+"\x00"+row, w.cfg.N)
+	return w.ring.ReplicasForRow(table, row, w.cfg.N)
 }

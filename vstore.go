@@ -193,9 +193,6 @@ type ViewOptions struct {
 	DedicatedPropagators bool
 	// Propagators sizes the pool. Default 8.
 	Propagators int
-	// CombinedGetThenPut folds the view-key pre-read into the base
-	// Put (one round trip instead of two).
-	CombinedGetThenPut bool
 	// SynchronousMaintenance makes base Puts block until views are
 	// updated (an ablation; the paper's design is asynchronous).
 	SynchronousMaintenance bool
@@ -372,7 +369,6 @@ func Open(cfg Config) (*DB, error) {
 	reg := core.NewRegistry(core.Options{
 		Mode:                   mode,
 		Propagators:            cfg.Views.Propagators,
-		CombinedGetThenPut:     cfg.Views.CombinedGetThenPut,
 		SyncPropagation:        cfg.Views.SynchronousMaintenance,
 		PathCompression:        cfg.Views.PathCompression,
 		PropagationDelay:       cfg.Views.PropagationDelay,
