@@ -196,8 +196,11 @@ func runSim(rounds int, seed int64, baseRows, keys int, compress, durable bool, 
 				extra += fmt.Sprintf(", backfill: %d scanned/%d fills/%d resumes/%d drops live=%v",
 					r.BackfillRowsScanned, r.BackfillFills, r.BackfillResumes, r.ViewDrops, r.BackfillLive)
 			}
-			fmt.Printf("ok   seed=%d  %d events, %d propagations, %d chain hops, %d compressions%s, trace %s\n",
-				s, r.Events, r.Propagations, r.ChainHops, r.Compressions, extra, r.TraceHash[:16])
+			co := r.Coord
+			fmt.Printf("ok   seed=%d  %d events, %d propagations, %d chain hops, %d compressions, coord: %d digest reads/%d mismatches/%d repairs/%d hints/%d replayed/%d multigets%s, trace %s\n",
+				s, r.Events, r.Propagations, r.ChainHops, r.Compressions,
+				co.DigestReads, co.DigestMismatches, co.ReadRepairs, co.HintsStored, co.HintsReplayed, co.MultiGets,
+				extra, r.TraceHash[:16])
 		}
 	}
 	if failures > 0 {

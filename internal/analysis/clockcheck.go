@@ -1,6 +1,9 @@
 package analysis
 
-import "go/ast"
+import (
+	"go/ast"
+	"strings"
+)
 
 // bannedTime is the set of package-level time functions that read or
 // schedule against the process wall clock. Each has an equivalent on
@@ -18,6 +21,13 @@ var bannedTime = map[string]bool{
 	"Until":     true,
 }
 
+// simExecuted are the directories whose code runs inside the
+// deterministic simulator as well as in production. There a context
+// deadline (context.WithTimeout/WithDeadline and their Cause variants)
+// is a wall-clock timer too; the equivalent is context.WithCancel
+// cancelled from clock.Clock.AfterFunc.
+var simExecuted = []string{"internal/core", "internal/coord"}
+
 // ClockCheck enforces the clock-injection rule the deterministic
 // simulator depends on: outside internal/clock (which wraps the real
 // clock), cmd/ (operator tools) and examples/, no code may consult
@@ -25,10 +35,14 @@ var bannedTime = map[string]bool{
 // a clock.Clock and default it with clock.Or; wall-clock-only drivers
 // say so explicitly with clock.Wall. A single raw time.Now in a
 // sim-reachable path makes replay traces diverge between runs — the
-// exact bug class the MV_SEED machinery exists to prevent.
+// exact bug class the MV_SEED machinery exists to prevent. In the
+// packages the simulator executes (simExecuted) a context deadline is
+// the same bypass in disguise — a propagation was once abandoned on the
+// wall clock while its back-off ran on the injected one — and is
+// flagged too.
 var ClockCheck = &Pass{
 	Name: "clockcheck",
-	Doc:  "raw time.Now/Sleep/After/... outside internal/clock, cmd/ and examples/",
+	Doc:  "raw time.Now/Sleep/After/... outside internal/clock, cmd/ and examples/; context.WithTimeout/WithDeadline in internal/core and internal/coord",
 	Run:  runClockCheck,
 }
 
@@ -36,11 +50,16 @@ func runClockCheck(u *Unit) {
 	if u.InDirs("internal/clock", "cmd", "examples") {
 		return
 	}
+	ctxDeadlines := u.InDirs(simExecuted...)
 	for _, file := range u.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
+			}
+			if name, ok := u.pkgFunc(file, sel, "context"); ok && ctxDeadlines &&
+				(strings.HasPrefix(name, "WithTimeout") || strings.HasPrefix(name, "WithDeadline")) {
+				u.Reportf(sel.Pos(), "context.%s arms a wall-clock timer the injected clock cannot see; use context.WithCancel cancelled from clock.Clock.AfterFunc so the deadline runs on the clock the simulator drives", name)
 			}
 			// Flagging the selector (not just calls) also catches
 			// function values like `now = time.Now`.

@@ -138,6 +138,12 @@ func TestWalOrderGolden(t *testing.T)    { checkGolden(t, WalOrder, "walbad", "i
 func TestDotCheckGolden(t *testing.T)    { checkGolden(t, DotCheck, "dotbad", "internal/core/dotbad") }
 func TestGoExitGolden(t *testing.T)      { checkGolden(t, GoExit, "goexitbad", "") }
 
+// TestClockCheckContextGolden loads its fixture as a package of
+// internal/core, where clockcheck also bans context deadlines.
+func TestClockCheckContextGolden(t *testing.T) {
+	checkGolden(t, ClockCheck, "ctxclockbad", "internal/core/ctxclockbad")
+}
+
 // TestStaleCheckGolden runs clockcheck alongside stalecheck, so the
 // fixture's used directive is distinguishable from its stale one.
 func TestStaleCheckGolden(t *testing.T) {

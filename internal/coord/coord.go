@@ -22,6 +22,7 @@ package coord
 import (
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -74,8 +75,12 @@ type Coordinator struct {
 	// sync is non-nil when the fabric completes calls on the caller's
 	// goroutine (transport.SyncCaller); only the round reads it.
 	sync transport.SyncCaller
-	opts Options
-	clk  clock.Clock
+	// event is non-nil when the fabric is one thread of control that
+	// parks and resumes its callers (transport.EventCaller); only the
+	// round and goTracked read it.
+	event transport.EventCaller
+	opts  Options
+	clk   clock.Clock
 
 	hintMu sync.Mutex
 	hints  map[transport.NodeID][]transport.ApplyEntriesReq
@@ -119,6 +124,20 @@ type Stats struct {
 	MultiGetRows int64
 }
 
+// Add folds o's counts into s.
+func (s *Stats) Add(o Stats) {
+	s.Puts += o.Puts
+	s.Gets += o.Gets
+	s.ReadRepairs += o.ReadRepairs
+	s.HintsStored += o.HintsStored
+	s.HintsReplayed += o.HintsReplayed
+	s.QuorumFails += o.QuorumFails
+	s.DigestReads += o.DigestReads
+	s.DigestMismatches += o.DigestMismatches
+	s.MultiGets += o.MultiGets
+	s.MultiGetRows += o.MultiGetRows
+}
+
 // New returns a coordinator for node self.
 func New(self transport.NodeID, rg *ring.Ring, tr transport.Transport, opts Options) *Coordinator {
 	c := &Coordinator{
@@ -131,6 +150,7 @@ func New(self transport.NodeID, rg *ring.Ring, tr transport.Transport, opts Opti
 		stop:  make(chan struct{}),
 	}
 	c.sync, _ = tr.(transport.SyncCaller)
+	c.event, _ = tr.(transport.EventCaller)
 	if c.opts.HintReplayInterval > 0 {
 		c.wg.Add(1)
 		go c.hintLoop()
@@ -147,14 +167,20 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
-// goTracked runs f on a goroutine the Close method waits for. It
-// refuses (returning false) once shutdown has begun, so late background
-// work is skipped rather than racing the final Wait.
+// goTracked runs f on a goroutine the Close method waits for — on an
+// event fabric, as a process of the fabric's, which needs no waiting
+// for. It refuses (returning false) once shutdown has begun, so late
+// background work is skipped rather than racing the final Wait.
 func (c *Coordinator) goTracked(f func()) bool {
 	c.trackMu.Lock()
 	if c.stopped {
 		c.trackMu.Unlock()
 		return false
+	}
+	if c.event != nil {
+		c.trackMu.Unlock()
+		c.event.Spawn(f)
+		return true
 	}
 	c.wg.Add(1)
 	c.trackMu.Unlock()
@@ -460,16 +486,23 @@ func (c *Coordinator) hintLoop() {
 	}
 }
 
-// ReplayHints makes one delivery attempt for every queued hint.
-// Successfully delivered hints are dropped; failures stay queued.
+// ReplayHints makes one delivery attempt for every queued hint, targets
+// in ascending node order and each target's hints in the order they
+// were stored. Successfully delivered hints are dropped; failures stay
+// queued.
 func (c *Coordinator) ReplayHints() {
 	c.hintMu.Lock()
 	pending := c.hints
 	c.hints = map[transport.NodeID][]transport.ApplyEntriesReq{}
 	c.hintMu.Unlock()
 
-	for target, hs := range pending {
-		for _, h := range hs {
+	targets := make([]transport.NodeID, 0, len(pending))
+	for target := range pending {
+		targets = append(targets, target)
+	}
+	slices.Sort(targets)
+	for _, target := range targets {
+		for _, h := range pending[target] {
 			if err := c.push(target, h); err != nil {
 				c.hintMu.Lock()
 				c.hints[target] = append(c.hints[target], h)

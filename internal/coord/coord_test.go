@@ -13,13 +13,16 @@ import (
 	"vstore/internal/transport"
 )
 
-// forEachFabric runs fn on both kinds of fabric a quorum round can find
-// itself on: Direct, which completes calls on the caller's goroutine
-// (transport.SyncCaller), and a zero-latency Sim, which only has the
-// asynchronous Call. Tests under it assert what holds on either.
+// forEachFabric runs fn on the three kinds of fabric a quorum round can
+// find itself on: Direct, which completes calls on the caller's
+// goroutine (transport.SyncCaller); a zero-latency Sim, which only has
+// the asynchronous Call; and an event fabric (transport.EventCaller, the
+// scripted one of round_test.go delivering every reply in the order
+// sent). Tests under it assert what holds on all three.
 func forEachFabric(t *testing.T, fn func(t *testing.T, tr transport.Transport)) {
 	t.Run("sync", func(t *testing.T) { fn(t, transport.NewDirect()) })
 	t.Run("async", func(t *testing.T) { fn(t, transport.NewSim(transport.SimOptions{Seed: 1})) })
+	t.Run("event", func(t *testing.T) { fn(t, newScripted()) })
 }
 
 // harness wires nodes, a ring and coordinators over a fabric.

@@ -1,10 +1,12 @@
 package coord
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"vstore/internal/model"
 	"vstore/internal/trace"
@@ -132,9 +134,20 @@ func mergeRow(dst, src model.Row) {
 }
 
 // readRepair pushes the merged winning cells to every responder that
-// returned stale or missing versions.
+// returned stale or missing versions: one push after another in
+// ascending node order, each push's entries in key order, so repair
+// traffic is the same from run to run.
 func (c *Coordinator) readRepair(table, row string, merged model.Row, responders map[transport.NodeID]model.Row) {
-	for nodeID, seen := range responders {
+	var buf [8]transport.NodeID // on the stack for any sane replication factor
+	nodes := buf[:0]
+	for nodeID := range responders {
+		nodes = append(nodes, nodeID)
+	}
+	slices.Sort(nodes)
+	var stale []transport.NodeID
+	var fixes []transport.ApplyEntriesReq
+	for _, nodeID := range nodes {
+		seen := responders[nodeID]
 		var fix []model.Entry
 		for col, win := range merged {
 			have, ok := seen[col]
@@ -145,11 +158,20 @@ func (c *Coordinator) readRepair(table, row string, merged model.Row, responders
 		if len(fix) == 0 {
 			continue
 		}
+		slices.SortFunc(fix, func(a, b model.Entry) int { return bytes.Compare(a.Key, b.Key) })
 		c.bump(func(s *Stats) { s.ReadRepairs++ })
-		// Fire and forget: the read that found the divergence does not
-		// wait for its repair.
-		c.goTracked(func() { _ = c.push(nodeID, transport.ApplyEntriesReq{Table: table, Entries: fix}) })
+		stale, fixes = append(stale, nodeID), append(fixes, transport.ApplyEntriesReq{Table: table, Entries: fix})
 	}
+	if len(stale) == 0 {
+		return
+	}
+	// Fire and forget: the read that found the divergence does not wait
+	// for its repair.
+	c.goTracked(func() {
+		for i, nodeID := range stale {
+			_ = c.push(nodeID, fixes[i])
+		}
+	})
 }
 
 // --- Digest reads ----------------------------------------------------------

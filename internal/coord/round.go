@@ -13,7 +13,8 @@ import (
 // Put with or without its pre-read, GetVersions, the digest and the
 // full read, MultiGet's per-replica-set read, repair and hint pushes —
 // is an exchange run by round; nothing else in the package sends a
-// request, waits on a reply or knows which fabric it is on.
+// request, waits on a reply or knows which fabric it is on (goTracked,
+// which starts background work, is the one other place that asks).
 
 // kind is what a round is for. It fixes how a synchronous fabric runs
 // the round (see roundSync): a property of the request, not a setting.
@@ -113,6 +114,8 @@ func (c *Coordinator) round(ctx context.Context, k kind, q quorum, drain bool, x
 		t.fail(ctx.Err())
 	case c.sync != nil:
 		c.roundSync(k, q, drain, x, &t)
+	case c.event != nil:
+		t = c.roundEvent(q, drain, x, t) // by value: the callbacks keep theirs
 	default:
 		c.roundAsync(ctx, q, drain, x, &t)
 	}
@@ -213,6 +216,44 @@ func (c *Coordinator) roundAsync(ctx context.Context, q quorum, drain bool, x ex
 			x.settled()
 		})
 	}
+}
+
+// roundEvent runs a round over an event fabric, with roundAsync's
+// semantics and none of its machinery: the caller parks, the fabric
+// delivers each reply as an event that folds it, and the reply that
+// decides the round wakes the caller. Stragglers of a won draining round
+// are folded as they are delivered; settled, which may run rounds of its
+// own, gets a process of its own after the last. The fabric answers
+// every send exactly once, so there is nothing to time out or to stop.
+func (c *Coordinator) roundEvent(q quorum, drain bool, x exchange, t tally) tally {
+	pending, returned := len(q.replicas), false
+	c.event.Park(func(wake func()) {
+		for _, rep := range q.replicas {
+			c.event.Send(c.self, rep, x.request(rep), func(res transport.Result) {
+				res.From = rep
+				pending--
+				switch {
+				case !returned:
+					t.count(x.fold(res))
+					if returned = t.won() || t.lost(); returned {
+						if t.won() && drain && pending > 0 {
+							x.detach()
+						}
+						wake()
+					}
+				case t.won() && drain:
+					x.fold(res) // counted by nobody: the round has returned
+					if pending == 0 {
+						c.goTracked(x.settled)
+					}
+				}
+			})
+		}
+	})
+	if t.won() && drain && pending == 0 {
+		x.settled()
+	}
+	return t
 }
 
 // forward delivers one call's result to its round — or its timeout, or

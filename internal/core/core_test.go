@@ -752,3 +752,62 @@ func TestViewKeyPutIsOneQuorumRound(t *testing.T) {
 	clk.release()
 	h.quiesce(t)
 }
+
+// A live propagation is abandoned on the injected clock, the one its
+// back-off runs on: however much wall time passes, nothing is abandoned
+// while the injected clock stands still, and the propagation fails once
+// that clock passes MaxPropagationRetry. (The deadline used to be a
+// context.WithTimeout on the process clock.)
+func TestPropagationAbandonedOnInjectedClock(t *testing.T) {
+	clk := &holdClock{Clock: clock.Wall}
+	h := newHarness(t, core.Options{
+		Clock:               clk,
+		MaxPropagationRetry: 20 * time.Millisecond,
+		RetryBackoff:        time.Millisecond,
+		PropagationDelay:    func() time.Duration { return 0 },
+	}, 4)
+	mustDefine(t, h, ticketDef())
+	outcome := make(chan error, 1)
+	err := h.mgrs[0].Put(ctxT(t), "ticket", "1", []model.ColumnUpdate{model.Update("assignedto", []byte("rliu"), 1)}, 2,
+		func(_ string, err error) { outcome <- err })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The propagation is held back by its PropagationDelay; by the time
+	// it starts no view quorum is reachable, so every round fails.
+	for i := 1; i < h.c.Size(); i++ {
+		h.c.SetNodeDown(transport.NodeID(i), true)
+	}
+	clk.release()
+	heldTimers := func() int {
+		clk.mu.Lock()
+		defer clk.mu.Unlock()
+		return len(clk.held)
+	}
+	for deadline := time.Now().Add(10 * time.Second); heldTimers() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the propagation never armed its abandon timer on the injected clock")
+		}
+	}
+	time.Sleep(200 * time.Millisecond) // ten MaxPropagationRetry of wall time
+	select {
+	case err := <-outcome:
+		t.Fatalf("propagation ended (%v) while the injected clock stood still", err)
+	default:
+	}
+	if n := h.mgrs[0].Stats().Abandoned.Load(); n != 0 || h.mgrs[0].PendingPropagations() != 1 {
+		t.Fatalf("abandoned = %d, pending = %d, want the propagation still retrying", n, h.mgrs[0].PendingPropagations())
+	}
+	clk.release() // the injected clock passes MaxPropagationRetry
+	select {
+	case err := <-outcome:
+		if err == nil {
+			t.Fatal("propagation succeeded with no view quorum reachable")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("propagation not abandoned after the injected clock passed MaxPropagationRetry")
+	}
+	if n := h.mgrs[0].Stats().Abandoned.Load(); n != 1 {
+		t.Fatalf("abandoned = %d, want 1", n)
+	}
+}

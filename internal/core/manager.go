@@ -95,7 +95,7 @@ type Stats struct {
 func NewManager(reg *Registry, co *coord.Coordinator) *Manager {
 	m := &Manager{reg: reg, co: co}
 	m.round = Round{
-		Port: coordPort{m}, Stats: &m.stats, Obs: reg.obs,
+		Port: NewCoordPort(co, m.serialize), Stats: &m.stats, Obs: reg.obs,
 		MaxChainHops: reg.opts.MaxChainHops, PathCompression: reg.opts.PathCompression,
 	}
 	if n := reg.opts.MaxPendingPropagations; n > 0 {
@@ -112,16 +112,25 @@ func (m *Manager) Registry() *Registry { return m.reg }
 
 // majority is the read and write quorum used for all view-table
 // operations during propagation, per Algorithm 2's note.
-func (m *Manager) majority() int { return m.co.N()/2 + 1 }
+func majority(co *coord.Coordinator) int { return co.N()/2 + 1 }
 
-// coordPort is the production Port: quorum rounds through the manager's
-// coordinator, serialized by the registry's lock service. In
-// ModePropagators a round already runs on the row's dedicated
-// propagator, which provides the serialization.
-type coordPort struct{ m *Manager }
+// coordPort is the Port over a coordinator: majority quorum rounds, and
+// whatever serialization its runtime brings.
+type coordPort struct {
+	co        *coord.Coordinator
+	serialize func(key string, exclusive bool) (release func())
+}
+
+// NewCoordPort returns the Port every runtime with a real coordinator
+// runs propagation rounds over — Manager with the registry's lock
+// service, the simulator with its virtual-time locks. serialize is
+// Port.Serialize.
+func NewCoordPort(co *coord.Coordinator, serialize func(key string, exclusive bool) (release func())) Port {
+	return coordPort{co, serialize}
+}
 
 func (p coordPort) Get(ctx context.Context, table, row string, cols []string) (model.Row, error) {
-	return p.m.co.Get(ctx, table, row, cols, p.m.majority(), false)
+	return p.co.Get(ctx, table, row, cols, majority(p.co), false)
 }
 
 func (p coordPort) MultiGet(ctx context.Context, table string, rows, cols []string) ([]model.Row, error) {
@@ -129,21 +138,26 @@ func (p coordPort) MultiGet(ctx context.Context, table string, rows, cols []stri
 	for i, row := range rows {
 		reads[i] = coord.RowRead{Row: row, Columns: cols}
 	}
-	return p.m.co.MultiGet(ctx, table, reads, p.m.majority())
+	return p.co.MultiGet(ctx, table, reads, majority(p.co))
 }
 
 func (p coordPort) Put(ctx context.Context, table, row string, updates []model.ColumnUpdate) error {
-	return p.m.co.Put(ctx, table, row, updates, p.m.majority())
+	return p.co.Put(ctx, table, row, updates, majority(p.co))
 }
 
-func (p coordPort) Serialize(key string, exclusive bool) func() {
+func (p coordPort) Serialize(key string, exclusive bool) func() { return p.serialize(key, exclusive) }
+
+// serialize is the production Port.Serialize: the registry's lock
+// service. In ModePropagators a round already runs on the row's
+// dedicated propagator, which provides the serialization.
+func (m *Manager) serialize(key string, exclusive bool) func() {
 	switch {
-	case p.m.reg.opts.Mode != ModeLocks:
+	case m.reg.opts.Mode != ModeLocks:
 		return func() {}
 	case exclusive:
-		return p.m.reg.locks.Lock(key)
+		return m.reg.locks.Lock(key)
 	default:
-		return p.m.reg.locks.RLock(key)
+		return m.reg.locks.RLock(key)
 	}
 }
 
@@ -283,7 +297,7 @@ func (m *Manager) buildTasks(table, row string, updates []model.ColumnUpdate) ([
 // pool holding only the replayed write itself cannot spin on a view row
 // that was never created.
 func (m *Manager) recollect(ctx context.Context, table, row string, cols []string) (coord.Collectors, error) {
-	collectors, err := m.co.GetVersions(ctx, table, row, cols, m.majority())
+	collectors, err := m.co.GetVersions(ctx, table, row, cols, majority(m.co))
 	for _, vc := range collectors {
 		vc.Seed(model.NullCell)
 	}
@@ -480,16 +494,29 @@ type retry struct {
 	t       *Task
 	vc      *coord.VersionCollector
 	ctx     context.Context
-	cancel  context.CancelFunc
+	cancel  context.CancelCauseFunc
+	disarm  func() bool // stops the abandon timer; nil for a fill
 	backoff time.Duration
+}
+
+// release frees the retry's context and timer once the propagation is
+// over.
+func (r *retry) release() {
+	if r.disarm != nil {
+		r.disarm()
+	}
+	r.cancel(nil)
 }
 
 func (m *Manager) newRetry(t *Task, vc *coord.VersionCollector, sp *trace.Span) *retry {
 	r := &retry{m: m, t: t, vc: vc, backoff: m.reg.opts.RetryBackoff}
 	if t.fill != nil {
-		r.ctx, r.cancel = context.WithCancel(t.fill)
+		r.ctx, r.cancel = context.WithCancelCause(t.fill)
 	} else {
-		r.ctx, r.cancel = context.WithTimeout(context.Background(), m.reg.opts.MaxPropagationRetry)
+		// The abandon deadline runs on the injected clock, like the
+		// back-off it bounds.
+		r.ctx, r.cancel = context.WithCancelCause(context.Background())
+		r.disarm = m.reg.clk.AfterFunc(m.reg.opts.MaxPropagationRetry, func() { r.cancel(context.DeadlineExceeded) })
 	}
 	r.ctx = trace.NewContext(r.ctx, sp)
 	return r
@@ -505,7 +532,7 @@ func (r *retry) attempt() (over bool, err error, wait time.Duration) {
 	if r.ctx.Err() != nil {
 		r.m.stats.Abandoned.Add(1)
 		return true, fmt.Errorf("core: propagation to %q for base row %q abandoned (%v)",
-			r.t.def.Name, r.t.baseKey, r.ctx.Err()), 0
+			r.t.def.Name, r.t.baseKey, context.Cause(r.ctx)), 0
 	}
 	wait = r.backoff
 	if r.backoff *= 2; r.backoff > 50*time.Millisecond {
@@ -519,7 +546,7 @@ func (r *retry) attempt() (over bool, err error, wait time.Duration) {
 // across the wait below.
 func (m *Manager) runPropagation(t *Task, vc *coord.VersionCollector, sp *trace.Span) error {
 	r := m.newRetry(t, vc, sp)
-	defer r.cancel()
+	defer r.release()
 	for {
 		over, err, wait := r.attempt()
 		if over {
@@ -554,14 +581,14 @@ func (m *Manager) runPropagationViaPool(t *Task, vc *coord.VersionCollector, sp 
 	submit := func() {
 		if !m.reg.pool.Submit(t.lockKey, step) {
 			// Pool shut down: finish inline.
-			r.cancel()
+			r.release()
 			finish(m.runPropagation(t, vc, sp))
 		}
 	}
 	step = func() {
 		over, err, wait := r.attempt()
 		if over {
-			r.cancel()
+			r.release()
 			finish(err)
 			return
 		}
@@ -607,7 +634,7 @@ func (m *Manager) GetView(ctx context.Context, view, viewKey string, columns []s
 
 	deadline := m.reg.clk.Now().Add(m.reg.opts.ReadSpin)
 	for {
-		cells, err := m.co.Get(ctx, view, viewKey, nil, m.majority(), true)
+		cells, err := m.co.Get(ctx, view, viewKey, nil, majority(m.co), true)
 		if err != nil {
 			return nil, err
 		}

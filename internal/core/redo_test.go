@@ -295,3 +295,61 @@ func TestPrevIsReserved(t *testing.T) {
 		t.Fatalf("__prev decoded as data: %+v", rows[0])
 	}
 }
+
+// A view-key deletion whose pre-image guesses are all tombstones is not
+// a deletion of nothing: the row an earlier key created may still be
+// live, so the deletion must walk to it and stamp __deleted. Treating
+// tombstoned pre-images as "never written" no-opped the deletion, and a
+// stale refresh of the old key at a timestamp between the two deletions
+// then resurrected the view row (simulator seed 710836887, whose
+// schedule no longer reaches this interleaving now that the simulator
+// sends the coordinator's messages).
+func TestDeletionOverTombstonedPreImagesStampsDeleted(t *testing.T) {
+	const bk = "r"
+	def := &Def{Name: "v", Base: "b", ViewKeyColumn: "k", Materialized: []string{"m"}}
+	port := &fakePort{t: t, tables: map[string]map[string]model.Row{}}
+	var stats Stats
+	round := Round{Port: port, Stats: &stats, Obs: NewViewObs(), MaxChainHops: 64}
+	var acked []BaseUpdate
+	// ack applies a view-key update to the base row and returns the
+	// version it replaced — its propagation's pre-image.
+	ack := func(cell model.Cell) (BaseUpdate, model.Cell) {
+		u := BaseUpdate{BaseKey: bk, Column: "k", Cell: cell}
+		acked = append(acked, u)
+		base := port.row(def.Base, bk)
+		pre := cellOf(base, "k")
+		base["k"] = model.Merge(pre, cell)
+		return u, pre
+	}
+	propagate := func(u BaseUpdate, pool staticPool) {
+		t.Helper()
+		task, _ := TaskFor(def, bk, []model.ColumnUpdate{{Column: u.Column, Cell: u.Cell}})
+		if done, err := round.Try(context.Background(), &task, pool); !done {
+			t.Fatalf("update %v did not propagate: %v", u, err)
+		}
+	}
+	deletedTS := func() int64 { return cellOf(port.row(def.Name, "k1"), model.Qualify(bk, ColDeleted)).TS }
+
+	create, pre := ack(model.Cell{Value: []byte("k1"), TS: 10})
+	propagate(create, staticPool{pre})
+	firstDel, firstPre := ack(model.Cell{Tombstone: true, TS: 20}) // acknowledged, propagates last
+	secondDel, pre := ack(model.Cell{Tombstone: true, TS: 30})
+	if !pre.Tombstone {
+		t.Fatalf("second deletion's pre-image is %v, want the first deletion's tombstone", pre)
+	}
+	propagate(secondDel, staticPool{pre})
+	if got := deletedTS(); got != 30 {
+		t.Fatalf("row k1 carries __deleted at ts %d after a deletion at 30 whose only pre-image was a tombstone", got)
+	}
+	refresh, pre := ack(model.Cell{Value: []byte("k1"), TS: 25}) // loses to the second deletion in the base table
+	propagate(refresh, staticPool{pre, model.NullCell})
+	propagate(firstDel, staticPool{firstPre})
+
+	if want := ExpectedView(def, nil, acked); len(want) != 0 {
+		t.Fatalf("oracle expects %v, the test's history should leave the key deleted", want)
+	}
+	rows, initializing := assembleViewRows([]*Def{def}, "k1", port.row(def.Name, "k1"), nil)
+	if len(rows) != 0 || initializing {
+		t.Fatalf("deleted row resurrected: reader sees %v (initializing=%v)", rows, initializing)
+	}
+}

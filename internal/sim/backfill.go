@@ -25,10 +25,12 @@ package sim
 // judges the current generation.
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"vstore/internal/backfill"
+	"vstore/internal/coord"
 	"vstore/internal/core"
 	"vstore/internal/model"
 	"vstore/internal/transport"
@@ -39,10 +41,10 @@ import (
 type propTarget struct {
 	def   *core.Def
 	alive func() bool // nil = the view can never be dropped
-	// fresh: the view never saw this write's pre-read; start its guess
-	// pool from NULL plus fresh replica reads instead of the pre-image
-	// pool (whose stale-live guesses may name rows this view has not
-	// backfilled yet and never will).
+	// fresh: the view never saw this write's pre-read; it collects its
+	// own guess pool (NULL plus fresh replica reads) instead of the
+	// pre-image pool (whose stale-live guesses may name rows this view
+	// has not backfilled yet and never will).
 	fresh bool
 }
 
@@ -78,8 +80,8 @@ func (w *world) activateBF() {
 	gen := w.bfGen
 	for _, n := range w.nodes {
 		id := n.ID()
-		w.s.Go(0, fmt.Sprintf("backfill node %d gen %d", id, gen), func(pp *Proc) {
-			w.runBackfillScan(pp, id, gen)
+		w.s.Go(0, fmt.Sprintf("backfill node %d gen %d", id, gen), func() {
+			w.runBackfillScan(id, gen)
 		})
 	}
 }
@@ -112,8 +114,8 @@ func (w *world) dropBF() {
 // generation, filling each row and checkpointing the cursor after each
 // page. It exits when the generation is dropped or the node
 // crash-restarts (the restart respawns it from the checkpoint).
-func (w *world) runBackfillScan(p *Proc, id transport.NodeID, gen int) {
-	epoch := w.epochs[id]
+func (w *world) runBackfillScan(id transport.NodeID, gen int) {
+	epoch, co := w.epochs[id], w.coords[id]
 	alive := w.bfAliveFn(gen)
 	name := w.bfDef.Name
 	var store backfill.Store
@@ -161,12 +163,12 @@ func (w *world) runBackfillScan(p *Proc, id transport.NodeID, gen int) {
 				return
 			}
 			w.report.BackfillRowsScanned++
-			w.backfillFill(p, id, gen, epoch, bk)
+			w.backfillFill(co, alive, epoch, bk)
 		}
 		cursor = rows[len(rows)-1]
 		save(false)
 		// Throttle: yield a beat so live writes interleave with the scan.
-		p.Sleep(2 * time.Millisecond)
+		w.s.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -185,18 +187,18 @@ func (w *world) bfScanFinished(gen int, id transport.NodeID) {
 }
 
 // backfillFill propagates one base row's current state into the
-// backfilled view, like the real DB's filler: quorum-read the row, then
-// run its view-key and materialized cells through one regular
-// propagation (creating or promoting the view row and seeding its
-// data). The view had no pre-images before it existed, hence the
-// nullPool. The propagation shares the pending/inflight
-// accounting of an ack-time one, so the staleness-gauge invariant and
-// the per-key quiescence gating hold for fills too. Fill lag is not
-// observed into PropLag — the histogram measures client-visible
-// write-to-view staleness, and a bulk fill of an hours-old cell is not
-// that.
-func (w *world) backfillFill(p *Proc, id transport.NodeID, gen, epoch int, bk string) {
-	alive := w.bfAliveFn(gen)
+// backfilled view, like the real DB's filler: quorum-read the row
+// through the node's coordinator, then run its view-key and materialized
+// cells through one regular propagation (creating or promoting the view
+// row and seeding its data). The view had no pre-images before it
+// existed, so the propagation collects its own pool (recollect). It
+// shares the pending/inflight accounting of an ack-time one, so the
+// staleness-gauge invariant and the per-key quiescence gating hold for
+// fills too. Fill lag is not observed into PropLag — the histogram
+// measures client-visible write-to-view staleness, and a bulk fill of
+// an hours-old cell is not that.
+func (w *world) backfillFill(co *coord.Coordinator, alive func() bool, epoch int, bk string) {
+	id := co.Self()
 	var merged model.Row
 	backoff := time.Millisecond
 	for attempt := 0; ; attempt++ {
@@ -208,11 +210,11 @@ func (w *world) backfillFill(p *Proc, id transport.NodeID, gen, epoch int, bk st
 			return
 		}
 		var err error
-		merged, err = w.quorumGet(p, id, baseTable, bk, []string{vkCol, matCol})
+		merged, err = co.Get(context.Background(), baseTable, bk, []string{vkCol, matCol}, w.majority(), false)
 		if err == nil {
 			break
 		}
-		p.Backoff(&backoff, 16*time.Millisecond)
+		w.s.Backoff(&backoff, 16*time.Millisecond)
 	}
 	vk, ok := merged[vkCol]
 	if !ok || !vk.Exists() {
@@ -226,7 +228,7 @@ func (w *world) backfillFill(p *Proc, id transport.NodeID, gen, epoch int, bk st
 		updates = append(updates, model.ColumnUpdate{Column: matCol, Cell: mat})
 	}
 	retire := w.trackPropagation(bk)
-	if w.runPropagation(p, id, w.bfDef, bk, updates, nullPool(), epoch, alive) == propDone {
+	if w.runPropagation(co, w.bfDef, bk, updates, nil, epoch, alive) == propDone {
 		w.report.BackfillFills++
 	}
 	retire()

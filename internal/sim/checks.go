@@ -347,7 +347,7 @@ func (w *world) checkCausalConvergence() error {
 		if u.Cell.Dot.IsZero() {
 			continue
 		}
-		for _, id := range w.replicas(baseTable, u.BaseKey) {
+		for _, id := range w.coords[0].ReplicasFor(baseTable, u.BaseKey) {
 			cell, ok := states[id][u.BaseKey][u.Column]
 			if !ok {
 				return fmt.Errorf("causal convergence: node %d has no cell at %s.%s but write %v (ts %d) was acknowledged",

@@ -1,27 +1,28 @@
 package sim
 
 // The simulated client-put path: the workload generator and the client
-// side of Algorithm 1. This is the one place the simulator mints dots —
-// the twin of the root package's client.go, and like it the only file
-// dotcheck lets stamp a cell.
+// side of Algorithm 1. This is the one place the simulator has a
+// coordinator stamp a dot — the twin of the root package's client.go,
+// and like it the only file dotcheck lets call StampDot.
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"vstore/internal/coord"
 	"vstore/internal/core"
-	"vstore/internal/dvv"
 	"vstore/internal/model"
 	"vstore/internal/transport"
 	"vstore/internal/wal"
 )
 
-func (w *world) runClient(p *Proc, id int) {
+func (w *world) runClient(id int) {
 	cfg := w.cfg
 	rnd := w.s.Rand()
 	meanGap := int64(cfg.Duration) / int64(cfg.OpsPerClient)
 	for op := 0; op < cfg.OpsPerClient; op++ {
-		p.Sleep(time.Duration(rnd.Int63n(meanGap) + 1))
+		w.s.Sleep(time.Duration(rnd.Int63n(meanGap) + 1))
 		row := rnd.Intn(cfg.BaseRows)
 		if cfg.SkewedWrites && rnd.Intn(10) < 7 && cfg.BaseRows > 2 {
 			row = rnd.Intn(2) // hot keys r0/r1
@@ -39,29 +40,24 @@ func (w *world) runClient(p *Proc, id int) {
 		default:
 			u = model.Update(matCol, []byte(fmt.Sprintf("v%d-%d", id, op)), ts)
 		}
-		w.putWithRetry(p, coordID, bk, u)
+		w.putWithRetry(coordID, bk, u)
 	}
 }
 
-// putWithRetry is the client side of Algorithm 1: a quorum base-table
-// write carrying a pre-read of the view-key column, retried with the
-// same cell until acknowledged (so the final base state is exactly the
-// set of acknowledged updates), then an asynchronous propagation.
-func (w *world) putWithRetry(p *Proc, coordID transport.NodeID, bk string, u model.ColumnUpdate) {
+// putWithRetry is the client side of Algorithm 1: the coordinator's
+// combined Get-then-Put (coord.PutWithPreRead, what Manager.Put sends),
+// retried with the same cell until acknowledged (so the final base state
+// is exactly the acknowledged updates), then an asynchronous propagation.
+func (w *world) putWithRetry(coordID transport.NodeID, bk string, u model.ColumnUpdate) {
 	w.pendingOps[bk]++
-	// Stamp the write once, before the retry loop: retries resend the
-	// same causal event, so a replica applying the second attempt over
-	// the first sees its own dot already in the context and counts no
-	// phantom sibling. The context is the coordinator's self entry —
-	// per-coordinator sequence numbers are contiguous, so a later dot
-	// from the same coordinator subsumes all its earlier ones.
-	w.dotSeqs[coordID]++
-	u.Cell.Dot = dvv.Dot{Node: uint32(coordID), Seq: w.dotSeqs[coordID]}
-	u.Cell.Ctx = dvv.VV{uint32(coordID): w.dotSeqs[coordID]}
-	vers := &versionSet{}
-	req := transport.PutReq{Table: baseTable, Row: bk, Updates: []model.ColumnUpdate{u}, ReturnVersionsOf: []string{vkCol}}
-	replicas := w.replicas(baseTable, bk)
-	quorum := len(replicas)/2 + 1
+	// Stamped once, before the retry loop, where production stamps it:
+	// retries resend the same causal event, so a replica applying the
+	// second attempt over the first sees its own dot already in the
+	// context and counts no phantom sibling.
+	u.Cell.Dot, u.Cell.Ctx = w.coords[coordID].StampDot(baseTable, bk)
+	w.dotSeqs[coordID] = u.Cell.Dot.Seq
+	updates := []model.ColumnUpdate{u}
+	var vers *coord.VersionCollector
 	backoff := 2 * time.Millisecond
 	for attempt := 0; ; attempt++ {
 		if attempt > 5000 {
@@ -69,8 +65,14 @@ func (w *world) putWithRetry(p *Proc, coordID transport.NodeID, bk string, u mod
 			w.pendingOps[bk]--
 			return
 		}
-		if acks := w.broadcastPut(p, coordID, replicas, req, vers); acks < quorum {
-			p.Backoff(&backoff, 20*time.Millisecond)
+		// The client talks to whichever incarnation of its coordinator is
+		// up. A failed attempt's pre-images stay in the pool: it may have
+		// landed where replies were lost, and the retry pre-reads itself.
+		co, epoch := w.coords[coordID], w.epochs[coordID]
+		cs, err := co.PutWithPreRead(context.Background(), baseTable, bk, updates, w.majority(), []string{vkCol})
+		vers = carry(cs[vkCol], vers)
+		if err != nil || w.epochs[coordID] != epoch { // no quorum, or the coordinator died under the request
+			w.s.Backoff(&backoff, 20*time.Millisecond)
 			continue
 		}
 		// Durable mode, the Algorithm-1 ordering the WAL enforces:
@@ -84,18 +86,14 @@ func (w *world) putWithRetry(p *Proc, coordID transport.NodeID, bk string, u mod
 		// dot, so replicas treat it as the same causal event — and a
 		// fresh intent id is allocated on the next attempt.
 		var intentID uint64
-		var epoch int
-		intentLogged := false
 		if w.durable {
 			st := w.storages[coordID]
-			epoch = w.epochs[coordID]
 			intentID = st.NextIntentID()
-			if err := st.LogIntentStart(wal.Intent{ID: intentID, Table: baseTable, Row: bk, Updates: []model.ColumnUpdate{u}}); err != nil {
+			if err := st.LogIntentStart(wal.Intent{ID: intentID, Table: baseTable, Row: bk, Updates: updates}); err != nil {
 				w.s.Record("intent-log-fail", fmt.Sprintf("base=%s col=%s ts=%d: %v", bk, u.Column, u.Cell.TS, err))
-				p.Backoff(&backoff, 20*time.Millisecond)
+				w.s.Backoff(&backoff, 20*time.Millisecond)
 				continue
 			}
-			intentLogged = true
 		}
 		w.report.Acked++
 		w.acked = append(w.acked, core.BaseUpdate{BaseKey: bk, Column: u.Column, Cell: u.Cell})
@@ -105,8 +103,8 @@ func (w *world) putWithRetry(p *Proc, coordID transport.NodeID, bk string, u mod
 		if w.cfg.MaxPropDelay > 0 {
 			delay = time.Duration(w.s.Rand().Int63n(int64(w.cfg.MaxPropDelay)))
 		}
-		w.startPropagations(delay, "propagate", coordID, bk, u, vers, epoch, func() {
-			if intentLogged {
+		w.startPropagations(delay, "propagate", co, bk, u, vers, epoch, func() {
+			if w.durable {
 				_ = w.storages[coordID].LogIntentDone(intentID) // stays pending; next restart retries
 			}
 		})

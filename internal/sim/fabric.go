@@ -7,41 +7,26 @@ import (
 	"vstore/internal/transport"
 )
 
-// FabricOptions configure the simulated network. All randomness
-// (jitter, drops) comes from the scheduler's single rand source.
-type FabricOptions struct {
-	// Latency is the mean one-way message latency.
-	Latency time.Duration
-	// Jitter is the half-width of the uniform perturbation per hop.
-	Jitter time.Duration
-	// DropProb is the probability a one-way message is lost; the sender
-	// observes transport.ErrDropped after DropDelay (an RPC timeout).
-	DropProb float64
-	// DropDelay is how long a lost or unroutable message takes to
-	// surface as an error. Default 10ms.
-	DropDelay time.Duration
-}
-
 // Fabric is the deterministic network: message delivery, loss, node
 // failure and partition are all scheduler events in virtual time. It
 // implements transport.Transport so real components (the anti-entropy
-// agent, storage nodes) plug in unchanged.
+// agent, storage nodes) plug in unchanged, and transport.EventCaller so
+// the real coordinators run their quorum rounds on the scheduler.
 type Fabric struct {
 	s        *Scheduler
-	opts     FabricOptions
+	opts     Config // the network part: Latency, Jitter, DropProb, DropDelay
 	handlers map[transport.NodeID]transport.Handler
 	down     map[transport.NodeID]bool
 	blocked  map[[2]transport.NodeID]bool
 }
 
-// NewFabric returns a fabric driven by the scheduler.
-func NewFabric(s *Scheduler, opts FabricOptions) *Fabric {
-	if opts.DropDelay == 0 {
-		opts.DropDelay = 10 * time.Millisecond
-	}
+// NewFabric returns a fabric driven by the scheduler, with cfg's
+// network: all randomness (jitter, drops) comes from the scheduler's
+// single rand source.
+func NewFabric(s *Scheduler, cfg Config) *Fabric {
 	return &Fabric{
 		s:        s,
-		opts:     opts,
+		opts:     cfg,
 		handlers: map[transport.NodeID]transport.Handler{},
 		down:     map[transport.NodeID]bool{},
 		blocked:  map[[2]transport.NodeID]bool{},
@@ -61,10 +46,7 @@ func (f *Fabric) SetDown(id transport.NodeID, down bool) {
 
 // Partition implements transport.Transport.
 func (f *Fabric) Partition(a, b transport.NodeID, blocked bool) {
-	if a > b {
-		a, b = b, a
-	}
-	f.blocked[[2]transport.NodeID{a, b}] = blocked
+	f.blocked[[2]transport.NodeID{min(a, b), max(a, b)}] = blocked
 }
 
 // route reports whether from can currently reach to. A node always
@@ -76,38 +58,41 @@ func (f *Fabric) route(from, to transport.NodeID) error {
 	if f.down[to] {
 		return transport.ErrNodeDown
 	}
-	a, b := from, to
-	if a > b {
-		a, b = b, a
-	}
-	if from != to && f.blocked[[2]transport.NodeID{a, b}] {
+	if from != to && f.blocked[[2]transport.NodeID{min(from, to), max(from, to)}] {
 		return transport.ErrUnreachable
 	}
 	return nil
 }
 
-// sample draws one one-way latency and a drop decision from the
-// scheduler's rand.
-func (f *Fabric) sample() (time.Duration, bool) {
+// hop draws the latency and drop decision of one message from the
+// scheduler's rand. A node talks to itself without a network hop.
+func (f *Fabric) hop(from, to transport.NodeID) (time.Duration, bool) {
+	if from == to {
+		return 0, false
+	}
 	rnd := f.s.Rand()
 	lat := f.opts.Latency
 	if f.opts.Jitter > 0 {
 		lat += time.Duration(rnd.Int63n(int64(2*f.opts.Jitter))) - f.opts.Jitter
 	}
-	if lat < 0 {
-		lat = 0
-	}
 	drop := f.opts.DropProb > 0 && rnd.Float64() < f.opts.DropProb
-	return lat, drop
+	return max(lat, 0), drop
 }
 
 // reqKind compactly names a request type for the trace.
 func reqKind(req transport.Request) string {
-	switch req.(type) {
+	switch r := req.(type) {
 	case transport.PutReq:
+		if len(r.ReturnVersionsOf) > 0 {
+			return "put+preread"
+		}
 		return "put"
 	case transport.GetReq:
 		return "get"
+	case transport.GetDigestReq:
+		return "getdigest"
+	case transport.MultiGetReq:
+		return "multiget"
 	case transport.ApplyEntriesReq:
 		return "apply"
 	case transport.DigestReq:
@@ -121,52 +106,49 @@ func reqKind(req transport.Request) string {
 	}
 }
 
-// Send delivers req to node to and invokes cb exactly once with the
-// outcome, from a future scheduled event. The request executes at
-// delivery time even when the reply is subsequently lost — at-least-once
-// semantics, which is what makes partial writes and retried duplicates
-// reachable states.
+// Park implements transport.EventCaller: it parks the running process
+// until wake is called from a later event.
+func (f *Fabric) Park(arm func(wake func())) { f.s.Await(arm) }
+
+// Spawn implements transport.EventCaller: fn becomes a process of its
+// own at the current virtual instant.
+func (f *Fabric) Spawn(fn func()) { f.s.Go(0, "coord-background", fn) }
+
+// Send implements transport.EventCaller: it delivers req to node to and
+// invokes cb exactly once with the outcome, from a future scheduled
+// event. The request executes at delivery time even when the reply is
+// subsequently lost — at-least-once semantics, which is what makes
+// partial writes and retried duplicates reachable states.
 func (f *Fabric) Send(from, to transport.NodeID, req transport.Request, cb func(transport.Result)) {
 	kind := reqKind(req)
+	there := fmt.Sprintf("%d->%d %s", from, to, kind)
+	// lost surfaces a message that went nowhere, an RPC timeout later.
+	lost := func(kind, detail string, err error) {
+		f.s.Schedule(f.opts.DropDelay, kind, detail, func() { cb(transport.Result{From: to, Err: err}) })
+	}
 	if err := f.route(from, to); err != nil {
-		e := err
-		f.s.Schedule(f.opts.DropDelay, "neterr", fmt.Sprintf("%d->%d %s: %v", from, to, kind, e), func() {
-			cb(transport.Result{From: to, Err: e})
-		})
+		lost("neterr", fmt.Sprintf("%s: %v", there, err), err)
 		return
 	}
-	var lat time.Duration
-	var drop bool
-	if from != to {
-		lat, drop = f.sample()
-	}
+	lat, drop := f.hop(from, to)
 	if drop {
-		f.s.Schedule(f.opts.DropDelay, "drop", fmt.Sprintf("%d->%d %s", from, to, kind), func() {
-			cb(transport.Result{From: to, Err: transport.ErrDropped})
-		})
+		lost("drop", there, transport.ErrDropped)
 		return
 	}
-	f.s.Schedule(lat, "deliver", fmt.Sprintf("%d->%d %s", from, to, kind), func() {
+	f.s.Schedule(lat, "deliver", there, func() {
 		// Re-check at delivery time so faults injected mid-flight count.
 		if err := f.route(from, to); err != nil {
 			cb(transport.Result{From: to, Err: err})
 			return
 		}
 		resp, err := f.handlers[to].HandleRequest(from, req)
-		var replyLat time.Duration
-		var replyDrop bool
-		if from != to {
-			replyLat, replyDrop = f.sample()
-		}
-		if replyDrop {
-			f.s.Schedule(f.opts.DropDelay, "drop", fmt.Sprintf("%d->%d %s reply", to, from, kind), func() {
-				cb(transport.Result{From: to, Err: transport.ErrDropped})
-			})
+		back := fmt.Sprintf("%d->%d %s", to, from, kind)
+		lat, drop := f.hop(to, from)
+		if drop {
+			lost("drop", back+" reply", transport.ErrDropped)
 			return
 		}
-		f.s.Schedule(replyLat, "reply", fmt.Sprintf("%d->%d %s", to, from, kind), func() {
-			cb(transport.Result{From: to, Resp: resp, Err: err})
-		})
+		f.s.Schedule(lat, "reply", back, func() { cb(transport.Result{From: to, Resp: resp, Err: err}) })
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"vstore/internal/antientropy"
+	"vstore/internal/coord"
 	"vstore/internal/core"
 	"vstore/internal/lsm"
 	"vstore/internal/metrics"
@@ -238,6 +239,9 @@ type Report struct {
 	CrashRestarts      int // nodes killed and recovered from disk
 	IntentsReenqueued  int // pending propagation intents replayed at restarts
 	ConcurrentWrites   int // replica-observed causally concurrent sibling pairs (DVV)
+	// Coord sums the counters of every coordinator of the run, the ones
+	// that died in a crash-restart included.
+	Coord coord.Stats
 
 	// Online-backfill scenario counters (CreateViewAt > 0).
 	BackfillRowsScanned int  // base rows visited by backfill scans
@@ -260,17 +264,6 @@ func ReplayCommand(seed int64) string {
 	return fmt.Sprintf("MV_SEED=%d go test -run TestSimReplay ./internal/sim  (or: go run ./cmd/mvverify -sim -seed %d)", seed, seed)
 }
 
-// versionSet collects the distinct pre-image view-key versions observed
-// by a write's replica responses — the propagation's guess pool
-// (core.Pool).
-type versionSet struct {
-	cells    model.VersionSet
-	complete bool // all N replicas reported
-}
-
-func (v *versionSet) Versions() []model.Cell { return v.cells.Cells() }
-func (v *versionSet) Complete() bool         { return v.complete }
-
 // world is the mutable state of one simulation run. It is only touched
 // from the scheduler's thread of control, so it needs no locks.
 type world struct {
@@ -279,6 +272,7 @@ type world struct {
 	fab    *Fabric
 	ring   *ring.Ring
 	nodes  []*node.Node
+	coords []*coord.Coordinator // the shipping coordinator, one per node
 	agents []*antientropy.Agent
 	def    *core.Def
 
@@ -293,15 +287,16 @@ type world struct {
 	storages []*wal.Storage
 	epochs   []int
 
-	locks      map[string]*simLock // per-base-key propagation serialization
+	locks      map[string][]func() // held propagation locks and who waits for each
 	pendingOps map[string]int      // base key → un-acked client writes
 	inflight   map[string]int      // base key → running propagations
 	acked      []core.BaseUpdate   // every acknowledged base update, in ack order
 
-	// dotSeqs is each coordinator's dotted-version-vector write counter.
+	// dotSeqs is the highest dot sequence each coordinator has stamped.
 	// It lives at world level, outside the crashable node state, because
-	// dot uniqueness must survive restarts — the real stack re-derives
-	// the same high-water mark by scanning durable state at recovery.
+	// dot uniqueness must survive restarts: a rebuilt coordinator is
+	// seeded with it (SeedDotSeq), the high-water mark the real stack
+	// re-derives by scanning durable state at recovery.
 	dotSeqs []uint64
 
 	// propPending mirrors what DB.Stats' staleness gauge tracks: one
@@ -341,8 +336,8 @@ func Run(cfg Config) *Report {
 	w := &world{
 		cfg:         cfg,
 		s:           s,
-		fab:         NewFabric(s, FabricOptions{Latency: cfg.Latency, Jitter: cfg.Jitter, DropProb: cfg.DropProb, DropDelay: cfg.DropDelay}),
-		locks:       map[string]*simLock{},
+		fab:         NewFabric(s, cfg),
+		locks:       map[string][]func(){},
 		pendingOps:  map[string]int{},
 		inflight:    map[string]int{},
 		propPending: map[uint64]time.Duration{},
@@ -369,6 +364,7 @@ func Run(cfg Config) *Report {
 		}
 	}
 	w.nodes = make([]*node.Node, cfg.Nodes)
+	w.coords = make([]*coord.Coordinator, cfg.Nodes)
 	w.agents = make([]*antientropy.Agent, cfg.Nodes)
 	w.storages = make([]*wal.Storage, cfg.Nodes)
 	w.backends = make([]physical.Backend, cfg.Nodes)
@@ -402,7 +398,7 @@ func Run(cfg Config) *Report {
 
 	for c := 0; c < cfg.Clients; c++ {
 		c := c
-		s.Go(time.Duration(c)*time.Millisecond, fmt.Sprintf("client-%d", c), func(p *Proc) { w.runClient(p, c) })
+		s.Go(time.Duration(c)*time.Millisecond, fmt.Sprintf("client-%d", c), func() { w.runClient(c) })
 	}
 	w.scheduleChaos()
 	if cfg.AntiEntropyEvery > 0 {
@@ -411,6 +407,9 @@ func Run(cfg Config) *Report {
 			round++
 			s.Schedule(at, "antientropy", fmt.Sprintf("round %d", round), w.antiEntropyRound)
 		}
+	}
+	for at, round := hintReplayEvery, 1; at < cfg.Duration; at, round = at+hintReplayEvery, round+1 {
+		s.Go(at, fmt.Sprintf("hint-replay round %d", round), w.replayHints)
 	}
 	if cfg.InjectCycleAt > 0 {
 		s.Schedule(cfg.InjectCycleAt, "inject", "pointer cycle", w.injectCycle)
@@ -449,8 +448,9 @@ func Run(cfg Config) *Report {
 			_ = st.Close() // end-of-run cleanup
 		}
 	}
-	for _, n := range w.nodes {
+	for id, n := range w.nodes {
 		w.report.ConcurrentWrites += int(n.ConcurrentWrites())
+		w.retireCoord(transport.NodeID(id))
 	}
 	w.report.Err = err
 	w.report.Propagations = int(w.stats.Propagations.Load() + w.stats.NoOps.Load())
@@ -463,20 +463,6 @@ func Run(cfg Config) *Report {
 	w.report.TraceHash = s.Trace().Hash()
 	w.report.Trace = s.Trace()
 	return w.report
-}
-
-// lsmOptions are a node's storage-engine options, identical across
-// restarts so a recovered node is indistinguishable from the original.
-func (w *world) lsmOptions(id transport.NodeID) lsm.Options {
-	return lsm.Options{Seed: w.cfg.Seed + int64(id), FlushBytes: w.cfg.FlushBytes}
-}
-
-func (w *world) newAgent(n *node.Node) *antientropy.Agent {
-	return antientropy.New(n, w.fab, antientropy.Options{
-		Buckets: 32,
-		Tables:  w.syncTables,
-		Peers:   w.ring.Nodes,
-	})
 }
 
 // syncTables is the anti-entropy table set: the fixed tables plus the
@@ -535,7 +521,10 @@ func (w *world) openNode(id transport.NodeID) (intents []wal.Intent, err error) 
 			return nil, fmt.Errorf("node %d: open storage: %w", id, err)
 		}
 	}
-	n := node.New(node.Options{ID: id, LSM: w.lsmOptions(id), Durable: st})
+	// Storage-engine options are identical across restarts, so a
+	// recovered node is indistinguishable from the original.
+	n := node.New(node.Options{ID: id, Durable: st,
+		LSM: lsm.Options{Seed: w.cfg.Seed + int64(id), FlushBytes: w.cfg.FlushBytes}})
 	if st != nil {
 		if _, intents, err = n.Recover(); err != nil {
 			return nil, fmt.Errorf("node %d: recover: %w", id, err)
@@ -544,10 +533,37 @@ func (w *world) openNode(id transport.NodeID) (intents []wal.Intent, err error) 
 			fb.SetEnabled(true)
 		}
 	}
-	n.SetPlacement(w.replicas)
 	w.fab.Register(id, n)
-	w.nodes[id], w.storages[id], w.agents[id] = n, st, w.newAgent(n)
+	w.nodes[id], w.storages[id] = n, st
+	w.agents[id] = antientropy.New(n, w.fab, antientropy.Options{Buckets: 32, Tables: w.syncTables, Peers: w.ring.Nodes})
+	// The coordinator that ships, its quorum rounds running on the
+	// scheduler (the fabric is a transport.EventCaller). It has no replay
+	// ticker — replayHints is scheduled instead — and never reads its
+	// clock: timeouts and tickers are all an event fabric has no use for.
+	w.coords[id] = coord.New(id, w.ring, w.fab, coord.Options{N: w.cfg.N, HintReplayInterval: -1})
+	w.coords[id].SeedDotSeq(w.dotSeqs[id])
+	n.SetPlacement(w.coords[id].ReplicasFor)
 	return intents, nil
+}
+
+// retireCoord folds a coordinator's counters into the report and shuts
+// it down — at the end of the run, or when its node dies: its hints and
+// per-row causal contexts die with it, as in a real process.
+func (w *world) retireCoord(id transport.NodeID) {
+	w.report.Coord.Add(w.coords[id].Stats())
+	w.coords[id].Close()
+}
+
+// hintReplayEvery is the cadence of hinted-handoff replay during the
+// fault window; one more round runs when the faults heal.
+const hintReplayEvery = 100 * time.Millisecond
+
+// replayHints is coord's hintLoop as a finite process (so the event
+// heap still drains): one delivery attempt for every queued hint.
+func (w *world) replayHints() {
+	for id := range w.coords {
+		w.coords[id].ReplayHints()
+	}
 }
 
 // crashRestart is the durable-mode kill: the node loses its entire
@@ -564,9 +580,10 @@ func (w *world) crashRestart(id transport.NodeID) {
 	w.epochs[id]++ // in-flight propagation threads of this node die
 	// The dying node's sibling observations would vanish with it.
 	w.report.ConcurrentWrites += int(w.nodes[id].ConcurrentWrites())
+	w.retireCoord(id)
 	old := w.storages[id]
 	_ = old.Abandon()              // crash model: no final sync
-	intents, err := w.openNode(id) // replaces the dead node's handler
+	intents, err := w.openNode(id) // replaces the dead node's handler and coordinator
 	if err != nil {
 		w.s.Fail(fmt.Errorf("crash-restart: %w", err))
 		return
@@ -592,7 +609,7 @@ func (w *world) crashRestart(id transport.NodeID) {
 		// restarts from NULL. Replay is idempotent — LWW cells and the
 		// redo-safe promotion sequence make a second (or partial re-)
 		// application converge to the same rows.
-		w.startPropagations(0, "replay-intent", id, bk, u, nil, epoch, func() {
+		w.startPropagations(0, "replay-intent", w.coords[id], bk, u, nil, epoch, func() {
 			_ = w.storages[id].LogIntentDone(it.ID) // stays pending; next restart retries
 		})
 	}
@@ -601,8 +618,8 @@ func (w *world) crashRestart(id transport.NodeID) {
 	if w.bfActive && !w.bfDone[id] {
 		gen := w.bfGen
 		w.report.BackfillResumes++
-		w.s.Go(0, fmt.Sprintf("backfill-resume node %d gen %d", id, gen), func(pp *Proc) {
-			w.runBackfillScan(pp, id, gen)
+		w.s.Go(0, fmt.Sprintf("backfill-resume node %d gen %d", id, gen), func() {
+			w.runBackfillScan(id, gen)
 		})
 	}
 }
@@ -623,6 +640,7 @@ func (w *world) healAll() {
 			w.fab.Partition(transport.NodeID(i), transport.NodeID(j), false)
 		}
 	}
+	w.s.Go(0, "hint-replay after heal", w.replayHints)
 }
 
 // injectCycle plants a deliberate Definition-3 violation: two view rows
@@ -642,85 +660,11 @@ func (w *world) injectCycle() {
 }
 
 // antiEntropyRound synchronously reconciles every node pair. Exchanges
-// ride the fabric's synchronous Call path, so rounds during faults see
-// (and tolerate) unreachable peers.
+// ride the fabric's synchronous Call path — anti-entropy is the one
+// component that does — so rounds during faults see (and tolerate)
+// unreachable peers.
 func (w *world) antiEntropyRound() {
 	for _, a := range w.agents {
 		a.RunRound()
 	}
-}
-
-// --- Quorum primitives ------------------------------------------------------
-
-// gather sends req to every replica and parks until each has replied or
-// errored, handing every successful response to onResp; it returns the
-// number of acks.
-func (w *world) gather(p *Proc, from transport.NodeID, replicas []transport.NodeID, req transport.Request, onResp func(transport.Response)) int {
-	return p.Await(func(resolve func(interface{})) {
-		acks, replies := 0, 0
-		for _, to := range replicas {
-			w.fab.Send(from, to, req, func(r transport.Result) {
-				if r.Err == nil {
-					acks++
-					onResp(r.Resp)
-				}
-				if replies++; replies == len(replicas) {
-					resolve(acks)
-				}
-			})
-		}
-	}).(int)
-}
-
-// broadcastPut fans a write out to the replicas; it returns the ack
-// count and, when vers is non-nil, feeds the replicas' pre-image
-// view-key versions into it (complete when every replica answered).
-func (w *world) broadcastPut(p *Proc, from transport.NodeID, replicas []transport.NodeID, req transport.PutReq, vers *versionSet) int {
-	acks := w.gather(p, from, replicas, req, func(resp transport.Response) {
-		if pr, ok := resp.(transport.PutResp); ok && vers != nil {
-			vers.cells.Add(pr.Old[vkCol])
-		}
-	})
-	if vers != nil && acks == len(replicas) {
-		vers.complete = true
-	}
-	return acks
-}
-
-// quorumGet reads the requested columns of one row with a majority
-// quorum, LWW-merging the replica responses.
-func (w *world) quorumGet(p *Proc, from transport.NodeID, table, row string, cols []string) (model.Row, error) {
-	replicas := w.replicas(table, row)
-	merged := model.Row{}
-	acks := w.gather(p, from, replicas, transport.GetReq{Table: table, Row: row, Columns: cols}, func(resp transport.Response) {
-		for _, c := range cols {
-			if cell, ok := resp.(transport.GetResp).Cells[c]; ok {
-				if old, seen := merged[c]; seen {
-					cell = model.Merge(old, cell)
-				}
-				merged[c] = cell
-			}
-		}
-	})
-	if quorum := len(replicas)/2 + 1; acks < quorum {
-		return nil, fmt.Errorf("sim: read quorum failed for %s/%q (%d/%d)", table, row, acks, quorum)
-	}
-	return merged, nil
-}
-
-// viewPut writes cells into a view row with the majority quorum
-// Algorithm 2 mandates (simPort.Put; the shared round has already
-// stripped the cells' dot metadata).
-func (w *world) viewPut(p *Proc, from transport.NodeID, table, rowKey string, updates []model.ColumnUpdate) error {
-	replicas := w.replicas(table, rowKey)
-	quorum := len(replicas)/2 + 1
-	req := transport.PutReq{Table: table, Row: rowKey, Updates: updates}
-	if acks := w.broadcastPut(p, from, replicas, req, nil); acks < quorum {
-		return fmt.Errorf("sim: write quorum failed for view %q row %q (%d/%d)", table, rowKey, acks, quorum)
-	}
-	return nil
-}
-
-func (w *world) replicas(table, row string) []transport.NodeID {
-	return w.ring.ReplicasForRow(table, row, w.cfg.N)
 }

@@ -65,10 +65,9 @@ type invariant struct {
 
 // Scheduler is the virtual-time event loop. All methods must be called
 // from the scheduler's thread of control: either from event functions,
-// or from Proc code (which runs exclusively while the scheduler is
+// or from process code (which runs exclusively while the scheduler is
 // parked).
 type Scheduler struct {
-	seed       int64
 	rnd        *rand.Rand
 	now        time.Duration
 	seq        int64
@@ -84,6 +83,10 @@ type Scheduler struct {
 	// with an empty name.
 	failedInvariant string
 	failedAt        time.Duration
+	// running is the process whose segment is executing right now, nil
+	// while a plain event function runs. At most one process is ever
+	// runnable, so this is all Await needs to know whom to park.
+	running *proc
 }
 
 // NewScheduler returns a scheduler whose entire behavior derives from
@@ -94,15 +97,11 @@ func NewScheduler(seed int64, checkEvery int) *Scheduler {
 		checkEvery = 1
 	}
 	return &Scheduler{
-		seed:       seed,
 		rnd:        rand.New(rand.NewSource(seed)),
 		trace:      &Trace{},
 		checkEvery: checkEvery,
 	}
 }
-
-// Seed returns the run's seed.
-func (s *Scheduler) Seed() int64 { return s.seed }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
@@ -112,10 +111,6 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rnd }
 
 // Trace returns the event trace recorded so far.
 func (s *Scheduler) Trace() *Trace { return s.trace }
-
-// Failure returns the first invariant violation (or injected failure),
-// if any.
-func (s *Scheduler) Failure() error { return s.failure }
 
 // FailedInvariant names the invariant behind Failure (empty when the
 // failure came from outside the invariant sweep).
@@ -147,7 +142,7 @@ func (s *Scheduler) Record(kind, detail string) {
 }
 
 // Fail stops the run with err after the current event completes.
-// Callable from event functions and Proc code alike.
+// Callable from event functions and process code alike.
 func (s *Scheduler) Fail(err error) {
 	if s.failure == nil {
 		s.failure = err
@@ -194,60 +189,66 @@ func (s *Scheduler) runChecks() {
 
 // --- Simulated processes ---------------------------------------------------
 
-// Proc is a simulated process: blocking-style code (quorum round trips,
+// proc is a simulated process: blocking-style code (quorum round trips,
 // retry loops with backoff) that runs as a coroutine of the scheduler.
 // The unbuffered resume/parked handshake guarantees the process runs
 // only while the scheduler is blocked on it, so process segments are
 // serialized with events and with each other.
-type Proc struct {
-	s      *Scheduler
-	resume chan interface{}
+type proc struct {
+	resume chan struct{}
 	parked chan struct{}
 }
 
 // Go schedules a new process to start after delay. name labels the
 // spawn event in the trace.
-func (s *Scheduler) Go(delay time.Duration, name string, fn func(p *Proc)) {
+func (s *Scheduler) Go(delay time.Duration, name string, fn func()) {
 	s.Schedule(delay, "spawn", name, func() {
-		p := &Proc{s: s, resume: make(chan interface{}), parked: make(chan struct{})}
-		go func() {
-			fn(p)
-			p.parked <- struct{}{}
-		}()
-		<-p.parked
+		p := &proc{resume: make(chan struct{}), parked: make(chan struct{})}
+		s.run(p, func() {
+			go func() {
+				fn()
+				p.parked <- struct{}{}
+			}()
+		})
 	})
 }
 
-// Scheduler returns the process's scheduler.
-func (p *Proc) Scheduler() *Scheduler { return p.s }
+// run makes p the running process, sets it going with start and blocks
+// the caller — an event function, or the segment of another process
+// that woke this one — until p parks again (or ends).
+func (s *Scheduler) run(p *proc, start func()) {
+	prev := s.running
+	s.running = p
+	start()
+	<-p.parked
+	s.running = prev
+}
 
-// Await parks the process until resolve is called, then returns the
-// resolved value. start runs immediately (still in the process's
-// exclusive segment) and must arrange for resolve to be invoked exactly
-// once from a future scheduled event — never synchronously, which would
-// deadlock. Multi-callback aggregations (quorum fan-outs) must guard
-// their resolve so stragglers arriving after resolution only mutate
-// state.
-func (p *Proc) Await(start func(resolve func(v interface{}))) interface{} {
-	start(func(v interface{}) {
-		p.resume <- v
-		<-p.parked
-	})
+// Await parks the running process until wake is called. arm runs
+// immediately (still in the process's exclusive segment) and must
+// arrange for wake to be invoked exactly once from a future scheduled
+// event — never synchronously, which would deadlock. Callers need no
+// handle on their process: a coordinator's quorum round, reached through
+// the fabric, parks whichever process it runs on.
+func (s *Scheduler) Await(arm func(wake func())) {
+	p := s.running
+	if p == nil {
+		panic("sim: blocking call outside a simulated process; start it with Scheduler.Go")
+	}
+	arm(func() { s.run(p, func() { p.resume <- struct{}{} }) })
 	p.parked <- struct{}{}
-	return <-p.resume
+	<-p.resume
 }
 
-// Sleep parks the process for d of virtual time.
-func (p *Proc) Sleep(d time.Duration) {
-	p.Await(func(resolve func(interface{})) {
-		p.s.Schedule(d, "timer", "", func() { resolve(nil) })
-	})
+// Sleep parks the running process for d of virtual time.
+func (s *Scheduler) Sleep(d time.Duration) {
+	s.Await(func(wake func()) { s.Schedule(d, "timer", "", wake) })
 }
 
 // Backoff sleeps for *d, then doubles it up to max: the pacing of every
 // retry loop in the simulator.
-func (p *Proc) Backoff(d *time.Duration, max time.Duration) {
-	p.Sleep(*d)
+func (s *Scheduler) Backoff(d *time.Duration, max time.Duration) {
+	s.Sleep(*d)
 	if *d *= 2; *d > max {
 		*d = max
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"vstore/internal/coord"
 	physmem "vstore/internal/physical/mem"
 )
 
@@ -52,6 +53,38 @@ func TestSimDeterminism(t *testing.T) {
 	}
 	if r3.TraceHash == r1.TraceHash {
 		t.Fatalf("seeds %d and %d produced identical traces", seed, seed+1)
+	}
+}
+
+// TestSimExercisesCoordinator guards the claim that a seed sweep judges
+// the shipping coordinator: over TestSimDeterminism's seeds the real
+// coordinators inside the run must have served digest reads, hit digest
+// mismatches, repaired replicas, stored and replayed hints and batched
+// chain-walk reads — or the oracle saw none of that code and the claim
+// is vacuous — and with all of it inside, a run is still a pure function
+// of its seed.
+func TestSimExercisesCoordinator(t *testing.T) {
+	seed := seedFromEnv(t, 42)
+	var sum coord.Stats
+	for _, s := range []int64{seed, seed + 1} {
+		cfg := Config{Seed: s, PathCompression: true}
+		r1, r2 := Run(cfg), Run(cfg)
+		if r1.Err != nil || r2.Err != nil {
+			t.Fatalf("seed %d failed: %v / %v", s, r1.Err, r2.Err)
+		}
+		if r1.TraceHash != r2.TraceHash || r1.Coord != r2.Coord {
+			t.Fatalf("seed %d diverged: hash %s with %+v, then hash %s with %+v", s, r1.TraceHash, r1.Coord, r2.TraceHash, r2.Coord)
+		}
+		t.Logf("seed %d: %+v", s, r1.Coord)
+		sum.Add(r1.Coord)
+	}
+	for name, n := range map[string]int64{
+		"DigestReads": sum.DigestReads, "DigestMismatches": sum.DigestMismatches, "ReadRepairs": sum.ReadRepairs,
+		"HintsStored": sum.HintsStored, "HintsReplayed": sum.HintsReplayed, "MultiGets": sum.MultiGets,
+	} {
+		if n == 0 {
+			t.Errorf("no coordinator ever counted %s across the seeds; the sweep does not exercise it", name)
+		}
 	}
 }
 

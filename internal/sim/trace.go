@@ -33,9 +33,6 @@ func (t *Trace) add(at time.Duration, kind, detail string) {
 // Len returns the number of recorded events.
 func (t *Trace) Len() int { return len(t.events) }
 
-// Events returns the recorded events in order.
-func (t *Trace) Events() []TraceEvent { return t.events }
-
 // Tail returns the last n events (all of them if fewer).
 func (t *Trace) Tail(n int) []TraceEvent {
 	if n >= len(t.events) {

@@ -143,6 +143,23 @@ type SyncCaller interface {
 	CallSync(from, to NodeID, req Request) Result
 }
 
+// EventCaller is the optional interface of a fabric that lives on one
+// thread of control (the deterministic simulator's): every delivery is
+// a scheduled event, and a caller that waits is a process the fabric
+// parks and later resumes. Callers that detect it need no goroutine,
+// channel or timer: every Send is answered exactly once, even if lost.
+type EventCaller interface {
+	// Send delivers req and hands its outcome to cb exactly once, from a
+	// later event — never from inside Send. cb must not park.
+	Send(from, to NodeID, req Request, cb func(Result))
+	// Park suspends the running process until the wake function it hands
+	// to arm is called. arm runs at once, on the caller; wake must be
+	// called exactly once, from a later event.
+	Park(arm func(wake func()))
+	// Spawn starts fn as a process of its own, free to Park.
+	Spawn(fn func())
+}
+
 // CallSync implements SyncCaller.
 func (d *Direct) CallSync(from, to NodeID, req Request) Result {
 	h, err := d.route(from, to)
