@@ -197,8 +197,9 @@ func runSim(rounds int, seed int64, baseRows, keys int, compress, durable bool, 
 					r.BackfillRowsScanned, r.BackfillFills, r.BackfillResumes, r.ViewDrops, r.BackfillLive)
 			}
 			co := r.Coord
-			fmt.Printf("ok   seed=%d  %d events, %d propagations, %d chain hops, %d compressions, coord: %d digest reads/%d mismatches/%d repairs/%d hints/%d replayed/%d multigets%s, trace %s\n",
+			fmt.Printf("ok   seed=%d  %d events, %d propagations, %d chain hops, %d compressions, manager: %d failed attempts/%d abandoned/%d late tasks/%d backpressure waits/%d shared locks, coord: %d digest reads/%d mismatches/%d repairs/%d hints/%d replayed/%d multigets%s, trace %s\n",
 				s, r.Events, r.Propagations, r.ChainHops, r.Compressions,
+				r.PropagationRetries, r.Abandoned, r.LateTasks, r.BackpressureWaits, r.SharedLocks,
 				co.DigestReads, co.DigestMismatches, co.ReadRepairs, co.HintsStored, co.HintsReplayed, co.MultiGets,
 				extra, r.TraceHash[:16])
 		}

@@ -18,9 +18,9 @@ import (
 
 // This file is the durable face of the DB: the public storage backend
 // and fsync knobs, the SCHEMA.json file that makes table/view/index
-// definitions survive a restart, the adapter that feeds propagation
-// intents into each node's write-ahead log, and the recovery pass that
-// finishes what a crashed process left pending. The per-node mechanics
+// definitions survive a restart, and the recovery pass that finishes
+// what a crashed process left pending (each node's wal.Storage is its
+// manager's propagation-intent log). The per-node mechanics
 // (segmented WALs, run files, MANIFESTs) live in internal/wal over
 // internal/physical; node state is rebuilt by cluster.Open before any
 // code here runs.
@@ -116,19 +116,6 @@ type RecoveryStats struct {
 
 // RecoveryStats reports what this DB restored at Open.
 func (db *DB) RecoveryStats() RecoveryStats { return db.recovery }
-
-// intentLog adapts one node's wal.Storage to core.IntentLog, so the
-// view manager can make propagation intents durable without knowing
-// the log format.
-type intentLog struct{ s *wal.Storage }
-
-func (il intentLog) NextIntentID() uint64 { return il.s.NextIntentID() }
-
-func (il intentLog) LogStart(id uint64, table, row string, updates []model.ColumnUpdate) error {
-	return il.s.LogIntentStart(wal.Intent{ID: id, Table: table, Row: row, Updates: updates})
-}
-
-func (il intentLog) LogDone(id uint64) error { return il.s.LogIntentDone(id) }
 
 // --- Schema persistence -----------------------------------------------------
 
@@ -380,7 +367,7 @@ func (db *DB) recoverDurable(start time.Time) error {
 
 	for i, s := range db.cluster.Storages {
 		if s != nil {
-			db.managers[i].SetIntentLog(intentLog{s: s})
+			db.managers[i].SetIntentLog(s)
 		}
 	}
 	for _, rec := range db.cluster.Recoveries {
@@ -392,16 +379,13 @@ func (db *DB) recoverDurable(start time.Time) error {
 		db.recovery.BytesReplayed += rec.Stats.BytesReplayed
 		db.recovery.TornTails += rec.Stats.TornTails
 		db.recovery.IntentsPending += len(rec.Intents)
-		storage := db.cluster.Storages[int(rec.Node)]
 		mgr := db.managers[int(rec.Node)]
 		for _, it := range rec.Intents {
-			it := it
+			// The manager marks the intent done once every propagation
+			// of it has completed; abandoned or cut short by Close, it
+			// stays pending and the next Open retries it.
 			ctx, cancel := context.WithTimeout(context.Background(), replayTimeout)
-			err := mgr.Repropagate(ctx, it.Table, it.Row, it.Updates, func() {
-				// Discarded deliberately: a failed done-mark leaves the
-				// intent pending and the next Open retries it.
-				_ = storage.LogIntentDone(it.ID)
-			})
+			err := mgr.Repropagate(ctx, it)
 			cancel()
 			if err != nil {
 				// Nothing was scheduled; the intent survives in the log

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"vstore"
 	"vstore/internal/cluster"
@@ -157,6 +158,58 @@ func TestDurableIntentDoubleReplayIdempotent(t *testing.T) {
 	defer db3.Close()
 	if rs := db3.RecoveryStats(); rs.IntentsPending != 0 {
 		t.Fatalf("replayed intents still pending: %+v", rs)
+	}
+}
+
+// TestDurableAbandonedIntentStaysPending: the intent log is the only
+// durable record that a view is stale, so a propagation given up on
+// after MaxPropagationRetry must leave its intent pending — the next
+// Open finds it and converges the view. (It used to be marked done
+// whatever the propagation's outcome.)
+func TestDurableAbandonedIntentStaysPending(t *testing.T) {
+	be := vstore.MemBackend()
+	cfg := vstore.Config{Backend: be, Views: vstore.ViewOptions{
+		// The delay is the window to take the view's quorum away in.
+		PropagationDelay:    func() time.Duration { return 100 * time.Millisecond },
+		MaxPropagationRetry: 150 * time.Millisecond,
+	}}
+	db, err := vstore.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("ticket"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateView(vstore.ViewDef{Name: "assignedto", Base: "ticket", ViewKey: "assignedto", Materialized: []string{"status"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Client(0).Put(ctxT(t), "ticket", "7", vstore.Values{"assignedto": "alice", "status": "open"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < db.Nodes(); i++ {
+		db.SetNodeDown(i, true)
+	}
+	for limit := time.Now().Add(10 * time.Second); db.Stats().Views.PropagationsDropped == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(limit) {
+			t.Fatalf("propagation neither completed nor abandoned: %+v", db.Stats().Views)
+		}
+	}
+	db.Close()
+
+	db2, err := vstore.Open(vstore.Config{Backend: be})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db2.Close()
+	if rs := db2.RecoveryStats(); rs.IntentsPending != 1 || rs.IntentsReenqueued != 1 {
+		t.Fatalf("the abandoned propagation's intent was not left pending: %+v", rs)
+	}
+	if err := db2.QuiesceViews(ctxT(t)); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := db2.Client(1).GetView(ctxT(t), "assignedto", "alice")
+	if err != nil || len(rows) != 1 || rows[0].BaseKey != "7" {
+		t.Fatalf("view after replay of the abandoned intent: %v, %v", rows, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -28,6 +29,18 @@ var bannedTime = map[string]bool{
 // cancelled from clock.Clock.AfterFunc.
 var simExecuted = []string{"internal/core", "internal/coord"}
 
+// oneThread are the directories whose code the simulator hosts whole, on
+// its single thread of control: core.Manager and the lock service under
+// it. There nothing may start a goroutine (goexit flags the go
+// statement) or wait on the clock in a way only a goroutine can deliver:
+// Clock.After and Clock.Ticker hand back channels, Clock.Sleep blocks
+// the caller. The equivalent is Clock.AfterFunc arming a wake, and a
+// park through coord.Coordinator.Park.
+var oneThread = []string{"internal/core", "internal/locks"}
+
+// blockingClock is the part of clock.Clock oneThread may not call.
+var blockingClock = map[string]bool{"After": true, "Sleep": true, "Ticker": true}
+
 // ClockCheck enforces the clock-injection rule the deterministic
 // simulator depends on: outside internal/clock (which wraps the real
 // clock), cmd/ (operator tools) and examples/, no code may consult
@@ -39,10 +52,11 @@ var simExecuted = []string{"internal/core", "internal/coord"}
 // packages the simulator executes (simExecuted) a context deadline is
 // the same bypass in disguise — a propagation was once abandoned on the
 // wall clock while its back-off ran on the injected one — and is
-// flagged too.
+// flagged too; and in the packages it hosts on one thread (oneThread)
+// so is a blocking call on the injected clock itself.
 var ClockCheck = &Pass{
 	Name: "clockcheck",
-	Doc:  "raw time.Now/Sleep/After/... outside internal/clock, cmd/ and examples/; context.WithTimeout/WithDeadline in internal/core and internal/coord",
+	Doc:  "raw time.Now/Sleep/After/... outside internal/clock, cmd/ and examples/; context.WithTimeout/WithDeadline in internal/core and internal/coord; Clock.After/Sleep/Ticker in internal/core and internal/locks",
 	Run:  runClockCheck,
 }
 
@@ -50,7 +64,7 @@ func runClockCheck(u *Unit) {
 	if u.InDirs("internal/clock", "cmd", "examples") {
 		return
 	}
-	ctxDeadlines := u.InDirs(simExecuted...)
+	ctxDeadlines, parksOnly := u.InDirs(simExecuted...), u.InDirs(oneThread...)
 	for _, file := range u.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -60,6 +74,10 @@ func runClockCheck(u *Unit) {
 			if name, ok := u.pkgFunc(file, sel, "context"); ok && ctxDeadlines &&
 				(strings.HasPrefix(name, "WithTimeout") || strings.HasPrefix(name, "WithDeadline")) {
 				u.Reportf(sel.Pos(), "context.%s arms a wall-clock timer the injected clock cannot see; use context.WithCancel cancelled from clock.Clock.AfterFunc so the deadline runs on the clock the simulator drives", name)
+			}
+			if m, ok := u.Pkg.Info.Uses[sel.Sel].(*types.Func); ok && parksOnly && blockingClock[m.Name()] &&
+				m.Pkg() != nil && m.Pkg().Path() == u.ModPath+"/internal/clock" {
+				u.Reportf(sel.Pos(), "Clock.%s blocks its caller on the clock, which cannot be hosted on one thread of control; arm a wake with Clock.AfterFunc and park through coord.Coordinator.Park", m.Name())
 			}
 			// Flagging the selector (not just calls) also catches
 			// function values like `now = time.Now`.

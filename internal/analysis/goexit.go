@@ -22,12 +22,18 @@ import (
 //     (context, channel, or *sync.WaitGroup), or f is a same-package
 //     function whose body passes the same test (one-hop summary).
 //
+// In the packages the simulator hosts on one thread of control
+// (oneThread, see clockcheck) every go statement is flagged, managed or
+// not: background work there starts through coord.Coordinator.Go, which
+// is a goroutine on a goroutine fabric and a scheduled process on the
+// simulator's.
+//
 // main packages are NOT exempt: a process-lifetime goroutine there is
 // usually fine (it dies with the process), but that is a per-site
 // judgment, recorded as a //lint:ignore with the reason.
 var GoExit = &Pass{
 	Name: "goexit",
-	Doc:  "go statements with no lifecycle signal (no context, done channel, or WaitGroup)",
+	Doc:  "go statements with no lifecycle signal (no context, done channel, or WaitGroup); any go statement in internal/core and internal/locks",
 	Run:  runGoExit,
 }
 
@@ -39,7 +45,9 @@ func runGoExit(u *Unit) {
 			if !ok {
 				return true
 			}
-			if !g.isManaged(gs.Call, 1) {
+			if u.InDirs(oneThread...) {
+				u.Reportf(gs.Pos(), "go statement in a package the simulator hosts: a goroutine of its own cannot be hosted on one thread of control; start background work with coord.Coordinator.Go (DESIGN.md §6)")
+			} else if !g.isManaged(gs.Call, 1) {
 				u.Reportf(gs.Pos(), "goroutine has no lifecycle signal: closure references no context.Context, channel, or sync.WaitGroup — it cannot be cancelled or waited for (DESIGN.md §14)")
 			}
 			return true

@@ -144,6 +144,13 @@ func TestClockCheckContextGolden(t *testing.T) {
 	checkGolden(t, ClockCheck, "ctxclockbad", "internal/core/ctxclockbad")
 }
 
+// TestOneThreadGolden loads its fixture as a package of internal/core,
+// where goexit bans every go statement and clockcheck the blocking half
+// of clock.Clock.
+func TestOneThreadGolden(t *testing.T) {
+	checkGoldenPasses(t, []*Pass{GoExit, ClockCheck}, "threadbad", "internal/core/threadbad")
+}
+
 // TestStaleCheckGolden runs clockcheck alongside stalecheck, so the
 // fixture's used directive is distinguishable from its stale one.
 func TestStaleCheckGolden(t *testing.T) {

@@ -194,11 +194,12 @@ func (u *Unit) checkHeldAcrossTransport(fd *ast.FuncDecl) {
 	locksPath := u.ModPath + "/internal/locks"
 	transPath := u.ModPath + "/internal/transport"
 
-	// isLocksAcquire reports whether call is (*locks.Manager).Lock/RLock.
+	// isLocksAcquire reports whether call is
+	// (*locks.Manager).Acquire/Lock/RLock.
 	isLocksAcquire := func(call *ast.CallExpr) bool {
 		fn := u.calleeFunc(call)
 		return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == locksPath &&
-			(fn.Name() == "Lock" || fn.Name() == "RLock")
+			(fn.Name() == "Acquire" || fn.Name() == "Lock" || fn.Name() == "RLock")
 	}
 
 	type span struct {

@@ -77,7 +77,7 @@ type Coordinator struct {
 	sync transport.SyncCaller
 	// event is non-nil when the fabric is one thread of control that
 	// parks and resumes its callers (transport.EventCaller); only the
-	// round and goTracked read it.
+	// round, Go and Park read it.
 	event transport.EventCaller
 	opts  Options
 	clk   clock.Clock
@@ -167,11 +167,13 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
-// goTracked runs f on a goroutine the Close method waits for — on an
-// event fabric, as a process of the fabric's, which needs no waiting
-// for. It refuses (returning false) once shutdown has begun, so late
-// background work is skipped rather than racing the final Wait.
-func (c *Coordinator) goTracked(f func()) bool {
+// Go starts f as background work of this coordinator: on a goroutine
+// the Close method waits for — on an event fabric, as a process of the
+// fabric's, which needs no waiting for. It refuses (returning false)
+// once shutdown has begun, so late background work is skipped rather
+// than racing the final Wait. Together with Park it is everything the
+// layers above need to wait without knowing their fabric.
+func (c *Coordinator) Go(f func()) bool {
 	c.trackMu.Lock()
 	if c.stopped {
 		c.trackMu.Unlock()
@@ -190,6 +192,38 @@ func (c *Coordinator) goTracked(f func()) bool {
 	}()
 	return true
 }
+
+// Park suspends the caller until the wake function handed to arm is
+// called. arm runs at once, on the caller; wake must be called exactly
+// once, from anywhere but inside arm: another goroutine — or, on an
+// event fabric, a later event, the caller being a process the fabric
+// resumes. Whoever can be woken from several sources guards its wake
+// itself.
+func (c *Coordinator) Park(arm func(wake func())) {
+	if c.event != nil {
+		c.event.Park(arm)
+		return
+	}
+	s := spots.Get().(*spot)
+	arm(s.wake)
+	<-s.woken
+	spots.Put(s)
+}
+
+// spot is where a goroutine parks: a channel and the wake that sends on
+// it, made once and reused — a back-off-governed retry loop parks tens
+// of times per propagation. Wake's exactly-once contract is what leaves
+// a returned spot's channel empty.
+type spot struct {
+	woken chan struct{}
+	wake  func()
+}
+
+var spots = sync.Pool{New: func() any {
+	s := &spot{woken: make(chan struct{}, 1)}
+	s.wake = func() { s.woken <- struct{}{} }
+	return s
+}}
 
 // Self returns the node this coordinator runs on.
 func (c *Coordinator) Self() transport.NodeID { return c.self }
@@ -266,22 +300,17 @@ type VersionCollector struct {
 	mu        sync.Mutex
 	set       model.VersionSet
 	remaining int
-	changed   chan struct{} // closed & re-made on every change
-	allDone   chan struct{}
+	notify    []func() // run once at the next change, then forgotten
 }
 
 func newVersionCollector(replicas int) *VersionCollector {
-	return &VersionCollector{
-		remaining: replicas,
-		changed:   make(chan struct{}),
-		allDone:   make(chan struct{}),
-	}
+	return &VersionCollector{remaining: replicas}
 }
 
 func (vc *VersionCollector) add(cell model.Cell, has bool) {
 	vc.mu.Lock()
-	defer vc.mu.Unlock()
 	if vc.remaining <= 0 {
+		vc.mu.Unlock()
 		return
 	}
 	changed := false
@@ -289,31 +318,14 @@ func (vc *VersionCollector) add(cell model.Cell, has bool) {
 		changed = vc.set.Add(cell)
 	}
 	vc.remaining--
-	if vc.remaining == 0 {
-		close(vc.allDone)
-	}
+	var notify []func()
 	if changed || vc.remaining == 0 {
-		close(vc.changed)
-		if vc.remaining > 0 {
-			vc.changed = make(chan struct{})
-		}
-		// Once collection is complete the closed channel is kept, so
-		// late Changed() callers observe the completion immediately —
-		// with a synchronous fabric the whole collection can finish
-		// before the caller first asks.
+		notify, vc.notify = vc.notify, nil
 	}
-}
-
-// Seed inserts a guess into the version set without consuming a
-// replica slot. Intent replay uses it to restore the conservative
-// NULL guess: a recovered intent's write-time pre-images died with
-// the crashed coordinator, and a re-collected pool may hold only the
-// replayed write itself — whose view row, if the crash interrupted
-// its creation, does not exist, leaving no guess that can resolve.
-func (vc *VersionCollector) Seed(cell model.Cell) {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	vc.set.Add(cell)
+	vc.mu.Unlock()
+	for _, f := range notify {
+		f()
+	}
 }
 
 // Versions returns the distinct versions collected so far, newest
@@ -324,25 +336,26 @@ func (vc *VersionCollector) Versions() []model.Cell {
 	return vc.set.Cells()
 }
 
-// Done is closed once every replica has replied or failed.
-func (vc *VersionCollector) Done() <-chan struct{} { return vc.allDone }
-
-// Changed returns a channel that is closed the next time the version
-// set grows or collection finishes; callers re-fetch after it fires.
-func (vc *VersionCollector) Changed() <-chan struct{} {
+// Notify arranges for f to run once, the next time the version set
+// grows or collection finishes — on whatever delivers that reply, so f
+// must be brief and callers re-fetch after it fires. It reports false,
+// and forgets f, when collection is already complete: with a
+// synchronous fabric it can finish before the caller first asks.
+func (vc *VersionCollector) Notify(f func()) bool {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
-	return vc.changed
+	if vc.remaining <= 0 {
+		return false
+	}
+	vc.notify = append(vc.notify, f)
+	return true
 }
 
 // Complete reports whether every replica has replied or failed.
 func (vc *VersionCollector) Complete() bool {
-	select {
-	case <-vc.allDone:
-		return true
-	default:
-		return false
-	}
+	vc.mu.Lock()
+	defer vc.mu.Unlock()
+	return vc.remaining <= 0
 }
 
 // Collectors maps a pre-read column name to its version collector.

@@ -161,7 +161,7 @@ func TestPreReadCollectsVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 		vc := cs["vk"]
-		<-vc.Done()
+		waitFor(t, 5*time.Second, vc.Complete)
 		vs := vc.Versions()
 		if len(vs) != 1 || string(vs[0].Value) != "alice" {
 			t.Fatalf("versions = %v, want [alice]", vs)
@@ -191,7 +191,7 @@ func TestPreReadSeesDivergentVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 		vc := cs["vk"]
-		<-vc.Done()
+		waitFor(t, 5*time.Second, vc.Complete)
 		vs := vc.Versions()
 		if len(vs) != len(reps) {
 			t.Fatalf("collected %d versions, want %d: %v", len(vs), len(reps), vs)
@@ -371,7 +371,7 @@ func TestGetVersionsCollectsDistinct(t *testing.T) {
 			t.Fatal(err)
 		}
 		vc := cs["vk"]
-		<-vc.Done()
+		waitFor(t, 5*time.Second, vc.Complete)
 		if got := len(vc.Versions()); got != 3 {
 			t.Fatalf("collected %d versions, want 3: %v", got, vc.Versions())
 		}
@@ -393,7 +393,7 @@ func TestGetVersionsAbsentColumn(t *testing.T) {
 			t.Fatal(err)
 		}
 		vc := cs["vk"]
-		<-vc.Done()
+		waitFor(t, 5*time.Second, vc.Complete)
 		vs := vc.Versions()
 		// Every replica reports the null cell: one distinct version.
 		if len(vs) != 1 || !vs[0].IsNull() {
@@ -438,14 +438,19 @@ func TestVersionCollectorChangedSignal(t *testing.T) {
 			t.Fatal(err)
 		}
 		vc := cs["vk"]
-		// Changed fires at least once (when versions grow or collection
-		// completes).
-		select {
-		case <-vc.Changed():
-		case <-time.After(2 * time.Second):
-			t.Fatal("Changed never fired")
+		// A notification fires (when versions grow or collection
+		// completes) unless collection had already finished.
+		changed := make(chan struct{})
+		if vc.Notify(func() { close(changed) }) {
+			select {
+			case <-changed:
+			case <-time.After(2 * time.Second):
+				t.Fatal("Notify never fired")
+			}
+		} else if !vc.Complete() {
+			t.Fatal("Notify refused on an incomplete collector")
 		}
-		<-vc.Done()
+		waitFor(t, 5*time.Second, vc.Complete)
 		if len(vc.Versions()) == 0 {
 			t.Fatal("no versions collected")
 		}

@@ -167,7 +167,7 @@ func (c *Coordinator) readRepair(table, row string, merged model.Row, responders
 	}
 	// Fire and forget: the read that found the divergence does not wait
 	// for its repair.
-	c.goTracked(func() {
+	c.Go(func() {
 		for i, nodeID := range stale {
 			_ = c.push(nodeID, fixes[i])
 		}

@@ -13,8 +13,9 @@ import (
 // Put with or without its pre-read, GetVersions, the digest and the
 // full read, MultiGet's per-replica-set read, repair and hint pushes —
 // is an exchange run by round; nothing else in the package sends a
-// request, waits on a reply or knows which fabric it is on (goTracked,
-// which starts background work, is the one other place that asks).
+// request, waits on a reply or knows which fabric it is on (Go and
+// Park, which start background work and suspend a caller for the layers
+// above, are the two other places that ask).
 
 // kind is what a round is for. It fixes how a synchronous fabric runs
 // the round (see roundSync): a property of the request, not a setting.
@@ -204,7 +205,7 @@ func (c *Coordinator) roundAsync(ctx context.Context, q quorum, drain bool, x ex
 		x.settled()
 	default:
 		x.detach()
-		c.goTracked(func() {
+		c.Go(func() {
 			for ; pending > 0; pending-- {
 				select {
 				case res := <-replies:
@@ -244,7 +245,7 @@ func (c *Coordinator) roundEvent(q quorum, drain bool, x exchange, t tally) tall
 				case t.won() && drain:
 					x.fold(res) // counted by nobody: the round has returned
 					if pending == 0 {
-						c.goTracked(x.settled)
+						c.Go(x.settled)
 					}
 				}
 			})

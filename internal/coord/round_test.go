@@ -125,11 +125,7 @@ func TestAsyncPutReturnsAtQuorumStragglerReachesCollectors(t *testing.T) {
 		t.Fatalf("%d replicas hold the write while one is held back, want 2", got)
 	}
 	open()
-	select {
-	case <-vc.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("the straggler's reply never completed the collector")
-	}
+	waitFor(t, 5*time.Second, vc.Complete) // the straggler's reply completes the collector
 	if got := len(vc.Versions()); got != 3 {
 		t.Fatalf("collected %d versions, want all three pre-images: %v", got, vc.Versions())
 	}
@@ -156,11 +152,7 @@ func TestAsyncGetVersionsStragglerReachesCollectors(t *testing.T) {
 		t.Fatalf("at quorum: complete=%v versions=%v", vc.Complete(), vc.Versions())
 	}
 	open()
-	select {
-	case <-vc.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("the straggler's reply never completed the collector")
-	}
+	waitFor(t, 5*time.Second, vc.Complete) // the straggler's reply completes the collector
 	if got := len(vc.Versions()); got != 3 {
 		t.Fatalf("collected %d versions, want 3: %v", got, vc.Versions())
 	}

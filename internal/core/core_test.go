@@ -31,10 +31,16 @@ type harness struct {
 }
 
 func newHarness(t *testing.T, opts core.Options, nodes int) *harness {
+	return newHarnessOn(t, opts, nodes, nil)
+}
+
+// newHarnessOn is newHarness over a given fabric (nil = the direct one).
+func newHarnessOn(t *testing.T, opts core.Options, nodes int, tr transport.Transport) *harness {
 	t.Helper()
 	c := cluster.New(cluster.Config{
 		Nodes:              nodes,
 		N:                  3,
+		Transport:          tr,
 		HintReplayInterval: -1,
 		RequestTimeout:     2 * time.Second,
 	})
@@ -697,35 +703,71 @@ func TestAbandonedPropagationCounted(t *testing.T) {
 }
 
 // holdClock parks every AfterFunc callback until the test runs it, so a
-// PropagationDelay holds propagation back for as long as the test likes.
+// PropagationDelay, a back-off or the abandon deadline holds for as long
+// as the test likes. Timers are told apart by their duration.
 type holdClock struct {
 	clock.Clock
+	// only, when non-nil, restricts holding to the durations it accepts;
+	// the rest run on the embedded clock.
+	only func(time.Duration) bool
 	mu   sync.Mutex
-	held []func()
+	held []heldTimer
 }
 
-func (c *holdClock) AfterFunc(_ time.Duration, f func()) func() bool {
+type heldTimer struct {
+	d time.Duration
+	f func()
+}
+
+func (c *holdClock) AfterFunc(d time.Duration, f func()) func() bool {
+	if c.only != nil && !c.only(d) {
+		return c.Clock.AfterFunc(d, f)
+	}
 	c.mu.Lock()
-	c.held = append(c.held, f)
+	c.held = append(c.held, heldTimer{d, f})
 	c.mu.Unlock()
 	return func() bool { return false }
 }
 
-func (c *holdClock) release() {
+// releaseIf fires the held timers whose duration ok accepts and reports
+// how many there were.
+func (c *holdClock) releaseIf(ok func(time.Duration) bool) int {
 	c.mu.Lock()
-	held := c.held
-	c.held = nil
-	c.mu.Unlock()
-	for _, f := range held {
-		f()
+	var fire, keep []heldTimer
+	for _, h := range c.held {
+		if ok(h.d) {
+			fire = append(fire, h)
+		} else {
+			keep = append(keep, h)
+		}
 	}
+	c.held = keep
+	c.mu.Unlock()
+	for _, h := range fire {
+		h.f()
+	}
+	return len(fire)
+}
+
+func (c *holdClock) release() { c.releaseIf(func(time.Duration) bool { return true }) }
+
+// holds reports whether a timer of duration d is held.
+func (c *holdClock) holds(d time.Duration) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, h := range c.held {
+		if h.d == d {
+			return true
+		}
+	}
+	return false
 }
 
 // Algorithm 1's Get-then-Put is one quorum round: with propagation held
 // back, a view-key Put has cost the coordinator one Put and no Get, and
 // the replicas N put requests and no reads of any kind.
 func TestViewKeyPutIsOneQuorumRound(t *testing.T) {
-	clk := &holdClock{Clock: clock.Wall}
+	clk := &holdClock{Clock: clock.Wall, only: func(d time.Duration) bool { return d == time.Hour }}
 	h := newHarness(t, core.Options{Clock: clk, PropagationDelay: func() time.Duration { return time.Hour }}, 4)
 	if err := h.reg.Define(ticketDef()); err != nil {
 		t.Fatal(err)
@@ -749,20 +791,24 @@ func TestViewKeyPutIsOneQuorumRound(t *testing.T) {
 	if h.mgrs[0].PendingPropagations() != 1 {
 		t.Fatalf("pending propagations = %d, want the held-back one", h.mgrs[0].PendingPropagations())
 	}
+	for !clk.holds(time.Hour) { // armed by the propagation itself, not by the Put
+		time.Sleep(time.Millisecond)
+	}
 	clk.release()
 	h.quiesce(t)
 }
 
 // A live propagation is abandoned on the injected clock, the one its
-// back-off runs on: however much wall time passes, nothing is abandoned
-// while the injected clock stands still, and the propagation fails once
-// that clock passes MaxPropagationRetry. (The deadline used to be a
-// context.WithTimeout on the process clock.)
+// back-off runs on: however much wall time passes and however many
+// back-offs fire, nothing is abandoned while the injected clock has not
+// reached MaxPropagationRetry, and the propagation fails once it does.
+// (The deadline used to be a context.WithTimeout on the process clock.)
 func TestPropagationAbandonedOnInjectedClock(t *testing.T) {
+	const deadline = 20 * time.Millisecond
 	clk := &holdClock{Clock: clock.Wall}
 	h := newHarness(t, core.Options{
 		Clock:               clk,
-		MaxPropagationRetry: 20 * time.Millisecond,
+		MaxPropagationRetry: deadline,
 		RetryBackoff:        time.Millisecond,
 		PropagationDelay:    func() time.Duration { return 0 },
 	}, 4)
@@ -778,22 +824,28 @@ func TestPropagationAbandonedOnInjectedClock(t *testing.T) {
 	for i := 1; i < h.c.Size(); i++ {
 		h.c.SetNodeDown(transport.NodeID(i), true)
 	}
-	clk.release()
-	heldTimers := func() int {
-		clk.mu.Lock()
-		defer clk.mu.Unlock()
-		return len(clk.held)
+	for !clk.holds(0) { // the delay, armed by the propagation itself
+		time.Sleep(time.Millisecond)
 	}
-	for deadline := time.Now().Add(10 * time.Second); heldTimers() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
+	clk.release()
+	for limit := time.Now().Add(10 * time.Second); !clk.holds(deadline); time.Sleep(time.Millisecond) {
+		if time.Now().After(limit) {
 			t.Fatal("the propagation never armed its abandon timer on the injected clock")
 		}
 	}
-	time.Sleep(200 * time.Millisecond) // ten MaxPropagationRetry of wall time
+	// Ten MaxPropagationRetry of wall time, every back-off fired as soon
+	// as it is armed: the loop keeps retrying.
+	backoffs := 0
+	for limit := time.Now().Add(10 * deadline); time.Now().Before(limit); time.Sleep(time.Millisecond) {
+		backoffs += clk.releaseIf(func(d time.Duration) bool { return d != deadline })
+	}
 	select {
 	case err := <-outcome:
-		t.Fatalf("propagation ended (%v) while the injected clock stood still", err)
+		t.Fatalf("propagation ended (%v) before the injected clock reached MaxPropagationRetry", err)
 	default:
+	}
+	if backoffs < 2 || h.mgrs[0].Stats().FailedAttempts.Load() < 2 {
+		t.Fatalf("%d back-offs fired, %d failed attempts: the loop did not keep retrying", backoffs, h.mgrs[0].Stats().FailedAttempts.Load())
 	}
 	if n := h.mgrs[0].Stats().Abandoned.Load(); n != 0 || h.mgrs[0].PendingPropagations() != 1 {
 		t.Fatalf("abandoned = %d, pending = %d, want the propagation still retrying", n, h.mgrs[0].PendingPropagations())

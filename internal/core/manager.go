@@ -2,20 +2,28 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"vstore/internal/coord"
 	"vstore/internal/model"
 	"vstore/internal/trace"
+	"vstore/internal/wal"
 )
 
 // Manager executes view-aware base-table writes (Algorithm 1) and view
 // reads (Algorithm 4) on behalf of one coordinator node. All managers
 // of a cluster share one Registry, which carries the view catalog and
 // the propagation concurrency control.
+//
+// A Manager starts no goroutine and reads no clock channel of its own:
+// background work and every wait go through its coordinator (Go, Park),
+// so it runs unchanged on goroutine fabrics and on the simulator's
+// single thread of control.
 type Manager struct {
 	reg *Registry
 	co  *coord.Coordinator
@@ -26,32 +34,52 @@ type Manager struct {
 
 	// slots implements the bounded propagation backlog
 	// (Options.MaxPendingPropagations); nil when unbounded.
-	slots chan struct{}
+	slots *slots
 
 	// il, when non-nil, write-ahead-logs propagation intents so a
 	// crashed coordinator's unfinished view maintenance is re-enqueued
 	// at recovery. Set once before the manager serves traffic.
 	il IntentLog
 
+	// live holds the scheduled propagations that have not ended, for
+	// Close to cancel and wait out; idle opens when a closed manager's
+	// last one ends.
+	mu     sync.Mutex
+	live   []*retry
+	closed bool
+	idle   gate
+
 	stats Stats
 }
 
-// IntentLog is the durability hook for propagation intents
-// (implemented over internal/wal by the vstore layer). LogStart must
-// make the intent durable before Put acknowledges; LogDone marks it
-// complete so recovery stops replaying it. Replay is idempotent — the
-// propagation machinery merges base state read at quorum and every
-// cell carries the base write's timestamp — so marking done strictly
-// after completion is safe even when a crash loses the done record.
+// IntentLog is the durability hook for propagation intents;
+// *wal.Storage is one. LogIntentStart must make the intent durable
+// before Put acknowledges; LogIntentDone marks it complete so recovery
+// stops replaying it. An intent is marked done only once every
+// propagation it stands for has completed (or its view is gone): an
+// abandoned or cancelled propagation leaves it pending, the one durable
+// record that the view is stale, for the next recovery to replay. Replay
+// is idempotent — the propagation machinery merges base state read at
+// quorum and every cell carries the base write's timestamp — so marking
+// done strictly after completion is safe even when a crash loses the
+// done record.
 type IntentLog interface {
 	NextIntentID() uint64
-	LogStart(id uint64, table, row string, updates []model.ColumnUpdate) error
-	LogDone(id uint64) error
+	LogIntentStart(it wal.Intent) error
+	LogIntentDone(id uint64) error
 }
 
 // SetIntentLog installs the intent durability hook. Must be called
 // before the manager serves writes.
 func (m *Manager) SetIntentLog(il IntentLog) { m.il = il }
+
+// ErrClosed ends a propagation — and fails a write — whose manager was
+// closed under it. It is not an abandonment: the intent stays pending.
+var ErrClosed = errors.New("core: view manager closed")
+
+// ErrViewDropped ends a propagation whose view definition left the
+// catalog: there is nothing left to maintain.
+var ErrViewDropped = errors.New("core: view dropped")
 
 // Stats counts view-maintenance activity.
 type Stats struct {
@@ -89,48 +117,44 @@ type Stats struct {
 	// ReadSpins counts view reads that had to wait on an initializing
 	// row.
 	ReadSpins atomic.Int64
+	// LateTasks counts propagations scheduled by the post-ack catalog
+	// fence: their view was defined while the write was in flight.
+	LateTasks atomic.Int64
+	// BackpressureWaits counts propagations whose scheduler had to wait
+	// for a slot of the bounded backlog.
+	BackpressureWaits atomic.Int64
+	// SharedLocks counts rounds serialized under the shared row lock
+	// (materialized-column updates, Section IV-F).
+	SharedLocks atomic.Int64
 }
 
 // NewManager returns a view manager bound to one coordinator.
 func NewManager(reg *Registry, co *coord.Coordinator) *Manager {
 	m := &Manager{reg: reg, co: co}
 	m.round = Round{
-		Port: NewCoordPort(co, m.serialize), Stats: &m.stats, Obs: reg.obs,
+		Port: coordPort{m}, Stats: &m.stats, Obs: reg.obs,
 		MaxChainHops: reg.opts.MaxChainHops, PathCompression: reg.opts.PathCompression,
 	}
 	if n := reg.opts.MaxPendingPropagations; n > 0 {
-		m.slots = make(chan struct{}, n)
+		m.slots = &slots{free: n}
 	}
+	reg.attach(m)
 	return m
 }
 
 // Stats exposes the counters.
 func (m *Manager) Stats() *Stats { return &m.stats }
 
-// Registry returns the shared catalog.
-func (m *Manager) Registry() *Registry { return m.reg }
-
 // majority is the read and write quorum used for all view-table
 // operations during propagation, per Algorithm 2's note.
 func majority(co *coord.Coordinator) int { return co.N()/2 + 1 }
 
-// coordPort is the Port over a coordinator: majority quorum rounds, and
-// whatever serialization its runtime brings.
-type coordPort struct {
-	co        *coord.Coordinator
-	serialize func(key string, exclusive bool) (release func())
-}
-
-// NewCoordPort returns the Port every runtime with a real coordinator
-// runs propagation rounds over — Manager with the registry's lock
-// service, the simulator with its virtual-time locks. serialize is
-// Port.Serialize.
-func NewCoordPort(co *coord.Coordinator, serialize func(key string, exclusive bool) (release func())) Port {
-	return coordPort{co, serialize}
-}
+// coordPort is the Port of a Manager: majority quorum rounds on its
+// coordinator, serialized by the registry's lock service.
+type coordPort struct{ m *Manager }
 
 func (p coordPort) Get(ctx context.Context, table, row string, cols []string) (model.Row, error) {
-	return p.co.Get(ctx, table, row, cols, majority(p.co), false)
+	return p.m.co.Get(ctx, table, row, cols, majority(p.m.co), false)
 }
 
 func (p coordPort) MultiGet(ctx context.Context, table string, rows, cols []string) ([]model.Row, error) {
@@ -138,27 +162,32 @@ func (p coordPort) MultiGet(ctx context.Context, table string, rows, cols []stri
 	for i, row := range rows {
 		reads[i] = coord.RowRead{Row: row, Columns: cols}
 	}
-	return p.co.MultiGet(ctx, table, reads, majority(p.co))
+	return p.m.co.MultiGet(ctx, table, reads, majority(p.m.co))
 }
 
 func (p coordPort) Put(ctx context.Context, table, row string, updates []model.ColumnUpdate) error {
-	return p.co.Put(ctx, table, row, updates, majority(p.co))
+	return p.m.co.Put(ctx, table, row, updates, majority(p.m.co))
 }
 
-func (p coordPort) Serialize(key string, exclusive bool) func() { return p.serialize(key, exclusive) }
-
-// serialize is the production Port.Serialize: the registry's lock
-// service. In ModePropagators a round already runs on the row's
+// Serialize takes the row's lock, its waiters parked through the
+// coordinator. In ModePropagators a round already runs on the row's
 // dedicated propagator, which provides the serialization.
-func (m *Manager) serialize(key string, exclusive bool) func() {
-	switch {
-	case m.reg.opts.Mode != ModeLocks:
+func (p coordPort) Serialize(key string, exclusive bool) func() {
+	m := p.m
+	if m.reg.opts.Mode != ModeLocks {
 		return func() {}
-	case exclusive:
-		return m.reg.locks.Lock(key)
-	default:
-		return m.reg.locks.RLock(key)
 	}
+	if !exclusive {
+		m.stats.SharedLocks.Add(1)
+	}
+	return m.reg.locks.Acquire(key, exclusive, m.co.Park)
+}
+
+// sleep parks the caller for d of the registry's clock.
+func (m *Manager) sleep(d time.Duration) {
+	var g gate
+	m.reg.clk.AfterFunc(d, g.open)
+	g.wait(m.co.Park)
 }
 
 // PendingPropagations reports in-flight propagation count.
@@ -167,15 +196,66 @@ func (m *Manager) PendingPropagations() int { return int(m.pending.Load()) }
 // Quiesce blocks until no propagation scheduled through this manager
 // is in flight, or the context expires.
 func (m *Manager) Quiesce(ctx context.Context) error {
-	for {
-		if m.PendingPropagations() == 0 {
-			return nil
+	for m.PendingPropagations() > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-m.reg.clk.After(time.Millisecond):
-		}
+		m.sleep(time.Millisecond)
+	}
+	return nil
+}
+
+// Close cancels every in-flight propagation and returns once they have
+// ended: nothing of this manager touches the intent log afterwards, so
+// the node's logs can be closed. The cancelled propagations' intents
+// are not marked done — the next recovery replays them. Writes and
+// replays reaching a closed manager fail with ErrClosed. Only the first
+// call waits.
+func (m *Manager) Close() {
+	m.mu.Lock()
+	m.closed = true
+	live := append([]*retry(nil), m.live...)
+	m.mu.Unlock()
+	for _, r := range live {
+		r.interrupt(ErrClosed)
+	}
+	if len(live) > 0 {
+		m.idle.wait(m.co.Park)
+	}
+}
+
+func (m *Manager) isClosed() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.closed
+}
+
+// track enters r into the live set; false once the manager is closed.
+func (m *Manager) track(r *retry) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return false
+	}
+	r.slot = len(m.live)
+	m.live = append(m.live, r)
+	return true
+}
+
+func (m *Manager) untrack(r *retry) {
+	m.mu.Lock()
+	if r.slot >= 0 {
+		last := len(m.live) - 1
+		m.live[r.slot] = m.live[last]
+		m.live[r.slot].slot = r.slot
+		m.live[last] = nil
+		m.live = m.live[:last]
+		r.slot = -1
+	}
+	idle := m.closed && len(m.live) == 0
+	m.mu.Unlock()
+	if idle {
+		m.idle.open()
 	}
 }
 
@@ -192,80 +272,77 @@ func (m *Manager) Put(ctx context.Context, table, row string, updates []model.Co
 	if m.reg.IsView(table) {
 		return fmt.Errorf("core: table %q is a view; views are not updateable", table)
 	}
-	tasks, cols := m.buildTasks(table, row, updates)
-	if len(tasks) == 0 {
-		// Algorithm 1, else branch: a plain Put. The post-ack catalog
-		// fence still runs: a view defined while this write was in
-		// flight must see it propagate (see scheduleLate).
-		if err := m.co.Put(ctx, table, row, updates, w); err != nil {
-			return err
-		}
-		return m.awaitIfSync(ctx, m.scheduleLate(ctx, table, row, updates, nil, trace.FromContext(ctx), onPropagated))
-	}
-
 	// One round: the Get of Algorithm 1 line 2 rides on the Put (the
 	// combination Section IV-C proposes; the prototype ran two rounds,
 	// which internal/bench reproduces from the driver for Figures 5/6).
+	// With no view to maintain cols is empty and this is a plain Put.
+	tasks, cols := m.buildTasks(table, row, updates)
 	collectors, err := m.co.PutWithPreRead(ctx, table, row, updates, w, cols)
 	if err != nil {
 		return err
+	}
+	late, lateCollectors := m.lateTasks(ctx, table, row, updates, tasks)
+	n := len(tasks) + len(late)
+	if n == 0 {
+		return nil
+	}
+	if m.isClosed() {
+		return ErrClosed // the manager died under the write: not acknowledged
 	}
 
 	// Durable mode: the intent is logged after the quorum write
 	// succeeds and before the Put acknowledges, so a coordinator crash
 	// between ack and propagation completion leaves a replayable
 	// record instead of a permanently stale view.
-	var intentErr error
-	var intentID uint64
-	if m.il != nil {
-		intentID = m.il.NextIntentID()
-		intentErr = m.il.LogStart(intentID, table, row, updates)
+	var after *countdown
+	if m.il != nil || m.reg.opts.SyncPropagation {
+		after = &countdown{left: n}
 	}
-
-	var doneChans []<-chan struct{}
+	var intentErr error
+	if m.il != nil {
+		id := m.il.NextIntentID()
+		if intentErr = m.il.LogIntentStart(wal.Intent{ID: id, Table: table, Row: row, Updates: updates}); intentErr == nil {
+			after.then = m.markDone(id)
+		}
+	}
 	putSpan := trace.FromContext(ctx)
 	for i := range tasks {
 		t := &tasks[i]
-		doneChans = append(doneChans, m.schedule(t, collectors[t.def.ViewKeyColumn], putSpan, onPropagated))
+		m.schedule(t, collectors[t.def.ViewKeyColumn], putSpan, onPropagated, after)
 	}
-	doneChans = append(doneChans, m.scheduleLate(ctx, table, row, updates, tasks, putSpan, onPropagated)...)
+	for i := range late {
+		t := &late[i]
+		m.schedule(t, lateCollectors[t.def.ViewKeyColumn], putSpan, onPropagated, after)
+	}
 	if intentErr != nil {
 		// The base write happened and propagation is scheduled, but
 		// durability of the intent failed: surface it like any other
 		// failed (unacknowledged) write so the client retries.
 		return fmt.Errorf("core: log propagation intent: %w", intentErr)
 	}
-	if m.il != nil {
-		// A lost done record only costs an idempotent replay.
-		afterAll(doneChans, func() { _ = m.il.LogDone(intentID) })
-	}
-	return m.awaitIfSync(ctx, doneChans)
-}
-
-// awaitIfSync implements Options.SyncPropagation: the Put returns only
-// once the propagations it started have finished.
-func (m *Manager) awaitIfSync(ctx context.Context, dones []<-chan struct{}) error {
 	if !m.reg.opts.SyncPropagation {
 		return nil
 	}
-	for _, d := range dones {
-		select {
-		case <-d:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	// Options.SyncPropagation: the Put returns only once the
+	// propagations it started have finished, or its context ends.
+	stop := context.AfterFunc(ctx, after.done.open)
+	defer stop()
+	after.done.wait(m.co.Park)
+	if !after.finished() {
+		return ctx.Err()
 	}
 	return nil
 }
 
-// afterAll runs fn once every propagation in dones has finished.
-func afterAll(dones []<-chan struct{}, fn func()) {
-	go func() {
-		for _, d := range dones {
-			<-d
+// markDone is the done-rule of an intent's countdown: logged as done
+// only when every propagation completed. A lost done record only costs
+// an idempotent replay.
+func (m *Manager) markDone(id uint64) func(complete bool) {
+	return func(complete bool) {
+		if complete && m.il != nil {
+			_ = m.il.LogIntentDone(id)
 		}
-		fn()
-	}()
+	}
 }
 
 // buildTasks splits a base-table update set into per-view propagation
@@ -278,6 +355,11 @@ func (m *Manager) buildTasks(table, row string, updates []model.ColumnUpdate) ([
 		if !ok {
 			continue
 		}
+		// While a view is still being backfilled, a pre-image may name a
+		// row its scan will never create (the fill read the base row after
+		// this write landed and created the new key's row directly): only
+		// the anchor is a guess that cannot dangle.
+		t.anchored = m.reg.backfilling(def.Name)
 		tasks = append(tasks, t)
 		preCols[def.ViewKeyColumn] = true
 	}
@@ -289,54 +371,52 @@ func (m *Manager) buildTasks(table, row string, updates []model.ColumnUpdate) ([
 	return tasks, cols
 }
 
-// recollect builds the pre-image pools of a propagation that has no Put
-// to ride on: the current versions of cols re-read at majority quorum,
-// each pool seeded with the NULL guess. The write-time pre-images are
-// gone (lost with a crashed coordinator, or never taken because the
-// view did not exist yet); NULL keeps the chain anchor reachable, so a
-// pool holding only the replayed write itself cannot spin on a view row
-// that was never created.
-func (m *Manager) recollect(ctx context.Context, table, row string, cols []string) (coord.Collectors, error) {
-	collectors, err := m.co.GetVersions(ctx, table, row, cols, majority(m.co))
-	for _, vc := range collectors {
-		vc.Seed(model.NullCell)
+// recollect builds the pre-image pools of propagations that have no Put
+// to ride on: the current versions of cols re-read at majority quorum.
+// The write-time pre-images are gone (lost with a crashed coordinator,
+// or never taken because the view did not exist yet), so such tasks are
+// anchored: NULL joins their guesses and keeps the chain anchor
+// reachable, or a pool holding only the replayed write itself would spin
+// on a view row that was never created.
+func (m *Manager) recollect(ctx context.Context, table, row string, cols []string, tasks []Task) (coord.Collectors, error) {
+	for i := range tasks {
+		tasks[i].anchored = true
 	}
-	return collectors, err
+	return m.co.GetVersions(ctx, table, row, cols, majority(m.co))
 }
 
 // Repropagate re-enqueues a recovered propagation intent: it re-reads
 // the current view-key versions at majority quorum and schedules the
-// same per-view tasks a fresh Put of updates would have. onDone fires
-// once every affected view's propagation finishes — the caller marks
-// the intent done there. An error means nothing was scheduled and the
-// intent should stay pending (it survives in the log for the next
-// recovery).
-func (m *Manager) Repropagate(ctx context.Context, table, row string, updates []model.ColumnUpdate, onDone func()) error {
-	tasks, cols := m.buildTasks(table, row, updates)
+// same per-view tasks a fresh Put of its updates would have. The intent
+// is marked done once every affected view's propagation completes — at
+// once when the catalog no longer holds a view the updates touch. An
+// error means nothing was scheduled and the intent stays pending (it
+// survives in the log for the next recovery).
+func (m *Manager) Repropagate(ctx context.Context, it wal.Intent) error {
+	if m.isClosed() {
+		return ErrClosed
+	}
+	done := m.markDone(it.ID)
+	tasks, cols := m.buildTasks(it.Table, it.Row, it.Updates)
 	if len(tasks) == 0 {
 		// The view catalog changed since the intent was logged; there
 		// is nothing left to converge.
-		if onDone != nil {
-			onDone()
-		}
+		done(true)
 		return nil
 	}
-	collectors, err := m.recollect(ctx, table, row, cols)
+	collectors, err := m.recollect(ctx, it.Table, it.Row, cols, tasks)
 	if err != nil {
 		return err
 	}
-	var doneChans []<-chan struct{}
+	after := &countdown{left: len(tasks), then: done}
 	for i := range tasks {
 		t := &tasks[i]
-		doneChans = append(doneChans, m.schedule(t, collectors[t.def.ViewKeyColumn], nil, nil))
-	}
-	if onDone != nil {
-		afterAll(doneChans, onDone)
+		m.schedule(t, collectors[t.def.ViewKeyColumn], nil, nil, after)
 	}
 	return nil
 }
 
-// scheduleLate closes the online-CreateView race. A view defined after
+// lateTasks closes the online-CreateView race. A view defined after
 // buildTasks ran but before the quorum write acknowledged is missing
 // from the scheduled tasks, and the new view's backfill scan may
 // equally have read this row before the write landed — which would
@@ -344,77 +424,64 @@ func (m *Manager) Repropagate(ctx context.Context, table, row string, updates []
 // after the ack guarantees every acknowledged write reaches every view
 // defined by ack time; overlap with the backfill is harmless because
 // both paths are idempotent LWW-stamped writes. Late tasks get a
-// NULL-seeded pool like intent replay, since the write's combined
-// pre-read did not cover their view-key columns. A pre-read failure
-// here drops the late propagation (rare double fault: catalog change
-// racing an unreachable quorum); the view's backfill scan or a
-// RebuildView repairs such rows.
-func (m *Manager) scheduleLate(ctx context.Context, table, row string, updates []model.ColumnUpdate, scheduled []Task, putSpan *trace.Span, onPropagated func(string, error)) []<-chan struct{} {
-	late, cols := m.buildTasks(table, row, updates)
-	if len(late) == len(scheduled) {
-		return nil
-	}
-	have := make(map[string]bool, len(scheduled))
-	for _, t := range scheduled {
-		have[t.def.Name] = true
-	}
-	missing := make([]*Task, 0, len(late))
-	for i := range late {
-		if !have[late[i].def.Name] {
-			missing = append(missing, &late[i])
+// re-collected, anchored pool like intent replay, since the write's
+// combined pre-read did not cover their view-key columns; they share
+// the write's intent. A pre-read failure here drops the late
+// propagation (rare double fault: catalog change racing an unreachable
+// quorum); the view's backfill scan or a RebuildView repairs such rows.
+func (m *Manager) lateTasks(ctx context.Context, table, row string, updates []model.ColumnUpdate, scheduled []Task) ([]Task, coord.Collectors) {
+	now, cols := m.buildTasks(table, row, updates)
+	late := now[:0]
+next:
+	for _, t := range now {
+		for i := range scheduled {
+			if scheduled[i].def == t.def {
+				continue next
+			}
 		}
+		late = append(late, t)
 	}
-	if len(missing) == 0 {
-		return nil
+	if len(late) == 0 {
+		return nil, nil
 	}
-	collectors, err := m.recollect(ctx, table, row, cols)
+	collectors, err := m.recollect(ctx, table, row, cols, late)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	var intentID uint64
-	var intentLogged bool
-	if m.il != nil {
-		intentID = m.il.NextIntentID()
-		intentLogged = m.il.LogStart(intentID, table, row, updates) == nil
-	}
-	dones := make([]<-chan struct{}, 0, len(missing))
-	for _, t := range missing {
-		dones = append(dones, m.schedule(t, collectors[t.def.ViewKeyColumn], putSpan, onPropagated))
-	}
-	if intentLogged {
-		afterAll(dones, func() { _ = m.il.LogDone(intentID) })
-	}
-	return dones
+	m.stats.LateTasks.Add(int64(len(late)))
+	return late, collectors
 }
 
 // BackfillPropagate feeds one backfilled base row through the regular
 // propagation machinery, targeted at a single view definition: the
 // merged current base row is treated like a replayed intent (pre-image
-// pool re-read at majority and NULL-seeded), so racing duplicate
-// backfills of the same key and concurrent live propagations serialize
-// on the per-row lock service and converge by LWW — a backfill write
-// that loses the race degrades into a stale-chain insert stamped below
-// the live row's timestamps, exactly what path compression would later
-// produce. The fill keeps retrying for as long as ctx lives (its caller
-// is waiting on it; MaxPropagationRetry bounds only live propagations).
-// It returns the propagation's outcome: non-nil means the pre-image read
-// failed or the fill was abandoned because ctx ended. The fill is
+// pool re-read at majority, anchored), so racing duplicate backfills of
+// the same key and concurrent live propagations serialize on the per-row
+// lock service and converge by LWW — a backfill write that loses the
+// race degrades into a stale-chain insert stamped below the live row's
+// timestamps, exactly what path compression would later produce. The
+// fill keeps retrying for as long as ctx lives (its caller is waiting on
+// it; MaxPropagationRetry bounds only live propagations). It returns the
+// propagation's outcome: non-nil means the pre-image read failed, the
+// view was dropped, the manager closed or ctx ended. The fill is
 // idempotent, so re-issuing it is always safe.
 func (m *Manager) BackfillPropagate(ctx context.Context, def *Def, row string, updates []model.ColumnUpdate) error {
 	t, ok := TaskFor(def, row, updates)
 	if !ok {
 		return nil
 	}
-	collectors, err := m.recollect(ctx, def.Base, row, []string{def.ViewKeyColumn})
+	tasks := []Task{t}
+	collectors, err := m.recollect(ctx, def.Base, row, []string{def.ViewKeyColumn}, tasks)
 	if err != nil {
 		return err
 	}
-	vc := collectors[def.ViewKeyColumn]
-	t.fill = ctx
-	// onPropagated happens-before close(done) inside schedule's finish,
-	// so reading perr after the receive is race-free.
+	tasks[0].fill = ctx
+	// onPropagated runs before the countdown opens its gate, so reading
+	// perr after the wait is race-free.
 	var perr error
-	<-m.schedule(&t, vc, nil, func(_ string, err error) { perr = err })
+	after := &countdown{left: 1}
+	m.schedule(&tasks[0], collectors[def.ViewKeyColumn], nil, func(_ string, err error) { perr = err }, after)
+	after.done.wait(m.co.Park)
 	return perr
 }
 
@@ -429,172 +496,182 @@ func (m *Manager) Delete(ctx context.Context, table, row string, columns []strin
 	return m.Put(ctx, table, row, updates, w, onPropagated)
 }
 
-// schedule hands a propagation task to the configured concurrency
-// control and returns a channel closed when it finishes. The per-row
-// locking (or propagator serialization) happens per attempt inside the
-// retry machinery, never across backoff waits — see Port.Serialize.
-func (m *Manager) schedule(t *Task, vc *coord.VersionCollector, putSpan *trace.Span, onPropagated func(string, error)) <-chan struct{} {
+// schedule starts one propagation as background work of the
+// coordinator; after, when non-nil, is counted out when it ends. The
+// per-row locking (or propagator serialization) happens per attempt
+// inside the retry machinery, never across backoff waits — see
+// Port.Serialize.
+func (m *Manager) schedule(t *Task, vc *coord.VersionCollector, putSpan *trace.Span, onPropagated func(string, error), after *countdown) {
 	// Backpressure: when the backlog is full, the base-table Put
-	// blocks here until an older propagation completes — the bounded
+	// waits here until an older propagation completes — the bounded
 	// maintenance capacity that makes sustained hot-row write storms
 	// throttle instead of accumulating unbounded queues.
-	if m.slots != nil {
-		m.slots <- struct{}{}
+	if m.slots.acquire(m.co.Park) {
+		m.stats.BackpressureWaits.Add(1)
 	}
 	m.pending.Add(1)
+	r := &retry{m: m, t: t, vc: vc, onPropagated: onPropagated, after: after, slot: -1}
+	r.wake = r.between.open
 	// The staleness gauge clock starts at enqueue, not at execution:
 	// a deliberate PropagationDelay is staleness too.
-	obsID := m.reg.obs.startPropagation(t.def.Name, m.reg.clk.Now())
+	r.obsID = m.reg.obs.startPropagation(t.def.Name, t.baseKey, m.reg.clk.Now())
 	// The propagation outlives the Put that caused it, so it gets its
 	// own root span linked to the Put's trace rather than a child.
-	psp := putSpan.LinkedRootRetained("propagate")
-	psp.SetAttr("view", t.def.Name)
-	psp.SetAttr("base_key", t.baseKey)
-	done := make(chan struct{})
-	finish := func(err error) {
-		m.reg.obs.finishPropagation(obsID, t.def.Name, m.reg.clk.Now(), err)
-		psp.Finish()
-		if onPropagated != nil {
-			onPropagated(t.def.Name, err)
-		}
-		m.pending.Add(-1)
-		if m.slots != nil {
-			<-m.slots
-		}
-		close(done)
+	r.span = putSpan.LinkedRootRetained("propagate")
+	r.span.SetAttr("view", t.def.Name)
+	r.span.SetAttr("base_key", t.baseKey)
+	parent := context.Background()
+	if t.fill != nil {
+		parent = t.fill
 	}
-	start := func() {
-		switch m.reg.opts.Mode {
-		case ModePropagators:
-			m.runPropagationViaPool(t, vc, psp, finish)
-		default: // ModeLocks
-			go func() {
-				finish(m.runPropagation(t, vc, psp))
-			}()
-		}
+	r.ctx, r.cancel = context.WithCancelCause(parent)
+	r.ctx = trace.NewContext(r.ctx, r.span)
+	if !m.track(r) || !m.co.Go(r.run) {
+		r.finish(ErrClosed)
 	}
-	if d := m.reg.opts.PropagationDelay; d != nil && t.fill == nil {
-		m.reg.clk.AfterFunc(d(), start)
-	} else {
-		start()
-	}
-	return done
 }
 
-// retry is one propagation's state across the rounds of Algorithm 1,
-// lines 5-7: choose a view-key guess from the collected versions and
-// invoke PropagateUpdate until one attempt succeeds. Guesses are tried
-// newest first; when all collected guesses fail, the propagation waits
-// for more versions from straggler replicas or retries after a backoff
-// (the failing guesses' writers may propagate in the meantime). A live
+// retry is one propagation across the rounds of Algorithm 1, lines 5-7:
+// choose a view-key guess from the collected versions and invoke
+// PropagateUpdate until one attempt succeeds. Guesses are tried newest
+// first; when all collected guesses fail, the propagation waits for more
+// versions from straggler replicas or retries after a backoff (the
+// failing guesses' writers may propagate in the meantime). A live
 // propagation is abandoned and counted after MaxPropagationRetry; a
-// backfill fill, whose filler is waiting on it, when its context ends.
+// backfill fill, whose filler is waiting on it, ends with its context.
 type retry struct {
-	m       *Manager
-	t       *Task
-	vc      *coord.VersionCollector
+	m            *Manager
+	t            *Task
+	vc           *coord.VersionCollector
+	onPropagated func(string, error)
+	after        *countdown
+	span         *trace.Span
+	obsID        uint64
+	slot         int // index in Manager.live, -1 when not tracked
+
+	// ctx bounds every round; cancel ends the propagation (the abandon
+	// timer, Close). between is the loop's one wait, reused by every
+	// back-off; wake opens it.
 	ctx     context.Context
 	cancel  context.CancelCauseFunc
-	disarm  func() bool // stops the abandon timer; nil for a fill
-	backoff time.Duration
+	between gate
+	wake    func()
 }
 
-// release frees the retry's context and timer once the propagation is
-// over.
-func (r *retry) release() {
-	if r.disarm != nil {
-		r.disarm()
+// interrupt cancels the propagation and wakes its loop if it is waiting
+// out a back-off.
+func (r *retry) interrupt(cause error) {
+	r.cancel(cause)
+	r.wake()
+}
+
+// park waits for d of the registry's clock — or, with changes set, for
+// the collector to learn something while it is incomplete — or for an
+// interrupt, whichever is first. (An interrupt that beats the shutting
+// of the gate is seen in ctx; a later one opens it.) The context of a
+// fill is not a source: it is looked at on waking, at most one back-off
+// later. Neither is a wake left over from an earlier back-off's sources
+// a problem: the loop just tries again early.
+func (r *retry) park(d time.Duration, changes bool) {
+	r.between.shut()
+	if r.ctx.Err() != nil {
+		return
 	}
-	r.cancel(nil)
+	disarm := r.m.reg.clk.AfterFunc(d, r.wake)
+	if changes {
+		// Once collection is complete only the backoff can make a retry
+		// worthwhile; Notify then declines.
+		r.vc.Notify(r.wake)
+	}
+	r.between.wait(r.m.co.Park)
+	disarm()
 }
 
-func (m *Manager) newRetry(t *Task, vc *coord.VersionCollector, sp *trace.Span) *retry {
-	r := &retry{m: m, t: t, vc: vc, backoff: m.reg.opts.RetryBackoff}
-	if t.fill != nil {
-		r.ctx, r.cancel = context.WithCancelCause(t.fill)
-	} else {
+// run is the one drive loop of a propagation, in both modes, on every
+// fabric: an attempt, then a wait, until the propagation is over.
+func (r *retry) run() {
+	r.finish(r.drive())
+}
+
+func (r *retry) drive() error {
+	m, t := r.m, r.t
+	if t.fill == nil {
+		if delay := m.reg.opts.PropagationDelay; delay != nil {
+			r.park(delay(), false)
+		}
 		// The abandon deadline runs on the injected clock, like the
 		// back-off it bounds.
-		r.ctx, r.cancel = context.WithCancelCause(context.Background())
-		r.disarm = m.reg.clk.AfterFunc(m.reg.opts.MaxPropagationRetry, func() { r.cancel(context.DeadlineExceeded) })
+		disarm := m.reg.clk.AfterFunc(m.reg.opts.MaxPropagationRetry, func() { r.interrupt(context.DeadlineExceeded) })
+		defer disarm()
 	}
-	r.ctx = trace.NewContext(r.ctx, sp)
-	return r
-}
-
-// attempt runs one round. It reports over=true with the propagation's
-// outcome, or over=false with how long to back off before the next one.
-func (r *retry) attempt() (over bool, err error, wait time.Duration) {
-	done, err := r.m.round.Try(r.ctx, r.t, r.vc)
-	if done {
-		return true, err, 0
-	}
-	if r.ctx.Err() != nil {
-		r.m.stats.Abandoned.Add(1)
-		return true, fmt.Errorf("core: propagation to %q for base row %q abandoned (%v)",
-			r.t.def.Name, r.t.baseKey, context.Cause(r.ctx)), 0
-	}
-	wait = r.backoff
-	if r.backoff *= 2; r.backoff > 50*time.Millisecond {
-		r.backoff = 50 * time.Millisecond
-	}
-	return false, nil, wait
-}
-
-// runPropagation drives the retry loop on the calling goroutine
-// (ModeLocks): the row lock is taken per round inside Round.Try, never
-// across the wait below.
-func (m *Manager) runPropagation(t *Task, vc *coord.VersionCollector, sp *trace.Span) error {
-	r := m.newRetry(t, vc, sp)
-	defer r.release()
+	backoff := m.reg.opts.RetryBackoff
 	for {
-		over, err, wait := r.attempt()
-		if over {
+		switch cause := context.Cause(r.ctx); {
+		case !m.reg.defines(t.def):
+			// Checked before every attempt: the tables are gone, and a
+			// same-named view re-created meanwhile must not receive an
+			// old generation's cells.
+			return fmt.Errorf("core: propagation for base row %q: %w: %q", t.baseKey, ErrViewDropped, t.def.Name)
+		case cause == context.DeadlineExceeded:
+			m.stats.Abandoned.Add(1)
+			return fmt.Errorf("core: propagation to %q for base row %q abandoned (%v)", t.def.Name, t.baseKey, cause)
+		case cause != nil:
+			// Close, or the filler that was waiting on a fill gave up:
+			// cut short, not given up on.
+			return fmt.Errorf("core: propagation to %q for base row %q cancelled: %w", t.def.Name, t.baseKey, cause)
+		}
+		if done, err := r.attempt(); done {
 			return err
 		}
-		// Changed() stays closed once collection completes (so late
-		// waiters see completion); after that only the backoff can make
-		// a retry worthwhile, so stop selecting on it or the loop would
-		// busy-spin through its remaining retries.
-		changed := vc.Changed()
-		if vc.Complete() {
-			changed = nil
-		}
-		select {
-		case <-r.ctx.Done():
-		case <-changed:
-		case <-m.reg.clk.After(wait):
+		r.park(backoff, true)
+		if backoff *= 2; backoff > 50*time.Millisecond {
+			backoff = 50 * time.Millisecond
 		}
 	}
 }
 
-// runPropagationViaPool drives the same retry loop through the
-// dedicated propagator pool (ModePropagators). Each round runs as one
-// pool job on the base row's propagator; between rounds the job
-// reschedules itself with a timer instead of sleeping, so a propagation
-// waiting for its guesses to resolve never blocks the propagator —
+// attempt runs one round: inline under the row lock (ModeLocks), or as a
+// job of the base row's dedicated propagator that the loop parks on
+// (ModePropagators) — the propagator is never held across a back-off, so
 // other rows' jobs, and crucially the very propagations this one is
 // waiting for, keep flowing.
-func (m *Manager) runPropagationViaPool(t *Task, vc *coord.VersionCollector, sp *trace.Span, finish func(error)) {
-	r := m.newRetry(t, vc, sp)
-	var step func()
-	submit := func() {
-		if !m.reg.pool.Submit(t.lockKey, step) {
-			// Pool shut down: finish inline.
-			r.release()
-			finish(m.runPropagation(t, vc, sp))
-		}
+func (r *retry) attempt() (done bool, err error) {
+	if r.m.reg.pool == nil {
+		return r.m.round.Try(r.ctx, r.t, r.vc)
 	}
-	step = func() {
-		over, err, wait := r.attempt()
-		if over {
-			r.release()
-			finish(err)
-			return
-		}
-		m.reg.clk.AfterFunc(wait, submit)
+	return r.attemptOnPool()
+}
+
+func (r *retry) attemptOnPool() (done bool, err error) {
+	var ran gate
+	if !r.m.reg.pool.Submit(r.t.lockKey, func() {
+		done, err = r.m.round.Try(r.ctx, r.t, r.vc)
+		ran.open()
+	}) {
+		return true, ErrClosed // the pool was shut down under the propagation
 	}
-	submit()
+	ran.wait(r.m.co.Park)
+	return done, err
+}
+
+// finish retires the propagation: gauges, span, the session hook, the
+// countdown of whoever scheduled it (which may mark an intent done),
+// then its slot and its place in the live set — last, so that Close
+// returning means none of the above is still to come.
+func (r *retry) finish(err error) {
+	m, view := r.m, r.t.def.Name
+	r.cancel(nil)
+	m.reg.obs.finishPropagation(r.obsID, view, m.reg.clk.Now(), err)
+	r.span.Finish()
+	if r.onPropagated != nil {
+		r.onPropagated(view, err)
+	}
+	if r.after != nil {
+		r.after.finish(err == nil || errors.Is(err, ErrViewDropped))
+	}
+	m.pending.Add(-1)
+	m.slots.release()
+	m.untrack(r)
 }
 
 // GetView reads a view by view key (Algorithm 4): it returns one
@@ -648,10 +725,9 @@ func (m *Manager) GetView(ctx context.Context, view, viewKey string, columns []s
 			// which asynchronous view semantics permit.
 			return rows, nil
 		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-m.reg.clk.After(time.Millisecond):
+		m.sleep(time.Millisecond)
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 	}
 }

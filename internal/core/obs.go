@@ -21,17 +21,18 @@ type ViewObs struct {
 
 	mu      sync.Mutex
 	perView map[string]*metrics.AtomicHist
-	// pending maps in-flight propagation IDs to their enqueue time and
-	// target view: its size is the pending-propagation depth, its
-	// oldest entry the current worst-case staleness bound — overall or
-	// per view, which is what bounded-staleness reads consult.
+	// pending maps in-flight propagation IDs to their enqueue time,
+	// target view and base key: its size is the pending-propagation
+	// depth, its oldest entry the current worst-case staleness bound —
+	// overall or per view, which is what bounded-staleness reads
+	// consult — and its keys say which rows may be stale right now.
 	pending map[uint64]pendingProp
 	nextID  uint64
 }
 
 type pendingProp struct {
-	view string
-	enq  time.Time
+	view, baseKey string
+	enq           time.Time
 }
 
 // NewViewObs returns empty instrumentation.
@@ -42,13 +43,13 @@ func NewViewObs() *ViewObs {
 	}
 }
 
-// startPropagation registers an enqueued propagation for a view and
-// returns its tracking ID.
-func (o *ViewObs) startPropagation(view string, now time.Time) uint64 {
+// startPropagation registers an enqueued propagation of a base row's
+// update into a view and returns its tracking ID.
+func (o *ViewObs) startPropagation(view, baseKey string, now time.Time) uint64 {
 	o.mu.Lock()
 	o.nextID++
 	id := o.nextID
-	o.pending[id] = pendingProp{view: view, enq: now}
+	o.pending[id] = pendingProp{view: view, baseKey: baseKey, enq: now}
 	o.mu.Unlock()
 	return id
 }
@@ -81,6 +82,21 @@ func (o *ViewObs) Pending() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return len(o.pending)
+}
+
+// PendingOn returns the number of in-flight propagations of updates to
+// one base row, into any view: zero means no view row derived from it
+// is stale on maintenance's account.
+func (o *ViewObs) PendingOn(baseKey string) int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	n := 0
+	for _, p := range o.pending {
+		if p.baseKey == baseKey {
+			n++
+		}
+	}
+	return n
 }
 
 // OldestPendingAge returns how long the oldest in-flight propagation

@@ -81,6 +81,13 @@ type Task struct {
 	// scan, but still competes for propagation slots so it cannot starve
 	// live maintenance.
 	fill context.Context
+	// anchored adds the NULL guess — walk from the base row's chain
+	// anchor; license creation if no view row exists — to whatever the
+	// pool holds. Set where the pre-images may name rows the view will
+	// never have: a replayed intent, a late or backfill task (their pool
+	// was re-read after the write), any task into a view still being
+	// backfilled.
+	anchored bool
 
 	baseKey string
 	stored  string // the base key as view rows spell it (Def.storedKey)
@@ -141,8 +148,9 @@ func (r *Round) Try(ctx context.Context, t *Task, pool Pool) (bool, error) {
 	// missing a version from the snapshot taken after it.
 	complete := pool.Complete()
 	guesses := pool.Versions()
-	anyWritten, anyLive := false, false
+	anyWritten, anyLive, allOwn := false, false, t.vk != nil && complete && len(guesses) > 0
 	for _, g := range guesses {
+		allOwn = allOwn && g.Equal(t.vk.Cell)
 		if g.Exists() {
 			anyWritten = true
 			if !g.Tombstone {
@@ -170,6 +178,16 @@ func (r *Round) Try(ctx context.Context, t *Task, pool Pool) (bool, error) {
 	// the shortcut — the row it names may exist unanchored mid-create,
 	// so the walk must keep retrying until it resolves.
 	noView := complete && !anyLive && t.deletes()
+	// allOwn: every pre-image is the very write being propagated. An
+	// earlier attempt of this Put landed on those replicas, its replies
+	// were lost and the client re-issued it, so what they really
+	// overwrote is gone and the pool names only a row nobody has created.
+	// Like an anchored task's, its guesses then include the one that
+	// cannot dangle. (One such pre-image among real ones is ordinary: a
+	// read repair carried the write to a replica ahead of its request.)
+	if n := len(guesses); (t.anchored || allOwn) && (n == 0 || guesses[n-1].Exists()) {
+		guesses = append(guesses, model.NullCell) // oldest, so last
+	}
 
 	// With several guesses the chain walks ahead share one batched
 	// lookup of every start key (one round trip instead of one Get per

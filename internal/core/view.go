@@ -24,6 +24,10 @@
 // are the propagation's guesses. There is no separate pre-read round
 // and no option for one; Coordinator.GetVersions serves only the
 // propagations that have no Put to ride on (Manager.recollect).
+//
+// Nothing in the package starts a goroutine or waits on a clock channel:
+// background work and waits go through the coordinator (wait.go), so the
+// deterministic simulator hosts the same Manager production runs.
 package core
 
 import (
@@ -349,6 +353,9 @@ type Registry struct {
 	mu     sync.RWMutex
 	byName map[string][]*Def // one Def for plain views, two for joins
 	byBase map[string][]*Def
+	// filling names the views whose backfill has not finished.
+	filling  map[string]bool
+	managers []*Manager
 
 	locks *locks.Manager
 	pool  *propagate.Pool
@@ -359,12 +366,13 @@ type Registry struct {
 func NewRegistry(opts Options) *Registry {
 	opts = opts.withDefaults()
 	r := &Registry{
-		opts:   opts,
-		clk:    clock.Or(opts.Clock),
-		byName: map[string][]*Def{},
-		byBase: map[string][]*Def{},
-		locks:  locks.NewManager(),
-		obs:    NewViewObs(),
+		opts:    opts,
+		clk:     clock.Or(opts.Clock),
+		byName:  map[string][]*Def{},
+		byBase:  map[string][]*Def{},
+		filling: map[string]bool{},
+		locks:   locks.NewManager(),
+		obs:     NewViewObs(),
 	}
 	if opts.Mode == ModePropagators {
 		r.pool = propagate.NewPool(opts.Propagators)
@@ -372,11 +380,24 @@ func NewRegistry(opts Options) *Registry {
 	return r
 }
 
-// Close stops the propagator pool, draining queued propagations.
+// Close ends view maintenance: every manager of the registry is closed
+// (Manager.Close), then the propagator pool is stopped.
 func (r *Registry) Close() {
+	r.mu.RLock()
+	managers := append([]*Manager(nil), r.managers...)
+	r.mu.RUnlock()
+	for _, m := range managers {
+		m.Close()
+	}
 	if r.pool != nil {
 		r.pool.Close()
 	}
+}
+
+func (r *Registry) attach(m *Manager) {
+	r.mu.Lock()
+	r.managers = append(r.managers, m)
+	r.mu.Unlock()
 }
 
 // Options returns the registry's (defaulted) options.
@@ -462,6 +483,7 @@ func (r *Registry) Drop(name string) error {
 		return fmt.Errorf("core: unknown view %q", name)
 	}
 	delete(r.byName, name)
+	delete(r.filling, name)
 	for _, def := range defs {
 		views := r.byBase[def.Base]
 		for i, v := range views {
@@ -475,6 +497,38 @@ func (r *Registry) Drop(name string) error {
 		}
 	}
 	return nil
+}
+
+// defines reports whether def is still what the catalog holds under its
+// name — not dropped, nor dropped and re-created.
+func (r *Registry) defines(def *Def) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, d := range r.byName[def.Name] {
+		if d == def {
+			return true
+		}
+	}
+	return false
+}
+
+// SetBackfilling records whether a view's backfill is still running.
+// While it is, the view lacks rows for base rows its scan has not
+// reached, so propagations into it are anchored (see Task).
+func (r *Registry) SetBackfilling(name string, on bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.byName[name]; ok && on {
+		r.filling[name] = true
+	} else {
+		delete(r.filling, name)
+	}
+}
+
+func (r *Registry) backfilling(name string) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.filling[name]
 }
 
 // View returns the definition of a single-base view (the first side

@@ -111,7 +111,7 @@ func (w *world) checkQuiescentRows() error {
 	seen := map[string]bool{}
 	for _, u := range w.acked {
 		bk := u.BaseKey
-		if seen[bk] || w.pendingOps[bk] > 0 || w.inflight[bk] > 0 {
+		if seen[bk] || !w.quiescent(bk) {
 			seen[bk] = true
 			continue
 		}
@@ -132,6 +132,14 @@ func (w *world) checkQuiescentRows() error {
 		}
 	}
 	return nil
+}
+
+// quiescent reports whether nothing is owed to base key bk right now: no
+// un-acked client write, no recovered intent waiting to be re-enqueued,
+// and — read from the staleness gauge the managers themselves keep — no
+// propagation in flight.
+func (w *world) quiescent(bk string) bool {
+	return w.pendingOps[bk] == 0 && w.replaying[bk] == 0 && w.reg.Obs().PendingOn(bk) == 0
 }
 
 // checkBaseKey verifies one quiescent base key's chain against the fold
@@ -187,13 +195,20 @@ func (w *world) finalCheck() error {
 			return fmt.Errorf("drained with %d un-acked writes for base row %q", n, bk)
 		}
 	}
-	for bk, n := range w.inflight {
+	for bk, n := range w.replaying {
 		if n != 0 {
-			return fmt.Errorf("drained with %d propagations still in flight for base row %q", n, bk)
+			return fmt.Errorf("drained with %d recovered intents of base row %q never re-enqueued", n, bk)
 		}
 	}
-	if n := len(w.propPending); n != 0 {
-		return fmt.Errorf("drained with %d entries still in the staleness pending set", n)
+	if n := w.reg.Obs().Pending(); n != 0 {
+		return fmt.Errorf("drained with %d propagations still in flight", n)
+	}
+	// The retry budget is far beyond the run: a propagation the shipping
+	// loop gave up on is a view left stale for good.
+	for _, m := range w.everyMgr {
+		if n := m.Stats().Abandoned.Load(); n != 0 {
+			return fmt.Errorf("%d propagations were abandoned", n)
+		}
 	}
 
 	// Replica convergence, via the same digests anti-entropy uses.
@@ -363,15 +378,38 @@ func (w *world) checkCausalConvergence() error {
 }
 
 // checkPendingGauge ties the staleness gauge to ground truth: every
-// running propagation has exactly one entry in the pending set, so the
-// lag gauge cannot drift from the real backlog.
+// propagation a manager counts in flight — the managers of dead
+// incarnations included, whose last rounds may still be running — has
+// exactly one entry in the pending set, so the lag gauge (and the
+// quiescence gating read from it) cannot drift from the real backlog.
 func (w *world) checkPendingGauge() error {
 	total := 0
-	for _, n := range w.inflight {
-		total += n
+	for _, m := range w.everyMgr {
+		total += m.PendingPropagations()
 	}
-	if total != len(w.propPending) {
-		return fmt.Errorf("staleness gauge drift: %d propagations in flight but %d pending entries", total, len(w.propPending))
+	if n := w.reg.Obs().Pending(); total != n {
+		return fmt.Errorf("staleness gauge drift: %d propagations in flight but %d pending entries", total, n)
+	}
+	return nil
+}
+
+// checkBaseCells asserts that every cell in any replica's base table is
+// a cell some client sent for exactly that row and column. Nothing but
+// client writes — and the repairs, hints and anti-entropy that copy them
+// — ever writes the base table, so anything else is a write-back that
+// landed under the wrong key.
+func (w *world) checkBaseCells() error {
+	for _, n := range w.nodes {
+	next:
+		for _, e := range n.TableSnapshot(baseTable) {
+			for _, c := range w.issued[string(e.Key)] {
+				if c.Equal(e.Cell) {
+					continue next
+				}
+			}
+			row, col, _ := model.DecodeKey(e.Key)
+			return fmt.Errorf("node %d holds base cell %s.%s = %v, which no client wrote", n.ID(), row, col, e.Cell)
+		}
 	}
 	return nil
 }

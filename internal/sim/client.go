@@ -1,21 +1,23 @@
 package sim
 
-// The simulated client-put path: the workload generator and the client
-// side of Algorithm 1. This is the one place the simulator has a
-// coordinator stamp a dot — the twin of the root package's client.go,
-// and like it the only file dotcheck lets call StampDot.
+// The simulated client: the workload generator and the client side of
+// Algorithm 1 over the node's real core.Manager. This is the one place
+// the simulator has a coordinator stamp a dot — the twin of the root
+// package's client.go, and like it the only file dotcheck lets call
+// StampDot.
 
 import (
 	"context"
 	"fmt"
 	"time"
 
-	"vstore/internal/coord"
 	"vstore/internal/core"
 	"vstore/internal/model"
 	"vstore/internal/transport"
-	"vstore/internal/wal"
 )
+
+// majority is the quorum of every read and write the simulator issues.
+func (w *world) majority() int { return w.cfg.N/2 + 1 }
 
 func (w *world) runClient(id int) {
 	cfg := w.cfg
@@ -40,15 +42,18 @@ func (w *world) runClient(id int) {
 		default:
 			u = model.Update(matCol, []byte(fmt.Sprintf("v%d-%d", id, op)), ts)
 		}
-		w.putWithRetry(coordID, bk, u)
+		w.put(coordID, bk, u)
 	}
 }
 
-// putWithRetry is the client side of Algorithm 1: the coordinator's
-// combined Get-then-Put (coord.PutWithPreRead, what Manager.Put sends),
-// retried with the same cell until acknowledged (so the final base state
-// is exactly the acknowledged updates), then an asynchronous propagation.
-func (w *world) putWithRetry(coordID transport.NodeID, bk string, u model.ColumnUpdate) {
+// put is one client write: Manager.Put — the combined Get-then-Put, the
+// intent logged before the ack, the asynchronous propagations — re-issued
+// with the same cell until acknowledged, so the final base state is
+// exactly the acknowledged updates. An attempt fails without a quorum,
+// when the intent could not be logged (injected storage fault) or when
+// its coordinator was crash-restarted under it; the client then talks to
+// whichever incarnation of the node is up.
+func (w *world) put(coordID transport.NodeID, bk string, u model.ColumnUpdate) {
 	w.pendingOps[bk]++
 	// Stamped once, before the retry loop, where production stamps it:
 	// retries resend the same causal event, so a replica applying the
@@ -56,58 +61,28 @@ func (w *world) putWithRetry(coordID transport.NodeID, bk string, u model.Column
 	// context and counts no phantom sibling.
 	u.Cell.Dot, u.Cell.Ctx = w.coords[coordID].StampDot(baseTable, bk)
 	w.dotSeqs[coordID] = u.Cell.Dot.Seq
+	cellKey := string(model.EncodeKey(bk, u.Column))
+	w.issued[cellKey] = append(w.issued[cellKey], u.Cell)
+	what := fmt.Sprintf("base=%s col=%s ts=%d", bk, u.Column, u.Cell.TS)
+	propagated := func(view string, err error) {
+		w.s.Record("prop-end", fmt.Sprintf("view=%s %s: %v", view, what, err))
+	}
 	updates := []model.ColumnUpdate{u}
-	var vers *coord.VersionCollector
 	backoff := 2 * time.Millisecond
 	for attempt := 0; ; attempt++ {
 		if attempt > 5000 {
 			w.s.Fail(fmt.Errorf("client write to %s (col %s, ts %d) still unacked after %d attempts", bk, u.Column, u.Cell.TS, attempt))
-			w.pendingOps[bk]--
-			return
+			break
 		}
-		// The client talks to whichever incarnation of its coordinator is
-		// up. A failed attempt's pre-images stay in the pool: it may have
-		// landed where replies were lost, and the retry pre-reads itself.
-		co, epoch := w.coords[coordID], w.epochs[coordID]
-		cs, err := co.PutWithPreRead(context.Background(), baseTable, bk, updates, w.majority(), []string{vkCol})
-		vers = carry(cs[vkCol], vers)
-		if err != nil || w.epochs[coordID] != epoch { // no quorum, or the coordinator died under the request
+		if err := w.mgrs[coordID].Put(context.Background(), baseTable, bk, updates, w.majority(), propagated); err != nil {
+			w.s.Record("put-fail", fmt.Sprintf("%s attempt=%d: %v", what, attempt, err))
 			w.s.Backoff(&backoff, 20*time.Millisecond)
 			continue
 		}
-		// Durable mode, the Algorithm-1 ordering the WAL enforces:
-		// the propagation intent is logged at the coordinator after
-		// the quorum write succeeds and before the client sees the
-		// ack, so a coordinator crash from here on leaves a
-		// replayable record, never a silently stale view. A failed
-		// intent append (injected ENOSPC, a crashed coordinator log)
-		// therefore means the write is NOT acknowledged: the client
-		// retries the whole operation — the resend carries the same
-		// dot, so replicas treat it as the same causal event — and a
-		// fresh intent id is allocated on the next attempt.
-		var intentID uint64
-		if w.durable {
-			st := w.storages[coordID]
-			intentID = st.NextIntentID()
-			if err := st.LogIntentStart(wal.Intent{ID: intentID, Table: baseTable, Row: bk, Updates: updates}); err != nil {
-				w.s.Record("intent-log-fail", fmt.Sprintf("base=%s col=%s ts=%d: %v", bk, u.Column, u.Cell.TS, err))
-				w.s.Backoff(&backoff, 20*time.Millisecond)
-				continue
-			}
-		}
 		w.report.Acked++
 		w.acked = append(w.acked, core.BaseUpdate{BaseKey: bk, Column: u.Column, Cell: u.Cell})
-		w.pendingOps[bk]--
-		w.s.Record("put-ack", fmt.Sprintf("base=%s col=%s ts=%d attempt=%d", bk, u.Column, u.Cell.TS, attempt))
-		var delay time.Duration
-		if w.cfg.MaxPropDelay > 0 {
-			delay = time.Duration(w.s.Rand().Int63n(int64(w.cfg.MaxPropDelay)))
-		}
-		w.startPropagations(delay, "propagate", co, bk, u, vers, epoch, func() {
-			if w.durable {
-				_ = w.storages[coordID].LogIntentDone(intentID) // stays pending; next restart retries
-			}
-		})
-		return
+		w.s.Record("put-ack", fmt.Sprintf("%s attempt=%d", what, attempt))
+		break
 	}
+	w.pendingOps[bk]--
 }

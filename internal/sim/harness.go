@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -130,7 +132,7 @@ type Config struct {
 	// from-birth view.
 	CreateViewAt time.Duration
 	// DropViewAt, when positive (> CreateViewAt), drops the backfilled
-	// view mid-run: in-flight propagations targeting it abort, its
+	// view mid-run: in-flight propagations targeting it end, its
 	// table is wiped on every node, its checkpoints are cleared.
 	DropViewAt time.Duration
 	// RecreateViewAt, when positive (> DropViewAt), re-creates the
@@ -229,10 +231,15 @@ type Report struct {
 	FailedAt  time.Duration
 
 	Acked int // acknowledged client writes
-	// Read from the core.Stats the shared propagation round updates —
-	// the instruments DB.Stats reports in production.
+	// Summed over the core.Stats of every manager of the run, the ones
+	// that died in a crash-restart included — the instruments DB.Stats
+	// reports in production.
 	Propagations       int // completed update propagations, provable no-ops included
 	PropagationRetries int // failed PropagateUpdate attempts
+	Abandoned          int // propagations given up after the retry budget (a violation)
+	LateTasks          int // propagations scheduled by Put's post-ack catalog fence
+	BackpressureWaits  int // propagations that waited for a slot of the bounded backlog
+	SharedLocks        int // rounds run under the shared row lock
 	ChainHops          int // stale rows traversed by GetLiveKey
 	Compressions       int // stale pointers rewritten by path compression
 	FinalViewRows      int // application-visible view rows at the end
@@ -274,23 +281,28 @@ type world struct {
 	nodes  []*node.Node
 	coords []*coord.Coordinator // the shipping coordinator, one per node
 	agents []*antientropy.Agent
-	def    *core.Def
 
-	// Durable mode: each node's storage root, and a per-node restart
-	// epoch — a propagation thread belongs to the epoch of the
-	// coordinator that started it and dies (aborts) when the epoch
-	// moves on, exactly like a real thread dying with its process.
+	// reg is the cluster's one view catalog, lock service and staleness
+	// gauge; mgrs the shipping view manager of each node's incarnation,
+	// everyMgr those and the dead ones, whose counters still count.
+	reg      *core.Registry
+	mgrs     []*core.Manager
+	everyMgr []*core.Manager
+	def      *core.Def // byview
+
+	// Durable mode: each node's storage. A crash-restart closes the
+	// node's manager — its propagations end cancelled, like threads dying
+	// with their process — and replays the intents its successor recovers.
 	durable  bool
 	walOpts  wal.Options
 	backends []physical.Backend // per-node namespace, fault wrapper included
 	faults   []*faulty.Backend  // nil entries when injection is off
 	storages []*wal.Storage
-	epochs   []int
 
-	locks      map[string][]func() // held propagation locks and who waits for each
-	pendingOps map[string]int      // base key → un-acked client writes
-	inflight   map[string]int      // base key → running propagations
-	acked      []core.BaseUpdate   // every acknowledged base update, in ack order
+	pendingOps map[string]int          // base key → un-acked client writes
+	replaying  map[string]int          // base key → recovered intents not yet re-enqueued
+	acked      []core.BaseUpdate       // every acknowledged base update, in ack order
+	issued     map[string][]model.Cell // encoded base cell key → every cell a client sent for it
 
 	// dotSeqs is the highest dot sequence each coordinator has stamped.
 	// It lives at world level, outside the crashable node state, because
@@ -299,30 +311,18 @@ type world struct {
 	// re-derives by scanning durable state at recovery.
 	dotSeqs []uint64
 
-	// propPending mirrors what DB.Stats' staleness gauge tracks: one
-	// entry per in-flight propagation, keyed by an id, holding the
-	// virtual enqueue time. The staleness-pending-consistent invariant
-	// ties it to inflight; propLag feeds the Report.
-	propPending map[uint64]time.Duration
-	nextPropID  uint64
-	propLag     metrics.AtomicHist
-
-	// stats and obs are the production instruments every propagation
-	// round of the run reports through (core.Round).
-	stats core.Stats
-	obs   *core.ViewObs
-
 	// Online-backfill scenario state (CreateViewAt > 0). bfGen counts
-	// view generations — a drop + re-create is a new generation with a
-	// fresh table name, so writes from the dropped generation's
-	// in-flight propagations land in an abandoned table instead of
-	// corrupting the new one (table-incarnation semantics). bfDef is
-	// nil until the first activation.
+	// view generations — a drop + re-create is a new one, with a fresh
+	// table name. bfDef is nil until the first activation; bfCtx ends when
+	// the generation is dropped, scanStop[i] ends node i's scan of it.
 	bfDef    *core.Def
 	bfGen    int
 	bfActive bool
 	bfLive   bool
 	bfDone   map[transport.NodeID]bool // current generation's finished scans
+	bfCtx    context.Context
+	bfDrop   context.CancelFunc
+	scanStop []context.CancelFunc
 
 	report *Report
 }
@@ -334,17 +334,38 @@ func Run(cfg Config) *Report {
 	cfg = cfg.withDefaults()
 	s := NewScheduler(cfg.Seed, cfg.CheckEvery)
 	w := &world{
-		cfg:         cfg,
-		s:           s,
-		fab:         NewFabric(s, cfg),
-		locks:       map[string][]func(){},
-		pendingOps:  map[string]int{},
-		inflight:    map[string]int{},
-		propPending: map[uint64]time.Duration{},
-		dotSeqs:     make([]uint64, cfg.Nodes),
-		obs:         core.NewViewObs(),
-		report:      &Report{Seed: cfg.Seed},
+		cfg:        cfg,
+		s:          s,
+		fab:        NewFabric(s, cfg),
+		pendingOps: map[string]int{},
+		replaying:  map[string]int{},
+		issued:     map[string][]model.Cell{},
+		dotSeqs:    make([]uint64, cfg.Nodes),
+		scanStop:   make([]context.CancelFunc, cfg.Nodes),
+		report:     &Report{Seed: cfg.Seed},
 	}
+	// The catalog every node's manager shares, on virtual time: the
+	// propagation delay (a busy maintenance queue; delayed, reordered
+	// propagations are what grow stale chains) is drawn from the run's
+	// one rand.
+	w.reg = core.NewRegistry(core.Options{
+		Clock:                  simClock{s},
+		PathCompression:        cfg.PathCompression,
+		MaxChainHops:           cfg.MaxChainHops,
+		MaxPropagationRetry:    retryBudget,
+		MaxPendingPropagations: backlogBound,
+		PropagationDelay: func() time.Duration {
+			if cfg.MaxPropDelay <= 0 {
+				return 0
+			}
+			return time.Duration(s.Rand().Int63n(int64(cfg.MaxPropDelay)))
+		},
+	})
+	byview := core.Def{Name: viewTable, Base: baseTable, ViewKeyColumn: vkCol, Materialized: []string{matCol}}
+	if err := w.reg.Define(byview); err != nil {
+		panic(err) // a constant definition
+	}
+	w.def, _ = w.reg.View(viewTable)
 
 	ids := make([]transport.NodeID, cfg.Nodes)
 	for i := range ids {
@@ -365,11 +386,11 @@ func Run(cfg Config) *Report {
 	}
 	w.nodes = make([]*node.Node, cfg.Nodes)
 	w.coords = make([]*coord.Coordinator, cfg.Nodes)
+	w.mgrs = make([]*core.Manager, cfg.Nodes)
 	w.agents = make([]*antientropy.Agent, cfg.Nodes)
 	w.storages = make([]*wal.Storage, cfg.Nodes)
 	w.backends = make([]physical.Backend, cfg.Nodes)
 	w.faults = make([]*faulty.Backend, cfg.Nodes)
-	w.epochs = make([]int, cfg.Nodes)
 	for _, id := range ids {
 		if w.durable {
 			w.backends[id] = physical.Sub(root, fmt.Sprintf("node-%d", id))
@@ -387,7 +408,6 @@ func Run(cfg Config) *Report {
 			return w.report
 		}
 	}
-	w.def = &core.Def{Name: viewTable, Base: baseTable, ViewKeyColumn: vkCol, Materialized: []string{matCol}}
 
 	// Continuous invariants, checked inside the scheduler loop. Order
 	// matters: structural acyclicity first, then the per-key quiescent
@@ -395,6 +415,7 @@ func Run(cfg Config) *Report {
 	s.AddInvariant("acyclic-stale-chains", w.checkAcyclic)
 	s.AddInvariant("quiescent-row-oracle", w.checkQuiescentRows)
 	s.AddInvariant("staleness-pending-consistent", w.checkPendingGauge)
+	s.AddInvariant("base-cells-were-written", w.checkBaseCells)
 
 	for c := 0; c < cfg.Clients; c++ {
 		c := c
@@ -453,12 +474,19 @@ func Run(cfg Config) *Report {
 		w.retireCoord(transport.NodeID(id))
 	}
 	w.report.Err = err
-	w.report.Propagations = int(w.stats.Propagations.Load() + w.stats.NoOps.Load())
-	w.report.PropagationRetries = int(w.stats.FailedAttempts.Load())
-	w.report.ChainHops = int(w.stats.ChainHops.Load())
-	w.report.Compressions = int(w.stats.Compressions.Load())
-	w.report.PropLag = w.propLag.Snapshot()
-	w.report.ChainLen = w.obs.ChainLen.Snapshot()
+	for _, m := range w.everyMgr {
+		st := m.Stats()
+		w.report.Propagations += int(st.Propagations.Load() + st.NoOps.Load())
+		w.report.PropagationRetries += int(st.FailedAttempts.Load())
+		w.report.Abandoned += int(st.Abandoned.Load())
+		w.report.LateTasks += int(st.LateTasks.Load())
+		w.report.BackpressureWaits += int(st.BackpressureWaits.Load())
+		w.report.SharedLocks += int(st.SharedLocks.Load())
+		w.report.ChainHops += int(st.ChainHops.Load())
+		w.report.Compressions += int(st.Compressions.Load())
+	}
+	w.report.PropLag = w.reg.Obs().Lag.Snapshot()
+	w.report.ChainLen = w.reg.Obs().ChainLen.Snapshot()
 	w.report.Events = s.Trace().Len()
 	w.report.TraceHash = s.Trace().Hash()
 	w.report.Trace = s.Trace()
@@ -484,7 +512,7 @@ func (w *world) scheduleChaos() {
 		for i := 0; i < cfg.CrashRestarts; i++ {
 			id := transport.NodeID(i % cfg.Nodes)
 			at := time.Duration(rnd.Int63n(int64(cfg.Duration)))
-			s.Schedule(at, "crash-restart", fmt.Sprintf("node %d", id), func() { w.crashRestart(id) })
+			s.Go(at, fmt.Sprintf("crash-restart node %d", id), func() { w.crashRestart(id) })
 		}
 	}
 	for i := 0; i < cfg.Crashes; i++ {
@@ -543,8 +571,27 @@ func (w *world) openNode(id transport.NodeID) (intents []wal.Intent, err error) 
 	w.coords[id] = coord.New(id, w.ring, w.fab, coord.Options{N: w.cfg.N, HintReplayInterval: -1})
 	w.coords[id].SeedDotSeq(w.dotSeqs[id])
 	n.SetPlacement(w.coords[id].ReplicasFor)
+	// And the view manager that ships, on that coordinator: its drive
+	// loop, back-pressure and lock waits park through the fabric, its
+	// timers are scheduler events, the node's storage is its intent log.
+	w.mgrs[id] = core.NewManager(w.reg, w.coords[id])
+	if st != nil {
+		w.mgrs[id].SetIntentLog(st)
+	}
+	w.everyMgr = append(w.everyMgr, w.mgrs[id])
 	return intents, nil
 }
+
+// The shared registry's constants. retryBudget (MaxPropagationRetry) is
+// far beyond what any run needs — faults heal at cfg.Duration, so every
+// propagation eventually completes — which makes an abandoned
+// propagation a violation in itself. backlogBound
+// (MaxPendingPropagations) is small enough that writers do wait for
+// slots.
+const (
+	retryBudget  = 2 * time.Minute
+	backlogBound = 3
+)
 
 // retireCoord folds a coordinator's counters into the report and shuts
 // it down — at the end of the run, or when its node dies: its hints and
@@ -568,22 +615,23 @@ func (w *world) replayHints() {
 
 // crashRestart is the durable-mode kill: the node loses its entire
 // volatile state at an arbitrary virtual instant — memtables, index
-// fragments, every propagation thread it was coordinating — and comes
-// back from disk alone. The storage is abandoned without a final sync
-// (only what the WAL policy made durable survives; under the sim's
-// SyncAlways, that is every acknowledged append), a fresh node is
-// rebuilt from the MANIFEST, run files and WAL tails, and the
+// fragments, every propagation it was coordinating — and comes back from
+// disk alone. The storage is abandoned without a final sync (only what
+// the WAL policy made durable survives; under the sim's SyncAlways, that
+// is every acknowledged append), a fresh node, coordinator and manager
+// are rebuilt from the MANIFEST, run files and WAL tails, and the
 // propagation intents that were logged as started but never done are
-// re-enqueued as new propagations, proving a crashed coordinator's
-// pending view maintenance still converges.
+// replayed through the new manager, proving a crashed coordinator's
+// pending view maintenance still converges. It is a process only so that
+// closing the dead manager can wait out the rounds its propagations were
+// in; everything else happens in its first segment, at one instant.
 func (w *world) crashRestart(id transport.NodeID) {
-	w.epochs[id]++ // in-flight propagation threads of this node die
 	// The dying node's sibling observations would vanish with it.
 	w.report.ConcurrentWrites += int(w.nodes[id].ConcurrentWrites())
+	dead := w.mgrs[id]
 	w.retireCoord(id)
-	old := w.storages[id]
-	_ = old.Abandon()              // crash model: no final sync
-	intents, err := w.openNode(id) // replaces the dead node's handler and coordinator
+	_ = w.storages[id].Abandon()   // crash model: no final sync
+	intents, err := w.openNode(id) // replaces the dead node's handler, coordinator and manager
 	if err != nil {
 		w.s.Fail(fmt.Errorf("crash-restart: %w", err))
 		return
@@ -592,35 +640,47 @@ func (w *world) crashRestart(id transport.NodeID) {
 	w.report.CrashRestarts++
 	w.s.Record("crash-restart", fmt.Sprintf("node %d recovered, %d intents pending", id, len(intents)))
 
-	epoch := w.epochs[id]
+	// Replay fans out to every view in the catalog at replay time
+	// (Manager.Repropagate re-runs buildTasks): a generation created
+	// after the intent was logged gets a harmless re-application of
+	// current state. Replay is idempotent — LWW cells and the redo-safe
+	// promotion make a second or partial application converge.
+	mgr := w.mgrs[id]
 	for _, it := range intents {
-		it := it
-		if it.Table != baseTable || len(it.Updates) != 1 {
-			continue
-		}
-		bk, u := it.Row, it.Updates[0]
 		w.report.IntentsReenqueued++
-		// Replay fans out to every view active at replay time, like the
-		// real Manager re-running buildTasks over the current registry:
-		// byview always; the backfilled view when one is active (a
-		// generation created after the intent was logged gets a
-		// harmless idempotent re-application of current state). The
-		// write-time pre-images died with the coordinator, so every pool
-		// restarts from NULL. Replay is idempotent — LWW cells and the
-		// redo-safe promotion sequence make a second (or partial re-)
-		// application converge to the same rows.
-		w.startPropagations(0, "replay-intent", w.coords[id], bk, u, nil, epoch, func() {
-			_ = w.storages[id].LogIntentDone(it.ID) // stays pending; next restart retries
-		})
+		w.replaying[it.Row]++
+		w.s.Go(0, fmt.Sprintf("replay-intent %d node %d", it.ID, id), func() { w.replayIntent(mgr, it) })
 	}
 	// A backfill scan that was running on this node died with it;
 	// restart it from its checkpoint.
 	if w.bfActive && !w.bfDone[id] {
-		gen := w.bfGen
+		w.scanStop[id]()
 		w.report.BackfillResumes++
-		w.s.Go(0, fmt.Sprintf("backfill-resume node %d gen %d", id, gen), func() {
-			w.runBackfillScan(id, gen)
-		})
+		w.startBackfillScan(id, "backfill-resume")
+	}
+	// The dead incarnation's propagations end cancelled — their intents
+	// not marked done, which is why the replay above finds them — and its
+	// writers fail with ErrClosed.
+	dead.Close()
+}
+
+// replayIntent re-enqueues one recovered intent. A replay that cannot
+// read its pre-images is what production leaves for the next restart;
+// the simulator, which may have none coming, tries again instead — until
+// the node dies once more and its successor inherits the intent.
+func (w *world) replayIntent(mgr *core.Manager, it wal.Intent) {
+	defer func() { w.replaying[it.Row]-- }()
+	backoff := time.Millisecond
+	for attempt := 0; ; attempt++ {
+		err := mgr.Repropagate(context.Background(), it)
+		if err == nil || errors.Is(err, core.ErrClosed) {
+			return
+		}
+		if attempt > 2000 {
+			w.s.Fail(fmt.Errorf("replay of intent %d (base %s) stuck after %d attempts: %w", it.ID, it.Row, attempt, err))
+			return
+		}
+		w.s.Backoff(&backoff, 16*time.Millisecond)
 	}
 }
 

@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"vstore/internal/clock"
 )
 
 // event is one scheduled occurrence in virtual time.
@@ -34,7 +36,7 @@ type event struct {
 	seq    int64 // tie-breaker: scheduling order
 	kind   string
 	detail string
-	fn     func()
+	fn     func() // nil once run or cancelled
 }
 
 type eventHeap []*event
@@ -126,13 +128,21 @@ func (s *Scheduler) AddInvariant(name string, check func() error) {
 }
 
 // Schedule enqueues fn to run after delay of virtual time. kind and
-// detail label the event in the trace.
-func (s *Scheduler) Schedule(delay time.Duration, kind, detail string, fn func()) {
+// detail label the event in the trace. stop cancels the event if it has
+// not run yet and reports whether it was in time; a cancelled event
+// leaves no trace and does not advance the clock.
+func (s *Scheduler) Schedule(delay time.Duration, kind, detail string, fn func()) (stop func() bool) {
 	if delay < 0 {
 		delay = 0
 	}
 	s.seq++
-	heap.Push(&s.events, &event{at: s.now + delay, seq: s.seq, kind: kind, detail: detail, fn: fn})
+	e := &event{at: s.now + delay, seq: s.seq, kind: kind, detail: detail, fn: fn}
+	heap.Push(&s.events, e)
+	return func() bool {
+		pending := e.fn != nil
+		e.fn = nil
+		return pending
+	}
 }
 
 // Record appends a non-event entry (acks, propagation milestones, …) to
@@ -159,9 +169,14 @@ func (s *Scheduler) Fail(err error) {
 func (s *Scheduler) Run() error {
 	for len(s.events) > 0 && s.failure == nil {
 		e := heap.Pop(&s.events).(*event)
+		if e.fn == nil {
+			continue // cancelled
+		}
 		s.now = e.at
 		s.trace.add(s.now, e.kind, e.detail)
-		e.fn()
+		fn := e.fn
+		e.fn = nil
+		fn()
 		if s.failure != nil {
 			break
 		}
@@ -253,3 +268,22 @@ func (s *Scheduler) Backoff(d *time.Duration, max time.Duration) {
 		*d = max
 	}
 }
+
+// simClock is the scheduler as the clock.Clock the real components run
+// on: virtual time, timers that are scheduler events, and a Sleep that
+// parks the running process. What would need a goroutine of its own to
+// deliver — a timer channel, a ticker — panics, like Await outside a
+// process: nothing the simulator hosts may wait that way.
+type simClock struct{ s *Scheduler }
+
+var _ clock.Clock = simClock{}
+
+func (c simClock) Now() time.Time        { return time.Unix(0, 0).Add(c.s.now) }
+func (c simClock) Sleep(d time.Duration) { c.s.Sleep(d) }
+
+func (c simClock) AfterFunc(d time.Duration, f func()) func() bool {
+	return c.s.Schedule(d, "timer", "", f)
+}
+
+func (c simClock) After(time.Duration) <-chan time.Time { panic("sim: Clock.After needs a goroutine") }
+func (c simClock) Ticker(time.Duration) clock.Ticker    { panic("sim: Clock.Ticker needs a goroutine") }

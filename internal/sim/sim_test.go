@@ -88,6 +88,60 @@ func TestSimExercisesCoordinator(t *testing.T) {
 	}
 }
 
+// TestSimExercisesManager guards the claim that a seed sweep judges the
+// shipping view manager: the real core.Managers inside the runs must
+// have retried failed attempts, replayed recovered intents, scheduled
+// tasks from Put's post-ack catalog fence, made writers wait for a slot
+// of the bounded backlog and run rounds under the shared row lock — or
+// the oracle saw none of that code — without ever abandoning a
+// propagation; and with all of it inside, a run is still a pure function
+// of its seed.
+func TestSimExercisesManager(t *testing.T) {
+	seed := seedFromEnv(t, 42)
+	configs := []func() Config{
+		func() Config { return Config{Seed: seed, PathCompression: true} },
+		func() Config { return Config{Seed: seed + 1, PathCompression: true} },
+		// Durable, so nodes crash-restart with intents pending, and with a
+		// view created under load, so a write is in flight as it appears.
+		func() Config {
+			return Config{Seed: 3, PathCompression: true, Backend: physmem.New(), CreateViewAt: 500 * time.Millisecond}
+		},
+	}
+	type counters struct{ failed, abandoned, late, waits, shared, reenqueued int }
+	var sum counters
+	for _, mk := range configs {
+		r1, r2 := Run(mk()), Run(mk())
+		if r1.Err != nil || r2.Err != nil {
+			t.Fatalf("seed %d failed: %v / %v", r1.Seed, r1.Err, r2.Err)
+		}
+		of := func(r *Report) counters {
+			return counters{r.PropagationRetries, r.Abandoned, r.LateTasks, r.BackpressureWaits, r.SharedLocks, r.IntentsReenqueued}
+		}
+		c := of(r1)
+		if r1.TraceHash != r2.TraceHash || c != of(r2) {
+			t.Fatalf("seed %d diverged: hash %s with %+v, then hash %s with %+v", r1.Seed, r1.TraceHash, c, r2.TraceHash, of(r2))
+		}
+		t.Logf("seed %d: %+v", r1.Seed, c)
+		sum.failed += c.failed
+		sum.abandoned += c.abandoned
+		sum.late += c.late
+		sum.waits += c.waits
+		sum.shared += c.shared
+		sum.reenqueued += c.reenqueued
+	}
+	for name, n := range map[string]int{
+		"FailedAttempts": sum.failed, "LateTasks": sum.late, "BackpressureWaits": sum.waits,
+		"SharedLocks": sum.shared, "intents re-enqueued": sum.reenqueued,
+	} {
+		if n == 0 {
+			t.Errorf("no manager ever counted %s across the seeds; the sweep does not exercise it", name)
+		}
+	}
+	if sum.abandoned != 0 {
+		t.Errorf("%d propagations abandoned", sum.abandoned)
+	}
+}
+
 // TestSimReplay is the replay entrypoint printed by failure messages:
 // MV_SEED selects the schedule; without it a fresh seed is generated
 // and printed so any failure is reproducible.

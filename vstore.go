@@ -422,7 +422,10 @@ func Open(cfg Config) (*DB, error) {
 		// before it lands) leaves the view Backfilling on disk; the next
 		// Open resumes a scan whose checkpoint is already Done
 		// everywhere — an instant no-op.
-		OnLive: func(view string) { _ = db.persistSchema() },
+		OnLive: func(view string) {
+			db.registry.SetBackfilling(view, false)
+			_ = db.persistSchema()
+		},
 	})
 	if backend != nil {
 		if err := db.recoverDurable(start); err != nil {
@@ -447,6 +450,10 @@ func (db *DB) Close() {
 		db.QuiesceViews(ctx) //nolint:errcheck // best-effort drain; intents stay logged
 		cancel()
 	}
+	// Closes every manager (core.Manager.Close), ending what the bounded
+	// drain left: in-flight propagations are cancelled — their intents
+	// stay logged, unmarked — and have ended when this returns, so nothing
+	// appends to the logs cluster.Close closes next.
 	db.registry.Close()
 	db.cluster.Close()
 }
@@ -577,6 +584,9 @@ func (db *DB) startBackfill(view string) error {
 	if err != nil {
 		return err
 	}
+	// Until the scan is through, live propagations into the view cannot
+	// trust their pre-images to name rows it has (see core.Task).
+	db.registry.SetBackfilling(view, true)
 	return db.bf.Start(view, db.now().UnixMicro(), parts, db.backfillFiller(view))
 }
 
