@@ -42,20 +42,23 @@ test-backends:
 	$(GO) run ./cmd/mvverify -sim -durable -backend mem -storage-faults 0.02 -rounds 5 -seed 3 -v
 
 # Pinned regression schedules: seeds in
-# internal/sim/testdata/regression_seeds.txt that once exposed real
-# protocol bugs, replayed under the race detector on every check.
+# internal/sim/testdata/regression_seeds.txt (each under the scenario
+# its line names) that once exposed real protocol bugs, replayed under
+# the race detector on every check.
 regression:
 	$(GO) test -race -count=1 -run 'TestSimReplayRegressionSeeds' ./internal/sim
 
 # Time-boxed sweep of fresh random seeds through the simulator; any
-# failing round prints its seed and an MV_SEED replay command. The two
-# online-view scenarios run under the same oracle: a backfill racing
-# crash-restarts and injected storage faults, and a view dropped and
-# re-created mid-backfill under a skewed write load.
+# failing round prints its seed and an MV_SEED replay command. The
+# scenarios run under the same oracle: a backfill racing crash-restarts
+# and injected storage faults, a view dropped and re-created
+# mid-backfill under a skewed write load, and back-to-back writers of a
+# few hot rows whose propagations are handed from one to the next.
 sim-sweep:
 	timeout 300 $(GO) run ./cmd/mvverify -sim -rounds 25 -compress -v
 	timeout 300 $(GO) run ./cmd/mvverify -sim -durable -backend mem -scenario backfill -storage-faults 0.02 -rounds 8 -v
 	timeout 300 $(GO) run ./cmd/mvverify -sim -scenario drop-recreate -compress -rounds 8 -v
+	timeout 300 $(GO) run ./cmd/mvverify -sim -scenario hot-row -rounds 8 -v
 
 # Short runs of the fuzzers (dot metadata through the dvv, WAL and
 # sstable encodings; the memtable against its sorted-map reference);

@@ -22,6 +22,7 @@
 //	mvverify -sim -durable -rounds 10 -seed 1 -v
 //	mvverify -sim -durable -scenario backfill -storage-faults 0.02 -rounds 5 -v
 //	mvverify -sim -scenario drop-recreate -compress -rounds 5 -v
+//	mvverify -sim -scenario hot-row -rounds 5 -v
 //	MV_SEED=124 mvverify -sim -v
 package main
 
@@ -58,7 +59,7 @@ func main() {
 		durable  = flag.Bool("durable", false, "with -sim: durable nodes plus crash-restart faults (WAL/sstable recovery under the oracle)")
 		backend  = flag.String("backend", "fs", "with -sim -durable: physical backend, fs (temp directory) or mem (hermetic in-memory)")
 		faults   = flag.Float64("storage-faults", 0, "with -sim -durable: per-operation injected storage fault probability [0,1)")
-		scenario = flag.String("scenario", "", "with -sim: online-view scenario — backfill (view defined mid-run, scans race crashes) or drop-recreate (skewed writes, view dropped then re-created)")
+		scenario = flag.String("scenario", "", "with -sim: backfill (view defined mid-run, scans race crashes), drop-recreate (skewed writes, view dropped then re-created) or hot-row (back-to-back writers of a few rows, fault-free)")
 		replay   = flag.Int64("replay", 0, "replay exactly one simulated schedule with this seed (implies -sim)")
 		verbose  = flag.Bool("v", false, "per-round progress")
 	)
@@ -68,8 +69,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mvverify: unknown -backend %q (want fs or mem)\n", *backend)
 		os.Exit(2)
 	}
-	if *scenario != "" && *scenario != "backfill" && *scenario != "drop-recreate" {
-		fmt.Fprintf(os.Stderr, "mvverify: unknown -scenario %q (want backfill or drop-recreate)\n", *scenario)
+	if _, err := sim.WithScenario(sim.Config{}, *scenario); err != nil {
+		fmt.Fprintf(os.Stderr, "mvverify: -scenario: %v\n", err)
 		os.Exit(2)
 	}
 	if *replay != 0 {
@@ -146,19 +147,7 @@ func runSim(rounds int, seed int64, baseRows, keys int, compress, durable bool, 
 			PathCompression:  compress,
 			StorageFaultProb: faults,
 		}
-		switch scenario {
-		case "backfill":
-			// A second view is defined mid-run; its per-node scans race
-			// the live writes (and the crash-restart fault when -durable).
-			cfg.CreateViewAt = 500 * time.Millisecond
-		case "drop-recreate":
-			// Define, drop mid-backfill, re-create as a new generation —
-			// under a write load skewed onto two hot base rows.
-			cfg.SkewedWrites = true
-			cfg.CreateViewAt = 400 * time.Millisecond
-			cfg.DropViewAt = 800 * time.Millisecond
-			cfg.RecreateViewAt = 1200 * time.Millisecond
-		}
+		cfg, _ = sim.WithScenario(cfg, scenario) // validated in main
 		if durable {
 			switch backend {
 			case "mem":
@@ -192,14 +181,18 @@ func runSim(rounds int, seed int64, baseRows, keys int, compress, durable bool, 
 			if durable {
 				extra = fmt.Sprintf(", %d crash-restarts, %d intents re-enqueued", r.CrashRestarts, r.IntentsReenqueued)
 			}
-			if scenario != "" {
+			if cfg.CreateViewAt > 0 {
 				extra += fmt.Sprintf(", backfill: %d scanned/%d fills/%d resumes/%d drops live=%v",
 					r.BackfillRowsScanned, r.BackfillFills, r.BackfillResumes, r.ViewDrops, r.BackfillLive)
 			}
+			if scenario == "hot-row" {
+				extra += fmt.Sprintf(", %.2f attempts per propagation, view lag mean %.1f ms",
+					float64(r.Propagations+r.PropagationRetries)/float64(r.Propagations), float64(r.PropLag.Sum)/float64(r.PropLag.Count)/1e3)
+			}
 			co := r.Coord
-			fmt.Printf("ok   seed=%d  %d events, %d propagations, %d chain hops, %d compressions, manager: %d failed attempts/%d abandoned/%d late tasks/%d backpressure waits/%d shared locks, coord: %d digest reads/%d mismatches/%d repairs/%d hints/%d replayed/%d multigets%s, trace %s\n",
+			fmt.Printf("ok   seed=%d  %d events, %d propagations, %d chain hops, %d compressions, manager: %d failed attempts/%d hand-offs/%d abandoned/%d late tasks/%d backpressure waits/%d shared locks, coord: %d digest reads/%d mismatches/%d repairs/%d hints/%d replayed/%d multigets%s, trace %s\n",
 				s, r.Events, r.Propagations, r.ChainHops, r.Compressions,
-				r.PropagationRetries, r.Abandoned, r.LateTasks, r.BackpressureWaits, r.SharedLocks,
+				r.PropagationRetries, r.HandOffs, r.Abandoned, r.LateTasks, r.BackpressureWaits, r.SharedLocks,
 				co.DigestReads, co.DigestMismatches, co.ReadRepairs, co.HintsStored, co.HintsReplayed, co.MultiGets,
 				extra, r.TraceHash[:16])
 		}

@@ -3,7 +3,10 @@
 // rows in the versioned view, and update propagation must walk that
 // chain to find the live row. The example hammers one row, prints how
 // the chain-walk counters grow, and then shows the path-compression
-// extension flattening the chains.
+// extension flattening the chains. It also prints how often an attempt
+// failed because the row its guess named did not exist yet, and how
+// many of those then waited for the in-flight propagation that creates
+// it (a hand-off) instead of retrying on a back-off timer.
 package main
 
 import (
@@ -17,7 +20,7 @@ import (
 	"vstore"
 )
 
-func run(compression bool) (hops int64, props int64) {
+func run(compression bool) vstore.ViewStats {
 	db, err := vstore.Open(vstore.Config{
 		Views: vstore.ViewOptions{
 			PathCompression: compression,
@@ -77,15 +80,20 @@ func run(compression bool) (hops int64, props int64) {
 			log.Fatalf("stale owner %s still sees the item", stale)
 		}
 	}
-	return st.Views.ChainHops, st.Views.Propagations
+	return st.Views
 }
 
 func main() {
 	fmt.Println("hammering one row's view key, 200 reassignments:")
-	hops, props := run(false)
-	fmt.Printf("  plain chains:      %3d propagations walked %3d stale hops\n", props, hops)
-	hopsC, propsC := run(true)
-	fmt.Printf("  path compression:  %3d propagations walked %3d stale hops\n", propsC, hopsC)
+	for _, compression := range []bool{false, true} {
+		name := "plain chains:    "
+		if compression {
+			name = "path compression:"
+		}
+		st := run(compression)
+		fmt.Printf("  %s %3d propagations walked %3d stale hops; %3d failed attempts, %3d hand-offs\n",
+			name, st.Propagations, st.ChainHops, st.PropagationFailures, st.HandOffs)
+	}
 	fmt.Println("\nthe paper's Figure 8 measures the throughput cost of exactly this")
 	fmt.Println("effect; run `mvbench -fig 8` (and `-ablation compression`) for it.")
 }

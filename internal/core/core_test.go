@@ -863,3 +863,79 @@ func TestPropagationAbandonedOnInjectedClock(t *testing.T) {
 		t.Fatalf("abandoned = %d, want 1", n)
 	}
 }
+
+// A failed attempt waits for the propagation that creates the row its
+// guess names — not for whichever older propagation of the row is
+// newest, and not on a back-off: with that creator and a later
+// materialized-column update of the same row both held in their
+// PropagationDelay, a view-key update whose guess is the creator's key
+// parks on the creator and completes once the creator ends, the update
+// in between still held.
+func TestHandOffWaitsForTheRowItsGuessNames(t *testing.T) {
+	const creator, between = time.Hour, 2 * time.Hour
+	var mu sync.Mutex
+	delays := []time.Duration{creator, between} // then none
+	clk := &holdClock{Clock: clock.Wall, only: func(d time.Duration) bool { return d >= time.Hour }}
+	h := newHarness(t, core.Options{Clock: clk, PropagationDelay: func() time.Duration {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(delays) == 0 {
+			return 0
+		}
+		d := delays[0]
+		delays = delays[1:]
+		return d
+	}}, 4)
+	mustDefine(t, h, ticketDef())
+	m := h.mgrs[0]
+	done := make(chan string, 3)
+	put := func(name string, u model.ColumnUpdate) {
+		t.Helper()
+		err := m.Put(ctxT(t), "ticket", "1", []model.ColumnUpdate{u}, 2, func(_ string, err error) {
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			done <- name
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// eventually waits for a condition the propagations reach on their own
+	// goroutines (each samples its delay when it starts).
+	eventually := func(what string, ok func() bool) {
+		t.Helper()
+		for limit := time.Now().Add(10 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(limit) {
+				t.Fatalf("%s never happened", what)
+			}
+		}
+	}
+	put("creator", model.Update("assignedto", []byte("rliu"), 1))
+	eventually("the creator's delay", func() bool { return clk.holds(creator) })
+	put("between", model.Update("status", []byte("open"), 2))
+	eventually("the held update's delay", func() bool { return clk.holds(between) })
+	put("successor", model.Update("assignedto", []byte("cjin"), 3))
+	eventually("a hand-off of the successor's failed attempt", func() bool { return m.Stats().HandOffs.Load() == 1 })
+
+	clk.releaseIf(func(d time.Duration) bool { return d == creator })
+	for ended := map[string]bool{}; !ended["creator"] || !ended["successor"]; {
+		select {
+		case name := <-done:
+			if name == "between" {
+				t.Fatal("the held update ended")
+			}
+			ended[name] = true
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %v ended once the creator was released; the successor waits for the wrong predecessor", ended)
+		}
+	}
+	clk.release()
+	h.quiesce(t)
+	if rows := getView(t, m, "assignedto", "cjin"); len(rows) != 1 || rows[0].BaseKey != "1" {
+		t.Fatalf("view under cjin = %v", rows)
+	}
+	if n := m.Stats().HandOffs.Load(); n != 1 {
+		t.Fatalf("%d hand-offs, want 1", n)
+	}
+}

@@ -43,9 +43,11 @@ type Manager struct {
 
 	// live holds the scheduled propagations that have not ended, for
 	// Close to cancel and wait out; idle opens when a closed manager's
-	// last one ends.
+	// last one ends. newest is the latest of them per Task.lockKey, the
+	// head of that row's chain in schedule order (retry.prev, handOff).
 	mu     sync.Mutex
 	live   []*retry
+	newest map[string]*retry
 	closed bool
 	idle   gate
 
@@ -126,11 +128,15 @@ type Stats struct {
 	// SharedLocks counts rounds serialized under the shared row lock
 	// (materialized-column updates, Section IV-F).
 	SharedLocks atomic.Int64
+	// HandOffs counts failed attempts that parked on an in-flight
+	// predecessor — an older propagation of the same row whose view-key
+	// write one of the guesses names — instead of on a back-off.
+	HandOffs atomic.Int64
 }
 
 // NewManager returns a view manager bound to one coordinator.
 func NewManager(reg *Registry, co *coord.Coordinator) *Manager {
-	m := &Manager{reg: reg, co: co}
+	m := &Manager{reg: reg, co: co, newest: map[string]*retry{}}
 	m.round = Round{
 		Port: coordPort{m}, Stats: &m.stats, Obs: reg.obs,
 		MaxChainHops: reg.opts.MaxChainHops, PathCompression: reg.opts.PathCompression,
@@ -239,9 +245,15 @@ func (m *Manager) track(r *retry) bool {
 	}
 	r.slot = len(m.live)
 	m.live = append(m.live, r)
+	if r.prev = m.newest[r.t.lockKey]; r.prev != nil {
+		r.prev.next = r
+	}
+	m.newest[r.t.lockKey] = r
 	return true
 }
 
+// untrack takes r out of the live set and its row's chain, then wakes
+// the propagations parked on it.
 func (m *Manager) untrack(r *retry) {
 	m.mu.Lock()
 	if r.slot >= 0 {
@@ -251,9 +263,22 @@ func (m *Manager) untrack(r *retry) {
 		m.live[last] = nil
 		m.live = m.live[:last]
 		r.slot = -1
+		switch {
+		case r.next != nil:
+			r.next.prev = r.prev
+		case r.prev != nil:
+			m.newest[r.t.lockKey] = r.prev
+		default:
+			delete(m.newest, r.t.lockKey)
+		}
+		if r.prev != nil {
+			r.prev.next = r.next
+		}
+		r.prev, r.next = nil, nil
 	}
 	idle := m.closed && len(m.live) == 0
 	m.mu.Unlock()
+	r.wakeSuccessors()
 	if idle {
 		m.idle.open()
 	}
@@ -534,11 +559,12 @@ func (m *Manager) schedule(t *Task, vc *coord.VersionCollector, putSpan *trace.S
 // retry is one propagation across the rounds of Algorithm 1, lines 5-7:
 // choose a view-key guess from the collected versions and invoke
 // PropagateUpdate until one attempt succeeds. Guesses are tried newest
-// first; when all collected guesses fail, the propagation waits for more
-// versions from straggler replicas or retries after a backoff (the
-// failing guesses' writers may propagate in the meantime). A live
-// propagation is abandoned and counted after MaxPropagationRetry; a
-// backfill fill, whose filler is waiting on it, ends with its context.
+// first; when all collected guesses fail, the propagation waits for the
+// in-flight predecessor one of them names (handOff), or for more versions
+// from straggler replicas or a backoff (the failing guesses' writers may
+// propagate in the meantime). A live propagation is abandoned and counted
+// after MaxPropagationRetry; a backfill fill, whose filler is waiting on
+// it, ends with its context.
 type retry struct {
 	m            *Manager
 	t            *Task
@@ -551,11 +577,17 @@ type retry struct {
 
 	// ctx bounds every round; cancel ends the propagation (the abandon
 	// timer, Close). between is the loop's one wait, reused by every
-	// back-off; wake opens it.
+	// back-off and hand-off; wake opens it.
 	ctx     context.Context
 	cancel  context.CancelCauseFunc
 	between gate
 	wake    func()
+
+	// Guarded by Manager.mu: prev and next chain the live propagations of
+	// the same Task.lockKey in schedule order; successors are parked on
+	// this one (handOff).
+	prev, next *retry
+	successors []*retry
 }
 
 // interrupt cancels the propagation and wakes its loop if it is waiting
@@ -605,7 +637,7 @@ func (r *retry) drive() error {
 		defer disarm()
 	}
 	backoff := m.reg.opts.RetryBackoff
-	for {
+	for first := true; ; first = false {
 		switch cause := context.Cause(r.ctx); {
 		case !m.reg.defines(t.def):
 			// Checked before every attempt: the tables are gone, and a
@@ -623,10 +655,80 @@ func (r *retry) drive() error {
 		if done, err := r.attempt(); done {
 			return err
 		}
+		// A failed retry gives the propagations parked on this one a retry
+		// (handOff). A first attempt's failure does not: a new propagation's
+		// predecessor is usually still running, and the retries it handed
+		// down the chain would fail the same way.
+		if !first {
+			r.wakeSuccessors()
+		}
+		if r.handOff() {
+			continue
+		}
 		r.park(backoff, true)
 		if backoff *= 2; backoff > 50*time.Millisecond {
 			backoff = 50 * time.Millisecond
 		}
+	}
+}
+
+// handOff parks a propagation whose attempt failed on its predecessor:
+// the newest older live propagation of the same row on this manager
+// whose view-key write one of the guesses names, and so whose row. It
+// wakes when that one ends or fails a retry: with concurrent writers the
+// older one may wait for this one's row, polling on its back-off, and
+// each of its failures is a retry here, so no timer is needed. Edges
+// point only to older propagations, so chains of them are acyclic. It
+// reports false, without parking, when there is no such predecessor.
+func (r *retry) handOff() bool {
+	m := r.m
+	m.mu.Lock()
+	var p *retry
+	if r.prev != nil {
+		guesses := r.vc.Versions()
+		for p = r.prev; p != nil && !p.writes(guesses); p = p.prev {
+		}
+	}
+	// p has not ended: it leaves the chain under m.mu before it wakes the
+	// successors it has, and an early wake (an interrupt, a stale source)
+	// just leaves r on its list for one spurious wake more.
+	if p != nil {
+		r.between.shut()
+		p.successors = append(p.successors, r)
+	}
+	m.mu.Unlock()
+	if p == nil {
+		return false
+	}
+	if r.ctx.Err() == nil {
+		m.stats.HandOffs.Add(1)
+		r.between.wait(m.co.Park)
+	}
+	return true
+}
+
+// writes reports whether the propagation's view-key write is one of the
+// guesses.
+func (r *retry) writes(guesses []model.Cell) bool {
+	if r.t.vk == nil || r.t.vk.Cell.Tombstone {
+		return false
+	}
+	for _, g := range guesses {
+		if g.Equal(r.t.vk.Cell) {
+			return true
+		}
+	}
+	return false
+}
+
+// wakeSuccessors wakes the propagations parked on r.
+func (r *retry) wakeSuccessors() {
+	r.m.mu.Lock()
+	woken := r.successors
+	r.successors = nil
+	r.m.mu.Unlock()
+	for _, s := range woken {
+		s.wake()
 	}
 }
 

@@ -148,13 +148,13 @@ func (r *Round) Try(ctx context.Context, t *Task, pool Pool) (bool, error) {
 	// missing a version from the snapshot taken after it.
 	complete := pool.Complete()
 	guesses := pool.Versions()
-	anyWritten, anyLive, allOwn := false, false, t.vk != nil && complete && len(guesses) > 0
+	anyWritten, live, allOwn := false, 0, t.vk != nil && complete && len(guesses) > 0
 	for _, g := range guesses {
 		allOwn = allOwn && g.Equal(t.vk.Cell)
 		if g.Exists() {
 			anyWritten = true
 			if !g.Tombstone {
-				anyLive = true
+				live++
 			}
 		}
 	}
@@ -170,14 +170,18 @@ func (r *Round) Try(ctx context.Context, t *Task, pool Pool) (bool, error) {
 		r.Stats.NoOps.Add(1)
 		return true, nil
 	}
-	// With a complete pool holding no live guess, a deletion (or
-	// mat-only update) whose walk finds no anchor at the quorum is a
-	// provable no-op: any concurrent view-key creation's CopyData
-	// quorum-reads the base row, intersects this update's acked write
-	// quorum, and folds the winning state itself. A live guess forbids
-	// the shortcut — the row it names may exist unanchored mid-create,
-	// so the walk must keep retrying until it resolves.
-	noView := complete && !anyLive && t.deletes()
+	// With a complete pool, a deletion (or mat-only update) whose walk
+	// finds no anchor at the quorum is a provable no-op: any concurrent
+	// view-key creation's CopyData quorum-reads the base row, intersects
+	// this update's acked write quorum, and folds the winning state
+	// itself. A live guess forbids the shortcut until its own walk has
+	// missed in this round: the row it names may exist unanchored
+	// mid-create, but a creation whose copy preceded this write's ack
+	// wrote that row to a quorum before it, and the walk finds it. An
+	// anchored task's live guess may miss for good — the backfill scan
+	// read the base row after the write and never created the row it
+	// names — and this shortcut is what ends such a deletion.
+	noView := complete && t.deletes()
 	// allOwn: every pre-image is the very write being propagated. An
 	// earlier attempt of this Put landed on those replicas, its replies
 	// were lost and the client re-issued it, so what they really
@@ -200,7 +204,11 @@ func (r *Round) Try(ctx context.Context, t *Task, pool Pool) (bool, error) {
 			r.Stats.Propagations.Add(1)
 			return true, nil
 		}
-		if noView && g.IsNull() && errors.Is(err, errKeyMissing) {
+		missing := errors.Is(err, errKeyMissing)
+		if !g.IsNull() && missing {
+			live--
+		}
+		if noView && live == 0 && g.IsNull() && missing {
 			r.Stats.NoOps.Add(1)
 			return true, nil
 		}

@@ -353,3 +353,46 @@ func TestDeletionOverTombstonedPreImagesStampsDeleted(t *testing.T) {
 		t.Fatalf("deleted row resurrected: reader sees %v (initializing=%v)", rows, initializing)
 	}
 }
+
+// A deletion into a view that is still being backfilled may hold a live
+// pre-image whose row the view never gets: the scan read the base row
+// after the deletion landed and created nothing. Such an anchored task
+// retried until it was abandoned (simulator seeds 5000 and 5039 of the
+// drop-recreate scenario). Once every live guess and the anchor miss in
+// one round it is a no-op; a live guess that finds its row is stamped as
+// before.
+func TestAnchoredDeletionOfNeverCreatedRowIsNoOp(t *testing.T) {
+	const bk = "r"
+	def := &Def{Name: "v", Base: "b", ViewKeyColumn: "k", Materialized: []string{"m"}}
+	port := &fakePort{t: t, tables: map[string]map[string]model.Row{}}
+	var stats Stats
+	round := Round{Port: port, Stats: &stats, Obs: NewViewObs(), MaxChainHops: 64}
+	del := []model.ColumnUpdate{{Column: "k", Cell: model.Cell{Tombstone: true, TS: 87}}}
+	pool := staticPool{{Value: []byte("k1"), TS: 80}}
+	try := func() {
+		t.Helper()
+		task, _ := TaskFor(def, bk, del)
+		task.anchored = true
+		if done, err := round.Try(context.Background(), &task, pool); !done {
+			t.Fatalf("anchored deletion over pre-image %v did not finish: %v", pool[0], err)
+		}
+	}
+
+	try()
+	cells := 0
+	for _, row := range port.tables[def.Name] {
+		cells += len(row)
+	}
+	if n := stats.NoOps.Load(); n != 1 || cells != 0 {
+		t.Fatalf("deletion of a never-created row: %d no-ops, %d view cells written; want 1 and none", n, cells)
+	}
+
+	create, _ := TaskFor(def, bk, []model.ColumnUpdate{{Column: "k", Cell: model.Cell{Value: []byte("k1"), TS: 80}}})
+	if done, err := round.Try(context.Background(), &create, staticPool{model.NullCell}); !done {
+		t.Fatalf("creating k1: %v", err)
+	}
+	try()
+	if got := cellOf(port.row(def.Name, "k1"), model.Qualify(bk, ColDeleted)).TS; got != 87 || stats.NoOps.Load() != 1 {
+		t.Fatalf("row k1 carries __deleted at ts %d with %d no-ops; want 87 and still 1", got, stats.NoOps.Load())
+	}
+}

@@ -21,6 +21,14 @@ func (w *world) majority() int { return w.cfg.N/2 + 1 }
 
 func (w *world) runClient(id int) {
 	cfg := w.cfg
+	if cfg.hotRows > 0 {
+		// A back-to-back writer: row r<id>, fresh keys, rising timestamps.
+		bk, coordID := fmt.Sprintf("r%d", id), transport.NodeID(id%cfg.Nodes)
+		for op := 0; op < cfg.OpsPerClient; op++ {
+			w.put(coordID, bk, model.Update(vkCol, []byte(fmt.Sprintf("h%d-%d", id, op)), int64(op+1)))
+		}
+		return
+	}
 	rnd := w.s.Rand()
 	meanGap := int64(cfg.Duration) / int64(cfg.OpsPerClient)
 	for op := 0; op < cfg.OpsPerClient; op++ {

@@ -141,6 +141,42 @@ type Config struct {
 	// SkewedWrites concentrates ~70% of client writes onto two base
 	// rows, so view drop/re-create and backfill race a hot-key load.
 	SkewedWrites bool
+
+	// hotRows, set by the hot-row scenario, replaces the random client
+	// mix with hotRows writers, writer i the only one of base row r<i>:
+	// each issues its OpsPerClient view-key Puts back to back through one
+	// coordinator — a fresh view key at a rising timestamp, no think time
+	// — the shape of the benchmark's skew_write.
+	hotRows int
+}
+
+// WithScenario shapes cfg into one of the named scenarios mvverify's
+// -scenario flag and the tests run; the empty name leaves it as is.
+func WithScenario(cfg Config, name string) (Config, error) {
+	switch name {
+	case "":
+	case "backfill":
+		// A second view is defined mid-run; its per-node scans race the
+		// live writes (and the crash-restart fault when durable).
+		cfg.CreateViewAt = 500 * time.Millisecond
+	case "drop-recreate":
+		// Define, drop mid-backfill, re-create as a new generation — under
+		// a write load skewed onto two hot base rows.
+		cfg.SkewedWrites = true
+		cfg.CreateViewAt = 400 * time.Millisecond
+		cfg.DropViewAt = 800 * time.Millisecond
+		cfg.RecreateViewAt = 1200 * time.Millisecond
+	case "hot-row":
+		// Four back-to-back writers of four rows, fault-free, on the real
+		// RetryBackoff and the small backlog bound. The random propagation
+		// delay stays: it starts a row's propagations out of order, and a
+		// later one then waits for its predecessor's row.
+		cfg.hotRows, cfg.OpsPerClient = 4, 25
+		cfg.Crashes, cfg.Partitions, cfg.DropProb = -1, -1, -1
+	default:
+		return cfg, fmt.Errorf("unknown scenario %q (want backfill, drop-recreate or hot-row)", name)
+	}
+	return cfg, nil
 }
 
 func (c Config) withDefaults() Config {
@@ -158,6 +194,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ViewKeys <= 0 {
 		c.ViewKeys = 6
+	}
+	if c.hotRows > 0 {
+		c.Clients = c.hotRows
 	}
 	if c.Clients <= 0 {
 		c.Clients = 4
@@ -240,6 +279,7 @@ type Report struct {
 	LateTasks          int // propagations scheduled by Put's post-ack catalog fence
 	BackpressureWaits  int // propagations that waited for a slot of the bounded backlog
 	SharedLocks        int // rounds run under the shared row lock
+	HandOffs           int // failed attempts parked on an in-flight predecessor
 	ChainHops          int // stale rows traversed by GetLiveKey
 	Compressions       int // stale pointers rewritten by path compression
 	FinalViewRows      int // application-visible view rows at the end
@@ -482,6 +522,7 @@ func Run(cfg Config) *Report {
 		w.report.LateTasks += int(st.LateTasks.Load())
 		w.report.BackpressureWaits += int(st.BackpressureWaits.Load())
 		w.report.SharedLocks += int(st.SharedLocks.Load())
+		w.report.HandOffs += int(st.HandOffs.Load())
 		w.report.ChainHops += int(st.ChainHops.Load())
 		w.report.Compressions += int(st.Compressions.Load())
 	}

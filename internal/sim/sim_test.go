@@ -90,12 +90,12 @@ func TestSimExercisesCoordinator(t *testing.T) {
 
 // TestSimExercisesManager guards the claim that a seed sweep judges the
 // shipping view manager: the real core.Managers inside the runs must
-// have retried failed attempts, replayed recovered intents, scheduled
-// tasks from Put's post-ack catalog fence, made writers wait for a slot
-// of the bounded backlog and run rounds under the shared row lock — or
-// the oracle saw none of that code — without ever abandoning a
-// propagation; and with all of it inside, a run is still a pure function
-// of its seed.
+// have retried failed attempts, handed propagations off to their
+// predecessors, replayed recovered intents, scheduled tasks from Put's
+// post-ack catalog fence, made writers wait for a slot of the bounded
+// backlog and run rounds under the shared row lock — or the oracle saw
+// none of that code — without ever abandoning a propagation; and with all
+// of it inside, a run is still a pure function of its seed.
 func TestSimExercisesManager(t *testing.T) {
 	seed := seedFromEnv(t, 42)
 	configs := []func() Config{
@@ -106,23 +106,28 @@ func TestSimExercisesManager(t *testing.T) {
 		func() Config {
 			return Config{Seed: 3, PathCompression: true, Backend: physmem.New(), CreateViewAt: 500 * time.Millisecond}
 		},
+		defineDuringBurst(seed),
 	}
-	type counters struct{ failed, abandoned, late, waits, shared, reenqueued int }
+	type counters struct{ failed, handOffs, abandoned, late, waits, shared, reenqueued int }
 	var sum counters
-	for _, mk := range configs {
+	for i, mk := range configs {
 		r1, r2 := Run(mk()), Run(mk())
 		if r1.Err != nil || r2.Err != nil {
 			t.Fatalf("seed %d failed: %v / %v", r1.Seed, r1.Err, r2.Err)
 		}
 		of := func(r *Report) counters {
-			return counters{r.PropagationRetries, r.Abandoned, r.LateTasks, r.BackpressureWaits, r.SharedLocks, r.IntentsReenqueued}
+			return counters{r.PropagationRetries, r.HandOffs, r.Abandoned, r.LateTasks, r.BackpressureWaits, r.SharedLocks, r.IntentsReenqueued}
 		}
 		c := of(r1)
 		if r1.TraceHash != r2.TraceHash || c != of(r2) {
 			t.Fatalf("seed %d diverged: hash %s with %+v, then hash %s with %+v", r1.Seed, r1.TraceHash, c, r2.TraceHash, of(r2))
 		}
 		t.Logf("seed %d: %+v", r1.Seed, c)
+		if i == len(configs)-1 && c.late < 3 {
+			t.Errorf("seed %d: a view defined during a burst of writes got %d late tasks, want every in-flight write's (>= 3)", r1.Seed, c.late)
+		}
 		sum.failed += c.failed
+		sum.handOffs += c.handOffs
 		sum.abandoned += c.abandoned
 		sum.late += c.late
 		sum.waits += c.waits
@@ -130,7 +135,7 @@ func TestSimExercisesManager(t *testing.T) {
 		sum.reenqueued += c.reenqueued
 	}
 	for name, n := range map[string]int{
-		"FailedAttempts": sum.failed, "LateTasks": sum.late, "BackpressureWaits": sum.waits,
+		"FailedAttempts": sum.failed, "HandOffs": sum.handOffs, "LateTasks": sum.late, "BackpressureWaits": sum.waits,
 		"SharedLocks": sum.shared, "intents re-enqueued": sum.reenqueued,
 	} {
 		if n == 0 {
@@ -139,6 +144,52 @@ func TestSimExercisesManager(t *testing.T) {
 	}
 	if sum.abandoned != 0 {
 		t.Errorf("%d propagations abandoned", sum.abandoned)
+	}
+}
+
+// defineDuringBurst defines a view while a write to each of the rows its
+// scans read first is in flight: the hot-row writers have no think time
+// and the backlog is not yet full, so at 4ms every writer is inside a
+// Put whose tasks were built before the view existed, and each such Put
+// must schedule a late task for it.
+func defineDuringBurst(seed int64) func() Config {
+	return func() Config {
+		cfg, _ := WithScenario(Config{Seed: seed, PathCompression: true}, "hot-row")
+		cfg.CreateViewAt = 4 * time.Millisecond
+		return cfg
+	}
+}
+
+// TestSimHotRowHandOff runs the hot-row scenario: back-to-back writers
+// of a few rows, whose propagations reach the view out of order. A later
+// propagation must wait for its predecessor by parking on it, not by
+// polling, and the same seed must give the same trace and counters.
+func TestSimHotRowHandOff(t *testing.T) {
+	cfg, err := WithScenario(Config{Seed: seedFromEnv(t, 1)}, "hot-row")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, r2 := Run(cfg), Run(cfg)
+	if r1.Err != nil || r2.Err != nil {
+		t.Fatalf("seed %d failed: %v / %v", cfg.Seed, r1.Err, r2.Err)
+	}
+	type counters struct{ props, failed, handOffs, abandoned int }
+	of := func(r *Report) counters {
+		return counters{r.Propagations, r.PropagationRetries, r.HandOffs, r.Abandoned}
+	}
+	c := of(r1)
+	if r1.TraceHash != r2.TraceHash || c != of(r2) {
+		t.Fatalf("seed %d diverged: hash %s with %+v, then hash %s with %+v", cfg.Seed, r1.TraceHash, c, r2.TraceHash, of(r2))
+	}
+	attempts := float64(c.props+c.failed) / float64(c.props)
+	t.Logf("seed %d: %+v, %.2f attempts per propagation, hash %s", cfg.Seed, c, attempts, r1.TraceHash[:16])
+	switch {
+	case c.abandoned != 0:
+		t.Errorf("%d propagations abandoned", c.abandoned)
+	case attempts > 3:
+		t.Errorf("%.2f attempts per propagation, want <= 3", attempts)
+	case c.handOffs == 0:
+		t.Error("no propagation was handed off to its predecessor; the scenario does not exercise the hand-off")
 	}
 }
 
@@ -160,41 +211,46 @@ func TestSimReplay(t *testing.T) {
 	}
 }
 
-// TestSimReplayRegressionSeeds replays every seed pinned in
-// testdata/regression_seeds.txt — schedules that once exposed real
-// protocol bugs — under TestSimReplay's config. A failure here is a
-// regression of a previously fixed bug, not flakiness: the schedule is
-// a pure function of the seed.
+// TestSimReplayRegressionSeeds replays every schedule pinned in
+// testdata/regression_seeds.txt — seeds that once exposed real protocol
+// bugs, each under TestSimReplay's config shaped by the scenario its line
+// names. A failure here is a regression of a previously fixed bug, not
+// flakiness: the schedule is a pure function of the seed.
 func TestSimReplayRegressionSeeds(t *testing.T) {
 	data, err := os.ReadFile("testdata/regression_seeds.txt")
 	if err != nil {
 		t.Fatalf("read regression seeds: %v", err)
 	}
-	var seeds []int64
+	var pinned []Config
 	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 			continue
 		}
-		v, err := strconv.ParseInt(line, 10, 64)
-		if err != nil {
-			t.Fatalf("bad seed line %q: %v", line, err)
+		scenario := ""
+		if len(fields) == 2 {
+			scenario = fields[0]
 		}
-		seeds = append(seeds, v)
+		seed, err := strconv.ParseInt(fields[len(fields)-1], 10, 64)
+		cfg, serr := WithScenario(Config{Seed: seed, PathCompression: true}, scenario)
+		if err != nil || serr != nil || len(fields) > 2 {
+			t.Fatalf("bad seed line %q: %v %v", line, err, serr)
+		}
+		pinned = append(pinned, cfg)
 	}
-	if len(seeds) == 0 {
+	if len(pinned) == 0 {
 		t.Fatal("regression_seeds.txt pins no seeds")
 	}
-	for _, seed := range seeds {
-		r := Run(Config{Seed: seed, PathCompression: true})
+	for _, cfg := range pinned {
+		r := Run(cfg)
 		if r.Err != nil {
 			for _, e := range r.Trace.Tail(12) {
 				t.Log(e.String())
 			}
-			t.Errorf("pinned seed %d regressed: %v", seed, r.Err)
+			t.Errorf("pinned seed %d regressed: %v", cfg.Seed, r.Err)
 			continue
 		}
-		t.Logf("seed %d: %d events, %d propagations, hash %s", seed, r.Events, r.Propagations, r.TraceHash[:16])
+		t.Logf("seed %d: %d events, %d propagations, hash %s", cfg.Seed, r.Events, r.Propagations, r.TraceHash[:16])
 	}
 }
 
@@ -378,11 +434,8 @@ func TestSimBackfillCrashRestart(t *testing.T) {
 		seeds = []int64{seedFromEnv(t, 0)}
 	}
 	base := func(seed int64) Config {
-		return Config{
-			Seed:            seed,
-			PathCompression: true,
-			CreateViewAt:    500 * time.Millisecond,
-		}
+		cfg, _ := WithScenario(Config{Seed: seed, PathCompression: true}, "backfill")
+		return cfg
 	}
 	resumes := 0
 	for _, seed := range seeds {
@@ -458,16 +511,12 @@ func TestSimViewDropRecreateUnderSkew(t *testing.T) {
 	if s := os.Getenv("MV_SEED"); s != "" {
 		seeds = []int64{seedFromEnv(t, 0)}
 	}
+	dropRecreate := func(seed int64) Config {
+		cfg, _ := WithScenario(Config{Seed: seed, PathCompression: true}, "drop-recreate")
+		return cfg
+	}
 	for _, seed := range seeds {
-		cfg := Config{
-			Seed:            seed,
-			PathCompression: true,
-			SkewedWrites:    true,
-			CreateViewAt:    400 * time.Millisecond,
-			DropViewAt:      800 * time.Millisecond,
-			RecreateViewAt:  1200 * time.Millisecond,
-		}
-		r := Run(cfg)
+		r := Run(dropRecreate(seed))
 		if r.Err != nil {
 			for _, e := range r.Trace.Tail(12) {
 				t.Log(e.String())
@@ -484,9 +533,7 @@ func TestSimViewDropRecreateUnderSkew(t *testing.T) {
 	}
 
 	// Determinism with the full create/drop/re-create schedule.
-	cfg := Config{Seed: seeds[0], PathCompression: true, SkewedWrites: true,
-		CreateViewAt: 400 * time.Millisecond, DropViewAt: 800 * time.Millisecond, RecreateViewAt: 1200 * time.Millisecond}
-	r1, r2 := Run(cfg), Run(cfg)
+	r1, r2 := Run(dropRecreate(seeds[0])), Run(dropRecreate(seeds[0]))
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatalf("determinism runs failed: %v / %v", r1.Err, r2.Err)
 	}

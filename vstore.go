@@ -790,6 +790,11 @@ type ViewStats struct {
 	Compressions    int64 `json:"compressions"`
 	GhostDetours    int64 `json:"ghost_detours"`
 	HelpedPublishes int64 `json:"helped_publishes"`
+	// HandOffs counts failed propagation attempts that waited for an
+	// in-flight predecessor of the same row — whose view-key write a
+	// guess names — rather than polling on a back-off: a hot row being
+	// handed from one propagation to the next, not polled for.
+	HandOffs int64 `json:"hand_offs"`
 
 	// Pending is the number of in-flight propagations right now;
 	// OldestPendingLag how long the oldest has been outstanding.
@@ -852,6 +857,7 @@ func (db *DB) Stats() Stats {
 		s.Views.Propagations += ms.Propagations.Load()
 		s.Views.PropagationFailures += ms.FailedAttempts.Load()
 		s.Views.PropagationsDropped += ms.Abandoned.Load()
+		s.Views.HandOffs += ms.HandOffs.Load()
 		s.Views.NoOps += ms.NoOps.Load()
 		s.Views.ChainHops += ms.ChainHops.Load()
 		s.Views.Reads += ms.ViewReads.Load()
@@ -937,6 +943,7 @@ func (s Stats) Delta(prev Stats) Stats {
 	d.Views.Propagations -= prev.Views.Propagations
 	d.Views.PropagationFailures -= prev.Views.PropagationFailures
 	d.Views.PropagationsDropped -= prev.Views.PropagationsDropped
+	d.Views.HandOffs -= prev.Views.HandOffs
 	d.Views.NoOps -= prev.Views.NoOps
 	d.Views.Reads -= prev.Views.Reads
 	d.Views.ReadSpins -= prev.Views.ReadSpins
