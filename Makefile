@@ -52,13 +52,15 @@ regression:
 # failing round prints its seed and an MV_SEED replay command. The
 # scenarios run under the same oracle: a backfill racing crash-restarts
 # and injected storage faults, a view dropped and re-created
-# mid-backfill under a skewed write load, and back-to-back writers of a
-# few hot rows whose propagations are handed from one to the next.
+# mid-backfill under a skewed write load, back-to-back writers of a few
+# hot rows whose propagations are handed from one to the next, and those
+# writers with a second view defined while each has a Put in flight.
 sim-sweep:
 	timeout 300 $(GO) run ./cmd/mvverify -sim -rounds 25 -compress -v
 	timeout 300 $(GO) run ./cmd/mvverify -sim -durable -backend mem -scenario backfill -storage-faults 0.02 -rounds 8 -v
 	timeout 300 $(GO) run ./cmd/mvverify -sim -scenario drop-recreate -compress -rounds 8 -v
 	timeout 300 $(GO) run ./cmd/mvverify -sim -scenario hot-row -rounds 8 -v
+	timeout 300 $(GO) run ./cmd/mvverify -sim -scenario define-during-burst -rounds 8 -v
 
 # Short runs of the fuzzers (dot metadata through the dvv, WAL and
 # sstable encodings; the memtable against its sorted-map reference);

@@ -17,12 +17,13 @@
 // environment variable, shared with the go test harnesses.
 //
 //	mvverify -rounds 50 -ops 200 -seed 1
-//	mvverify -rounds 10 -mode propagators -chaos
+//	mvverify -rounds 10 -chaos
 //	mvverify -sim -rounds 20 -seed 1 -compress
 //	mvverify -sim -durable -rounds 10 -seed 1 -v
 //	mvverify -sim -durable -scenario backfill -storage-faults 0.02 -rounds 5 -v
 //	mvverify -sim -scenario drop-recreate -compress -rounds 5 -v
 //	mvverify -sim -scenario hot-row -rounds 5 -v
+//	mvverify -sim -scenario define-during-burst -rounds 5 -v
 //	MV_SEED=124 mvverify -sim -v
 package main
 
@@ -52,14 +53,13 @@ func main() {
 		baseRows = flag.Int("rows", 8, "distinct base rows")
 		keys     = flag.Int("keys", 6, "distinct view-key values")
 		seed     = flag.Int64("seed", defaultSeed(), "starting seed (round i uses seed+i; MV_SEED overrides)")
-		mode     = flag.String("mode", "locks", "propagation concurrency: locks|propagators")
 		compress = flag.Bool("compress", false, "path compression")
 		chaos    = flag.Bool("chaos", false, "bounce nodes during the workload")
 		simMode  = flag.Bool("sim", false, "deterministic virtual-time simulation (replayable traces)")
 		durable  = flag.Bool("durable", false, "with -sim: durable nodes plus crash-restart faults (WAL/sstable recovery under the oracle)")
 		backend  = flag.String("backend", "fs", "with -sim -durable: physical backend, fs (temp directory) or mem (hermetic in-memory)")
 		faults   = flag.Float64("storage-faults", 0, "with -sim -durable: per-operation injected storage fault probability [0,1)")
-		scenario = flag.String("scenario", "", "with -sim: backfill (view defined mid-run, scans race crashes), drop-recreate (skewed writes, view dropped then re-created) or hot-row (back-to-back writers of a few rows, fault-free)")
+		scenario = flag.String("scenario", "", "with -sim: backfill (view defined mid-run, scans race crashes), drop-recreate (skewed writes, view dropped then re-created), hot-row (back-to-back writers of a few rows, fault-free) or define-during-burst (hot-row with a second view defined while every writer's Put is in flight)")
 		replay   = flag.Int64("replay", 0, "replay exactly one simulated schedule with this seed (implies -sim)")
 		verbose  = flag.Bool("v", false, "per-round progress")
 	)
@@ -91,14 +91,6 @@ func main() {
 	opts := core.Options{
 		PathCompression:     *compress,
 		MaxPropagationRetry: 30 * time.Second,
-	}
-	switch *mode {
-	case "locks":
-	case "propagators":
-		opts.Mode = core.ModePropagators
-	default:
-		fmt.Fprintf(os.Stderr, "mvverify: unknown mode %q\n", *mode)
-		os.Exit(2)
 	}
 
 	failures := 0
@@ -182,8 +174,8 @@ func runSim(rounds int, seed int64, baseRows, keys int, compress, durable bool, 
 				extra = fmt.Sprintf(", %d crash-restarts, %d intents re-enqueued", r.CrashRestarts, r.IntentsReenqueued)
 			}
 			if cfg.CreateViewAt > 0 {
-				extra += fmt.Sprintf(", backfill: %d scanned/%d fills/%d resumes/%d drops live=%v",
-					r.BackfillRowsScanned, r.BackfillFills, r.BackfillResumes, r.ViewDrops, r.BackfillLive)
+				extra += fmt.Sprintf(", backfill: %d scanned/%d resumes/%d drops live=%v",
+					r.BackfillRowsScanned, r.BackfillResumes, r.ViewDrops, r.BackfillLive)
 			}
 			if scenario == "hot-row" {
 				extra += fmt.Sprintf(", %.2f attempts per propagation, view lag mean %.1f ms",

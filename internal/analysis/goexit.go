@@ -33,7 +33,7 @@ import (
 // judgment, recorded as a //lint:ignore with the reason.
 var GoExit = &Pass{
 	Name: "goexit",
-	Doc:  "go statements with no lifecycle signal (no context, done channel, or WaitGroup); any go statement in internal/core and internal/locks",
+	Doc:  "go statements with no lifecycle signal (no context, done channel, or WaitGroup); any go statement in internal/core, internal/locks and internal/backfill",
 	Run:  runGoExit,
 }
 

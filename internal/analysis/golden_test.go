@@ -151,6 +151,12 @@ func TestOneThreadGolden(t *testing.T) {
 	checkGoldenPasses(t, []*Pass{GoExit, ClockCheck}, "threadbad", "internal/core/threadbad")
 }
 
+// TestOneThreadBackfillGolden loads the same fixture as a package of
+// internal/backfill, whose controller the simulator hosts too.
+func TestOneThreadBackfillGolden(t *testing.T) {
+	checkGoldenPasses(t, []*Pass{GoExit, ClockCheck}, "threadbad", "internal/backfill/threadbad")
+}
+
 // TestStaleCheckGolden runs clockcheck alongside stalecheck, so the
 // fixture's used directive is distinguishable from its stale one.
 func TestStaleCheckGolden(t *testing.T) {

@@ -14,6 +14,14 @@
 // crash mid-backfill resumes from the last durable mark instead of
 // rescanning the table. Checkpoints are pure optimization: losing one
 // only costs a rescan, because every backfill write is idempotent.
+//
+// The controller starts no goroutine and reads no clock channel of its
+// own: its scans and fills are work of its Host, and every wait — a
+// free fill slot, a page's fills, the partitions of a scan, the
+// throttle, a fill's back-off, Drop and Close waiting out a run — arms
+// a wake and parks through the Host, so one thread of control can host
+// it (the simulator's nodes run this controller). Only Wait and Sweep,
+// which user goroutines call, wait on a context.
 package backfill
 
 import (
@@ -21,12 +29,15 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"vstore/internal/clock"
 	"vstore/internal/physical"
+	"vstore/internal/wait"
 )
 
 // State is a view's lifecycle state.
@@ -86,15 +97,26 @@ type Partition struct {
 
 // Filler backfills one base row into the view (quorum-merge the row,
 // then propagate it with base-cell timestamps). It must be idempotent:
-// resumed scans and overlapping partitions replay keys.
+// resumed scans, overlapping partitions and retries replay keys.
 type Filler func(ctx context.Context, base, row string) error
+
+// Host runs a controller's work and its waits; coord.Coordinator is
+// one. Go starts f as background work — a goroutine, or a process of
+// the simulator's event fabric — and reports false once the host is
+// shutting down. Park suspends the caller until the wake handed to arm
+// is called.
+type Host interface {
+	Go(f func()) bool
+	Park(arm func(wake func()))
+}
 
 // Options tunes a Controller.
 type Options struct {
 	// Store persists checkpoints; nil keeps them in memory (resume
 	// within the process only).
 	Store Store
-	// Clock drives throttling; nil uses the wall clock.
+	// Clock drives throttling and fill back-offs; nil uses the wall
+	// clock.
 	Clock clock.Clock
 	// BatchSize is rows per scan page (and checkpoint cadence).
 	// Default 256.
@@ -102,14 +124,23 @@ type Options struct {
 	// Throttle, when positive, sleeps between pages so a large backfill
 	// yields to foreground traffic.
 	Throttle time.Duration
-	// Parallel bounds concurrent fills across all of a view's
-	// partitions (a key-at-a-time fill pays quorum round trips, so some
-	// overlap is essential on a latent network). Default 32.
-	Parallel int
 	// OnLive, when non-nil, runs after a view transitions to Live
 	// (outside controller locks; used to persist the state change).
 	OnLive func(view string)
 }
+
+// A run's fills: at most parallel in flight across all of its
+// partitions (a key-at-a-time fill pays quorum round trips, so some
+// overlap is essential on a latent network). A failed fill is issued
+// again after a back-off doubling from fillBackoff up to maxFillBackoff,
+// at most fillAttempts times in all — several seconds of a quorum being
+// unreachable — before the run fails.
+const (
+	parallel       = 32
+	fillAttempts   = 100
+	fillBackoff    = time.Millisecond
+	maxFillBackoff = 50 * time.Millisecond
+)
 
 // Progress is one view's externally visible backfill state.
 type Progress struct {
@@ -124,6 +155,7 @@ type Progress struct {
 
 // Controller owns every view's backfill lifecycle for one DB.
 type Controller struct {
+	host Host
 	opts Options
 	clk  clock.Clock
 
@@ -132,59 +164,67 @@ type Controller struct {
 	closed bool
 }
 
+// run is one scan of a view's partitions. Its fields other than scanned
+// are guarded by Controller.mu.
 type run struct {
 	view    string
 	state   State
 	cp      Checkpoint
+	parts   []Partition
+	fill    Filler
 	scanned atomic.Int64
 	resumed bool
 	err     error
-	cancel  context.CancelFunc
-	done    chan struct{}   // run goroutine exited
-	live    chan struct{}   // state reached Live
-	sem     chan struct{}   // bounds concurrent fills across partitions
-	seenMu  sync.Mutex      // guards seen
-	seen    map[string]bool // keys claimed by some partition this run
+	// ctx ends when the run is halted; sleepers are the parked sleeps
+	// halt wakes, in the order they began.
+	ctx      context.Context
+	cancel   context.CancelFunc
+	sleepers []*wait.Gate
+	slots    *wait.Slots     // bounds concurrent fills across partitions
+	claimed  map[string]bool // keys claimed by some partition this run
+	// ended is set, enders (Drop and Close parked on the run) are woken
+	// and done is closed once the run's work has stopped; live closes
+	// when the state reaches Live.
+	ended  bool
+	enders []func()
+	done   chan struct{}
+	live   chan struct{}
 }
 
-// claim records that this run is filling (base, row); it returns false
-// when another partition already claimed the key — replicated keys
-// surface in up to N partitions but only need one fill.
-func (r *run) claim(base, row string) bool {
-	k := base + "\x00" + row
-	r.seenMu.Lock()
-	defer r.seenMu.Unlock()
-	if r.seen[k] {
-		return false
+func newRun(parent context.Context, cp Checkpoint, parts []Partition, fill Filler) *run {
+	r := &run{
+		view: cp.View, state: StateBackfilling, cp: cp, parts: parts, fill: fill,
+		slots: wait.NewSlots(parallel), claimed: map[string]bool{},
+		done: make(chan struct{}), live: make(chan struct{}),
 	}
-	r.seen[k] = true
-	return true
+	r.ctx, r.cancel = context.WithCancel(parent)
+	return r
 }
 
-// New returns a Controller.
-func New(opts Options) *Controller {
+// New returns a Controller whose work and waits run on host.
+func New(host Host, opts Options) *Controller {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = 256
-	}
-	if opts.Parallel <= 0 {
-		opts.Parallel = 32
 	}
 	if opts.Store == nil {
 		opts.Store = NewMemStore()
 	}
-	return &Controller{opts: opts, clk: clock.Or(opts.Clock), views: map[string]*run{}}
+	return &Controller{host: host, opts: opts, clk: clock.Or(opts.Clock), views: map[string]*run{}}
 }
 
 // Track registers a view that is already Live (defined from birth, or
 // recovered in Live state) so State and Progress report it.
 func (c *Controller) Track(view string) {
-	closedCh := make(chan struct{})
-	close(closedCh)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if _, ok := c.views[view]; !ok {
-		c.views[view] = &run{view: view, state: StateLive, cancel: func() {}, done: closedCh, live: closedCh}
+		r := newRun(context.Background(), Checkpoint{View: view}, nil, nil)
+		r.state, r.ended = StateLive, true
+		r.cancel()
+		close(r.live)
+		close(r.done)
+		c.views[view] = r
 	}
-	c.mu.Unlock()
 }
 
 // Start launches (or, when the Store holds a checkpoint for the view,
@@ -225,92 +265,153 @@ func (c *Controller) Start(view string, snapshotTS int64, parts []Partition, fil
 			cp.Marks = append(cp.Marks, PartitionMark{Base: p.Base, Node: p.Node})
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	r := &run{
-		view: view, state: StateBackfilling, cp: cp, resumed: resumed,
-		cancel: cancel, done: make(chan struct{}), live: make(chan struct{}),
-		sem: make(chan struct{}, c.opts.Parallel), seen: map[string]bool{},
-	}
+	r := newRun(context.Background(), cp, parts, fill)
+	r.resumed = resumed
 	c.views[view] = r
 	c.mu.Unlock()
-	go c.runBackfill(ctx, r, parts, fill)
+	c.spawn(r, func() { c.runBackfill(r) })
 	return nil
 }
 
 func partKey(base string, node int) string { return fmt.Sprintf("%s\x00%d", base, node) }
 
-// Sweep fills every row of the partitions once, synchronously, with the
+// Sweep fills every row of the partitions once, on the caller, with the
 // controller's page size and fill parallelism but no lifecycle and no
 // checkpoints: re-deriving a view that already exists (DB.RebuildView)
 // changes neither its state nor what a crash must resume.
 func (c *Controller) Sweep(ctx context.Context, parts []Partition, fill Filler) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	r := &run{
-		cp:     Checkpoint{Marks: make([]PartitionMark, len(parts))},
-		cancel: cancel, sem: make(chan struct{}, c.opts.Parallel), seen: map[string]bool{},
-	}
-	c.scanAll(ctx, r, parts, fill)
+	r := newRun(ctx, Checkpoint{Marks: make([]PartitionMark, len(parts))}, parts, fill)
+	defer r.cancel()
+	stop := context.AfterFunc(ctx, func() { c.halt(r, ctx.Err()) })
+	defer stop()
+	c.scanAll(r)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return r.err
 }
 
-func (c *Controller) runBackfill(ctx context.Context, r *run, parts []Partition, fill Filler) {
-	defer close(r.done)
-	c.scanAll(ctx, r, parts, fill)
+// spawn starts f as work of the host. A host that is shutting down
+// refuses new work: the run is then halted and f runs on the caller,
+// where it finds the run's context ended and only counts itself out.
+func (c *Controller) spawn(r *run, f func()) {
+	if !c.host.Go(f) {
+		c.halt(r, fmt.Errorf("backfill: host stopped"))
+		f()
+	}
+}
+
+// halt stops a run: its first error is the run's, its context ends and
+// its sleeps end early.
+func (c *Controller) halt(r *run, err error) {
 	c.mu.Lock()
-	failed := r.err != nil
-	if !failed {
+	if r.err == nil {
+		r.err = err
+	}
+	r.cancel()
+	sleepers := r.sleepers
+	r.sleepers = nil
+	c.mu.Unlock()
+	for _, g := range sleepers {
+		g.Open()
+	}
+}
+
+// sleep parks the caller for d of the controller's clock, or until the
+// run is halted.
+func (c *Controller) sleep(r *run, d time.Duration) {
+	g := &wait.Gate{}
+	c.mu.Lock()
+	if r.ctx.Err() != nil {
+		c.mu.Unlock()
+		return
+	}
+	r.sleepers = append(r.sleepers, g)
+	c.mu.Unlock()
+	disarm := c.clk.AfterFunc(d, g.Open)
+	g.Wait(c.host.Park)
+	disarm()
+	c.mu.Lock()
+	r.sleepers = slices.DeleteFunc(r.sleepers, func(s *wait.Gate) bool { return s == g })
+	c.mu.Unlock()
+}
+
+func (c *Controller) runBackfill(r *run) {
+	c.scanAll(r)
+	c.mu.Lock()
+	live := r.err == nil
+	if live {
 		r.state = StateLive
 	}
 	c.mu.Unlock()
-	if failed {
+	if live {
+		// The checkpoint has served its purpose; clearing it is best-effort
+		// (a stale Done-everywhere checkpoint resumes to an instant no-op).
+		_ = c.opts.Store.Clear(r.view)
+		close(r.live)
+		if c.opts.OnLive != nil {
+			c.opts.OnLive(r.view)
+		}
+	}
+	c.mu.Lock()
+	r.ended = true
+	enders := r.enders
+	r.enders = nil
+	c.mu.Unlock()
+	close(r.done)
+	for _, wake := range enders {
+		wake()
+	}
+}
+
+// awaitEnd parks the caller until r's work has stopped.
+func (c *Controller) awaitEnd(r *run) {
+	c.mu.Lock()
+	if r.ended {
+		c.mu.Unlock()
 		return
 	}
-	// The checkpoint has served its purpose; clearing it is best-effort
-	// (a stale Done-everywhere checkpoint resumes to an instant no-op).
-	_ = c.opts.Store.Clear(r.view)
-	close(r.live)
-	if c.opts.OnLive != nil {
-		c.opts.OnLive(r.view)
-	}
+	c.host.Park(func(wake func()) {
+		r.enders = append(r.enders, wake)
+		c.mu.Unlock()
+	})
 }
 
 // scanAll scans every unfinished partition to exhaustion, recording the
 // first failure in r.err. Partitions scan concurrently — each node
-// pages its own rows — while the shared fill semaphore bounds total
-// in-flight fills.
-func (c *Controller) scanAll(ctx context.Context, r *run, parts []Partition, fill Filler) {
-	var wg sync.WaitGroup
-	for i := range parts {
-		c.mu.Lock()
-		skip := r.cp.Marks[i].Done
-		c.mu.Unlock()
-		if skip {
-			continue
+// pages its own rows — while the run's fill slots bound total in-flight
+// fills.
+func (c *Controller) scanAll(r *run) {
+	var todo []int
+	c.mu.Lock()
+	for i, m := range r.cp.Marks {
+		if !m.Done {
+			todo = append(todo, i)
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := c.scanPartition(ctx, r, i, parts[i], fill); err != nil {
-				c.mu.Lock()
-				if r.err == nil {
-					r.err = err
-				}
-				c.mu.Unlock()
-				r.cancel() // first failure stops the sibling scans
-			}
-		}(i)
 	}
-	wg.Wait()
+	c.mu.Unlock()
+	if len(todo) == 0 {
+		return
+	}
+	scans := wait.NewCountdown(len(todo), nil)
+	for _, i := range todo {
+		c.spawn(r, func() {
+			if err := c.scanPartition(r, i); err != nil {
+				c.halt(r, err) // the first failure stops the sibling scans
+			}
+			scans.Finish(true)
+		})
+	}
+	scans.Done.Wait(c.host.Park)
 }
 
 // scanPartition pages one partition to exhaustion: its high-water mark
 // passing "no more rows" strictly passes the snapshot point, because
 // the scan order is stable and rows are never reordered below the
 // cursor.
-func (c *Controller) scanPartition(ctx context.Context, r *run, idx int, p Partition, fill Filler) error {
+func (c *Controller) scanPartition(r *run, idx int) error {
+	p := r.parts[idx]
 	for {
-		if err := ctx.Err(); err != nil {
+		if err := r.ctx.Err(); err != nil {
 			return err
 		}
 		c.mu.Lock()
@@ -318,86 +419,92 @@ func (c *Controller) scanPartition(ctx context.Context, r *run, idx int, p Parti
 		c.mu.Unlock()
 		rows := p.Scan(cursor, c.opts.BatchSize)
 		if len(rows) == 0 {
-			c.mu.Lock()
-			r.cp.Marks[idx].Done = true
-			cp := snapshotLocked(r)
-			c.mu.Unlock()
-			c.saveCheckpoint(cp)
+			c.checkpoint(r, idx, cursor, true)
 			return nil
 		}
-		// Fill the page with bounded parallelism shared across
-		// partitions. Replicated keys surface in up to N partitions;
-		// the claim set makes one partition fill each key and the rest
-		// skip it (claims are in-memory only — after a crash-resume a
-		// key may be refilled, which is idempotent). The cursor only
-		// advances after the whole page settles, so a checkpoint never
-		// covers an unfilled row.
-		var (
-			wg       sync.WaitGroup
-			errMu    sync.Mutex
-			firstErr error
-		)
-		for _, row := range rows {
-			if err := ctx.Err(); err != nil {
-				wg.Wait()
-				return err
-			}
-			if !r.claim(p.Base, row) {
-				continue
-			}
-			select {
-			case r.sem <- struct{}{}:
-			case <-ctx.Done():
-				wg.Wait()
-				return ctx.Err()
-			}
-			wg.Add(1)
-			go func(row string) {
-				defer wg.Done()
-				defer func() { <-r.sem }()
-				if err := fill(ctx, p.Base, row); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("backfill: %s row %q: %w", p.Base, row, err)
-					}
-					errMu.Unlock()
-					return
-				}
-				r.scanned.Add(1)
-			}(row)
+		if !c.fillPage(r, p.Base, rows) {
+			return r.ctx.Err()
 		}
-		wg.Wait()
-		if firstErr != nil {
-			return firstErr
-		}
-		c.mu.Lock()
-		r.cp.Marks[idx].Cursor = rows[len(rows)-1]
-		cp := snapshotLocked(r)
-		c.mu.Unlock()
-		c.saveCheckpoint(cp)
+		c.checkpoint(r, idx, rows[len(rows)-1], false)
 		if d := c.opts.Throttle; d > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-c.clk.After(d):
-			}
+			c.sleep(r, d)
 		}
 	}
 }
 
-// snapshotLocked deep-copies the checkpoint so Save can marshal it
-// outside the lock while the scan keeps advancing.
-func snapshotLocked(r *run) Checkpoint {
-	cp := r.cp
-	cp.Marks = append([]PartitionMark(nil), r.cp.Marks...)
-	return cp
+// fillPage fills one page and reports whether every fill went through.
+// Replicated keys surface in up to N partitions; the claim set makes one
+// partition fill each key and the rest skip it (claims are in-memory
+// only — after a crash-resume a key may be refilled, which is
+// idempotent). It returns only once the whole page has settled, so a
+// checkpoint never covers an unfilled row.
+func (c *Controller) fillPage(r *run, base string, rows []string) bool {
+	var mine []string
+	c.mu.Lock()
+	for _, row := range rows {
+		if k := base + "\x00" + row; !r.claimed[k] {
+			r.claimed[k] = true
+			mine = append(mine, row)
+		}
+	}
+	c.mu.Unlock()
+	if len(mine) == 0 {
+		return true
+	}
+	// then runs before Done opens, so reading ok after the wait is
+	// race-free.
+	ok := false
+	page := wait.NewCountdown(len(mine), func(complete bool) { ok = complete })
+	for _, row := range mine {
+		r.slots.Acquire(c.host.Park)
+		c.spawn(r, func() {
+			err := c.fillRow(r, base, row)
+			if err != nil {
+				c.halt(r, fmt.Errorf("backfill: %s row %q: %w", base, row, err))
+			} else {
+				r.scanned.Add(1)
+			}
+			r.slots.Release()
+			page.Finish(err == nil)
+		})
+	}
+	page.Done.Wait(c.host.Park)
+	return ok
 }
 
-// saveCheckpoint persists progress. Failures are swallowed: a lost
-// checkpoint only widens the rescan window after a crash, and backfill
-// writes are idempotent — aborting the backfill over it would turn a
-// benign storage hiccup into an unavailable view.
-func (c *Controller) saveCheckpoint(cp Checkpoint) {
+// fillRow issues one row's fill until it goes through, the run is
+// halted or fillAttempts are spent.
+func (c *Controller) fillRow(r *run, base, row string) error {
+	backoff := fillBackoff
+	for attempt := 1; ; attempt++ {
+		if err := r.ctx.Err(); err != nil {
+			return err
+		}
+		err := r.fill(r.ctx, base, row)
+		if err == nil || attempt == fillAttempts {
+			return err
+		}
+		c.sleep(r, backoff)
+		backoff = min(2*backoff, maxFillBackoff)
+	}
+}
+
+// checkpoint advances partition idx's mark and persists the run's
+// progress — unless the run was halted: then nothing more is written,
+// since after a Close the process may be gone. Save failures are
+// swallowed: a lost checkpoint only widens the rescan window after a
+// crash, and backfill writes are idempotent — aborting the backfill over
+// it would turn a benign storage hiccup into an unavailable view.
+func (c *Controller) checkpoint(r *run, idx int, cursor string, done bool) {
+	c.mu.Lock()
+	if r.ctx.Err() != nil {
+		c.mu.Unlock()
+		return
+	}
+	r.cp.Marks[idx].Cursor, r.cp.Marks[idx].Done = cursor, done
+	cp := r.cp
+	cp.Marks = append([]PartitionMark(nil), r.cp.Marks...)
+	c.mu.Unlock()
 	if cp.View != "" { // a Sweep has no view lifecycle to resume
 		_ = c.opts.Store.Save(cp)
 	}
@@ -435,7 +542,7 @@ func (c *Controller) Progress() map[string]Progress {
 }
 
 // Wait blocks until the view is Live, its backfill fails, or the
-// context expires.
+// context expires. It waits on channels: only user goroutines call it.
 func (c *Controller) Wait(ctx context.Context, view string) error {
 	c.mu.Lock()
 	r, ok := c.views[view]
@@ -464,22 +571,22 @@ func (c *Controller) Wait(ctx context.Context, view string) error {
 	}
 }
 
-// Drop cancels a view's backfill (if running), waits for it to stop,
-// and forgets its checkpoint and tracking state.
+// Drop cancels a view's backfill (if running), parks until it has
+// stopped, and forgets its checkpoint and tracking state.
 func (c *Controller) Drop(view string) {
 	c.mu.Lock()
 	r, ok := c.views[view]
 	delete(c.views, view)
 	c.mu.Unlock()
 	if ok {
-		r.cancel()
-		<-r.done
+		c.halt(r, context.Canceled)
+		c.awaitEnd(r)
 	}
 	_ = c.opts.Store.Clear(view)
 }
 
-// Close cancels every running backfill and waits for the goroutines.
-// Checkpoints are left in place so the next Open resumes.
+// Close cancels every running backfill and parks until they have
+// stopped. Checkpoints are left in place so the next Open resumes.
 func (c *Controller) Close() {
 	c.mu.Lock()
 	c.closed = true
@@ -488,11 +595,14 @@ func (c *Controller) Close() {
 		runs = append(runs, r)
 	}
 	c.mu.Unlock()
+	// In view order: on one thread of control the wakes below run the
+	// woken work at once, so their order is part of the schedule.
+	sort.Slice(runs, func(i, j int) bool { return runs[i].view < runs[j].view })
 	for _, r := range runs {
-		r.cancel()
+		c.halt(r, context.Canceled)
 	}
 	for _, r := range runs {
-		<-r.done
+		c.awaitEnd(r)
 	}
 }
 

@@ -134,13 +134,18 @@ func mustDefine(t *testing.T, h *harness, def core.Def) {
 	}
 }
 
-// refill re-derives a view the one way there is: every base key's
-// quorum-read row goes through Manager.BackfillPropagate — the
-// core-level shape of DB.RebuildView and of CreateView's backfill.
+// refill re-derives a view the one way there is: every base key goes
+// through Manager.BackfillRow — the core-level shape of DB.RebuildView
+// and of CreateView's backfill.
 func (h *harness) refill(t *testing.T, view string) {
 	t.Helper()
-	ctx, co, mgr := ctxT(t), h.c.Coordinator(0), h.mgrs[0]
+	ctx, mgr := ctxT(t), h.mgrs[0]
+	bases := map[string]bool{}
 	for _, def := range h.reg.Defs(view) {
+		if bases[def.Base] {
+			continue // one fill covers every side over this base
+		}
+		bases[def.Base] = true
 		keys := map[string]bool{}
 		for _, n := range h.c.Nodes {
 			for _, e := range n.TableSnapshot(def.Base) {
@@ -152,15 +157,7 @@ func (h *harness) refill(t *testing.T, view string) {
 			}
 		}
 		for key := range keys {
-			row, err := co.Get(ctx, def.Base, key, append([]string{def.ViewKeyColumn}, def.Materialized...), 2, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var updates []model.ColumnUpdate
-			for col, cell := range row {
-				updates = append(updates, model.ColumnUpdate{Column: col, Cell: cell})
-			}
-			if err := mgr.BackfillPropagate(ctx, def, key, updates); err != nil {
+			if err := mgr.BackfillRow(ctx, view, def.Base, key); err != nil {
 				t.Fatal(err)
 			}
 		}

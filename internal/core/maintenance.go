@@ -14,7 +14,7 @@ import (
 // propagations (coordinator crash, retry timeout) can leave a view
 // permanently missing updates. Prune truncates old stale rows; a
 // rebuild is a backfill over the existing view
-// (Manager.BackfillPropagate for every base key).
+// (Manager.BackfillRow for every base key).
 
 // Prune removes stale rows whose pointer timestamp is older than
 // horizonTS from a versioned view, shortening chains that hot rows

@@ -12,6 +12,7 @@ import (
 	"vstore/internal/coord"
 	"vstore/internal/model"
 	"vstore/internal/trace"
+	"vstore/internal/wait"
 	"vstore/internal/wal"
 )
 
@@ -34,7 +35,7 @@ type Manager struct {
 
 	// slots implements the bounded propagation backlog
 	// (Options.MaxPendingPropagations); nil when unbounded.
-	slots *slots
+	slots *wait.Slots
 
 	// il, when non-nil, write-ahead-logs propagation intents so a
 	// crashed coordinator's unfinished view maintenance is re-enqueued
@@ -49,7 +50,7 @@ type Manager struct {
 	live   []*retry
 	newest map[string]*retry
 	closed bool
-	idle   gate
+	idle   wait.Gate
 
 	stats Stats
 }
@@ -142,7 +143,7 @@ func NewManager(reg *Registry, co *coord.Coordinator) *Manager {
 		MaxChainHops: reg.opts.MaxChainHops, PathCompression: reg.opts.PathCompression,
 	}
 	if n := reg.opts.MaxPendingPropagations; n > 0 {
-		m.slots = &slots{free: n}
+		m.slots = wait.NewSlots(n)
 	}
 	reg.attach(m)
 	return m
@@ -191,9 +192,9 @@ func (p coordPort) Serialize(key string, exclusive bool) func() {
 
 // sleep parks the caller for d of the registry's clock.
 func (m *Manager) sleep(d time.Duration) {
-	var g gate
-	m.reg.clk.AfterFunc(d, g.open)
-	g.wait(m.co.Park)
+	var g wait.Gate
+	m.reg.clk.AfterFunc(d, g.Open)
+	g.Wait(m.co.Park)
 }
 
 // PendingPropagations reports in-flight propagation count.
@@ -226,7 +227,7 @@ func (m *Manager) Close() {
 		r.interrupt(ErrClosed)
 	}
 	if len(live) > 0 {
-		m.idle.wait(m.co.Park)
+		m.idle.Wait(m.co.Park)
 	}
 }
 
@@ -280,7 +281,7 @@ func (m *Manager) untrack(r *retry) {
 	m.mu.Unlock()
 	r.wakeSuccessors()
 	if idle {
-		m.idle.open()
+		m.idle.Open()
 	}
 }
 
@@ -319,16 +320,19 @@ func (m *Manager) Put(ctx context.Context, table, row string, updates []model.Co
 	// succeeds and before the Put acknowledges, so a coordinator crash
 	// between ack and propagation completion leaves a replayable
 	// record instead of a permanently stale view.
-	var after *countdown
-	if m.il != nil || m.reg.opts.SyncPropagation {
-		after = &countdown{left: n}
-	}
-	var intentErr error
+	var (
+		intentErr error
+		done      func(complete bool)
+		after     *wait.Countdown
+	)
 	if m.il != nil {
 		id := m.il.NextIntentID()
 		if intentErr = m.il.LogIntentStart(wal.Intent{ID: id, Table: table, Row: row, Updates: updates}); intentErr == nil {
-			after.then = m.markDone(id)
+			done = m.markDone(id)
 		}
+	}
+	if m.il != nil || m.reg.opts.SyncPropagation {
+		after = wait.NewCountdown(n, done)
 	}
 	putSpan := trace.FromContext(ctx)
 	for i := range tasks {
@@ -350,10 +354,10 @@ func (m *Manager) Put(ctx context.Context, table, row string, updates []model.Co
 	}
 	// Options.SyncPropagation: the Put returns only once the
 	// propagations it started have finished, or its context ends.
-	stop := context.AfterFunc(ctx, after.done.open)
+	stop := context.AfterFunc(ctx, after.Done.Open)
 	defer stop()
-	after.done.wait(m.co.Park)
-	if !after.finished() {
+	after.Done.Wait(m.co.Park)
+	if !after.Finished() {
 		return ctx.Err()
 	}
 	return nil
@@ -433,7 +437,7 @@ func (m *Manager) Repropagate(ctx context.Context, it wal.Intent) error {
 	if err != nil {
 		return err
 	}
-	after := &countdown{left: len(tasks), then: done}
+	after := wait.NewCountdown(len(tasks), done)
 	for i := range tasks {
 		t := &tasks[i]
 		m.schedule(t, collectors[t.def.ViewKeyColumn], nil, nil, after)
@@ -477,7 +481,44 @@ next:
 	return late, collectors
 }
 
-// BackfillPropagate feeds one backfilled base row through the regular
+// BackfillRow fills one base row into every definition of view over
+// base — the one fill online view creation and DB.RebuildView run,
+// through internal/backfill. Per definition it reads the view-key and
+// materialized columns at majority and propagates that state
+// (backfillPropagate). A row whose view key no acknowledged write has
+// set has no view row to create: a concurrent write not yet
+// acknowledged propagates itself once it is. The fill is idempotent, so
+// re-issuing a failed one is always safe; the controller does.
+func (m *Manager) BackfillRow(ctx context.Context, view, base, row string) error {
+	if m.isClosed() {
+		return ErrClosed
+	}
+	for _, def := range m.reg.Defs(view) {
+		if def.Base != base {
+			continue
+		}
+		cols := append([]string{def.ViewKeyColumn}, def.Materialized...)
+		merged, err := m.co.Get(ctx, base, row, cols, majority(m.co), false)
+		if err != nil {
+			return err
+		}
+		if vk, ok := merged[def.ViewKeyColumn]; !ok || !vk.Exists() {
+			continue
+		}
+		updates := make([]model.ColumnUpdate, 0, len(cols))
+		for _, col := range cols {
+			if cell, ok := merged[col]; ok {
+				updates = append(updates, model.ColumnUpdate{Column: col, Cell: cell})
+			}
+		}
+		if err := m.backfillPropagate(ctx, def, row, updates); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// backfillPropagate feeds one backfilled base row through the regular
 // propagation machinery, targeted at a single view definition: the
 // merged current base row is treated like a replayed intent (pre-image
 // pool re-read at majority, anchored), so racing duplicate backfills of
@@ -488,9 +529,8 @@ next:
 // fill keeps retrying for as long as ctx lives (its caller is waiting on
 // it; MaxPropagationRetry bounds only live propagations). It returns the
 // propagation's outcome: non-nil means the pre-image read failed, the
-// view was dropped, the manager closed or ctx ended. The fill is
-// idempotent, so re-issuing it is always safe.
-func (m *Manager) BackfillPropagate(ctx context.Context, def *Def, row string, updates []model.ColumnUpdate) error {
+// view was dropped, the manager closed or ctx ended.
+func (m *Manager) backfillPropagate(ctx context.Context, def *Def, row string, updates []model.ColumnUpdate) error {
 	t, ok := TaskFor(def, row, updates)
 	if !ok {
 		return nil
@@ -504,9 +544,9 @@ func (m *Manager) BackfillPropagate(ctx context.Context, def *Def, row string, u
 	// onPropagated runs before the countdown opens its gate, so reading
 	// perr after the wait is race-free.
 	var perr error
-	after := &countdown{left: 1}
+	after := wait.NewCountdown(1, nil)
 	m.schedule(&tasks[0], collectors[def.ViewKeyColumn], nil, func(_ string, err error) { perr = err }, after)
-	after.done.wait(m.co.Park)
+	after.Done.Wait(m.co.Park)
 	return perr
 }
 
@@ -526,17 +566,17 @@ func (m *Manager) Delete(ctx context.Context, table, row string, columns []strin
 // per-row locking (or propagator serialization) happens per attempt
 // inside the retry machinery, never across backoff waits — see
 // Port.Serialize.
-func (m *Manager) schedule(t *Task, vc *coord.VersionCollector, putSpan *trace.Span, onPropagated func(string, error), after *countdown) {
+func (m *Manager) schedule(t *Task, vc *coord.VersionCollector, putSpan *trace.Span, onPropagated func(string, error), after *wait.Countdown) {
 	// Backpressure: when the backlog is full, the base-table Put
 	// waits here until an older propagation completes — the bounded
 	// maintenance capacity that makes sustained hot-row write storms
 	// throttle instead of accumulating unbounded queues.
-	if m.slots.acquire(m.co.Park) {
+	if m.slots.Acquire(m.co.Park) {
 		m.stats.BackpressureWaits.Add(1)
 	}
 	m.pending.Add(1)
 	r := &retry{m: m, t: t, vc: vc, onPropagated: onPropagated, after: after, slot: -1}
-	r.wake = r.between.open
+	r.wake = r.between.Open
 	// The staleness gauge clock starts at enqueue, not at execution:
 	// a deliberate PropagationDelay is staleness too.
 	r.obsID = m.reg.obs.startPropagation(t.def.Name, t.baseKey, m.reg.clk.Now())
@@ -570,7 +610,7 @@ type retry struct {
 	t            *Task
 	vc           *coord.VersionCollector
 	onPropagated func(string, error)
-	after        *countdown
+	after        *wait.Countdown
 	span         *trace.Span
 	obsID        uint64
 	slot         int // index in Manager.live, -1 when not tracked
@@ -580,7 +620,7 @@ type retry struct {
 	// back-off and hand-off; wake opens it.
 	ctx     context.Context
 	cancel  context.CancelCauseFunc
-	between gate
+	between wait.Gate
 	wake    func()
 
 	// Guarded by Manager.mu: prev and next chain the live propagations of
@@ -605,7 +645,7 @@ func (r *retry) interrupt(cause error) {
 // later. Neither is a wake left over from an earlier back-off's sources
 // a problem: the loop just tries again early.
 func (r *retry) park(d time.Duration, changes bool) {
-	r.between.shut()
+	r.between.Shut()
 	if r.ctx.Err() != nil {
 		return
 	}
@@ -615,7 +655,7 @@ func (r *retry) park(d time.Duration, changes bool) {
 		// worthwhile; Notify then declines.
 		r.vc.Notify(r.wake)
 	}
-	r.between.wait(r.m.co.Park)
+	r.between.Wait(r.m.co.Park)
 	disarm()
 }
 
@@ -693,7 +733,7 @@ func (r *retry) handOff() bool {
 	// successors it has, and an early wake (an interrupt, a stale source)
 	// just leaves r on its list for one spurious wake more.
 	if p != nil {
-		r.between.shut()
+		r.between.Shut()
 		p.successors = append(p.successors, r)
 	}
 	m.mu.Unlock()
@@ -702,7 +742,7 @@ func (r *retry) handOff() bool {
 	}
 	if r.ctx.Err() == nil {
 		m.stats.HandOffs.Add(1)
-		r.between.wait(m.co.Park)
+		r.between.Wait(m.co.Park)
 	}
 	return true
 }
@@ -745,14 +785,14 @@ func (r *retry) attempt() (done bool, err error) {
 }
 
 func (r *retry) attemptOnPool() (done bool, err error) {
-	var ran gate
+	var ran wait.Gate
 	if !r.m.reg.pool.Submit(r.t.lockKey, func() {
 		done, err = r.m.round.Try(r.ctx, r.t, r.vc)
-		ran.open()
+		ran.Open()
 	}) {
 		return true, ErrClosed // the pool was shut down under the propagation
 	}
-	ran.wait(r.m.co.Park)
+	ran.Wait(r.m.co.Park)
 	return done, err
 }
 
@@ -769,10 +809,10 @@ func (r *retry) finish(err error) {
 		r.onPropagated(view, err)
 	}
 	if r.after != nil {
-		r.after.finish(err == nil || errors.Is(err, ErrViewDropped))
+		r.after.Finish(err == nil || errors.Is(err, ErrViewDropped))
 	}
 	m.pending.Add(-1)
-	m.slots.release()
+	m.slots.Release()
 	m.untrack(r)
 }
 

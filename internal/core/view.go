@@ -26,8 +26,8 @@
 // propagations that have no Put to ride on (Manager.recollect).
 //
 // Nothing in the package starts a goroutine or waits on a clock channel:
-// background work and waits go through the coordinator (wait.go), so the
-// deterministic simulator hosts the same Manager production runs.
+// background work and waits go through the coordinator (internal/wait),
+// so the deterministic simulator hosts the same Manager production runs.
 package core
 
 import (

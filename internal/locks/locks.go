@@ -11,13 +11,11 @@
 // operations on views".
 package locks
 
-import "sync"
+import (
+	"sync"
 
-// Parker suspends its caller until the wake function it hands to arm is
-// called. arm runs at once, on the caller; wake is called exactly once,
-// never from inside arm. coord.Coordinator.Park is one: a channel wait
-// between goroutines, a parked process on the simulator's event fabric.
-type Parker func(arm func(wake func()))
+	"vstore/internal/wait"
+)
 
 // Manager is one table of shared/exclusive locks keyed by string. A
 // caller that cannot be admitted queues a wake function and parks.
@@ -63,7 +61,7 @@ func (e *entry) admits(exclusive bool) bool {
 // Acquire takes the lock for key — exclusive, or shared with other
 // shared holders — parking through park while it cannot be admitted, and
 // returns its release function (idempotent).
-func (m *Manager) Acquire(key string, exclusive bool, park Parker) (release func()) {
+func (m *Manager) Acquire(key string, exclusive bool, park wait.Parker) (release func()) {
 	m.mu.Lock()
 	e := m.entries[key]
 	if e == nil {
@@ -115,7 +113,7 @@ func (m *Manager) Acquire(key string, exclusive bool, park Parker) (release func
 
 // await parks the caller, who holds m.mu and holds it again on return,
 // until e admits it.
-func (m *Manager) await(e *entry, exclusive bool, park Parker) {
+func (m *Manager) await(e *entry, exclusive bool, park wait.Parker) {
 	for woken := false; !woken || !e.admits(exclusive); woken = true {
 		park(func(wake func()) {
 			if w := (waiter{exclusive, wake}); woken {
@@ -129,20 +127,13 @@ func (m *Manager) await(e *entry, exclusive bool, park Parker) {
 	}
 }
 
-// onChannel is the Parker of plain goroutines.
-func onChannel(arm func(wake func())) {
-	woken := make(chan struct{})
-	arm(func() { close(woken) })
-	<-woken
-}
-
 // Lock takes the exclusive lock for key, blocking the calling goroutine,
 // and returns its release function.
-func (m *Manager) Lock(key string) (release func()) { return m.Acquire(key, true, onChannel) }
+func (m *Manager) Lock(key string) (release func()) { return m.Acquire(key, true, wait.OnChannel) }
 
 // RLock takes the shared lock for key, blocking the calling goroutine,
 // and returns its release function.
-func (m *Manager) RLock(key string) (release func()) { return m.Acquire(key, false, onChannel) }
+func (m *Manager) RLock(key string) (release func()) { return m.Acquire(key, false, wait.OnChannel) }
 
 // Active reports the number of keys currently locked or awaited (for
 // tests: verifies idle keys are reclaimed).

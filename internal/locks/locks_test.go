@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"vstore/internal/wait"
 )
 
 func TestExclusiveMutualExclusion(t *testing.T) {
@@ -135,7 +137,7 @@ func TestReleaseIdempotent(t *testing.T) {
 // evented parks in the manner of the simulator's event fabric: wake only
 // makes the parked caller runnable, and a separate thread of control —
 // the "scheduler" — resumes runnable callers one at a time, in wake
-// order, from later events. It checks Parker's contract as it goes.
+// order, from later events. It checks wait.Parker's contract as it goes.
 type evented struct {
 	t        *testing.T
 	mu       sync.Mutex
@@ -192,8 +194,8 @@ func (e *evented) run(stop <-chan struct{}) {
 
 // forEachParker runs f over the channel parker of plain goroutines and
 // over the event-style one.
-func forEachParker(t *testing.T, f func(t *testing.T, park Parker)) {
-	t.Run("channel", func(t *testing.T) { f(t, onChannel) })
+func forEachParker(t *testing.T, f func(t *testing.T, park wait.Parker)) {
+	t.Run("channel", func(t *testing.T) { f(t, wait.OnChannel) })
 	t.Run("event", func(t *testing.T) {
 		e := &evented{t: t}
 		stop := make(chan struct{})
@@ -222,7 +224,7 @@ func (m *Manager) queued(key string) int {
 // writer excludes, and is not overtaken by R3), then R3 — every waiter
 // woken exactly once, and the key forgotten once idle.
 func TestFIFOGrantBothParkers(t *testing.T) {
-	forEachParker(t, func(t *testing.T, park Parker) {
+	forEachParker(t, func(t *testing.T, park wait.Parker) {
 		m := NewManager()
 		holder := m.Acquire("k", true, park)
 		var mu sync.Mutex
@@ -292,7 +294,7 @@ func TestFIFOGrantBothParkers(t *testing.T) {
 
 // Mutual exclusion and reclamation under contention, on both parkers.
 func TestContendedBothParkers(t *testing.T) {
-	forEachParker(t, func(t *testing.T, park Parker) {
+	forEachParker(t, func(t *testing.T, park wait.Parker) {
 		m := NewManager()
 		var writers, readers int32
 		var wg sync.WaitGroup

@@ -1,28 +1,17 @@
 package sim
 
-// The online-backfill scenario: a second materialized view ("bf",
-// identical in shape to the from-birth byview) is defined mid-run and
-// filled by scanning every node's base-table partition while clients
-// keep writing. Each scanned row goes through the node's real
-// core.Manager (BackfillPropagate) — a backfill write is just a
-// propagation of the row's current quorum-merged state, so a racing
-// live update resolves by LWW exactly like two concurrent propagations
-// would (the backfilled cells carry the original base timestamps and
-// lose to anything newer).
-// The coverage argument is the same fence DB.CreateViewAsync relies on:
-// writes acked before the view existed are quorum-visible to the scan's
-// reads; writes acked after it find the view in the catalog — at the
-// latest in Manager.Put's post-ack check — and propagate themselves.
-//
-// In durable mode the scans checkpoint their cursor through the node's
-// physical backend (the same backfill.Store the real DB uses) and a
-// crash-restart resumes from the checkpoint — a lost checkpoint only
-// widens the rescan, never loses rows, because fills are idempotent.
-//
-// What is the simulator's own here is the scan loop (the production
-// backfill.Controller is not under the oracle yet) and the generations:
-// every drop + re-create gets a fresh table name ("bf1", "bf2", ...), so
-// the final oracle judges one incarnation's table.
+// The online-backfill scenario: a second view ("bf", shaped like byview)
+// is defined mid-run and backfilled by the production backfill.Controller
+// while clients keep writing. Each node incarnation runs one controller on
+// its coordinator — scans and fills are coord.Go processes, waits park
+// through coord.Park, the throttle and back-offs are scheduler timers —
+// over one partition, the node's base rows, each filled by the node's
+// Manager.BackfillRow. In durable mode it checkpoints through the node's
+// backend, and a crash-restart's successor resumes through the production
+// checkpoint Load. What is the simulator's own is the generations (every
+// drop + re-create gets a fresh table, "bf1", "bf2", ..., so the final
+// oracle judges one incarnation's) and the rule that the view is live once
+// every node's controller has fired OnLive.
 
 import (
 	"context"
@@ -30,17 +19,26 @@ import (
 	"time"
 
 	"vstore/internal/backfill"
-	"vstore/internal/coord"
 	"vstore/internal/core"
-	"vstore/internal/model"
 	"vstore/internal/transport"
 )
 
+// newBackfill returns the backfill controller of node id's current
+// incarnation.
+func (w *world) newBackfill(id transport.NodeID) *backfill.Controller {
+	opts := backfill.Options{Clock: simClock{w.s}, BatchSize: 2, Throttle: 5 * time.Millisecond,
+		OnLive: func(view string) { w.bfPartitionLive(id, view) }}
+	if w.durable {
+		opts.Store = backfill.NewPhysicalStore(w.backends[id])
+	}
+	return backfill.New(w.coords[id], opts)
+}
+
 // activateBF defines a new backfilled-view generation in the shared
-// catalog and starts one scan proc per node partition.
+// catalog — bf1 at first, each re-create after a drop the next — and
+// starts every node's controller on it.
 func (w *world) activateBF() {
-	w.bfGen++
-	name := fmt.Sprintf("bf%d", w.bfGen)
+	name := fmt.Sprintf("bf%d", w.report.ViewDrops+1)
 	err := w.reg.Define(core.Def{Name: name, Base: baseTable, ViewKeyColumn: vkCol, Materialized: []string{matCol}})
 	if err != nil {
 		w.s.Fail(fmt.Errorf("view-create: %w", err))
@@ -48,160 +46,65 @@ func (w *world) activateBF() {
 	}
 	w.reg.SetBackfilling(name, true)
 	w.bfDef, _ = w.reg.View(name)
-	w.bfCtx, w.bfDrop = context.WithCancel(context.Background())
 	w.bfActive, w.bfLive = true, false
-	w.bfDone = map[transport.NodeID]bool{}
+	w.bfDone, w.bfSince = map[transport.NodeID]bool{}, len(w.acked)
 	w.s.Record("view-create", name)
-	for _, n := range w.nodes {
-		w.startBackfillScan(n.ID(), "backfill")
+	for id := range w.nodes {
+		w.startBF(transport.NodeID(id))
 	}
 }
 
-// dropBF drops the current generation from the catalog: its fills and
-// scans end with their context, propagations into it end at their next
-// attempt, the table is wiped on every node, checkpoints are cleared.
-func (w *world) dropBF() {
-	if !w.bfActive {
+// startBF starts node id's controller on the current generation, unless
+// it already runs it (a re-create can come while a crash-restart waits
+// out the dead controller).
+func (w *world) startBF(id transport.NodeID) {
+	n, mgr, name := w.nodes[id], w.mgrs[id], w.bfDef.Name
+	if _, started := w.bfs[id].State(name); started {
 		return
 	}
-	name := w.bfDef.Name
-	w.bfDrop()
-	if err := w.reg.Drop(name); err != nil {
-		w.s.Fail(fmt.Errorf("view-drop: %w", err))
-	}
-	w.bfActive, w.bfLive = false, false
-	w.report.ViewDrops++
-	w.report.BackfillLive = false
-	for i, n := range w.nodes {
-		// Best-effort teardown (error assigned to _ deliberately): a
-		// failed wipe leaves garbage in an abandoned table the oracle
-		// never reads.
-		_ = n.DropTable(name)
-		if w.durable {
-			_ = backfill.NewPhysicalStore(w.backends[i]).Clear(name)
-		}
-	}
-	w.s.Record("view-drop", name)
-}
-
-// startBackfillScan starts node id's scan of the current generation,
-// under a context that ends when the generation is dropped or the node
-// dies (crashRestart cancels it and starts the successor's).
-func (w *world) startBackfillScan(id transport.NodeID, kind string) {
-	ctx, cancel := context.WithCancel(w.bfCtx)
-	w.scanStop[id] = cancel
-	def := w.bfDef
-	w.s.Go(0, fmt.Sprintf("%s node %d view %s", kind, id, def.Name), func() {
-		w.runBackfillScan(ctx, id, def)
-	})
-}
-
-// runBackfillScan walks one node's base-table partition for one view
-// generation, filling each row and checkpointing the cursor after each
-// page, until the partition is exhausted or ctx ends.
-func (w *world) runBackfillScan(ctx context.Context, id transport.NodeID, def *core.Def) {
-	var store backfill.Store
-	if w.durable {
-		store = backfill.NewPhysicalStore(w.backends[id])
-	}
-	cursor := ""
-	if store != nil {
-		if cp, ok, err := store.Load(def.Name); err == nil && ok {
-			for _, m := range cp.Marks {
-				if m.Base == baseTable && m.Node == int(id) {
-					if m.Done {
-						w.bfScanFinished(def, id)
-						return
-					}
-					cursor = m.Cursor
-				}
-			}
-		}
-	}
-	save := func(done bool) {
-		if store == nil {
-			return
-		}
-		// Error assigned to _ deliberately: checkpoints are an
-		// optimization — losing one widens the rescan, and fills are
-		// idempotent.
-		_ = store.Save(backfill.Checkpoint{View: def.Name, Marks: []backfill.PartitionMark{
-			{Base: baseTable, Node: int(id), Cursor: cursor, Done: done},
-		}})
-	}
-	// The incarnation of the node the scan runs on; it dies with it.
-	n, co, mgr := w.nodes[id], w.coords[id], w.mgrs[id]
-	const batch = 4
-	for ctx.Err() == nil {
-		rows := n.ScanTableRows(baseTable, cursor, batch)
-		if len(rows) == 0 {
-			save(true)
-			w.bfScanFinished(def, id)
-			return
-		}
-		for _, bk := range rows {
-			w.report.BackfillRowsScanned++
-			if !w.fillRow(ctx, co, mgr, def, bk) {
-				return
-			}
-		}
-		cursor = rows[len(rows)-1]
-		save(false)
-		// Throttle: yield a beat so live writes interleave with the scan.
-		w.s.Sleep(2 * time.Millisecond)
+	part := backfill.Partition{Base: baseTable, Node: int(id), Scan: func(after string, limit int) []string {
+		return n.ScanTableRows(baseTable, after, limit)
+	}}
+	fill := func(ctx context.Context, base, row string) error { return mgr.BackfillRow(ctx, name, base, row) }
+	if err := w.bfs[id].Start(name, int64(w.s.Now()/time.Microsecond), []backfill.Partition{part}, fill); err != nil {
+		w.s.Fail(fmt.Errorf("backfill of %s on node %d: %w", name, id, err))
 	}
 }
 
-// bfScanFinished marks one partition complete; when all partitions of
-// the current generation are done the view is live.
-func (w *world) bfScanFinished(def *core.Def, id transport.NodeID) {
-	if !w.bfActive || w.bfDef != def || w.bfDone[id] {
+// bfPartitionLive is a controller's OnLive: node id's partition of view
+// is scanned. Once every node's partition of the current generation is,
+// the view is live.
+func (w *world) bfPartitionLive(id transport.NodeID, view string) {
+	if !w.bfActive || view != w.bfDef.Name || w.bfDone[id] {
 		return
 	}
 	w.bfDone[id] = true
 	if len(w.bfDone) == w.cfg.Nodes {
 		w.bfLive = true
-		w.report.BackfillLive = true
-		w.reg.SetBackfilling(def.Name, false)
-		w.s.Record("backfill-live", def.Name)
+		w.reg.SetBackfilling(view, false)
+		w.s.Record("backfill-live", view)
 	}
 }
 
-// fillRow propagates one base row's current state into the backfilled
-// view, like the real DB's filler: quorum-read the row through the
-// node's coordinator, then run its view-key and materialized cells
-// through one regular propagation (Manager.BackfillPropagate — creating
-// or promoting the view row and seeding its data). The fill — fresh read
-// plus propagation, idempotent — is re-issued until it goes through;
-// false means the scan's context ended first.
-func (w *world) fillRow(ctx context.Context, co *coord.Coordinator, mgr *core.Manager, def *core.Def, bk string) bool {
-	backoff := time.Millisecond
-	for attempt := 0; ctx.Err() == nil; attempt++ {
-		if attempt > 2000 {
-			w.s.Fail(fmt.Errorf("backfill of base %q into %q stuck after %d attempts", bk, def.Name, attempt))
-			return false
-		}
-		merged, err := co.Get(ctx, baseTable, bk, []string{vkCol, matCol}, w.majority(), false)
-		if err == nil {
-			vk, ok := merged[vkCol]
-			if !ok || !vk.Exists() {
-				// No acknowledged view-key write is visible at the quorum:
-				// no view row to create. A concurrent unacked write
-				// propagates itself once it is acked.
-				return true
-			}
-			vk.StripDot() // derived state from here on, not a client's causal event
-			updates := []model.ColumnUpdate{{Column: vkCol, Cell: vk}}
-			if mat, ok := merged[matCol]; ok && !mat.IsNull() {
-				mat.StripDot()
-				updates = append(updates, model.ColumnUpdate{Column: matCol, Cell: mat})
-			}
-			if err = mgr.BackfillPropagate(ctx, def, bk, updates); err == nil {
-				w.report.BackfillFills++
-				return true
-			}
-		}
-		w.s.Backoff(&backoff, 16*time.Millisecond)
+// dropBF drops the current generation from the catalog — propagations
+// into it end at their next attempt — then, node by node, its backfill
+// (Drop parks until the scan has stopped, and clears the checkpoint) and
+// its table. It runs as a process, because Drop parks.
+func (w *world) dropBF() {
+	if !w.bfActive {
+		return
 	}
-	return false
+	name := w.bfDef.Name
+	if err := w.reg.Drop(name); err != nil {
+		w.s.Fail(fmt.Errorf("view-drop: %w", err))
+	}
+	w.bfActive, w.bfLive = false, false
+	w.report.ViewDrops++
+	w.s.Record("view-drop", name)
+	for id := range w.nodes {
+		w.bfs[id].Drop(name)
+		// Best-effort teardown (error assigned to _ deliberately): a failed
+		// wipe leaves garbage in an abandoned table the oracle never reads.
+		_ = w.nodes[id].DropTable(name)
+	}
 }

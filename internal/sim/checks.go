@@ -50,7 +50,7 @@ func (w *world) oracleViewTables() []string {
 	return ts
 }
 
-func sortedKeys(m map[string]map[string]core.VersionedRow) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -73,12 +73,7 @@ func (w *world) checkAcyclic() error {
 		byBase := core.Chains(rows)
 		for _, baseKey := range sortedKeys(byBase) {
 			chain := byBase[baseKey]
-			starts := make([]string, 0, len(chain))
-			for vk := range chain {
-				starts = append(starts, vk)
-			}
-			sort.Strings(starts)
-			for _, vk := range starts {
+			for _, vk := range sortedKeys(chain) {
 				if _, hops := core.FollowChain(chain, vk); hops > len(chain) {
 					return fmt.Errorf("view %q base row %q has a pointer cycle from view key %q", table, baseKey, vk)
 				}
@@ -155,10 +150,9 @@ func (w *world) checkBaseKey(def *core.Def, bk string, chain map[string]core.Ver
 		return nil
 	}
 	filtered := make([]core.VersionedRow, 0, len(chain))
-	for _, r := range chain {
-		filtered = append(filtered, r)
+	for _, vk := range sortedKeys(chain) {
+		filtered = append(filtered, chain[vk])
 	}
-	sort.Slice(filtered, func(i, j int) bool { return filtered[i].ViewKey < filtered[j].ViewKey })
 	// Structural Definition-3 checks: exactly one live+ready row, all
 	// chains acyclic and terminating at it.
 	if err := core.CheckVersionedInvariants(filtered, nil); err != nil {
@@ -212,7 +206,7 @@ func (w *world) finalCheck() error {
 	}
 
 	// Replica convergence, via the same digests anti-entropy uses.
-	for _, table := range append([]string{baseTable}, w.oracleViewTables()...) {
+	for _, table := range w.syncTables() {
 		for i := 0; i < len(w.nodes); i++ {
 			for j := i + 1; j < len(w.nodes); j++ {
 				diverged, err := antientropy.Diverged(w.nodes[i], w.nodes[j], table, 32)
@@ -230,25 +224,13 @@ func (w *world) finalCheck() error {
 		return err
 	}
 
-	rows, err := w.viewRowsOf(viewTable)
+	// Content: visible rows == Definition 1 over the acknowledged
+	// updates.
+	_, actual, err := w.checkView(w.def)
 	if err != nil {
 		return err
 	}
-	if err := core.CheckVersionedInvariants(rows, nil); err != nil {
-		return err
-	}
-	byBase := core.Chains(rows)
-	for _, bk := range sortedKeys(byBase) {
-		if err := w.checkBaseKey(w.def, bk, byBase[bk]); err != nil {
-			return err
-		}
-	}
-
-	// Content: visible rows == Definition 1 over the acknowledged
-	// updates.
-	baseState := core.ApplyUpdates(map[string]model.Row{}, w.acked)
-	expected := core.ComputeView(w.def, baseState)
-	actual := w.visibleViewRows(rows, w.def)
+	expected := core.ComputeView(w.def, core.ApplyUpdates(map[string]model.Row{}, w.acked))
 	w.report.FinalViewRows = len(actual)
 	if err := compareViewRows("final view", "oracle", actual, expected, w.def.Materialized); err != nil {
 		return err
@@ -257,9 +239,22 @@ func (w *world) finalCheck() error {
 	return w.checkBackfillCompleteness(actual)
 }
 
-// visibleViewRows projects the application-visible rows of a versioned
-// view, sorted.
-func (w *world) visibleViewRows(rows []core.VersionedRow, def *core.Def) []core.ViewRow {
+// checkView runs the structural and per-key oracle over one quiesced view
+// and returns its rows and, sorted, its application-visible rows.
+func (w *world) checkView(def *core.Def) ([]core.VersionedRow, []core.ViewRow, error) {
+	rows, err := w.viewRowsOf(def.Name)
+	if err == nil {
+		err = core.CheckVersionedInvariants(rows, nil)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	byBase := core.Chains(rows)
+	for _, bk := range sortedKeys(byBase) {
+		if err := w.checkBaseKey(def, bk, byBase[bk]); err != nil {
+			return nil, nil, err
+		}
+	}
 	var out []core.ViewRow
 	for _, r := range rows {
 		if !r.Visible() {
@@ -274,7 +269,7 @@ func (w *world) visibleViewRows(rows []core.VersionedRow, def *core.Def) []core.
 		out = append(out, vr)
 	}
 	core.SortViewRows(out)
-	return out
+	return rows, out, nil
 }
 
 // compareViewRows requires two visible-row sets to be cell-identical:
@@ -312,22 +307,35 @@ func (w *world) checkBackfillCompleteness(byviewVisible []core.ViewRow) error {
 		return fmt.Errorf("backfill-completeness: view %q drained without finishing its scan (%d/%d partitions)",
 			w.bfDef.Name, len(w.bfDone), w.cfg.Nodes)
 	}
-	rows, err := w.viewRowsOf(w.bfDef.Name)
+	rows, bfVisible, err := w.checkView(w.bfDef)
+	if err == nil {
+		err = compareViewRows("backfilled view", "from-birth view", bfVisible, byviewVisible, w.bfDef.Materialized)
+	}
+	if err == nil {
+		err = w.checkLateFence(rows)
+	}
 	if err != nil {
-		return err
-	}
-	if err := core.CheckVersionedInvariants(rows, nil); err != nil {
 		return fmt.Errorf("backfill-completeness: %w", err)
 	}
-	byBase := core.Chains(rows)
-	for _, bk := range sortedKeys(byBase) {
-		if err := w.checkBaseKey(w.bfDef, bk, byBase[bk]); err != nil {
-			return fmt.Errorf("backfill-completeness: %w", err)
+	return nil
+}
+
+// checkLateFence: Algorithm 2 leaves a row, live or stale, for every
+// view-key update it propagates, so every view-key write acknowledged
+// after the define has one — via Manager.lateTasks if need be. Judged in
+// fault-free runs only: a late task whose pre-read fails is dropped.
+func (w *world) checkLateFence(rows []core.VersionedRow) error {
+	if c := w.cfg; w.durable || c.DropProb >= 0 || c.Crashes >= 0 || c.Partitions >= 0 {
+		return nil
+	}
+	have := map[[2]string]bool{}
+	for _, r := range rows {
+		have[[2]string{r.BaseKey, r.ViewKey}] = true
+	}
+	for _, u := range w.acked[w.bfSince:] {
+		if u.Column == vkCol && !u.Cell.Tombstone && !have[[2]string{u.BaseKey, string(u.Cell.Value)}] {
+			return fmt.Errorf("view-key write %s=%q (ts %d) was acknowledged after the view was defined but has no row in it", u.BaseKey, u.Cell.Value, u.Cell.TS)
 		}
-	}
-	bfVisible := w.visibleViewRows(rows, w.bfDef)
-	if err := compareViewRows("backfilled view", "from-birth view", bfVisible, byviewVisible, w.bfDef.Materialized); err != nil {
-		return fmt.Errorf("backfill-completeness: %w", err)
 	}
 	return nil
 }

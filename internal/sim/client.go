@@ -16,9 +16,6 @@ import (
 	"vstore/internal/transport"
 )
 
-// majority is the quorum of every read and write the simulator issues.
-func (w *world) majority() int { return w.cfg.N/2 + 1 }
-
 func (w *world) runClient(id int) {
 	cfg := w.cfg
 	if cfg.hotRows > 0 {
@@ -82,7 +79,7 @@ func (w *world) put(coordID transport.NodeID, bk string, u model.ColumnUpdate) {
 			w.s.Fail(fmt.Errorf("client write to %s (col %s, ts %d) still unacked after %d attempts", bk, u.Column, u.Cell.TS, attempt))
 			break
 		}
-		if err := w.mgrs[coordID].Put(context.Background(), baseTable, bk, updates, w.majority(), propagated); err != nil {
+		if err := w.mgrs[coordID].Put(context.Background(), baseTable, bk, updates, w.cfg.N/2+1, propagated); err != nil {
 			w.s.Record("put-fail", fmt.Sprintf("%s attempt=%d: %v", what, attempt, err))
 			w.s.Backoff(&backoff, 20*time.Millisecond)
 			continue

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vstore/internal/antientropy"
+	"vstore/internal/backfill"
 	"vstore/internal/coord"
 	"vstore/internal/core"
 	"vstore/internal/lsm"
@@ -122,14 +123,10 @@ type Config struct {
 	MaxChainHops int
 
 	// CreateViewAt, when positive, defines a second materialized view
-	// ("bf", same shape as byview) at that virtual time — while clients
-	// are writing — and backfills it online: one scan proc per node
-	// walks the node's base-table rows and routes each through the
-	// regular propagation machinery, racing live updates. In durable
-	// mode the scans checkpoint their cursors through the node backends
-	// and crash-restarts resume from the checkpoint. The final oracle
-	// then requires the backfilled view to be cell-identical to the
-	// from-birth view.
+	// ("bf", same shape as byview) at that virtual time, while clients are
+	// writing, and backfills it online with every node's production
+	// backfill.Controller (backfill.go). The final oracle then requires it
+	// to be cell-identical to the from-birth view.
 	CreateViewAt time.Duration
 	// DropViewAt, when positive (> CreateViewAt), drops the backfilled
 	// view mid-run: in-flight propagations targeting it end, its
@@ -166,6 +163,13 @@ func WithScenario(cfg Config, name string) (Config, error) {
 		cfg.CreateViewAt = 400 * time.Millisecond
 		cfg.DropViewAt = 800 * time.Millisecond
 		cfg.RecreateViewAt = 1200 * time.Millisecond
+	case "define-during-burst":
+		// The hot-row writers below, and a second view defined 4ms in: every
+		// writer is then inside a Put whose tasks were built before the view
+		// existed, on the rows the scans read first, so only the post-ack
+		// catalog fence (Manager.lateTasks) carries those writes into it.
+		cfg.CreateViewAt = 4 * time.Millisecond
+		fallthrough
 	case "hot-row":
 		// Four back-to-back writers of four rows, fault-free, on the real
 		// RetryBackoff and the small backlog bound. The random propagation
@@ -174,84 +178,57 @@ func WithScenario(cfg Config, name string) (Config, error) {
 		cfg.hotRows, cfg.OpsPerClient = 4, 25
 		cfg.Crashes, cfg.Partitions, cfg.DropProb = -1, -1, -1
 	default:
-		return cfg, fmt.Errorf("unknown scenario %q (want backfill, drop-recreate or hot-row)", name)
+		return cfg, fmt.Errorf("unknown scenario %q (want backfill, drop-recreate, hot-row or define-during-burst)", name)
 	}
 	return cfg, nil
 }
 
 func (c Config) withDefaults() Config {
-	if c.Nodes <= 0 {
-		c.Nodes = 4
-	}
-	if c.N <= 0 {
-		c.N = 3
-	}
-	if c.N > c.Nodes {
-		c.N = c.Nodes
-	}
-	if c.BaseRows <= 0 {
-		c.BaseRows = 8
-	}
-	if c.ViewKeys <= 0 {
-		c.ViewKeys = 6
-	}
+	// orDefault fields take their default unless positive, zeroDefault
+	// fields only when zero, so a negative value can switch them off.
+	orDefault(&c.Nodes, 4)
+	orDefault(&c.N, 3)
+	c.N = min(c.N, c.Nodes)
+	orDefault(&c.BaseRows, 8)
+	orDefault(&c.ViewKeys, 6)
 	if c.hotRows > 0 {
 		c.Clients = c.hotRows
 	}
-	if c.Clients <= 0 {
-		c.Clients = 4
-	}
-	if c.OpsPerClient <= 0 {
-		c.OpsPerClient = 30
-	}
-	if c.Duration <= 0 {
-		c.Duration = 2 * time.Second
-	}
-	if c.Latency == 0 {
-		c.Latency = 2 * time.Millisecond
-	}
-	if c.Jitter == 0 {
-		c.Jitter = time.Millisecond
-	}
-	if c.DropProb == 0 {
-		c.DropProb = 0.02
-	}
-	if c.DropDelay == 0 {
-		c.DropDelay = 10 * time.Millisecond
-	}
-	if c.Crashes == 0 {
-		c.Crashes = 6
-	}
-	if c.MaxCrash <= 0 {
-		c.MaxCrash = 150 * time.Millisecond
-	}
-	if c.Partitions == 0 {
-		c.Partitions = 4
-	}
+	orDefault(&c.Clients, 4)
+	orDefault(&c.OpsPerClient, 30)
+	orDefault(&c.Duration, 2*time.Second)
+	zeroDefault(&c.Latency, 2*time.Millisecond)
+	zeroDefault(&c.Jitter, time.Millisecond)
+	zeroDefault(&c.DropProb, 0.02)
+	zeroDefault(&c.DropDelay, 10*time.Millisecond)
+	zeroDefault(&c.Crashes, 6)
+	orDefault(&c.MaxCrash, 150*time.Millisecond)
+	zeroDefault(&c.Partitions, 4)
 	if c.Dir != "" || c.Backend != nil {
-		if c.CrashRestarts == 0 {
-			c.CrashRestarts = c.Nodes
-		}
-		if c.FlushBytes <= 0 {
-			c.FlushBytes = 512
-		}
+		zeroDefault(&c.CrashRestarts, c.Nodes)
+		orDefault(&c.FlushBytes, 512)
 	}
-	if c.MaxPartition <= 0 {
-		c.MaxPartition = 200 * time.Millisecond
-	}
-	if c.MaxPropDelay == 0 {
-		c.MaxPropDelay = 60 * time.Millisecond
-	}
-	if c.CheckEvery < 1 {
-		c.CheckEvery = 1
-	}
-	if c.AntiEntropyEvery == 0 {
-		c.AntiEntropyEvery = 250 * time.Millisecond
-	}
-	if c.MaxChainHops <= 0 {
-		c.MaxChainHops = 64
-	}
+	orDefault(&c.MaxPartition, 200*time.Millisecond)
+	zeroDefault(&c.MaxPropDelay, 60*time.Millisecond)
+	orDefault(&c.CheckEvery, 1)
+	zeroDefault(&c.AntiEntropyEvery, 250*time.Millisecond)
+	orDefault(&c.MaxChainHops, 64)
 	return c
+}
+
+// orDefault sets *v to d unless it is positive.
+func orDefault[T int | int64 | time.Duration](v *T, d T) {
+	if *v <= 0 {
+		*v = d
+	}
+}
+
+// zeroDefault sets *v to d if it is zero, keeping a negative value (which
+// disables the feature).
+func zeroDefault[T int | float64 | time.Duration](v *T, d T) {
+	if *v == 0 {
+		*v = d
+	}
 }
 
 // Report is the outcome of one simulation run.
@@ -290,10 +267,10 @@ type Report struct {
 	// that died in a crash-restart included.
 	Coord coord.Stats
 
-	// Online-backfill scenario counters (CreateViewAt > 0).
-	BackfillRowsScanned int  // base rows visited by backfill scans
-	BackfillFills       int  // backfill propagations run to completion
-	BackfillResumes     int  // scans restarted after a crash-restart
+	// Online-backfill scenario counters (CreateViewAt > 0), the first two
+	// summed over the Progress of every node incarnation's controller.
+	BackfillRowsScanned int  // base rows the scans filled
+	BackfillResumes     int  // scans resumed from a checkpoint after a crash-restart
 	ViewDrops           int  // backfilled-view generations dropped
 	BackfillLive        bool // the final generation finished its scan
 
@@ -351,18 +328,17 @@ type world struct {
 	// re-derives by scanning durable state at recovery.
 	dotSeqs []uint64
 
-	// Online-backfill scenario state (CreateViewAt > 0). bfGen counts
-	// view generations — a drop + re-create is a new one, with a fresh
-	// table name. bfDef is nil until the first activation; bfCtx ends when
-	// the generation is dropped, scanStop[i] ends node i's scan of it.
+	// Online-backfill scenario state (CreateViewAt > 0). bfDef is the
+	// current view generation, nil until the first activation. bfs is the
+	// backfill controller of each node's incarnation, everyBF those and
+	// the dead ones, whose progress still counts.
 	bfDef    *core.Def
-	bfGen    int
 	bfActive bool
 	bfLive   bool
 	bfDone   map[transport.NodeID]bool // current generation's finished scans
-	bfCtx    context.Context
-	bfDrop   context.CancelFunc
-	scanStop []context.CancelFunc
+	bfSince  int                       // len(acked) when it was defined
+	bfs      []*backfill.Controller
+	everyBF  []*backfill.Controller
 
 	report *Report
 }
@@ -381,7 +357,6 @@ func Run(cfg Config) *Report {
 		replaying:  map[string]int{},
 		issued:     map[string][]model.Cell{},
 		dotSeqs:    make([]uint64, cfg.Nodes),
-		scanStop:   make([]context.CancelFunc, cfg.Nodes),
 		report:     &Report{Seed: cfg.Seed},
 	}
 	// The catalog every node's manager shares, on virtual time: the
@@ -431,6 +406,7 @@ func Run(cfg Config) *Report {
 	w.storages = make([]*wal.Storage, cfg.Nodes)
 	w.backends = make([]physical.Backend, cfg.Nodes)
 	w.faults = make([]*faulty.Backend, cfg.Nodes)
+	w.bfs = make([]*backfill.Controller, cfg.Nodes)
 	for _, id := range ids {
 		if w.durable {
 			w.backends[id] = physical.Sub(root, fmt.Sprintf("node-%d", id))
@@ -478,7 +454,7 @@ func Run(cfg Config) *Report {
 	if cfg.CreateViewAt > 0 {
 		s.Schedule(cfg.CreateViewAt, "view-create", "bf", w.activateBF)
 		if cfg.DropViewAt > cfg.CreateViewAt {
-			s.Schedule(cfg.DropViewAt, "view-drop", "bf", w.dropBF)
+			s.Go(cfg.DropViewAt, "view-drop bf", w.dropBF)
 			if cfg.RecreateViewAt > cfg.DropViewAt {
 				s.Schedule(cfg.RecreateViewAt, "view-recreate", "bf", w.activateBF)
 			}
@@ -498,8 +474,7 @@ func Run(cfg Config) *Report {
 			w.report.FailedAt = s.Now()
 		}
 	} else {
-		w.report.Invariant = s.FailedInvariant()
-		w.report.FailedAt = s.FailedAt()
+		w.report.Invariant, w.report.FailedAt = s.failedInvariant, s.failedAt
 	}
 	if err != nil {
 		err = fmt.Errorf("sim: seed=%d: %w\nreplay: %s", cfg.Seed, err, ReplayCommand(cfg.Seed))
@@ -526,6 +501,15 @@ func Run(cfg Config) *Report {
 		w.report.ChainHops += int(st.ChainHops.Load())
 		w.report.Compressions += int(st.Compressions.Load())
 	}
+	w.report.BackfillLive = w.bfLive
+	for _, ctl := range w.everyBF {
+		for _, p := range ctl.Progress() {
+			w.report.BackfillRowsScanned += int(p.Scanned)
+			if p.Resumed {
+				w.report.BackfillResumes++
+			}
+		}
+	}
 	w.report.PropLag = w.reg.Obs().Lag.Snapshot()
 	w.report.ChainLen = w.reg.Obs().ChainLen.Snapshot()
 	w.report.Events = s.Trace().Len()
@@ -534,16 +518,11 @@ func Run(cfg Config) *Report {
 	return w.report
 }
 
-// syncTables is the anti-entropy table set: the fixed tables plus the
-// current backfilled-view generation. A dropped generation falls out
-// immediately, so anti-entropy cannot resurrect wiped rows.
-func (w *world) syncTables() []string {
-	ts := []string{baseTable, viewTable}
-	if w.bfActive {
-		ts = append(ts, w.bfDef.Name)
-	}
-	return ts
-}
+// syncTables is the anti-entropy table set: the base table and the view
+// tables, the current backfilled-view generation included. A dropped
+// generation falls out immediately, so anti-entropy cannot resurrect
+// wiped rows.
+func (w *world) syncTables() []string { return append([]string{baseTable}, w.oracleViewTables()...) }
 
 // --- Fault injection -------------------------------------------------------
 
@@ -620,6 +599,8 @@ func (w *world) openNode(id transport.NodeID) (intents []wal.Intent, err error) 
 		w.mgrs[id].SetIntentLog(st)
 	}
 	w.everyMgr = append(w.everyMgr, w.mgrs[id])
+	w.bfs[id] = w.newBackfill(id)
+	w.everyBF = append(w.everyBF, w.bfs[id])
 	return intents, nil
 }
 
@@ -664,12 +645,13 @@ func (w *world) replayHints() {
 // propagation intents that were logged as started but never done are
 // replayed through the new manager, proving a crashed coordinator's
 // pending view maintenance still converges. It is a process only so that
-// closing the dead manager can wait out the rounds its propagations were
-// in; everything else happens in its first segment, at one instant.
+// closing the dead manager and backfill controller can wait out the
+// rounds and fills they were in; everything else happens in its first
+// segment, at one instant.
 func (w *world) crashRestart(id transport.NodeID) {
 	// The dying node's sibling observations would vanish with it.
 	w.report.ConcurrentWrites += int(w.nodes[id].ConcurrentWrites())
-	dead := w.mgrs[id]
+	dead, deadBF := w.mgrs[id], w.bfs[id]
 	w.retireCoord(id)
 	_ = w.storages[id].Abandon()   // crash model: no final sync
 	intents, err := w.openNode(id) // replaces the dead node's handler, coordinator and manager
@@ -692,17 +674,15 @@ func (w *world) crashRestart(id transport.NodeID) {
 		w.replaying[it.Row]++
 		w.s.Go(0, fmt.Sprintf("replay-intent %d node %d", it.ID, id), func() { w.replayIntent(mgr, it) })
 	}
-	// A backfill scan that was running on this node died with it;
-	// restart it from its checkpoint.
-	if w.bfActive && !w.bfDone[id] {
-		w.scanStop[id]()
-		w.report.BackfillResumes++
-		w.startBackfillScan(id, "backfill-resume")
-	}
 	// The dead incarnation's propagations end cancelled — their intents
-	// not marked done, which is why the replay above finds them — and its
-	// writers fail with ErrClosed.
+	// not marked done, which is why the replay above finds them — its
+	// writers and backfill fills fail with ErrClosed until its controller
+	// is closed, and the successor's resumes the scan from the checkpoint.
 	dead.Close()
+	deadBF.Close()
+	if w.bfActive && !w.bfDone[id] {
+		w.startBF(id)
+	}
 }
 
 // replayIntent re-enqueues one recovered intent. A replay that cannot

@@ -114,13 +114,6 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rnd }
 // Trace returns the event trace recorded so far.
 func (s *Scheduler) Trace() *Trace { return s.trace }
 
-// FailedInvariant names the invariant behind Failure (empty when the
-// failure came from outside the invariant sweep).
-func (s *Scheduler) FailedInvariant() string { return s.failedInvariant }
-
-// FailedAt returns the virtual time of the first failure.
-func (s *Scheduler) FailedAt() time.Duration { return s.failedAt }
-
 // AddInvariant registers an assertion checked after events; the first
 // failure stops the run.
 func (s *Scheduler) AddInvariant(name string, check func() error) {

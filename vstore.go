@@ -63,14 +63,12 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"time"
 
 	"vstore/internal/backfill"
 	"vstore/internal/clock"
 	"vstore/internal/cluster"
-	"vstore/internal/coord"
 	"vstore/internal/core"
 	"vstore/internal/metrics"
 	"vstore/internal/model"
@@ -413,7 +411,7 @@ func Open(cfg Config) (*DB, error) {
 	if backend != nil {
 		bfStore = backfill.NewPhysicalStore(backend)
 	}
-	db.bf = backfill.New(backfill.Options{
+	db.bf = backfill.New(cl.Coordinator(0), backfill.Options{
 		Store:     bfStore,
 		Clock:     cfg.Clock,
 		BatchSize: cfg.Views.BackfillBatchSize,
@@ -618,72 +616,19 @@ func (db *DB) backfillPartitions(view string) ([]backfill.Partition, error) {
 	return parts, nil
 }
 
-// backfillFiller returns the per-key fill function: quorum-merge the
-// base row, then push it through the regular propagation machinery
-// targeted at this view (Manager.BackfillPropagate), so duplicate
+// backfillFiller returns the per-key fill function: Manager.BackfillRow
+// on a coordinator picked by row hash, so fills spread across the
+// cluster. A fill quorum-merges the base row and pushes it through the
+// regular propagation machinery targeted at this view, so duplicate
 // fills and races with live writes serialize per base key and converge
-// by LWW. Cells keep their original base timestamps — a backfill write
-// racing a newer live write lands strictly below it in the chain.
-//
-// The propagation itself retries for as long as the backfill's context
-// lives; what can fail a fill is one of its quorum reads (replicas
-// unreachable). Failing the whole view over that would be harsh, so the
-// fill — fresh quorum read plus propagation, idempotent — is retried
-// with backoff a few times first.
+// by LWW; cells keep their original base timestamps, so a backfill
+// write racing a newer live write lands strictly below it in the chain.
 func (db *DB) backfillFiller(view string) backfill.Filler {
-	clk := clock.Or(db.cfg.Clock)
 	return func(ctx context.Context, base, row string) error {
-		// Spread fill propagations across coordinators by row hash.
 		h := fnv.New32a()
 		_, _ = h.Write([]byte(row))
-		i := int(h.Sum32()) % len(db.managers)
-		mgr := db.managers[i]
-		co := db.cluster.Coordinator(i)
-		for _, d := range db.registry.Defs(view) {
-			var err error
-			backoff := 10 * time.Millisecond
-			for attempt := 0; attempt < backfillFillAttempts; attempt++ {
-				if attempt > 0 {
-					select {
-					case <-clk.After(backoff):
-						backoff *= 2
-					case <-ctx.Done():
-						return ctx.Err()
-					}
-				}
-				if err = db.fillOnce(ctx, mgr, co, d, base, row); err == nil {
-					break
-				}
-			}
-			if err != nil {
-				return fmt.Errorf("backfill %s/%s via view %s: %w", base, row, d.Name, err)
-			}
-		}
-		return nil
+		return db.managers[int(h.Sum32())%len(db.managers)].BackfillRow(ctx, view, base, row)
 	}
-}
-
-// backfillFillAttempts bounds how often one row's fill is re-issued
-// after a failed quorum read before the backfill fails the whole view.
-const backfillFillAttempts = 5
-
-// fillOnce performs one read-then-propagate round for a single view
-// definition and waits for the propagation outcome.
-func (db *DB) fillOnce(ctx context.Context, mgr *core.Manager, co *coord.Coordinator, d *core.Def, base, row string) error {
-	if d.Base != base {
-		return nil
-	}
-	cols := append([]string{d.ViewKeyColumn}, d.Materialized...)
-	merged, err := co.Get(ctx, base, row, cols, db.cfg.ReadQuorum, false)
-	if err != nil {
-		return err
-	}
-	updates := make([]model.ColumnUpdate, 0, len(merged))
-	for col, cell := range merged {
-		updates = append(updates, model.ColumnUpdate{Column: col, Cell: cell})
-	}
-	sort.Slice(updates, func(a, b int) bool { return updates[a].Column < updates[b].Column })
-	return mgr.BackfillPropagate(ctx, d, row, updates)
 }
 
 // WaitViewLive blocks until the named view's online backfill completes
