@@ -3,7 +3,7 @@ package core_test
 import (
 	"context"
 	"fmt"
-
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -762,37 +762,68 @@ func (c *holdClock) holds(d time.Duration) bool {
 
 // Algorithm 1's Get-then-Put is one quorum round: with propagation held
 // back, a view-key Put has cost the coordinator one Put and no Get, and
-// the replicas N put requests and no reads of any kind.
+// the replicas N put requests and no reads of any kind. Its propagation
+// then makes two majority reads — the chain walk's hop, which also reads
+// what CopyData copies, and the base row — and three majority writes —
+// create with the copied cells, redirect, publish — whether it creates
+// the first view row or supersedes the live one.
 func TestViewKeyPutIsOneQuorumRound(t *testing.T) {
 	clk := &holdClock{Clock: clock.Wall, only: func(d time.Duration) bool { return d == time.Hour }}
 	h := newHarness(t, core.Options{Clock: clk, PropagationDelay: func() time.Duration { return time.Hour }}, 4)
 	if err := h.reg.Define(ticketDef()); err != nil {
 		t.Fatal(err)
 	}
-	err := h.mgrs[0].Put(ctxT(t), "ticket", "1", []model.ColumnUpdate{model.Update("assignedto", []byte("rliu"), 1)}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := h.c.Coordinator(0).Stats(); st.Puts != 1 || st.Gets != 0 {
-		t.Errorf("coordinator stats = %+v, want one Put and no Get", st)
-	}
-	requests := map[string]int64{}
-	for _, n := range h.c.Nodes {
-		for kind, v := range n.RequestCounts() {
-			requests[kind] += v
+	// since returns the replica requests, by kind, made after before.
+	since := func(before map[string]int64) map[string]int64 {
+		out := map[string]int64{}
+		for _, n := range h.c.Nodes {
+			for kind, v := range n.RequestCounts() {
+				out[kind] += v
+			}
 		}
+		for kind, v := range before {
+			if out[kind] -= v; out[kind] == 0 {
+				delete(out, kind)
+			}
+		}
+		return out
 	}
-	if len(requests) != 1 || requests["put"] != 3 {
-		t.Errorf("replica requests = %v, want N=3 puts and nothing else", requests)
+	// put writes one cell of ticket 1 and checks the Put alone, then lets
+	// its propagation run and returns the replica requests of both.
+	put := func(col, val string, ts int64) map[string]int64 {
+		t.Helper()
+		before, co := since(nil), h.c.Coordinator(0).Stats()
+		if err := h.mgrs[0].Put(ctxT(t), "ticket", "1", []model.ColumnUpdate{model.Update(col, []byte(val), ts)}, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		if st := h.c.Coordinator(0).Stats(); st.Puts != co.Puts+1 || st.Gets != co.Gets {
+			t.Errorf("%s=%s: coordinator stats = %+v after %+v, want one more Put and no Get", col, val, st, co)
+		}
+		if got := since(before); len(got) != 1 || got["put"] != 3 {
+			t.Errorf("%s=%s: replica requests = %v, want N=3 puts and nothing else", col, val, got)
+		}
+		if h.mgrs[0].PendingPropagations() != 1 {
+			t.Fatalf("%s=%s: pending propagations = %d, want the held-back one", col, val, h.mgrs[0].PendingPropagations())
+		}
+		for !clk.holds(time.Hour) { // armed by the propagation itself, not by the Put
+			time.Sleep(time.Millisecond)
+		}
+		clk.release()
+		h.quiesce(t)
+		return since(before)
 	}
-	if h.mgrs[0].PendingPropagations() != 1 {
-		t.Fatalf("pending propagations = %d, want the held-back one", h.mgrs[0].PendingPropagations())
+	// A materialized cell for CopyData to copy; no view row exists yet,
+	// so its propagation is a no-op that reads nothing.
+	put("status", "open", 1)
+	// Fault-free on the direct fabric every replica holds every write, so
+	// each majority read is one full read and two digests.
+	want := map[string]int64{"put": 3 + 3*3, "get": 2, "getdigest": 2 * 2}
+	if got := put("assignedto", "rliu", 2); !reflect.DeepEqual(got, want) {
+		t.Errorf("first creation: replica requests = %v, want %v", got, want)
 	}
-	for !clk.holds(time.Hour) { // armed by the propagation itself, not by the Put
-		time.Sleep(time.Millisecond)
+	if got := put("assignedto", "kmsalem", 3); !reflect.DeepEqual(got, want) {
+		t.Errorf("superseding: replica requests = %v, want %v", got, want)
 	}
-	clk.release()
-	h.quiesce(t)
 }
 
 // A live propagation is abandoned on the injected clock, the one its

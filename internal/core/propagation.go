@@ -19,7 +19,7 @@ import (
 //
 // Promotion is redo-safe. A quorum failure midway through the "new row
 // wins" sequence leaves a half-created self-pointing row — created
-// (step 1) but never published (step 4). Such a ghost looks live to a
+// (step 1) but never published (step 3). Such a ghost looks live to a
 // naive Algorithm 3 walk, and when the promoted view key was previously
 // a stale chain link, step 1's self-pointer severs the chain there, so
 // even a walk from the anchor dead-ends at the ghost. Two rules fix it.
@@ -93,9 +93,12 @@ type Task struct {
 	stored  string // the base key as view rows spell it (Def.storedKey)
 	lockKey string // Port.Serialize key
 	anchor  string // the base row's chain anchor
-	// hop is the qualified ColNext, ColReady, ColPrev. A chain hop reads
-	// the first two; the third joins them once a walk ends at a ghost.
-	hop [3]string
+	// cols are qualified column names: ColNext and ColReady; then, for a
+	// task carrying a live view-key write, the materialized columns and
+	// ColDeleted — what CopyData folds from the old live row, so the walk
+	// that finds that row reads them too; last ColPrev. A chain hop reads
+	// all but ColPrev (hopCols), which joins once a walk ends at a ghost.
+	cols []string
 }
 
 // TaskFor splits a base row's update set into the part one view must
@@ -117,13 +120,28 @@ func TaskFor(def *Def, baseKey string, updates []model.ColumnUpdate) (t Task, ok
 	t.stored = def.storedKey(baseKey)
 	t.lockKey = def.Name + "\x00" + t.stored
 	t.anchor = nullRowKey(t.stored)
-	t.hop = [3]string{model.Qualify(t.stored, ColNext), model.Qualify(t.stored, ColReady), model.Qualify(t.stored, ColPrev)}
+	t.cols = append(make([]string, 0, len(def.Materialized)+4), ColNext, ColReady)
+	if !t.deletes() {
+		t.cols = append(append(t.cols, def.Materialized...), ColDeleted)
+	}
+	t.cols = append(t.cols, ColPrev)
+	model.QualifyAll(t.stored, t.cols)
 	return t, true
 }
 
 // deletes reports whether the task cannot create a view row: it carries
 // no view-key update, or a view-key deletion.
 func (t *Task) deletes() bool { return t.vk == nil || t.vk.Cell.Tombstone }
+
+// hopCols are the columns every chain hop reads.
+func (t *Task) hopCols() []string { return t.cols[:len(t.cols)-1] }
+
+// dataCols are the qualified materialized columns, then ColDeleted; empty
+// unless the task carries a live view-key write.
+func (t *Task) dataCols() []string { return t.cols[2 : len(t.cols)-1] }
+
+// prevCol is the qualified ColPrev.
+func (t *Task) prevCol() string { return t.cols[len(t.cols)-1] }
 
 // Round runs propagation rounds over one Port, reporting through the
 // shared instruments.
@@ -254,7 +272,7 @@ func cellOf(row model.Row, col string) model.Cell {
 // handles a view-key update, view-materialized column updates, or both
 // at once (the multi-column extension the paper describes in IV-C).
 func (r *Round) propagateOnce(ctx context.Context, t *Task, guess model.Cell, pre map[string]model.Row) error {
-	kLive, tLive, err := r.resolveLive(ctx, t, t.startKey(guess), pre)
+	live, err := r.resolveLive(ctx, t, t.startKey(guess), pre)
 	creating := false
 	if err != nil {
 		// A missing anchor together with a NULL guess means no view
@@ -262,15 +280,15 @@ func (r *Round) propagateOnce(ctx context.Context, t *Task, guess model.Cell, pr
 		// update may create the first one. Any other failure is a bad
 		// guess — retried by the caller with another version.
 		if errors.Is(err, errKeyMissing) && guess.IsNull() && !t.deletes() {
-			creating, kLive, tLive = true, "", model.NullTS
+			creating, live = true, terminus{ts: model.NullTS}
 		} else {
 			return err
 		}
 	}
 
-	target := kLive // row that will receive materialized-column cells
+	target := live.key // row that will receive materialized-column cells
 	if t.vk != nil {
-		if target, err = r.propagateViewKey(ctx, t, kLive, tLive, creating); err != nil {
+		if target, err = r.propagateViewKey(ctx, t, live, creating); err != nil {
 			return err
 		}
 	}
@@ -293,9 +311,10 @@ func (r *Round) propagateOnce(ctx context.Context, t *Task, guess model.Cell, pr
 // propagateViewKey handles the view-key branch of Algorithm 2 and
 // returns the key of the row that now represents the base row's
 // current state (where bundled materialized updates should land).
-func (r *Round) propagateViewKey(ctx context.Context, t *Task, kLive string, tLive int64, creating bool) (string, error) {
+func (r *Round) propagateViewKey(ctx context.Context, t *Task, live terminus, creating bool) (string, error) {
 	vk := t.vk.Cell
 	tNew := vk.TS
+	kLive, tLive := live.key, live.ts
 	if vk.Tombstone {
 		// Deletion of the view key: the row stays in the versioned
 		// view (it anchors stale chains) but is marked deleted. Reads
@@ -307,8 +326,8 @@ func (r *Round) propagateViewKey(ctx context.Context, t *Task, kLive string, tLi
 	}
 
 	kNew := string(vk.Value)
-	self := model.ColumnUpdate{Column: t.hop[0], Cell: model.Cell{Value: vk.Value, TS: tNew}}
-	ready := model.ColumnUpdate{Column: t.hop[1], Cell: model.Cell{Value: readyValue, TS: tNew}}
+	self := model.ColumnUpdate{Column: t.cols[0], Cell: model.Cell{Value: vk.Value, TS: tNew}}
+	ready := model.ColumnUpdate{Column: t.cols[1], Cell: model.Cell{Value: readyValue, TS: tNew}}
 
 	// The live row's Next cell holds exactly the winning view-key
 	// write (value kLive at tLive), so LWW comparison against it
@@ -326,20 +345,25 @@ func (r *Round) propagateViewKey(ctx context.Context, t *Task, kLive string, tLi
 		// The new row becomes the live row. Order matters for
 		// concurrent readers (Section IV-F) and for redo: (1) create
 		// the row self-pointing, without its ready marker —
-		// inaccessible — and record the row it supersedes; (2) copy the
-		// view-materialized cells; (3) turn the old live row (the
-		// anchor when creating) stale; (4) publish the new row by
-		// writing its ready marker.
-		prev := model.ColumnUpdate{Column: t.hop[2], Cell: model.Cell{Value: []byte(kLive), TS: tNew}}
-		if err := r.put(ctx, t, kNew, []model.ColumnUpdate{self, prev}); err != nil {
-			return "", err
-		}
+		// inaccessible — recording the row it supersedes and carrying
+		// the view-materialized cells (CopyData), all in one write;
+		// (2) turn the old live row (the anchor when creating) stale;
+		// (3) publish the new row by writing its ready marker. Pointer
+		// and origin lead the write: a replica that keeps only a prefix
+		// of it keeps them.
+		create := make([]model.ColumnUpdate, 2, 2+len(t.dataCols()))
+		create[0] = self
+		create[1] = model.ColumnUpdate{Column: t.prevCol(), Cell: model.Cell{Value: []byte(kLive), TS: tNew}}
 		// Rows outside the view's selection are structure-only: they
 		// anchor stale chains but never carry materialized data.
 		if t.def.Selects(kNew) {
-			if err := r.copyData(ctx, t, kLive, kNew, creating); err != nil {
+			var err error
+			if create, err = r.copyData(ctx, t, live.row, create); err != nil {
 				return "", err
 			}
+		}
+		if err := r.put(ctx, t, kNew, create); err != nil {
+			return "", err
 		}
 		staleRow := kLive
 		if creating {
@@ -364,7 +388,7 @@ func (r *Round) propagateViewKey(ctx context.Context, t *Task, kLive string, tLi
 		// as Definition 3 requires. Bundled materialized updates still
 		// target the live row.
 		return kLive, r.put(ctx, t, kNew, []model.ColumnUpdate{
-			{Column: t.hop[0], Cell: model.Cell{Value: []byte(kLive), TS: tLive}},
+			{Column: t.cols[0], Cell: model.Cell{Value: []byte(kLive), TS: tLive}},
 		})
 	}
 }
@@ -391,22 +415,29 @@ func (r *Round) propagateViewKey(ctx context.Context, t *Task, kLive string, tLi
 //
 // Because the copied cells keep their base-table timestamps, merging
 // in base state never regresses the view and preserves convergence.
-func (r *Round) copyData(ctx context.Context, t *Task, kOld, kNew string, creating bool) error {
+//
+// The old live row is the one the walk judged live, as that walk read
+// it (nil when creating): its hops read every data column. Its cells
+// cannot have changed since, because every writer of this base row's
+// qualified cells — live propagations, fills, compression — holds the
+// Serialize lock this round holds exclusively. The cells are appended
+// to updates, which the caller writes with its create step.
+func (r *Round) copyData(ctx context.Context, t *Task, old model.Row, updates []model.ColumnUpdate) ([]model.ColumnUpdate, error) {
 	def := t.def
 	nMat := len(def.Materialized)
-	// updates[i] accumulates materialized column i; the last slot is the
+	// copied[i] accumulates materialized column i; the last slot is the
 	// deletion marker. Slots nothing folded into are dropped at the end.
-	updates := make([]model.ColumnUpdate, nMat+1)
-	for i, c := range def.Materialized {
-		updates[i].Column = model.Qualify(t.stored, c)
+	n := len(updates)
+	for _, q := range t.dataCols() {
+		updates = append(updates, model.ColumnUpdate{Column: q})
 	}
-	updates[nMat].Column = model.Qualify(t.stored, ColDeleted)
-	for i := range updates {
-		updates[i].Cell = model.NullCell
+	copied := updates[n:]
+	for i := range copied {
+		copied[i].Cell = model.NullCell
 	}
 	fold := func(i int, cell model.Cell) {
 		if !cell.IsNull() {
-			updates[i].Cell = model.Merge(updates[i].Cell, cell)
+			copied[i].Cell = model.Merge(copied[i].Cell, cell)
 		}
 	}
 
@@ -415,7 +446,7 @@ func (r *Round) copyData(ctx context.Context, t *Task, kOld, kNew string, creati
 	baseCols := append(append(make([]string, 0, nMat+1), def.Materialized...), def.ViewKeyColumn)
 	base, err := r.Get(ctx, def.Base, t.baseKey, baseCols)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for i, c := range def.Materialized {
 		fold(i, cellOf(base, c))
@@ -423,33 +454,17 @@ func (r *Round) copyData(ctx context.Context, t *Task, kOld, kNew string, creati
 	if vk := cellOf(base, def.ViewKeyColumn); vk.Exists() && vk.Tombstone {
 		fold(nMat, model.Cell{Value: readyValue, TS: vk.TS})
 	}
-
-	// Old live row state, when one exists.
-	if !creating {
-		cols := make([]string, len(updates))
-		for i := range updates {
-			cols[i] = updates[i].Column
-		}
-		old, err := r.Get(ctx, def.Name, kOld, cols)
-		if err != nil {
-			return err
-		}
-		for i, q := range cols {
-			fold(i, cellOf(old, q))
-		}
+	for i, u := range copied {
+		fold(i, cellOf(old, u.Column))
 	}
 
-	n := 0
-	for _, u := range updates {
+	for _, u := range copied {
 		if u.Cell.Exists() {
 			updates[n] = u
 			n++
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	return r.put(ctx, t, kNew, updates[:n])
+	return updates[:n], nil
 }
 
 // prefetchStarts reads every distinct chain start key among the guesses
@@ -481,7 +496,7 @@ next:
 	if len(starts) < 2 {
 		return nil
 	}
-	rows, err := r.MultiGet(ctx, t.def.Name, starts, t.hop[:2])
+	rows, err := r.MultiGet(ctx, t.def.Name, starts, t.hopCols())
 	if err != nil {
 		return nil
 	}
@@ -497,17 +512,18 @@ next:
 type terminus struct {
 	key       string
 	ts        int64
-	published bool // ready marker at least as fresh as the pointer
+	published bool      // ready marker at least as fresh as the pointer
+	row       model.Row // the row it was judged from, CopyData's source
 }
 
 // terminusOf judges whether row — kv's pointer and ready marker, read
 // in one request — is a self-pointing terminus.
 func (t *Task) terminusOf(kv string, row model.Row) (end terminus, ok bool) {
-	next, ready := cellOf(row, t.hop[0]), cellOf(row, t.hop[1])
+	next, ready := cellOf(row, t.cols[0]), cellOf(row, t.cols[1])
 	if next.IsNull() || string(next.Value) != kv {
 		return terminus{}, false
 	}
-	return terminus{key: kv, ts: next.TS, published: !ready.IsNull() && ready.TS >= next.TS}, true
+	return terminus{key: kv, ts: next.TS, published: !ready.IsNull() && ready.TS >= next.TS, row: row}, true
 }
 
 // resolveLive finds the authoritative live row for a base key. A walk
@@ -524,33 +540,36 @@ func (t *Task) terminusOf(kv string, row model.Row) (end terminus, ok bool) {
 //   - The detour arrives back at the unpublished terminus: the only
 //     pointer into an unpublished row is its own promotion's redirect
 //     (stale inserts and compression only target published rows), so
-//     the redirect — and the copy step ordered before it — completed.
-//     Only the publish was lost, and any operation may finish it.
+//     the redirect — and the create write before it, which carried the
+//     copy — completed. Only the publish was lost, and any operation may
+//     finish it.
 //
 // A walk that ends at a published row pays nothing for any of this;
 // the origin cell is only read once a ghost is in the way.
-func (r *Round) resolveLive(ctx context.Context, t *Task, start string, pre map[string]model.Row) (string, int64, error) {
+func (r *Round) resolveLive(ctx context.Context, t *Task, start string, pre map[string]model.Row) (terminus, error) {
 	ghost, err := r.walkChain(ctx, t, start, pre)
 	if err != nil || ghost.published {
-		return ghost.key, ghost.ts, err
+		return ghost, err
 	}
 	r.Stats.GhostDetours.Add(1)
-	// Pointer, marker and origin in one fresh request, so the per-replica
-	// atomicity of the create step's write carries over to the merged
-	// read (the walk's own view of the row may be a prefetched snapshot).
-	row, err := r.Get(ctx, t.def.Name, ghost.key, t.hop[:])
+	// Every column, origin included, in one fresh request, so the
+	// per-replica atomicity of the create step's write carries over to
+	// the merged read (the walk's own view of the row may be a
+	// prefetched snapshot), and the row serves CopyData if the ghost
+	// turns out to be the live row.
+	row, err := r.Get(ctx, t.def.Name, ghost.key, t.cols)
 	if err != nil {
-		return "", 0, err
+		return terminus{}, err
 	}
 	ghost, ok := t.terminusOf(ghost.key, row)
 	switch {
 	case !ok:
-		return "", 0, fmt.Errorf("%w: %q was redirected mid-resolution", errUnresolved, start)
+		return terminus{}, fmt.Errorf("%w: %q was redirected mid-resolution", errUnresolved, start)
 	case ghost.published:
-		return ghost.key, ghost.ts, nil
+		return ghost, nil
 	}
 	detour := t.anchor
-	if prev := cellOf(row, t.hop[2]); !prev.IsNull() && len(prev.Value) > 0 {
+	if prev := cellOf(row, t.prevCol()); !prev.IsNull() && len(prev.Value) > 0 {
 		detour = string(prev.Value)
 	}
 	live, err := r.walkChain(ctx, t, detour, nil)
@@ -558,29 +577,30 @@ func (r *Round) resolveLive(ctx context.Context, t *Task, start string, pre map[
 	case err != nil:
 		// Deliberately not errKeyMissing: view rows exist (the ghost
 		// does), so a missing detour row must not license creation.
-		return "", 0, fmt.Errorf("%w: %q detour via %q: %v", errUnresolved, ghost.key, detour, err)
+		return terminus{}, fmt.Errorf("%w: %q detour via %q: %v", errUnresolved, ghost.key, detour, err)
 	case live.published:
-		return live.key, live.ts, nil
+		return live, nil
 	case live.key != ghost.key:
-		return "", 0, fmt.Errorf("%w: %q and %q both unpublished", errUnresolved, ghost.key, live.key)
+		return terminus{}, fmt.Errorf("%w: %q and %q both unpublished", errUnresolved, ghost.key, live.key)
 	}
 	// Redirect provably done: help the interrupted promotion over the
 	// line by publishing its ready marker.
 	if err := r.put(ctx, t, ghost.key, []model.ColumnUpdate{
-		{Column: t.hop[1], Cell: model.Cell{Value: readyValue, TS: ghost.ts}},
+		{Column: t.cols[1], Cell: model.Cell{Value: readyValue, TS: ghost.ts}},
 	}); err != nil {
-		return "", 0, err
+		return terminus{}, err
 	}
 	r.Stats.HelpedPublishes.Add(1)
-	return ghost.key, ghost.ts, nil
+	return ghost, nil
 }
 
 // walkChain is Algorithm 3: starting from a guessed view key, follow
 // Next pointers through stale rows to the self-pointing terminus. It
 // returns errKeyMissing when the starting key has no row for this base
 // key — the guess's update has not propagated yet. Each hop reads the
-// pointer and the ready marker in a single request, so judging the
-// terminus costs no extra round trip.
+// pointer, the ready marker and the cells CopyData copies (hopCols) in
+// a single request, so neither judging the terminus nor copying from it
+// costs an extra round trip.
 //
 // pre optionally carries rows prefetched by prefetchStarts; hops whose
 // key is in the batch skip their quorum round trip (an empty
@@ -623,11 +643,11 @@ func (r *Round) walkChain(ctx context.Context, t *Task, start string, pre map[st
 			r.Stats.ChainHopsSaved.Add(1)
 		} else {
 			var err error
-			if row, err = r.Get(ctx, view, kv, t.hop[:2]); err != nil {
+			if row, err = r.Get(ctx, view, kv, t.hopCols()); err != nil {
 				return terminus{}, err
 			}
 		}
-		next := cellOf(row, t.hop[0])
+		next := cellOf(row, t.cols[0])
 		if next.IsNull() {
 			return terminus{}, fmt.Errorf("%w: %q (base row %q)", errKeyMissing, kv, t.baseKey)
 		}
@@ -652,7 +672,7 @@ func (r *Round) walkChain(ctx context.Context, t *Task, start string, pre map[st
 func (r *Round) compressChain(ctx context.Context, t *Task, staleKeys []string, live terminus) {
 	for _, kv := range staleKeys {
 		if r.put(ctx, t, kv, []model.ColumnUpdate{
-			{Column: t.hop[0], Cell: model.Cell{Value: []byte(live.key), TS: live.ts}},
+			{Column: t.cols[0], Cell: model.Cell{Value: []byte(live.key), TS: live.ts}},
 		}) == nil {
 			r.Stats.Compressions.Add(1)
 		}

@@ -11,12 +11,13 @@ import (
 
 // Protocol-level regression for interrupted promotions: the shared
 // propagation round runs against a fake Port that refuses the k-th
-// write of a "new row wins" sequence (create / copy / redirect /
-// publish), a second propagation and a reader then run over the
-// wreckage, and the interrupted update is retried the way the retry
+// write of a "new row wins" sequence (create with the copied cells /
+// redirect / publish), a second propagation and a reader then run over
+// the wreckage, and the interrupted update is retried the way the retry
 // loop or intent replay would. Before redo-safe promotion lived in this
-// package, k=2..4 left a self-pointing row nothing could tell from the
-// live one (double-live rows, severed chains).
+// package, failing any write after the create left a self-pointing row
+// nothing could tell from the live one (double-live rows, severed
+// chains).
 
 // fakePort is a single-copy store — every read is a perfect quorum
 // read — that can fail one chosen view-table write.
@@ -29,6 +30,8 @@ type fakePort struct {
 	failKey  string
 	failIn   int
 	counting bool
+	// reads counts Get and MultiGet calls, writes Put calls.
+	reads, writes int
 }
 
 var errInjected = errors.New("injected write-quorum failure")
@@ -44,24 +47,31 @@ func (f *fakePort) row(table, row string) model.Row {
 }
 
 func (f *fakePort) Get(_ context.Context, table, row string, cols []string) (model.Row, error) {
+	f.reads++
+	return f.read(table, row, cols), nil
+}
+
+func (f *fakePort) read(table, row string, cols []string) model.Row {
 	out := model.Row{}
 	for _, c := range cols {
 		if cell, ok := f.row(table, row)[c]; ok {
 			out[c] = cell
 		}
 	}
-	return out, nil
+	return out
 }
 
-func (f *fakePort) MultiGet(ctx context.Context, table string, rows, cols []string) ([]model.Row, error) {
+func (f *fakePort) MultiGet(_ context.Context, table string, rows, cols []string) ([]model.Row, error) {
+	f.reads++
 	out := make([]model.Row, len(rows))
 	for i, r := range rows {
-		out[i], _ = f.Get(ctx, table, r, cols)
+		out[i] = f.read(table, r, cols)
 	}
 	return out, nil
 }
 
 func (f *fakePort) Put(_ context.Context, table, row string, updates []model.ColumnUpdate) error {
+	f.writes++
 	if f.failIn > 0 {
 		for _, u := range updates {
 			_, col, _ := model.Unqualify(u.Column)
@@ -111,14 +121,69 @@ type staticPool []model.Cell
 func (p staticPool) Versions() []model.Cell { return p }
 func (p staticPool) Complete() bool         { return true }
 
+// The rig's view "v" maintains base row "r" of table "b": view key "k",
+// one materialized column "m".
+const rigRow = "r"
+
+func vkAt(key string, ts int64) BaseUpdate {
+	return BaseUpdate{BaseKey: rigRow, Column: "k", Cell: model.Cell{Value: []byte(key), TS: ts}}
+}
+
+func delAt(ts int64) BaseUpdate {
+	return BaseUpdate{BaseKey: rigRow, Column: "k", Cell: model.Cell{Tombstone: true, TS: ts}}
+}
+
+func matAt(val string, ts int64) BaseUpdate {
+	return BaseUpdate{BaseKey: rigRow, Column: "m", Cell: model.Cell{Value: []byte(val), TS: ts}}
+}
+
+// rig runs propagation rounds for one view over a fakePort.
+type rig struct {
+	t     *testing.T
+	def   *Def
+	port  *fakePort
+	stats Stats
+	round Round
+	acked []BaseUpdate
+}
+
+func newRig(t *testing.T) *rig {
+	g := &rig{
+		t:    t,
+		def:  &Def{Name: "v", Base: "b", ViewKeyColumn: "k", Materialized: []string{"m"}},
+		port: &fakePort{t: t, tables: map[string]map[string]model.Row{}},
+	}
+	g.round = Round{Port: g.port, Stats: &g.stats, Obs: NewViewObs(), MaxChainHops: 64, PathCompression: true}
+	return g
+}
+
+// ack applies u to the base row and returns the view-key version it
+// overwrote (a write's pre-image) and the one current after it (what
+// intent replay and backfill re-read).
+func (g *rig) ack(u BaseUpdate) (pre, cur model.Cell) {
+	g.acked = append(g.acked, u)
+	base := g.port.row(g.def.Base, rigRow)
+	pre = cellOf(base, g.def.ViewKeyColumn)
+	base[u.Column] = model.Merge(cellOf(base, u.Column), u.Cell)
+	return pre, cellOf(base, g.def.ViewKeyColumn)
+}
+
+// try runs one round of u's propagation over guesses.
+func (g *rig) try(u BaseUpdate, guesses Pool) bool {
+	task, ok := TaskFor(g.def, rigRow, []model.ColumnUpdate{{Column: u.Column, Cell: u.Cell}})
+	if !ok {
+		g.t.Fatalf("update %v is irrelevant to the view", u)
+	}
+	done, _ := g.round.Try(context.Background(), &task, guesses)
+	return done
+}
+
+// viewCell reads one cell of rigRow in a view row.
+func (g *rig) viewCell(viewKey, col string) model.Cell {
+	return cellOf(g.port.row(g.def.Name, viewKey), model.Qualify(rigRow, col))
+}
+
 func TestInterruptedPromotionIsRedoSafe(t *testing.T) {
-	const bk = "r"
-	vk := func(key string, ts int64) BaseUpdate {
-		return BaseUpdate{BaseKey: bk, Column: "k", Cell: model.Cell{Value: []byte(key), TS: ts}}
-	}
-	mat := func(val string, ts int64) BaseUpdate {
-		return BaseUpdate{BaseKey: bk, Column: "m", Cell: model.Cell{Value: []byte(val), TS: ts}}
-	}
 	shapes := []struct {
 		name    string
 		history []BaseUpdate // propagated cleanly first
@@ -130,19 +195,26 @@ func TestInterruptedPromotionIsRedoSafe(t *testing.T) {
 		// severs: the victim re-promotes a stale chain link, so its
 		// unpublished self-pointer cuts the anchor off from the live row.
 		severs bool
+		// deletedAt, when set, is the timestamp of the deletion marker
+		// the live row must carry over from the row the victim superseded.
+		deletedAt int64
 	}{
 		{name: "first creation, then a materialized update",
-			history: []BaseUpdate{mat("m0", 1)}, victim: vk("k1", 10), second: mat("m1", 11)},
+			history: []BaseUpdate{matAt("m0", 1)}, victim: vkAt("k1", 10), second: matAt("m1", 11)},
 		{name: "supersede the live row, then a materialized update",
-			history: []BaseUpdate{mat("m0", 1), vk("k1", 10)}, victim: vk("k2", 20), second: mat("m1", 21)},
+			history: []BaseUpdate{matAt("m0", 1), vkAt("k1", 10)}, victim: vkAt("k2", 20), second: matAt("m1", 21)},
 		{name: "supersede the live row, overtaken by a newer key",
-			history: []BaseUpdate{mat("m0", 1), vk("k1", 10)}, victim: vk("k2", 20), second: vk("k3", 30), staleAt: "k2"},
+			history: []BaseUpdate{matAt("m0", 1), vkAt("k1", 10)}, victim: vkAt("k2", 20), second: vkAt("k3", 30), staleAt: "k2"},
 		{name: "re-promote a stale chain link (severs the chain), older key in between",
-			history: []BaseUpdate{mat("m0", 1), vk("k0", 5), vk("k1", 10), vk("k2", 20)}, victim: vk("k1", 30), second: vk("k3", 25), staleAt: "k3", severs: true},
+			history: []BaseUpdate{matAt("m0", 1), vkAt("k0", 5), vkAt("k1", 10), vkAt("k2", 20)}, victim: vkAt("k1", 30), second: vkAt("k3", 25), staleAt: "k3", severs: true},
 		{name: "re-promote a stale chain link, overtaken by a newer key",
-			history: []BaseUpdate{mat("m0", 1), vk("k0", 5), vk("k1", 10), vk("k2", 20)}, victim: vk("k1", 30), second: vk("k4", 40), staleAt: "k1", severs: true},
+			history: []BaseUpdate{matAt("m0", 1), vkAt("k0", 5), vkAt("k1", 10), vkAt("k2", 20)}, victim: vkAt("k1", 30), second: vkAt("k4", 40), staleAt: "k1", severs: true},
+		// A belated deletion stamps the live row without winning in the
+		// base table, so only that row records it.
+		{name: "supersede a live row that carries a deletion marker, then a materialized update",
+			history: []BaseUpdate{matAt("m0", 1), vkAt("k1", 10), delAt(5)}, victim: vkAt("k2", 20), second: matAt("m1", 21), deletedAt: 5},
 	}
-	steps := []string{"create", "copy", "redirect", "publish"}
+	steps := []string{"create+copy", "redirect", "publish"}
 	for _, sh := range shapes {
 		for k, step := range steps {
 			// The guess pool besides the NULL seed: the row's previous view
@@ -150,31 +222,16 @@ func TestInterruptedPromotionIsRedoSafe(t *testing.T) {
 			// (what intent replay and backfill re-read).
 			for _, pool := range []string{"preimage", "replay"} {
 				t.Run(fmt.Sprintf("%s/fail %s/%s pool", sh.name, step, pool), func(t *testing.T) {
-					def := &Def{Name: "v", Base: "b", ViewKeyColumn: "k", Materialized: []string{"m"}}
-					port := &fakePort{t: t, tables: map[string]map[string]model.Row{}}
-					var stats Stats
-					round := Round{Port: port, Stats: &stats, Obs: NewViewObs(), MaxChainHops: 64, PathCompression: true}
-
-					var acked []BaseUpdate
+					g := newRig(t)
+					def, port, stats, try := g.def, g.port, &g.stats, g.try
 					// ack applies the update to the base row and returns its
 					// propagation's guess pool.
 					ack := func(u BaseUpdate) staticPool {
-						acked = append(acked, u)
-						base := port.row(def.Base, bk)
-						guess := cellOf(base, def.ViewKeyColumn)
-						base[u.Column] = model.Merge(cellOf(base, u.Column), u.Cell)
+						pre, cur := g.ack(u)
 						if pool == "replay" {
-							guess = cellOf(base, def.ViewKeyColumn)
+							pre = cur
 						}
-						return staticPool{guess, model.NullCell}
-					}
-					try := func(u BaseUpdate, guesses staticPool) bool {
-						task, ok := TaskFor(def, bk, []model.ColumnUpdate{{Column: u.Column, Cell: u.Cell}})
-						if !ok {
-							t.Fatalf("update %v is irrelevant to the view", u)
-						}
-						done, _ := round.Try(context.Background(), &task, guesses)
-						return done
+						return staticPool{pre, model.NullCell}
 					}
 					for _, u := range sh.history {
 						if !try(u, ack(u)) {
@@ -221,7 +278,7 @@ func TestInterruptedPromotionIsRedoSafe(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := ExpectedView(def, nil, acked)
+					want := ExpectedView(def, nil, g.acked)
 					expectedLive := map[string]string{}
 					for _, r := range want {
 						expectedLive[r.BaseKey] = r.ViewKey
@@ -253,10 +310,15 @@ func TestInterruptedPromotionIsRedoSafe(t *testing.T) {
 					}
 					if sh.staleAt != "" {
 						live := want[0].ViewKey
-						liveTS := cellOf(port.row(def.Name, live), model.Qualify(bk, ColNext)).TS
-						ptr := cellOf(port.row(def.Name, sh.staleAt), model.Qualify(bk, ColNext))
+						liveTS := g.viewCell(live, ColNext).TS
+						ptr := g.viewCell(sh.staleAt, ColNext)
 						if string(ptr.Value) != live || ptr.TS != liveTS {
 							t.Fatalf("stale row %q points at %v, want the live row %q at its timestamp %d", sh.staleAt, ptr, live, liveTS)
+						}
+					}
+					if sh.deletedAt != 0 {
+						if del := g.viewCell(want[0].ViewKey, ColDeleted); del.TS != sh.deletedAt {
+							t.Fatalf("live row %q carries deletion marker %v, want the superseded row's at ts %d", want[0].ViewKey, del, sh.deletedAt)
 						}
 					}
 					// The lost publish (and only it) is finished by whoever
@@ -267,12 +329,85 @@ func TestInterruptedPromotionIsRedoSafe(t *testing.T) {
 					// A walk meets the ghost when it starts there or when the
 					// ghost cut the chain; it must then have gone around it.
 					meetsGhost := sh.severs || string(secondPool[0].Value) == string(sh.victim.Cell.Value)
-					if step != "create" && meetsGhost && stats.GhostDetours.Load() == 0 {
+					if step != "create+copy" && meetsGhost && stats.GhostDetours.Load() == 0 {
 						t.Error("no walk ever detoured around the unpublished row")
 					}
 				})
 			}
 		}
+	}
+}
+
+// A promotion is two reads and three writes: the walk's hop of the old
+// live row reads what CopyData copies from it, and the copied cells
+// ride the create write. Refreshing the live key and inserting a stale
+// row are one read and one write each.
+func TestPromotionPortCalls(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		history       []BaseUpdate
+		update        BaseUpdate
+		reads, writes int
+	}{
+		{"new row wins", []BaseUpdate{matAt("m0", 1), vkAt("k1", 10)}, vkAt("k2", 20), 2, 3},
+		{"first creation", []BaseUpdate{matAt("m0", 1)}, vkAt("k1", 10), 2, 3},
+		{"refresh", []BaseUpdate{matAt("m0", 1), vkAt("k1", 10)}, vkAt("k1", 20), 1, 1},
+		{"stale insert", []BaseUpdate{matAt("m0", 1), vkAt("k2", 20)}, vkAt("k1", 15), 1, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := newRig(t)
+			for _, u := range c.history {
+				pre, _ := g.ack(u)
+				if !g.try(u, staticPool{pre, model.NullCell}) {
+					t.Fatalf("history update %v did not propagate", u)
+				}
+			}
+			pre, _ := g.ack(c.update)
+			g.port.reads, g.port.writes = 0, 0
+			if !g.try(c.update, staticPool{pre}) {
+				t.Fatalf("update %v did not propagate from its pre-image %v", c.update, pre)
+			}
+			if g.port.reads != c.reads || g.port.writes != c.writes {
+				t.Fatalf("%d reads and %d writes, want %d and %d", g.port.reads, g.port.writes, c.reads, c.writes)
+			}
+		})
+	}
+}
+
+// With several guesses the walks start from one batched read
+// (prefetchStarts), and a walk's row is what CopyData copies, so each
+// prefetched row must reach the walk it belongs to. Two guesses prefetch
+// rows with distinct payloads; the promotion must copy its own
+// terminus's cell and reach that terminus without a detour.
+func TestPromotionCopiesItsOwnTerminus(t *testing.T) {
+	g := newRig(t)
+	cell := func(v string, ts int64) model.Cell { return model.Cell{Value: []byte(v), TS: ts} }
+	set := func(viewKey, col string, c model.Cell) {
+		g.port.row(g.def.Name, viewKey)[model.Qualify(rigRow, col)] = c
+	}
+	// "a" was live until "b" superseded it at 20. The base row's
+	// materialized cell is older than either view row's, so the new row's
+	// cell tells which row it was copied from.
+	set("a", ColNext, cell("b", 20))
+	set("a", ColReady, cell("1", 10))
+	set("a", "m", cell("from a", 3))
+	set("b", ColNext, cell("b", 20))
+	set("b", ColReady, cell("1", 20))
+	set("b", ColPrev, cell("a", 20))
+	set("b", "m", cell("from b", 7))
+	g.port.row(g.def.Base, rigRow)["m"] = cell("from base", 1)
+
+	update := vkAt("c", 30)
+	g.ack(update)
+	if !g.try(update, staticPool{cell("b", 20), cell("a", 10)}) {
+		t.Fatal("promotion of c did not complete")
+	}
+	if got := g.viewCell("c", "m"); string(got.Value) != "from b" || got.TS != 7 {
+		t.Fatalf("promoted row carries m = %v, want the live row b's cell", got)
+	}
+	if g.port.reads != 2 || g.port.writes != 3 || g.stats.GhostDetours.Load() != 0 || g.stats.BatchedLookups.Load() != 1 {
+		t.Fatalf("%d reads, %d writes, %d batched lookups, %d ghost detours; want 2 (the batch and the base row), 3, 1 and 0",
+			g.port.reads, g.port.writes, g.stats.BatchedLookups.Load(), g.stats.GhostDetours.Load())
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"vstore/internal/dvv"
 )
@@ -384,6 +385,29 @@ func (rc *RowCollector) Rows() []string { return rc.rows }
 // Qualify packs a (base key, column) pair into a single column name.
 func Qualify(baseKey, column string) string {
 	return string(EncodeKey(baseKey, column))
+}
+
+// QualifyAll replaces every column name in columns by Qualify(baseKey,
+// name). The qualified names share one allocation.
+func QualifyAll(baseKey string, columns []string) {
+	var lenBuf [binary.MaxVarintLen64]byte
+	frame := lenBuf[:binary.PutUvarint(lenBuf[:], uint64(len(baseKey)))]
+	size := 0
+	for _, c := range columns {
+		size += len(frame) + len(baseKey) + len(c)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, c := range columns {
+		b.Write(frame)
+		b.WriteString(baseKey)
+		b.WriteString(c)
+	}
+	all := b.String()
+	for i, c := range columns {
+		n := len(frame) + len(baseKey) + len(c)
+		columns[i], all = all[:n], all[n:]
+	}
 }
 
 // QualifyPrefix returns the column-name prefix of all cells belonging

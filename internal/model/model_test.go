@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -244,6 +245,22 @@ func TestQualifyRoundTrip(t *testing.T) {
 	}
 	if _, _, ok := Unqualify("\xff\xff"); ok {
 		t.Fatal("Unqualify must reject malformed names")
+	}
+	all := func(base string, cols []string) bool {
+		got := append([]string(nil), cols...)
+		QualifyAll(base, got)
+		for i, c := range cols {
+			if got[i] != Qualify(base, c) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(all, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if !all(strings.Repeat("b", 200), []string{"", "x"}) { // a two-byte length frame
+		t.Fatal("QualifyAll differs from Qualify for a long base key")
 	}
 }
 

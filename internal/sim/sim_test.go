@@ -419,7 +419,10 @@ func TestSimStorageFaultsConverge(t *testing.T) {
 // matrix: real filesystem, hermetic memory, memory with fault
 // injection; fs and mem must produce byte-identical traces.
 func TestSimBackfillCrashRestart(t *testing.T) {
-	seeds := []int64{3, 9, 21}
+	// A scan lasts tens of milliseconds of the two-second run, so about
+	// one seed in five has a crash interrupt one. These three do (the
+	// guard below needs one); re-choose them when schedules move.
+	seeds := []int64{5, 7, 31}
 	if s := os.Getenv("MV_SEED"); s != "" {
 		seeds = []int64{seedFromEnv(t, 0)}
 	}
