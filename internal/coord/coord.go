@@ -89,7 +89,10 @@ type Coordinator struct {
 	stopOnce sync.Once
 	trackMu  sync.Mutex
 	stopped  bool
-	wg       sync.WaitGroup
+	// idle is the free list of overlapped rounds' helpers (round.go),
+	// guarded by trackMu; Close ends them.
+	idle []*helper
+	wg   sync.WaitGroup
 
 	statMu sync.Mutex
 	stats  Stats
@@ -158,11 +161,17 @@ func New(self transport.NodeID, rg *ring.Ring, tr transport.Transport, opts Opti
 	return c
 }
 
-// Close stops background activity.
+// Close stops background activity and ends the round helpers: idle
+// ones at once, busy ones when their round parks them. Write rounds
+// that start afterwards run their calls on the caller.
 func (c *Coordinator) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.trackMu.Lock()
 	c.stopped = true
+	for _, h := range c.idle {
+		close(h.calls)
+	}
+	c.idle = nil
 	c.trackMu.Unlock()
 	c.wg.Wait()
 }

@@ -47,16 +47,18 @@ func (c *Coordinator) Get(ctx context.Context, table, row string, columns []stri
 	get := reread
 	get.Span = sp
 	if q.need >= 2 {
+		d := &digestRead{c: c, full: get, digest: transport.GetDigestReq(get), reread: reread}
 		// The full row comes from the coordinator's own node when it is
 		// a replica (no network hop in the simulated fabric), else from
-		// the first replica; either way it is asked first.
+		// the first replica; either way it is asked first. The ring's
+		// set is shared, so the order is kept in the read's own array.
+		q.replicas = append(d.order[:0], q.replicas...)
 		for i, rep := range q.replicas {
 			if rep == c.self {
 				q.replicas[0], q.replicas[i] = rep, q.replicas[0]
 			}
 		}
-		d := &digestRead{c: c, replicas: q.replicas, fullNode: q.replicas[0],
-			full: get, digest: transport.GetDigestReq(get), reread: reread}
+		d.replicas, d.fullNode = q.replicas, q.replicas[0]
 		if c.round(ctx, readKind, q, repair, d) == nil {
 			c.bump(func(s *Stats) { s.DigestReads++ })
 			return d.fullRow, nil
@@ -189,7 +191,8 @@ var errDiverged = errors.New("coord: replica digests diverge")
 // repaired.
 type digestRead struct {
 	c            *Coordinator
-	replicas     []transport.NodeID
+	replicas     []transport.NodeID  // the round's order: the full replica first
+	order        [8]transport.NodeID // backs replicas; the ring's set is shared
 	fullNode     transport.NodeID
 	full, digest transport.Request
 	reread       transport.GetReq // full without its span, for repair after it finished

@@ -46,6 +46,34 @@ func TestDigestReadServesConsistentReplicas(t *testing.T) {
 	})
 }
 
+// TestDigestReadLeavesPlacementOrder checks the shared-slice contract
+// of placement: the ring hands every caller the same cached replica
+// set, so a digest read coordinated by a replica other than the first —
+// which asks itself for the full row first — must reorder a copy of its
+// own, never the set.
+func TestDigestReadLeavesPlacementOrder(t *testing.T) {
+	forEachFabric(t, func(t *testing.T, tr transport.Transport) {
+		h := newHarness(t, tr, 4, Options{N: 3})
+		reps := h.coords[0].ReplicasFor("t", "r")
+		want := append([]transport.NodeID(nil), reps...)
+		c := h.coords[want[1]]
+		if err := c.Put(ctxT(t), "t", "r", []model.ColumnUpdate{model.Update("c", []byte("v"), 1)}, 3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Get(ctxT(t), "t", "r", []string{"c"}, 2, false); err != nil {
+			t.Fatal(err)
+		}
+		if c.Stats().DigestReads != 1 {
+			t.Fatalf("stats = %+v, want one digest read", c.Stats())
+		}
+		for _, got := range [][]transport.NodeID{reps, c.ReplicasFor("t", "r")} {
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("placement order after the read = %v, want %v", got, want)
+			}
+		}
+	})
+}
+
 func TestDigestMismatchFallsBackAndRepairs(t *testing.T) {
 	// Direct only: that the read itself returns the diverged replica's
 	// value holds where every reply is folded, and counted, before Get

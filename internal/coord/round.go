@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"vstore/internal/transport"
 )
@@ -127,14 +126,15 @@ func (c *Coordinator) round(ctx context.Context, k kind, q quorum, drain bool, x
 }
 
 // roundSync runs a round over a fabric that completes calls on the
-// caller's goroutine: no channel, timer or goroutine per call, and
+// caller's goroutine: no channel, timer or goroutine made per call, and
 // every reply is folded — and counted, so a late veto still fails the
 // round — before it returns. Read rounds visit the replicas serially;
 // write and pre-read rounds overlap their handlers first.
 func (c *Coordinator) roundSync(k kind, q quorum, drain bool, x exchange, t *tally) {
+	var buf [8]transport.Result // on the stack for any sane replication factor
 	var results []transport.Result
 	if k != readKind && len(q.replicas) > 1 {
-		results = c.overlapped(q.replicas, x)
+		results = c.overlapped(q.replicas, x, buf[:0])
 	}
 	for i, rep := range q.replicas {
 		if t.lost() || t.won() && !drain {
@@ -155,27 +155,90 @@ func (c *Coordinator) roundSync(k kind, q quorum, drain bool, x exchange, t *tal
 }
 
 // overlapped asks every replica at once over the synchronous fabric —
-// goroutines for all but the last replica, which runs on the caller —
-// and returns once all have answered. Write and pre-read rounds sit on
-// the contended path, where a serial loop triples the latency of every
-// round: propagations hold their row lock per round, slower rounds
-// mean more failed guesses mean more rounds, and that backlog
-// snowballs (the Fig 8 collapse).
-func (c *Coordinator) overlapped(replicas []transport.NodeID, x exchange) []transport.Result {
-	results := make([]transport.Result, len(replicas))
+// parked helpers for all but the last replica, which runs on the
+// caller — and returns their results, appended to results, once all
+// have answered. Write and pre-read rounds sit on the contended path,
+// where a serial loop triples the latency of every round: propagations
+// hold their row lock per round, slower rounds mean more failed guesses
+// mean more rounds, and that backlog snowballs (the Fig 8 collapse).
+// After Close there are no helpers and the calls run one after another
+// on the caller.
+func (c *Coordinator) overlapped(replicas []transport.NodeID, x exchange, results []transport.Result) []transport.Result {
+	var hbuf [8]*helper
 	last := len(replicas) - 1
-	var wg sync.WaitGroup
+	hs := c.helpers(hbuf[:0], last)
 	for i, rep := range replicas[:last] {
-		req := x.request(rep)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i] = c.sync.CallSync(c.self, rep, req)
-		}()
+		if hs != nil {
+			hs[i].calls <- call{rep, x.request(rep)}
+		} else {
+			results = append(results, c.sync.CallSync(c.self, rep, x.request(rep)))
+		}
 	}
-	results[last] = c.sync.CallSync(c.self, replicas[last], x.request(replicas[last]))
-	wg.Wait()
-	return results
+	res := c.sync.CallSync(c.self, replicas[last], x.request(replicas[last]))
+	for _, h := range hs {
+		results = append(results, <-h.results)
+	}
+	c.park(hs)
+	return append(results, res)
+}
+
+// A helper is a goroutine of the coordinator's that makes one replica
+// call of an overlapped round at a time. Helpers are kept in a free
+// list that grows to the most calls ever in flight at once and is
+// never capped: a bounded pool would queue the calls of a busy moment
+// behind each other, the serial rounds overlapped exists to avoid.
+type helper struct {
+	calls   chan call
+	results chan transport.Result
+}
+
+// call is one request for a helper to send.
+type call struct {
+	to  transport.NodeID
+	req transport.Request
+}
+
+// helpers appends n idle helpers to hs, starting any the free list
+// lacks, and returns nil once the coordinator is closing.
+func (c *Coordinator) helpers(hs []*helper, n int) []*helper {
+	c.trackMu.Lock()
+	defer c.trackMu.Unlock()
+	if c.stopped {
+		return nil
+	}
+	take := min(n, len(c.idle))
+	hs = append(hs, c.idle[len(c.idle)-take:]...)
+	c.idle = c.idle[:len(c.idle)-take]
+	for len(hs) < n {
+		h := &helper{calls: make(chan call), results: make(chan transport.Result, 1)}
+		c.wg.Add(1)
+		go c.help(h)
+		hs = append(hs, h)
+	}
+	return hs
+}
+
+// park returns helpers to the free list — or, once Close has ended the
+// idle ones, ends them too.
+func (c *Coordinator) park(hs []*helper) {
+	c.trackMu.Lock()
+	defer c.trackMu.Unlock()
+	if c.stopped {
+		for _, h := range hs {
+			close(h.calls)
+		}
+		return
+	}
+	c.idle = append(c.idle, hs...)
+}
+
+// help is a helper's loop: it runs until Close or park closes its call
+// channel.
+func (c *Coordinator) help(h *helper) {
+	defer c.wg.Done()
+	for cl := range h.calls {
+		h.results <- c.sync.CallSync(c.self, cl.to, cl.req)
+	}
 }
 
 // roundAsync runs a round over an asynchronous fabric: every request

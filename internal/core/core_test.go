@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -490,6 +491,40 @@ func TestRegistryValidation(t *testing.T) {
 	}
 	if len(reg.ViewsOn("b")) != 0 {
 		t.Fatal("dropped view still attached to base")
+	}
+}
+
+// TestViewsOnSurvivesDrop checks the shared-slice contract of
+// ViewsOn: the registry hands out its own slice, so dropping a view —
+// first, middle or last — or defining another must leave a slice a
+// caller already holds as it was.
+func TestViewsOnSurvivesDrop(t *testing.T) {
+	for _, drop := range []string{"v0", "v1", "v2"} {
+		reg := core.NewRegistry(core.Options{})
+		for _, name := range []string{"v0", "v1", "v2"} {
+			if err := reg.Define(core.Def{Name: name, Base: "b", ViewKeyColumn: "k"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held := reg.ViewsOn("b")
+		names := func(defs []*core.Def) (out []string) {
+			for _, d := range defs {
+				out = append(out, d.Name)
+			}
+			return out
+		}
+		if err := reg.Drop(drop); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Define(core.Def{Name: "v3", Base: "b", ViewKeyColumn: "k"}); err != nil {
+			t.Fatal(err)
+		}
+		if got := names(held); !slices.Equal(got, []string{"v0", "v1", "v2"}) {
+			t.Fatalf("drop %s: held slice now %v", drop, got)
+		}
+		if got := names(reg.ViewsOn("b")); len(got) != 3 || slices.Contains(got, drop) || !slices.Contains(got, "v3") {
+			t.Fatalf("drop %s: ViewsOn = %v", drop, got)
+		}
 	}
 }
 

@@ -488,7 +488,9 @@ func (r *Registry) Drop(name string) error {
 		views := r.byBase[def.Base]
 		for i, v := range views {
 			if v == def {
-				r.byBase[def.Base] = append(views[:i], views[i+1:]...)
+				// A new slice, not an edit in place: ViewsOn's callers
+				// may still hold the old one.
+				r.byBase[def.Base] = append(views[:i:i], views[i+1:]...)
 				break
 			}
 		}
@@ -551,11 +553,14 @@ func (r *Registry) Defs(name string) []*Def {
 	return append([]*Def(nil), r.byName[name]...)
 }
 
-// ViewsOn returns the views defined on a base table.
+// ViewsOn returns the views defined on a base table. The slice is the
+// registry's own, clipped to its length: it must not be modified, and
+// it stays as returned — Define appends past its end, Drop replaces it.
 func (r *Registry) ViewsOn(base string) []*Def {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return append([]*Def(nil), r.byBase[base]...)
+	views := r.byBase[base]
+	return views[:len(views):len(views)]
 }
 
 // ViewNames lists all defined views, sorted.

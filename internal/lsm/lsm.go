@@ -13,6 +13,7 @@ package lsm
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"sync"
 
@@ -388,21 +389,41 @@ func (s *Store) GetRow(row string) model.Row {
 
 // GetColumns returns the requested columns of the row. Missing cells
 // come back as model.NullCell so the caller sees an entry per column.
-// The row's keys are built in one stack buffer, under one acquisition
-// of the store lock.
 func (s *Store) GetColumns(row string, columns []string) model.Row {
 	out := make(model.Row, len(columns))
+	s.readColumns(row, columns, func(_ int, col string, c model.Cell) { out[col] = c })
+	return out
+}
+
+// DigestColumns returns model.RowDigest(s.GetColumns(row, columns))
+// without building the row: each cell's model.CellDigest is folded in
+// as it is read. A column named twice counts once, as it does in the
+// row's map.
+func (s *Store) DigestColumns(row string, columns []string) uint64 {
+	digest := model.DigestSeed
+	s.readColumns(row, columns, func(i int, col string, c model.Cell) {
+		if !slices.Contains(columns[:i], col) {
+			digest ^= model.CellDigest(col, c)
+		}
+	})
+	return digest
+}
+
+// readColumns hands f the LWW-merged cell of each requested column, in
+// order. The row's keys are built in one stack buffer, under one
+// acquisition of the store lock, which f runs under too.
+func (s *Store) readColumns(row string, columns []string, f func(i int, col string, c model.Cell)) {
 	var scratch [keyScratch]byte
 	key := model.AppendKey(scratch[:0], row, "")
 	prefix := len(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, col := range columns {
+	for i, col := range columns {
 		key = append(key[:prefix], col...)
 		c, ok := s.mem.Get(key)
-		out[col], _ = s.mergeRuns(key, c, ok)
+		c, _ = s.mergeRuns(key, c, ok)
+		f(i, col, c)
 	}
-	return out
 }
 
 // ScanRows returns up to limit distinct row names stored after

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"vstore/internal/dvv"
 	"vstore/internal/model"
 	"vstore/internal/race"
 )
@@ -63,8 +64,9 @@ func TestApplyRowMatchesCellAtATime(t *testing.T) {
 }
 
 // TestAllocations pins the steady state of the storage hot path in a
-// memory store: overwriting a cell allocates nothing, a new cell its
-// skiplist node, and a two-column read only the row it returns.
+// memory store: overwriting a cell allocates nothing, a new cell at
+// most its share of a skiplist slab, a two-column read only the row it
+// returns, and a two-column digest nothing.
 func TestAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -97,5 +99,47 @@ func TestAllocations(t *testing.T) {
 	cols := []string{"skey", "payload"}
 	if got := testing.AllocsPerRun(1000, func() { _ = s.GetColumns(rows[0], cols) }); got > 2 {
 		t.Errorf("GetColumns of two columns allocates %v times, want at most 2 (the row it returns)", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() { _ = s.DigestColumns(rows[0], cols) }); got > 0 {
+		t.Errorf("DigestColumns of two columns allocates %v times, want 0", got)
+	}
+}
+
+// TestDigestColumnsMatchesRowDigest checks the map-free digest against
+// the digest of the row GetColumns builds, over rows spread across the
+// memtable and several runs, asking for missing, repeated, tombstoned
+// and dotted cells.
+func TestDigestColumnsMatchesRowDigest(t *testing.T) {
+	s := New(small())
+	rng := rand.New(rand.NewSource(3))
+	cols := []string{"a", "b", "", "skey", "zz", "c\x00", "payload"}
+	for i := 0; i < 400; i++ {
+		c := model.Cell{Value: bytes.Repeat([]byte{'v'}, rng.Intn(30)), TS: int64(rng.Intn(50))}
+		switch rng.Intn(4) {
+		case 0:
+			c = model.Cell{TS: c.TS, Tombstone: true}
+		case 1:
+			c.Dot = dvv.Dot{Node: uint32(rng.Intn(3)), Seq: uint64(1 + rng.Intn(9))}
+			c.Ctx = dvv.VV{c.Dot.Node: c.Dot.Seq, uint32(3 + rng.Intn(3)): uint64(rng.Intn(9))}
+		}
+		if err := s.Apply(fmt.Sprintf("row-%02d", rng.Intn(12)), cols[rng.Intn(len(cols)-1)], c); err != nil {
+			t.Fatal(err) // the last column is never written: always missing
+		}
+	}
+	if st := s.Stats(); st.Flushes < 3 || s.RunCount() == 0 {
+		t.Fatalf("workload too small to spread rows over runs: %+v", st)
+	}
+	for i := 0; i < 300; i++ {
+		row := fmt.Sprintf("row-%02d", rng.Intn(14)) // rows 12 and 13 do not exist
+		ask := make([]string, rng.Intn(6))
+		for j := range ask {
+			ask[j] = cols[rng.Intn(len(cols))]
+		}
+		if rng.Intn(3) == 0 && len(ask) > 0 {
+			ask = append(ask, ask[0]) // a repeated column
+		}
+		if got, want := s.DigestColumns(row, ask), model.RowDigest(s.GetColumns(row, ask)); got != want {
+			t.Fatalf("DigestColumns(%q, %q) = %#x, RowDigest(GetColumns) = %#x", row, ask, got, want)
+		}
 	}
 }

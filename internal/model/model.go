@@ -245,59 +245,70 @@ func RowPrefix(row string) []byte {
 // reads need, because LWW-merging identical rows is a no-op. Cells
 // that do not Exist (NullCell placeholders) are skipped so a replica
 // that padded missing columns digests the same as one that omitted
-// them. Per-column hashes are folded with XOR, making the digest
-// independent of map iteration order.
+// them. Per-column hashes (CellDigest) are folded with XOR, making the
+// digest independent of map iteration order.
 func RowDigest(r Row) uint64 {
+	digest := DigestSeed
+	for col, c := range r {
+		digest ^= CellDigest(col, c)
+	}
+	return digest
+}
+
+// DigestSeed is the digest of a row without existing cells; RowDigest
+// XORs every cell's CellDigest into it. A store that digests cells
+// where they lie, without building the Row, folds them the same way.
+const DigestSeed uint64 = 14695981039346656037
+
+// CellDigest is one cell's share of RowDigest: 0 for a cell that does
+// not Exist, else a hash of the column name and the whole cell.
+func CellDigest(col string, c Cell) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	var digest uint64 = offset64
-	for col, c := range r {
-		if !c.Exists() {
-			continue
-		}
-		h := uint64(offset64)
-		for i := 0; i < len(col); i++ {
-			h ^= uint64(col[i])
-			h *= prime64
-		}
-		h ^= 0xff // separator between name and payload
-		h *= prime64
-		for _, b := range c.Value {
-			h ^= uint64(b)
-			h *= prime64
-		}
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= uint64(uint8(uint64(c.TS) >> shift))
-			h *= prime64
-		}
-		if c.Tombstone {
-			h ^= 1
-			h *= prime64
-		}
-		// Dot metadata must participate: two replicas holding the same
-		// (value, TS) winner but diverged causal contexts have NOT
-		// converged — digest reads must fall back to a full merge and
-		// anti-entropy must exchange the entries so the contexts join.
-		h ^= mix64(mix64(uint64(c.Dot.Node)) + c.Dot.Seq)
-		h *= prime64
-		var ctxFold uint64
-		for n, s := range c.Ctx {
-			// Per-pair mix folded with XOR: order-independent, so map
-			// iteration order cannot perturb the digest.
-			ctxFold ^= mix64(mix64(uint64(n)) + s)
-		}
-		h ^= ctxFold
-		h *= prime64
-		// splitmix64-style finalization before the XOR fold so
-		// per-column hash structure cannot cancel out.
-		h += 0x9e3779b97f4a7c15
-		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-		digest ^= h ^ (h >> 31)
+	if !c.Exists() {
+		return 0
 	}
-	return digest
+	h := uint64(offset64)
+	for i := 0; i < len(col); i++ {
+		h ^= uint64(col[i])
+		h *= prime64
+	}
+	h ^= 0xff // separator between name and payload
+	h *= prime64
+	for _, b := range c.Value {
+		h ^= uint64(b)
+		h *= prime64
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		h ^= uint64(uint8(uint64(c.TS) >> shift))
+		h *= prime64
+	}
+	if c.Tombstone {
+		h ^= 1
+		h *= prime64
+	}
+	// Dot metadata must participate: two replicas holding the same
+	// (value, TS) winner but diverged causal contexts have NOT
+	// converged — digest reads must fall back to a full merge and
+	// anti-entropy must exchange the entries so the contexts join.
+	h ^= mix64(mix64(uint64(c.Dot.Node)) + c.Dot.Seq)
+	h *= prime64
+	var ctxFold uint64
+	for n, s := range c.Ctx {
+		// Per-pair mix folded with XOR: order-independent, so map
+		// iteration order cannot perturb the digest.
+		ctxFold ^= mix64(mix64(uint64(n)) + s)
+	}
+	h ^= ctxFold
+	h *= prime64
+	// splitmix64-style finalization before the XOR fold so
+	// per-column hash structure cannot cancel out.
+	h += 0x9e3779b97f4a7c15
+	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+	return h ^ (h >> 31)
 }
 
 // mix64 is a splitmix64 finalizer round, used to spread structured

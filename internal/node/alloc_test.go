@@ -66,3 +66,27 @@ func TestPutAllocations(t *testing.T) {
 		t.Errorf("put counter = %d, want every request counted", got)
 	}
 }
+
+// TestGetDigestAllocations pins what a digest read of named columns
+// costs a memory-mode node: the store digests the cells where they lie,
+// so the boxed reply is the one allocation left.
+func TestGetDigestAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	n := New(Options{ID: 1})
+	dot := dvv.Dot{Node: 1, Seq: 1}
+	cell := model.Cell{Value: []byte("sec-00000001"), TS: 1, Dot: dot, Ctx: dvv.VV{dot.Node: dot.Seq}}
+	if _, err := n.HandleRequest(0, transport.PutReq{Table: "data", Row: "data-00000001",
+		Updates: []model.ColumnUpdate{{Column: "skey", Cell: cell}}}); err != nil {
+		t.Fatal(err)
+	}
+	var req transport.Request = transport.GetDigestReq{Table: "data", Row: "data-00000001", Columns: []string{"skey", "payload"}}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := n.HandleRequest(0, req); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Errorf("digest read allocates %v times, want 1 (the boxed reply)", got)
+	}
+}

@@ -221,6 +221,15 @@ func (n *Node) CreateIndex(table, column string) {
 	n.indexes[table] = frags
 	n.mu.Unlock()
 
+	// A write reads the index set under its row lock and applies under
+	// it too. Taking every stripe once waits out each write that read
+	// the set before the install, so the snapshot below holds what it
+	// wrote; every later write sees the new fragment and maintains it.
+	for i := range n.rowLocks {
+		n.rowLocks[i].Lock()
+		n.rowLocks[i].Unlock()
+	}
+
 	// Back-fill from current local content.
 	for _, e := range n.table(table).Snapshot() {
 		row, col, err := model.DecodeKey(e.Key)
@@ -486,20 +495,19 @@ func (n *Node) handleGet(r transport.GetReq) (transport.Response, error) {
 // handleGetDigest performs the same local read as handleGet but
 // answers with a 64-bit digest of the cells instead of the cells
 // themselves, halving neither the read cost nor the row lock rules —
-// only the reply size and the coordinator-side merge work.
+// only the reply size and the coordinator-side merge work. A read of
+// named columns builds no row: the store digests each cell as it
+// reads it.
 func (n *Node) handleGetDigest(r transport.GetDigestReq) (transport.Response, error) {
 	n.acquire(kindGetDigest, n.opts.Service.Read)
 	defer n.release()
 	t := n.table(r.Table)
 	sp := n.span(r.Span, "node.digest", t)
 	defer sp.Finish()
-	var cells model.Row
 	if r.AllColumns {
-		cells = t.GetRow(r.Row)
-	} else {
-		cells = t.GetColumns(r.Row, r.Columns)
+		return transport.GetDigestResp{Digest: model.RowDigest(t.GetRow(r.Row))}, nil
 	}
-	return transport.GetDigestResp{Digest: model.RowDigest(cells)}, nil
+	return transport.GetDigestResp{Digest: t.DigestColumns(r.Row, r.Columns)}, nil
 }
 
 // handleMultiGet serves a batch of row reads in one request. Each row

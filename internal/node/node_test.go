@@ -1,13 +1,19 @@
 package node
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"vstore/internal/clock"
+	"vstore/internal/lsm"
 	"vstore/internal/model"
+	"vstore/internal/ring"
+	"vstore/internal/sstable"
 	"vstore/internal/transport"
 )
 
@@ -201,6 +207,86 @@ func TestIndexCreatedWhilePutWaits(t *testing.T) {
 	}
 	if m := queryIndex(t, n, "t", "city", "x"); len(m) != 1 || m[0].Row != "u1" {
 		t.Fatalf("index created during the put's wait lacks the put: %v", m)
+	}
+}
+
+// gatePersist is a memory store's log that parks the append of one key
+// until released, reporting when it got there: a write to that key then
+// holds its store's lock for as long as the test likes.
+type gatePersist struct {
+	key              []byte
+	entered, release chan struct{}
+}
+
+func (g gatePersist) AppendMutation(key []byte, _ model.Cell) error {
+	if bytes.Equal(key, g.key) {
+		close(g.entered)
+		<-g.release
+	}
+	return nil
+}
+
+func (gatePersist) FlushRun(*sstable.Table) (uint64, error)              { return 0, nil }
+func (gatePersist) ReplaceRuns([]uint64, *sstable.Table) (uint64, error) { return 0, nil }
+
+// waitBlocked returns once some goroutine whose stack passes through fn
+// is blocked on a lock.
+func waitBlocked(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			header, _, _ := strings.Cut(g, "\n")
+			if strings.Contains(g, fn) && (strings.Contains(header, "Lock") || strings.Contains(header, "semacquire")) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine blocked in %s", fn)
+}
+
+// TestIndexCreatedBetweenLookupAndApply creates an index after a put
+// has read the table's index set — without the new index — but before
+// it applies. The put is held at the store lock by another put of the
+// table parked in its log append, and the back-fill's snapshot reaches
+// that lock first: unless CreateIndex waits for every write that read
+// the old set, the snapshot misses the put, the put misses the index,
+// and the row is never indexed.
+func TestIndexCreatedBetweenLookupAndApply(t *testing.T) {
+	rowQ := "q"
+	for i := 0; rowQ == "q" || ring.HashJoined("t", rowQ)%64 == ring.HashJoined("t", "u1")%64; i++ {
+		rowQ = fmt.Sprintf("q%d", i) // a row on another lock stripe than u1
+	}
+	gate := gatePersist{key: model.EncodeKey(rowQ, "city"), entered: make(chan struct{}), release: make(chan struct{})}
+	n := New(Options{ID: 1, LSM: lsm.Options{Persist: gate}})
+	puts := make(chan error, 2)
+	putCity := func(row, city string) {
+		_, err := n.HandleRequest(0, transport.PutReq{
+			Table: "t", Row: row, Updates: []model.ColumnUpdate{model.Update("city", []byte(city), 1)},
+		})
+		puts <- err
+	}
+	go putCity(rowQ, "y")
+	<-gate.entered // rowQ's put holds the store lock
+	go putCity("u1", "x")
+	waitBlocked(t, "lsm.(*Store).ApplyRow") // u1's put read the index set and waits for the store
+	created := make(chan struct{})
+	go func() {
+		n.CreateIndex("t", "city")
+		close(created)
+	}()
+	waitBlocked(t, "node.(*Node).CreateIndex")
+	close(gate.release)
+	for i := 0; i < 2; i++ {
+		if err := <-puts; err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-created
+	for city, row := range map[string]string{"x": "u1", "y": rowQ} {
+		if m := queryIndex(t, n, "t", "city", city); len(m) != 1 || m[0].Row != row {
+			t.Errorf("index on %q = %v, want row %s", city, m, row)
+		}
 	}
 }
 

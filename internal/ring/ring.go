@@ -67,6 +67,11 @@ type Ring struct {
 	vnodes int
 	tokens []token
 	nodes  map[NodeID]bool
+	// sets caches, per token index, the replica set a walk from that
+	// token finds for n = setsN; built lazily, dropped on Add and
+	// Remove. The cached slices are handed out shared.
+	sets  [][]NodeID
+	setsN int
 }
 
 // New builds a ring over the given nodes, placing vnodes virtual
@@ -105,6 +110,7 @@ func (r *Ring) Add(n NodeID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.addLocked(n)
+	r.sets, r.setsN = nil, 0
 	sort.Slice(r.tokens, func(i, j int) bool { return less(r.tokens[i], r.tokens[j]) })
 }
 
@@ -116,6 +122,7 @@ func (r *Ring) Remove(n NodeID) {
 		return
 	}
 	delete(r.nodes, n)
+	r.sets, r.setsN = nil, 0
 	kept := r.tokens[:0]
 	for _, t := range r.tokens {
 		if t.node != n {
@@ -148,7 +155,8 @@ func (r *Ring) Size() int {
 // ring-walk order starting at the key's token. The first node is the
 // "primary" only in the sense of walk order — the system is
 // multi-master and all replicas are equal. If n exceeds the member
-// count, all members are returned.
+// count, all members are returned. The slice is shared with every
+// other caller placed on the same token: it must not be modified.
 func (r *Ring) ReplicasFor(key string, n int) []NodeID {
 	return r.replicasAt(Hash64(key), n)
 }
@@ -161,17 +169,47 @@ func (r *Ring) ReplicasForRow(table, row string, n int) []NodeID {
 	return r.replicasAt(HashJoined(table, row), n)
 }
 
-// replicasAt walks the ring from hash h.
+// replicasAt returns the replica set of the first token at or after
+// hash h, from the cache when it holds that token's set for n.
 func (r *Ring) replicasAt(h uint64, n int) []NodeID {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.tokens) == 0 || n <= 0 {
+		r.mu.RUnlock()
 		return nil
 	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
+	if start := r.tokenAt(h); r.setsN == n && r.sets[start] != nil {
+		set := r.sets[start]
+		r.mu.RUnlock()
+		return set
 	}
-	start := sort.Search(len(r.tokens), func(i int) bool { return r.tokens[i].hash >= h })
+	r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	// Membership may have moved while no lock was held: place again.
+	if len(r.tokens) == 0 {
+		return nil
+	}
+	if r.setsN != n {
+		r.sets, r.setsN = make([][]NodeID, len(r.tokens)), n
+	}
+	start := r.tokenAt(h)
+	if r.sets[start] == nil {
+		r.sets[start] = r.walk(start, n)
+	}
+	return r.sets[start]
+}
+
+// tokenAt returns the index of the first token at or after hash h,
+// wrapping around past the last. The ring must have tokens.
+func (r *Ring) tokenAt(h uint64) int {
+	return sort.Search(len(r.tokens), func(i int) bool { return r.tokens[i].hash >= h }) % len(r.tokens)
+}
+
+// walk collects the n distinct nodes met walking the ring from token
+// index start. The result's capacity is its length, so an append to it
+// copies rather than writing into the cache.
+func (r *Ring) walk(start, n int) []NodeID {
+	n = min(n, len(r.nodes))
 	out := make([]NodeID, 0, n)
 walk:
 	for i := 0; len(out) < n && i < len(r.tokens); i++ {

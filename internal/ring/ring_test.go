@@ -3,6 +3,7 @@ package ring
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -179,8 +180,8 @@ func TestHashValuesPinned(t *testing.T) {
 			t.Errorf("ReplicasFor(%q) = %v, want %v", key, got, want)
 		}
 	}
-	if got := testing.AllocsPerRun(100, func() { r.ReplicasFor("data\x00data-00000001", 3) }); got > 1 {
-		t.Errorf("ReplicasFor allocates %v times, want only its result", got)
+	if got := testing.AllocsPerRun(100, func() { r.ReplicasFor("data\x00data-00000001", 3) }); got > 0 {
+		t.Errorf("ReplicasFor allocates %v times, want 0: the set is cached", got)
 	}
 }
 
@@ -208,7 +209,68 @@ func TestReplicasForRowMatchesJoinedKey(t *testing.T) {
 			}
 		}
 	}
-	if got := testing.AllocsPerRun(100, func() { r.ReplicasForRow("data", "data-00000001", 3) }); got > 1 {
-		t.Errorf("ReplicasForRow allocates %v times, want only its result", got)
+	if got := testing.AllocsPerRun(100, func() { r.ReplicasForRow("data", "data-00000001", 3) }); got > 0 {
+		t.Errorf("ReplicasForRow allocates %v times, want 0: the set is cached", got)
 	}
+}
+
+// TestCachedSetsFollowMembership checks the replica-set cache against
+// rings built from scratch: after Add and Remove every key places as
+// it would on a fresh ring of the same members, and a cached set is
+// clipped to its length, so a caller's append copies instead of writing
+// into the cache.
+func TestCachedSetsFollowMembership(t *testing.T) {
+	r := New(ids(3), 16)
+	check := func(members []NodeID) {
+		t.Helper()
+		fresh := New(members, 16)
+		for i := 0; i < 200; i++ {
+			key := fmt.Sprintf("key-%d", i)
+			got, want := r.ReplicasFor(key, 3), fresh.ReplicasFor(key, 3)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("members %v: ReplicasFor(%q) = %v, want %v", members, key, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("ReplicasFor(%q) has capacity %d beyond its %d nodes", key, cap(got), len(got))
+			}
+		}
+	}
+	check(ids(3))
+	r.Add(3)
+	check(ids(4))
+	r.Remove(1)
+	check([]NodeID{0, 2, 3})
+}
+
+// TestCachedSetsUnderConcurrentMembership places rows from several
+// goroutines while nodes join and leave: every set handed out must be
+// n distinct members, whichever membership it was built under.
+func TestCachedSetsUnderConcurrentMembership(t *testing.T) {
+	r := New(ids(4), 16)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				set := r.ReplicasForRow("t", fmt.Sprintf("row-%d", i%500), 3)
+				if len(set) != 3 || set[0] == set[1] || set[0] == set[2] || set[1] == set[2] {
+					t.Errorf("replica set %v", set)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		r.Add(4)
+		r.Remove(4)
+	}
+	close(stop)
+	wg.Wait()
 }

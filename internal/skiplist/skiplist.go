@@ -5,9 +5,12 @@
 // an LSM memtable needs.
 //
 // The list is typed and allocation-lean: values live unboxed inside
-// the nodes, keys are copied into a per-list bump arena, and towers of
-// up to inlineHeight levels (255 nodes in 256) sit inside the node, so
-// an insert is one allocation and an update of an existing key none.
+// the nodes, nodes are carved out of per-list slabs and keys copied
+// into a per-list bump arena, and towers of up to inlineHeight levels
+// (255 nodes in 256) sit inside the node, so an insert allocates only
+// when a slab or an arena chunk runs out — a few times in a thousand —
+// and an update of an existing key never. A list's nodes all die
+// together, as a memtable's do at flush.
 //
 // The list is not safe for concurrent use: writers need exclusive
 // access, readers may share it. The storage engine's lock provides
@@ -30,6 +33,10 @@ const (
 	inlineHeight = 4
 	// arenaChunk is the size of the blocks keys are copied into.
 	arenaChunk = 16 << 10
+	// nodeSlab is the most nodes one allocation carves out. A young
+	// list's slabs double from one node, so a list of a few entries
+	// holds no more than it uses.
+	nodeSlab = 256
 )
 
 // node keeps what a search reads — the key and the low links, which
@@ -65,6 +72,7 @@ type List[V any] struct {
 	length int
 	rnd    uint64
 	arena  []byte
+	slab   []node[V] // nodes not handed out yet
 }
 
 // New returns an empty list. The seed makes tower heights (and thus
@@ -104,6 +112,17 @@ func (l *List[V]) copyKey(key []byte) []byte {
 	off := len(l.arena)
 	l.arena = append(l.arena, key...)
 	return l.arena[off:len(l.arena):len(l.arena)]
+}
+
+// newNode hands out the next node of the current slab, starting a new
+// slab when it is used up.
+func (l *List[V]) newNode() *node[V] {
+	if len(l.slab) == 0 {
+		l.slab = make([]node[V], min(l.length+1, nodeSlab))
+	}
+	n := &l.slab[0]
+	l.slab = l.slab[1:]
+	return n
 }
 
 // findGE returns the first node with key >= key and whether it is key.
@@ -160,7 +179,8 @@ func (l *List[V]) Upsert(key []byte) (v *V, inserted bool) {
 		prev[l.height] = l.head
 		l.height++
 	}
-	n := &node[V]{key: l.copyKey(key)}
+	n := l.newNode()
+	n.key = l.copyKey(key)
 	if h > inlineHeight {
 		n.tall = new([maxHeight - inlineHeight]*node[V])
 	}
