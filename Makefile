@@ -62,12 +62,12 @@ sim-sweep:
 	timeout 300 $(GO) run ./cmd/mvverify -sim -scenario hot-row -rounds 8 -v
 	timeout 300 $(GO) run ./cmd/mvverify -sim -scenario define-during-burst -rounds 8 -v
 
-# Short runs of the fuzzers (dot metadata through the dvv, WAL and
-# sstable encodings; the memtable against its sorted-map reference);
-# crashers land as testdata corpus entries.
+# Short runs of the fuzzers (dot metadata through the dvv encoding,
+# the cell codec, and sstable entry runs; the memtable against its
+# sorted-map reference); crashers land as testdata corpus entries.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzMetaRoundTrip -fuzztime=10s ./internal/dvv
-	$(GO) test -run=NONE -fuzz=FuzzReadCell -fuzztime=10s ./internal/wal
+	$(GO) test -run=NONE -fuzz=FuzzReadCell -fuzztime=10s ./internal/model
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalEntries -fuzztime=10s ./internal/sstable
 	$(GO) test -run=NONE -fuzz=FuzzAgainstReference -fuzztime=10s ./internal/memtable
 

@@ -8,22 +8,25 @@ import (
 	"time"
 
 	"vstore/internal/backfill"
+	"vstore/internal/cluster"
 	"vstore/internal/core"
 	"vstore/internal/model"
 	"vstore/internal/physical"
 	physfs "vstore/internal/physical/fs"
 	physmem "vstore/internal/physical/mem"
+	"vstore/internal/sstable"
+	"vstore/internal/transport"
 	"vstore/internal/wal"
 )
 
 // This file is the durable face of the DB: the public storage backend
 // and fsync knobs, the SCHEMA.json file that makes table/view/index
-// definitions survive a restart, and the recovery pass that finishes
-// what a crashed process left pending (each node's wal.Storage is its
-// manager's propagation-intent log). The per-node mechanics
-// (segmented WALs, run files, MANIFESTs) live in internal/wal over
-// internal/physical; node state is rebuilt by cluster.Open before any
-// code here runs.
+// definitions survive a restart, checkpoints written in that same
+// layout, and the recovery pass that finishes what a crashed process
+// left pending (each node's wal.Storage is its manager's
+// propagation-intent log). The per-node mechanics (segmented WALs, run
+// files, MANIFESTs) live in internal/wal over internal/physical; node
+// state is rebuilt by cluster.Open before any code here runs.
 
 // Backend is the physical storage a durable DB runs on: a narrow
 // interface (exclusive create, append, fsync, whole-file read, atomic
@@ -119,13 +122,18 @@ func (db *DB) RecoveryStats() RecoveryStats { return db.recovery }
 
 // --- Schema persistence -----------------------------------------------------
 
-// clusterSchema is the serializable schema — base tables, view and
-// join-view definitions, secondary indexes — shared by snapshot
-// manifests and the durable SCHEMA.json.
-type clusterSchema struct {
+// schemaDoc is the SCHEMA.json file at a durable store's root: base
+// tables, view and join-view definitions, secondary indexes, and the
+// cluster shape they were placed under.
+type schemaDoc struct {
+	FormatVersion int
+	// Nodes is the cluster size; placement depends on it, so Open
+	// refuses any other. Absent in schemas written before it was
+	// recorded, which open under any size.
+	Nodes   int `json:",omitempty"`
 	Tables  []string
-	Views   []manifestView
-	Joins   []manifestJoin
+	Views   []schemaView
+	Joins   []schemaJoin
 	Indexes map[string][]string `json:",omitempty"`
 	// PendingDrops lists views whose storage teardown was in flight
 	// when the schema was written; recovery re-executes them (node
@@ -134,10 +142,20 @@ type clusterSchema struct {
 	PendingDrops []string `json:",omitempty"`
 }
 
-// schemaDoc is the SCHEMA.json file at a Config.Dir root.
-type schemaDoc struct {
-	FormatVersion int
-	clusterSchema
+type schemaView struct {
+	Def ViewDef
+	// State records the view's lifecycle ("backfilling" while the
+	// online fill is running; empty or "live" otherwise). A view
+	// restored in the backfilling state resumes its scan from the
+	// persisted checkpoint. Absent in schemas written before online
+	// backfill existed, which is read as live.
+	State string `json:",omitempty"`
+}
+
+type schemaJoin struct {
+	Def JoinViewDef
+	// State mirrors schemaView.State for join views.
+	State string `json:",omitempty"`
 }
 
 const (
@@ -147,8 +165,8 @@ const (
 
 // currentSchema captures the DB's schema for persistence, including
 // each view's lifecycle state and any in-flight view drops.
-func (db *DB) currentSchema() clusterSchema {
-	var s clusterSchema
+func (db *DB) currentSchema() schemaDoc {
+	s := schemaDoc{FormatVersion: schemaFormatVersion, Nodes: db.cluster.Size()}
 	views := map[string]bool{}
 	lifecycle := func(name string) string {
 		if st, ok := db.bf.State(name); ok && st == backfill.StateBackfilling {
@@ -162,7 +180,7 @@ func (db *DB) currentSchema() clusterSchema {
 		switch len(defs) {
 		case 1:
 			d := defs[0]
-			mv := manifestView{Def: ViewDef{
+			mv := schemaView{Def: ViewDef{
 				Name: d.Name, Base: d.Base, ViewKey: d.ViewKeyColumn,
 				Materialized: append([]string(nil), d.Materialized...),
 			}, State: lifecycle(name)}
@@ -171,7 +189,7 @@ func (db *DB) currentSchema() clusterSchema {
 			}
 			s.Views = append(s.Views, mv)
 		case 2:
-			mj := manifestJoin{Def: JoinViewDef{Name: name}, State: lifecycle(name)}
+			mj := schemaJoin{Def: JoinViewDef{Name: name}, State: lifecycle(name)}
 			sides := []*JoinSide{&mj.Def.Left, &mj.Def.Right}
 			for i, d := range defs {
 				sides[i].Base = d.Base
@@ -200,10 +218,7 @@ func (db *DB) currentSchema() clusterSchema {
 
 // persistSchema atomically rewrites SCHEMA.json; a no-op in memory
 // mode. Called after every schema mutation so a crash never forgets a
-// created table, view or index. Atomicity, durability, and temp-file
-// cleanup on error are the backend's WriteFileAtomic contract (the
-// hand-rolled temp+rename this replaces leaked unchecked Close calls
-// on its error paths).
+// created table, view or index.
 func (db *DB) persistSchema() error {
 	if db.backend == nil {
 		return nil
@@ -213,12 +228,83 @@ func (db *DB) persistSchema() error {
 	// a newer one.
 	db.schemaMu.Lock()
 	defer db.schemaMu.Unlock()
-	doc := schemaDoc{FormatVersion: schemaFormatVersion, clusterSchema: db.currentSchema()}
+	return writeSchema(db.backend, db.currentSchema())
+}
+
+// writeSchema atomically replaces SCHEMA.json on b. Atomicity,
+// durability, and temp-file cleanup on error are the backend's
+// WriteFileAtomic contract.
+func writeSchema(b Backend, doc schemaDoc) error {
 	data, err := json.MarshalIndent(&doc, "", "  ")
 	if err != nil {
 		return err
 	}
-	return db.backend.WriteFileAtomic(schemaFileName, data)
+	return b.WriteFileAtomic(schemaFileName, data)
+}
+
+// readSchema loads SCHEMA.json from b: nil on a fresh backend, an
+// error when the file is corrupt or of an unknown format.
+func readSchema(b Backend) (*schemaDoc, error) {
+	data, err := b.ReadFile(schemaFileName)
+	if physical.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var doc schemaDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, fmt.Errorf("vstore: corrupt %s: %w", schemaFileName, err)
+	}
+	if doc.FormatVersion != schemaFormatVersion {
+		return nil, fmt.Errorf("vstore: unsupported schema format %d", doc.FormatVersion)
+	}
+	return &doc, nil
+}
+
+// SaveSnapshotTo writes a checkpoint of the cluster onto b, which must
+// be empty, in the durable layout: each node's tables (views included,
+// so they need no rebuild) as one sstable run per table in the node's
+// storage namespace, then SCHEMA.json. Restoring is Open with
+// Config.Backend set to b (or Config.Dir, for FSBackend(dir)): a
+// durable reopen, so dot counters are re-seeded and backfilling views
+// resume. The schema is written last and atomically, so a save that
+// fails part-way leaves a target that opens as an empty store. Writes
+// accepted while the save runs may or may not be included (each table
+// is copied atomically, the cluster is not); restoring is always safe
+// because cells carry their LWW timestamps.
+func (db *DB) SaveSnapshotTo(b Backend) error {
+	names, err := b.List("")
+	if err != nil {
+		return err
+	}
+	if len(names) > 0 {
+		// Open reads everything under the root (schema, node
+		// namespaces, backfill checkpoints), so saving over old files
+		// would merge them into the checkpoint.
+		return fmt.Errorf("vstore: snapshot target is not empty (holds %s)", names[0])
+	}
+	schema := db.currentSchema()
+	for i, n := range db.cluster.Nodes {
+		st, err := wal.OpenStorage(physical.Sub(b, cluster.NodeSub(transport.NodeID(i))), wal.Options{Policy: wal.SyncOff})
+		if err != nil {
+			return err
+		}
+		for _, table := range db.cluster.Tables() {
+			entries := n.TableSnapshot(table)
+			if len(entries) == 0 {
+				continue
+			}
+			if _, err := st.Table(table).FlushRun(sstable.Build(entries)); err != nil {
+				_ = st.Abandon() // already failing; the flush error wins
+				return fmt.Errorf("vstore: saving node %d table %q: %w", i, table, err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			return err
+		}
+	}
+	return writeSchema(b, schema)
 }
 
 // toCoreDef converts a public view definition for the registry.
@@ -242,34 +328,25 @@ func toCoreJoin(d JoinViewDef) core.JoinDef {
 	return core.JoinDef{Name: d.Name, Left: side(d.Left), Right: side(d.Right)}
 }
 
-// restoreSchemaTables registers all table names (phase one of a
-// restore: storage loads must not trigger view maintenance, so
-// definitions come later).
-func (db *DB) restoreSchemaTables(s clusterSchema) error {
-	for _, t := range s.Tables {
+// restoreSchema registers the schema's tables, view definitions and
+// secondary indexes over the node state cluster.Open recovered (index
+// creation back-fills from the restored rows). Views recorded
+// mid-backfill resume their scan — from the persisted checkpoint when
+// the backend has one, from the start otherwise (resuming is always
+// safe: fills are idempotent).
+func (db *DB) restoreSchema(s *schemaDoc) error {
+	tables := append([]string(nil), s.Tables...)
+	for _, v := range s.Views {
+		tables = append(tables, v.Def.Name)
+	}
+	for _, j := range s.Joins {
+		tables = append(tables, j.Def.Name)
+	}
+	for _, t := range tables {
 		if err := db.cluster.CreateTable(t); err != nil {
 			return err
 		}
 	}
-	for _, v := range s.Views {
-		if err := db.cluster.CreateTable(v.Def.Name); err != nil {
-			return err
-		}
-	}
-	for _, j := range s.Joins {
-		if err := db.cluster.CreateTable(j.Def.Name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// restoreSchemaDefs registers view definitions and secondary indexes
-// (phase two, after data is in place; index creation back-fills from
-// the restored rows). Views recorded mid-backfill resume their scan —
-// from the persisted checkpoint when the backend has one, from the
-// start otherwise (resuming is always safe: fills are idempotent).
-func (db *DB) restoreSchemaDefs(s clusterSchema) error {
 	resume := func(name, state string) error {
 		if state == string(backfill.StateBackfilling) {
 			return db.startBackfill(name)
@@ -293,12 +370,12 @@ func (db *DB) restoreSchemaDefs(s clusterSchema) error {
 			return err
 		}
 	}
-	tables := make([]string, 0, len(s.Indexes))
+	indexed := make([]string, 0, len(s.Indexes))
 	for t := range s.Indexes {
-		tables = append(tables, t)
+		indexed = append(indexed, t)
 	}
-	sort.Strings(tables)
-	for _, t := range tables {
+	sort.Strings(indexed)
+	for _, t := range indexed {
 		for _, col := range s.Indexes[t] {
 			if err := db.cluster.CreateIndex(t, col); err != nil {
 				return err
@@ -316,27 +393,14 @@ const replayTimeout = 30 * time.Second
 
 // recoverDurable finishes a durable Open after cluster.Open has
 // rebuilt node state from MANIFESTs, run files and WAL tails: restore
-// the schema, wire each manager's intent log, and re-enqueue the
-// propagation intents that were pending when the previous process
-// stopped. Re-enqueueing is idempotent — propagation re-reads the base
+// doc, the schema Open read (nil on a fresh backend), wire each
+// manager's intent log, and re-enqueue the propagation intents that
+// were pending when the previous process stopped. Re-enqueueing is idempotent — propagation re-reads the base
 // row and view state, and LWW timestamps make repeated applies
 // converge — so an intent replayed twice (crash after propagation but
 // before its done record synced) is harmless.
-func (db *DB) recoverDurable(start time.Time) error {
-	data, err := db.backend.ReadFile(schemaFileName)
-	switch {
-	case physical.IsNotExist(err):
-		// Fresh backend: nothing to restore.
-	case err != nil:
-		return err
-	default:
-		var doc schemaDoc
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("vstore: corrupt %s: %w", schemaFileName, err)
-		}
-		if doc.FormatVersion != schemaFormatVersion {
-			return fmt.Errorf("vstore: unsupported schema format %d", doc.FormatVersion)
-		}
+func (db *DB) recoverDurable(start time.Time, doc *schemaDoc) error {
+	if doc != nil {
 		// Finish interrupted view drops before anything else: the
 		// previous process committed to dropping these (their
 		// definitions are already gone from the schema), so their
@@ -351,10 +415,7 @@ func (db *DB) recoverDurable(start time.Time) error {
 				}
 			}
 		}
-		if err := db.restoreSchemaTables(doc.clusterSchema); err != nil {
-			return err
-		}
-		if err := db.restoreSchemaDefs(doc.clusterSchema); err != nil {
+		if err := db.restoreSchema(doc); err != nil {
 			return err
 		}
 		if len(doc.PendingDrops) > 0 {

@@ -1,6 +1,8 @@
 package vstore_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -282,5 +284,75 @@ func TestDurableFsyncPolicies(t *testing.T) {
 				t.Fatalf("policy %v lost a cleanly-shut-down write: %v, %v", p, row, err)
 			}
 		})
+	}
+}
+
+// TestDurableReopenNodeCount: placement depends on the cluster size,
+// so reopening a durable store with another node count would route
+// reads to replicas that never held the rows. Open refuses it; a zero
+// Nodes adopts the recorded count.
+func TestDurableReopenNodeCount(t *testing.T) {
+	dir := t.TempDir()
+	db, err := vstore.Open(vstore.Config{Dir: dir, Nodes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := db.Client(i%8).Put(ctxT(t), "t", fmt.Sprintf("r%d", i), vstore.Values{"c": "v"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Close()
+
+	for _, n := range []int{4, 9} {
+		if db2, err := vstore.Open(vstore.Config{Dir: dir, Nodes: n}); err == nil {
+			db2.Close()
+			t.Fatalf("8-node store reopened with Nodes: %d", n)
+		}
+	}
+	db2, err := vstore.Open(vstore.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if db2.Nodes() != 8 {
+		t.Fatalf("reopened with %d nodes, want the recorded 8", db2.Nodes())
+	}
+	for i := 0; i < 50; i++ {
+		row, err := db2.Client(i%8).Get(ctxT(t), "t", fmt.Sprintf("r%d", i), vstore.WithColumns("c"))
+		if err != nil || string(row["c"].Value) != "v" {
+			t.Fatalf("r%d: %v, %v", i, row, err)
+		}
+	}
+}
+
+// TestDurableSchemaRecordsNodeCount: a schema written before the node
+// count was recorded opens under the default size, and the next schema
+// write records it.
+func TestDurableSchemaRecordsNodeCount(t *testing.T) {
+	dir := t.TempDir()
+	copyTree(t, dir, "testdata/durable_pre_backend")
+	db, err := vstore.Open(vstore.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("extra"); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	data, err := os.ReadFile(filepath.Join(dir, "SCHEMA.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Nodes int }
+	if err := json.Unmarshal(data, &doc); err != nil || doc.Nodes != 4 {
+		t.Fatalf("schema records Nodes %d (%v), want 4", doc.Nodes, err)
+	}
+	if db2, err := vstore.Open(vstore.Config{Dir: dir, Nodes: 3}); err == nil {
+		db2.Close()
+		t.Fatal("recorded node count not enforced")
 	}
 }

@@ -11,10 +11,10 @@ import (
 	"vstore/internal/sstable"
 )
 
-func bad(f *os.File, t *sstable.Table, path string) {
-	f.Sync()                   // want "error from (*os.File).Sync discarded"
-	defer f.Close()            // want "deferred error from (*os.File).Close discarded"
-	sstable.WriteFile(path, t) // want "error from sstable.WriteFile discarded"
+func bad(f *os.File, b physical.Backend, t *sstable.Table) {
+	f.Sync()                                // want "error from (*os.File).Sync discarded"
+	defer f.Close()                         // want "deferred error from (*os.File).Close discarded"
+	sstable.WriteTo(b, "0000000002.sst", t) // want "error from sstable.WriteTo discarded"
 }
 
 func badBackend(b physical.Backend, pf physical.File, t *sstable.Table) {
@@ -25,9 +25,9 @@ func badBackend(b physical.Backend, pf physical.File, t *sstable.Table) {
 	sstable.WriteTo(b, "0000000001.sst", t) // want "error from sstable.WriteTo discarded"
 }
 
-func good(f *os.File, t *sstable.Table, path string) error {
+func good(f *os.File, b physical.Backend, t *sstable.Table) error {
 	_ = f.Sync() // ok: explicit, greppable discard
-	if err := sstable.WriteFile(path, t); err != nil {
+	if err := sstable.WriteTo(b, "0000000002.sst", t); err != nil {
 		return err
 	}
 	return f.Close()

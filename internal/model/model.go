@@ -345,6 +345,70 @@ func DecodeRow(key []byte) (row string, prefixLen int, err error) {
 	return string(key[sz:prefixLen]), prefixLen, nil
 }
 
+// The cell codec, the one byte layout of a cell in WAL records and
+// sstable runs:
+//
+//	varint ts, flag byte, uvarint valLen, val, then dot metadata
+//	(dvv.AppendMeta) iff the flag's cellHasMeta bit is set
+//
+// Bit 0 of the flag marks a tombstone. Cells written before dots
+// existed carry flag 0/1 and decode unchanged.
+const (
+	cellTombstone byte = 1 << 0
+	cellHasMeta   byte = 1 << 1
+)
+
+// ErrBadCell is returned when decoding a malformed cell encoding.
+var ErrBadCell = errors.New("model: malformed cell encoding")
+
+// AppendCell appends the encoding of c to buf.
+func AppendCell(buf []byte, c Cell) []byte {
+	buf = binary.AppendVarint(buf, c.TS)
+	var flag byte
+	if c.Tombstone {
+		flag |= cellTombstone
+	}
+	hasMeta := !c.Dot.IsZero() || len(c.Ctx) > 0
+	if hasMeta {
+		flag |= cellHasMeta
+	}
+	buf = append(buf, flag)
+	buf = binary.AppendUvarint(buf, uint64(len(c.Value)))
+	buf = append(buf, c.Value...)
+	if hasMeta {
+		buf = dvv.AppendMeta(buf, c.Dot, c.Ctx)
+	}
+	return buf
+}
+
+// ReadCell decodes one cell from the front of data and returns the
+// bytes after it. The cell's value is copied out of data.
+func ReadCell(data []byte) (Cell, []byte, error) {
+	ts, sz := binary.Varint(data)
+	if sz <= 0 || len(data) == sz {
+		return Cell{}, nil, ErrBadCell
+	}
+	flag := data[sz]
+	data = data[sz+1:]
+	vl, sz := binary.Uvarint(data)
+	if sz <= 0 || uint64(len(data)-sz) < vl {
+		return Cell{}, nil, ErrBadCell
+	}
+	var val []byte
+	if vl > 0 {
+		val = append([]byte(nil), data[sz:sz+int(vl)]...)
+	}
+	c := Cell{Value: val, TS: ts, Tombstone: flag&cellTombstone != 0}
+	data = data[sz+int(vl):]
+	if flag&cellHasMeta != 0 {
+		var err error
+		if c.Dot, c.Ctx, data, err = dvv.ReadMeta(data); err != nil {
+			return Cell{}, nil, fmt.Errorf("%w: %v", ErrBadCell, err)
+		}
+	}
+	return c, data, nil
+}
+
 // RowCollector gathers distinct row names from storage keys fed to it
 // in key order — the loop shared by the memtable's and the sstables'
 // RowsFrom. Cells of one row are adjacent and share their row prefix,

@@ -26,9 +26,9 @@ func dottedEntries() []model.Entry {
 	}
 }
 
-func TestMarshalRoundTripDots(t *testing.T) {
+func TestEntriesRoundTripDots(t *testing.T) {
 	in := dottedEntries()
-	out, err := UnmarshalEntries(Build(in).Marshal())
+	out, err := UnmarshalEntries(appendEntries(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,35 +43,15 @@ func TestMarshalRoundTripDots(t *testing.T) {
 	}
 }
 
-// TestMarshalDeterministicWithDots: identical state must serialize
+// TestEntriesDeterministicWithDots: identical state must serialize
 // byte-identically (context maps are sorted by the codec) — byte-level
 // durable replay equality depends on it.
-func TestMarshalDeterministicWithDots(t *testing.T) {
-	first := Build(dottedEntries()).Marshal()
+func TestEntriesDeterministicWithDots(t *testing.T) {
+	first := appendEntries(nil, dottedEntries())
 	for i := 0; i < 16; i++ {
 		// Fresh maps each round: map iteration order must not leak in.
-		if got := Build(dottedEntries()).Marshal(); !bytes.Equal(got, first) {
+		if got := appendEntries(nil, dottedEntries()); !bytes.Equal(got, first) {
 			t.Fatal("serialization depends on map iteration order")
-		}
-	}
-}
-
-// TestUnmarshalLegacyFlags: runs written before dot metadata existed
-// carry flag bytes 0/1 and must decode unchanged.
-func TestUnmarshalLegacyFlags(t *testing.T) {
-	legacy := []model.Entry{
-		{Key: []byte("a"), Cell: model.Cell{Value: []byte("v"), TS: 7}},
-		{Key: []byte("b"), Cell: model.Cell{TS: 8, Tombstone: true}},
-	}
-	buf := Build(legacy).Marshal()
-	// No metadata ⇒ the encoder must emit plain 0/1 flags (old format).
-	out, err := UnmarshalEntries(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range legacy {
-		if !out[i].Cell.Equal(legacy[i].Cell) || !out[i].Cell.Dot.IsZero() || out[i].Cell.Ctx != nil {
-			t.Fatalf("legacy entry %q drifted: %+v", legacy[i].Key, out[i].Cell)
 		}
 	}
 }
@@ -79,8 +59,8 @@ func TestUnmarshalLegacyFlags(t *testing.T) {
 // FuzzUnmarshalEntries: any byte string that decodes must re-encode to
 // an equivalent run, and the decoder must never panic on garbage.
 func FuzzUnmarshalEntries(f *testing.F) {
-	f.Add(Build(dottedEntries()).Marshal())
-	f.Add(Build(mkEntries(3)).Marshal())
+	f.Add(appendEntries(nil, dottedEntries()))
+	f.Add(appendEntries(nil, mkEntries(3)))
 	f.Add([]byte{0x05, 0x00, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := UnmarshalEntries(data)

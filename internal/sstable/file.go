@@ -5,12 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"path/filepath"
 
 	"vstore/internal/bloom"
 	"vstore/internal/model"
 	"vstore/internal/physical"
-	physfs "vstore/internal/physical/fs"
 )
 
 // On-disk sstable file format. A file is an immutable run written once
@@ -175,15 +173,4 @@ func ReadFrom(b physical.Backend, name string) (*Table, error) {
 		return nil, err
 	}
 	return DecodeFile(data)
-}
-
-// WriteFile is WriteTo over the host filesystem: sugar for callers
-// (snapshots, tools) that address runs by path rather than backend.
-func WriteFile(path string, t *Table) error {
-	return WriteTo(physfs.New(filepath.Dir(path)), filepath.Base(path), t)
-}
-
-// ReadFile loads a table persisted with WriteFile.
-func ReadFile(path string) (*Table, error) {
-	return ReadFrom(physfs.New(filepath.Dir(path)), filepath.Base(path))
 }

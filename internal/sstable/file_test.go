@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vstore/internal/model"
+	physfs "vstore/internal/physical/fs"
 )
 
 // TestFileRoundtrip: EncodeFile/DecodeFile must preserve entries,
@@ -98,25 +99,26 @@ func TestFileCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestWriteReadFile covers the atomic write path: the final name holds
-// a complete file and no temp residue survives a successful write.
-func TestWriteReadFile(t *testing.T) {
+// TestWriteToReadFrom covers the atomic write path: the final name
+// holds a complete file and no temp residue survives a successful
+// write.
+func TestWriteToReadFrom(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "0001.sst")
+	b := physfs.New(dir)
 	entries := mkRowEntries(10, 2)
-	if err := WriteFile(path, Build(entries)); err != nil {
+	if err := WriteTo(b, "0001.sst", Build(entries)); err != nil {
 		t.Fatal(err)
 	}
 	tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp*"))
 	if len(tmps) != 0 {
 		t.Fatalf("temp files left behind: %v", tmps)
 	}
-	got, err := ReadFile(path)
+	got, err := ReadFrom(b, "0001.sst")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Entries(), entries) {
-		t.Fatal("WriteFile/ReadFile changed entries")
+		t.Fatal("WriteTo/ReadFrom changed entries")
 	}
 }
 

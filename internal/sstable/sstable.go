@@ -1,8 +1,7 @@
 // Package sstable implements the immutable sorted runs produced when a
 // memtable flushes and when compaction merges older runs. Tables live
 // in memory (this store is an embedded cluster used for experiments)
-// but carry a compact binary serialization so they can be shipped
-// across the wire protocol or persisted.
+// and have an on-disk file format (file.go) for durable runs.
 //
 // A table holds entries sorted by storage key, with a sparse index
 // every indexInterval entries to bound binary-search working sets the
@@ -17,7 +16,6 @@ import (
 	"sort"
 
 	"vstore/internal/bloom"
-	"vstore/internal/dvv"
 	"vstore/internal/model"
 )
 
@@ -360,63 +358,24 @@ func heapMerge(dst []model.Entry, h []runCursor, dropTombstones bool) []model.En
 
 // --- Serialization --------------------------------------------------------
 
-// Marshal encodes the table into a compact binary form:
+// appendEntries appends the entry-run codec of one on-disk block:
 //
 //	uvarint entryCount
-//	per entry: uvarint keyLen, key, varint ts, flag byte, uvarint valLen,
-//	val, then dot metadata (dvv.AppendMeta) iff the flag's 0x02 bit is set
-func (t *Table) Marshal() []byte {
-	buf := make([]byte, 0, t.dataBytes+int64(len(t.entries))*6+8)
-	return appendEntries(buf, t.entries)
-}
-
-// Cell flag bits. Bit 0 marks a tombstone; bit 1 marks trailing dot
-// metadata. Runs written before dots existed carry flag 0/1 and decode
-// unchanged.
-const (
-	flagTombstone byte = 1 << 0
-	flagHasMeta   byte = 1 << 1
-)
-
-// appendEntries appends the entry-run codec (uvarint count + entries)
-// shared by Marshal and the on-disk block encoder.
+//	per entry: uvarint keyLen, key, then the cell (model.AppendCell)
 func appendEntries(buf []byte, entries []model.Entry) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(entries)))
 	for _, e := range entries {
 		buf = binary.AppendUvarint(buf, uint64(len(e.Key)))
 		buf = append(buf, e.Key...)
-		buf = binary.AppendVarint(buf, e.Cell.TS)
-		var flag byte
-		if e.Cell.Tombstone {
-			flag |= flagTombstone
-		}
-		hasMeta := !e.Cell.Dot.IsZero() || len(e.Cell.Ctx) > 0
-		if hasMeta {
-			flag |= flagHasMeta
-		}
-		buf = append(buf, flag)
-		buf = binary.AppendUvarint(buf, uint64(len(e.Cell.Value)))
-		buf = append(buf, e.Cell.Value...)
-		if hasMeta {
-			buf = dvv.AppendMeta(buf, e.Cell.Dot, e.Cell.Ctx)
-		}
+		buf = model.AppendCell(buf, e.Cell)
 	}
 	return buf
 }
 
-// ErrCorrupt is returned by Unmarshal for malformed input.
+// ErrCorrupt is returned for a malformed entry run or sstable file.
 var ErrCorrupt = errors.New("sstable: corrupt serialization")
 
-// Unmarshal decodes a table serialized with Marshal.
-func Unmarshal(data []byte) (*Table, error) {
-	entries, err := UnmarshalEntries(data)
-	if err != nil {
-		return nil, err
-	}
-	return Build(entries), nil
-}
-
-// UnmarshalEntries decodes just the sorted entry run.
+// UnmarshalEntries decodes an entry run written by appendEntries.
 func UnmarshalEntries(data []byte) ([]model.Entry, error) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 {
@@ -436,30 +395,11 @@ func UnmarshalEntries(data []byte) ([]model.Entry, error) {
 			return nil, ErrCorrupt
 		}
 		key := append([]byte(nil), data[sz:sz+int(kl)]...)
-		data = data[sz+int(kl):]
-		ts, sz := binary.Varint(data)
-		if sz <= 0 || len(data) == sz {
-			return nil, ErrCorrupt
+		c, rest, err := model.ReadCell(data[sz+int(kl):])
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		flag := data[sz]
-		data = data[sz+1:]
-		vl, sz := binary.Uvarint(data)
-		if sz <= 0 || uint64(len(data)-sz) < vl {
-			return nil, ErrCorrupt
-		}
-		var val []byte
-		if vl > 0 {
-			val = append([]byte(nil), data[sz:sz+int(vl)]...)
-		}
-		data = data[sz+int(vl):]
-		c := model.Cell{Value: val, TS: ts, Tombstone: flag&flagTombstone != 0}
-		if flag&flagHasMeta != 0 {
-			var err error
-			c.Dot, c.Ctx, data, err = dvv.ReadMeta(data)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-		}
+		data = rest
 		entries = append(entries, model.Entry{Key: key, Cell: c})
 	}
 	if len(data) != 0 {

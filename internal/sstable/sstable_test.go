@@ -202,42 +202,39 @@ func TestMergeRunsRandomizedAgainstOracle(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
+func TestEntriesRoundTrip(t *testing.T) {
 	entries := mkEntries(50)
 	entries[7].Cell = model.Cell{TS: -3, Tombstone: true}
 	entries[9].Cell = model.Cell{TS: 0, Value: nil}
-	tbl := Build(entries)
-	data := tbl.Marshal()
-	back, err := Unmarshal(data)
+	back, err := UnmarshalEntries(appendEntries(nil, entries))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != tbl.Len() {
-		t.Fatalf("round trip len %d != %d", back.Len(), tbl.Len())
+	if len(back) != len(entries) {
+		t.Fatalf("round trip len %d != %d", len(back), len(entries))
 	}
-	for i := 0; i < tbl.Len(); i++ {
-		a, b := tbl.entries[i], back.entries[i]
+	for i := range entries {
+		a, b := entries[i], back[i]
 		if !bytes.Equal(a.Key, b.Key) || !a.Cell.Equal(b.Cell) {
 			t.Fatalf("entry %d mismatch: %v vs %v", i, a, b)
 		}
 	}
 }
 
-func TestUnmarshalCorrupt(t *testing.T) {
-	tbl := Build(mkEntries(10))
-	data := tbl.Marshal()
+func TestUnmarshalEntriesCorrupt(t *testing.T) {
+	data := appendEntries(nil, mkEntries(10))
 	for _, cut := range []int{0, 1, len(data) / 2, len(data) - 1} {
-		if _, err := Unmarshal(data[:cut]); err == nil {
-			t.Fatalf("Unmarshal accepted truncation at %d", cut)
+		if _, err := UnmarshalEntries(data[:cut]); err == nil {
+			t.Fatalf("UnmarshalEntries accepted truncation at %d", cut)
 		}
 	}
-	if _, err := Unmarshal(append(data, 0)); err == nil {
-		t.Fatal("Unmarshal accepted trailing garbage")
+	if _, err := UnmarshalEntries(append(data, 0)); err == nil {
+		t.Fatal("UnmarshalEntries accepted trailing garbage")
 	}
 }
 
 // Property: serialization round-trips arbitrary entry payloads.
-func TestMarshalQuick(t *testing.T) {
+func TestEntriesQuick(t *testing.T) {
 	f := func(keys [][]byte, vals [][]byte, ts []int64) bool {
 		m := map[string]model.Cell{}
 		for i, k := range keys {
@@ -258,13 +255,12 @@ func TestMarshalQuick(t *testing.T) {
 			entries = append(entries, model.Entry{Key: []byte(k), Cell: c})
 		}
 		sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].Key, entries[j].Key) < 0 })
-		tbl := Build(entries)
-		back, err := Unmarshal(tbl.Marshal())
-		if err != nil || back.Len() != tbl.Len() {
+		back, err := UnmarshalEntries(appendEntries(nil, entries))
+		if err != nil || len(back) != len(entries) {
 			return false
 		}
 		for i := range entries {
-			if !bytes.Equal(back.entries[i].Key, entries[i].Key) || !back.entries[i].Cell.Equal(entries[i].Cell) {
+			if !bytes.Equal(back[i].Key, entries[i].Key) || !back[i].Cell.Equal(entries[i].Cell) {
 				return false
 			}
 		}

@@ -5,14 +5,14 @@ import (
 	"errors"
 	"fmt"
 
-	"vstore/internal/dvv"
 	"vstore/internal/model"
 )
 
 // Record types. The first payload byte tags the record; everything
 // after is type-specific, uvarint-framed fields.
 const (
-	// recMutation logs one applied cell: uvarint keyLen + key, cell.
+	// recMutation logs one applied cell: uvarint keyLen + key, then the
+	// cell (model.AppendCell).
 	// The table is implicit — mutation logs are per-table directories.
 	recMutation byte = 1
 	// recIntentStart logs an acknowledged Put whose view propagation
@@ -39,59 +39,14 @@ type Intent struct {
 	Updates []model.ColumnUpdate
 }
 
-// Cell flag bits. Bit 0 marks a tombstone. Bit 1 (cellHasMeta) marks
-// that dot metadata (dvv.AppendMeta encoding) follows the value —
-// records written before dots existed carry flag 0/1 and decode
-// unchanged, so old logs stay readable.
-const (
-	cellTombstone byte = 1 << 0
-	cellHasMeta   byte = 1 << 1
-)
-
-func appendCell(buf []byte, c model.Cell) []byte {
-	buf = binary.AppendVarint(buf, c.TS)
-	var flag byte
-	if c.Tombstone {
-		flag |= cellTombstone
-	}
-	hasMeta := !c.Dot.IsZero() || len(c.Ctx) > 0
-	if hasMeta {
-		flag |= cellHasMeta
-	}
-	buf = append(buf, flag)
-	buf = binary.AppendUvarint(buf, uint64(len(c.Value)))
-	buf = append(buf, c.Value...)
-	if hasMeta {
-		buf = dvv.AppendMeta(buf, c.Dot, c.Ctx)
-	}
-	return buf
-}
-
+// readCell decodes one cell with model's codec, reporting a malformed
+// one as ErrBadRecord.
 func readCell(data []byte) (model.Cell, []byte, error) {
-	ts, sz := binary.Varint(data)
-	if sz <= 0 || len(data) == sz {
-		return model.Cell{}, nil, ErrBadRecord
+	c, rest, err := model.ReadCell(data)
+	if err != nil {
+		return model.Cell{}, nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
-	flag := data[sz]
-	data = data[sz+1:]
-	vl, sz := binary.Uvarint(data)
-	if sz <= 0 || uint64(len(data)-sz) < vl {
-		return model.Cell{}, nil, ErrBadRecord
-	}
-	var val []byte
-	if vl > 0 {
-		val = append([]byte(nil), data[sz:sz+int(vl)]...)
-	}
-	c := model.Cell{Value: val, TS: ts, Tombstone: flag&cellTombstone != 0}
-	data = data[sz+int(vl):]
-	if flag&cellHasMeta != 0 {
-		var err error
-		c.Dot, c.Ctx, data, err = dvv.ReadMeta(data)
-		if err != nil {
-			return model.Cell{}, nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
-		}
-	}
-	return c, data, nil
+	return c, rest, nil
 }
 
 func appendBytes(buf, b []byte) []byte {
@@ -111,7 +66,7 @@ func encodeMutation(key []byte, c model.Cell) []byte {
 	buf := make([]byte, 0, len(key)+len(c.Value)+24)
 	buf = append(buf, recMutation)
 	buf = appendBytes(buf, key)
-	return appendCell(buf, c)
+	return model.AppendCell(buf, c)
 }
 
 func decodeMutation(p []byte) (model.Entry, error) {
@@ -138,7 +93,7 @@ func encodeIntentStart(it Intent) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(it.Updates)))
 	for _, u := range it.Updates {
 		buf = appendBytes(buf, []byte(u.Column))
-		buf = appendCell(buf, u.Cell)
+		buf = model.AppendCell(buf, u.Cell)
 	}
 	return buf
 }

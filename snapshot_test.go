@@ -1,6 +1,8 @@
 package vstore_test
 
 import (
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,6 +10,10 @@ import (
 	"vstore"
 )
 
+// TestSnapshotRoundTrip: a checkpoint is a durable store, so Open on
+// its directory brings back the schema (selective view, join view,
+// index) and every row without a rebuild, and maintenance keeps
+// working.
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ctx := ctxT(t)
@@ -34,6 +40,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := db.CreateIndex("ticket", "status"); err != nil {
+		t.Fatal(err)
+	}
 	c := db.Client(0)
 	if err := c.Put(ctx, "ticket", "1", vstore.Values{"assignedto": "u-ada", "status": "open"}); err != nil {
 		t.Fatal(err)
@@ -44,13 +53,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := db.QuiesceViews(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SaveSnapshot(dir); err != nil {
+	if err := db.SaveSnapshotTo(vstore.FSBackend(dir)); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
 
 	// Restore into a new process-equivalent DB.
-	db2, err := vstore.OpenSnapshot(dir, vstore.Config{})
+	db2, err := vstore.Open(vstore.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +79,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil || len(jrows) != 2 {
 		t.Fatalf("join view lost: %v %v", jrows, err)
 	}
+	// Index restored.
+	irows, err := c2.QueryIndex(ctx, "ticket", "status", "open")
+	if err != nil || len(irows) != 1 {
+		t.Fatalf("index lost: %v %v", irows, err)
+	}
 	// Maintenance still works post-restore.
 	if err := c2.Put(ctx, "ticket", "1", vstore.Values{"assignedto": "u-bob"}); err != nil {
 		t.Fatal(err)
@@ -88,7 +102,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := c2.Put(ctx, "ticket", "2", vstore.Values{"assignedto": "x-out", "status": "open"}); err != nil {
 		t.Fatal(err)
 	}
-	db2.QuiesceViews(ctx)
+	if err := db2.QuiesceViews(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if rows, _ := c2.GetView(ctx, "assignedto", "x-out"); len(rows) != 0 {
 		t.Fatalf("selection lost in snapshot: %v", rows)
 	}
@@ -96,9 +112,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotValidation(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := vstore.OpenSnapshot(dir, vstore.Config{}); err == nil {
-		t.Fatal("missing manifest accepted")
-	}
 	db := openDB(t, vstore.Config{Nodes: 4})
 	if err := db.CreateTable("t"); err != nil {
 		t.Fatal(err)
@@ -106,18 +119,89 @@ func TestSnapshotValidation(t *testing.T) {
 	if err := db.Client(0).Put(ctxT(t), "t", "k", vstore.Values{"a": "b"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SaveSnapshot(dir); err != nil {
+	if err := db.SaveSnapshotTo(vstore.FSBackend(dir)); err != nil {
 		t.Fatal(err)
+	}
+	// A save never merges into an existing store: neither one with a
+	// schema nor one holding only a node namespace.
+	if err := db.SaveSnapshotTo(vstore.FSBackend(dir)); err == nil {
+		t.Fatal("save over an existing checkpoint accepted")
+	}
+	partial := vstore.MemBackend()
+	if err := partial.WriteFileAtomic("node-2/MANIFEST.json", []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SaveSnapshotTo(partial); err == nil {
+		t.Fatal("save over a node namespace accepted")
 	}
 	// Shape mismatch rejected (placement is shape-dependent).
-	if _, err := vstore.OpenSnapshot(dir, vstore.Config{Nodes: 3}); err == nil {
+	if db2, err := vstore.Open(vstore.Config{Dir: dir, Nodes: 3}); err == nil {
+		db2.Close()
 		t.Fatal("node-count mismatch accepted")
 	}
-	// Corrupt manifest rejected.
-	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), []byte("{"), 0o644); err != nil {
+	// Corrupt schema rejected.
+	if err := os.WriteFile(filepath.Join(dir, "SCHEMA.json"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := vstore.OpenSnapshot(dir, vstore.Config{}); err == nil {
-		t.Fatal("corrupt manifest accepted")
+	if db2, err := vstore.Open(vstore.Config{Dir: dir}); err == nil {
+		db2.Close()
+		t.Fatal("corrupt schema accepted")
+	}
+}
+
+var errInjected = errors.New("injected atomic-write failure")
+
+// failAtomic passes the first ok WriteFileAtomic calls through to the
+// embedded backend and fails every later one.
+type failAtomic struct {
+	vstore.Backend
+	ok int
+}
+
+func (b *failAtomic) WriteFileAtomic(name string, data []byte) error {
+	if b.ok == 0 {
+		return errInjected
+	}
+	b.ok--
+	return b.Backend.WriteFileAtomic(name, data)
+}
+
+// TestSnapshotSaveFailsWhole: a save that fails at any of its atomic
+// writes reports the failure and leaves no SCHEMA.json, so the target
+// opens as an empty store instead of a half-written checkpoint.
+func TestSnapshotSaveFailsWhole(t *testing.T) {
+	db := openTickets(t, vstore.Config{})
+	c := db.Client(0)
+	for _, k := range []string{"1", "2", "3"} {
+		if err := c.Put(ctxT(t), "ticket", k, vstore.Values{"assignedto": "ada", "status": "open"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.QuiesceViews(ctxT(t)); err != nil {
+		t.Fatal(err)
+	}
+	full := &failAtomic{Backend: vstore.MemBackend(), ok: math.MaxInt}
+	if err := db.SaveSnapshotTo(full); err != nil {
+		t.Fatal(err)
+	}
+	writes := math.MaxInt - full.ok
+	t.Logf("a full save makes %d atomic writes", writes)
+	for k := 0; k < writes; k++ {
+		mem := vstore.MemBackend()
+		if err := db.SaveSnapshotTo(&failAtomic{Backend: mem, ok: k}); !errors.Is(err, errInjected) {
+			t.Fatalf("write %d of %d failing: save returned %v", k+1, writes, err)
+		}
+		if _, err := mem.ReadFile("SCHEMA.json"); err == nil {
+			t.Fatalf("write %d of %d failing: SCHEMA.json written", k+1, writes)
+		}
+		db2, err := vstore.Open(vstore.Config{Backend: mem})
+		if err != nil {
+			t.Fatalf("write %d of %d failing: %v", k+1, writes, err)
+		}
+		tables := db2.Tables()
+		db2.Close()
+		if len(tables) != 0 {
+			t.Fatalf("write %d of %d failing: half-saved target lists tables %v", k+1, writes, tables)
+		}
 	}
 }

@@ -86,7 +86,9 @@ import (
 // replication factor 3 (the paper's testbed), a zero-latency in-process
 // network, and quorum reads/writes.
 type Config struct {
-	// Nodes is the number of servers. Default 4.
+	// Nodes is the number of servers. Default 4, or on a durable store
+	// the count its schema records; Open refuses any other count there,
+	// since placement is shape-dependent.
 	Nodes int
 	// ReplicationFactor is how many copies of each record exist (the
 	// paper's N). Default 3, clamped to Nodes.
@@ -303,7 +305,8 @@ type DB struct {
 // set it first recovers every node's durable state — sstable runs, WAL
 // tails, and pending view-propagation intents, which are re-enqueued
 // so views converge even across a crash; RecoveryStats reports what
-// was restored.
+// was restored. Opening a checkpoint written by SaveSnapshotTo is the
+// same durable Open.
 func Open(cfg Config) (*DB, error) {
 	if cfg.Nodes < 0 || cfg.ReplicationFactor < 0 {
 		return nil, fmt.Errorf("vstore: negative cluster sizes")
@@ -316,6 +319,21 @@ func Open(cfg Config) (*DB, error) {
 		backend = FSBackend(cfg.Dir)
 	}
 	start := clock.Or(cfg.Clock).Now()
+	var schema *schemaDoc
+	if backend != nil {
+		var err error
+		if schema, err = readSchema(backend); err != nil {
+			return nil, err
+		}
+		if schema != nil && schema.Nodes != 0 {
+			if cfg.Nodes == 0 {
+				cfg.Nodes = schema.Nodes
+			}
+			if cfg.Nodes != schema.Nodes {
+				return nil, fmt.Errorf("vstore: store has %d nodes, config wants %d (placement is shape-dependent)", schema.Nodes, cfg.Nodes)
+			}
+		}
+	}
 	var trans transport.Transport
 	if cfg.Network != nil {
 		trans = transport.NewSim(transport.SimOptions{
@@ -426,7 +444,7 @@ func Open(cfg Config) (*DB, error) {
 		},
 	})
 	if backend != nil {
-		if err := db.recoverDurable(start); err != nil {
+		if err := db.recoverDurable(start, schema); err != nil {
 			db.Close()
 			return nil, err
 		}
