@@ -304,15 +304,17 @@ func (c *Client) Get(ctx context.Context, table, key string, opts ...Option) (Ro
 	if len(co.columns) == 0 {
 		return nil, fmt.Errorf("vstore: Get needs at least one column via WithColumns (use GetRow for all)")
 	}
-	return c.get(ctx, table, key, co.columns, false, co)
+	return c.get(ctx, table, key, co.columns, co)
 }
 
 // GetRow reads every column of a row.
 func (c *Client) GetRow(ctx context.Context, table, key string, opts ...Option) (Row, error) {
-	return c.get(ctx, table, key, nil, true, c.callOptions(opts))
+	return c.get(ctx, table, key, nil, c.callOptions(opts))
 }
 
-func (c *Client) get(ctx context.Context, table, key string, columns []string, all bool, co callOpts) (Row, error) {
+// get reads the named columns of a row, or all of them if there are
+// none.
+func (c *Client) get(ctx context.Context, table, key string, columns []string, co callOpts) (Row, error) {
 	if !c.db.cluster.HasTable(table) {
 		return nil, fmt.Errorf("vstore: unknown table %q", table)
 	}
@@ -323,19 +325,33 @@ func (c *Client) get(ctx context.Context, table, key string, columns []string, a
 	sp.SetAttr("table", table)
 	sp.SetAttr("key", key)
 	defer sp.Finish()
+	out := Row{}
+	add := func(col string, cell model.Cell) {
+		if !cell.IsNull() {
+			c.db.clock.Observe(cell.TS)
+			out[col] = Cell{Value: cell.Value, Timestamp: cell.TS}
+		}
+	}
+	reader := c.db.cluster.Coordinator(c.node)
 	start := c.db.now()
-	cells, err := c.db.cluster.Coordinator(c.node).Get(ctx, table, key, columns, co.r, all)
+	if len(columns) == 0 {
+		es, err := reader.GetRow(ctx, table, key, co.r)
+		c.db.lat.Observe(metrics.OpRead, c.db.now().Sub(start))
+		if err != nil {
+			return nil, err
+		}
+		for _, e := range es {
+			add(string(e.Key), e.Cell)
+		}
+		return out, nil
+	}
+	cells, err := reader.Get(ctx, table, key, columns, co.r, false)
 	c.db.lat.Observe(metrics.OpRead, c.db.now().Sub(start))
 	if err != nil {
 		return nil, err
 	}
-	out := Row{}
 	for col, cell := range cells {
-		if cell.IsNull() {
-			continue
-		}
-		c.db.clock.Observe(cell.TS)
-		out[col] = Cell{Value: cell.Value, Timestamp: cell.TS}
+		add(col, cell)
 	}
 	return out, nil
 }

@@ -22,8 +22,9 @@ import (
 //     one request each, used by view-maintenance chain walks.
 
 // Get reads the requested columns of a row with read quorum r. If
-// allColumns is set every cell of the row is returned. The returned
-// row maps column → winning cell; never-written columns are omitted.
+// allColumns is set every cell of the row is returned: GetRow's
+// entries, keyed by column. The returned row maps column → winning
+// cell; never-written columns are omitted.
 //
 // When r ≥ 2 the coordinator first tries a digest read: the full row
 // from one replica and 64-bit digests from the rest. Matching digests
@@ -33,40 +34,30 @@ import (
 // replica or a short quorum falls back to the full-row round, which
 // also repairs the divergence it finds.
 func (c *Coordinator) Get(ctx context.Context, table, row string, columns []string, r int, allColumns bool) (model.Row, error) {
-	c.bump(func(s *Stats) { s.Gets++ })
-	q, err := c.quorumFor(table, row, r)
+	if allColumns {
+		es, err := c.GetRow(ctx, table, row, r)
+		if err != nil {
+			return nil, err
+		}
+		out := make(model.Row, len(es))
+		for _, e := range es {
+			out[string(e.Key)] = e.Cell
+		}
+		return out, nil
+	}
+	get := transport.GetReq{Table: table, Row: row, Columns: columns}
+	q, sp, d, err := c.tryDigest(ctx, get, r)
 	if err != nil {
 		return nil, err
 	}
-	sp := c.span(ctx, "coord.get", table, row, q)
 	defer sp.Finish()
-	// Read repair is what late replies are for: without it a read asks
-	// no more replicas than its quorum needs.
-	repair := !c.opts.DisableReadRepair
-	reread := transport.GetReq{Table: table, Row: row, Columns: columns, AllColumns: allColumns}
-	get := reread
-	get.Span = sp
-	if q.need >= 2 {
-		d := &digestRead{c: c, full: get, digest: transport.GetDigestReq(get), reread: reread}
-		// The full row comes from the coordinator's own node when it is
-		// a replica (no network hop in the simulated fabric), else from
-		// the first replica; either way it is asked first. The ring's
-		// set is shared, so the order is kept in the read's own array.
-		q.replicas = append(d.order[:0], q.replicas...)
-		for i, rep := range q.replicas {
-			if rep == c.self {
-				q.replicas[0], q.replicas[i] = rep, q.replicas[0]
-			}
-		}
-		d.replicas, d.fullNode = q.replicas, q.replicas[0]
-		if c.round(ctx, readKind, q, repair, d) == nil {
-			c.bump(func(s *Stats) { s.DigestReads++ })
-			return d.fullRow, nil
-		}
+	if d != nil {
+		return d.fullRow, nil
 	}
+	get.Span = sp
 	f := &fullRead{c: c, plain: plain{get}, table: table, row: row,
 		merged: model.Row{}, responders: make(map[transport.NodeID]model.Row, len(q.replicas))}
-	if err := c.round(ctx, readKind, q, repair, f); err != nil {
+	if err := c.round(ctx, readKind, q, !c.opts.DisableReadRepair, f); err != nil {
 		return nil, err
 	}
 	if f.handed != nil {
@@ -75,9 +66,72 @@ func (c *Coordinator) Get(ctx context.Context, table, row string, columns []stri
 	return f.merged, nil
 }
 
-// fullRead is the exchange of the classic quorum read: full rows from
-// every replica, merged with LWW; once all are in, every responder
-// that returned stale or missing versions is repaired.
+// GetRow reads every cell of a row with read quorum r, by the digest
+// read and its fallback as Get does. The result is sorted by column
+// name, each entry's Key the name, tombstones included. The entries
+// may alias a replica's storage and must not be modified.
+func (c *Coordinator) GetRow(ctx context.Context, table, row string, r int) ([]model.Entry, error) {
+	get := transport.GetReq{Table: table, Row: row, AllColumns: true}
+	q, sp, d, err := c.tryDigest(ctx, get, r)
+	if err != nil {
+		return nil, err
+	}
+	defer sp.Finish()
+	if d != nil {
+		return d.fullCells, nil
+	}
+	get.Span = sp
+	f := &fullRowRead{c: c, plain: plain{get}, table: table, row: row,
+		responders: make(map[transport.NodeID][]model.Entry, len(q.replicas))}
+	if err := c.round(ctx, readKind, q, !c.opts.DisableReadRepair, f); err != nil {
+		return nil, err
+	}
+	if f.detached {
+		return f.handed, nil
+	}
+	return f.merged, nil
+}
+
+// tryDigest places get's row, opens the read's span and, when the
+// quorum needs two replies or more, runs the digest read: d is non-nil
+// if it won. Otherwise the caller runs its full round over q, whose
+// replicas are then in the digest read's order.
+func (c *Coordinator) tryDigest(ctx context.Context, get transport.GetReq, r int) (q quorum, sp *trace.Span, d *digestRead, err error) {
+	c.bump(func(s *Stats) { s.Gets++ })
+	if q, err = c.quorumFor(get.Table, get.Row, r); err != nil {
+		return q, nil, nil, err
+	}
+	sp = c.span(ctx, "coord.get", get.Table, get.Row, q)
+	if q.need < 2 {
+		return q, sp, nil, nil
+	}
+	reread := get
+	get.Span = sp
+	d = &digestRead{c: c, full: get, digest: transport.GetDigestReq(get), reread: reread}
+	// The full row comes from the coordinator's own node when it is a
+	// replica (no network hop in the simulated fabric), else from the
+	// first replica; either way it is asked first. The ring's set is
+	// shared, so the order is kept in the read's own array.
+	q.replicas = append(d.order[:0], q.replicas...)
+	for i, rep := range q.replicas {
+		if rep == c.self {
+			q.replicas[0], q.replicas[i] = rep, q.replicas[0]
+		}
+	}
+	d.replicas, d.fullNode = q.replicas, q.replicas[0]
+	// Read repair is what late replies are for: without it a read asks
+	// no more replicas than its quorum needs.
+	if c.round(ctx, readKind, q, !c.opts.DisableReadRepair, d) != nil {
+		return q, sp, nil, nil
+	}
+	c.bump(func(s *Stats) { s.DigestReads++ })
+	return q, sp, d, nil
+}
+
+// fullRead is the exchange of the classic quorum read of named
+// columns: full rows from every replica, merged with LWW; once all are
+// in, every responder that returned stale or missing versions is
+// repaired.
 type fullRead struct {
 	plain
 	c          *Coordinator
@@ -99,7 +153,57 @@ func (f *fullRead) fold(res transport.Result) (int, error) {
 
 func (f *fullRead) detach() { f.handed = f.merged.Clone() }
 
-func (f *fullRead) settled() { f.c.readRepair(f.table, f.row, f.merged, f.responders) }
+func (f *fullRead) settled() {
+	readRepair(f.c, f.table, f.responders, func(seen model.Row) []model.Entry {
+		var fix []model.Entry
+		for col, win := range f.merged {
+			if have, ok := seen[col]; !ok || win.Wins(have) {
+				fix = append(fix, model.Entry{Key: model.EncodeKey(f.row, col), Cell: win})
+			}
+		}
+		slices.SortFunc(fix, func(a, b model.Entry) int { return bytes.Compare(a.Key, b.Key) })
+		return fix
+	})
+}
+
+// fullRowRead is fullRead for whole rows: the replies are sorted
+// entries, merged by a merge walk.
+type fullRowRead struct {
+	plain
+	c          *Coordinator
+	table, row string
+	merged     []model.Entry // LWW merge of the replies folded so far; replaced, never modified
+	handed     []model.Entry // merged when the caller took it, if stragglers are still merging
+	detached   bool
+	responders map[transport.NodeID][]model.Entry
+}
+
+func (f *fullRowRead) fold(res transport.Result) (int, error) {
+	resp, ok := res.Resp.(transport.RowResp)
+	if !ok || res.Err != nil {
+		return 0, failure(res)
+	}
+	f.responders[res.From] = resp.Cells
+	f.merged = mergeEntries(f.merged, resp.Cells)
+	return 1, nil
+}
+
+func (f *fullRowRead) detach() { f.handed, f.detached = f.merged, true }
+
+func (f *fullRowRead) settled() {
+	readRepair(f.c, f.table, f.responders, func(seen []model.Entry) []model.Entry {
+		var fix []model.Entry
+		for _, win := range f.merged {
+			for len(seen) > 0 && bytes.Compare(seen[0].Key, win.Key) < 0 {
+				seen = seen[1:]
+			}
+			if len(seen) == 0 || !bytes.Equal(seen[0].Key, win.Key) || win.Cell.Wins(seen[0].Cell) {
+				fix = append(fix, model.Entry{Key: append(model.RowPrefix(f.row), win.Key...), Cell: win.Cell})
+			}
+		}
+		return fix
+	})
+}
 
 // compactRow strips never-written padding cells (replicas answer
 // column reads with NullCell placeholders) so digest-read results
@@ -135,42 +239,67 @@ func mergeRow(dst, src model.Row) {
 	}
 }
 
-// readRepair pushes the merged winning cells to every responder that
-// returned stale or missing versions: one push after another in
-// ascending node order, each push's entries in key order, so repair
-// traffic is the same from run to run.
-func (c *Coordinator) readRepair(table, row string, merged model.Row, responders map[transport.NodeID]model.Row) {
+// mergeEntries returns, in a new slice, the LWW merge of the existing
+// cells of two rows of entries sorted by key.
+func mergeEntries(a, b []model.Entry) []model.Entry {
+	out := make([]model.Entry, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		var e model.Entry
+		switch {
+		case len(b) == 0 || len(a) > 0 && bytes.Compare(a[0].Key, b[0].Key) < 0:
+			e, a = a[0], a[1:]
+		case len(a) == 0 || bytes.Compare(a[0].Key, b[0].Key) > 0:
+			e, b = b[0], b[1:]
+		default:
+			e = model.Entry{Key: a[0].Key, Cell: model.Merge(a[0].Cell, b[0].Cell)}
+			a, b = a[1:], b[1:]
+		}
+		if e.Cell.Exists() {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// entriesDigest is model.RowDigest of the row the entries make up,
+// keyed by column name.
+func entriesDigest(es []model.Entry) uint64 {
+	digest := model.DigestSeed
+	for _, e := range es {
+		digest ^= model.CellDigest(e.Key, e.Cell)
+	}
+	return digest
+}
+
+// readRepair pushes to every responder the winning cells it returned
+// stale or missing versions of, as stale computes them from what it
+// returned: one push after another in ascending node order, each
+// push's entries in key order, so repair traffic is the same from run
+// to run.
+func readRepair[R any](c *Coordinator, table string, responders map[transport.NodeID]R, stale func(seen R) []model.Entry) {
 	var buf [8]transport.NodeID // on the stack for any sane replication factor
 	nodes := buf[:0]
 	for nodeID := range responders {
 		nodes = append(nodes, nodeID)
 	}
 	slices.Sort(nodes)
-	var stale []transport.NodeID
+	var targets []transport.NodeID
 	var fixes []transport.ApplyEntriesReq
 	for _, nodeID := range nodes {
-		seen := responders[nodeID]
-		var fix []model.Entry
-		for col, win := range merged {
-			have, ok := seen[col]
-			if !ok || win.Wins(have) {
-				fix = append(fix, model.Entry{Key: model.EncodeKey(row, col), Cell: win})
-			}
-		}
+		fix := stale(responders[nodeID])
 		if len(fix) == 0 {
 			continue
 		}
-		slices.SortFunc(fix, func(a, b model.Entry) int { return bytes.Compare(a.Key, b.Key) })
 		c.bump(func(s *Stats) { s.ReadRepairs++ })
-		stale, fixes = append(stale, nodeID), append(fixes, transport.ApplyEntriesReq{Table: table, Entries: fix})
+		targets, fixes = append(targets, nodeID), append(fixes, transport.ApplyEntriesReq{Table: table, Entries: fix})
 	}
-	if len(stale) == 0 {
+	if len(targets) == 0 {
 		return
 	}
 	// Fire and forget: the read that found the divergence does not wait
 	// for its repair.
 	c.Go(func() {
-		for i, nodeID := range stale {
+		for i, nodeID := range targets {
 			_ = c.push(nodeID, fixes[i])
 		}
 	})
@@ -197,11 +326,14 @@ type digestRead struct {
 	full, digest transport.Request
 	reread       transport.GetReq // full without its span, for repair after it finished
 
-	fullRow  model.Row // never mutated once set: Get hands it to its caller
-	want     uint64
-	haveFull bool
-	early    []transport.Result // digests that arrived before the full row
-	stale    []transport.NodeID
+	// The full reply, never mutated once set: the read hands it to its
+	// caller. fullRow holds named columns, fullCells a whole row.
+	fullRow   model.Row
+	fullCells []model.Entry
+	want      uint64
+	haveFull  bool
+	early     []transport.Result // digests that arrived before the full row
+	stale     []transport.NodeID
 }
 
 func (d *digestRead) request(to transport.NodeID) transport.Request {
@@ -224,16 +356,11 @@ func (d *digestRead) fold(res transport.Result) (int, error) {
 		// change the comparison against the other replicas' digests.
 		d.fullRow = compactRow(resp.Cells)
 		d.want = model.RowDigest(d.fullRow)
-		d.haveFull = true
-		acks := 1 // the full replica agrees with itself
-		for _, e := range d.early {
-			n, err := d.fold(e)
-			if err != nil {
-				return 0, err
-			}
-			acks += n
-		}
-		return acks, nil
+		return d.haveFullReply()
+	case transport.RowResp:
+		d.fullCells = resp.Cells
+		d.want = entriesDigest(resp.Cells)
+		return d.haveFullReply()
 	case transport.GetDigestResp:
 		if !d.haveFull {
 			d.early = append(d.early, res)
@@ -249,6 +376,20 @@ func (d *digestRead) fold(res transport.Result) (int, error) {
 	return 0, failure(res)
 }
 
+// haveFullReply judges the digests that arrived before the full reply.
+func (d *digestRead) haveFullReply() (int, error) {
+	d.haveFull = true
+	acks := 1 // the full replica agrees with itself
+	for _, e := range d.early {
+		n, err := d.fold(e)
+		if err != nil {
+			return 0, err
+		}
+		acks += n
+	}
+	return acks, nil
+}
+
 func (d *digestRead) detach() {}
 
 // settled repairs the replicas whose digests disagreed with the
@@ -260,10 +401,22 @@ func (d *digestRead) settled() {
 	if len(d.stale) == 0 {
 		return
 	}
-	f := &fullRead{c: d.c, plain: plain{d.reread}, table: d.reread.Table, row: d.reread.Row,
-		merged: d.fullRow.Clone(), responders: make(map[transport.NodeID]model.Row, len(d.replicas))}
-	for _, rep := range d.replicas {
-		f.responders[rep] = d.fullRow
+	r := d.reread
+	var f exchange
+	if r.AllColumns {
+		rf := &fullRowRead{c: d.c, plain: plain{r}, table: r.Table, row: r.Row,
+			merged: d.fullCells, responders: make(map[transport.NodeID][]model.Entry, len(d.replicas))}
+		for _, rep := range d.replicas {
+			rf.responders[rep] = d.fullCells
+		}
+		f = rf
+	} else {
+		mf := &fullRead{c: d.c, plain: plain{r}, table: r.Table, row: r.Row,
+			merged: d.fullRow.Clone(), responders: make(map[transport.NodeID]model.Row, len(d.replicas))}
+		for _, rep := range d.replicas {
+			mf.responders[rep] = d.fullRow
+		}
+		f = mf
 	}
 	_ = d.c.round(context.Background(), readKind, quorum{d.stale, 1}, true, f)
 }

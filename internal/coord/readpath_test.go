@@ -108,6 +108,55 @@ func TestDigestMismatchFallsBackAndRepairs(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return h.replicasHolding("t", "r", "c", "new") == 3 })
 }
 
+// TestGetRowDigestMismatchFallsBackAndRepairs is the whole-row twin of
+// TestDigestMismatchFallsBackAndRepairs: replicas that diverge in a
+// cell's version and in which cells they hold make GetRow fall back to
+// the full round, which returns the merged row sorted by column and
+// repairs every replica; the next read is then a digest read.
+func TestGetRowDigestMismatchFallsBackAndRepairs(t *testing.T) {
+	h := newHarness(t, transport.NewDirect(), 3, Options{N: 3, RequestTimeout: 200 * time.Millisecond})
+	c := h.coords[0]
+	if err := c.Put(ctxT(t), "t", "r", []model.ColumnUpdate{
+		model.Update("z", []byte("z1"), 1), model.Update("c", []byte("old"), 1), model.Update("a", []byte("a1"), 1),
+	}, 3); err != nil {
+		t.Fatal(err)
+	}
+	reps := c.ReplicasFor("t", "r")
+	// Every replica misses some winner, so whichever answers first, the
+	// merge must take newer cells from the replies folded after it.
+	divergeReplica(t, h, c, reps[2], "t", "r", "c", "new", 2)
+	divergeReplica(t, h, c, reps[1], "t", "r", "m", "only", 3)
+	divergeReplica(t, h, c, reps[0], "t", "r", "z", "z2", 4)
+
+	es, err := c.GetRow(ctxT(t), "t", "r", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range es {
+		got = append(got, string(e.Key)+"="+string(e.Cell.Value))
+	}
+	if want := []string{"a=a1", "c=new", "m=only", "z=z2"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("GetRow = %v, want the merged row %v", got, want)
+	}
+	if st := c.Stats(); st.DigestMismatches == 0 || st.DigestReads != 0 {
+		t.Fatalf("stats = %+v, want a digest mismatch and no digest-served read", st)
+	}
+	waitFor(t, 2*time.Second, func() bool {
+		return h.replicasHolding("t", "r", "c", "new") == 3 && h.replicasHolding("t", "r", "m", "only") == 3 &&
+			h.replicasHolding("t", "r", "z", "z2") == 3
+	})
+	// Repaired, the replicas' whole-row digests agree with the digest
+	// of the full reply's entries.
+	again, err := c.GetRow(ctxT(t), "t", "r", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.DigestReads != 1 || len(again) != len(es) {
+		t.Fatalf("after repair: GetRow = %v, stats = %+v; want the same row by one digest read", again, st)
+	}
+}
+
 func TestDigestReadToleratesPartitionedDigestReplica(t *testing.T) {
 	forEachFabric(t, func(t *testing.T, tr transport.Transport) {
 		h := newHarness(t, tr, 4, Options{N: 3, RequestTimeout: 100 * time.Millisecond})

@@ -528,6 +528,36 @@ func TestViewsOnSurvivesDrop(t *testing.T) {
 	}
 }
 
+// TestDefsSurvivesDrop checks the same contract for Defs: a join view's
+// definitions a reader holds stay as they were while the view is
+// dropped and another is defined under its name.
+func TestDefsSurvivesDrop(t *testing.T) {
+	reg := core.NewRegistry(core.Options{})
+	defer reg.Close()
+	join := func(left, right string) core.JoinDef {
+		return core.JoinDef{Name: "j", Left: core.JoinSide{Base: left, On: "k"}, Right: core.JoinSide{Base: right, On: "k"}}
+	}
+	if err := reg.DefineJoin(join("a", "b")); err != nil {
+		t.Fatal(err)
+	}
+	held := reg.Defs("j")
+	if err := reg.Drop("j"); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Defs("j"); len(got) != 0 {
+		t.Fatalf("dropped view still has defs %v", got)
+	}
+	if err := reg.DefineJoin(join("c", "d")); err != nil {
+		t.Fatal(err)
+	}
+	if len(held) != 2 || held[0].Base != "a" || held[1].Base != "b" {
+		t.Fatalf("held defs now %+v", held)
+	}
+	if got := reg.Defs("j"); len(got) != 2 || got[0].Base != "c" || got[1].Base != "d" {
+		t.Fatalf("Defs after re-define = %+v", got)
+	}
+}
+
 func TestBackfill(t *testing.T) {
 	h := newHarness(t, core.Options{}, 4)
 	if err := h.c.CreateTable("ticket"); err != nil {

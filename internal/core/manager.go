@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -853,7 +857,7 @@ func (m *Manager) GetView(ctx context.Context, view, viewKey string, columns []s
 
 	deadline := m.reg.clk.Now().Add(m.reg.opts.ReadSpin)
 	for {
-		cells, err := m.co.Get(ctx, view, viewKey, nil, majority(m.co), true)
+		cells, err := m.co.GetRow(ctx, view, viewKey, majority(m.co))
 		if err != nil {
 			return nil, err
 		}
@@ -874,75 +878,98 @@ func (m *Manager) GetView(ctx context.Context, view, viewKey string, columns []s
 	}
 }
 
-// assembleViewRows groups a raw versioned view row by stored base key
-// and filters it down to the application-visible live rows. For join
-// views the stored key's namespace routes each group to its side's
-// definition. It reports whether any candidate live row was still
-// initializing.
-func assembleViewRows(defs []*Def, viewKey string, cells model.Row, columns []string) ([]ViewRow, bool) {
-	byNS := make(map[string]*Def, len(defs))
-	for _, d := range defs {
-		byNS[d.namespace] = d
-	}
-	groups := map[string]model.Row{}
-	for qual, cell := range cells {
-		storedKey, col, ok := model.Unqualify(qual)
-		if !ok {
-			continue
-		}
-		g := groups[storedKey]
-		if g == nil {
-			g = model.Row{}
-			groups[storedKey] = g
-		}
-		g[col] = cell
-	}
-
+// assembleViewRows filters a raw versioned view row, its cells sorted
+// by qualified column name, down to the application-visible live rows.
+// A base key's cells share the length-prefixed frame their names start
+// with, so they sit next to each other and one walk takes each group
+// in turn. For join views the stored key's namespace routes each group
+// to its side's definition. It reports whether any candidate live row
+// was still initializing.
+func assembleViewRows(defs []*Def, viewKey string, cells []model.Entry, columns []string) ([]ViewRow, bool) {
 	var rows []ViewRow
 	initializing := false
-	for storedKey, g := range groups {
-		ns, baseKey := SplitStoredKey(storedKey)
-		def := byNS[ns]
+	for len(cells) > 0 {
+		n, sz := binary.Uvarint(cells[0].Key)
+		if sz <= 0 || uint64(len(cells[0].Key)-sz) < n {
+			cells = cells[1:] // not a qualified name
+			continue
+		}
+		frame := cells[0].Key[:sz+int(n)]
+		end := 1
+		for end < len(cells) && bytes.HasPrefix(cells[end].Key, frame) {
+			end++
+		}
+		g := viewGroup{cells[:end], len(frame)}
+		cells = cells[end:]
+
+		ns, baseKey := frame[sz:sz], frame[sz:]
+		if i := bytes.Index(baseKey, []byte(keySep)); i >= 0 {
+			ns, baseKey = baseKey[:i], baseKey[i+len(keySep):]
+		}
+		var def *Def
+		for _, d := range defs {
+			if d.namespace == string(ns) {
+				def = d
+			}
+		}
 		if def == nil || !def.Selects(viewKey) {
 			continue
 		}
-		next, ok := g[ColNext]
+		next, ok := g.cell(ColNext)
 		if !ok || next.IsNull() {
 			continue // no such row (or row's pointer deleted)
 		}
 		if string(next.Value) != viewKey {
 			continue // stale row: pointer leads elsewhere
 		}
-		ready := g[ColReady]
+		ready, _ := g.cell(ColReady)
 		if !ready.Exists() || ready.Tombstone || ready.TS < next.TS {
 			// Live row created but not yet fully initialized
 			// (Section IV-F's inaccessible marker).
 			initializing = true
 			continue
 		}
-		if del := g[ColDeleted]; del.Exists() && !del.Tombstone && del.TS >= next.TS {
+		if del, _ := g.cell(ColDeleted); del.Exists() && !del.Tombstone && del.TS >= next.TS {
 			continue // view key deleted in the base table
 		}
 		cols := columns
 		if cols == nil {
 			cols = def.Materialized
 		}
-		vr := ViewRow{ViewKey: viewKey, Table: ns, BaseKey: baseKey, Cells: model.Row{}}
+		vr := ViewRow{ViewKey: viewKey, Table: def.namespace, BaseKey: string(baseKey), Cells: make(model.Row, len(cols))}
 		for _, c := range cols {
 			if c == ColBase {
 				continue
 			}
-			if cell, ok := g[c]; ok && !cell.IsNull() {
+			if cell, ok := g.cell(c); ok && !cell.IsNull() {
 				vr.Cells[c] = cell
 			}
 		}
 		rows = append(rows, vr)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Table != rows[j].Table {
-			return rows[i].Table < rows[j].Table
+	slices.SortFunc(rows, func(a, b ViewRow) int {
+		if c := strings.Compare(a.Table, b.Table); c != 0 {
+			return c
 		}
-		return rows[i].BaseKey < rows[j].BaseKey
+		return strings.Compare(a.BaseKey, b.BaseKey)
 	})
 	return rows, initializing
+}
+
+// viewGroup is one base key's cells inside a view row: entries whose
+// qualified names share a frame of the given length.
+type viewGroup struct {
+	cells []model.Entry
+	frame int
+}
+
+// cell returns the group's cell of column col, or the zero Cell and
+// false if it has none, as a lookup in a map of the group would.
+func (g viewGroup) cell(col string) (model.Cell, bool) {
+	for _, e := range g.cells {
+		if string(e.Key[g.frame:]) == col {
+			return e.Cell, true
+		}
+	}
+	return model.Cell{}, false
 }

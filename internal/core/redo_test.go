@@ -293,7 +293,7 @@ func TestInterruptedPromotionIsRedoSafe(t *testing.T) {
 						if IsInternalKey(viewKey) {
 							continue
 						}
-						rows, initializing := assembleViewRows([]*Def{def}, viewKey, cells, nil)
+						rows, initializing := assembleViewRows([]*Def{def}, viewKey, entriesOf(cells), nil)
 						if initializing {
 							t.Errorf("view row %q still reads as initializing", viewKey)
 						}
@@ -483,7 +483,7 @@ func TestDeletionOverTombstonedPreImagesStampsDeleted(t *testing.T) {
 	if want := ExpectedView(def, nil, acked); len(want) != 0 {
 		t.Fatalf("oracle expects %v, the test's history should leave the key deleted", want)
 	}
-	rows, initializing := assembleViewRows([]*Def{def}, "k1", port.row(def.Name, "k1"), nil)
+	rows, initializing := assembleViewRows([]*Def{def}, "k1", entriesOf(port.row(def.Name, "k1")), nil)
 	if len(rows) != 0 || initializing {
 		t.Fatalf("deleted row resurrected: reader sees %v (initializing=%v)", rows, initializing)
 	}

@@ -546,11 +546,14 @@ func (r *Registry) View(name string) (*Def, bool) {
 }
 
 // Defs returns every definition registered under a view name: one for
-// plain views, two for join views.
+// plain views, two for join views. The slice is the registry's own,
+// clipped to its length: it must not be modified, and it stays as
+// returned — Drop forgets it rather than editing it.
 func (r *Registry) Defs(name string) []*Def {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return append([]*Def(nil), r.byName[name]...)
+	defs := r.byName[name]
+	return defs[:len(defs):len(defs)]
 }
 
 // ViewsOn returns the views defined on a base table. The slice is the

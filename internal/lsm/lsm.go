@@ -332,30 +332,62 @@ func (s *Store) mergeRuns(key []byte, best model.Cell, found bool) (model.Cell, 
 	return best, found
 }
 
-// GetRow returns every cell of the row, LWW-merged across runs.
-// Tombstoned cells are included (callers that implement Get semantics
-// filter them; replication internals need them).
-// rowScratch recycles the per-GetRow merge buffers; the merged
-// entries only live until the result map is built, so pooling them
-// removes the dominant allocation of the row-read hot path.
+// rowScratch recycles the merge buffers of whole-row reads. A read
+// hands the merged entries on as it returns, so the buffers are free
+// again before the next read takes them.
 var rowScratch = sync.Pool{New: func() any { return new(rowBufs) }}
 
 type rowBufs struct {
 	runs   [][]model.Entry
+	mem    []model.Entry
 	merged []model.Entry
 }
 
-func (s *Store) GetRow(row string) model.Row {
+// GetRow returns every cell of the row, LWW-merged across runs, in
+// column order; each entry's Key is the column name. Tombstoned cells
+// are included (callers that implement Get semantics filter them;
+// replication internals need them). The names alias the memtable's
+// key arena and the immutable runs, neither of which is ever
+// rewritten, so they stay valid after later writes, flushes and
+// compactions; they must not be modified.
+func (s *Store) GetRow(row string) []model.Entry {
+	buf := rowScratch.Get().(*rowBufs)
+	es, prefix := s.readRow(row, buf)
+	out := make([]model.Entry, len(es))
+	for i, e := range es {
+		out[i] = model.Entry{Key: e.Key[prefix:len(e.Key):len(e.Key)], Cell: e.Cell}
+	}
+	rowScratch.Put(buf)
+	return out
+}
+
+// DigestRow returns model.RowDigest of the row GetRow returns without
+// building it: each cell's model.CellDigest is folded in where the
+// merge left it.
+func (s *Store) DigestRow(row string) uint64 {
+	buf := rowScratch.Get().(*rowBufs)
+	es, prefix := s.readRow(row, buf)
+	digest := model.DigestSeed
+	for _, e := range es {
+		digest ^= model.CellDigest(e.Key[prefix:], e.Cell)
+	}
+	rowScratch.Put(buf)
+	return digest
+}
+
+// readRow returns the row's cells LWW-merged across the memtable and
+// every run, in key order, and the length of the row prefix their keys
+// share. The entries live in buf (or alias a run) until buf is reused.
+// Only run discovery needs the store lock: the memtable's entries are
+// copied out under it and sstable runs are immutable, so the merge
+// happens after it is released.
+func (s *Store) readRow(row string, buf *rowBufs) ([]model.Entry, int) {
 	var scratch [keyScratch]byte
 	prefix := model.AppendKey(scratch[:0], row, "")
-	buf := rowScratch.Get().(*rowBufs)
 	runs := buf.runs[:0]
 	s.mu.RLock()
-	// The memtable scan materializes its own entries and sstable scans
-	// alias immutable runs, so the merge below can happen outside the
-	// store lock; only run discovery needs it.
-	if mem := s.mem.ScanPrefix(prefix); len(mem) > 0 {
-		runs = append(runs, mem)
+	if buf.mem = s.mem.AppendPrefix(buf.mem[:0], prefix); len(buf.mem) > 0 {
+		runs = append(runs, buf.mem)
 	}
 	for _, t := range s.segs {
 		if !t.MayContainRow(prefix) {
@@ -367,24 +399,15 @@ func (s *Store) GetRow(row string) model.Row {
 		}
 	}
 	s.mu.RUnlock()
-	out := model.Row{}
-	// Keys sharing the row prefix differ only in their column suffix,
-	// so the column name is sliced off directly instead of decoding
-	// each key.
-	if len(runs) == 1 {
-		// Single populated run: sorted and duplicate-free already.
-		for _, e := range runs[0] {
-			out[string(e.Key[len(prefix):])] = e.Cell
-		}
-	} else if len(runs) > 1 {
-		buf.merged = sstable.AppendMergedRuns(buf.merged[:0], runs, false)
-		for _, e := range buf.merged {
-			out[string(e.Key[len(prefix):])] = e.Cell
-		}
-	}
 	buf.runs = runs
-	rowScratch.Put(buf)
-	return out
+	switch len(runs) {
+	case 0:
+		return nil, len(prefix)
+	case 1: // sorted and duplicate-free already
+		return runs[0], len(prefix)
+	}
+	buf.merged = sstable.AppendMergedRuns(buf.merged[:0], runs, false)
+	return buf.merged, len(prefix)
 }
 
 // GetColumns returns the requested columns of the row. Missing cells

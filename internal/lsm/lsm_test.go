@@ -106,7 +106,7 @@ func TestGetRow(t *testing.T) {
 	if len(row) != 2 {
 		t.Fatalf("GetRow returned %d cells: %v", len(row), row)
 	}
-	if string(row["a"].Value) != "1b" || string(row["b"].Value) != "2" {
+	if string(row[0].Key) != "a" || string(row[0].Cell.Value) != "1b" || string(row[1].Key) != "b" || string(row[1].Cell.Value) != "2" {
 		t.Fatalf("GetRow content wrong: %v", row)
 	}
 }
@@ -274,7 +274,7 @@ func TestOlderRunHoldsNewestTimestamp(t *testing.T) {
 	if c, ok := s.Get("row", "c"); !ok || string(c.Value) != "winner" || c.TS != 100 {
 		t.Fatalf("Get = %v,%v; want the ts=100 winner from the oldest run", c, ok)
 	}
-	if row := s.GetRow("row"); string(row["c"].Value) != "winner" {
+	if row := s.GetRow("row"); len(row) != 1 || string(row[0].Cell.Value) != "winner" {
 		t.Fatalf("GetRow = %v; want the ts=100 winner from the oldest run", row)
 	}
 	if row := s.GetColumns("row", []string{"c"}); string(row["c"].Value) != "winner" {

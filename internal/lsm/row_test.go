@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vstore/internal/dvv"
@@ -66,7 +67,9 @@ func TestApplyRowMatchesCellAtATime(t *testing.T) {
 // TestAllocations pins the steady state of the storage hot path in a
 // memory store: overwriting a cell allocates nothing, a new cell at
 // most its share of a skiplist slab, a two-column read only the row it
-// returns, and a two-column digest nothing.
+// returns, a two-column digest nothing, a whole-row read the entries it
+// returns, from the memtable or merged across runs, and a whole-row
+// digest nothing, even of a name too long to convert on the stack.
 func TestAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -103,16 +106,31 @@ func TestAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(1000, func() { _ = s.DigestColumns(rows[0], cols) }); got > 0 {
 		t.Errorf("DigestColumns of two columns allocates %v times, want 0", got)
 	}
+	_ = s.Apply(rows[0], strings.Repeat("long-column-", 4), model.Cell{Value: val, TS: 1})
+	for _, where := range []string{"memtable", "memtable and a run"} {
+		if got := testing.AllocsPerRun(1000, func() { _ = s.GetRow(rows[0]) }); got > 1 {
+			t.Errorf("GetRow from the %s allocates %v times, want at most 1 (the entries it returns)", where, got)
+		}
+		if got := testing.AllocsPerRun(1000, func() { _ = s.DigestRow(rows[0]) }); got > 0 {
+			t.Errorf("DigestRow from the %s allocates %v times, want 0", where, got)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		_ = s.Apply(rows[0], "skey", model.Cell{Value: val, TS: 4})
+	}
 }
 
-// TestDigestColumnsMatchesRowDigest checks the map-free digest against
-// the digest of the row GetColumns builds, over rows spread across the
-// memtable and several runs, asking for missing, repeated, tombstoned
-// and dotted cells.
+// TestDigestColumnsMatchesRowDigest checks the map-free digests against
+// the digest of the row GetColumns builds and of the map of the row
+// GetRow returns, over rows spread across the memtable and several
+// runs, asking for missing, repeated, tombstoned and dotted cells and
+// a name longer than 32 bytes. GetRow's entries must come sorted by
+// column name.
 func TestDigestColumnsMatchesRowDigest(t *testing.T) {
 	s := New(small())
 	rng := rand.New(rand.NewSource(3))
-	cols := []string{"a", "b", "", "skey", "zz", "c\x00", "payload"}
+	cols := []string{"a", "b", "", "skey", "zz", "c\x00", strings.Repeat("long", 10), "payload"}
 	for i := 0; i < 400; i++ {
 		c := model.Cell{Value: bytes.Repeat([]byte{'v'}, rng.Intn(30)), TS: int64(rng.Intn(50))}
 		switch rng.Intn(4) {
@@ -141,5 +159,64 @@ func TestDigestColumnsMatchesRowDigest(t *testing.T) {
 		if got, want := s.DigestColumns(row, ask), model.RowDigest(s.GetColumns(row, ask)); got != want {
 			t.Fatalf("DigestColumns(%q, %q) = %#x, RowDigest(GetColumns) = %#x", row, ask, got, want)
 		}
+		es := s.GetRow(row)
+		whole := model.Row{}
+		for j, e := range es {
+			if j > 0 && bytes.Compare(es[j-1].Key, e.Key) >= 0 {
+				t.Fatalf("GetRow(%q) out of order: %q before %q", row, es[j-1].Key, e.Key)
+			}
+			whole[string(e.Key)] = e.Cell
+		}
+		if got, want := s.DigestRow(row), model.RowDigest(whole); got != want {
+			t.Fatalf("DigestRow(%q) = %#x, RowDigest(GetRow) = %#x", row, got, want)
+		}
+	}
+}
+
+// TestRowEntriesSurviveRewrite pins what GetRow's aliasing relies on:
+// the names and values it hands out stay byte-identical while the same
+// cells are overwritten, the memtable they came from is flushed, the
+// runs they came from are compacted away, other rows are written and
+// later reads reuse the merge buffers.
+func TestRowEntriesSurviveRewrite(t *testing.T) {
+	s := New(Options{FlushBytes: 1 << 20, CompactAt: 3, Seed: 1})
+	write := func(row string, ts int64, fill byte) {
+		for _, col := range []string{"a", "b", strings.Repeat("c", 40)} {
+			if err := s.Apply(row, col, model.Cell{Value: bytes.Repeat([]byte{fill}, 8), TS: ts}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write("r", 1, 'x')
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	write("r", 2, 'y') // "r" now in a run and the memtable
+	held := s.GetRow("r")
+	want := make([]model.Entry, len(held))
+	for i, e := range held {
+		want[i] = model.Entry{Key: bytes.Clone(e.Key), Cell: model.Cell{Value: bytes.Clone(e.Cell.Value), TS: e.Cell.TS}}
+	}
+	for ts := int64(3); ts < 9; ts++ {
+		write("r", ts, byte('a'+ts))
+		for i := 0; i < 20; i++ {
+			write(fmt.Sprintf("other-%d-%d", ts, i), ts, 'o')
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		_, _ = s.GetRow("r"), s.DigestRow("r") // reads reuse the merge buffers
+	}
+	if st := s.Stats(); st.Compactions == 0 {
+		t.Fatalf("no compaction ran: %+v", st)
+	}
+	for i, e := range held {
+		if !bytes.Equal(e.Key, want[i].Key) || !bytes.Equal(e.Cell.Value, want[i].Cell.Value) || e.Cell.TS != want[i].Cell.TS {
+			t.Fatalf("entry %d changed under rewrites: %q=%q@%d, was %q=%q@%d",
+				i, e.Key, e.Cell.Value, e.Cell.TS, want[i].Key, want[i].Cell.Value, want[i].Cell.TS)
+		}
+	}
+	if len(held) != 3 || string(held[0].Cell.Value) != "yyyyyyyy" {
+		t.Fatalf("GetRow before the rewrites = %v, want the three ts=2 cells", held)
 	}
 }

@@ -64,20 +64,20 @@ func (m *Memtable) Len() int { return m.list.Len() }
 // key and value bytes plus a fixed overhead per cell.
 func (m *Memtable) ApproxBytes() int64 { return m.bytes }
 
-// ScanPrefix returns all entries whose key starts with prefix, in key
-// order. The result is materialized so the caller can merge it after
-// letting go of the store lock; rows are small in this system (a
-// handful of columns). Keys alias the memtable's storage, which is
-// never rewritten, and must not be modified.
-func (m *Memtable) ScanPrefix(prefix []byte) []model.Entry {
-	var out []model.Entry
+// AppendPrefix appends every entry whose key starts with prefix to
+// dst, in key order, and returns the extended slice. The entries are
+// materialized so the caller can merge them after letting go of the
+// store lock, into a buffer it reuses across reads. Keys alias the
+// memtable's storage, which is never rewritten, and must not be
+// modified.
+func (m *Memtable) AppendPrefix(dst []model.Entry, prefix []byte) []model.Entry {
 	for it := m.list.Seek(prefix); it.Valid(); it.Next() {
 		if !bytes.HasPrefix(it.Key(), prefix) {
 			break
 		}
-		out = append(out, model.Entry{Key: it.Key(), Cell: it.Value()})
+		dst = append(dst, model.Entry{Key: it.Key(), Cell: it.Value()})
 	}
-	return out
+	return dst
 }
 
 // RowsFrom returns up to maxRows distinct row names whose storage keys

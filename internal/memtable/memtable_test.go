@@ -44,14 +44,14 @@ func TestScanPrefixIsolatesRows(t *testing.T) {
 	m.Apply(key("a", "c2"), model.Cell{TS: 1})
 	m.Apply(key("ab", "c1"), model.Cell{TS: 1}) // must not leak into row "a"
 	m.Apply(key("b", "c1"), model.Cell{TS: 1})
-	got := m.ScanPrefix(model.RowPrefix("a"))
+	got := m.AppendPrefix(nil, model.RowPrefix("a"))
 	if len(got) != 2 {
-		t.Fatalf("ScanPrefix(a) returned %d entries, want 2", len(got))
+		t.Fatalf("AppendPrefix(a) returned %d entries, want 2", len(got))
 	}
 	for _, e := range got {
 		row, _, err := model.DecodeKey(e.Key)
 		if err != nil || row != "a" {
-			t.Fatalf("ScanPrefix leaked row %q", row)
+			t.Fatalf("AppendPrefix leaked row %q", row)
 		}
 	}
 }
@@ -93,8 +93,8 @@ func TestReadersShare(t *testing.T) {
 				if _, ok := m.Get(key(row, "c3")); !ok {
 					t.Errorf("%s/c3 missing", row)
 				}
-				if got := len(m.ScanPrefix(model.RowPrefix(row))); got != 20 {
-					t.Errorf("ScanPrefix(%s) = %d cells, want 20", row, got)
+				if got := len(m.AppendPrefix(nil, model.RowPrefix(row))); got != 20 {
+					t.Errorf("AppendPrefix(%s) = %d cells, want 20", row, got)
 				}
 				if i%50 == 0 && (len(m.Snapshot()) != 400 || len(m.RowsFrom(nil, 100)) != 20) {
 					t.Error("snapshot or row scan came up short")

@@ -170,7 +170,7 @@ func check(t *testing.T, data []byte) {
 			same(fmt.Sprintf("Get(%q) ok", key), ok, wantOK)
 		case 5:
 			prefix := model.RowPrefix(row)
-			entries(fmt.Sprintf("ScanPrefix(%q)", row), m.ScanPrefix(prefix), ref.scanPrefix(prefix))
+			entries(fmt.Sprintf("AppendPrefix(%q)", row), m.AppendPrefix(nil, prefix), ref.scanPrefix(prefix))
 		case 6:
 			var after []byte
 			if s.byte()%4 != 0 {

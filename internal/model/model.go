@@ -261,8 +261,11 @@ func RowDigest(r Row) uint64 {
 const DigestSeed uint64 = 14695981039346656037
 
 // CellDigest is one cell's share of RowDigest: 0 for a cell that does
-// not Exist, else a hash of the column name and the whole cell.
-func CellDigest(col string, c Cell) uint64 {
+// not Exist, else a hash of the column name and the whole cell. The
+// name may be a string or the bytes of one, hashed alike; a store
+// digesting cells where they lie passes the bytes it holds, with no
+// conversion to allocate for.
+func CellDigest[S string | []byte](col S, c Cell) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

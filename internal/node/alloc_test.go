@@ -67,9 +67,9 @@ func TestPutAllocations(t *testing.T) {
 	}
 }
 
-// TestGetDigestAllocations pins what a digest read of named columns
-// costs a memory-mode node: the store digests the cells where they lie,
-// so the boxed reply is the one allocation left.
+// TestGetDigestAllocations pins what a digest read of named columns or
+// of a whole row costs a memory-mode node: the store digests the cells
+// where they lie, so the boxed reply is the one allocation left.
 func TestGetDigestAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -81,12 +81,16 @@ func TestGetDigestAllocations(t *testing.T) {
 		Updates: []model.ColumnUpdate{{Column: "skey", Cell: cell}}}); err != nil {
 		t.Fatal(err)
 	}
-	var req transport.Request = transport.GetDigestReq{Table: "data", Row: "data-00000001", Columns: []string{"skey", "payload"}}
-	if got := testing.AllocsPerRun(100, func() {
-		if _, err := n.HandleRequest(0, req); err != nil {
-			t.Fatal(err)
+	for _, req := range []transport.Request{
+		transport.GetDigestReq{Table: "data", Row: "data-00000001", Columns: []string{"skey", "payload"}},
+		transport.GetDigestReq{Table: "data", Row: "data-00000001", AllColumns: true},
+	} {
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := n.HandleRequest(0, req); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 1 {
+			t.Errorf("digest read %+v allocates %v times, want 1 (the boxed reply)", req, got)
 		}
-	}); got > 1 {
-		t.Errorf("digest read allocates %v times, want 1 (the boxed reply)", got)
 	}
 }

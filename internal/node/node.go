@@ -483,13 +483,10 @@ func (n *Node) handleGet(r transport.GetReq) (transport.Response, error) {
 	t := n.table(r.Table)
 	sp := n.span(r.Span, "node.get", t)
 	defer sp.Finish()
-	var cells model.Row
 	if r.AllColumns {
-		cells = t.GetRow(r.Row)
-	} else {
-		cells = t.GetColumns(r.Row, r.Columns)
+		return transport.RowResp{Cells: t.GetRow(r.Row)}, nil
 	}
-	return transport.GetResp{Cells: cells}, nil
+	return transport.GetResp{Cells: t.GetColumns(r.Row, r.Columns)}, nil
 }
 
 // handleGetDigest performs the same local read as handleGet but
@@ -497,7 +494,7 @@ func (n *Node) handleGet(r transport.GetReq) (transport.Response, error) {
 // themselves, halving neither the read cost nor the row lock rules —
 // only the reply size and the coordinator-side merge work. A read of
 // named columns builds no row: the store digests each cell as it
-// reads it.
+// reads it, and a whole row is digested where the merge leaves it.
 func (n *Node) handleGetDigest(r transport.GetDigestReq) (transport.Response, error) {
 	n.acquire(kindGetDigest, n.opts.Service.Read)
 	defer n.release()
@@ -505,7 +502,7 @@ func (n *Node) handleGetDigest(r transport.GetDigestReq) (transport.Response, er
 	sp := n.span(r.Span, "node.digest", t)
 	defer sp.Finish()
 	if r.AllColumns {
-		return transport.GetDigestResp{Digest: model.RowDigest(t.GetRow(r.Row))}, nil
+		return transport.GetDigestResp{Digest: t.DigestRow(r.Row)}, nil
 	}
 	return transport.GetDigestResp{Digest: t.DigestColumns(r.Row, r.Columns)}, nil
 }
@@ -523,7 +520,11 @@ func (n *Node) handleMultiGet(r transport.MultiGetReq) (transport.Response, erro
 	rows := make([]model.Row, len(r.Rows))
 	for i, rr := range r.Rows {
 		if rr.AllColumns {
-			rows[i] = t.GetRow(rr.Row)
+			es := t.GetRow(rr.Row)
+			rows[i] = make(model.Row, len(es))
+			for _, e := range es {
+				rows[i][string(e.Key)] = e.Cell
+			}
 		} else {
 			rows[i] = t.GetColumns(rr.Row, rr.Columns)
 		}
@@ -560,11 +561,11 @@ func (n *Node) handleIndexQuery(r transport.IndexQueryReq) (transport.Response, 
 		return transport.IndexQueryResp{}, nil
 	}
 	var matches []transport.IndexMatch
-	for col, cell := range frag.GetRow(string(r.Value)) {
-		if cell.IsNull() {
+	for _, e := range frag.GetRow(string(r.Value)) {
+		if e.Cell.IsNull() {
 			continue
 		}
-		row := col // fragment stores base row keys as column names
+		row := string(e.Key) // fragment stores base row keys as column names
 		idxCell, _ := t.Get(row, r.Column)
 		m := transport.IndexMatch{Row: row, IndexedCell: idxCell}
 		if len(r.ReadColumns) > 0 {

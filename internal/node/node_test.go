@@ -32,7 +32,7 @@ func put(t *testing.T, n *Node, table, row, col, val string, ts int64) transport
 
 func get(t *testing.T, n *Node, table, row string, cols ...string) model.Row {
 	t.Helper()
-	resp, err := n.HandleRequest(0, transport.GetReq{Table: table, Row: row, Columns: cols, AllColumns: len(cols) == 0})
+	resp, err := n.HandleRequest(0, transport.GetReq{Table: table, Row: row, Columns: cols})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +52,14 @@ func TestGetAllColumns(t *testing.T) {
 	n := New(Options{ID: 1})
 	put(t, n, "t", "r", "a", "1", 1)
 	put(t, n, "t", "r", "b", "2", 1)
-	row := get(t, n, "t", "r")
-	if len(row) != 2 {
-		t.Fatalf("AllColumns returned %d cells", len(row))
+	put(t, n, "t", "r", "a", "1", 1)
+	resp, err := n.HandleRequest(0, transport.GetReq{Table: "t", Row: "r", AllColumns: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := resp.(transport.RowResp).Cells
+	if len(row) != 2 || string(row[0].Key) != "a" || string(row[0].Cell.Value) != "1" || string(row[1].Key) != "b" {
+		t.Fatalf("AllColumns returned %v, want a then b", row)
 	}
 }
 

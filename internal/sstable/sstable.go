@@ -257,7 +257,10 @@ const heapMergeThreshold = 8
 // that merge repeatedly (the LSM row-read path) reuse an output
 // buffer.
 func AppendMergedRuns(dst []model.Entry, runs [][]model.Entry, dropTombstones bool) []model.Entry {
-	cur := make([]runCursor, 0, len(runs))
+	// The cursors of a linear-scan merge fit on the stack; only a merge
+	// of more runs than that spills them to the heap.
+	var stack [heapMergeThreshold]runCursor
+	cur := stack[:0]
 	for _, r := range runs {
 		if len(r) > 0 {
 			cur = append(cur, runCursor{run: r})

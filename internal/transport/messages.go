@@ -40,8 +40,9 @@ type PutResp struct {
 }
 
 // GetReq reads columns of one row. If AllColumns is set, every cell of
-// the row is returned (needed by view reads, which do not know the
-// qualified column names in advance).
+// the row is returned, as a RowResp (needed by view reads, which do not
+// know the qualified column names in advance); otherwise the named
+// columns come back as a GetResp.
 type GetReq struct {
 	Table      string
 	Row        string
@@ -55,6 +56,14 @@ type GetReq struct {
 // resolution and read repair.
 type GetResp struct {
 	Cells model.Row
+}
+
+// RowResp carries every cell a replica holds of a row, for a GetReq
+// with AllColumns set: sorted by column name, each entry's Key the
+// name. Tombstones are included, as in GetResp. The entries may alias
+// the replica's storage and must not be modified.
+type RowResp struct {
+	Cells []model.Entry
 }
 
 // GetDigestReq is the digest-read variant of GetReq: instead of
@@ -178,6 +187,7 @@ func (BucketFetchReq) isRequest()  {}
 
 func (PutResp) isResponse()         {}
 func (GetResp) isResponse()         {}
+func (RowResp) isResponse()         {}
 func (GetDigestResp) isResponse()   {}
 func (MultiGetResp) isResponse()    {}
 func (AckResp) isResponse()         {}
