@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-diff test test-benchmark test-backends regression sim-sweep fuzz-smoke race-sim check bench-all bench-pairs verify
+.PHONY: build vet lint lint-diff test test-benchmark test-backends regression sim-sweep fuzz-smoke race-sim check bench-all bench-pairs
 
 build:
 	$(GO) build ./...
@@ -37,9 +37,9 @@ test-benchmark:
 # storage faults. Same seed everywhere; traces must agree.
 test-backends:
 	$(GO) test -count=1 -run 'Backend|Conformance|CrashRestart|Durab|Recover|Wal|Log|Storage|Intent' ./...
-	$(GO) run ./cmd/mvverify -sim -durable -backend fs -rounds 5 -seed 3 -v
-	$(GO) run ./cmd/mvverify -sim -durable -backend mem -rounds 5 -seed 3 -v
-	$(GO) run ./cmd/mvverify -sim -durable -backend mem -storage-faults 0.02 -rounds 5 -seed 3 -v
+	$(GO) run ./cmd/mvverify -durable -backend fs -rounds 5 -seed 3 -v
+	$(GO) run ./cmd/mvverify -durable -backend mem -rounds 5 -seed 3 -v
+	$(GO) run ./cmd/mvverify -durable -backend mem -storage-faults 0.02 -rounds 5 -seed 3 -v
 
 # Pinned regression schedules: seeds in
 # internal/sim/testdata/regression_seeds.txt (each under the scenario
@@ -49,18 +49,19 @@ regression:
 	$(GO) test -race -count=1 -run 'TestSimReplayRegressionSeeds' ./internal/sim
 
 # Time-boxed sweep of fresh random seeds through the simulator; any
-# failing round prints its seed and an MV_SEED replay command. The
-# scenarios run under the same oracle: a backfill racing crash-restarts
-# and injected storage faults, a view dropped and re-created
-# mid-backfill under a skewed write load, back-to-back writers of a few
-# hot rows whose propagations are handed from one to the next, and those
-# writers with a second view defined while each has a Put in flight.
+# failing round prints its seed and the mvverify -replay command that
+# reruns it. The scenarios run under the same oracle: a backfill racing
+# crash-restarts and injected storage faults, a view dropped and
+# re-created mid-backfill under a skewed write load, back-to-back writers
+# of a few hot rows whose propagations are handed from one to the next,
+# and those writers with a second view defined while each has a Put in
+# flight.
 sim-sweep:
-	timeout 300 $(GO) run ./cmd/mvverify -sim -rounds 25 -compress -v
-	timeout 300 $(GO) run ./cmd/mvverify -sim -durable -backend mem -scenario backfill -storage-faults 0.02 -rounds 8 -v
-	timeout 300 $(GO) run ./cmd/mvverify -sim -scenario drop-recreate -compress -rounds 8 -v
-	timeout 300 $(GO) run ./cmd/mvverify -sim -scenario hot-row -rounds 8 -v
-	timeout 300 $(GO) run ./cmd/mvverify -sim -scenario define-during-burst -rounds 8 -v
+	timeout 300 $(GO) run ./cmd/mvverify -rounds 25 -compress -v
+	timeout 300 $(GO) run ./cmd/mvverify -durable -backend mem -scenario backfill -storage-faults 0.02 -rounds 8 -v
+	timeout 300 $(GO) run ./cmd/mvverify -scenario drop-recreate -compress -rounds 8 -v
+	timeout 300 $(GO) run ./cmd/mvverify -scenario hot-row -rounds 8 -v
+	timeout 300 $(GO) run ./cmd/mvverify -scenario define-during-burst -rounds 8 -v
 
 # Short runs of the fuzzers (dot metadata through the dvv encoding,
 # the cell codec, and sstable entry runs; the memtable against its
@@ -120,7 +121,3 @@ bench-pairs:
 	else \
 		echo "per-layer results (no bounds to apply): $(PAIRS)/base.jsonl $(PAIRS)/head.jsonl"; \
 	fi
-
-# Consistency fuzzer over the deterministic simulator.
-verify:
-	$(GO) run ./cmd/mvverify -sim -rounds 20 -compress -v

@@ -10,6 +10,8 @@
 //	mvbench -ablation preread     # one ablation
 //	mvbench -quick -all           # tiny smoke-test configuration
 //	mvbench -all -csv results/    # also write CSVs
+//	mvbench -plot results/fig4.csv      # render written CSVs as terminal charts
+//	mvbench -plot -log results/fig8.csv # ... on a log x axis (Figure 8's widths)
 //
 // The testbed is an in-process cluster with a simulated network and
 // per-operation service costs standing in for the paper's 4-server
@@ -22,24 +24,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"vstore/internal/bench"
 )
 
-type figList []string
-
-func (f *figList) String() string { return strings.Join(*f, ",") }
-func (f *figList) Set(v string) error {
-	*f = append(*f, v)
-	return nil
-}
-
 func main() {
 	var (
-		figs      figList
-		ablations figList
+		figs      []string
+		ablations []string
 		all       = flag.Bool("all", false, "run every figure and ablation")
 		quick     = flag.Bool("quick", false, "tiny configuration (smoke test)")
 		csvDir    = flag.String("csv", "", "directory to write per-figure CSV files into")
@@ -47,10 +40,15 @@ func main() {
 		duration  = flag.Duration("duration", 0, "measurement window per throughput point (default 2s)")
 		fixedOps  = flag.Int("ops", 0, "operations per latency measurement (default 3000; paper used 100k)")
 		seed      = flag.Int64("seed", 1, "random seed")
+		plot      = flag.Bool("plot", false, "render the CSV files named as arguments as ASCII charts instead of running anything")
+		logX      = flag.Bool("log", false, "with -plot: logarithmic x axis (e.g. Figure 8's range widths)")
 	)
-	flag.Var(&figs, "fig", "figure number to reproduce (3..8); repeatable")
-	flag.Var(&ablations, "ablation", "ablation to run: preread|sync|concurrency|compression|matwidth; repeatable")
+	flag.Func("fig", "figure number to reproduce (3..8); repeatable", func(v string) error { figs = append(figs, v); return nil })
+	flag.Func("ablation", "ablation to run: preread|sync|concurrency|compression|matwidth; repeatable", func(v string) error { ablations = append(ablations, v); return nil })
 	flag.Parse()
+	if *plot {
+		os.Exit(plotFiles(flag.Args(), *logX))
+	}
 
 	cfg := bench.Defaults()
 	if *quick {
@@ -147,4 +145,26 @@ func main() {
 			fmt.Printf("  wrote %s\n\n", path)
 		}
 	}
+}
+
+// plotFiles renders CSV files written by -csv, so the reproduced
+// figures can be eyeballed against the paper in the terminal.
+func plotFiles(paths []string, logX bool) int {
+	if len(paths) == 0 {
+		fmt.Fprintln(os.Stderr, "usage: mvbench -plot [-log] FILE.csv ...")
+		return 2
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		var fig bench.Figure
+		if err == nil {
+			fig, err = bench.ParseCSV(data)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mvbench: %s: %v\n", path, err)
+			return 1
+		}
+		fmt.Printf("%s\n%s", filepath.Base(path), fig.Plot(logX))
+	}
+	return 0
 }

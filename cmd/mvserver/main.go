@@ -1,7 +1,8 @@
 // Command mvserver runs a vstore cluster as a network service: an
 // embedded multi-node eventually consistent record store with
 // materialized views, reachable over the wire protocol (see
-// internal/wire). Pair it with cmd/mvcli or the wire.Client library.
+// internal/wire). Drive it with mvctl -addr, load it with mvctl load,
+// or program against the wire.Client library.
 //
 //	mvserver -addr :7654 -nodes 4 -replication 3
 package main

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -173,5 +174,50 @@ func TestFigureRendering(t *testing.T) {
 	empty := Figure{ID: "e", Title: "t"}
 	if !strings.Contains(empty.String(), "no data") {
 		t.Fatal("empty figure rendering")
+	}
+}
+
+// ParseCSV inverts CSV: every series comes back, a series missing some
+// X values (empty cells) included, and malformed files are refused.
+func TestParseCSVRoundTrip(t *testing.T) {
+	fig := Figure{Series: []Series{
+		{Label: "BT", X: []float64{1, 2, 3}, Y: []float64{6.213, 24.5, 0}},
+		{Label: "SI", X: []float64{2}, Y: []float64{40.987}},
+		{Label: "MV", X: []float64{1, 3, 1000}, Y: []float64{160.931, 7, 12}},
+	}}
+	got, err := ParseCSV([]byte(fig.CSV()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, fig) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, fig)
+	}
+	for _, bad := range []string{
+		"",
+		"x\n1\n",
+		"x,a,b\n1,2\n",
+		"x,a\n1,2,3\n",
+		"x,a\none,2\n",
+		"x,a\n1,two\n",
+	} {
+		if _, err := ParseCSV([]byte(bad)); err == nil {
+			t.Errorf("ParseCSV(%q) accepted a malformed file", bad)
+		}
+	}
+}
+
+func TestPlot(t *testing.T) {
+	fig := Figure{Series: []Series{
+		{Label: "MV", X: []float64{1, 10, 100}, Y: []float64{22, 184, 728}},
+		{Label: "BT", X: []float64{1, 100}, Y: []float64{5, 300}},
+	}}
+	out := fig.Plot(true)
+	for _, want := range []string{"728 ┤", "legend: * MV   o BT", "1" + strings.Repeat(" ", 60) + "100"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("plot missing %q:\n%s", want, out)
+		}
+	}
+	if got := (Figure{}).Plot(false); got != "  (no data)\n" {
+		t.Fatalf("empty plot = %q", got)
 	}
 }

@@ -10,6 +10,8 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 )
 
@@ -41,25 +43,7 @@ func (f Figure) String() string {
 		return b.String()
 	}
 
-	// Collect the union of X values in first-seen order.
-	var xs []float64
-	seen := map[float64]bool{}
-	for _, s := range f.Series {
-		for _, x := range s.X {
-			if !seen[x] {
-				seen[x] = true
-				xs = append(xs, x)
-			}
-		}
-	}
-	byX := make([]map[float64]float64, len(f.Series))
-	for i, s := range f.Series {
-		byX[i] = map[float64]float64{}
-		for j, x := range s.X {
-			byX[i][x] = s.Y[j]
-		}
-	}
-
+	xs, byX := f.byX()
 	header := []string{f.XLabel}
 	for _, s := range f.Series {
 		header = append(header, s.Label)
@@ -113,23 +97,7 @@ func (f Figure) CSV() string {
 		b.WriteString("," + s.Label)
 	}
 	b.WriteString("\n")
-	var xs []float64
-	seen := map[float64]bool{}
-	for _, s := range f.Series {
-		for _, x := range s.X {
-			if !seen[x] {
-				seen[x] = true
-				xs = append(xs, x)
-			}
-		}
-	}
-	byX := make([]map[float64]float64, len(f.Series))
-	for i, s := range f.Series {
-		byX[i] = map[float64]float64{}
-		for j, x := range s.X {
-			byX[i][x] = s.Y[j]
-		}
-	}
+	xs, byX := f.byX()
 	for _, x := range xs {
 		b.WriteString(trimFloat(x))
 		for i := range f.Series {
@@ -141,6 +109,127 @@ func (f Figure) CSV() string {
 		}
 		b.WriteString("\n")
 	}
+	return b.String()
+}
+
+// byX returns the union of the series' X values in first-seen order,
+// and each series' Y by X: the rows of String and CSV.
+func (f Figure) byX() ([]float64, []map[float64]float64) {
+	var xs []float64
+	seen := map[float64]bool{}
+	byX := make([]map[float64]float64, len(f.Series))
+	for i, s := range f.Series {
+		byX[i] = map[float64]float64{}
+		for j, x := range s.X {
+			if !seen[x] {
+				seen[x] = true
+				xs = append(xs, x)
+			}
+			byX[i][x] = s.Y[j]
+		}
+	}
+	return xs, byX
+}
+
+// ParseCSV is the inverse of CSV: a series gets a point for every
+// non-empty cell of its column.
+func ParseCSV(data []byte) (Figure, error) {
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) < 2 {
+		return Figure{}, fmt.Errorf("no data rows")
+	}
+	header := strings.Split(lines[0], ",")
+	if len(header) < 2 {
+		return Figure{}, fmt.Errorf("need at least one series column")
+	}
+	f := Figure{Series: make([]Series, len(header)-1)}
+	for i := range f.Series {
+		f.Series[i].Label = header[i+1]
+	}
+	for _, line := range lines[1:] {
+		fields := strings.Split(line, ",")
+		if len(fields) != len(header) {
+			return Figure{}, fmt.Errorf("ragged row %q", line)
+		}
+		x, err := strconv.ParseFloat(fields[0], 64)
+		if err != nil {
+			return Figure{}, fmt.Errorf("bad x value %q", fields[0])
+		}
+		for i, cell := range fields[1:] {
+			if cell == "" {
+				continue
+			}
+			y, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				return Figure{}, fmt.Errorf("bad y value %q", cell)
+			}
+			s := &f.Series[i]
+			s.X, s.Y = append(s.X, x), append(s.Y, y)
+		}
+	}
+	return f, nil
+}
+
+// Plot renders the figure's series as one ASCII chart, one glyph per
+// series, with the y axis anchored at zero; logX puts the x axis on a
+// log scale (Figure 8's range widths).
+func (f Figure) Plot(logX bool) string {
+	const width, height = 64, 16
+	glyphs := []byte{'*', 'o', '+', 'x', '#', '@'}
+	tx := func(x float64) float64 {
+		if logX && x > 0 {
+			return math.Log10(x)
+		}
+		return x
+	}
+	minX, maxX, maxY := math.Inf(1), math.Inf(-1), math.Inf(-1)
+	for _, s := range f.Series {
+		for i := range s.X {
+			minX = math.Min(minX, tx(s.X[i]))
+			maxX = math.Max(maxX, tx(s.X[i]))
+			maxY = math.Max(maxY, s.Y[i])
+		}
+	}
+	if math.IsInf(minX, 1) || maxY <= 0 {
+		return "  (no data)\n"
+	}
+	if maxX == minX {
+		maxX = minX + 1
+	}
+
+	grid := make([][]byte, height)
+	for i := range grid {
+		grid[i] = []byte(strings.Repeat(" ", width))
+	}
+	for si, s := range f.Series {
+		for i := range s.X {
+			cx := int((tx(s.X[i]) - minX) / (maxX - minX) * float64(width-1))
+			row := height - 1 - int(s.Y[i]/maxY*float64(height-1))
+			if row >= 0 && row < height && cx >= 0 && cx < width {
+				grid[row][cx] = glyphs[si%len(glyphs)]
+			}
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "  %10.6g ┤%s\n", maxY, grid[0])
+	for i := 1; i < height-1; i++ {
+		fmt.Fprintf(&b, "  %10s │%s\n", "", grid[i])
+	}
+	fmt.Fprintf(&b, "  %10.6g ┤%s\n", 0.0, grid[height-1])
+	fmt.Fprintf(&b, "  %10s  %s\n", "", strings.Repeat("─", width))
+	untx := func(v float64) float64 {
+		if logX {
+			return math.Pow(10, v)
+		}
+		return v
+	}
+	left, right := fmt.Sprintf("%.6g", untx(minX)), fmt.Sprintf("%.6g", untx(maxX))
+	fmt.Fprintf(&b, "  %10s  %s%s%s\n", "", left, strings.Repeat(" ", max(width-len(left)-len(right), 1)), right)
+	legend := make([]string, 0, len(f.Series))
+	for si, s := range f.Series {
+		legend = append(legend, fmt.Sprintf("%c %s", glyphs[si%len(glyphs)], s.Label))
+	}
+	fmt.Fprintf(&b, "  legend: %s\n\n", strings.Join(legend, "   "))
 	return b.String()
 }
 

@@ -145,6 +145,9 @@ type Config struct {
 	// coordinator — a fresh view key at a rising timestamp, no think time
 	// — the shape of the benchmark's skew_write.
 	hotRows int
+	// scenario is the name WithScenario shaped the config with, for
+	// ReplayCommand.
+	scenario string
 }
 
 // WithScenario shapes cfg into one of the named scenarios mvverify's
@@ -180,6 +183,7 @@ func WithScenario(cfg Config, name string) (Config, error) {
 	default:
 		return cfg, fmt.Errorf("unknown scenario %q (want backfill, drop-recreate, hot-row or define-during-burst)", name)
 	}
+	cfg.scenario = name
 	return cfg, nil
 }
 
@@ -283,9 +287,32 @@ type Report struct {
 	ChainLen metrics.HistSnapshot
 }
 
-// ReplayCommand returns how to reproduce a run of the given seed.
-func ReplayCommand(seed int64) string {
-	return fmt.Sprintf("MV_SEED=%d go test -run TestSimReplay ./internal/sim  (or: go run ./cmd/mvverify -sim -seed %d)", seed, seed)
+// ReplayCommand returns the mvverify command that reruns cfg's round:
+// its seed with the flags that shaped it. A durable round replays on the
+// in-memory backend unless it ran in a directory; both backends give the
+// same trace. Fields no mvverify flag sets (a test's own fault plan) are
+// not represented.
+func ReplayCommand(cfg Config) string {
+	cfg = cfg.withDefaults()
+	cmd := fmt.Sprintf("go run ./cmd/mvverify -replay %d -rows %d -keys %d", cfg.Seed, cfg.BaseRows, cfg.ViewKeys)
+	if cfg.PathCompression {
+		cmd += " -compress"
+	}
+	if cfg.scenario != "" {
+		cmd += " -scenario " + cfg.scenario
+	}
+	switch {
+	case cfg.Backend != nil:
+		cmd += " -durable -backend mem"
+	case cfg.Dir != "":
+		cmd += " -durable -backend fs"
+	default:
+		return cmd
+	}
+	if cfg.StorageFaultProb > 0 {
+		cmd += fmt.Sprintf(" -storage-faults %g", cfg.StorageFaultProb)
+	}
+	return cmd
 }
 
 // world is the mutable state of one simulation run. It is only touched
@@ -477,7 +504,7 @@ func Run(cfg Config) *Report {
 		w.report.Invariant, w.report.FailedAt = s.failedInvariant, s.failedAt
 	}
 	if err != nil {
-		err = fmt.Errorf("sim: seed=%d: %w\nreplay: %s", cfg.Seed, err, ReplayCommand(cfg.Seed))
+		err = fmt.Errorf("sim: seed=%d: %w\nreplay: %s", cfg.Seed, err, ReplayCommand(cfg))
 	}
 	for _, st := range w.storages {
 		if st != nil {

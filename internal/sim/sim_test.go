@@ -183,8 +183,8 @@ func TestSimHotRowHandOff(t *testing.T) {
 	}
 }
 
-// TestSimReplay is the replay entrypoint printed by failure messages:
-// MV_SEED selects the schedule; without it a fresh seed is generated
+// TestSimReplay runs one schedule of the default config with path
+// compression: MV_SEED selects it; without it a fresh seed is generated
 // and printed so any failure is reproducible.
 func TestSimReplay(t *testing.T) {
 	seed := seedFromEnv(t, 0)
@@ -244,6 +244,29 @@ func TestSimReplayRegressionSeeds(t *testing.T) {
 	}
 }
 
+// TestReplayCommand pins the command a failing round prints: it names
+// the round's scenario, durability, backend and fault rate, so a round
+// the sweep finds replays from its own message.
+func TestReplayCommand(t *testing.T) {
+	hot, _ := WithScenario(Config{Seed: 11}, "hot-row")
+	bf, _ := WithScenario(Config{Seed: 30057, Backend: physmem.New(), StorageFaultProb: 0.02}, "backfill")
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Seed: 42}, "go run ./cmd/mvverify -replay 42 -rows 8 -keys 6"},
+		{Config{Seed: 43, PathCompression: true, BaseRows: 3}, "go run ./cmd/mvverify -replay 43 -rows 3 -keys 6 -compress"},
+		{hot, "go run ./cmd/mvverify -replay 11 -rows 8 -keys 6 -scenario hot-row"},
+		{bf, "go run ./cmd/mvverify -replay 30057 -rows 8 -keys 6 -scenario backfill -durable -backend mem -storage-faults 0.02"},
+		{Config{Seed: 3, Dir: "d", ViewKeys: 2}, "go run ./cmd/mvverify -replay 3 -rows 8 -keys 2 -durable -backend fs"},
+		{Config{Seed: 4, StorageFaultProb: 0.5}, "go run ./cmd/mvverify -replay 4 -rows 8 -keys 6"}, // faults need durability
+	} {
+		if got := ReplayCommand(c.cfg); got != c.want {
+			t.Errorf("ReplayCommand(seed %d) = %q, want %q", c.cfg.Seed, got, c.want)
+		}
+	}
+}
+
 // TestSimInjectedFaultReplay plants a pointer cycle mid-run and
 // requires (a) the acyclicity invariant to catch it, (b) the failure to
 // carry the seed and a replay command, and (c) a second run of the same
@@ -258,7 +281,7 @@ func TestSimInjectedFaultReplay(t *testing.T) {
 	if !strings.Contains(msg, "cycle") {
 		t.Fatalf("violation does not mention the cycle: %v", r1.Err)
 	}
-	if !strings.Contains(msg, "seed=7") || !strings.Contains(msg, "MV_SEED=7") {
+	if !strings.Contains(msg, "seed=7") || !strings.Contains(msg, "mvverify -replay 7") {
 		t.Fatalf("violation does not carry the seed and replay command: %v", r1.Err)
 	}
 	if r1.Invariant != "acyclic-stale-chains" {

@@ -1,7 +1,7 @@
 // Package wire exposes a vstore cluster over TCP with a compact
 // length-prefixed binary protocol, so the store can run as a real
-// network service (cmd/mvserver) with remote clients (cmd/mvcli or the
-// Client type here).
+// network service (cmd/mvserver) with remote clients (mvctl -addr,
+// mvctl load, or the Client type here).
 //
 // The server embeds the whole multi-node cluster in one process and
 // speaks the *client* API over the wire; each connection is routed to
