@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"vstore/internal/backfill"
@@ -215,7 +216,7 @@ func (c *Client) Put(ctx context.Context, table, key string, values Values, opts
 		updates = append(updates, Update{Column: col, Value: []byte(v)})
 	}
 	// Deterministic column order for reproducible runs.
-	sort.Slice(updates, func(i, j int) bool { return updates[i].Column < updates[j].Column })
+	slices.SortFunc(updates, func(a, b Update) int { return strings.Compare(a.Column, b.Column) })
 	return c.PutUpdates(ctx, table, key, updates, opts...)
 }
 
@@ -326,12 +327,6 @@ func (c *Client) get(ctx context.Context, table, key string, columns []string, c
 	sp.SetAttr("key", key)
 	defer sp.Finish()
 	out := Row{}
-	add := func(col string, cell model.Cell) {
-		if !cell.IsNull() {
-			c.db.clock.Observe(cell.TS)
-			out[col] = Cell{Value: cell.Value, Timestamp: cell.TS}
-		}
-	}
 	reader := c.db.cluster.Coordinator(c.node)
 	start := c.db.now()
 	if len(columns) == 0 {
@@ -341,7 +336,7 @@ func (c *Client) get(ctx context.Context, table, key string, columns []string, c
 			return nil, err
 		}
 		for _, e := range es {
-			add(string(e.Key), e.Cell)
+			c.addCell(out, string(e.Key), e.Cell)
 		}
 		return out, nil
 	}
@@ -350,10 +345,20 @@ func (c *Client) get(ctx context.Context, table, key string, columns []string, c
 	if err != nil {
 		return nil, err
 	}
-	for col, cell := range cells {
-		add(col, cell)
+	for i, col := range columns {
+		c.addCell(out, col, cells[i])
 	}
 	return out, nil
+}
+
+// addCell enters a cell read from the store into a public row: a live
+// cell with its timestamp, which the client's clock observes; a deleted
+// or never-written one stays out.
+func (c *Client) addCell(row Row, col string, cell model.Cell) {
+	if !cell.IsNull() {
+		c.db.clock.Observe(cell.TS)
+		row[col] = Cell{Value: cell.Value, Timestamp: cell.TS}
+	}
 }
 
 // MultiGet reads several rows of one table in as few quorum round
@@ -377,14 +382,13 @@ func (c *Client) MultiGet(ctx context.Context, table string, keys []string, colu
 		return nil, err
 	}
 	out := make([]Row, len(rows))
-	for i, cells := range rows {
+	for i, got := range rows {
 		out[i] = Row{}
-		for col, cell := range cells {
-			if cell.IsNull() {
-				continue
-			}
-			c.db.clock.Observe(cell.TS)
-			out[i][col] = Cell{Value: cell.Value, Timestamp: cell.TS}
+		for j, col := range columns {
+			c.addCell(out[i], col, got.Cells[j])
+		}
+		for _, e := range got.Entries {
+			c.addCell(out[i], string(e.Key), e.Cell)
 		}
 	}
 	return out, nil

@@ -74,7 +74,7 @@ func TestConvergenceAfterMissedWrites(t *testing.T) {
 	// And the recovered node serves correct data with R=1 reads
 	// coordinated by itself.
 	row, err := c.Coordinator(3).Get(ctxT(t), "t", "row-42", []string{"c"}, 3, false)
-	if err != nil || string(row["c"].Value) != "42" {
+	if err != nil || string(row[0].Value) != "42" {
 		t.Fatalf("read after convergence: %v %v", row, err)
 	}
 }
@@ -98,7 +98,7 @@ func TestConvergencePropagatesTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell, ok := row["c"]; ok && !cell.IsNull() {
+	if cell := row[0]; !cell.IsNull() {
 		t.Fatalf("deleted cell resurrected: %v", cell)
 	}
 }

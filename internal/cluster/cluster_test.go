@@ -92,7 +92,7 @@ func TestDataFlowsAcrossNodes(t *testing.T) {
 	// All rows readable from every coordinator.
 	for i := 0; i < c.Size(); i++ {
 		row, err := c.Coordinator(i).Get(ctxT(t), "t", "k17", []string{"c"}, 2, false)
-		if err != nil || string(row["c"].Value) != "17" {
+		if err != nil || string(row[0].Value) != "17" {
 			t.Fatalf("coordinator %d: %v %v", i, row, err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestNodeDownAndRecovery(t *testing.T) {
 	c.SetNodeDown(transport.NodeID(1), false)
 	c.RunAntiEntropyRound()
 	row, err := c.Coordinator(1).Get(ctxT(t), "t", "k", []string{"c"}, 3, false)
-	if err != nil || string(row["c"].Value) != "v" {
+	if err != nil || string(row[0].Value) != "v" {
 		t.Fatalf("after recovery: %v %v", row, err)
 	}
 }

@@ -312,10 +312,6 @@ type VersionCollector struct {
 	notify    []func() // run once at the next change, then forgotten
 }
 
-func newVersionCollector(replicas int) *VersionCollector {
-	return &VersionCollector{remaining: replicas}
-}
-
 func (vc *VersionCollector) add(cell model.Cell, has bool) {
 	vc.mu.Lock()
 	if vc.remaining <= 0 {
@@ -367,30 +363,46 @@ func (vc *VersionCollector) Complete() bool {
 	return vc.remaining <= 0
 }
 
-// Collectors maps a pre-read column name to its version collector.
-type Collectors map[string]*VersionCollector
-
-func newCollectors(cols []string, replicas int) Collectors {
-	cs := make(Collectors, len(cols))
-	for _, col := range cols {
-		cs[col] = newVersionCollector(replicas)
-	}
-	return cs
+// Collectors are the version collectors of one pre-read, aligned with
+// its columns. The zero value, a put's that asks no pre-read, holds
+// none and costs nothing.
+type Collectors struct {
+	cols []string
+	vcs  []VersionCollector
 }
 
-// addRow feeds one replica's pre-read row into every collector; a nil
-// row counts the replica as failed for all columns.
-func (cs Collectors) addRow(row model.Row) {
-	for col, vc := range cs {
-		if row == nil {
-			vc.add(model.NullCell, false)
-			continue
+func newCollectors(cols []string, replicas int) Collectors {
+	if len(cols) == 0 {
+		return Collectors{}
+	}
+	vcs := make([]VersionCollector, len(cols))
+	for i := range vcs {
+		vcs[i].remaining = replicas
+	}
+	return Collectors{cols, vcs}
+}
+
+// Of returns the collector of a pre-read column, nil for a column the
+// pre-read did not ask for.
+func (cs Collectors) Of(col string) *VersionCollector {
+	for i, c := range cs.cols {
+		if c == col {
+			return &cs.vcs[i]
 		}
-		cell, ok := row[col]
-		if !ok {
-			cell = model.NullCell
+	}
+	return nil
+}
+
+// addRow feeds one replica's pre-read cells, aligned with the columns,
+// into the collectors; a column the reply lacks — every column, for a
+// nil reply — counts the replica as failed for it.
+func (cs Collectors) addRow(cells []model.Cell) {
+	for i := range cs.vcs {
+		if i < len(cells) {
+			cs.vcs[i].add(cells[i], true)
+		} else {
+			cs.vcs[i].add(model.NullCell, false)
 		}
-		vc.add(cell, true)
 	}
 }
 
@@ -408,7 +420,7 @@ func (c *Coordinator) PutWithPreRead(ctx context.Context, table, row string, upd
 	c.bump(func(s *Stats) { s.Puts++ })
 	q, err := c.quorumFor(table, row, w)
 	if err != nil {
-		return nil, err
+		return Collectors{}, err
 	}
 	sp := c.span(ctx, "coord.put", table, row, q)
 	defer sp.Finish()
@@ -431,7 +443,7 @@ func (c *Coordinator) GetVersions(ctx context.Context, table, row string, cols [
 	c.bump(func(s *Stats) { s.Gets++ })
 	q, err := c.quorumFor(table, row, r)
 	if err != nil {
-		return nil, err
+		return Collectors{}, err
 	}
 	sp := c.span(ctx, "coord.preread", table, row, q)
 	defer sp.Finish()
@@ -450,7 +462,7 @@ type collect struct {
 }
 
 func (x *collect) fold(res transport.Result) (int, error) {
-	var pre model.Row
+	var pre []model.Cell
 	switch resp := res.Resp.(type) {
 	case transport.PutResp:
 		pre = resp.Old

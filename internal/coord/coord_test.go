@@ -88,7 +88,7 @@ func TestPutGetQuorum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(row["c"].Value) != "v" {
+		if string(row[0].Value) != "v" {
 			t.Fatalf("Get = %v", row)
 		}
 	})
@@ -102,7 +102,7 @@ func TestGetFromAnyCoordinator(t *testing.T) {
 		}
 		for i, c := range h.coords {
 			row, err := c.Get(ctxT(t), "t", "r1", []string{"c"}, 2, false)
-			if err != nil || string(row["c"].Value) != "v" {
+			if err != nil || string(row[0].Value) != "v" {
 				t.Fatalf("coordinator %d: %v %v", i, row, err)
 			}
 		}
@@ -128,8 +128,8 @@ func TestQuorumIntersectionReadsLatest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if string(row["c"].Value) != val {
-				t.Fatalf("key %s: read %q want %q", key, row["c"].Value, val)
+			if string(row[0].Value) != val {
+				t.Fatalf("key %s: read %q want %q", key, row[0].Value, val)
 			}
 		}
 	})
@@ -142,8 +142,8 @@ func TestGetMissingRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(row) != 0 {
-			t.Fatalf("missing row returned cells: %v", row)
+		if len(row) != 1 || row[0].Exists() {
+			t.Fatalf("missing row returned %v, want one never-written cell", row)
 		}
 	})
 }
@@ -160,7 +160,7 @@ func TestPreReadCollectsVersions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vc := cs["vk"]
+		vc := cs.Of("vk")
 		waitFor(t, 5*time.Second, vc.Complete)
 		vs := vc.Versions()
 		if len(vs) != 1 || string(vs[0].Value) != "alice" {
@@ -190,7 +190,7 @@ func TestPreReadSeesDivergentVersions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vc := cs["vk"]
+		vc := cs.Of("vk")
 		waitFor(t, 5*time.Second, vc.Complete)
 		vs := vc.Versions()
 		if len(vs) != len(reps) {
@@ -370,7 +370,7 @@ func TestGetVersionsCollectsDistinct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vc := cs["vk"]
+		vc := cs.Of("vk")
 		waitFor(t, 5*time.Second, vc.Complete)
 		if got := len(vc.Versions()); got != 3 {
 			t.Fatalf("collected %d versions, want 3: %v", got, vc.Versions())
@@ -392,7 +392,7 @@ func TestGetVersionsAbsentColumn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vc := cs["vk"]
+		vc := cs.Of("vk")
 		waitFor(t, 5*time.Second, vc.Complete)
 		vs := vc.Versions()
 		// Every replica reports the null cell: one distinct version.
@@ -437,7 +437,7 @@ func TestVersionCollectorChangedSignal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vc := cs["vk"]
+		vc := cs.Of("vk")
 		// A notification fires (when versions grow or collection
 		// completes) unless collection had already finished.
 		changed := make(chan struct{})

@@ -49,6 +49,48 @@ func TestWriteRoundAllocatesNothing(t *testing.T) {
 	}
 }
 
+// putAcker answers every put as a replica does one that asks no
+// pre-read: with an empty PutResp.
+type putAcker struct{}
+
+func (putAcker) HandleRequest(transport.NodeID, transport.Request) (transport.Response, error) {
+	return transport.PutResp{}, nil
+}
+
+// TestPutWithoutPreReadAllocatesNoCollector pins a put that asks no
+// pre-read — every propagation write is one — at its exchange and its
+// boxed request: its collectors are the zero value, and its replies
+// carry no pre-images.
+func TestPutWithoutPreReadAllocatesNoCollector(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	tr := transport.NewDirect()
+	ids := []transport.NodeID{0, 1, 2}
+	for _, id := range ids {
+		tr.Register(id, putAcker{})
+	}
+	c := New(0, ring.New(ids, 8), tr, Options{N: 3, HintReplayInterval: -1})
+	defer c.Close()
+	ctx := context.Background()
+	ups := []model.ColumnUpdate{model.Update("c", []byte("v"), 1)}
+	cs, err := c.PutWithPreRead(ctx, "t", "r", ups, 2, nil) // also starts the helpers
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.vcs != nil || cs.Of("c") != nil {
+		t.Fatalf("a put with no pre-read has collectors %+v", cs)
+	}
+	put := func() {
+		if err := c.Put(ctx, "t", "r", ups, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, put); got > 2 {
+		t.Errorf("a put with no pre-read allocates %v times, want at most 2 (its exchange and boxed request)", got)
+	}
+}
+
 // TestCloseEndsHelpers is the round helpers' lifecycle: concurrent
 // write rounds grow the free list, Close ends every helper — the
 // goroutine count is back where it was before the coordinator — and a

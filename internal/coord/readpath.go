@@ -21,27 +21,28 @@ import (
 //   - MultiGet: several rows of one table resolved per replica set in
 //     one request each, used by view-maintenance chain walks.
 
-// Get reads the requested columns of a row with read quorum r. If
-// allColumns is set every cell of the row is returned: GetRow's
-// entries, keyed by column. The returned row maps column → winning
-// cell; never-written columns are omitted.
+// Get reads the requested columns of a row with read quorum r. The
+// returned cells are aligned with columns, each the winning cell of
+// its column; a column written nowhere reads as model.NullCell. With
+// allColumns set, columns is ignored and the cells are those of every
+// column GetRow returns, in column-name order.
 //
-// When r ≥ 2 the coordinator first tries a digest read: the full row
-// from one replica and 64-bit digests from the rest. Matching digests
-// prove the replicas hold identical cells, so the full row already is
-// the quorum answer and no per-replica row transfer or merge is
-// needed. Any mismatch before the answer is out, an unreachable full
-// replica or a short quorum falls back to the full-row round, which
-// also repairs the divergence it finds.
-func (c *Coordinator) Get(ctx context.Context, table, row string, columns []string, r int, allColumns bool) (model.Row, error) {
+// When r ≥ 2 the coordinator first tries a digest read: the cells from
+// one replica and 64-bit digests from the rest. Matching digests prove
+// the replicas hold identical cells, so the full reply already is the
+// quorum answer and no per-replica transfer or merge is needed. Any
+// mismatch before the answer is out, an unreachable full replica or a
+// short quorum falls back to the full round, which also repairs the
+// divergence it finds.
+func (c *Coordinator) Get(ctx context.Context, table, row string, columns []string, r int, allColumns bool) ([]model.Cell, error) {
 	if allColumns {
 		es, err := c.GetRow(ctx, table, row, r)
 		if err != nil {
 			return nil, err
 		}
-		out := make(model.Row, len(es))
-		for _, e := range es {
-			out[string(e.Key)] = e.Cell
+		out := make([]model.Cell, len(es))
+		for i, e := range es {
+			out[i] = e.Cell
 		}
 		return out, nil
 	}
@@ -55,8 +56,8 @@ func (c *Coordinator) Get(ctx context.Context, table, row string, columns []stri
 		return d.fullRow, nil
 	}
 	get.Span = sp
-	f := &fullRead{c: c, plain: plain{get}, table: table, row: row,
-		merged: model.Row{}, responders: make(map[transport.NodeID]model.Row, len(q.replicas))}
+	f := &fullRead{c: c, plain: plain{get}, table: table, row: row, columns: columns,
+		merged: nullCells(len(columns)), responders: make(map[transport.NodeID][]model.Cell, len(q.replicas))}
 	if err := c.round(ctx, readKind, q, !c.opts.DisableReadRepair, f); err != nil {
 		return nil, err
 	}
@@ -129,16 +130,17 @@ func (c *Coordinator) tryDigest(ctx context.Context, get transport.GetReq, r int
 }
 
 // fullRead is the exchange of the classic quorum read of named
-// columns: full rows from every replica, merged with LWW; once all are
-// in, every responder that returned stale or missing versions is
-// repaired.
+// columns: every replica's cells, merged position by position with
+// LWW; once all are in, every responder that returned stale or missing
+// versions is repaired.
 type fullRead struct {
 	plain
 	c          *Coordinator
 	table, row string
-	merged     model.Row // LWW merge of the replies folded so far
-	handed     model.Row // the caller's snapshot, if stragglers are still merging
-	responders map[transport.NodeID]model.Row
+	columns    []string
+	merged     []model.Cell // LWW merge of the replies folded so far, aligned with columns
+	handed     []model.Cell // the caller's snapshot, if stragglers are still merging
+	responders map[transport.NodeID][]model.Cell
 }
 
 func (f *fullRead) fold(res transport.Result) (int, error) {
@@ -146,19 +148,23 @@ func (f *fullRead) fold(res transport.Result) (int, error) {
 	if !ok || res.Err != nil {
 		return 0, failure(res)
 	}
+	if len(resp.Cells) != len(f.columns) {
+		return 0, misaligned(res.From, len(resp.Cells), len(f.columns))
+	}
 	f.responders[res.From] = resp.Cells
-	mergeRow(f.merged, resp.Cells)
+	mergeCells(f.merged, resp.Cells)
 	return 1, nil
 }
 
-func (f *fullRead) detach() { f.handed = f.merged.Clone() }
+func (f *fullRead) detach() { f.handed = slices.Clone(f.merged) }
 
 func (f *fullRead) settled() {
-	readRepair(f.c, f.table, f.responders, func(seen model.Row) []model.Entry {
+	readRepair(f.c, f.table, f.responders, func(seen []model.Cell) []model.Entry {
 		var fix []model.Entry
-		for col, win := range f.merged {
-			if have, ok := seen[col]; !ok || win.Wins(have) {
-				fix = append(fix, model.Entry{Key: model.EncodeKey(f.row, col), Cell: win})
+		for i, win := range f.merged {
+			// A column named twice is pushed once.
+			if win.Exists() && win.Wins(seen[i]) && !slices.Contains(f.columns[:i], f.columns[i]) {
+				fix = append(fix, model.Entry{Key: model.EncodeKey(f.row, f.columns[i]), Cell: win})
 			}
 		}
 		slices.SortFunc(fix, func(a, b model.Entry) int { return bytes.Compare(a.Key, b.Key) })
@@ -205,38 +211,34 @@ func (f *fullRowRead) settled() {
 	})
 }
 
-// compactRow strips never-written padding cells (replicas answer
-// column reads with NullCell placeholders) so digest-read results
-// match the classic merge path, which drops them implicitly. The map
-// is only copied when padding is present.
-func compactRow(r model.Row) model.Row {
-	for _, pad := range r {
-		if pad.Exists() {
-			continue
-		}
-		out := make(model.Row, len(r))
-		for col, cell := range r {
-			if cell.Exists() {
-				out[col] = cell
-			}
-		}
-		return out
+// nullCells returns n cells that read as never written, the start of
+// a merge of named columns.
+func nullCells(n int) []model.Cell {
+	out := make([]model.Cell, n)
+	for i := range out {
+		out[i] = model.NullCell
 	}
-	return r
+	return out
 }
 
-// mergeRow folds the existing cells of src into dst with LWW.
-func mergeRow(dst, src model.Row) {
-	for col, cell := range src {
-		if !cell.Exists() {
-			continue
-		}
-		if old, ok := dst[col]; ok {
-			dst[col] = model.Merge(old, cell)
-		} else {
-			dst[col] = cell
+// mergeCells folds the existing cells of src into dst, position by
+// position, with LWW.
+func mergeCells(dst, src []model.Cell) {
+	for i, cell := range src {
+		switch {
+		case !cell.Exists():
+		case dst[i].Exists():
+			dst[i] = model.Merge(dst[i], cell)
+		default:
+			dst[i] = cell
 		}
 	}
+}
+
+// misaligned is why a reply of named cells cannot be merged: it does
+// not hold one cell per column asked.
+func misaligned(from transport.NodeID, got, want int) error {
+	return fmt.Errorf("coord: node %d answered %d cells for %d columns", from, got, want)
 }
 
 // mergeEntries returns, in a new slice, the LWW merge of the existing
@@ -327,8 +329,9 @@ type digestRead struct {
 	reread       transport.GetReq // full without its span, for repair after it finished
 
 	// The full reply, never mutated once set: the read hands it to its
-	// caller. fullRow holds named columns, fullCells a whole row.
-	fullRow   model.Row
+	// caller. fullRow holds named columns' cells, aligned with them;
+	// fullCells a whole row.
+	fullRow   []model.Cell
 	fullCells []model.Entry
 	want      uint64
 	haveFull  bool
@@ -352,10 +355,12 @@ func (d *digestRead) fold(res transport.Result) (int, error) {
 	}
 	switch resp := res.Resp.(type) {
 	case transport.GetResp:
-		// RowDigest skips padding cells, so compacting first cannot
-		// change the comparison against the other replicas' digests.
-		d.fullRow = compactRow(resp.Cells)
-		d.want = model.RowDigest(d.fullRow)
+		cols := d.reread.Columns
+		if len(resp.Cells) != len(cols) {
+			return 0, veto{misaligned(res.From, len(resp.Cells), len(cols))}
+		}
+		d.fullRow = resp.Cells
+		d.want = model.DigestCells(cols, resp.Cells)
 		return d.haveFullReply()
 	case transport.RowResp:
 		d.fullCells = resp.Cells
@@ -411,8 +416,8 @@ func (d *digestRead) settled() {
 		}
 		f = rf
 	} else {
-		mf := &fullRead{c: d.c, plain: plain{r}, table: r.Table, row: r.Row,
-			merged: d.fullRow.Clone(), responders: make(map[transport.NodeID]model.Row, len(d.replicas))}
+		mf := &fullRead{c: d.c, plain: plain{r}, table: r.Table, row: r.Row, columns: r.Columns,
+			merged: slices.Clone(d.fullRow), responders: make(map[transport.NodeID][]model.Cell, len(d.replicas))}
 		for _, rep := range d.replicas {
 			mf.responders[rep] = d.fullRow
 		}
@@ -425,6 +430,10 @@ func (d *digestRead) settled() {
 
 // RowRead names one row (and column selection) of a MultiGet batch.
 type RowRead = transport.RowRead
+
+// RowCells is one row of a MultiGet result: a named read's cells or a
+// whole-row read's entries.
+type RowCells = transport.RowCells
 
 // replicaSetKey builds a map key identifying an ordered replica set.
 func replicaSetKey(reps []transport.NodeID) string {
@@ -444,7 +453,7 @@ type multiRead struct {
 	q    quorum
 	rows []transport.RowRead
 	idxs []int // positions of rows in the caller's reads slice
-	out  []model.Row
+	out  []RowCells
 }
 
 func (m *multiRead) fold(res transport.Result) (int, error) {
@@ -455,8 +464,18 @@ func (m *multiRead) fold(res transport.Result) (int, error) {
 	if len(resp.Rows) != len(m.idxs) {
 		return 0, fmt.Errorf("coord: node %d answered %d of %d rows", res.From, len(resp.Rows), len(m.idxs))
 	}
-	for j, cells := range resp.Rows {
-		mergeRow(m.out[m.idxs[j]], cells)
+	for j, got := range resp.Rows {
+		if want := len(m.rows[j].Columns); !m.rows[j].AllColumns && len(got.Cells) != want {
+			return 0, misaligned(res.From, len(got.Cells), want)
+		}
+	}
+	for j, got := range resp.Rows {
+		out := &m.out[m.idxs[j]]
+		if m.rows[j].AllColumns {
+			out.Entries = mergeEntries(out.Entries, got.Entries)
+		} else {
+			mergeCells(out.Cells, got.Cells)
+		}
 	}
 	return 1, nil
 }
@@ -464,11 +483,13 @@ func (m *multiRead) fold(res transport.Result) (int, error) {
 // MultiGet reads several rows of one table, each with read quorum r,
 // in as few round trips as possible: rows that place onto the same
 // replica set are batched into a single MultiGetReq per replica. The
-// result is index-aligned with reads; rows that exist nowhere come
-// back as empty (never nil) model.Rows. MultiGet performs no read
-// repair — it serves speculative lookups (view chain walks) where
-// repair traffic would be wasted on guesses.
-func (c *Coordinator) MultiGet(ctx context.Context, table string, reads []RowRead, r int) ([]model.Row, error) {
+// result is index-aligned with reads: a read of named columns gets
+// Cells aligned with them, model.NullCell for a column written
+// nowhere; a whole-row read gets Entries sorted by column name, none
+// for a row that exists nowhere. MultiGet performs no read repair — it
+// serves speculative lookups (view chain walks) where repair traffic
+// would be wasted on guesses.
+func (c *Coordinator) MultiGet(ctx context.Context, table string, reads []RowRead, r int) ([]RowCells, error) {
 	if len(reads) == 0 {
 		return nil, nil
 	}
@@ -476,7 +497,14 @@ func (c *Coordinator) MultiGet(ctx context.Context, table string, reads []RowRea
 		s.MultiGets++
 		s.MultiGetRows += int64(len(reads))
 	})
-	out := make([]model.Row, len(reads))
+	named := 0
+	for _, rd := range reads {
+		if !rd.AllColumns {
+			named += len(rd.Columns)
+		}
+	}
+	cells := nullCells(named) // every named read's cells, carved in order
+	out := make([]RowCells, len(reads))
 	groups := map[string]*multiRead{}
 	var order []*multiRead
 	for i, rd := range reads {
@@ -493,7 +521,10 @@ func (c *Coordinator) MultiGet(ctx context.Context, table string, reads []RowRea
 		}
 		g.idxs = append(g.idxs, i)
 		g.rows = append(g.rows, rd)
-		out[i] = model.Row{}
+		if !rd.AllColumns {
+			n := len(rd.Columns)
+			out[i].Cells, cells = cells[:n:n], cells[n:]
+		}
 	}
 	sp := trace.FromContext(ctx)
 	for _, g := range order {

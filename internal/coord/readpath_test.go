@@ -36,7 +36,7 @@ func TestDigestReadServesConsistentReplicas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(row["c"].Value) != "v" {
+		if string(row[0].Value) != "v" {
 			t.Fatalf("Get = %v", row)
 		}
 		st := c.Stats()
@@ -94,8 +94,8 @@ func TestDigestMismatchFallsBackAndRepairs(t *testing.T) {
 	}
 	// The fallback full round visits every replica, so the read sees
 	// the newest version even though only one replica holds it.
-	if string(row["c"].Value) != "new" {
-		t.Fatalf("read %q, want the diverged replica's newer value", row["c"].Value)
+	if string(row[0].Value) != "new" {
+		t.Fatalf("read %q, want the diverged replica's newer value", row[0].Value)
 	}
 	st := c.Stats()
 	if st.DigestMismatches == 0 {
@@ -191,7 +191,7 @@ func TestDigestReadToleratesPartitionedDigestReplica(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(row["c"].Value) != "v" {
+		if string(row[0].Value) != "v" {
 			t.Fatalf("Get = %v", row)
 		}
 		// One digest errored out, but full + remaining digest still make
@@ -233,7 +233,7 @@ func TestDigestReadFallsBackWhenFullReplicaUnreachable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(row["c"].Value) != "v" {
+		if string(row[0].Value) != "v" {
 			t.Fatalf("Get = %v", row)
 		}
 		if st := c.Stats(); st.DigestReads != 0 {
@@ -253,7 +253,7 @@ func TestDigestReadAsyncOverSimFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(row["c"].Value) != "v" {
+	if string(row[0].Value) != "v" {
 		t.Fatalf("Get = %v", row)
 	}
 	if st := c.Stats(); st.DigestReads != 1 || st.DigestMismatches != 0 {
@@ -308,12 +308,12 @@ func TestMultiGetBatchesRows(t *testing.T) {
 		}
 		for i := 0; i < rows; i++ {
 			want := fmt.Sprintf("v%d", i)
-			if string(got[i]["c"].Value) != want {
+			if string(got[i].Cells[0].Value) != want {
 				t.Fatalf("row %d = %v, want %q", i, got[i], want)
 			}
 		}
-		if got[rows] == nil || len(got[rows]) != 0 {
-			t.Fatalf("missing row = %v, want empty non-nil row", got[rows])
+		if len(got[rows].Cells) != 1 || got[rows].Cells[0].Exists() || got[rows].Entries != nil {
+			t.Fatalf("missing row = %v, want one never-written cell", got[rows])
 		}
 		st := c.Stats()
 		if st.MultiGets != 1 || st.MultiGetRows != rows+1 {
@@ -341,7 +341,7 @@ func TestMultiGetQuorumFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got[0]["c"].Value) != "v" {
+		if string(got[0].Cells[0].Value) != "v" {
 			t.Fatalf("MultiGet r=1 = %v", got)
 		}
 	})
@@ -364,8 +364,8 @@ func TestMultiGetOverSimFabric(t *testing.T) {
 	}
 	for i, row := range got {
 		want := fmt.Sprintf("r%d", i)
-		if string(row["c"].Value) != want {
-			t.Fatalf("row %d = %v, want %q", i, row, want)
+		if len(row.Entries) != 1 || string(row.Entries[0].Key) != "c" || string(row.Entries[0].Cell.Value) != want || row.Cells != nil {
+			t.Fatalf("row %d = %v, want column c = %q", i, row, want)
 		}
 	}
 }

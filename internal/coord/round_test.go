@@ -117,7 +117,7 @@ func TestAsyncPutReturnsAtQuorumStragglerReachesCollectors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("W=2 with one replica silent: %v", err)
 	}
-	vc := cs["vk"]
+	vc := cs.Of("vk")
 	if vc.Complete() || len(vc.Versions()) != 2 {
 		t.Fatalf("at quorum: complete=%v versions=%v, want the two answering replicas' pre-images", vc.Complete(), vc.Versions())
 	}
@@ -147,7 +147,7 @@ func TestAsyncGetVersionsStragglerReachesCollectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc := cs["vk"]
+	vc := cs.Of("vk")
 	if vc.Complete() || len(vc.Versions()) != 2 {
 		t.Fatalf("at quorum: complete=%v versions=%v", vc.Complete(), vc.Versions())
 	}
@@ -174,13 +174,13 @@ func TestAsyncFullReadRepairsStraggler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(row["c"].Value) != "old" {
-		t.Fatalf("read %q from the answering replicas, want old", row["c"].Value)
+	if string(row[0].Value) != "old" {
+		t.Fatalf("read %q from the answering replicas, want old", row[0].Value)
 	}
 	open()
 	waitFor(t, 5*time.Second, func() bool { return h.replicasHolding("t", "r", "c", "new") == 3 })
-	if string(row["c"].Value) != "old" {
-		t.Fatalf("the caller's row changed under it: %q", row["c"].Value)
+	if string(row[0].Value) != "old" {
+		t.Fatalf("the caller's row changed under it: %q", row[0].Value)
 	}
 	if st := c.Stats(); st.ReadRepairs != 2 {
 		t.Fatalf("stats = %+v, want the two stale replicas repaired", st)
@@ -341,7 +341,7 @@ func TestEventDigestsBeforeFullRow(t *testing.T) {
 	}
 	f.order = []transport.NodeID{others[0], others[1], c.Self()} // the full row comes from the coordinator's own node
 	row, err := c.Get(ctxT(t), "t", "r", []string{"c"}, 3, false)
-	if err != nil || string(row["c"].Value) != "v" {
+	if err != nil || string(row[0].Value) != "v" {
 		t.Fatalf("Get = %v, %v", row, err)
 	}
 	if st := c.Stats(); st.DigestReads != 1 || st.DigestMismatches != 0 {
@@ -361,7 +361,7 @@ func TestEventMismatchBeforeReturnFallsBack(t *testing.T) {
 	divergeReplica(t, h, c, others[0], "t", "r", "c", "new", 2)
 	f.order = []transport.NodeID{others[0], c.Self(), others[1]}
 	row, err := c.Get(ctxT(t), "t", "r", []string{"c"}, 2, false)
-	if err != nil || string(row["c"].Value) != "new" {
+	if err != nil || string(row[0].Value) != "new" {
 		t.Fatalf("Get = %v, %v, want the diverged replica's newer value", row, err)
 	}
 	if st := c.Stats(); st.DigestReads != 0 || st.DigestMismatches != 1 || st.ReadRepairs != 0 {
@@ -389,7 +389,7 @@ func TestEventMismatchAfterReturnRepairsOnlyStale(t *testing.T) {
 	divergeReplica(t, h, c, others[0], "t", "r", "c", "new", 2)
 	f.order = []transport.NodeID{c.Self(), others[0], stale}
 	row, err := c.Get(ctxT(t), "t", "r", []string{"c"}, 2, false)
-	if err != nil || string(row["c"].Value) != "new" {
+	if err != nil || string(row[0].Value) != "new" {
 		t.Fatalf("Get = %v, %v", row, err)
 	}
 	if st := c.Stats(); st.DigestReads != 1 || st.DigestMismatches != 0 {
@@ -426,7 +426,7 @@ func TestEventStragglerReachesCollectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc := cs["vk"]
+	vc := cs.Of("vk")
 	if vc.Complete() || len(vc.Versions()) != 2 {
 		t.Fatalf("at quorum: complete=%v versions=%v, want the two delivered pre-images", vc.Complete(), vc.Versions())
 	}
@@ -448,7 +448,7 @@ func TestEventLostRoundFoldsNothingAfterwards(t *testing.T) {
 		t.Fatalf("err = %v, want quorum failure", err)
 	}
 	f.drain()
-	if vc := cs["vk"]; vc.Complete() || len(vc.Versions()) != 0 {
+	if vc := cs.Of("vk"); vc.Complete() || len(vc.Versions()) != 0 {
 		t.Fatalf("the abandoned round folded its last reply: complete=%v versions=%v", vc.Complete(), vc.Versions())
 	}
 	if st := c.Stats(); st.HintsStored != 2 || st.QuorumFails != 1 {
@@ -457,10 +457,11 @@ func TestEventLostRoundFoldsNothingAfterwards(t *testing.T) {
 }
 
 // applyOrder records, in arrival order, which replicas were handed
-// already-timestamped entries (repair and hint pushes).
+// already-timestamped entries (repair and hint pushes), and the entries.
 type applyOrder struct {
-	mu  sync.Mutex
-	ids []transport.NodeID
+	mu      sync.Mutex
+	ids     []transport.NodeID
+	entries [][]model.Entry
 }
 
 type applyRecorder struct {
@@ -470,9 +471,10 @@ type applyRecorder struct {
 }
 
 func (r applyRecorder) HandleRequest(from transport.NodeID, req transport.Request) (transport.Response, error) {
-	if _, ok := req.(transport.ApplyEntriesReq); ok {
+	if push, ok := req.(transport.ApplyEntriesReq); ok {
 		r.log.mu.Lock()
 		r.log.ids = append(r.log.ids, r.id)
+		r.log.entries = append(r.log.entries, push.Entries)
 		r.log.mu.Unlock()
 	}
 	return r.inner.HandleRequest(from, req)

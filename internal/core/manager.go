@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -164,16 +163,24 @@ func majority(co *coord.Coordinator) int { return co.N()/2 + 1 }
 // coordinator, serialized by the registry's lock service.
 type coordPort struct{ m *Manager }
 
-func (p coordPort) Get(ctx context.Context, table, row string, cols []string) (model.Row, error) {
+func (p coordPort) Get(ctx context.Context, table, row string, cols []string) ([]model.Cell, error) {
 	return p.m.co.Get(ctx, table, row, cols, majority(p.m.co), false)
 }
 
-func (p coordPort) MultiGet(ctx context.Context, table string, rows, cols []string) ([]model.Row, error) {
+func (p coordPort) MultiGet(ctx context.Context, table string, rows, cols []string) ([][]model.Cell, error) {
 	reads := make([]coord.RowRead, len(rows))
 	for i, row := range rows {
 		reads[i] = coord.RowRead{Row: row, Columns: cols}
 	}
-	return p.m.co.MultiGet(ctx, table, reads, majority(p.m.co))
+	got, err := p.m.co.MultiGet(ctx, table, reads, majority(p.m.co))
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]model.Cell, len(got))
+	for i := range got {
+		out[i] = got[i].Cells
+	}
+	return out, nil
 }
 
 func (p coordPort) Put(ctx context.Context, table, row string, updates []model.ColumnUpdate) error {
@@ -306,12 +313,19 @@ func (m *Manager) Put(ctx context.Context, table, row string, updates []model.Co
 	// combination Section IV-C proposes; the prototype ran two rounds,
 	// which internal/bench reproduces from the driver for Figures 5/6).
 	// With no view to maintain cols is empty and this is a plain Put.
-	tasks, cols := m.buildTasks(table, row, updates)
+	views := m.reg.ViewsOn(table)
+	tasks, cols := m.buildTasks(views, row, updates)
 	collectors, err := m.co.PutWithPreRead(ctx, table, row, updates, w, cols)
 	if err != nil {
 		return err
 	}
-	late, lateCollectors := m.lateTasks(ctx, table, row, updates, tasks)
+	// The catalog fence: only a define, drop or re-create while the write
+	// was in flight gives the views on table a new slice (see ViewsOn).
+	var late []Task
+	var lateCollectors coord.Collectors
+	if now := m.reg.ViewsOn(table); !slices.Equal(views, now) {
+		late, lateCollectors = m.lateTasks(ctx, table, row, updates, now, tasks)
+	}
 	n := len(tasks) + len(late)
 	if n == 0 {
 		return nil
@@ -341,11 +355,11 @@ func (m *Manager) Put(ctx context.Context, table, row string, updates []model.Co
 	putSpan := trace.FromContext(ctx)
 	for i := range tasks {
 		t := &tasks[i]
-		m.schedule(t, collectors[t.def.ViewKeyColumn], putSpan, onPropagated, after)
+		m.schedule(t, collectors.Of(t.def.ViewKeyColumn), putSpan, onPropagated, after)
 	}
 	for i := range late {
 		t := &late[i]
-		m.schedule(t, lateCollectors[t.def.ViewKeyColumn], putSpan, onPropagated, after)
+		m.schedule(t, lateCollectors.Of(t.def.ViewKeyColumn), putSpan, onPropagated, after)
 	}
 	if intentErr != nil {
 		// The base write happened and propagation is scheduled, but
@@ -378,12 +392,13 @@ func (m *Manager) markDone(id uint64) func(complete bool) {
 	}
 }
 
-// buildTasks splits a base-table update set into per-view propagation
-// tasks plus the sorted view-key columns the write must pre-read.
-func (m *Manager) buildTasks(table, row string, updates []model.ColumnUpdate) ([]Task, []string) {
+// buildTasks splits a base-table update set into propagation tasks for
+// the given views of its table, plus the sorted view-key columns the
+// write must pre-read.
+func (m *Manager) buildTasks(views []*Def, row string, updates []model.ColumnUpdate) ([]Task, []string) {
 	var tasks []Task
-	preCols := map[string]bool{}
-	for _, def := range m.reg.ViewsOn(table) {
+	var cols []string
+	for _, def := range views {
 		t, ok := TaskFor(def, row, updates)
 		if !ok {
 			continue
@@ -394,13 +409,11 @@ func (m *Manager) buildTasks(table, row string, updates []model.ColumnUpdate) ([
 		// the anchor is a guess that cannot dangle.
 		t.anchored = m.reg.backfilling(def.Name)
 		tasks = append(tasks, t)
-		preCols[def.ViewKeyColumn] = true
+		if !slices.Contains(cols, def.ViewKeyColumn) {
+			cols = append(cols, def.ViewKeyColumn)
+		}
 	}
-	cols := make([]string, 0, len(preCols))
-	for c := range preCols {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
+	slices.Sort(cols)
 	return tasks, cols
 }
 
@@ -430,7 +443,7 @@ func (m *Manager) Repropagate(ctx context.Context, it wal.Intent) error {
 		return ErrClosed
 	}
 	done := m.markDone(it.ID)
-	tasks, cols := m.buildTasks(it.Table, it.Row, it.Updates)
+	tasks, cols := m.buildTasks(m.reg.ViewsOn(it.Table), it.Row, it.Updates)
 	if len(tasks) == 0 {
 		// The view catalog changed since the intent was logged; there
 		// is nothing left to converge.
@@ -444,7 +457,7 @@ func (m *Manager) Repropagate(ctx context.Context, it wal.Intent) error {
 	after := wait.NewCountdown(len(tasks), done)
 	for i := range tasks {
 		t := &tasks[i]
-		m.schedule(t, collectors[t.def.ViewKeyColumn], nil, nil, after)
+		m.schedule(t, collectors.Of(t.def.ViewKeyColumn), nil, nil, after)
 	}
 	return nil
 }
@@ -462,8 +475,11 @@ func (m *Manager) Repropagate(ctx context.Context, it wal.Intent) error {
 // the write's intent. A pre-read failure here drops the late
 // propagation (rare double fault: catalog change racing an unreachable
 // quorum); the view's backfill scan or a RebuildView repairs such rows.
-func (m *Manager) lateTasks(ctx context.Context, table, row string, updates []model.ColumnUpdate, scheduled []Task) ([]Task, coord.Collectors) {
-	now, cols := m.buildTasks(table, row, updates)
+// Put calls it only when the views now on the table are not the ones it
+// built its tasks from; those already scheduled are skipped by
+// definition, so a view re-created under the same name is late too.
+func (m *Manager) lateTasks(ctx context.Context, table, row string, updates []model.ColumnUpdate, views []*Def, scheduled []Task) ([]Task, coord.Collectors) {
+	now, cols := m.buildTasks(views, row, updates)
 	late := now[:0]
 next:
 	for _, t := range now {
@@ -475,11 +491,11 @@ next:
 		late = append(late, t)
 	}
 	if len(late) == 0 {
-		return nil, nil
+		return nil, coord.Collectors{}
 	}
 	collectors, err := m.recollect(ctx, table, row, cols, late)
 	if err != nil {
-		return nil, nil
+		return nil, coord.Collectors{}
 	}
 	m.stats.LateTasks.Add(int64(len(late)))
 	return late, collectors
@@ -506,13 +522,13 @@ func (m *Manager) BackfillRow(ctx context.Context, view, base, row string) error
 		if err != nil {
 			return err
 		}
-		if vk, ok := merged[def.ViewKeyColumn]; !ok || !vk.Exists() {
+		if !merged[0].Exists() {
 			continue
 		}
 		updates := make([]model.ColumnUpdate, 0, len(cols))
-		for _, col := range cols {
-			if cell, ok := merged[col]; ok {
-				updates = append(updates, model.ColumnUpdate{Column: col, Cell: cell})
+		for i, col := range cols {
+			if merged[i].Exists() {
+				updates = append(updates, model.ColumnUpdate{Column: col, Cell: merged[i]})
 			}
 		}
 		if err := m.backfillPropagate(ctx, def, row, updates); err != nil {
@@ -549,7 +565,7 @@ func (m *Manager) backfillPropagate(ctx context.Context, def *Def, row string, u
 	// perr after the wait is race-free.
 	var perr error
 	after := wait.NewCountdown(1, nil)
-	m.schedule(&tasks[0], collectors[def.ViewKeyColumn], nil, func(_ string, err error) { perr = err }, after)
+	m.schedule(&tasks[0], collectors.Of(def.ViewKeyColumn), nil, func(_ string, err error) { perr = err }, after)
 	after.Done.Wait(m.co.Park)
 	return perr
 }

@@ -45,11 +45,13 @@ var readyValue = []byte("1")
 // Port is everything a propagation round needs from the runtime under
 // it. All reads and writes use the majority quorum Algorithm 2 mandates.
 type Port interface {
-	// Get reads the named columns of one row.
-	Get(ctx context.Context, table, row string, cols []string) (model.Row, error)
+	// Get reads the named columns of one row: cell i is cols[i]'s,
+	// model.NullCell for a column never written.
+	Get(ctx context.Context, table, row string, cols []string) ([]model.Cell, error)
 	// MultiGet reads the same columns of several rows of one table in a
-	// single round trip; result i belongs to rows[i].
-	MultiGet(ctx context.Context, table string, rows, cols []string) ([]model.Row, error)
+	// single round trip; result i belongs to rows[i], its cells aligned
+	// with cols as Get's are.
+	MultiGet(ctx context.Context, table string, rows, cols []string) ([][]model.Cell, error)
 	// Put writes cells into one row.
 	Put(ctx context.Context, table, row string, updates []model.ColumnUpdate) error
 	// Serialize blocks until the caller may run one round for key — a
@@ -98,6 +100,8 @@ type Task struct {
 	// ColDeleted — what CopyData folds from the old live row, so the walk
 	// that finds that row reads them too; last ColPrev. A chain hop reads
 	// all but ColPrev (hopCols), which joins once a walk ends at a ghost.
+	// Every view row a round reads is a prefix of cols, so its cell i is
+	// cols[i]'s.
 	cols []string
 }
 
@@ -259,19 +263,10 @@ func (t *Task) startKey(guess model.Cell) string {
 	return string(guess.Value)
 }
 
-// cellOf reads one cell of a quorum-read row; ports may leave a
-// never-written cell out or pad it with NullCell.
-func cellOf(row model.Row, col string) model.Cell {
-	if c, ok := row[col]; ok {
-		return c
-	}
-	return model.NullCell
-}
-
 // propagateOnce is PropagateUpdate (Algorithm 2) for one guess. It
 // handles a view-key update, view-materialized column updates, or both
 // at once (the multi-column extension the paper describes in IV-C).
-func (r *Round) propagateOnce(ctx context.Context, t *Task, guess model.Cell, pre map[string]model.Row) error {
+func (r *Round) propagateOnce(ctx context.Context, t *Task, guess model.Cell, pre map[string][]model.Cell) error {
 	live, err := r.resolveLive(ctx, t, t.startKey(guess), pre)
 	creating := false
 	if err != nil {
@@ -417,12 +412,13 @@ func (r *Round) propagateViewKey(ctx context.Context, t *Task, live terminus, cr
 // in base state never regresses the view and preserves convergence.
 //
 // The old live row is the one the walk judged live, as that walk read
-// it (nil when creating): its hops read every data column. Its cells
-// cannot have changed since, because every writer of this base row's
-// qualified cells — live propagations, fills, compression — holds the
-// Serialize lock this round holds exclusively. The cells are appended
-// to updates, which the caller writes with its create step.
-func (r *Round) copyData(ctx context.Context, t *Task, old model.Row, updates []model.ColumnUpdate) ([]model.ColumnUpdate, error) {
+// it (nil when creating): its hops read every data column, the cells
+// of t.dataCols sitting at positions 2 on. Its cells cannot have
+// changed since, because every writer of this base row's qualified
+// cells — live propagations, fills, compression — holds the Serialize
+// lock this round holds exclusively. The cells are appended to updates,
+// which the caller writes with its create step.
+func (r *Round) copyData(ctx context.Context, t *Task, old []model.Cell, updates []model.ColumnUpdate) ([]model.ColumnUpdate, error) {
 	def := t.def
 	nMat := len(def.Materialized)
 	// copied[i] accumulates materialized column i; the last slot is the
@@ -448,14 +444,16 @@ func (r *Round) copyData(ctx context.Context, t *Task, old model.Row, updates []
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range def.Materialized {
-		fold(i, cellOf(base, c))
+	for i := range def.Materialized {
+		fold(i, base[i])
 	}
-	if vk := cellOf(base, def.ViewKeyColumn); vk.Exists() && vk.Tombstone {
+	if vk := base[nMat]; vk.Exists() && vk.Tombstone {
 		fold(nMat, model.Cell{Value: readyValue, TS: vk.TS})
 	}
-	for i, u := range copied {
-		fold(i, cellOf(old, u.Column))
+	if old != nil {
+		for i := range copied {
+			fold(i, old[2+i])
+		}
 	}
 
 	for _, u := range copied {
@@ -471,14 +469,14 @@ func (r *Round) copyData(ctx context.Context, t *Task, old model.Row, updates []
 // in one batched quorum read, so the chain walks of propagateOnce begin
 // with their first hop — and, when one guess's chain leads through
 // another guess's key, later hops too — already in hand. The returned
-// map feeds walkChain's cache.
+// map, of rows read by hopCols, feeds walkChain's cache.
 //
 // The prefetch is a performance hint with the same quorum strength as
 // the per-hop Gets it replaces: a row written between the batch and
 // the walk is simply not seen this round, which at worst costs one
 // extra retry, exactly like a Get issued at batch time would have.
 // Any batch failure degrades to the unbatched walk.
-func (r *Round) prefetchStarts(ctx context.Context, t *Task, guesses []model.Cell) map[string]model.Row {
+func (r *Round) prefetchStarts(ctx context.Context, t *Task, guesses []model.Cell) map[string][]model.Cell {
 	if len(guesses) < 2 {
 		return nil // a single start key gains nothing over its plain Get
 	}
@@ -501,7 +499,7 @@ next:
 		return nil
 	}
 	r.Stats.BatchedLookups.Add(1)
-	pre := make(map[string]model.Row, len(starts))
+	pre := make(map[string][]model.Cell, len(starts))
 	for i, s := range starts {
 		pre[s] = rows[i]
 	}
@@ -512,14 +510,14 @@ next:
 type terminus struct {
 	key       string
 	ts        int64
-	published bool      // ready marker at least as fresh as the pointer
-	row       model.Row // the row it was judged from, CopyData's source
+	published bool         // ready marker at least as fresh as the pointer
+	row       []model.Cell // the row it was judged from, CopyData's source
 }
 
 // terminusOf judges whether row — kv's pointer and ready marker, read
 // in one request — is a self-pointing terminus.
-func (t *Task) terminusOf(kv string, row model.Row) (end terminus, ok bool) {
-	next, ready := cellOf(row, t.cols[0]), cellOf(row, t.cols[1])
+func (t *Task) terminusOf(kv string, row []model.Cell) (end terminus, ok bool) {
+	next, ready := row[0], row[1]
 	if next.IsNull() || string(next.Value) != kv {
 		return terminus{}, false
 	}
@@ -546,7 +544,7 @@ func (t *Task) terminusOf(kv string, row model.Row) (end terminus, ok bool) {
 //
 // A walk that ends at a published row pays nothing for any of this;
 // the origin cell is only read once a ghost is in the way.
-func (r *Round) resolveLive(ctx context.Context, t *Task, start string, pre map[string]model.Row) (terminus, error) {
+func (r *Round) resolveLive(ctx context.Context, t *Task, start string, pre map[string][]model.Cell) (terminus, error) {
 	ghost, err := r.walkChain(ctx, t, start, pre)
 	if err != nil || ghost.published {
 		return ghost, err
@@ -569,7 +567,7 @@ func (r *Round) resolveLive(ctx context.Context, t *Task, start string, pre map[
 		return ghost, nil
 	}
 	detour := t.anchor
-	if prev := cellOf(row, t.prevCol()); !prev.IsNull() && len(prev.Value) > 0 {
+	if prev := row[len(t.cols)-1]; !prev.IsNull() && len(prev.Value) > 0 {
 		detour = string(prev.Value)
 	}
 	live, err := r.walkChain(ctx, t, detour, nil)
@@ -612,7 +610,7 @@ func (r *Round) resolveLive(ctx context.Context, t *Task, start string, pre map[
 // every stale pointer), flattening hot chains the way union-find path
 // compression does — but only toward a published terminus: compressing
 // toward an unpublished row would splice a ghost into real chains.
-func (r *Round) walkChain(ctx context.Context, t *Task, start string, pre map[string]model.Row) (terminus, error) {
+func (r *Round) walkChain(ctx context.Context, t *Task, start string, pre map[string][]model.Cell) (terminus, error) {
 	r.Stats.LiveKeyLookups.Add(1)
 	view := t.def.Name
 	kv := start
@@ -647,7 +645,7 @@ func (r *Round) walkChain(ctx context.Context, t *Task, start string, pre map[st
 				return terminus{}, err
 			}
 		}
-		next := cellOf(row, t.cols[0])
+		next := row[0]
 		if next.IsNull() {
 			return terminus{}, fmt.Errorf("%w: %q (base row %q)", errKeyMissing, kv, t.baseKey)
 		}

@@ -46,24 +46,33 @@ func (f *fakePort) row(table, row string) model.Row {
 	return f.tables[table][row]
 }
 
-func (f *fakePort) Get(_ context.Context, table, row string, cols []string) (model.Row, error) {
+func (f *fakePort) Get(_ context.Context, table, row string, cols []string) ([]model.Cell, error) {
 	f.reads++
 	return f.read(table, row, cols), nil
 }
 
-func (f *fakePort) read(table, row string, cols []string) model.Row {
-	out := model.Row{}
-	for _, c := range cols {
-		if cell, ok := f.row(table, row)[c]; ok {
-			out[c] = cell
-		}
+// read returns the row's cells of cols, aligned with them, as a quorum
+// read does.
+func (f *fakePort) read(table, row string, cols []string) []model.Cell {
+	out := make([]model.Cell, len(cols))
+	for i, c := range cols {
+		out[i] = cellIn(f.row(table, row), c)
 	}
 	return out
 }
 
-func (f *fakePort) MultiGet(_ context.Context, table string, rows, cols []string) ([]model.Row, error) {
+// cellIn reads one cell of a stored row; a never-written one is
+// model.NullCell.
+func cellIn(row model.Row, col string) model.Cell {
+	if c, ok := row[col]; ok {
+		return c
+	}
+	return model.NullCell
+}
+
+func (f *fakePort) MultiGet(_ context.Context, table string, rows, cols []string) ([][]model.Cell, error) {
 	f.reads++
-	out := make([]model.Row, len(rows))
+	out := make([][]model.Cell, len(rows))
 	for i, r := range rows {
 		out[i] = f.read(table, r, cols)
 	}
@@ -108,7 +117,7 @@ func (f *fakePort) Put(_ context.Context, table, row string, updates []model.Col
 		if !u.Cell.Dot.IsZero() || u.Cell.Ctx != nil {
 			f.t.Errorf("view cell %s/%s carries dot metadata", row, u.Column)
 		}
-		dst[u.Column] = model.Merge(cellOf(dst, u.Column), u.Cell)
+		dst[u.Column] = model.Merge(cellIn(dst, u.Column), u.Cell)
 	}
 	return nil
 }
@@ -163,9 +172,9 @@ func newRig(t *testing.T) *rig {
 func (g *rig) ack(u BaseUpdate) (pre, cur model.Cell) {
 	g.acked = append(g.acked, u)
 	base := g.port.row(g.def.Base, rigRow)
-	pre = cellOf(base, g.def.ViewKeyColumn)
-	base[u.Column] = model.Merge(cellOf(base, u.Column), u.Cell)
-	return pre, cellOf(base, g.def.ViewKeyColumn)
+	pre = cellIn(base, g.def.ViewKeyColumn)
+	base[u.Column] = model.Merge(cellIn(base, u.Column), u.Cell)
+	return pre, cellIn(base, g.def.ViewKeyColumn)
 }
 
 // try runs one round of u's propagation over guesses.
@@ -180,7 +189,7 @@ func (g *rig) try(u BaseUpdate, guesses Pool) bool {
 
 // viewCell reads one cell of rigRow in a view row.
 func (g *rig) viewCell(viewKey, col string) model.Cell {
-	return cellOf(g.port.row(g.def.Name, viewKey), model.Qualify(rigRow, col))
+	return cellIn(g.port.row(g.def.Name, viewKey), model.Qualify(rigRow, col))
 }
 
 func TestInterruptedPromotionIsRedoSafe(t *testing.T) {
@@ -452,7 +461,7 @@ func TestDeletionOverTombstonedPreImagesStampsDeleted(t *testing.T) {
 		u := BaseUpdate{BaseKey: bk, Column: "k", Cell: cell}
 		acked = append(acked, u)
 		base := port.row(def.Base, bk)
-		pre := cellOf(base, "k")
+		pre := cellIn(base, "k")
 		base["k"] = model.Merge(pre, cell)
 		return u, pre
 	}
@@ -463,7 +472,7 @@ func TestDeletionOverTombstonedPreImagesStampsDeleted(t *testing.T) {
 			t.Fatalf("update %v did not propagate: %v", u, err)
 		}
 	}
-	deletedTS := func() int64 { return cellOf(port.row(def.Name, "k1"), model.Qualify(bk, ColDeleted)).TS }
+	deletedTS := func() int64 { return cellIn(port.row(def.Name, "k1"), model.Qualify(bk, ColDeleted)).TS }
 
 	create, pre := ack(model.Cell{Value: []byte("k1"), TS: 10})
 	propagate(create, staticPool{pre})
@@ -527,7 +536,7 @@ func TestAnchoredDeletionOfNeverCreatedRowIsNoOp(t *testing.T) {
 		t.Fatalf("creating k1: %v", err)
 	}
 	try()
-	if got := cellOf(port.row(def.Name, "k1"), model.Qualify(bk, ColDeleted)).TS; got != 87 || stats.NoOps.Load() != 1 {
+	if got := cellIn(port.row(def.Name, "k1"), model.Qualify(bk, ColDeleted)).TS; got != 87 || stats.NoOps.Load() != 1 {
 		t.Fatalf("row k1 carries __deleted at ts %d with %d no-ops; want 87 and still 1", got, stats.NoOps.Load())
 	}
 }

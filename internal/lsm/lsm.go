@@ -410,18 +410,18 @@ func (s *Store) readRow(row string, buf *rowBufs) ([]model.Entry, int) {
 	return buf.merged, len(prefix)
 }
 
-// GetColumns returns the requested columns of the row. Missing cells
-// come back as model.NullCell so the caller sees an entry per column.
-func (s *Store) GetColumns(row string, columns []string) model.Row {
-	out := make(model.Row, len(columns))
-	s.readColumns(row, columns, func(_ int, col string, c model.Cell) { out[col] = c })
+// GetColumns returns the LWW-merged cells of the requested columns,
+// aligned with columns: a never-written column's cell is
+// model.NullCell.
+func (s *Store) GetColumns(row string, columns []string) []model.Cell {
+	out := make([]model.Cell, len(columns))
+	s.readColumns(row, columns, func(i int, _ string, c model.Cell) { out[i] = c })
 	return out
 }
 
-// DigestColumns returns model.RowDigest(s.GetColumns(row, columns))
-// without building the row: each cell's model.CellDigest is folded in
-// as it is read. A column named twice counts once, as it does in the
-// row's map.
+// DigestColumns returns model.DigestCells(columns, s.GetColumns(row,
+// columns)) without building the cells: each cell's model.CellDigest
+// is folded in as it is read. A column named twice counts once.
 func (s *Store) DigestColumns(row string, columns []string) uint64 {
 	digest := model.DigestSeed
 	s.readColumns(row, columns, func(i int, col string, c model.Cell) {

@@ -115,11 +115,14 @@ func TestGetColumnsIncludesMissing(t *testing.T) {
 	s := New(Options{Seed: 1})
 	s.Apply("r", "a", model.Cell{Value: []byte("1"), TS: 1})
 	row := s.GetColumns("r", []string{"a", "zzz"})
-	if !row["zzz"].Equal(model.NullCell) {
-		t.Fatalf("missing column should be NullCell, got %v", row["zzz"])
+	if len(row) != 2 {
+		t.Fatalf("GetColumns returned %d cells for 2 columns: %v", len(row), row)
 	}
-	if string(row["a"].Value) != "1" {
-		t.Fatalf("present column wrong: %v", row["a"])
+	if !row[1].Equal(model.NullCell) {
+		t.Fatalf("missing column should be NullCell, got %v", row[1])
+	}
+	if string(row[0].Value) != "1" {
+		t.Fatalf("present column wrong: %v", row[0])
 	}
 }
 
@@ -277,7 +280,7 @@ func TestOlderRunHoldsNewestTimestamp(t *testing.T) {
 	if row := s.GetRow("row"); len(row) != 1 || string(row[0].Cell.Value) != "winner" {
 		t.Fatalf("GetRow = %v; want the ts=100 winner from the oldest run", row)
 	}
-	if row := s.GetColumns("row", []string{"c"}); string(row["c"].Value) != "winner" {
+	if row := s.GetColumns("row", []string{"c"}); string(row[0].Value) != "winner" {
 		t.Fatalf("GetColumns = %v; want the ts=100 winner from the oldest run", row)
 	}
 }

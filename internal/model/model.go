@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"vstore/internal/dvv"
@@ -251,6 +252,19 @@ func RowDigest(r Row) uint64 {
 	digest := DigestSeed
 	for col, c := range r {
 		digest ^= CellDigest(col, c)
+	}
+	return digest
+}
+
+// DigestCells is RowDigest of the row that pairs columns[i] with
+// cells[i], built without the map: a column named twice counts once,
+// as it does in the map. cells must be at least as long as columns.
+func DigestCells(columns []string, cells []Cell) uint64 {
+	digest := DigestSeed
+	for i, col := range columns {
+		if !slices.Contains(columns[:i], col) {
+			digest ^= CellDigest(col, cells[i])
+		}
 	}
 	return digest
 }

@@ -91,7 +91,12 @@ func TestDurableBytesIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: put: %v", i, err)
 		}
-		old := resp.(transport.PutResp).Old
+		// The pre-images by name, a repeated column once, as the hash
+		// was recorded from a map.
+		old := model.Row{}
+		for j, c := range req.ReturnVersionsOf {
+			old[c] = resp.(transport.PutResp).Old[j]
+		}
 		names := make([]string, 0, len(old))
 		for c := range old {
 			names = append(names, c)

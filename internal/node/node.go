@@ -376,8 +376,9 @@ func (n *Node) handlePut(r transport.PutReq) (transport.Response, error) {
 // request asked for and the cell each dotted (client) update has to be
 // checked against for a concurrent sibling. Internal view-maintenance
 // writes are undotted and ask for nothing, so they stay blind. The
-// caller holds the row lock.
-func (n *Node) putRow(t *lsm.Store, r transport.PutReq) (model.Row, error) {
+// pre-images come back aligned with ReturnVersionsOf, nil when it is
+// empty. The caller holds the row lock.
+func (n *Node) putRow(t *lsm.Store, r transport.PutReq) ([]model.Cell, error) {
 	wantOld := len(r.ReturnVersionsOf) > 0
 	for i := 0; !wantOld && i < len(r.Updates); i++ {
 		wantOld = !r.Updates[i].Cell.Dot.IsZero()
@@ -402,8 +403,8 @@ func (n *Node) putRow(t *lsm.Store, r transport.PutReq) (model.Row, error) {
 	if len(r.ReturnVersionsOf) == 0 {
 		return nil, nil
 	}
-	pre := make(model.Row, len(r.ReturnVersionsOf))
-	for _, col := range r.ReturnVersionsOf {
+	pre := make([]model.Cell, len(r.ReturnVersionsOf))
+	for j, col := range r.ReturnVersionsOf {
 		// The pre-image is what the row held before the request: the
 		// first update to the column saw it; a column the request does
 		// not write still holds it.
@@ -412,9 +413,9 @@ func (n *Node) putRow(t *lsm.Store, r transport.PutReq) (model.Row, error) {
 			i++
 		}
 		if i < len(r.Updates) {
-			pre[col] = old[i]
+			pre[j] = old[i]
 		} else {
-			pre[col], _ = t.Get(r.Row, col)
+			pre[j], _ = t.Get(r.Row, col)
 		}
 	}
 	return pre, nil
@@ -423,8 +424,8 @@ func (n *Node) putRow(t *lsm.Store, r transport.PutReq) (model.Row, error) {
 // putIndexedRow is the put of a table with native secondary indexes
 // (the baseline the paper compares views against): cell at a time,
 // each keeping its fragment in step.
-func (n *Node) putIndexedRow(t *lsm.Store, frags map[string]*lsm.Store, r transport.PutReq) (model.Row, error) {
-	var pre model.Row
+func (n *Node) putIndexedRow(t *lsm.Store, frags map[string]*lsm.Store, r transport.PutReq) ([]model.Cell, error) {
+	var pre []model.Cell
 	if len(r.ReturnVersionsOf) > 0 {
 		pre = t.GetColumns(r.Row, r.ReturnVersionsOf)
 	}
@@ -517,16 +518,12 @@ func (n *Node) handleMultiGet(r transport.MultiGetReq) (transport.Response, erro
 	sp := n.span(r.Span, "node.multiget", t)
 	sp.SetAttr("rows", fmt.Sprint(len(r.Rows)))
 	defer sp.Finish()
-	rows := make([]model.Row, len(r.Rows))
+	rows := make([]transport.RowCells, len(r.Rows))
 	for i, rr := range r.Rows {
 		if rr.AllColumns {
-			es := t.GetRow(rr.Row)
-			rows[i] = make(model.Row, len(es))
-			for _, e := range es {
-				rows[i][string(e.Key)] = e.Cell
-			}
+			rows[i].Entries = t.GetRow(rr.Row)
 		} else {
-			rows[i] = t.GetColumns(rr.Row, rr.Columns)
+			rows[i].Cells = t.GetColumns(rr.Row, rr.Columns)
 		}
 	}
 	return transport.MultiGetResp{Rows: rows}, nil

@@ -30,13 +30,22 @@ func put(t *testing.T, n *Node, table, row, col, val string, ts int64) transport
 	return resp.(transport.PutResp)
 }
 
+// get reads the named columns of a row: the reply's cells by name.
 func get(t *testing.T, n *Node, table, row string, cols ...string) model.Row {
 	t.Helper()
 	resp, err := n.HandleRequest(0, transport.GetReq{Table: table, Row: row, Columns: cols})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.(transport.GetResp).Cells
+	cells := resp.(transport.GetResp).Cells
+	if len(cells) != len(cols) {
+		t.Fatalf("get %v returned %d cells", cols, len(cells))
+	}
+	out := model.Row{}
+	for i, col := range cols {
+		out[col] = cells[i]
+	}
+	return out
 }
 
 func TestPutGet(t *testing.T) {
@@ -76,7 +85,7 @@ func TestPutPreRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := resp.(transport.PutResp)
-	if string(pr.Old["vk"].Value) != "old" || pr.Old["vk"].TS != 1 {
+	if len(pr.Old) != 1 || string(pr.Old[0].Value) != "old" || pr.Old[0].TS != 1 {
 		t.Fatalf("pre-read returned %v", pr)
 	}
 	// The write itself must have landed.
@@ -94,7 +103,7 @@ func TestPutPreReadOfAbsentCell(t *testing.T) {
 		ReturnVersionsOf: []string{"vk"},
 	})
 	pr := resp.(transport.PutResp)
-	if cell, ok := pr.Old["vk"]; !ok || !cell.Equal(model.NullCell) {
+	if len(pr.Old) != 1 || !pr.Old[0].Equal(model.NullCell) {
 		t.Fatalf("pre-read of absent cell = %v, want NullCell", pr)
 	}
 }
@@ -304,7 +313,7 @@ func TestIndexQueryReturnsColumns(t *testing.T) {
 		Table: "t", Column: "city", Value: []byte("x"), ReadColumns: []string{"name"},
 	})
 	m := resp.(transport.IndexQueryResp).Matches
-	if len(m) != 1 || string(m[0].Cells["name"].Value) != "alice" {
+	if len(m) != 1 || len(m[0].Cells) != 1 || string(m[0].Cells[0].Value) != "alice" {
 		t.Fatalf("matches = %v", m)
 	}
 	if string(m[0].IndexedCell.Value) != "x" {

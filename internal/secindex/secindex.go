@@ -111,10 +111,11 @@ func (q *Querier) Query(ctx context.Context, table, column string, value []byte,
 				byKey[m.Row] = a
 			}
 			a.indexed = model.Merge(a.indexed, m.IndexedCell)
-			for col, cell := range m.Cells {
-				if !cell.Exists() {
+			for i, cell := range m.Cells {
+				if !cell.Exists() || i >= len(readColumns) {
 					continue
 				}
+				col := readColumns[i]
 				if old, ok := a.cells[col]; ok {
 					a.cells[col] = model.Merge(old, cell)
 				} else {

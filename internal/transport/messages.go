@@ -34,9 +34,10 @@ type PutReq struct {
 
 // PutResp acknowledges a PutReq.
 type PutResp struct {
-	// Old holds the pre-images of ReturnVersionsOf (a never-written
-	// column maps to NullCell); nil when no pre-read was requested.
-	Old model.Row
+	// Old holds the pre-images of ReturnVersionsOf, aligned with it (a
+	// never-written column's is NullCell); nil when no pre-read was
+	// requested, so such a reply boxes without allocating.
+	Old []model.Cell
 }
 
 // GetReq reads columns of one row. If AllColumns is set, every cell of
@@ -51,11 +52,12 @@ type GetReq struct {
 	Span       *trace.Span
 }
 
-// GetResp carries the replica's local cells. Tombstones and their
-// timestamps are included: the coordinator needs them for LWW
-// resolution and read repair.
+// GetResp carries the replica's local cells of the named columns,
+// aligned with GetReq.Columns: a never-written column's is NullCell.
+// Tombstones and their timestamps are included: the coordinator needs
+// them for LWW resolution and read repair.
 type GetResp struct {
-	Cells model.Row
+	Cells []model.Cell
 }
 
 // RowResp carries every cell a replica holds of a row, for a GetReq
@@ -102,10 +104,18 @@ type MultiGetReq struct {
 	Span  *trace.Span
 }
 
+// RowCells is one row of a MultiGetResp: for a read of named columns,
+// Cells aligned with them, as in GetResp; for a whole-row read,
+// Entries sorted by column name, as in RowResp.
+type RowCells struct {
+	Cells   []model.Cell
+	Entries []model.Entry
+}
+
 // MultiGetResp carries the replica's local cells for each requested
 // row, index-aligned with MultiGetReq.Rows.
 type MultiGetResp struct {
-	Rows []model.Row
+	Rows []RowCells
 }
 
 // ApplyEntriesReq force-applies raw entries to a table's local store.
@@ -131,11 +141,12 @@ type IndexQueryReq struct {
 	ReadColumns []string
 }
 
-// IndexMatch is one row found in a node-local index fragment.
+// IndexMatch is one row found in a node-local index fragment; Cells
+// are the read columns' cells, aligned with IndexQueryReq.ReadColumns.
 type IndexMatch struct {
 	Row         string
 	IndexedCell model.Cell
-	Cells       model.Row
+	Cells       []model.Cell
 }
 
 // IndexQueryResp carries a node's local index matches.

@@ -11,7 +11,7 @@ import (
 // echoHandler replies to GetReq with a fixed row and to everything
 // else with AckResp.
 type echoHandler struct {
-	row model.Row
+	row []model.Cell
 }
 
 func (e *echoHandler) HandleRequest(from NodeID, req Request) (Response, error) {
@@ -25,14 +25,14 @@ func (e *echoHandler) HandleRequest(from NodeID, req Request) (Response, error) 
 
 func TestDirectRoundTrip(t *testing.T) {
 	tr := NewDirect()
-	row := model.Row{"c": {Value: []byte("v"), TS: 1}}
+	row := []model.Cell{{Value: []byte("v"), TS: 1}}
 	tr.Register(1, &echoHandler{row: row})
 	res := <-tr.Call(0, 1, GetReq{Table: "t", Row: "r"})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	got, ok := res.Resp.(GetResp)
-	if !ok || string(got.Cells["c"].Value) != "v" {
+	if !ok || string(got.Cells[0].Value) != "v" {
 		t.Fatalf("bad response %#v", res.Resp)
 	}
 	if res.From != 1 {
@@ -214,14 +214,14 @@ func TestDirectCallRunsConcurrently(t *testing.T) {
 
 func TestDirectCallSync(t *testing.T) {
 	tr := NewDirect()
-	row := model.Row{"c": {Value: []byte("v"), TS: 1}}
+	row := []model.Cell{{Value: []byte("v"), TS: 1}}
 	tr.Register(1, &echoHandler{row: row})
 	var sc SyncCaller = tr // Direct must satisfy the fast-path interface
 	res := sc.CallSync(0, 1, GetReq{Table: "t", Row: "r"})
 	if res.Err != nil || res.From != 1 {
 		t.Fatalf("CallSync result %+v", res)
 	}
-	if got := res.Resp.(GetResp); string(got.Cells["c"].Value) != "v" {
+	if got := res.Resp.(GetResp); string(got.Cells[0].Value) != "v" {
 		t.Fatalf("bad response %#v", res.Resp)
 	}
 	tr.SetDown(1, true)
