@@ -54,6 +54,7 @@ func TestDeleteEmptyColumnsRejected(t *testing.T) {
 }
 
 func TestSessionOfSessionIndependent(t *testing.T) {
+	noGoroutineOutlivesClose(t)
 	db := openTickets(t, vstore.Config{})
 	c := db.Client(0)
 	s1 := c.Session()

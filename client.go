@@ -9,12 +9,10 @@ import (
 	"time"
 
 	"vstore/internal/backfill"
-	"vstore/internal/clock"
 	"vstore/internal/coord"
 	"vstore/internal/core"
 	"vstore/internal/metrics"
 	"vstore/internal/model"
-	"vstore/internal/session"
 	"vstore/internal/trace"
 )
 
@@ -152,7 +150,7 @@ type Client struct {
 	db   *DB
 	node int
 	w, r int
-	sess *session.Session
+	sess *core.Session
 }
 
 // Client returns a client bound to the coordinator on the given node
@@ -194,7 +192,7 @@ func (c *Client) Node() int { return c.node }
 // session with EndSession.
 func (c *Client) Session() *Client {
 	cc := *c
-	cc.sess = c.db.trackers[c.node].Begin()
+	cc.sess = c.manager().Session()
 	return &cc
 }
 
@@ -252,39 +250,7 @@ func (c *Client) PutUpdates(ctx context.Context, table, key string, updates []Up
 		}
 		cus = append(cus, model.ColumnUpdate{Column: u.Column, Cell: cell})
 	}
-	var onProp func(view string, err error)
-	if c.sess != nil {
-		// Register the pending propagations with the session before
-		// the write so a view read issued right after Put returns is
-		// already covered.
-		dones := map[string]func(){}
-		for _, def := range c.db.registry.ViewsOn(table) {
-			relevant := false
-			for _, u := range cus {
-				if def.Relevant(u.Column) {
-					relevant = true
-					break
-				}
-			}
-			if relevant {
-				dones[def.Name] = c.sess.Register(def.Name)
-			}
-		}
-		onProp = func(view string, err error) {
-			if done := dones[view]; done != nil {
-				done()
-			}
-		}
-		err := c.manager().Put(ctx, table, key, cus, co.w, onProp)
-		if err != nil {
-			// The write failed; nothing will propagate.
-			for _, done := range dones {
-				done()
-			}
-		}
-		return err
-	}
-	return c.manager().Put(ctx, table, key, cus, co.w, nil)
+	return c.manager().Put(ctx, table, key, cus, co.w, c.sess)
 }
 
 // Delete tombstones columns of a row. Deleting a view-key column
@@ -415,7 +381,7 @@ func (c *Client) GetView(ctx context.Context, view, viewKey string, opts ...Opti
 		}
 	}
 	if co.maxStale > 0 {
-		if err := c.db.waitStaleness(ctx, view, co.maxStale); err != nil {
+		if err := c.waitStaleness(ctx, view, co.maxStale); err != nil {
 			return nil, err
 		}
 	}
@@ -478,40 +444,23 @@ func (c *Client) QueryIndex(ctx context.Context, table, column, value string, op
 // waitStaleness implements WithMaxStaleness's decision table against
 // the per-view staleness gauge (the age of the view's oldest pending
 // propagation — an upper bound on how stale any of its rows can be).
-func (db *DB) waitStaleness(ctx context.Context, view string, bound time.Duration) error {
+func (c *Client) waitStaleness(ctx context.Context, view string, bound time.Duration) error {
+	db := c.db
 	if st, ok := db.bf.State(view); ok && st == backfill.StateBackfilling {
 		return fmt.Errorf("vstore: view %q: %w", view, ErrViewBackfilling)
 	}
-	obs := db.registry.Obs()
-	if obs.OldestPendingAgeFor(view, db.now()) <= bound {
+	if db.registry.OldestPendingAgeFor(view, db.now()) <= bound {
 		return nil
 	}
-	// Bounded session-wait: give in-flight propagations up to the
-	// read's own staleness budget to drain below the bound, polling the
-	// gauge on a coarse step so the wait costs a handful of checks, not
-	// a spin.
-	step := bound / 10
-	if step < time.Millisecond {
-		step = time.Millisecond
-	}
-	if step > 50*time.Millisecond {
-		step = 50 * time.Millisecond
-	}
-	clk := clock.Or(db.cfg.Clock)
+	// Bounded session-wait: give in-flight propagations up to the read's
+	// own staleness budget to drain below the bound.
 	ws := db.now()
 	defer func() { db.lat.Observe(metrics.OpSessionWait, db.now().Sub(ws)) }()
-	deadline := ws.Add(bound)
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-clk.After(step):
-		}
-		if obs.OldestPendingAgeFor(view, db.now()) <= bound {
-			return nil
-		}
-		if !db.now().Before(deadline) {
-			return fmt.Errorf("vstore: view %q: %w", view, ErrTooStale)
-		}
+	if c.manager().AwaitStaleness(ctx, view, bound) {
+		return nil
 	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf("vstore: view %q: %w", view, ErrTooStale)
 }

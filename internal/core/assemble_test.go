@@ -320,7 +320,7 @@ func TestAssembleMatchesMapReference(t *testing.T) {
 		}
 		var project []string
 		if r.Intn(2) == 0 {
-			project = []string{"m", ColBase, "n"}[:1+r.Intn(3)]
+			project = []string{"m", "n"}[:1+r.Intn(2)]
 		}
 		rows, initializing := assembleViewRows(defs, viewKey, entriesOf(raw), project)
 		wantRows, wantInit := assembleViewRowsByMap(defs, viewKey, raw, project)
@@ -389,9 +389,6 @@ func assembleViewRowsByMap(defs []*Def, viewKey string, cells model.Row, columns
 		}
 		vr := ViewRow{ViewKey: viewKey, Table: ns, BaseKey: baseKey, Cells: model.Row{}}
 		for _, c := range cols {
-			if c == ColBase {
-				continue
-			}
 			if cell, ok := g[c]; ok && !cell.IsNull() {
 				vr.Cells[c] = cell
 			}

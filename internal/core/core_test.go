@@ -71,6 +71,25 @@ func (h *harness) quiesce(t *testing.T) {
 	// inside the job), so nothing more to wait for.
 }
 
+// putEnded writes updates to a ticket through m under a session of its
+// own and returns a channel closed once every propagation the write
+// scheduled into view has ended, successfully or not.
+func putEnded(t *testing.T, m *core.Manager, view, row string, updates []model.ColumnUpdate, w int) <-chan struct{} {
+	t.Helper()
+	sess := m.Session()
+	if err := m.Put(ctxT(t), "ticket", row, updates, w, sess); err != nil {
+		t.Fatal(err)
+	}
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		if err := sess.WaitView(context.Background(), view); err != nil {
+			t.Errorf("waiting for the propagations of ticket %s: %v", row, err)
+		}
+	}()
+	return ended
+}
+
 // viewEntries merges the view table's storage from every node.
 func (h *harness) viewEntries(view string) []model.Entry {
 	runs := make([][]model.Entry, 0, h.c.Size())
@@ -444,6 +463,9 @@ func TestGetViewValidation(t *testing.T) {
 	if _, err := h.mgrs[0].GetView(ctxT(t), "assignedto", "k", []string{"description"}); err == nil {
 		t.Fatal("non-materialized column accepted")
 	}
+	if _, err := h.mgrs[0].GetView(ctxT(t), "assignedto", "k", []string{core.ColBase}); err == nil {
+		t.Fatal("the reserved base-key column accepted as a materialized one")
+	}
 	if _, err := h.mgrs[0].GetView(ctxT(t), "assignedto", "\x00vstore-null\x00x", nil); err == nil {
 		t.Fatal("reserved key accepted")
 	}
@@ -601,34 +623,6 @@ func TestBackfill(t *testing.T) {
 	}
 }
 
-func TestOnPropagatedCallback(t *testing.T) {
-	h := newHarness(t, core.Options{}, 4)
-	mustDefine(t, h, ticketDef())
-	var mu sync.Mutex
-	calls := map[string]int{}
-	cb := func(view string, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			t.Errorf("propagation error: %v", err)
-		}
-		calls[view]++
-	}
-	err := h.mgrs[0].Put(ctxT(t), "ticket", "42", []model.ColumnUpdate{
-		model.Update("assignedto", []byte("rliu"), 1),
-		model.Update("status", []byte("open"), 1),
-	}, 2, cb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.quiesce(t)
-	mu.Lock()
-	defer mu.Unlock()
-	if calls["assignedto"] != 1 {
-		t.Fatalf("callback calls = %v, want assignedto:1", calls)
-	}
-}
-
 func TestSyncPropagationBlocks(t *testing.T) {
 	h := newHarness(t, core.Options{SyncPropagation: true}, 4)
 	mustDefine(t, h, ticketDef())
@@ -739,19 +733,13 @@ func TestAbandonedPropagationCounted(t *testing.T) {
 	for i := 0; i < h.c.Size(); i++ {
 		h.c.SetNodeDown(transport.NodeID(i), false)
 	}
-	errCh := make(chan error, 1)
-	err := h.mgrs[0].Put(ctxT(t), "ticket", "1",
-		[]model.ColumnUpdate{model.Update("status", []byte("x"), 200)}, 2,
-		func(view string, err error) { errCh <- err })
-	if err != nil {
-		t.Fatal(err)
-	}
+	ended := putEnded(t, h.mgrs[0], "assignedto", "1", []model.ColumnUpdate{model.Update("status", []byte("x"), 200)}, 2)
 	for i := 1; i < h.c.Size(); i++ {
 		h.c.SetNodeDown(transport.NodeID(i), true)
 	}
 	select {
-	case perr := <-errCh:
-		if perr == nil {
+	case <-ended:
+		if st := h.mgrs[0].Stats(); st.Propagations.Load()+st.NoOps.Load() > 0 {
 			// The propagation may have squeaked through before the
 			// nodes went down; that's fine, nothing to assert.
 			return
@@ -906,12 +894,7 @@ func TestPropagationAbandonedOnInjectedClock(t *testing.T) {
 		PropagationDelay:    func() time.Duration { return 0 },
 	}, 4)
 	mustDefine(t, h, ticketDef())
-	outcome := make(chan error, 1)
-	err := h.mgrs[0].Put(ctxT(t), "ticket", "1", []model.ColumnUpdate{model.Update("assignedto", []byte("rliu"), 1)}, 2,
-		func(_ string, err error) { outcome <- err })
-	if err != nil {
-		t.Fatal(err)
-	}
+	ended := putEnded(t, h.mgrs[0], "assignedto", "1", []model.ColumnUpdate{model.Update("assignedto", []byte("rliu"), 1)}, 2)
 	// The propagation is held back by its PropagationDelay; by the time
 	// it starts no view quorum is reachable, so every round fails.
 	for i := 1; i < h.c.Size(); i++ {
@@ -933,8 +916,8 @@ func TestPropagationAbandonedOnInjectedClock(t *testing.T) {
 		backoffs += clk.releaseIf(func(d time.Duration) bool { return d != deadline })
 	}
 	select {
-	case err := <-outcome:
-		t.Fatalf("propagation ended (%v) before the injected clock reached MaxPropagationRetry", err)
+	case <-ended:
+		t.Fatal("propagation ended before the injected clock reached MaxPropagationRetry")
 	default:
 	}
 	if backoffs < 2 || h.mgrs[0].Stats().FailedAttempts.Load() < 2 {
@@ -945,8 +928,8 @@ func TestPropagationAbandonedOnInjectedClock(t *testing.T) {
 	}
 	clk.release() // the injected clock passes MaxPropagationRetry
 	select {
-	case err := <-outcome:
-		if err == nil {
+	case <-ended:
+		if n := h.mgrs[0].Stats().Propagations.Load(); n != 0 {
 			t.Fatal("propagation succeeded with no view quorum reachable")
 		}
 	case <-time.After(10 * time.Second):
@@ -984,15 +967,11 @@ func TestHandOffWaitsForTheRowItsGuessNames(t *testing.T) {
 	done := make(chan string, 3)
 	put := func(name string, u model.ColumnUpdate) {
 		t.Helper()
-		err := m.Put(ctxT(t), "ticket", "1", []model.ColumnUpdate{u}, 2, func(_ string, err error) {
-			if err != nil {
-				t.Errorf("%s: %v", name, err)
-			}
+		ended := putEnded(t, m, "assignedto", "1", []model.ColumnUpdate{u}, 2)
+		go func() {
+			<-ended
 			done <- name
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}()
 	}
 	// eventually waits for a condition the propagations reach on their own
 	// goroutines (each samples its delay when it starts).
@@ -1030,5 +1009,8 @@ func TestHandOffWaitsForTheRowItsGuessNames(t *testing.T) {
 	}
 	if n := m.Stats().HandOffs.Load(); n != 1 {
 		t.Fatalf("%d hand-offs, want 1", n)
+	}
+	if n := m.Stats().Abandoned.Load(); n != 0 {
+		t.Fatalf("%d propagations abandoned", n)
 	}
 }

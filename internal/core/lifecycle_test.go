@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -66,8 +67,9 @@ var assignRliu = []model.ColumnUpdate{model.Update("assignedto", []byte("rliu"),
 
 // Close ends a held-back propagation and has returned only after it did:
 // nothing touches the intent log afterwards (DB.Close closes the node's
-// logs next), the session hook has fired with ErrClosed, and the intent
-// is left pending — the view does not hold the write.
+// logs next), a session read of the write no longer waits, the
+// propagation counts neither as delivered nor as abandoned, and the
+// intent is left pending — the view does not hold the write.
 func TestCloseEndsHeldPropagationBeforeReturning(t *testing.T) {
 	clk := &holdClock{Clock: clock.Wall, only: func(d time.Duration) bool { return d == time.Hour }}
 	h := newHarness(t, core.Options{Clock: clk, PropagationDelay: func() time.Duration { return time.Hour }}, 4)
@@ -75,8 +77,8 @@ func TestCloseEndsHeldPropagationBeforeReturning(t *testing.T) {
 	log := &recordingLog{t: t}
 	mgr := h.mgrs[0]
 	mgr.SetIntentLog(log)
-	var outcome atomic.Value
-	if err := mgr.Put(ctxT(t), "ticket", "1", assignRliu, 2, func(_ string, err error) { outcome.Store(err) }); err != nil {
+	sess := mgr.Session()
+	if err := mgr.Put(ctxT(t), "ticket", "1", assignRliu, 2, sess); err != nil {
 		t.Fatal(err)
 	}
 	for !clk.holds(time.Hour) {
@@ -84,20 +86,158 @@ func TestCloseEndsHeldPropagationBeforeReturning(t *testing.T) {
 	}
 	mgr.Close()
 	log.shut.Store(true)
-	if err, _ := outcome.Load().(error); !errors.Is(err, core.ErrClosed) {
-		t.Fatalf("outcome of the held propagation = %v, want ErrClosed before Close returns", outcome.Load())
+	ended, cancel := context.WithCancel(ctxT(t))
+	cancel()
+	if err := sess.WaitView(ended, "assignedto"); err != nil {
+		t.Fatalf("a session read after Close: %v, want the held propagation ended before Close returns", err)
 	}
 	if open, done := log.counts(); open != 1 || done != 0 {
 		t.Fatalf("%d intents pending, %d marked done; want the cancelled propagation's intent left pending", open, done)
 	}
-	if n := mgr.PendingPropagations(); n != 0 || mgr.Stats().Abandoned.Load() != 0 {
-		t.Fatalf("pending = %d, abandoned = %d after Close", n, mgr.Stats().Abandoned.Load())
+	if st := mgr.Stats(); mgr.PendingPropagations() != 0 || st.Abandoned.Load() != 0 || st.Propagations.Load() != 0 {
+		t.Fatalf("pending = %d, abandoned = %d, delivered = %d after Close", mgr.PendingPropagations(), st.Abandoned.Load(), st.Propagations.Load())
 	}
 	if err := mgr.Put(ctxT(t), "ticket", "2", assignRliu, 2, nil); !errors.Is(err, core.ErrClosed) {
 		t.Fatalf("Put on a closed manager: %v, want ErrClosed", err)
 	}
 	clk.release() // the stale delay timer wakes nobody
 	time.Sleep(20 * time.Millisecond)
+}
+
+// Close waits out a propagation whose round is in flight — the
+// interrupt cannot cut a replica call short — and has returned only once
+// that propagation ended.
+func TestCloseWaitsOutARoundInFlight(t *testing.T) {
+	fab := newHeldWrite("assignedto", "")
+	h := newHarnessOn(t, core.Options{}, 4, fab)
+	mustDefine(t, h, ticketDef())
+	mgr := h.mgrs[0]
+	sess := mgr.Session()
+	release := sync.OnceFunc(func() { close(fab.release) })
+	t.Cleanup(release) // before the harness closes, should the test fail
+	fab.armed.Store(true)
+	if err := mgr.Put(ctxT(t), "ticket", "1", assignRliu, 2, sess); err != nil {
+		t.Fatal(err)
+	}
+	<-fab.sent // the propagation's first view write
+	closed := make(chan struct{})
+	go func() {
+		mgr.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a propagation's round in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never returned once the round came back")
+	}
+	if err := sess.WaitView(done(), "assignedto"); err != nil || mgr.PendingPropagations() != 0 {
+		t.Fatalf("after Close: session read %v, %d propagations pending; want the propagation ended", err, mgr.PendingPropagations())
+	}
+}
+
+// gatedLog is a recordingLog whose done records wait for the test.
+type gatedLog struct {
+	recordingLog
+	entered, release chan struct{}
+}
+
+func (l *gatedLog) LogIntentDone(id uint64) error {
+	l.entered <- struct{}{}
+	<-l.release
+	return l.recordingLog.LogIntentDone(id)
+}
+
+// A propagation leaves the ledger last: Quiesce — like Close and a
+// session read — returns only once all its ending does is done, the
+// intent's done record included.
+func TestQuiesceWaitsForTheDoneRecord(t *testing.T) {
+	h := newHarness(t, core.Options{}, 4)
+	mustDefine(t, h, ticketDef())
+	log := &gatedLog{recordingLog: recordingLog{t: t}, entered: make(chan struct{}), release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(log.release) })
+	t.Cleanup(release) // before the harness closes, should the test fail
+	mgr := h.mgrs[0]
+	mgr.SetIntentLog(log)
+	if err := mgr.Put(ctxT(t), "ticket", "1", assignRliu, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-log.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the propagation never wrote its intent's done record")
+	}
+	quiesced := make(chan error, 1)
+	go func() { quiesced <- mgr.Quiesce(ctxT(t)) }()
+	select {
+	case err := <-quiesced:
+		t.Fatalf("Quiesce returned (%v) while the propagation's done record was being written", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-quiesced; err != nil {
+		t.Fatal(err)
+	}
+	if open, done := log.counts(); open != 0 || done != 1 {
+		t.Fatalf("%d intents pending, %d done after Quiesce; want the one done", open, done)
+	}
+}
+
+// viewDown is a fabric on which, while down is set, every read and
+// write of one table fails.
+type viewDown struct {
+	transport.Transport
+	table string
+	down  atomic.Bool
+}
+
+func (f *viewDown) Call(from, to transport.NodeID, req transport.Request) <-chan transport.Result {
+	table := ""
+	switch r := req.(type) {
+	case transport.GetReq:
+		table = r.Table
+	case transport.GetDigestReq:
+		table = r.Table
+	case transport.MultiGetReq:
+		table = r.Table
+	case transport.PutReq:
+		table = r.Table
+	}
+	if table != f.table || !f.down.Load() {
+		return f.Transport.Call(from, to, req)
+	}
+	failed := make(chan transport.Result, 1)
+	failed <- transport.Result{From: to, Err: transport.ErrNodeDown}
+	return failed
+}
+
+// A fill reports its propagation's outcome: with the view unreachable
+// it keeps retrying until its filler gives up, and BackfillRow then
+// returns an error, which is what makes the controller re-issue it.
+func TestBackfillRowReportsAFailedFill(t *testing.T) {
+	fab := &viewDown{Transport: transport.NewDirect(), table: "assignedto"}
+	h := newHarnessOn(t, core.Options{RetryBackoff: time.Millisecond}, 4, fab)
+	mustDefine(t, h, ticketDef())
+	mgr := h.mgrs[0]
+	if err := mgr.Put(ctxT(t), "ticket", "1", assignRliu, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	h.quiesce(t)
+	fab.down.Store(true)
+	ctx, cancel := context.WithTimeout(ctxT(t), 50*time.Millisecond)
+	defer cancel()
+	if err := mgr.BackfillRow(ctx, "assignedto", "ticket", "1"); err == nil {
+		t.Fatal("a fill that never reached the view reported success")
+	}
+	fab.down.Store(false)
+	if err := mgr.BackfillRow(ctxT(t), "assignedto", "ticket", "1"); err != nil {
+		t.Fatalf("the re-issued fill: %v", err)
+	}
 }
 
 // The last done record and Close, racing (ROADMAP: afterAll's goroutine
@@ -124,8 +264,8 @@ func TestCloseRacesLastDoneRecord(t *testing.T) {
 	}
 }
 
-// A propagation into a dropped view ends at its next attempt — with
-// ErrViewDropped, not counted as abandoned — instead of retrying for
+// A propagation into a dropped view ends at its next attempt — not
+// delivered, not counted as abandoned — instead of retrying for
 // MaxPropagationRetry against tables that are gone; and when a view of
 // the same name is re-created meanwhile, the old generation's
 // propagation writes nothing into it.
@@ -134,14 +274,11 @@ func TestPropagationIntoDroppedViewEnds(t *testing.T) {
 	clk := &holdClock{Clock: clock.Wall, only: backoff}
 	h := newHarness(t, core.Options{Clock: clk}, 4)
 	mustDefine(t, h, ticketDef())
-	outcome := make(chan error, 1)
 	// No view quorum while the propagation makes its first attempts.
 	for i := 1; i < h.c.Size(); i++ {
 		h.c.SetNodeDown(transport.NodeID(i), true)
 	}
-	if err := h.mgrs[0].Put(ctxT(t), "ticket", "1", assignRliu, 1, func(_ string, err error) { outcome <- err }); err != nil {
-		t.Fatal(err)
-	}
+	ended := putEnded(t, h.mgrs[0], "assignedto", "1", assignRliu, 1)
 	for h.mgrs[0].Stats().FailedAttempts.Load() == 0 || !clk.holds(time.Millisecond) {
 		time.Sleep(time.Millisecond) // mid-retry: a failed attempt, then the held back-off
 	}
@@ -156,9 +293,9 @@ func TestPropagationIntoDroppedViewEnds(t *testing.T) {
 	}
 	clk.release()
 	select {
-	case err := <-outcome:
-		if !errors.Is(err, core.ErrViewDropped) {
-			t.Fatalf("propagation ended with %v, want ErrViewDropped", err)
+	case <-ended:
+		if n := h.mgrs[0].Stats().Propagations.Load(); n != 0 {
+			t.Fatalf("%d propagations delivered, want the one into the dropped view ended undelivered", n)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("propagation into the dropped view did not end at its next attempt")
@@ -212,14 +349,12 @@ func TestReissuedPutAfterLostRepliesStillPropagates(t *testing.T) {
 		t.Fatal("the Put whose replies were all lost was acknowledged")
 	}
 	fab.lose.Store(false)
-	outcome := make(chan error, 1)
-	if err := mgr.Put(ctxT(t), "ticket", "1", reassign, 2, func(_ string, err error) { outcome <- err }); err != nil {
-		t.Fatal(err)
-	}
+	before := mgr.Stats().Propagations.Load()
+	ended := putEnded(t, mgr, "assignedto", "1", reassign, 2)
 	select {
-	case err := <-outcome:
-		if err != nil {
-			t.Fatalf("the re-issued Put's propagation: %v", err)
+	case <-ended:
+		if mgr.Stats().Propagations.Load() == before {
+			t.Fatal("the re-issued Put's propagation ended undelivered")
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("the re-issued Put's propagation never ended")

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -34,8 +33,6 @@ type Manager struct {
 	// round is the shared propagation protocol over this coordinator.
 	round Round
 
-	pending atomic.Int64 // in-flight propagations
-
 	// slots implements the bounded propagation backlog
 	// (Options.MaxPendingPropagations); nil when unbounded.
 	slots *wait.Slots
@@ -45,15 +42,10 @@ type Manager struct {
 	// at recovery. Set once before the manager serves traffic.
 	il IntentLog
 
-	// live holds the scheduled propagations that have not ended, for
-	// Close to cancel and wait out; idle opens when a closed manager's
-	// last one ends. newest is the latest of them per Task.lockKey, the
-	// head of that row's chain in schedule order (retry.prev, handOff).
-	mu     sync.Mutex
-	live   []*retry
-	newest map[string]*retry
+	// closed is set by Close; guarded by the registry's ledger mutex, so
+	// that a propagation is either admitted before Close looks for the
+	// ones to cancel or not at all.
 	closed bool
-	idle   wait.Gate
 
 	stats Stats
 }
@@ -140,7 +132,7 @@ type Stats struct {
 
 // NewManager returns a view manager bound to one coordinator.
 func NewManager(reg *Registry, co *coord.Coordinator) *Manager {
-	m := &Manager{reg: reg, co: co, newest: map[string]*retry{}}
+	m := &Manager{reg: reg, co: co}
 	m.round = Round{
 		Port: coordPort{m}, Stats: &m.stats, Obs: reg.obs,
 		MaxChainHops: reg.opts.MaxChainHops, PathCompression: reg.opts.PathCompression,
@@ -208,104 +200,15 @@ func (m *Manager) sleep(d time.Duration) {
 	g.Wait(m.co.Park)
 }
 
-// PendingPropagations reports in-flight propagation count.
-func (m *Manager) PendingPropagations() int { return int(m.pending.Load()) }
-
-// Quiesce blocks until no propagation scheduled through this manager
-// is in flight, or the context expires.
-func (m *Manager) Quiesce(ctx context.Context) error {
-	for m.PendingPropagations() > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		m.sleep(time.Millisecond)
-	}
-	return nil
-}
-
-// Close cancels every in-flight propagation and returns once they have
-// ended: nothing of this manager touches the intent log afterwards, so
-// the node's logs can be closed. The cancelled propagations' intents
-// are not marked done — the next recovery replays them. Writes and
-// replays reaching a closed manager fail with ErrClosed. Only the first
-// call waits.
-func (m *Manager) Close() {
-	m.mu.Lock()
-	m.closed = true
-	live := append([]*retry(nil), m.live...)
-	m.mu.Unlock()
-	for _, r := range live {
-		r.interrupt(ErrClosed)
-	}
-	if len(live) > 0 {
-		m.idle.Wait(m.co.Park)
-	}
-}
-
-func (m *Manager) isClosed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.closed
-}
-
-// track enters r into the live set; false once the manager is closed.
-func (m *Manager) track(r *retry) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false
-	}
-	r.slot = len(m.live)
-	m.live = append(m.live, r)
-	if r.prev = m.newest[r.t.lockKey]; r.prev != nil {
-		r.prev.next = r
-	}
-	m.newest[r.t.lockKey] = r
-	return true
-}
-
-// untrack takes r out of the live set and its row's chain, then wakes
-// the propagations parked on it.
-func (m *Manager) untrack(r *retry) {
-	m.mu.Lock()
-	if r.slot >= 0 {
-		last := len(m.live) - 1
-		m.live[r.slot] = m.live[last]
-		m.live[r.slot].slot = r.slot
-		m.live[last] = nil
-		m.live = m.live[:last]
-		r.slot = -1
-		switch {
-		case r.next != nil:
-			r.next.prev = r.prev
-		case r.prev != nil:
-			m.newest[r.t.lockKey] = r.prev
-		default:
-			delete(m.newest, r.t.lockKey)
-		}
-		if r.prev != nil {
-			r.prev.next = r.next
-		}
-		r.prev, r.next = nil, nil
-	}
-	idle := m.closed && len(m.live) == 0
-	m.mu.Unlock()
-	r.wakeSuccessors()
-	if idle {
-		m.idle.Open()
-	}
-}
-
 // Put performs a base-table write with write quorum w, implementing
 // Algorithm 1: when the table has views and the update touches a view
 // key or view-materialized column, the write carries a pre-read of the
 // current view-key versions and triggers asynchronous update
 // propagation after the client-visible write completes.
 //
-// onPropagated, when non-nil, is invoked once per affected view after
-// that view's propagation finishes (successfully or not); it is the
-// hook session guarantees build on.
-func (m *Manager) Put(ctx context.Context, table, row string, updates []model.ColumnUpdate, w int, onPropagated func(view string, err error)) error {
+// Every propagation the write schedules is entered in the ledger under
+// sess (nil: none), for the session's view reads to wait for.
+func (m *Manager) Put(ctx context.Context, table, row string, updates []model.ColumnUpdate, w int, sess *Session) error {
 	if m.reg.IsView(table) {
 		return fmt.Errorf("core: table %q is a view; views are not updateable", table)
 	}
@@ -355,11 +258,11 @@ func (m *Manager) Put(ctx context.Context, table, row string, updates []model.Co
 	putSpan := trace.FromContext(ctx)
 	for i := range tasks {
 		t := &tasks[i]
-		m.schedule(t, collectors.Of(t.def.ViewKeyColumn), putSpan, onPropagated, after)
+		m.schedule(t, collectors.Of(t.def.ViewKeyColumn), putSpan, sess, after)
 	}
 	for i := range late {
 		t := &late[i]
-		m.schedule(t, lateCollectors.Of(t.def.ViewKeyColumn), putSpan, onPropagated, after)
+		m.schedule(t, lateCollectors.Of(t.def.ViewKeyColumn), putSpan, sess, after)
 	}
 	if intentErr != nil {
 		// The base write happened and propagation is scheduled, but
@@ -561,32 +464,30 @@ func (m *Manager) backfillPropagate(ctx context.Context, def *Def, row string, u
 		return err
 	}
 	tasks[0].fill = ctx
-	// onPropagated runs before the countdown opens its gate, so reading
-	// perr after the wait is race-free.
-	var perr error
 	after := wait.NewCountdown(1, nil)
-	m.schedule(&tasks[0], collectors.Of(def.ViewKeyColumn), nil, func(_ string, err error) { perr = err }, after)
+	m.schedule(&tasks[0], collectors.Of(def.ViewKeyColumn), nil, nil, after)
 	after.Done.Wait(m.co.Park)
-	return perr
+	// The task's outcome is set before the countdown opens its gate.
+	return tasks[0].err
 }
 
 // Delete tombstones the given columns of a base row; deleting the
 // view-key column removes the row from the view (it stays in the
 // versioned view, marked deleted).
-func (m *Manager) Delete(ctx context.Context, table, row string, columns []string, ts int64, w int, onPropagated func(view string, err error)) error {
+func (m *Manager) Delete(ctx context.Context, table, row string, columns []string, ts int64, w int, sess *Session) error {
 	updates := make([]model.ColumnUpdate, 0, len(columns))
 	for _, c := range columns {
 		updates = append(updates, model.Deletion(c, ts))
 	}
-	return m.Put(ctx, table, row, updates, w, onPropagated)
+	return m.Put(ctx, table, row, updates, w, sess)
 }
 
 // schedule starts one propagation as background work of the
-// coordinator; after, when non-nil, is counted out when it ends. The
-// per-row locking (or propagator serialization) happens per attempt
-// inside the retry machinery, never across backoff waits — see
-// Port.Serialize.
-func (m *Manager) schedule(t *Task, vc *coord.VersionCollector, putSpan *trace.Span, onPropagated func(string, error), after *wait.Countdown) {
+// coordinator, entered in the ledger under sess; after, when non-nil, is
+// counted out when it ends. The per-row locking (or propagator
+// serialization) happens per attempt inside the retry machinery, never
+// across backoff waits — see Port.Serialize.
+func (m *Manager) schedule(t *Task, vc *coord.VersionCollector, putSpan *trace.Span, sess *Session, after *wait.Countdown) {
 	// Backpressure: when the backlog is full, the base-table Put
 	// waits here until an older propagation completes — the bounded
 	// maintenance capacity that makes sustained hot-row write storms
@@ -594,12 +495,8 @@ func (m *Manager) schedule(t *Task, vc *coord.VersionCollector, putSpan *trace.S
 	if m.slots.Acquire(m.co.Park) {
 		m.stats.BackpressureWaits.Add(1)
 	}
-	m.pending.Add(1)
-	r := &retry{m: m, t: t, vc: vc, onPropagated: onPropagated, after: after, slot: -1}
+	r := &retry{m: m, t: t, vc: vc, after: after}
 	r.wake = r.between.Open
-	// The staleness gauge clock starts at enqueue, not at execution:
-	// a deliberate PropagationDelay is staleness too.
-	r.obsID = m.reg.obs.startPropagation(t.def.Name, t.baseKey, m.reg.clk.Now())
 	// The propagation outlives the Put that caused it, so it gets its
 	// own root span linked to the Put's trace rather than a child.
 	r.span = putSpan.LinkedRootRetained("propagate")
@@ -611,7 +508,9 @@ func (m *Manager) schedule(t *Task, vc *coord.VersionCollector, putSpan *trace.S
 	}
 	r.ctx, r.cancel = context.WithCancelCause(parent)
 	r.ctx = trace.NewContext(r.ctx, r.span)
-	if !m.track(r) || !m.co.Go(r.run) {
+	// The staleness clock starts at enqueue, not at execution: a
+	// deliberate PropagationDelay is staleness too.
+	if !m.reg.ledger.admit(r, sess, m.reg.clk.Now()) || !m.co.Go(r.run) {
 		r.finish(ErrClosed)
 	}
 }
@@ -626,14 +525,11 @@ func (m *Manager) schedule(t *Task, vc *coord.VersionCollector, putSpan *trace.S
 // after MaxPropagationRetry; a backfill fill, whose filler is waiting on
 // it, ends with its context.
 type retry struct {
-	m            *Manager
-	t            *Task
-	vc           *coord.VersionCollector
-	onPropagated func(string, error)
-	after        *wait.Countdown
-	span         *trace.Span
-	obsID        uint64
-	slot         int // index in Manager.live, -1 when not tracked
+	m     *Manager
+	t     *Task
+	vc    *coord.VersionCollector
+	after *wait.Countdown
+	span  *trace.Span
 
 	// ctx bounds every round; cancel ends the propagation (the abandon
 	// timer, Close). between is the loop's one wait, reused by every
@@ -643,11 +539,17 @@ type retry struct {
 	between wait.Gate
 	wake    func()
 
-	// Guarded by Manager.mu: prev and next chain the live propagations of
-	// the same Task.lockKey in schedule order; successors are parked on
+	// The ledger entry, guarded by the ledger's mutex: admission sequence
+	// number (0 once out of the ledger), session and enqueue time; older
+	// and newer chain the entries in admission order, prev and next those
+	// of the same Task.lockKey, on every manager; successors are parked on
 	// this one (handOff).
-	prev, next *retry
-	successors []*retry
+	seq          uint64
+	sess         *Session
+	enq          time.Time
+	older, newer *retry
+	prev, next   *retry
+	successors   []*retry
 }
 
 // interrupt cancels the propagation and wakes its loop if it is waiting
@@ -734,29 +636,39 @@ func (r *retry) drive() error {
 
 // handOff parks a propagation whose attempt failed on its predecessor:
 // the newest older live propagation of the same row on this manager
-// whose view-key write one of the guesses names, and so whose row. It
-// wakes when that one ends or fails a retry: with concurrent writers the
-// older one may wait for this one's row, polling on its back-off, and
-// each of its failures is a retry here, so no timer is needed. Edges
-// point only to older propagations, so chains of them are acyclic. It
-// reports false, without parking, when there is no such predecessor.
+// whose view-key write one of the guesses names, and so whose row. (The
+// ledger chains a row's propagations on every manager; a propagation
+// parks only on its own manager's, so hand-offs stay within one
+// coordinator.) It wakes when that one ends or fails a retry: with concurrent
+// writers the older one may wait for this one's row, polling on its
+// back-off, and each of its failures is a retry here, so no timer is
+// needed. Edges point only to older propagations, so chains of them are
+// acyclic. It reports false, without parking, when there is no such
+// predecessor.
 func (r *retry) handOff() bool {
-	m := r.m
-	m.mu.Lock()
+	m, l := r.m, &r.m.reg.ledger
+	l.mu.Lock()
 	var p *retry
-	if r.prev != nil {
-		guesses := r.vc.Versions()
-		for p = r.prev; p != nil && !p.writes(guesses); p = p.prev {
+	var guesses []model.Cell
+	for p = r.prev; p != nil; p = p.prev {
+		if p.m != m {
+			continue
+		}
+		if guesses == nil {
+			guesses = r.vc.Versions()
+		}
+		if p.writes(guesses) {
+			break
 		}
 	}
-	// p has not ended: it leaves the chain under m.mu before it wakes the
+	// p has not ended: it leaves the chain under l.mu before it wakes the
 	// successors it has, and an early wake (an interrupt, a stale source)
 	// just leaves r on its list for one spurious wake more.
 	if p != nil {
 		r.between.Shut()
 		p.successors = append(p.successors, r)
 	}
-	m.mu.Unlock()
+	l.mu.Unlock()
 	if p == nil {
 		return false
 	}
@@ -783,10 +695,11 @@ func (r *retry) writes(guesses []model.Cell) bool {
 
 // wakeSuccessors wakes the propagations parked on r.
 func (r *retry) wakeSuccessors() {
-	r.m.mu.Lock()
+	l := &r.m.reg.ledger
+	l.mu.Lock()
 	woken := r.successors
 	r.successors = nil
-	r.m.mu.Unlock()
+	l.mu.Unlock()
 	for _, s := range woken {
 		s.wake()
 	}
@@ -816,24 +729,24 @@ func (r *retry) attemptOnPool() (done bool, err error) {
 	return done, err
 }
 
-// finish retires the propagation: gauges, span, the session hook, the
+// finish retires the propagation: its lag, span and outcome, the
 // countdown of whoever scheduled it (which may mark an intent done),
-// then its slot and its place in the live set — last, so that Close
-// returning means none of the above is still to come.
+// then its slot and its ledger entry — last, so that a wait on the
+// ledger (Close, Quiesce, a session read) returning means none of the
+// above is still to come.
 func (r *retry) finish(err error) {
-	m, view := r.m, r.t.def.Name
+	m := r.m
 	r.cancel(nil)
-	m.reg.obs.finishPropagation(r.obsID, view, m.reg.clk.Now(), err)
-	r.span.Finish()
-	if r.onPropagated != nil {
-		r.onPropagated(view, err)
+	if err == nil {
+		m.reg.obs.delivered(r.t.def.Name, m.reg.clk.Now().Sub(r.enq))
 	}
+	r.span.Finish()
+	r.t.err = err
 	if r.after != nil {
 		r.after.Finish(err == nil || errors.Is(err, ErrViewDropped))
 	}
-	m.pending.Add(-1)
 	m.slots.Release()
-	m.untrack(r)
+	m.reg.ledger.leave(r)
 }
 
 // GetView reads a view by view key (Algorithm 4): it returns one
@@ -859,9 +772,6 @@ func (m *Manager) GetView(ctx context.Context, view, viewKey string, columns []s
 		return nil, nil // outside every side's selection: no rows by definition
 	}
 	for _, c := range columns {
-		if c == ColBase {
-			continue
-		}
 		materializedSomewhere := false
 		for _, def := range defs {
 			materializedSomewhere = materializedSomewhere || def.isMaterialized(c)
@@ -954,9 +864,6 @@ func assembleViewRows(defs []*Def, viewKey string, cells []model.Entry, columns 
 		}
 		vr := ViewRow{ViewKey: viewKey, Table: def.namespace, BaseKey: string(baseKey), Cells: make(model.Row, len(cols))}
 		for _, c := range cols {
-			if c == ColBase {
-				continue
-			}
 			if cell, ok := g.cell(c); ok && !cell.IsNull() {
 				vr.Cells[c] = cell
 			}

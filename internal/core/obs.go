@@ -7,10 +7,13 @@ import (
 	"vstore/internal/metrics"
 )
 
-// ViewObs holds the live staleness instrumentation for view
+// ViewObs holds the propagation-lag instrumentation for view
 // maintenance: the runtime equivalents of the paper's staleness metric
 // (Section V measures it offline; a serving cluster needs it as a
-// gauge). One ViewObs per Registry, shared by every node's Manager.
+// gauge). One ViewObs per Registry, shared by every node's Manager. The
+// pending side of staleness — how many propagations are in flight, the
+// oldest's age, which rows may be stale — is the registry's ledger
+// (Registry.Pending and friends).
 type ViewObs struct {
 	// Lag records end-to-end propagation latency (Put enqueue to view
 	// rows applied) in microseconds, across all views.
@@ -21,115 +24,26 @@ type ViewObs struct {
 
 	mu      sync.Mutex
 	perView map[string]*metrics.AtomicHist
-	// pending maps in-flight propagation IDs to their enqueue time,
-	// target view and base key: its size is the pending-propagation
-	// depth, its oldest entry the current worst-case staleness bound —
-	// overall or per view, which is what bounded-staleness reads
-	// consult — and its keys say which rows may be stale right now.
-	pending map[uint64]pendingProp
-	nextID  uint64
-}
-
-type pendingProp struct {
-	view, baseKey string
-	enq           time.Time
 }
 
 // NewViewObs returns empty instrumentation.
 func NewViewObs() *ViewObs {
-	return &ViewObs{
-		perView: map[string]*metrics.AtomicHist{},
-		pending: map[uint64]pendingProp{},
-	}
+	return &ViewObs{perView: map[string]*metrics.AtomicHist{}}
 }
 
-// startPropagation registers an enqueued propagation of a base row's
-// update into a view and returns its tracking ID.
-func (o *ViewObs) startPropagation(view, baseKey string, now time.Time) uint64 {
+// delivered records the lag of a propagation into view that completed,
+// overall and per view. Failed or abandoned propagations record
+// nothing: their lag is not a delivery time.
+func (o *ViewObs) delivered(view string, lag time.Duration) {
 	o.mu.Lock()
-	o.nextID++
-	id := o.nextID
-	o.pending[id] = pendingProp{view: view, baseKey: baseKey, enq: now}
-	o.mu.Unlock()
-	return id
-}
-
-// finishPropagation retires a propagation. Successful ones record
-// their lag (overall and per view); failed or abandoned ones only
-// leave the pending set, since their lag is not a delivery time.
-func (o *ViewObs) finishPropagation(id uint64, view string, now time.Time, err error) {
-	o.mu.Lock()
-	p, ok := o.pending[id]
-	delete(o.pending, id)
-	var vh *metrics.AtomicHist
-	if ok && err == nil {
-		vh = o.perView[view]
-		if vh == nil {
-			vh = &metrics.AtomicHist{}
-			o.perView[view] = vh
-		}
+	vh := o.perView[view]
+	if vh == nil {
+		vh = &metrics.AtomicHist{}
+		o.perView[view] = vh
 	}
 	o.mu.Unlock()
-	if vh != nil {
-		lag := now.Sub(p.enq)
-		o.Lag.ObserveDuration(lag)
-		vh.ObserveDuration(lag)
-	}
-}
-
-// Pending returns the number of in-flight propagations.
-func (o *ViewObs) Pending() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.pending)
-}
-
-// PendingOn returns the number of in-flight propagations of updates to
-// one base row, into any view: zero means no view row derived from it
-// is stale on maintenance's account.
-func (o *ViewObs) PendingOn(baseKey string) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	n := 0
-	for _, p := range o.pending {
-		if p.baseKey == baseKey {
-			n++
-		}
-	}
-	return n
-}
-
-// OldestPendingAge returns how long the oldest in-flight propagation
-// has been outstanding — an upper bound on how stale any view row can
-// currently be relative to its base table. Zero when nothing is
-// pending.
-func (o *ViewObs) OldestPendingAge(now time.Time) time.Duration {
-	return o.oldestPending(now, "")
-}
-
-// OldestPendingAgeFor is OldestPendingAge restricted to one view — the
-// per-view staleness bound a WithMaxStaleness read checks against its
-// budget. Zero when nothing is pending for that view.
-func (o *ViewObs) OldestPendingAgeFor(view string, now time.Time) time.Duration {
-	return o.oldestPending(now, view)
-}
-
-func (o *ViewObs) oldestPending(now time.Time, view string) time.Duration {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var oldest time.Time
-	for _, p := range o.pending {
-		if view != "" && p.view != view {
-			continue
-		}
-		if oldest.IsZero() || p.enq.Before(oldest) {
-			oldest = p.enq
-		}
-	}
-	if oldest.IsZero() {
-		return 0
-	}
-	return now.Sub(oldest)
+	o.Lag.ObserveDuration(lag)
+	vh.ObserveDuration(lag)
 }
 
 // PerViewLag snapshots the per-view propagation-lag histograms.

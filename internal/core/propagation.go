@@ -103,6 +103,10 @@ type Task struct {
 	// Every view row a round reads is a prefix of cols, so its cell i is
 	// cols[i]'s.
 	cols []string
+
+	// err is the propagation's outcome, set as it ends: a backfill fill's
+	// caller reads it once the fill's countdown is done.
+	err error
 }
 
 // TaskFor splits a base row's update set into the part one view must

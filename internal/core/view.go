@@ -233,11 +233,6 @@ func (d *Def) isMaterialized(col string) bool {
 	return false
 }
 
-// Relevant reports whether an update to col requires view maintenance.
-func (d *Def) Relevant(col string) bool {
-	return col == d.ViewKeyColumn || d.isMaterialized(col)
-}
-
 // Mode selects the concurrency-control scheme for update propagation
 // (Section IV-F).
 type Mode int
@@ -360,6 +355,8 @@ type Registry struct {
 	locks *locks.Manager
 	pool  *propagate.Pool
 	obs   *ViewObs
+	// ledger records every propagation in flight, on every manager.
+	ledger ledger
 }
 
 // NewRegistry returns an empty catalog.
@@ -373,6 +370,7 @@ func NewRegistry(opts Options) *Registry {
 		filling: map[string]bool{},
 		locks:   locks.NewManager(),
 		obs:     NewViewObs(),
+		ledger:  ledger{rows: map[string]*retry{}},
 	}
 	if opts.Mode == ModePropagators {
 		r.pool = propagate.NewPool(opts.Propagators)

@@ -131,10 +131,10 @@ func (w *world) checkQuiescentRows() error {
 
 // quiescent reports whether nothing is owed to base key bk right now: no
 // un-acked client write, no recovered intent waiting to be re-enqueued,
-// and — read from the staleness gauge the managers themselves keep — no
+// and — read from the ledger the managers themselves keep — no
 // propagation in flight.
 func (w *world) quiescent(bk string) bool {
-	return w.pendingOps[bk] == 0 && w.replaying[bk] == 0 && w.reg.Obs().PendingOn(bk) == 0
+	return w.pendingOps[bk] == 0 && w.replaying[bk] == 0 && w.reg.PendingOn(bk) == 0
 }
 
 // checkBaseKey verifies one quiescent base key's chain against the fold
@@ -194,7 +194,7 @@ func (w *world) finalCheck() error {
 			return fmt.Errorf("drained with %d recovered intents of base row %q never re-enqueued", n, bk)
 		}
 	}
-	if n := w.reg.Obs().Pending(); n != 0 {
+	if n := w.reg.Pending(); n != 0 {
 		return fmt.Errorf("drained with %d propagations still in flight", n)
 	}
 	// The retry budget is far beyond the run: a propagation the shipping
@@ -385,18 +385,18 @@ func (w *world) checkCausalConvergence() error {
 	return nil
 }
 
-// checkPendingGauge ties the staleness gauge to ground truth: every
-// propagation a manager counts in flight — the managers of dead
-// incarnations included, whose last rounds may still be running — has
-// exactly one entry in the pending set, so the lag gauge (and the
-// quiescence gating read from it) cannot drift from the real backlog.
+// checkPendingGauge ties the ledger — the one record of the
+// propagations in flight, which the staleness gauges and the quiescence
+// gating above read — to a record kept apart from it: every manager,
+// the managers of dead incarnations included, whose last rounds may
+// still be running, has exactly one ledger entry per back-pressure slot
+// its propagations hold. A propagation that left the ledger early, or
+// never, shows as drift.
 func (w *world) checkPendingGauge() error {
-	total := 0
-	for _, m := range w.everyMgr {
-		total += m.PendingPropagations()
-	}
-	if n := w.reg.Obs().Pending(); total != n {
-		return fmt.Errorf("staleness gauge drift: %d propagations in flight but %d pending entries", total, n)
+	for i, m := range w.everyMgr {
+		if n, slots := m.PendingPropagations(), m.SlotsHeld(); n != slots {
+			return fmt.Errorf("staleness gauge drift: manager %d has %d ledger entries but holds %d back-pressure slots", i, n, slots)
+		}
 	}
 	return nil
 }

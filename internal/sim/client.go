@@ -69,9 +69,6 @@ func (w *world) put(coordID transport.NodeID, bk string, u model.ColumnUpdate) {
 	cellKey := string(model.EncodeKey(bk, u.Column))
 	w.issued[cellKey] = append(w.issued[cellKey], u.Cell)
 	what := fmt.Sprintf("base=%s col=%s ts=%d", bk, u.Column, u.Cell.TS)
-	propagated := func(view string, err error) {
-		w.s.Record("prop-end", fmt.Sprintf("view=%s %s: %v", view, what, err))
-	}
 	updates := []model.ColumnUpdate{u}
 	backoff := 2 * time.Millisecond
 	for attempt := 0; ; attempt++ {
@@ -79,7 +76,7 @@ func (w *world) put(coordID transport.NodeID, bk string, u model.ColumnUpdate) {
 			w.s.Fail(fmt.Errorf("client write to %s (col %s, ts %d) still unacked after %d attempts", bk, u.Column, u.Cell.TS, attempt))
 			break
 		}
-		if err := w.mgrs[coordID].Put(context.Background(), baseTable, bk, updates, w.cfg.N/2+1, propagated); err != nil {
+		if err := w.mgrs[coordID].Put(context.Background(), baseTable, bk, updates, w.cfg.N/2+1, nil); err != nil {
 			w.s.Record("put-fail", fmt.Sprintf("%s attempt=%d: %v", what, attempt, err))
 			w.s.Backoff(&backoff, 20*time.Millisecond)
 			continue

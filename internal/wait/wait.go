@@ -74,6 +74,7 @@ func (g *Gate) Wait(park Parker) {
 type Slots struct {
 	mu    sync.Mutex
 	free  int
+	held  int // taken by an Acquire that has returned, not yet released
 	queue []*Gate
 }
 
@@ -89,6 +90,7 @@ func (s *Slots) Acquire(park Parker) (waited bool) {
 	s.mu.Lock()
 	if s.free > 0 {
 		s.free--
+		s.held++
 		s.mu.Unlock()
 		return false
 	}
@@ -96,6 +98,9 @@ func (s *Slots) Acquire(park Parker) (waited bool) {
 	s.queue = append(s.queue, g)
 	s.mu.Unlock()
 	g.Wait(park)
+	s.mu.Lock()
+	s.held++
+	s.mu.Unlock()
 	return true
 }
 
@@ -105,6 +110,7 @@ func (s *Slots) Release() {
 		return
 	}
 	s.mu.Lock()
+	s.held--
 	if len(s.queue) == 0 {
 		s.free++
 		s.mu.Unlock()
@@ -114,6 +120,17 @@ func (s *Slots) Release() {
 	s.queue = s.queue[1:]
 	s.mu.Unlock()
 	g.Open()
+}
+
+// Held reports the slots taken by Acquire calls that have returned and
+// not been released yet; zero for a nil *Slots.
+func (s *Slots) Held() int {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.held
 }
 
 // Countdown is finished by the last of a known number of pieces of

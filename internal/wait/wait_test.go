@@ -79,3 +79,29 @@ func TestCountdownReportsCompleteness(t *testing.T) {
 		c.Done.Wait(func(func(func())) { t.Fatal("Done parked after the last piece") })
 	}
 }
+
+// Held counts the slots taken by returned Acquires: a slot handed to a
+// queued waiter counts once that waiter has it, not while it waits.
+func TestSlotsHeld(t *testing.T) {
+	s := NewSlots(1)
+	s.Acquire(OnChannel)
+	queued, acquired := make(chan struct{}), make(chan struct{})
+	go func() {
+		s.Acquire(func(arm func(func())) { OnChannel(func(wake func()) { arm(wake); close(queued) }) })
+		close(acquired)
+	}()
+	<-queued
+	if n := s.Held(); n != 1 {
+		t.Fatalf("held = %d with one taken and one queued, want 1", n)
+	}
+	s.Release()
+	<-acquired
+	if n := s.Held(); n != 1 {
+		t.Fatalf("held = %d once the waiter has the released slot, want 1", n)
+	}
+	s.Release()
+	var unbounded *Slots
+	if n, m := s.Held(), unbounded.Held(); n != 0 || m != 0 {
+		t.Fatalf("held = %d after every release, %d on a nil Slots; want 0", n, m)
+	}
+}

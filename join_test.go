@@ -138,6 +138,7 @@ func TestJoinViewValidation(t *testing.T) {
 }
 
 func TestJoinViewSessionGuarantee(t *testing.T) {
+	noGoroutineOutlivesClose(t)
 	db := openDB(t, vstore.Config{
 		Views: vstore.ViewOptions{PropagationDelay: func() time.Duration { return 40 * time.Millisecond }},
 	})

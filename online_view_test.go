@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vstore"
+	"vstore/internal/clock"
 )
 
 // backfillKeys is the population size for online-backfill tests.
@@ -308,6 +309,7 @@ func TestBackfillCrashResume(t *testing.T) {
 // TestWithMaxStaleness covers the bounded-staleness decision table.
 func TestWithMaxStaleness(t *testing.T) {
 	t.Run("backfilling rejects", func(t *testing.T) {
+		noGoroutineOutlivesClose(t)
 		db := openDB(t, vstore.Config{Views: vstore.ViewOptions{
 			BackfillBatchSize: 4,
 			BackfillThrottle:  20 * time.Millisecond,
@@ -332,6 +334,7 @@ func TestWithMaxStaleness(t *testing.T) {
 	})
 
 	t.Run("fresh serves", func(t *testing.T) {
+		noGoroutineOutlivesClose(t)
 		db := openTickets(t, vstore.Config{})
 		c := db.Client(0)
 		if err := c.Put(ctxT(t), "ticket", "1", vstore.Values{"assignedto": "alice", "status": "open"}); err != nil {
@@ -347,6 +350,7 @@ func TestWithMaxStaleness(t *testing.T) {
 	})
 
 	t.Run("stale rejects after the bound", func(t *testing.T) {
+		noGoroutineOutlivesClose(t)
 		db := openTickets(t, vstore.Config{Views: vstore.ViewOptions{
 			PropagationDelay: func() time.Duration { return 2 * time.Second },
 		}})
@@ -367,6 +371,7 @@ func TestWithMaxStaleness(t *testing.T) {
 	})
 
 	t.Run("waits for propagation within the bound", func(t *testing.T) {
+		noGoroutineOutlivesClose(t)
 		db := openTickets(t, vstore.Config{Views: vstore.ViewOptions{
 			PropagationDelay: func() time.Duration { return 150 * time.Millisecond },
 		}})
@@ -382,4 +387,37 @@ func TestWithMaxStaleness(t *testing.T) {
 			t.Fatalf("bounded-wait GetView = %v, %v; want the row after the propagation lands", rows, err)
 		}
 	})
+
+	// The bounded wait parks on the pending propagations themselves, with
+	// a timer for its deadline: it never reads a clock channel, so it runs
+	// on a clock that has none.
+	t.Run("waits on a clock without channels", func(t *testing.T) {
+		noGoroutineOutlivesClose(t)
+		db := openTickets(t, vstore.Config{
+			Clock: afterPanics{clock.Wall},
+			Views: vstore.ViewOptions{PropagationDelay: func() time.Duration { return 150 * time.Millisecond }},
+		})
+		c := db.Client(0)
+		if err := c.Put(ctxT(t), "ticket", "1", vstore.Values{"assignedto": "alice", "status": "open"}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(100 * time.Millisecond)
+		rows, err := c.GetView(ctxT(t), "assignedto", "alice", vstore.WithMaxStaleness(80*time.Millisecond))
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("bounded-wait GetView = %v, %v; want the row after the propagation lands", rows, err)
+		}
+		if err := c.Put(ctxT(t), "ticket", "2", vstore.Values{"assignedto": "bob", "status": "open"}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(100 * time.Millisecond)
+		if _, err := c.GetView(ctxT(t), "assignedto", "bob", vstore.WithMaxStaleness(20*time.Millisecond)); !errors.Is(err, vstore.ErrTooStale) {
+			t.Fatalf("GetView past its budget = %v, want ErrTooStale", err)
+		}
+	})
 }
+
+// afterPanics is a clock whose channel timer panics, like the
+// simulator's: nothing may wait on it that way.
+type afterPanics struct{ clock.Clock }
+
+func (afterPanics) After(time.Duration) <-chan time.Time { panic("Clock.After called") }

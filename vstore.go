@@ -75,7 +75,6 @@ import (
 	"vstore/internal/node"
 	"vstore/internal/physical"
 	"vstore/internal/secindex"
-	"vstore/internal/session"
 	"vstore/internal/sstable"
 	"vstore/internal/trace"
 	"vstore/internal/transport"
@@ -274,7 +273,6 @@ type DB struct {
 	registry *core.Registry
 	managers []*core.Manager
 	queriers []*secindex.Querier
-	trackers []*session.Tracker
 	clock    *clock.Source
 
 	// now samples the configured clock for latency measurement.
@@ -423,7 +421,6 @@ func Open(cfg Config) (*DB, error) {
 			RequestTimeout: cfg.RequestTimeout,
 			Clock:          cfg.Clock,
 		}))
-		db.trackers = append(db.trackers, session.NewTracker())
 	}
 	var bfStore backfill.Store
 	if backend != nil {
@@ -461,7 +458,7 @@ func (db *DB) Close() {
 	// managers and coordinators shut down below. Checkpoints stay in
 	// place so a durable reopen resumes mid-scan.
 	db.bf.Close()
-	if db.hasPendingPropagations() {
+	if db.registry.Pending() > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), closeDrainTimeout)
 		db.QuiesceViews(ctx) //nolint:errcheck // best-effort drain; intents stay logged
 		cancel()
@@ -478,15 +475,6 @@ func (db *DB) Close() {
 // is not lost in durable mode — its intents stay in the WAL and the
 // next Open re-enqueues them.
 const closeDrainTimeout = 2 * time.Second
-
-func (db *DB) hasPendingPropagations() bool {
-	for _, m := range db.managers {
-		if m.PendingPropagations() > 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // Nodes returns the cluster size.
 func (db *DB) Nodes() int { return db.cluster.Size() }
@@ -831,10 +819,10 @@ func (db *DB) Stats() Stats {
 		s.Views.Compressions += ms.Compressions.Load()
 		s.Views.GhostDetours += ms.GhostDetours.Load()
 		s.Views.HelpedPublishes += ms.HelpedPublishes.Load()
-		s.Views.Pending += m.PendingPropagations()
 	}
+	s.Views.Pending = db.registry.Pending()
 	obs := db.registry.Obs()
-	s.Views.OldestPendingLag = obs.OldestPendingAge(db.now())
+	s.Views.OldestPendingLag = db.registry.OldestPendingAge(db.now())
 	s.Views.PropagationLag = obs.Lag.Snapshot()
 	s.Views.PerViewLag = obs.PerViewLag()
 	s.Views.ChainLength = obs.ChainLen.Snapshot()

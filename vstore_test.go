@@ -2,6 +2,7 @@ package vstore_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -183,6 +184,7 @@ func TestSecondaryIndexEndToEnd(t *testing.T) {
 }
 
 func TestSessionReadYourWrites(t *testing.T) {
+	noGoroutineOutlivesClose(t)
 	// Delay propagation so a plain read misses the write but a session
 	// read blocks for it.
 	db := openTickets(t, vstore.Config{
@@ -211,6 +213,7 @@ func TestSessionReadYourWrites(t *testing.T) {
 }
 
 func TestSessionScopedToOwnWrites(t *testing.T) {
+	noGoroutineOutlivesClose(t)
 	db := openTickets(t, vstore.Config{})
 	s1 := db.Client(0).Session()
 	defer s1.EndSession()
@@ -227,6 +230,56 @@ func TestSessionScopedToOwnWrites(t *testing.T) {
 	if time.Since(start) > 500*time.Millisecond {
 		t.Fatal("foreign session blocked on another session's writes")
 	}
+}
+
+// QuiesceViews parks until the propagations in flight have ended, or
+// until its context ends; Close ends a propagation still held back and
+// leaves no goroutine behind.
+func TestQuiesceViewsThenClose(t *testing.T) {
+	noGoroutineOutlivesClose(t)
+	var mu sync.Mutex
+	delay := 50 * time.Millisecond
+	db, err := vstore.Open(vstore.Config{Views: vstore.ViewOptions{PropagationDelay: func() time.Duration {
+		mu.Lock()
+		defer mu.Unlock()
+		d := delay
+		delay = time.Hour // every later propagation is held
+		return d
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("ticket"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateView(vstore.ViewDef{Name: "assignedto", Base: "ticket", ViewKey: "assignedto", Materialized: []string{"status"}}); err != nil {
+		t.Fatal(err)
+	}
+	c := db.Client(0)
+	if err := c.Put(ctxT(t), "ticket", "1", vstore.Values{"assignedto": "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	short, cancel := context.WithTimeout(ctxT(t), 10*time.Millisecond)
+	defer cancel()
+	if err := db.QuiesceViews(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("QuiesceViews under a 10ms budget with a 50ms propagation = %v, want its deadline", err)
+	}
+	if err := db.QuiesceViews(ctxT(t)); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Stats().Views.Pending; n != 0 {
+		t.Fatalf("%d propagations pending after QuiesceViews", n)
+	}
+	if rows, err := c.GetView(ctxT(t), "assignedto", "alice"); err != nil || len(rows) != 1 {
+		t.Fatalf("view after QuiesceViews = %v, %v", rows, err)
+	}
+	if err := c.Put(ctxT(t), "ticket", "2", vstore.Values{"assignedto": "bob"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Stats().Views.Pending; n != 1 {
+		t.Fatalf("%d propagations pending, want the held one", n)
+	}
+	db.Close()
 }
 
 func TestCreateViewBackfillsExistingData(t *testing.T) {
