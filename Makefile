@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-diff test test-benchmark test-backends regression sim-sweep fuzz-smoke race-sim check bench-all bench-pairs
+.PHONY: build vet lint lint-diff test test-benchmark test-backends regression sim-sweep fault-sweep fuzz-smoke race-sim check bench-all bench-pairs
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,22 @@ sim-sweep:
 	timeout 300 $(GO) run ./cmd/mvverify -scenario drop-recreate -compress -rounds 8 -v
 	timeout 300 $(GO) run ./cmd/mvverify -scenario hot-row -rounds 8 -v
 	timeout 300 $(GO) run ./cmd/mvverify -scenario define-during-burst -rounds 8 -v
+
+# A fixed sweep of durable rounds under injected storage faults, with a
+# view backfilled mid-run: seeds FAULT_SEED.. (FAULT_ROUNDS of them, 300
+# by default). It prints every failing seed and their count, and fails
+# if any seed did; `mvverify -replay <seed> -durable -backend mem
+# -scenario backfill -storage-faults 0.02` reruns one. About one second
+# a seed.
+FAULT_SEED ?= 30000
+FAULT_ROUNDS ?= 300
+fault-sweep:
+	@out=$$(mktemp); status=0; \
+	$(GO) run ./cmd/mvverify -durable -backend mem -scenario backfill -storage-faults 0.02 \
+		-seed $(FAULT_SEED) -rounds $(FAULT_ROUNDS) > $$out || status=$$?; \
+	fails=$$(sed -n 's/^FAIL seed=\([0-9]*\):.*/\1/p' $$out); \
+	echo "fault-sweep: $$(echo $$fails | wc -w) of $(FAULT_ROUNDS) seeds from $(FAULT_SEED) failed:" $$fails; \
+	rm -f $$out; exit $$status
 
 # Short runs of the fuzzers (dot metadata through the dvv encoding,
 # the cell codec, and sstable entry runs; the memtable against its

@@ -10,9 +10,14 @@
 // the same schedule and a byte-identical event trace. Every failing
 // round prints the command that replays it (-replay). The starting seed
 // can also come from the MV_SEED environment variable, shared with the
-// go test harnesses.
+// go test harnesses. With -costs each round also prints its cost table:
+// replica requests per client operation by class and kind, and the
+// propagation and coordinator counters (internal/sim/costs.go) — the
+// protocol's work, exact for a seed where the wall-clock benchmark is
+// noisy.
 //
 //	mvverify -rounds 20 -seed 1 -compress
+//	mvverify -rounds 1 -seed 42 -compress -costs
 //	mvverify -durable -rounds 10 -seed 1 -v
 //	mvverify -durable -backend mem -scenario backfill -storage-faults 0.02 -rounds 5 -v
 //	mvverify -scenario drop-recreate -compress -rounds 5 -v
@@ -45,6 +50,7 @@ func main() {
 		scenario = flag.String("scenario", "", "backfill (view defined mid-run, scans race crashes), drop-recreate (skewed writes, view dropped then re-created), hot-row (back-to-back writers of a few rows, fault-free) or define-during-burst (hot-row with a second view defined while every writer's Put is in flight)")
 		replay   = flag.Int64("replay", 0, "replay exactly one round with this seed, verbosely")
 		verbose  = flag.Bool("v", false, "per-round progress")
+		costs    = flag.Bool("costs", false, "print each round's cost table (requests per client operation by class and kind, propagation and coordinator counters)")
 	)
 	flag.Parse()
 
@@ -60,7 +66,7 @@ func main() {
 	if *replay != 0 {
 		*seed, *rounds, *verbose = *replay, 1, true
 	}
-	os.Exit(runSim(cfg, *seed, *rounds, *durable, *backend, *scenario == "hot-row", *verbose))
+	os.Exit(runSim(cfg, *seed, *rounds, *durable, *backend, *scenario == "hot-row", *verbose, *costs))
 }
 
 // defaultSeed honors MV_SEED (the replay knob shared with the go test
@@ -80,7 +86,7 @@ func defaultSeed() int64 {
 // runSim drives the deterministic simulator: each round is a pure
 // function of its seed, so any failure replays exactly — the printed
 // trace hash is byte-stable across runs and machines.
-func runSim(base sim.Config, seed int64, rounds int, durable bool, backend string, hotRow, verbose bool) int {
+func runSim(base sim.Config, seed int64, rounds int, durable bool, backend string, hotRow, verbose, costs bool) int {
 	failures := 0
 	for round := 0; round < rounds; round++ {
 		cfg := base
@@ -127,11 +133,14 @@ func runSim(base sim.Config, seed int64, rounds int, durable bool, backend strin
 					float64(r.Propagations+r.PropagationRetries)/float64(r.Propagations), float64(r.PropLag.Sum)/float64(r.PropLag.Count)/1e3)
 			}
 			co := r.Coord
-			fmt.Printf("ok   seed=%d  %d events, %d propagations, %d chain hops, %d compressions, manager: %d failed attempts/%d hand-offs/%d abandoned/%d late tasks/%d backpressure waits/%d shared locks, coord: %d digest reads/%d mismatches/%d repairs/%d hints/%d replayed/%d multigets%s, trace %s\n",
+			fmt.Printf("ok   seed=%d  %d events, %d propagations, %d chain hops, %d compressions, manager: %d failed attempts/%d hand-offs/%d abandoned/%d late tasks/%d backpressure waits/%d shared locks/%d base reads, coord: %d digest reads/%d mismatches/%d repairs/%d hints/%d replayed/%d multigets%s, trace %s\n",
 				cfg.Seed, r.Events, r.Propagations, r.ChainHops, r.Compressions,
-				r.PropagationRetries, r.HandOffs, r.Abandoned, r.LateTasks, r.BackpressureWaits, r.SharedLocks,
+				r.PropagationRetries, r.HandOffs, r.Abandoned, r.LateTasks, r.BackpressureWaits, r.SharedLocks, r.BaseReads,
 				co.DigestReads, co.DigestMismatches, co.ReadRepairs, co.HintsStored, co.HintsReplayed, co.MultiGets,
 				extra, r.TraceHash[:16])
+		}
+		if costs {
+			fmt.Printf("costs seed=%d\n%s\n", cfg.Seed, r.CostTable())
 		}
 	}
 	if failures > 0 {

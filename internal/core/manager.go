@@ -110,6 +110,8 @@ type Stats struct {
 	// HelpedPublishes counts ready markers published on behalf of an
 	// interrupted promotion whose redirect provably completed.
 	HelpedPublishes atomic.Int64
+	// BaseReads counts quorum reads of the base row made by CopyData.
+	BaseReads atomic.Int64
 	// ViewReads counts GetView calls.
 	ViewReads atomic.Int64
 	// ReadSpins counts view reads that had to wait on an initializing

@@ -60,6 +60,8 @@ func (w *world) runClient(id int) {
 // whichever incarnation of the node is up.
 func (w *world) put(coordID transport.NodeID, bk string, u model.ColumnUpdate) {
 	w.pendingOps[bk]++
+	acct := w.s.openAccount(classUnacked)
+	w.s.chargeTo(acct)
 	// Stamped once, before the retry loop, where production stamps it:
 	// retries resend the same causal event, so a replica applying the
 	// second attempt over the first sees its own dot already in the
@@ -82,6 +84,7 @@ func (w *world) put(coordID transport.NodeID, bk string, u model.ColumnUpdate) {
 			continue
 		}
 		w.report.Acked++
+		acct.class = w.classify(bk, u)
 		w.acked = append(w.acked, core.BaseUpdate{BaseKey: bk, Column: u.Column, Cell: u.Cell})
 		w.s.Record("put-ack", fmt.Sprintf("%s attempt=%d", what, attempt))
 		break

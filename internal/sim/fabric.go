@@ -121,6 +121,7 @@ func (f *Fabric) Spawn(fn func()) { f.s.Go(0, "coord-background", fn) }
 // partial writes and retried duplicates reachable states.
 func (f *Fabric) Send(from, to transport.NodeID, req transport.Request, cb func(transport.Result)) {
 	kind := reqKind(req)
+	f.s.account().charge(kind)
 	there := fmt.Sprintf("%d->%d %s", from, to, kind)
 	// lost surfaces a message that went nowhere, an RPC timeout later.
 	lost := func(kind, detail string, err error) {
@@ -160,6 +161,7 @@ func (f *Fabric) Send(from, to transport.NodeID, req transport.Request, cb func(
 // scheduler's thread of control.
 func (f *Fabric) Call(from, to transport.NodeID, req transport.Request) <-chan transport.Result {
 	ch := make(chan transport.Result, 1)
+	f.s.account().charge(reqKind(req))
 	if err := f.route(from, to); err != nil {
 		ch <- transport.Result{From: to, Err: err}
 		return ch

@@ -262,6 +262,8 @@ type Report struct {
 	SharedLocks        int // rounds run under the shared row lock
 	HandOffs           int // failed attempts parked on an in-flight predecessor
 	ChainHops          int // stale rows traversed by GetLiveKey
+	GhostDetours       int // walks that ended at an unpublished row and detoured
+	BaseReads          int // base-row reads made by CopyData
 	Compressions       int // stale pointers rewritten by path compression
 	FinalViewRows      int // application-visible view rows at the end
 	CrashRestarts      int // nodes killed and recovered from disk
@@ -270,6 +272,9 @@ type Report struct {
 	// Coord sums the counters of every coordinator of the run, the ones
 	// that died in a crash-restart included.
 	Coord coord.Stats
+	// Costs is every replica request of the run, by the class of client
+	// operation it was made for (costs.go); CostTable renders it.
+	Costs []ClassCost
 
 	// Online-backfill scenario counters (CreateViewAt > 0), the first two
 	// summed over the Progress of every node incarnation's controller.
@@ -366,6 +371,10 @@ type world struct {
 	bfSince  int                       // len(acked) when it was defined
 	bfs      []*backfill.Controller
 	everyBF  []*backfill.Controller
+	bfAcct   *account // what every scan and fill is charged to
+
+	// vkHistory classes client writes for the cost table (costs.go).
+	vkHistory map[string]vkHistory
 
 	report *Report
 }
@@ -383,6 +392,7 @@ func Run(cfg Config) *Report {
 		pendingOps: map[string]int{},
 		replaying:  map[string]int{},
 		issued:     map[string][]model.Cell{},
+		vkHistory:  map[string]vkHistory{},
 		dotSeqs:    make([]uint64, cfg.Nodes),
 		report:     &Report{Seed: cfg.Seed},
 	}
@@ -526,6 +536,8 @@ func Run(cfg Config) *Report {
 		w.report.SharedLocks += int(st.SharedLocks.Load())
 		w.report.HandOffs += int(st.HandOffs.Load())
 		w.report.ChainHops += int(st.ChainHops.Load())
+		w.report.GhostDetours += int(st.GhostDetours.Load())
+		w.report.BaseReads += int(st.BaseReads.Load())
 		w.report.Compressions += int(st.Compressions.Load())
 	}
 	w.report.BackfillLive = w.bfLive
@@ -537,6 +549,7 @@ func Run(cfg Config) *Report {
 			}
 		}
 	}
+	w.report.Costs = s.classCosts()
 	w.report.PropLag = w.reg.Obs().Lag.Snapshot()
 	w.report.ChainLen = w.reg.Obs().ChainLen.Snapshot()
 	w.report.Events = s.Trace().Len()
@@ -718,6 +731,7 @@ func (w *world) crashRestart(id transport.NodeID) {
 // the node dies once more and its successor inherits the intent.
 func (w *world) replayIntent(mgr *core.Manager, it wal.Intent) {
 	defer func() { w.replaying[it.Row]-- }()
+	w.s.chargeTo(w.s.openAccount(classReplay))
 	backoff := time.Millisecond
 	for attempt := 0; ; attempt++ {
 		err := mgr.Repropagate(context.Background(), it)

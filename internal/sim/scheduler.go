@@ -37,6 +37,7 @@ type event struct {
 	kind   string
 	detail string
 	fn     func() // nil once run or cancelled
+	acct   *account
 }
 
 type eventHeap []*event
@@ -89,6 +90,11 @@ type Scheduler struct {
 	// while a plain event function runs. At most one process is ever
 	// runnable, so this is all Await needs to know whom to park.
 	running *proc
+	// eventAcct is the cost account of the plain event running now: the
+	// one current when it was scheduled. accounts lists every account
+	// opened, background first; see costs.go.
+	eventAcct *account
+	accounts  []*account
 }
 
 // NewScheduler returns a scheduler whose entire behavior derives from
@@ -102,6 +108,7 @@ func NewScheduler(seed int64, checkEvery int) *Scheduler {
 		rnd:        rand.New(rand.NewSource(seed)),
 		trace:      &Trace{},
 		checkEvery: checkEvery,
+		accounts:   []*account{{class: classBackground}},
 	}
 }
 
@@ -123,13 +130,14 @@ func (s *Scheduler) AddInvariant(name string, check func() error) {
 // Schedule enqueues fn to run after delay of virtual time. kind and
 // detail label the event in the trace. stop cancels the event if it has
 // not run yet and reports whether it was in time; a cancelled event
-// leaves no trace and does not advance the clock.
+// leaves no trace and does not advance the clock. The event runs on the
+// cost account current now.
 func (s *Scheduler) Schedule(delay time.Duration, kind, detail string, fn func()) (stop func() bool) {
 	if delay < 0 {
 		delay = 0
 	}
 	s.seq++
-	e := &event{at: s.now + delay, seq: s.seq, kind: kind, detail: detail, fn: fn}
+	e := &event{at: s.now + delay, seq: s.seq, kind: kind, detail: detail, fn: fn, acct: s.account()}
 	heap.Push(&s.events, e)
 	return func() bool {
 		pending := e.fn != nil
@@ -169,6 +177,7 @@ func (s *Scheduler) Run() error {
 		s.trace.add(s.now, e.kind, e.detail)
 		fn := e.fn
 		e.fn = nil
+		s.eventAcct = e.acct
 		fn()
 		if s.failure != nil {
 			break
@@ -205,13 +214,15 @@ func (s *Scheduler) runChecks() {
 type proc struct {
 	resume chan struct{}
 	parked chan struct{}
+	acct   *account // what the process's requests are charged to
 }
 
 // Go schedules a new process to start after delay. name labels the
-// spawn event in the trace.
+// spawn event in the trace. The process inherits the cost account
+// current now.
 func (s *Scheduler) Go(delay time.Duration, name string, fn func()) {
 	s.Schedule(delay, "spawn", name, func() {
-		p := &proc{resume: make(chan struct{}), parked: make(chan struct{})}
+		p := &proc{resume: make(chan struct{}), parked: make(chan struct{}), acct: s.eventAcct}
 		s.run(p, func() {
 			go func() {
 				fn()
