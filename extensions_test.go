@@ -49,6 +49,39 @@ func TestSelectionViewEndToEnd(t *testing.T) {
 	}
 }
 
+// A row whose view key moves from outside a selection into it enters the
+// view with its materialized cells. Its old live row is structure-only —
+// materialized writes skip rows outside the selection — so the promotion
+// must take them from the base row.
+func TestSelectionViewKeyMovesIntoSelection(t *testing.T) {
+	db := openDB(t, vstore.Config{})
+	if err := db.CreateTable("orders"); err != nil {
+		t.Fatal(err)
+	}
+	err := db.CreateView(vstore.ViewDef{Name: "big_orders", Base: "orders", ViewKey: "bucket",
+		Materialized: []string{"total"}, Selection: &vstore.Selection{Prefix: "big-"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := db.Client(0)
+	ctx := ctxT(t)
+	for _, v := range []vstore.Values{{"bucket": "small-eu", "total": "3"}, {"bucket": "big-us"}} {
+		if err := c.Put(ctx, "orders", "o1", v); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.QuiesceViews(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := c.GetView(ctx, "big_orders", "big-us")
+	if err != nil || len(rows) != 1 || string(rows[0].Columns["total"].Value) != "3" {
+		t.Fatalf("big-us rows = %+v, %v; want o1 with total 3", rows, err)
+	}
+	if st := db.Stats().Views; st.BaseReads != 1 {
+		t.Fatalf("%d base reads, want 1: the promotion out of small-eu", st.BaseReads)
+	}
+}
+
 func TestPruneViewEndToEnd(t *testing.T) {
 	db := openTickets(t, vstore.Config{})
 	c := db.Client(0)

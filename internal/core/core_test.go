@@ -816,10 +816,12 @@ func (c *holdClock) holds(d time.Duration) bool {
 // Algorithm 1's Get-then-Put is one quorum round: with propagation held
 // back, a view-key Put has cost the coordinator one Put and no Get, and
 // the replicas N put requests and no reads of any kind. Its propagation
-// then makes two majority reads — the chain walk's hop, which also reads
-// what CopyData copies, and the base row — and three majority writes —
-// create with the copied cells, redirect, publish — whether it creates
-// the first view row or supersedes the live one.
+// then makes three majority writes — create with the copied cells,
+// redirect, publish — after one majority read when it supersedes the
+// live row (the chain walk's hop, which also reads what CopyData copies)
+// and two when it creates the first view row (the walk of the missing
+// anchor, and the base row, which is then the only source of the copy):
+// 15 and 18 replica requests with the Put's own.
 func TestViewKeyPutIsOneQuorumRound(t *testing.T) {
 	clk := &holdClock{Clock: clock.Wall, only: func(d time.Duration) bool { return d == time.Hour }}
 	h := newHarness(t, core.Options{Clock: clk, PropagationDelay: func() time.Duration { return time.Hour }}, 4)
@@ -874,8 +876,61 @@ func TestViewKeyPutIsOneQuorumRound(t *testing.T) {
 	if got := put("assignedto", "rliu", 2); !reflect.DeepEqual(got, want) {
 		t.Errorf("first creation: replica requests = %v, want %v", got, want)
 	}
+	want = map[string]int64{"put": 3 + 3*3, "get": 1, "getdigest": 2}
 	if got := put("assignedto", "kmsalem", 3); !reflect.DeepEqual(got, want) {
 		t.Errorf("superseding: replica requests = %v, want %v", got, want)
+	}
+}
+
+// A superseding promotion copies the row it supersedes and reads no base
+// row, so a materialized update that is acknowledged but not yet
+// propagated is not in its copy: the update itself must carry the cell
+// to the new live row. Here it is held in its PropagationDelay while the
+// promotion runs, and released after.
+func TestHeldMaterializedUpdateLandsInSupersedingRow(t *testing.T) {
+	var mu sync.Mutex
+	delays := []time.Duration{0, time.Hour} // the creation, the held update; then none
+	clk := &holdClock{Clock: clock.Wall, only: func(d time.Duration) bool { return d == time.Hour }}
+	h := newHarness(t, core.Options{Clock: clk, PropagationDelay: func() time.Duration {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(delays) == 0 {
+			return 0
+		}
+		d := delays[0]
+		delays = delays[1:]
+		return d
+	}}, 4)
+	mustDefine(t, h, ticketDef())
+	m := h.mgrs[0]
+	status := func(key string) string {
+		t.Helper()
+		rows := getView(t, m, "assignedto", key)
+		if len(rows) != 1 || rows[0].BaseKey != "1" {
+			t.Fatalf("view under %s = %+v, want ticket 1", key, rows)
+		}
+		return string(rows[0].Cells["status"].Value)
+	}
+	<-putEnded(t, m, "assignedto", "1", []model.ColumnUpdate{
+		model.Update("assignedto", []byte("rliu"), 1), model.Update("status", []byte("open"), 1)}, 2)
+	held := putEnded(t, m, "assignedto", "1", []model.ColumnUpdate{model.Update("status", []byte("closed"), 2)}, 2)
+	for limit := time.Now().Add(10 * time.Second); !clk.holds(time.Hour); time.Sleep(time.Millisecond) {
+		if time.Now().After(limit) {
+			t.Fatal("the materialized update's propagation never armed its delay")
+		}
+	}
+	<-putEnded(t, m, "assignedto", "1", []model.ColumnUpdate{model.Update("assignedto", []byte("kmsalem"), 3)}, 2)
+	if got := status("kmsalem"); got != "open" {
+		t.Fatalf("the promotion copied status %q, want the superseded row's %q (it reads no base row)", got, "open")
+	}
+	clk.release()
+	<-held
+	h.quiesce(t)
+	if got := status("kmsalem"); got != "closed" {
+		t.Fatalf("the live row ends with status %q, want the held update's %q", got, "closed")
+	}
+	if rows := getView(t, m, "assignedto", "rliu"); len(rows) != 0 {
+		t.Fatalf("the superseded key still reads %+v", rows)
 	}
 }
 

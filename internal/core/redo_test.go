@@ -347,24 +347,36 @@ func TestInterruptedPromotionIsRedoSafe(t *testing.T) {
 	}
 }
 
-// A promotion is two reads and three writes: the walk's hop of the old
-// live row reads what CopyData copies from it, and the copied cells
-// ride the create write. Refreshing the live key and inserting a stale
-// row are one read and one write each.
+// A promotion that supersedes a selected live row is one read and three
+// writes: the walk's hop of the old live row reads what CopyData copies
+// from it, and the copied cells ride the create write. Where no such row
+// can supply the copy — a first creation, an old live row outside the
+// view's selection, an anchored task — CopyData reads the base row too.
+// Refreshing the live key and inserting a stale row are one read and
+// one write each.
 func TestPromotionPortCalls(t *testing.T) {
 	for _, c := range []struct {
 		name          string
+		sel           *Selection
+		anchored      bool
 		history       []BaseUpdate
 		update        BaseUpdate
 		reads, writes int
+		baseReads     int64
 	}{
-		{"new row wins", []BaseUpdate{matAt("m0", 1), vkAt("k1", 10)}, vkAt("k2", 20), 2, 3},
-		{"first creation", []BaseUpdate{matAt("m0", 1)}, vkAt("k1", 10), 2, 3},
-		{"refresh", []BaseUpdate{matAt("m0", 1), vkAt("k1", 10)}, vkAt("k1", 20), 1, 1},
-		{"stale insert", []BaseUpdate{matAt("m0", 1), vkAt("k2", 20)}, vkAt("k1", 15), 1, 1},
+		{name: "new row wins", history: []BaseUpdate{matAt("m0", 1), vkAt("k1", 10)}, update: vkAt("k2", 20), reads: 1, writes: 3},
+		{name: "first creation", history: []BaseUpdate{matAt("m0", 1)}, update: vkAt("k1", 10), reads: 2, writes: 3, baseReads: 1},
+		// The NULL guess an anchored task adds makes its walk start from
+		// one batched read of both start keys.
+		{name: "anchored", anchored: true, history: []BaseUpdate{matAt("m0", 1), vkAt("k1", 10)}, update: vkAt("k2", 20), reads: 2, writes: 3, baseReads: 1},
+		{name: "live row outside the selection", sel: &Selection{Prefix: "k"},
+			history: []BaseUpdate{matAt("m0", 1), vkAt("x1", 10)}, update: vkAt("k2", 20), reads: 2, writes: 3, baseReads: 1},
+		{name: "refresh", history: []BaseUpdate{matAt("m0", 1), vkAt("k1", 10)}, update: vkAt("k1", 20), reads: 1, writes: 1},
+		{name: "stale insert", history: []BaseUpdate{matAt("m0", 1), vkAt("k2", 20)}, update: vkAt("k1", 15), reads: 1, writes: 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			g := newRig(t)
+			g.def.Selection = c.sel
 			for _, u := range c.history {
 				pre, _ := g.ack(u)
 				if !g.try(u, staticPool{pre, model.NullCell}) {
@@ -373,11 +385,20 @@ func TestPromotionPortCalls(t *testing.T) {
 			}
 			pre, _ := g.ack(c.update)
 			g.port.reads, g.port.writes = 0, 0
-			if !g.try(c.update, staticPool{pre}) {
+			base := g.stats.BaseReads.Load()
+			task, _ := TaskFor(g.def, rigRow, []model.ColumnUpdate{{Column: c.update.Column, Cell: c.update.Cell}})
+			task.anchored = c.anchored
+			if done, _ := g.round.Try(context.Background(), &task, staticPool{pre}); !done {
 				t.Fatalf("update %v did not propagate from its pre-image %v", c.update, pre)
 			}
 			if g.port.reads != c.reads || g.port.writes != c.writes {
 				t.Fatalf("%d reads and %d writes, want %d and %d", g.port.reads, g.port.writes, c.reads, c.writes)
+			}
+			if n := g.stats.BaseReads.Load() - base; n != c.baseReads {
+				t.Fatalf("%d base reads, want %d", n, c.baseReads)
+			}
+			if m := g.viewCell(string(c.update.Cell.Value), "m"); c.writes == 3 && string(m.Value) != "m0" {
+				t.Fatalf("the promoted row carries m = %v, want m0", m)
 			}
 		})
 	}
@@ -414,8 +435,8 @@ func TestPromotionCopiesItsOwnTerminus(t *testing.T) {
 	if got := g.viewCell("c", "m"); string(got.Value) != "from b" || got.TS != 7 {
 		t.Fatalf("promoted row carries m = %v, want the live row b's cell", got)
 	}
-	if g.port.reads != 2 || g.port.writes != 3 || g.stats.GhostDetours.Load() != 0 || g.stats.BatchedLookups.Load() != 1 {
-		t.Fatalf("%d reads, %d writes, %d batched lookups, %d ghost detours; want 2 (the batch and the base row), 3, 1 and 0",
+	if g.port.reads != 1 || g.port.writes != 3 || g.stats.GhostDetours.Load() != 0 || g.stats.BatchedLookups.Load() != 1 {
+		t.Fatalf("%d reads, %d writes, %d batched lookups, %d ghost detours; want 1 (the batch), 3, 1 and 0",
 			g.port.reads, g.port.writes, g.stats.BatchedLookups.Load(), g.stats.GhostDetours.Load())
 	}
 }

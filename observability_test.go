@@ -2,7 +2,9 @@ package vstore_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -239,5 +241,36 @@ func TestStatsDelta(t *testing.T) {
 	}
 	if d.Writes.Puts != 0 {
 		t.Errorf("delta puts = %d, want 0", d.Writes.Puts)
+	}
+}
+
+// Stats().Views.BaseReads counts the base-row reads a promotion's
+// CopyData makes: a ticket's first view row reads its base row, a
+// promotion that supersedes the live row copies from that row instead.
+func TestStatsBaseReads(t *testing.T) {
+	db, c := obsCluster(t, vstore.Config{Seed: 1})
+	ctx := context.Background()
+	put := func(owner string) {
+		t.Helper()
+		if err := c.Put(ctx, "ticket", "t1", vstore.Values{"assignedto": owner, "status": "open"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.QuiesceViews(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("cy")
+	before := db.Stats()
+	if before.Views.BaseReads != 1 {
+		t.Fatalf("first creation: %d base reads, want 1", before.Views.BaseReads)
+	}
+	put("bo")
+	d := db.Stats().Delta(before)
+	if d.Views.BaseReads != 0 || d.Views.Propagations != 1 {
+		t.Fatalf("superseding: %d base reads in %d propagations, want 0 in 1", d.Views.BaseReads, d.Views.Propagations)
+	}
+	blob, err := json.Marshal(db.Stats())
+	if err != nil || !strings.Contains(string(blob), `"base_reads":1`) {
+		t.Fatalf("stats JSON lacks base_reads: %s, %v", blob, err)
 	}
 }
