@@ -233,18 +233,13 @@ func (c *Client) PutUpdates(ctx context.Context, table, key string, updates []Up
 	defer sp.Finish()
 	start := c.db.now()
 	defer func() { c.db.lat.Observe(metrics.OpWrite, c.db.now().Sub(start)) }()
-	// One dot per Put: all columns of the write share it, so the write
-	// is one causal event regardless of how many cells it touches.
-	// Internal view-maintenance writes never pass through here and stay
-	// unstamped.
-	dot, dctx := c.db.cluster.Coordinator(c.node).StampDot(table, key)
 	cus := make([]model.ColumnUpdate, 0, len(updates))
 	for _, u := range updates {
 		ts := u.Timestamp
 		if ts == 0 {
 			ts = c.db.clock.Next()
 		}
-		cell := model.Cell{Value: u.Value, TS: ts, Tombstone: u.Delete, Dot: dot, Ctx: dctx}
+		cell := model.Cell{Value: u.Value, TS: ts, Tombstone: u.Delete}
 		if u.Delete {
 			cell.Value = nil
 		}

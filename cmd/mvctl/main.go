@@ -436,7 +436,6 @@ func stats(sh *shell, _ []string) error {
 		return err
 	}
 	fmt.Fprintln(sh.out, string(b))
-	fmt.Fprintf(sh.out, "concurrent writes (DVV sibling pairs): %d\n", s.Writes.ConcurrentWrites)
 	return nil
 }
 

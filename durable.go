@@ -10,7 +10,6 @@ import (
 	"vstore/internal/backfill"
 	"vstore/internal/cluster"
 	"vstore/internal/core"
-	"vstore/internal/model"
 	"vstore/internal/physical"
 	physfs "vstore/internal/physical/fs"
 	physmem "vstore/internal/physical/mem"
@@ -267,12 +266,12 @@ func readSchema(b Backend) (*schemaDoc, error) {
 // so they need no rebuild) as one sstable run per table in the node's
 // storage namespace, then SCHEMA.json. Restoring is Open with
 // Config.Backend set to b (or Config.Dir, for FSBackend(dir)): a
-// durable reopen, so dot counters are re-seeded and backfilling views
-// resume. The schema is written last and atomically, so a save that
-// fails part-way leaves a target that opens as an empty store. Writes
-// accepted while the save runs may or may not be included (each table
-// is copied atomically, the cluster is not); restoring is always safe
-// because cells carry their LWW timestamps.
+// durable reopen, so backfilling views resume. The schema is written
+// last and atomically, so a save that fails part-way leaves a target
+// that opens as an empty store. Writes accepted while the save runs may
+// or may not be included (each table is copied atomically, the cluster
+// is not); restoring is always safe because cells carry their LWW
+// timestamps.
 func (db *DB) SaveSnapshotTo(b Backend) error {
 	names, err := b.List("")
 	if err != nil {
@@ -456,37 +455,6 @@ func (db *DB) recoverDurable(start time.Time, doc *schemaDoc) error {
 			db.recovery.IntentsReenqueued++
 		}
 	}
-	db.seedDotCounters()
 	db.recovery.Duration = db.now().Sub(start)
 	return nil
-}
-
-// seedDotCounters raises each coordinator's dot sequence above every
-// dot recovered from durable state. A restarted coordinator that
-// re-issued an already-used (node, seq) pair would name two different
-// writes with one dot, silently breaking every causality judgement
-// downstream; scanning both cell dots and context entries across all
-// replicas gives the cluster-wide high-water mark per coordinator.
-func (db *DB) seedDotCounters() {
-	maxSeq := map[uint32]uint64{}
-	note := func(c model.Cell) {
-		if !c.Dot.IsZero() && c.Dot.Seq > maxSeq[c.Dot.Node] {
-			maxSeq[c.Dot.Node] = c.Dot.Seq
-		}
-		for n, s := range c.Ctx {
-			if s > maxSeq[n] {
-				maxSeq[n] = s
-			}
-		}
-	}
-	for _, table := range db.cluster.Tables() {
-		for _, n := range db.cluster.Nodes {
-			for _, e := range n.TableSnapshot(table) {
-				note(e.Cell)
-			}
-		}
-	}
-	for i := 0; i < db.cluster.Size(); i++ {
-		db.cluster.Coordinator(i).SeedDotSeq(maxSeq[uint32(i)])
-	}
 }

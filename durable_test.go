@@ -42,6 +42,7 @@ func openDurableTickets(t *testing.T, dir string) *vstore.DB {
 // views, indexes) and every acknowledged write, with managers wired so
 // new writes keep propagating.
 func TestDurableReopenPreservesSchemaAndData(t *testing.T) {
+	noGoroutineOutlivesClose(t)
 	dir := t.TempDir()
 	db := openDurableTickets(t, dir)
 	if err := db.CreateIndex("ticket", "status"); err != nil {
@@ -102,6 +103,7 @@ func TestDurableReopenPreservesSchemaAndData(t *testing.T) {
 // twice, via two pending intents carrying the same update — and the
 // view must end up exactly where it already was.
 func TestDurableIntentDoubleReplayIdempotent(t *testing.T) {
+	noGoroutineOutlivesClose(t)
 	dir := t.TempDir()
 	db := openDurableTickets(t, dir)
 	if err := db.Client(0).Put(ctxT(t), "ticket", "7", vstore.Values{"assignedto": "alice", "status": "open"}); err != nil {
@@ -169,6 +171,7 @@ func TestDurableIntentDoubleReplayIdempotent(t *testing.T) {
 // Open finds it and converges the view. (It used to be marked done
 // whatever the propagation's outcome.)
 func TestDurableAbandonedIntentStaysPending(t *testing.T) {
+	noGoroutineOutlivesClose(t)
 	be := vstore.MemBackend()
 	cfg := vstore.Config{Backend: be, Views: vstore.ViewOptions{
 		// The delay is the window to take the view's quorum away in.
@@ -219,6 +222,7 @@ func TestDurableAbandonedIntentStaysPending(t *testing.T) {
 // of a table WAL (a torn final write) must be dropped and counted, not
 // fail the open or lose acknowledged data.
 func TestDurableTornWALTailTolerated(t *testing.T) {
+	noGoroutineOutlivesClose(t)
 	dir := t.TempDir()
 	db := openDurableTickets(t, dir)
 	if err := db.Client(0).Put(ctxT(t), "ticket", "1", vstore.Values{"assignedto": "alice", "status": "open"}); err != nil {
@@ -261,6 +265,7 @@ func TestDurableTornWALTailTolerated(t *testing.T) {
 func TestDurableFsyncPolicies(t *testing.T) {
 	for _, p := range []vstore.FsyncPolicy{vstore.FsyncInterval, vstore.FsyncAlways, vstore.FsyncOff} {
 		t.Run(p.String(), func(t *testing.T) {
+			noGoroutineOutlivesClose(t)
 			dir := t.TempDir()
 			db, err := vstore.Open(vstore.Config{Dir: dir, Durability: vstore.DurabilityOptions{Fsync: p}})
 			if err != nil {
@@ -292,6 +297,7 @@ func TestDurableFsyncPolicies(t *testing.T) {
 // reads to replicas that never held the rows. Open refuses it; a zero
 // Nodes adopts the recorded count.
 func TestDurableReopenNodeCount(t *testing.T) {
+	noGoroutineOutlivesClose(t)
 	dir := t.TempDir()
 	db, err := vstore.Open(vstore.Config{Dir: dir, Nodes: 8})
 	if err != nil {
@@ -333,6 +339,7 @@ func TestDurableReopenNodeCount(t *testing.T) {
 // count was recorded opens under the default size, and the next schema
 // write records it.
 func TestDurableSchemaRecordsNodeCount(t *testing.T) {
+	noGoroutineOutlivesClose(t)
 	dir := t.TempDir()
 	copyTree(t, dir, "testdata/durable_pre_backend")
 	db, err := vstore.Open(vstore.Config{Dir: dir})

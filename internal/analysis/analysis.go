@@ -21,7 +21,7 @@
 //   - randcheck: no global math/rand state outside cmd/ — simulation
 //     code must draw from its seeded source.
 //
-// Four passes are dataflow-aware, built on the intraprocedural CFG,
+// Three passes are dataflow-aware, built on the intraprocedural CFG,
 // dominance and must-reach machinery of internal/analysis/flow
 // (DESIGN.md §14):
 //
@@ -33,9 +33,6 @@
 //     memtable apply on a durable path must be dominated by a WAL
 //     append (log-before-apply, DESIGN.md §9), with a one-hop
 //     interprocedural summary for same-package helpers.
-//   - dotcheck: only the coordinator client-put path stamps dots;
-//     view/backfill/propagation writes strip them through the central
-//     model.Cell.StripDot / model.StripDots helpers (DESIGN.md §11).
 //   - goexit: a `go func` whose closure signals no lifecycle — no
 //     context, no channel rendezvous, no WaitGroup — is an unmanaged
 //     goroutine that Close cannot drain.
@@ -94,7 +91,7 @@ type Pass struct {
 // All returns every registered pass, in reporting order.
 func All() []*Pass {
 	return []*Pass{ClockCheck, SinkErr, LockCheck, AtomicCheck, RandCheck,
-		PhysCheck, WalOrder, DotCheck, GoExit, StaleCheck}
+		PhysCheck, WalOrder, GoExit, StaleCheck}
 }
 
 // Names returns the registered pass names, in reporting order.

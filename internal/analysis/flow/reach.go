@@ -8,9 +8,8 @@ import (
 // over one graph: at every program point it answers whether EVERY path
 // from the function entry to that point passes a node the generator
 // matched. This is the shape of the repo's ordering invariants — "a
-// WAL append must precede this memtable apply", "a dot strip must
-// precede this forward" — as a forward must-analysis (meet = AND over
-// predecessors).
+// WAL append must precede this memtable apply" — as a forward
+// must-analysis (meet = AND over predecessors).
 type Reach struct {
 	g   *Graph
 	gen func(ast.Node) bool

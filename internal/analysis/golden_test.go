@@ -135,7 +135,6 @@ func TestAtomicCheckGolden(t *testing.T) { checkGolden(t, AtomicCheck, "atomicba
 func TestRandCheckGolden(t *testing.T)   { checkGolden(t, RandCheck, "randbad", "") }
 func TestPhysCheckGolden(t *testing.T)   { checkGolden(t, PhysCheck, "physbad", "internal/storagex") }
 func TestWalOrderGolden(t *testing.T)    { checkGolden(t, WalOrder, "walbad", "internal/lsm/walbad") }
-func TestDotCheckGolden(t *testing.T)    { checkGolden(t, DotCheck, "dotbad", "internal/core/dotbad") }
 func TestGoExitGolden(t *testing.T)      { checkGolden(t, GoExit, "goexitbad", "") }
 
 // TestClockCheckContextGolden loads its fixture as a package of
@@ -289,8 +288,8 @@ func TestDiagnosticString(t *testing.T) {
 // TestByName covers the pass-subset flag parsing.
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 10 {
-		t.Fatalf("ByName(\"\") = %v, %v; want the 10 passes", all, err)
+	if err != nil || len(all) != 9 {
+		t.Fatalf("ByName(\"\") = %v, %v; want the 9 passes", all, err)
 	}
 	two, err := ByName("clockcheck, sinkerr")
 	if err != nil || len(two) != 2 || two[0] != ClockCheck || two[1] != SinkErr {

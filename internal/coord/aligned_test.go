@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"vstore/internal/dvv"
 	"vstore/internal/model"
 	"vstore/internal/transport"
 )
@@ -61,9 +60,9 @@ func mapRepair(row string, merged, seen model.Row) []model.Entry {
 }
 
 // TestAlignedReadMatchesMapMerge runs quorum reads of named columns over
-// random replica states — never-written columns, tombstones, dotted
-// cells, a column asked twice, and one replica that missed writes or
-// took others — and checks them against the map merge they replaced:
+// random replica states — never-written columns, tombstones, a column
+// asked twice, and one replica that missed writes or took others — and
+// checks them against the map merge they replaced:
 // the same winner at every position (NullCell where the map had no
 // entry), the same repair pushes in the same order, and every replica's
 // digest of its reply equal to the store's DigestColumns.
@@ -72,12 +71,8 @@ func TestAlignedReadMatchesMapMerge(t *testing.T) {
 	pool := []string{"a", "b", "c", "skey", "", "long-column-name-over-32-bytes-0"}
 	cell := func() model.Cell {
 		c := model.Cell{Value: []byte(fmt.Sprintf("v%d", rng.Intn(4))), TS: int64(1 + rng.Intn(6))}
-		switch rng.Intn(4) {
-		case 0:
+		if rng.Intn(4) == 0 {
 			c = model.Cell{TS: c.TS, Tombstone: true}
-		case 1:
-			c.Dot = dvv.Dot{Node: uint32(1 + rng.Intn(3)), Seq: uint64(1 + rng.Intn(9))}
-			c.Ctx = dvv.VV{c.Dot.Node: c.Dot.Seq}
 		}
 		return c
 	}

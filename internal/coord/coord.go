@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"vstore/internal/clock"
-	"vstore/internal/dvv"
 	"vstore/internal/model"
 	"vstore/internal/ring"
 	"vstore/internal/trace"
@@ -96,16 +95,7 @@ type Coordinator struct {
 
 	statMu sync.Mutex
 	stats  Stats
-
-	// Dotted-version-vector stamping state for client writes accepted
-	// at this coordinator: the write sequence counter behind its dots
-	// and the per-row causal context accumulated so far.
-	dotMu  sync.Mutex
-	dotSeq uint64
-	rowCtx map[rowID]dvv.VV
 }
-
-type rowID struct{ table, row string }
 
 // Stats counts coordinator activity for tests and observability.
 type Stats struct {
@@ -251,39 +241,6 @@ func (c *Coordinator) bump(f func(*Stats)) {
 	c.statMu.Lock()
 	f(&c.stats)
 	c.statMu.Unlock()
-}
-
-// StampDot allocates the next write dot for this coordinator and the
-// causal context a client write to (table, row) must carry: every dot
-// this coordinator previously stamped for the row, plus the new dot
-// itself (the canonical own-dot-in-context form). Writes routed
-// through different coordinators with no causal chain between them
-// carry contexts that do not cover each other's dots — that is
-// exactly what replica-side sibling detection keys on.
-func (c *Coordinator) StampDot(table, row string) (dvv.Dot, dvv.VV) {
-	key := rowID{table, row}
-	c.dotMu.Lock()
-	defer c.dotMu.Unlock()
-	c.dotSeq++
-	d := dvv.Dot{Node: uint32(c.self), Seq: c.dotSeq}
-	ctx := c.rowCtx[key].WithDot(d)
-	if c.rowCtx == nil {
-		c.rowCtx = map[rowID]dvv.VV{}
-	}
-	c.rowCtx[key] = ctx
-	return d, ctx
-}
-
-// SeedDotSeq raises the coordinator's dot counter to at least seq.
-// Recovery calls it with the highest sequence number found for this
-// node in the restored state, so a restarted coordinator never reuses
-// a dot that already names an earlier write.
-func (c *Coordinator) SeedDotSeq(seq uint64) {
-	c.dotMu.Lock()
-	if c.dotSeq < seq {
-		c.dotSeq = seq
-	}
-	c.dotMu.Unlock()
 }
 
 // ReplicasFor exposes replica placement (used by anti-entropy).

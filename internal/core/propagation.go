@@ -246,17 +246,6 @@ func (r *Round) Try(ctx context.Context, t *Task, pool Pool) (bool, error) {
 	return false, nil
 }
 
-// put is the one place a view row is written during propagation. Dot
-// metadata is stripped: dots name client base-table writes, and a view
-// cell derived from a dotted base cell is not itself a causal event —
-// carrying the dot over would make two view rows derived from
-// concurrent base writes look like sibling view writes and double-count
-// them.
-func (r *Round) put(ctx context.Context, t *Task, rowKey string, updates []model.ColumnUpdate) error {
-	model.StripDots(updates)
-	return r.Put(ctx, t.def.Name, rowKey, updates)
-}
-
 // startKey resolves a guess to the view row its chain walk starts at. A
 // NULL guess (the replica had no view key before the update) starts from
 // the base row's chain anchor; see nullRowKey.
@@ -302,7 +291,7 @@ func (r *Round) propagateOnce(ctx context.Context, t *Task, guess model.Cell, pr
 		for _, u := range t.mats {
 			updates = append(updates, model.ColumnUpdate{Column: model.Qualify(t.stored, u.Column), Cell: u.Cell})
 		}
-		return r.put(ctx, t, target, updates)
+		return r.Put(ctx, t.def.Name, target, updates)
 	}
 	return nil
 }
@@ -319,7 +308,7 @@ func (r *Round) propagateViewKey(ctx context.Context, t *Task, live terminus, cr
 		// view (it anchors stale chains) but is marked deleted. Reads
 		// skip rows whose deletion is at least as new as their live
 		// pointer.
-		return kLive, r.put(ctx, t, kLive, []model.ColumnUpdate{
+		return kLive, r.Put(ctx, t.def.Name, kLive, []model.ColumnUpdate{
 			{Column: model.Qualify(t.stored, ColDeleted), Cell: model.Cell{Value: readyValue, TS: tNew}},
 		})
 	}
@@ -338,7 +327,7 @@ func (r *Round) propagateViewKey(ctx context.Context, t *Task, live terminus, cr
 		// effect if tNew is older, by Put semantics). Pointer and ready
 		// marker travel in one put, so a replica that observes the
 		// refreshed pointer also observes the refreshed marker.
-		return kNew, r.put(ctx, t, kNew, []model.ColumnUpdate{self, ready})
+		return kNew, r.Put(ctx, t.def.Name, kNew, []model.ColumnUpdate{self, ready})
 
 	case creating || vk.Wins(model.Cell{Value: []byte(kLive), TS: tLive}):
 		// The new row becomes the live row. Order matters for
@@ -361,17 +350,17 @@ func (r *Round) propagateViewKey(ctx context.Context, t *Task, live terminus, cr
 				return "", err
 			}
 		}
-		if err := r.put(ctx, t, kNew, create); err != nil {
+		if err := r.Put(ctx, t.def.Name, kNew, create); err != nil {
 			return "", err
 		}
 		staleRow := kLive
 		if creating {
 			staleRow = t.anchor
 		}
-		if err := r.put(ctx, t, staleRow, []model.ColumnUpdate{self}); err != nil {
+		if err := r.Put(ctx, t.def.Name, staleRow, []model.ColumnUpdate{self}); err != nil {
 			return "", err
 		}
-		return kNew, r.put(ctx, t, kNew, []model.ColumnUpdate{ready})
+		return kNew, r.Put(ctx, t.def.Name, kNew, []model.ColumnUpdate{ready})
 
 	default:
 		// The update is older than the live row: record it as a stale
@@ -386,7 +375,7 @@ func (r *Round) propagateViewKey(ctx context.Context, t *Task, live terminus, cr
 		// pointer, the Put loses LWW and the existing pointer survives,
 		// as Definition 3 requires. Bundled materialized updates still
 		// target the live row.
-		return kLive, r.put(ctx, t, kNew, []model.ColumnUpdate{
+		return kLive, r.Put(ctx, t.def.Name, kNew, []model.ColumnUpdate{
 			{Column: t.cols[0], Cell: model.Cell{Value: []byte(kLive), TS: tLive}},
 		})
 	}
@@ -595,7 +584,7 @@ func (r *Round) resolveLive(ctx context.Context, t *Task, start string, pre map[
 	}
 	// Redirect provably done: help the interrupted promotion over the
 	// line by publishing its ready marker.
-	if err := r.put(ctx, t, ghost.key, []model.ColumnUpdate{
+	if err := r.Put(ctx, t.def.Name, ghost.key, []model.ColumnUpdate{
 		{Column: t.cols[1], Cell: model.Cell{Value: readyValue, TS: ghost.ts}},
 	}); err != nil {
 		return terminus{}, err
@@ -681,7 +670,7 @@ func (r *Round) walkChain(ctx context.Context, t *Task, start string, pre map[st
 // hint, never needed for correctness.
 func (r *Round) compressChain(ctx context.Context, t *Task, staleKeys []string, live terminus) {
 	for _, kv := range staleKeys {
-		if r.put(ctx, t, kv, []model.ColumnUpdate{
+		if r.Put(ctx, t.def.Name, kv, []model.ColumnUpdate{
 			{Column: t.cols[0], Cell: model.Cell{Value: []byte(live.key), TS: live.ts}},
 		}) == nil {
 			r.Stats.Compressions.Add(1)

@@ -114,9 +114,6 @@ func (f *fakePort) Put(_ context.Context, table, row string, updates []model.Col
 	}
 	dst := f.row(table, row)
 	for _, u := range updates {
-		if !u.Cell.Dot.IsZero() || u.Cell.Ctx != nil {
-			f.t.Errorf("view cell %s/%s carries dot metadata", row, u.Column)
-		}
 		dst[u.Column] = model.Merge(cellIn(dst, u.Column), u.Cell)
 	}
 	return nil

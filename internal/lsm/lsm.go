@@ -145,8 +145,8 @@ func (s *Store) Apply(row, column string, c model.Cell) error {
 // cell the store held for updates[i].Column just before that update
 // was applied, LWW-merged across the memtable and every run, or
 // model.NullCell if it held none. A caller that needs pre-images — a
-// pre-read, a sibling check — gets them from the lookup the write makes
-// anyway. With old nil the write is blind and no run is consulted.
+// pre-read, index maintenance — gets them from the lookup the write
+// makes anyway. With old nil the write is blind and no run is consulted.
 // The price of the single lookup: the runs' bloom probes and index
 // searches for a pre-image happen under the exclusive lock, where a
 // separate read before the write would have shared it, so readers of

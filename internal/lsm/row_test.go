@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"vstore/internal/dvv"
 	"vstore/internal/model"
 	"vstore/internal/race"
 )
@@ -124,7 +123,7 @@ func TestAllocations(t *testing.T) {
 // TestDigestColumnsMatchesRowDigest checks the map-free digests against
 // the digest of the map of the cells GetColumns returns and of the map
 // of the row GetRow returns, over rows spread across the memtable and several
-// runs, asking for missing, repeated, tombstoned and dotted cells and
+// runs, asking for missing, repeated and tombstoned cells and
 // a name longer than 32 bytes. GetRow's entries must come sorted by
 // column name.
 func TestDigestColumnsMatchesRowDigest(t *testing.T) {
@@ -133,12 +132,8 @@ func TestDigestColumnsMatchesRowDigest(t *testing.T) {
 	cols := []string{"a", "b", "", "skey", "zz", "c\x00", strings.Repeat("long", 10), "payload"}
 	for i := 0; i < 400; i++ {
 		c := model.Cell{Value: bytes.Repeat([]byte{'v'}, rng.Intn(30)), TS: int64(rng.Intn(50))}
-		switch rng.Intn(4) {
-		case 0:
+		if rng.Intn(4) == 0 {
 			c = model.Cell{TS: c.TS, Tombstone: true}
-		case 1:
-			c.Dot = dvv.Dot{Node: uint32(rng.Intn(3)), Seq: uint64(1 + rng.Intn(9))}
-			c.Ctx = dvv.VV{c.Dot.Node: c.Dot.Seq, uint32(3 + rng.Intn(3)): uint64(rng.Intn(9))}
 		}
 		if err := s.Apply(fmt.Sprintf("row-%02d", rng.Intn(12)), cols[rng.Intn(len(cols)-1)], c); err != nil {
 			t.Fatal(err) // the last column is never written: always missing

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"vstore/internal/dvv"
 	"vstore/internal/model"
 	"vstore/internal/race"
 )
@@ -118,10 +117,6 @@ func (s *script) cell() model.Cell {
 	case 1: // empty value
 	default:
 		c.Value = bytes.Repeat([]byte{byte('a' + b%5)}, b%40)
-	}
-	if b&0x80 != 0 {
-		c.Dot = dvv.Dot{Node: uint32(1 + b%3), Seq: uint64(1 + s.byte()%5)}
-		c.Ctx = dvv.VV{c.Dot.Node: c.Dot.Seq}
 	}
 	return c
 }

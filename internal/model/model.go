@@ -20,8 +20,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-
-	"vstore/internal/dvv"
 )
 
 // NullTS is the timestamp associated with a cell that has never been
@@ -33,23 +31,10 @@ const NullTS int64 = math.MinInt64
 // together with its timestamp. A tombstone records a deletion; it
 // keeps its timestamp so that the deletion wins over older writes and
 // loses to newer ones.
-//
-// Beyond the paper's (value, timestamp) pair, a cell carries dotted-
-// version-vector metadata: Dot names the client write that produced
-// the value (zero for internal view-maintenance writes and legacy
-// data), and Ctx is the causal context — every dot this cell has
-// subsumed through merges, always including its own (the canonical
-// form dvv documents). Timestamps still decide the surviving value
-// (the deterministic LWW merge policy is unchanged); the metadata
-// makes concurrent sibling writes detectable instead of silently
-// clobbered, and lets the causal-convergence oracle prove every
-// acknowledged write survives somewhere in each replica's state.
 type Cell struct {
 	Value     []byte
 	TS        int64
 	Tombstone bool
-	Dot       dvv.Dot
-	Ctx       dvv.VV
 }
 
 // NullCell is the cell returned for reads of never-written cells.
@@ -99,72 +84,14 @@ func (c Cell) Wins(old Cell) bool {
 	return bytes.Compare(c.Value, old.Value) > 0
 }
 
-// Merge returns the LWW winner of a and b; the winner's causal
-// context additionally absorbs the loser's dot and context, so a
-// merged cell keeps the proof that the losing write was considered.
-// Merge remains commutative, associative and idempotent — contexts
-// join as a lattice and canonical cells already contain their own dot
-// — which is what makes replica state a join-semilattice and
-// guarantees convergence under anti-entropy.
-//
-// Two distinct client writes can tie completely under LWW (same
-// timestamp, same value); the dot then breaks the tie, so every replica
-// also agrees on which write names the survivor.
+// Merge returns the LWW winner of a and b. It is commutative,
+// associative and idempotent, which makes replica state a
+// join-semilattice and guarantees convergence under anti-entropy.
 func Merge(a, b Cell) Cell {
-	w, l := a, b
-	if b.Wins(a) || (a.Dot != b.Dot && !a.Wins(b) && dotBefore(a.Dot, b.Dot)) {
-		w, l = b, a
+	if b.Wins(a) {
+		return b
 	}
-	if l.Dot.IsZero() && len(l.Ctx) == 0 {
-		return w // nothing to absorb: the zero-metadata fast path
-	}
-	if (l.Dot.IsZero() || w.Ctx.Contains(l.Dot)) && w.Ctx.Dominates(l.Ctx) {
-		return w // loser already subsumed; keep the winner allocation-free
-	}
-	w.Ctx = dvv.Absorb(w.Ctx, l.Ctx, w.Dot, l.Dot)
-	return w
-}
-
-// dotBefore orders dots by (node, sequence).
-func dotBefore(a, b dvv.Dot) bool {
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	return a.Seq < b.Seq
-}
-
-// Concurrent reports whether the two cells were produced by causally
-// concurrent client writes: both are dotted, by different dots, and
-// neither write's context had observed the other. Unstamped cells
-// (internal writes, legacy data) are never reported concurrent.
-func Concurrent(a, b Cell) bool {
-	if a.Dot.IsZero() || b.Dot.IsZero() || a.Dot == b.Dot {
-		return false
-	}
-	return !a.Ctx.Contains(b.Dot) && !b.Ctx.Contains(a.Dot)
-}
-
-// StripDot removes the dotted-version-vector metadata from the cell,
-// in place. This is THE central strip for derived writes: dots name
-// client base-table writes, and a view/backfill/propagation cell
-// copied from a dotted base cell is derived state, not a causal event
-// — carrying the dot over would make two view rows derived from
-// concurrent base writes look like sibling view writes and
-// double-count them (DESIGN.md §11). The dotcheck pass enforces that
-// derived-write paths strip through here rather than zeroing fields
-// inline, so the strip discipline has one auditable implementation.
-func (c *Cell) StripDot() {
-	c.Dot = dvv.Dot{}
-	c.Ctx = nil
-}
-
-// StripDots strips the dot metadata from every cell of updates, in
-// place — the batch form of Cell.StripDot for a derived write about to
-// be forwarded whole.
-func StripDots(updates []ColumnUpdate) {
-	for i := range updates {
-		updates[i].Cell.StripDot()
-	}
+	return a
 }
 
 // ColumnUpdate names one column and the cell to write into it. A Put
@@ -306,35 +233,12 @@ func CellDigest[S string | []byte](col S, c Cell) uint64 {
 		h ^= 1
 		h *= prime64
 	}
-	// Dot metadata must participate: two replicas holding the same
-	// (value, TS) winner but diverged causal contexts have NOT
-	// converged — digest reads must fall back to a full merge and
-	// anti-entropy must exchange the entries so the contexts join.
-	h ^= mix64(mix64(uint64(c.Dot.Node)) + c.Dot.Seq)
-	h *= prime64
-	var ctxFold uint64
-	for n, s := range c.Ctx {
-		// Per-pair mix folded with XOR: order-independent, so map
-		// iteration order cannot perturb the digest.
-		ctxFold ^= mix64(mix64(uint64(n)) + s)
-	}
-	h ^= ctxFold
-	h *= prime64
 	// splitmix64-style finalization before the XOR fold so
 	// per-column hash structure cannot cancel out.
 	h += 0x9e3779b97f4a7c15
 	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
 	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
 	return h ^ (h >> 31)
-}
-
-// mix64 is a splitmix64 finalizer round, used to spread structured
-// integers (dots, context pairs) before they are folded into digests.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // ErrBadKey is returned when decoding a malformed storage key.
@@ -365,11 +269,12 @@ func DecodeRow(key []byte) (row string, prefixLen int, err error) {
 // The cell codec, the one byte layout of a cell in WAL records and
 // sstable runs:
 //
-//	varint ts, flag byte, uvarint valLen, val, then dot metadata
-//	(dvv.AppendMeta) iff the flag's cellHasMeta bit is set
+//	varint ts, flag byte, uvarint valLen, val
 //
-// Bit 0 of the flag marks a tombstone. Cells written before dots
-// existed carry flag 0/1 and decode unchanged.
+// Bit 0 of the flag marks a tombstone. Bit 1 (cellHasMeta) is never
+// written any more: it marked dotted-version-vector metadata after the
+// value, which cells in directories written before the store dropped
+// that metadata still carry. ReadCell skips it (skipMeta).
 const (
 	cellTombstone byte = 1 << 0
 	cellHasMeta   byte = 1 << 1
@@ -385,17 +290,9 @@ func AppendCell(buf []byte, c Cell) []byte {
 	if c.Tombstone {
 		flag |= cellTombstone
 	}
-	hasMeta := !c.Dot.IsZero() || len(c.Ctx) > 0
-	if hasMeta {
-		flag |= cellHasMeta
-	}
 	buf = append(buf, flag)
 	buf = binary.AppendUvarint(buf, uint64(len(c.Value)))
-	buf = append(buf, c.Value...)
-	if hasMeta {
-		buf = dvv.AppendMeta(buf, c.Dot, c.Ctx)
-	}
-	return buf
+	return append(buf, c.Value...)
 }
 
 // ReadCell decodes one cell from the front of data and returns the
@@ -418,12 +315,51 @@ func ReadCell(data []byte) (Cell, []byte, error) {
 	c := Cell{Value: val, TS: ts, Tombstone: flag&cellTombstone != 0}
 	data = data[sz+int(vl):]
 	if flag&cellHasMeta != 0 {
-		var err error
-		if c.Dot, c.Ctx, data, err = dvv.ReadMeta(data); err != nil {
-			return Cell{}, nil, fmt.Errorf("%w: %v", ErrBadCell, err)
+		var ok bool
+		if data, ok = skipMeta(data); !ok {
+			return Cell{}, nil, ErrBadCell
 		}
 	}
 	return c, data, nil
+}
+
+// skipMeta returns the bytes after the old metadata at the front of
+// data: uvarint node, uvarint seq, uvarint pair count, then that many
+// pairs of uvarint node and uvarint seq. It rejects what its writer
+// never produced: a node above 32 bits, a zero seq with a nonzero node,
+// a zero seq in a pair, and a pair count larger than the bytes left,
+// which is checked before the loop runs.
+func skipMeta(data []byte) ([]byte, bool) {
+	node, data, ok := uvarint(data)
+	if !ok || node > math.MaxUint32 {
+		return nil, false
+	}
+	var seq, n uint64
+	if seq, data, ok = uvarint(data); !ok || (seq == 0 && node != 0) {
+		return nil, false
+	}
+	if n, data, ok = uvarint(data); !ok || n > uint64(len(data)) {
+		return nil, false
+	}
+	for ; n > 0; n-- {
+		if node, data, ok = uvarint(data); !ok || node > math.MaxUint32 {
+			return nil, false
+		}
+		if seq, data, ok = uvarint(data); !ok || seq == 0 {
+			return nil, false
+		}
+	}
+	return data, true
+}
+
+// uvarint decodes one uvarint from the front of data and returns the
+// bytes after it.
+func uvarint(data []byte) (uint64, []byte, bool) {
+	v, sz := binary.Uvarint(data)
+	if sz <= 0 {
+		return 0, nil, false
+	}
+	return v, data[sz:], true
 }
 
 // RowCollector gathers distinct row names from storage keys fed to it

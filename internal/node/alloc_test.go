@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"vstore/internal/dvv"
 	"vstore/internal/model"
 	"vstore/internal/race"
 	"vstore/internal/transport"
@@ -12,9 +11,9 @@ import (
 
 // TestPutAllocations pins what one replica put costs a memory-mode node
 // on a table without indexes, once its cells exist: the request
-// bookkeeping (worker slot, counter, catalog lookup, row lock), the
-// sibling check and the store write allocate nothing, so what is left
-// is what the reply is made of.
+// bookkeeping (worker slot, counter, catalog lookup, row lock) and the
+// store write allocate nothing, so what is left is what the reply is
+// made of.
 func TestPutAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -25,16 +24,10 @@ func TestPutAllocations(t *testing.T) {
 	for i := range rows {
 		rows[i] = fmt.Sprintf("data-%08d", i)
 	}
-	dot := dvv.Dot{Node: 1, Seq: 1}
-	reqs := func(dotted bool, versionsOf []string) []transport.Request {
+	reqs := func(versionsOf []string) []transport.Request {
 		out := make([]transport.Request, len(rows))
 		for i, row := range rows {
 			updates := []model.ColumnUpdate{model.Update("skey", val, 1), model.Update("payload", val, 1)}
-			if dotted {
-				for j := range updates {
-					updates[j].Cell.Dot, updates[j].Cell.Ctx = dot, dvv.VV{dot.Node: dot.Seq}
-				}
-			}
 			out[i] = transport.PutReq{Table: "data", Row: row, Updates: updates, ReturnVersionsOf: versionsOf}
 		}
 		return out
@@ -48,22 +41,19 @@ func TestPutAllocations(t *testing.T) {
 			i++
 		})
 	}
-	measure(reqs(false, nil)) // create the cells
-	// A view-maintenance put: undotted, no pre-read, empty reply.
-	if got := measure(reqs(false, nil)); got > 0 {
+	measure(reqs(nil)) // create the cells
+	// A put without a pre-read, a client's on a table without views or a
+	// view-maintenance one: blind, empty reply.
+	if got := measure(reqs(nil)); got > 0 {
 		t.Errorf("blind put allocates %v times, want 0", got)
 	}
-	// A client put: dotted, so every cell is checked for a sibling.
-	if got := measure(reqs(true, nil)); got > 0 {
-		t.Errorf("dotted put allocates %v times, want 0", got)
-	}
 	// A client put on a table with a view: the pre-read's reply is one
-	// cell, its slice and the boxed reply that carries it. The two puts
-	// above return a nil slice, which boxes for free.
-	if got := measure(reqs(true, []string{"skey"})); got > 2 {
+	// cell, its slice and the boxed reply that carries it. The put above
+	// returns a nil slice, which boxes for free.
+	if got := measure(reqs([]string{"skey"})); got > 2 {
 		t.Errorf("put with a pre-read allocates %v times, want at most 2 (the pre-image slice and the boxed reply)", got)
 	}
-	if got := n.RequestCounts()["put"]; got < int64(4*(len(rows)-1)) {
+	if got := n.RequestCounts()["put"]; got < int64(3*(len(rows)-1)) {
 		t.Errorf("put counter = %d, want every request counted", got)
 	}
 }
@@ -76,8 +66,7 @@ func TestGetDigestAllocations(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	n := New(Options{ID: 1})
-	dot := dvv.Dot{Node: 1, Seq: 1}
-	cell := model.Cell{Value: []byte("sec-00000001"), TS: 1, Dot: dot, Ctx: dvv.VV{dot.Node: dot.Seq}}
+	cell := model.Cell{Value: []byte("sec-00000001"), TS: 1}
 	if _, err := n.HandleRequest(0, transport.PutReq{Table: "data", Row: "data-00000001",
 		Updates: []model.ColumnUpdate{{Column: "skey", Cell: cell}}}); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"vstore/internal/clock"
-	"vstore/internal/dvv"
 	"vstore/internal/lsm"
 	"vstore/internal/metrics"
 	"vstore/internal/model"
@@ -88,10 +87,6 @@ type Node struct {
 
 	// requests counts handled requests by kind.
 	requests [numKinds]metrics.Counter
-	// concurrentWrites counts dotted client writes that arrived
-	// causally concurrent with the cell they met locally — the sibling
-	// clobbers the plain LWW model resolved silently.
-	concurrentWrites metrics.Counter
 }
 
 // reqKind indexes the per-kind request counters; kindNames holds the
@@ -244,15 +239,6 @@ func (n *Node) rowLock(table, row string) *sync.Mutex {
 	return &n.rowLocks[ring.HashJoined(table, row)%uint64(len(n.rowLocks))]
 }
 
-// ConcurrentWrites returns how many causally concurrent sibling
-// writes this replica has observed: an incoming dotted write and the
-// locally stored cell were causally concurrent, so LWW resolution
-// picked a deterministic winner between writes neither of which
-// observed the other. Each conflicting write pair is counted at every
-// replica that sees both sides, so cluster-wide aggregation counts
-// replica observations, not distinct pairs.
-func (n *Node) ConcurrentWrites() int64 { return n.concurrentWrites.Load() }
-
 // RequestCounts returns the number of requests handled so far, by
 // kind; kinds never seen are absent.
 func (n *Node) RequestCounts() map[string]int64 {
@@ -372,18 +358,12 @@ func (n *Node) handlePut(r transport.PutReq) (transport.Response, error) {
 }
 
 // putRow is the put every un-indexed table takes: one row-level store
-// write whose single lookup per cell also yields the pre-images the
-// request asked for and the cell each dotted (client) update has to be
-// checked against for a concurrent sibling. Internal view-maintenance
-// writes are undotted and ask for nothing, so they stay blind. The
-// pre-images come back aligned with ReturnVersionsOf, nil when it is
-// empty. The caller holds the row lock.
+// write, blind unless the request asks for pre-images, which its single
+// lookup per cell then also yields. The pre-images come back aligned
+// with ReturnVersionsOf, nil when it is empty. The caller holds the row
+// lock.
 func (n *Node) putRow(t *lsm.Store, r transport.PutReq) ([]model.Cell, error) {
-	wantOld := len(r.ReturnVersionsOf) > 0
-	for i := 0; !wantOld && i < len(r.Updates); i++ {
-		wantOld = !r.Updates[i].Cell.Dot.IsZero()
-	}
-	if !wantOld {
+	if len(r.ReturnVersionsOf) == 0 {
 		return nil, t.ApplyRow(r.Row, r.Updates, nil)
 	}
 	var scratch [4]model.Cell // pre-images of a typical put stay on the stack
@@ -394,14 +374,6 @@ func (n *Node) putRow(t *lsm.Store, r transport.PutReq) ([]model.Cell, error) {
 	old = old[:len(r.Updates)]
 	if err := t.ApplyRow(r.Row, r.Updates, old); err != nil {
 		return nil, err
-	}
-	for i, u := range r.Updates {
-		if model.Concurrent(old[i], u.Cell) {
-			n.concurrentWrites.Inc()
-		}
-	}
-	if len(r.ReturnVersionsOf) == 0 {
-		return nil, nil
 	}
 	pre := make([]model.Cell, len(r.ReturnVersionsOf))
 	for j, col := range r.ReturnVersionsOf {
@@ -443,23 +415,16 @@ func (n *Node) putIndexedRow(t *lsm.Store, frags map[string]*lsm.Store, r transp
 // the row lock. An error means the update was not applied (durable
 // mode failed to log it).
 func (n *Node) applyWithIndex(t *lsm.Store, frag *lsm.Store, row string, u model.ColumnUpdate) error {
-	// Only dotted (client) writes and indexed columns need the cell
-	// they replace; replicated view-maintenance cells stay blind.
-	var pre [1]model.Cell
-	var wantOld []model.Cell
-	if frag != nil || !u.Cell.Dot.IsZero() {
-		wantOld = pre[:]
+	// Only an indexed column needs the cell it replaces; any other
+	// update stays blind.
+	if frag == nil {
+		return t.ApplyRow(row, []model.ColumnUpdate{u}, nil)
 	}
-	if err := t.ApplyRow(row, []model.ColumnUpdate{u}, wantOld); err != nil {
+	var pre [1]model.Cell
+	if err := t.ApplyRow(row, []model.ColumnUpdate{u}, pre[:]); err != nil {
 		return err
 	}
 	old := pre[0]
-	if model.Concurrent(old, u.Cell) {
-		n.concurrentWrites.Inc()
-	}
-	if frag == nil {
-		return nil
-	}
 	merged := model.Merge(old, u.Cell)
 	if merged.Equal(old) {
 		return nil // update lost LWW locally; index unchanged
@@ -695,13 +660,6 @@ func BucketDigests(entries []model.Entry, buckets int) []uint64 {
 	for _, e := range entries {
 		h := ring.Hash64(string(e.Key))
 		v := h ^ ring.Hash64(string(e.Cell.Value)) ^ ring.Hash64(fmt.Sprint(e.Cell.TS, e.Cell.Tombstone))
-		if !e.Cell.Dot.IsZero() || len(e.Cell.Ctx) > 0 {
-			// Dot metadata is replica state too: contexts that have not
-			// joined yet are divergence anti-entropy must repair, or the
-			// causal-convergence oracle would pass on digests that hide
-			// unmerged sibling history.
-			v ^= ring.Hash64(string(dvv.AppendMeta(nil, e.Cell.Dot, e.Cell.Ctx)))
-		}
 		leaves[h%uint64(buckets)] ^= v
 	}
 	return leaves

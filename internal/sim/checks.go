@@ -220,7 +220,7 @@ func (w *world) finalCheck() error {
 		}
 	}
 
-	if err := w.checkCausalConvergence(); err != nil {
+	if err := w.checkAckedWrites(); err != nil {
 		return err
 	}
 
@@ -340,45 +340,30 @@ func (w *world) checkLateFence(rows []core.VersionedRow) error {
 	return nil
 }
 
-// checkCausalConvergence is the dotted-version-vector half of the
-// end-of-run oracle: after quiescence, every replica's surviving base
-// cell must dominate the dot of every acknowledged write to that cell —
-// either the write's own dot survived, or a causally-later or
-// concurrent winner absorbed it into its context. A missing dot means a
-// replica silently clobbered an acknowledged write without ever
-// judging it against the survivor, exactly the failure mode dots exist
-// to rule out. Checked on every replica (not a quorum): the final
-// anti-entropy rounds must have spread each winner's full context.
-func (w *world) checkCausalConvergence() error {
-	// Per-node base-table state, decoded once: row → column → cell.
-	states := make([]map[string]model.Row, len(w.nodes))
+// checkAckedWrites is the part of every acknowledged write a client
+// can see after quiescence: each replica of its row holds a cell at its
+// column that the write does not beat, the write itself or a newer one.
+// Checked on every replica, not a quorum: the final anti-entropy rounds
+// must have spread each winner. A replica that lost a write that is
+// still the winner, or a write lost everywhere, fails here.
+func (w *world) checkAckedWrites() error {
+	states := make([]map[string]model.Cell, len(w.nodes)) // storage key → cell
 	for i, n := range w.nodes {
-		st := map[string]model.Row{}
+		states[i] = map[string]model.Cell{}
 		for _, e := range n.TableSnapshot(baseTable) {
-			row, col, err := model.DecodeKey(e.Key)
-			if err != nil {
-				return fmt.Errorf("node %d: undecodable base key %q: %w", i, e.Key, err)
-			}
-			if st[row] == nil {
-				st[row] = model.Row{}
-			}
-			st[row][col] = e.Cell
+			states[i][string(e.Key)] = e.Cell
 		}
-		states[i] = st
 	}
 	for _, u := range w.acked {
-		if u.Cell.Dot.IsZero() {
-			continue
-		}
+		key := string(model.EncodeKey(u.BaseKey, u.Column))
 		for _, id := range w.coords[0].ReplicasFor(baseTable, u.BaseKey) {
-			cell, ok := states[id][u.BaseKey][u.Column]
+			cell, ok := states[id][key]
 			if !ok {
-				return fmt.Errorf("causal convergence: node %d has no cell at %s.%s but write %v (ts %d) was acknowledged",
-					id, u.BaseKey, u.Column, u.Cell.Dot, u.Cell.TS)
+				cell = model.NullCell
 			}
-			if cell.Dot != u.Cell.Dot && !cell.Ctx.Contains(u.Cell.Dot) {
-				return fmt.Errorf("causal convergence: node %d cell %s.%s (dot %v, ctx %v) does not dominate acknowledged write %v (ts %d)",
-					id, u.BaseKey, u.Column, cell.Dot, cell.Ctx, u.Cell.Dot, u.Cell.TS)
+			if u.Cell.Wins(cell) {
+				return fmt.Errorf("acknowledged write lost: node %d holds %v at %s.%s, which the write %v beats",
+					id, cell, u.BaseKey, u.Column, u.Cell)
 			}
 		}
 	}

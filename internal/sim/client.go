@@ -1,10 +1,7 @@
 package sim
 
 // The simulated client: the workload generator and the client side of
-// Algorithm 1 over the node's real core.Manager. This is the one place
-// the simulator has a coordinator stamp a dot — the twin of the root
-// package's client.go, and like it the only file dotcheck lets call
-// StampDot.
+// Algorithm 1 over the node's real core.Manager.
 
 import (
 	"context"
@@ -62,12 +59,6 @@ func (w *world) put(coordID transport.NodeID, bk string, u model.ColumnUpdate) {
 	w.pendingOps[bk]++
 	acct := w.s.openAccount(classUnacked)
 	w.s.chargeTo(acct)
-	// Stamped once, before the retry loop, where production stamps it:
-	// retries resend the same causal event, so a replica applying the
-	// second attempt over the first sees its own dot already in the
-	// context and counts no phantom sibling.
-	u.Cell.Dot, u.Cell.Ctx = w.coords[coordID].StampDot(baseTable, bk)
-	w.dotSeqs[coordID] = u.Cell.Dot.Seq
 	cellKey := string(model.EncodeKey(bk, u.Column))
 	w.issued[cellKey] = append(w.issued[cellKey], u.Cell)
 	what := fmt.Sprintf("base=%s col=%s ts=%d", bk, u.Column, u.Cell.TS)

@@ -268,7 +268,6 @@ type Report struct {
 	FinalViewRows      int // application-visible view rows at the end
 	CrashRestarts      int // nodes killed and recovered from disk
 	IntentsReenqueued  int // pending propagation intents replayed at restarts
-	ConcurrentWrites   int // replica-observed causally concurrent sibling pairs (DVV)
 	// Coord sums the counters of every coordinator of the run, the ones
 	// that died in a crash-restart included.
 	Coord coord.Stats
@@ -353,13 +352,6 @@ type world struct {
 	acked      []core.BaseUpdate       // every acknowledged base update, in ack order
 	issued     map[string][]model.Cell // encoded base cell key → every cell a client sent for it
 
-	// dotSeqs is the highest dot sequence each coordinator has stamped.
-	// It lives at world level, outside the crashable node state, because
-	// dot uniqueness must survive restarts: a rebuilt coordinator is
-	// seeded with it (SeedDotSeq), the high-water mark the real stack
-	// re-derives by scanning durable state at recovery.
-	dotSeqs []uint64
-
 	// Online-backfill scenario state (CreateViewAt > 0). bfDef is the
 	// current view generation, nil until the first activation. bfs is the
 	// backfill controller of each node's incarnation, everyBF those and
@@ -393,7 +385,6 @@ func Run(cfg Config) *Report {
 		replaying:  map[string]int{},
 		issued:     map[string][]model.Cell{},
 		vkHistory:  map[string]vkHistory{},
-		dotSeqs:    make([]uint64, cfg.Nodes),
 		report:     &Report{Seed: cfg.Seed},
 	}
 	// The catalog every node's manager shares, on virtual time: the
@@ -521,8 +512,7 @@ func Run(cfg Config) *Report {
 			_ = st.Close() // end-of-run cleanup
 		}
 	}
-	for id, n := range w.nodes {
-		w.report.ConcurrentWrites += int(n.ConcurrentWrites())
+	for id := range w.nodes {
 		w.retireCoord(transport.NodeID(id))
 	}
 	w.report.Err = err
@@ -629,7 +619,6 @@ func (w *world) openNode(id transport.NodeID) (intents []wal.Intent, err error) 
 	// ticker — replayHints is scheduled instead — and never reads its
 	// clock: timeouts and tickers are all an event fabric has no use for.
 	w.coords[id] = coord.New(id, w.ring, w.fab, coord.Options{N: w.cfg.N, HintReplayInterval: -1})
-	w.coords[id].SeedDotSeq(w.dotSeqs[id])
 	n.SetPlacement(w.coords[id].ReplicasFor)
 	// And the view manager that ships, on that coordinator: its drive
 	// loop, back-pressure and lock waits park through the fabric, its
@@ -656,8 +645,8 @@ const (
 )
 
 // retireCoord folds a coordinator's counters into the report and shuts
-// it down — at the end of the run, or when its node dies: its hints and
-// per-row causal contexts die with it, as in a real process.
+// it down — at the end of the run, or when its node dies: its hints die
+// with it, as in a real process.
 func (w *world) retireCoord(id transport.NodeID) {
 	w.report.Coord.Add(w.coords[id].Stats())
 	w.coords[id].Close()
@@ -689,8 +678,6 @@ func (w *world) replayHints() {
 // rounds and fills they were in; everything else happens in its first
 // segment, at one instant.
 func (w *world) crashRestart(id transport.NodeID) {
-	// The dying node's sibling observations would vanish with it.
-	w.report.ConcurrentWrites += int(w.nodes[id].ConcurrentWrites())
 	dead, deadBF := w.mgrs[id], w.bfs[id]
 	w.retireCoord(id)
 	_ = w.storages[id].Abandon()   // crash model: no final sync

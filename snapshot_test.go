@@ -2,6 +2,7 @@ package vstore_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 // index) and every row without a rebuild, and maintenance keeps
 // working.
 func TestSnapshotRoundTrip(t *testing.T) {
+	noGoroutineOutlivesClose(t)
 	dir := t.TempDir()
 	ctx := ctxT(t)
 
@@ -110,7 +112,49 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotMemBackendRoundTrip: rows written through every
+// coordinator come back from a checkpoint on a memory backend with
+// their values, and every coordinator of the restored store takes new
+// writes.
+func TestSnapshotMemBackendRoundTrip(t *testing.T) {
+	noGoroutineOutlivesClose(t)
+	ctx := ctxT(t)
+	db := openDB(t, vstore.Config{})
+	if err := db.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := db.Client(i%db.Nodes()).Put(ctx, "t", fmt.Sprintf("r%d", i), vstore.Values{"c": "v"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := vstore.MemBackend()
+	if err := db.SaveSnapshotTo(b); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	db2 := openDB(t, vstore.Config{Backend: b})
+	for i := 0; i < 20; i++ {
+		row, err := db2.Client((i+1)%db2.Nodes()).Get(ctx, "t", fmt.Sprintf("r%d", i), vstore.WithColumns("c"))
+		if err != nil || string(row["c"].Value) != "v" {
+			t.Fatalf("r%d after restore: %v, %v", i, row, err)
+		}
+	}
+	for i := 0; i < db2.Nodes(); i++ {
+		key := fmt.Sprintf("new%d", i)
+		if err := db2.Client(i).Put(ctx, "t", key, vstore.Values{"c": "w"}); err != nil {
+			t.Fatal(err)
+		}
+		row, err := db2.Client((i+1)%db2.Nodes()).Get(ctx, "t", key, vstore.WithColumns("c"))
+		if err != nil || string(row["c"].Value) != "w" {
+			t.Fatalf("%s written through coordinator %d after restore: %v, %v", key, i, row, err)
+		}
+	}
+}
+
 func TestSnapshotValidation(t *testing.T) {
+	noGoroutineOutlivesClose(t)
 	dir := t.TempDir()
 	db := openDB(t, vstore.Config{Nodes: 4})
 	if err := db.CreateTable("t"); err != nil {
@@ -170,6 +214,7 @@ func (b *failAtomic) WriteFileAtomic(name string, data []byte) error {
 // writes reports the failure and leaves no SCHEMA.json, so the target
 // opens as an empty store instead of a half-written checkpoint.
 func TestSnapshotSaveFailsWhole(t *testing.T) {
+	noGoroutineOutlivesClose(t)
 	db := openTickets(t, vstore.Config{})
 	c := db.Client(0)
 	for _, k := range []string{"1", "2", "3"} {

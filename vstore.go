@@ -703,13 +703,6 @@ type WriteStats struct {
 	QuorumFails   int64 `json:"quorum_fails"`
 	HintsStored   int64 `json:"hints_stored"`
 	HintsReplayed int64 `json:"hints_replayed"`
-	// ConcurrentWrites counts replica-observed sibling pairs: a dotted
-	// client write landing on a cell whose surviving version neither
-	// dominates nor is dominated by it (dotted-version-vector test).
-	// Each is a causally concurrent update the LWW merge collapsed
-	// deterministically rather than silently — nonzero means clients
-	// raced on the same base row.
-	ConcurrentWrites int64 `json:"concurrent_writes"`
 	// Latency is client-observed Put latency (quorum ack, not
 	// propagation).
 	Latency metrics.HistSnapshot `json:"latency_us"`
@@ -863,9 +856,6 @@ func (db *DB) Stats() Stats {
 	s.Reads.Latency = db.lat.Snapshot(metrics.OpRead)
 	s.Reads.IndexLatency = db.lat.Snapshot(metrics.OpIndexRead)
 	s.Writes.Latency = db.lat.Snapshot(metrics.OpWrite)
-	for _, n := range db.cluster.Nodes {
-		s.Writes.ConcurrentWrites += n.ConcurrentWrites()
-	}
 	for _, table := range db.cluster.Tables() {
 		for _, n := range db.cluster.Nodes {
 			ls := n.TableStats(table)
@@ -896,7 +886,6 @@ func (s Stats) Delta(prev Stats) Stats {
 	d.Writes.QuorumFails -= prev.Writes.QuorumFails
 	d.Writes.HintsStored -= prev.Writes.HintsStored
 	d.Writes.HintsReplayed -= prev.Writes.HintsReplayed
-	d.Writes.ConcurrentWrites -= prev.Writes.ConcurrentWrites
 	d.Writes.Latency = s.Writes.Latency.Sub(prev.Writes.Latency)
 	d.Views.Propagations -= prev.Views.Propagations
 	d.Views.PropagationFailures -= prev.Views.PropagationFailures
