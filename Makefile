@@ -54,13 +54,15 @@ regression:
 # crash-restarts and injected storage faults, a view dropped and
 # re-created mid-backfill under a skewed write load, back-to-back writers
 # of a few hot rows whose propagations are handed from one to the next,
-# and those writers with a second view defined while each has a Put in
-# flight.
+# the same with several writers of each row on different coordinators,
+# and the hot-row writers with a second view defined while each has a Put
+# in flight.
 sim-sweep:
 	timeout 300 $(GO) run ./cmd/mvverify -rounds 25 -compress -v
 	timeout 300 $(GO) run ./cmd/mvverify -durable -backend mem -scenario backfill -storage-faults 0.02 -rounds 8 -v
 	timeout 300 $(GO) run ./cmd/mvverify -scenario drop-recreate -compress -rounds 8 -v
 	timeout 300 $(GO) run ./cmd/mvverify -scenario hot-row -rounds 8 -v
+	timeout 300 $(GO) run ./cmd/mvverify -scenario shared-row -rounds 8 -v
 	timeout 300 $(GO) run ./cmd/mvverify -scenario define-during-burst -rounds 8 -v
 
 # A fixed sweep of durable rounds under injected storage faults, with a

@@ -22,6 +22,7 @@
 //	mvverify -durable -backend mem -scenario backfill -storage-faults 0.02 -rounds 5 -v
 //	mvverify -scenario drop-recreate -compress -rounds 5 -v
 //	mvverify -scenario hot-row -rounds 5 -v
+//	mvverify -scenario shared-row -rounds 5 -v
 //	mvverify -scenario define-during-burst -rounds 5 -v
 //	mvverify -replay 124 -compress
 package main
@@ -47,7 +48,7 @@ func main() {
 		durable  = flag.Bool("durable", false, "durable nodes plus crash-restart faults (WAL/sstable recovery under the oracle)")
 		backend  = flag.String("backend", "fs", "with -durable: physical backend, fs (temp directory) or mem (hermetic in-memory)")
 		faults   = flag.Float64("storage-faults", 0, "with -durable: per-operation injected storage fault probability [0,1)")
-		scenario = flag.String("scenario", "", "backfill (view defined mid-run, scans race crashes), drop-recreate (skewed writes, view dropped then re-created), hot-row (back-to-back writers of a few rows, fault-free) or define-during-burst (hot-row with a second view defined while every writer's Put is in flight)")
+		scenario = flag.String("scenario", "", "backfill (view defined mid-run, scans race crashes), drop-recreate (skewed writes, view dropped then re-created), hot-row (back-to-back writers of a few rows, fault-free), shared-row (hot-row with three writers of each row, each through its own coordinator) or define-during-burst (hot-row with a second view defined while every writer's Put is in flight)")
 		replay   = flag.Int64("replay", 0, "replay exactly one round with this seed, verbosely")
 		verbose  = flag.Bool("v", false, "per-round progress")
 		costs    = flag.Bool("costs", false, "print each round's cost table (requests per client operation by class and kind, propagation and coordinator counters)")
@@ -66,7 +67,7 @@ func main() {
 	if *replay != 0 {
 		*seed, *rounds, *verbose = *replay, 1, true
 	}
-	os.Exit(runSim(cfg, *seed, *rounds, *durable, *backend, *scenario == "hot-row", *verbose, *costs))
+	os.Exit(runSim(cfg, *seed, *rounds, *durable, *backend, *scenario == "hot-row" || *scenario == "shared-row", *verbose, *costs))
 }
 
 // defaultSeed honors MV_SEED (the replay knob shared with the go test

@@ -16,10 +16,13 @@ import (
 func (w *world) runClient(id int) {
 	cfg := w.cfg
 	if cfg.hotRows > 0 {
-		// A back-to-back writer: row r<id>, fresh keys, rising timestamps.
-		bk, coordID := fmt.Sprintf("r%d", id), transport.NodeID(id%cfg.Nodes)
+		// A back-to-back writer, the k-th of its row: fresh keys, rising
+		// timestamps, and a coordinator none of the row's other writers use.
+		row, k := id%cfg.hotRows, id/cfg.hotRows
+		bk, coordID := fmt.Sprintf("r%d", row), transport.NodeID((row+k)%cfg.Nodes)
 		for op := 0; op < cfg.OpsPerClient; op++ {
-			w.put(coordID, bk, model.Update(vkCol, []byte(fmt.Sprintf("h%d-%d", id, op)), int64(op+1)))
+			ts := int64(op*cfg.hotWriters + k + 1)
+			w.put(coordID, bk, model.Update(vkCol, []byte(fmt.Sprintf("h%d-%d", id, op)), ts))
 		}
 		return
 	}

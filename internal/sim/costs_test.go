@@ -36,6 +36,7 @@ func TestCostTables(t *testing.T) {
 		{"durable3", func() Config { return Config{Seed: 3, Backend: physmem.New()} }},    // -durable -backend mem -seed 3
 		{"hot-row", func() Config { return scenario("hot-row") }},                         // -scenario hot-row -seed 7
 		{"define-during-burst", func() Config { return scenario("define-during-burst") }}, // -scenario define-during-burst -seed 7
+		{"shared-row", func() Config { return scenario("shared-row") }},                   // -scenario shared-row -seed 7
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			r := Run(leg.cfg())

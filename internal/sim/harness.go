@@ -143,8 +143,10 @@ type Config struct {
 	// mix with hotRows writers, writer i the only one of base row r<i>:
 	// each issues its OpsPerClient view-key Puts back to back through one
 	// coordinator — a fresh view key at a rising timestamp, no think time
-	// — the shape of the benchmark's skew_write.
-	hotRows int
+	// — the shape of the benchmark's skew_write. hotWriters (default 1)
+	// gives each row that many such writers, each through a different
+	// coordinator, at timestamps no other writer of the row uses.
+	hotRows, hotWriters int
 	// scenario is the name WithScenario shaped the config with, for
 	// ReplayCommand.
 	scenario string
@@ -180,8 +182,14 @@ func WithScenario(cfg Config, name string) (Config, error) {
 		// later one then waits for its predecessor's row.
 		cfg.hotRows, cfg.OpsPerClient = 4, 25
 		cfg.Crashes, cfg.Partitions, cfg.DropProb = -1, -1, -1
+	case "shared-row":
+		// The hot-row writers, three of each of two rows: a row's
+		// propagations run on three coordinators, and one that fails waits
+		// for a predecessor scheduled on another.
+		cfg.hotRows, cfg.hotWriters, cfg.OpsPerClient = 2, 3, 20
+		cfg.Crashes, cfg.Partitions, cfg.DropProb = -1, -1, -1
 	default:
-		return cfg, fmt.Errorf("unknown scenario %q (want backfill, drop-recreate, hot-row or define-during-burst)", name)
+		return cfg, fmt.Errorf("unknown scenario %q (want backfill, drop-recreate, hot-row, shared-row or define-during-burst)", name)
 	}
 	cfg.scenario = name
 	return cfg, nil
@@ -196,7 +204,8 @@ func (c Config) withDefaults() Config {
 	orDefault(&c.BaseRows, 8)
 	orDefault(&c.ViewKeys, 6)
 	if c.hotRows > 0 {
-		c.Clients = c.hotRows
+		orDefault(&c.hotWriters, 1)
+		c.Clients = c.hotRows * c.hotWriters
 	}
 	orDefault(&c.Clients, 4)
 	orDefault(&c.OpsPerClient, 30)
