@@ -13,9 +13,9 @@
 //     and any error-returning function of those packages from anywhere
 //     in the module. A dropped fsync error is a corrupted recovery.
 //   - lockcheck: mutexes copied by value, Lock without a reachable
-//     Unlock, and the repo-specific rule that no internal/locks
-//     propagation lock is held across a direct internal/transport
-//     call.
+//     Unlock, and the repo-specific rule that no propagation lock (a
+//     row granted by core.Port.Serialize) is held across a direct
+//     internal/transport call.
 //   - atomiccheck: struct fields accessed both through sync/atomic
 //     and with plain loads/stores.
 //   - randcheck: no global math/rand state outside cmd/ — simulation

@@ -30,13 +30,13 @@ var bannedTime = map[string]bool{
 var simExecuted = []string{"internal/core", "internal/coord", "internal/backfill"}
 
 // oneThread are the directories whose code the simulator hosts whole, on
-// its single thread of control: core.Manager, the lock service under it
-// and the backfill controller over it. There nothing may start a goroutine (goexit flags the go
+// its single thread of control: core.Manager and the backfill
+// controller over it. There nothing may start a goroutine (goexit flags the go
 // statement) or wait on the clock in a way only a goroutine can deliver:
 // Clock.After and Clock.Ticker hand back channels, Clock.Sleep blocks
 // the caller. The equivalent is Clock.AfterFunc arming a wake, and a
 // park through coord.Coordinator.Park.
-var oneThread = []string{"internal/core", "internal/locks", "internal/backfill"}
+var oneThread = []string{"internal/core", "internal/backfill"}
 
 // blockingClock is the part of clock.Clock oneThread may not call.
 var blockingClock = map[string]bool{"After": true, "Sleep": true, "Ticker": true}
@@ -56,7 +56,7 @@ var blockingClock = map[string]bool{"After": true, "Sleep": true, "Ticker": true
 // so is a blocking call on the injected clock itself.
 var ClockCheck = &Pass{
 	Name: "clockcheck",
-	Doc:  "raw time.Now/Sleep/After/... outside internal/clock, cmd/ and examples/; context.WithTimeout/WithDeadline in internal/core, internal/coord and internal/backfill; Clock.After/Sleep/Ticker in internal/core, internal/locks and internal/backfill",
+	Doc:  "raw time.Now/Sleep/After/... outside internal/clock, cmd/ and examples/; context.WithTimeout/WithDeadline in internal/core, internal/coord and internal/backfill; Clock.After/Sleep/Ticker in internal/core and internal/backfill",
 	Run:  runClockCheck,
 }
 

@@ -15,13 +15,13 @@ import (
 //     (deferred or direct) reachable in the same function body,
 //     nested closures included — cross-function lock handoffs must be
 //     annotated with //lint:ignore lockcheck and a reason;
-//  3. the repo-specific ordering rule: no propagation lock from
-//     internal/locks may be held across a *direct* call into
-//     internal/transport. The paper's liveness argument (§IV-D)
-//     requires a blocked propagation round to release its row lock
-//     before waiting on the network; a transport round-trip under the
-//     row lock can deadlock propagation against the very update it
-//     waits for. (Indirect calls through coord are the sanctioned
+//  3. the repo-specific ordering rule: no row granted by
+//     core.Port.Serialize (the propagation lock of §IV-F) may be held
+//     across a *direct* call into internal/transport. The paper's
+//     liveness argument (§IV-D) requires a blocked propagation round
+//     to release its row lock before waiting on the network; a
+//     transport round-trip under the row lock can deadlock propagation
+//     against the very update it waits for. (Indirect calls through coord are the sanctioned
 //     quorum rounds of Algorithm 2 and are not flagged.)
 //
 // Rules 1 and 2 are heuristic complements to `go vet` (which also runs
@@ -188,18 +188,18 @@ func (u *Unit) checkLockPairs(fd *ast.FuncDecl) {
 }
 
 // checkHeldAcrossTransport flags direct internal/transport calls made
-// while a propagation lock from internal/locks is held, plus acquires
-// whose release function is discarded outright.
+// while a propagation lock — a row granted by core.Port.Serialize — is
+// held, plus grants whose release function is discarded outright.
 func (u *Unit) checkHeldAcrossTransport(fd *ast.FuncDecl) {
-	locksPath := u.ModPath + "/internal/locks"
+	corePath := u.ModPath + "/internal/core"
 	transPath := u.ModPath + "/internal/transport"
 
-	// isLocksAcquire reports whether call is
-	// (*locks.Manager).Acquire/Lock/RLock.
-	isLocksAcquire := func(call *ast.CallExpr) bool {
+	// isGrant reports whether call is a Serialize method of
+	// internal/core: Port.Serialize or an implementation of it.
+	isGrant := func(call *ast.CallExpr) bool {
 		fn := u.calleeFunc(call)
-		return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == locksPath &&
-			(fn.Name() == "Acquire" || fn.Name() == "Lock" || fn.Name() == "RLock")
+		return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == corePath &&
+			fn.Name() == "Serialize" && fn.Type().(*types.Signature).Recv() != nil
 	}
 
 	type span struct {
@@ -214,7 +214,7 @@ func (u *Unit) checkHeldAcrossTransport(fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch stmt := n.(type) {
 		case *ast.ExprStmt:
-			if call, ok := stmt.X.(*ast.CallExpr); ok && isLocksAcquire(call) {
+			if call, ok := stmt.X.(*ast.CallExpr); ok && isGrant(call) {
 				u.Reportf(call.Pos(), "propagation lock acquired but its release function is discarded; the row would stay locked forever")
 			}
 		case *ast.AssignStmt:
@@ -222,7 +222,7 @@ func (u *Unit) checkHeldAcrossTransport(fd *ast.FuncDecl) {
 				return true
 			}
 			call, ok := stmt.Rhs[0].(*ast.CallExpr)
-			if !ok || !isLocksAcquire(call) {
+			if !ok || !isGrant(call) {
 				return true
 			}
 			id, ok := stmt.Lhs[0].(*ast.Ident)
@@ -281,7 +281,7 @@ func (u *Unit) checkHeldAcrossTransport(fd *ast.FuncDecl) {
 		}
 		for _, s := range spans {
 			if call.Pos() > s.from && call.Pos() < s.to {
-				u.Reportf(call.Pos(), "transport.%s called while holding a propagation lock from internal/locks; release the row lock before any network round-trip (liveness, paper §IV-D)", fn.Name())
+				u.Reportf(call.Pos(), "transport.%s called while holding a propagation lock (core.Port.Serialize); release the row before any network round-trip (liveness, paper §IV-D)", fn.Name())
 				break
 			}
 		}

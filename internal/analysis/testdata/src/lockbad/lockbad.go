@@ -1,13 +1,14 @@
 // Package lockbad is the lockcheck golden fixture: a mutex copied by
 // value through a parameter and an assignment, a Lock with no
-// reachable Unlock, and the repo-specific rule that a propagation lock
-// from internal/locks must not be held across a direct transport call.
+// reachable Unlock, and the repo-specific rule that a propagation lock —
+// a row granted by core.Port.Serialize — must not be held across a
+// direct transport call.
 package lockbad
 
 import (
 	"sync"
 
-	"vstore/internal/locks"
+	"vstore/internal/core"
 	"vstore/internal/transport"
 )
 
@@ -36,13 +37,13 @@ func paired(g *guarded) int {
 	return g.n
 }
 
-func heldAcross(m *locks.Manager, tr transport.Transport, self, to transport.NodeID, req transport.Request) {
-	release := m.Lock("row")
+func heldAcross(p core.Port, tr transport.Transport, self, to transport.NodeID, req transport.Request) {
+	release := p.Serialize("row", true)
 	tr.Call(self, to, req) // want "called while holding a propagation lock"
 	release()
 	tr.Call(self, to, req) // ok: the row lock was released first
 }
 
-func discardsRelease(m *locks.Manager) {
-	m.Lock("row") // want "release function is discarded"
+func discardsRelease(p core.Port) {
+	p.Serialize("row", true) // want "release function is discarded"
 }

@@ -1,4 +1,4 @@
-package locks
+package core
 
 import (
 	"fmt"
@@ -11,8 +11,23 @@ import (
 	"vstore/internal/wait"
 )
 
-func TestExclusiveMutualExclusion(t *testing.T) {
-	m := NewManager()
+// The ledger grants a row to its propagations' rounds (ledger.serialize,
+// the face of Port.Serialize): these tests hold that grant to Section
+// IV-F's shared/exclusive lock and to its fairness rule (wait.Turns).
+
+// grantLedger returns a ledger in which each key has a chain of one
+// entry, as it has while a propagation of that row is in flight; only
+// such a row is asked for.
+func grantLedger(keys ...string) *ledger {
+	l := &ledger{rows: map[string]*rowChain{}}
+	for _, k := range keys {
+		l.admit(&retry{m: &Manager{}, t: &Task{lockKey: k}}, nil, time.Time{})
+	}
+	return l
+}
+
+func TestGrantExclusiveMutualExclusion(t *testing.T) {
+	l := grantLedger("k")
 	var held int32
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -20,7 +35,7 @@ func TestExclusiveMutualExclusion(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				release := m.Lock("k")
+				release := l.serialize("k", true, wait.OnChannel)
 				if atomic.AddInt32(&held, 1) != 1 {
 					t.Error("two goroutines inside exclusive section")
 				}
@@ -32,10 +47,9 @@ func TestExclusiveMutualExclusion(t *testing.T) {
 	wg.Wait()
 }
 
-func TestSharedConcurrent(t *testing.T) {
-	m := NewManager()
-	var inside int32
-	var peak int32
+func TestGrantSharedHoldersInParallel(t *testing.T) {
+	l := grantLedger("k")
+	var inside, peak int32
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i := 0; i < 4; i++ {
@@ -43,7 +57,7 @@ func TestSharedConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			release := m.RLock("k")
+			release := l.serialize("k", false, wait.OnChannel)
 			cur := atomic.AddInt32(&inside, 1)
 			for {
 				p := atomic.LoadInt32(&peak)
@@ -59,79 +73,72 @@ func TestSharedConcurrent(t *testing.T) {
 	close(start)
 	wg.Wait()
 	if peak < 2 {
-		t.Fatalf("shared lock never held concurrently (peak %d)", peak)
+		t.Fatalf("shared grant never held concurrently (peak %d)", peak)
 	}
 }
 
-func TestSharedBlocksExclusive(t *testing.T) {
-	m := NewManager()
-	rRelease := m.RLock("k")
+func TestGrantSharedBlocksExclusive(t *testing.T) {
+	l := grantLedger("k")
+	rRelease := l.serialize("k", false, wait.OnChannel)
 	acquired := make(chan struct{})
 	go func() {
-		release := m.Lock("k")
+		release := l.serialize("k", true, wait.OnChannel)
 		close(acquired)
 		release()
 	}()
 	select {
 	case <-acquired:
-		t.Fatal("exclusive lock acquired while shared held")
+		t.Fatal("exclusive grant taken while a shared one is held")
 	case <-time.After(30 * time.Millisecond):
 	}
 	rRelease()
 	select {
 	case <-acquired:
 	case <-time.After(time.Second):
-		t.Fatal("exclusive lock never acquired after shared release")
+		t.Fatal("exclusive grant never taken after the shared one was released")
 	}
 }
 
-func TestDistinctKeysIndependent(t *testing.T) {
-	m := NewManager()
-	releaseA := m.Lock("a")
+func TestGrantRowsIndependent(t *testing.T) {
+	l := grantLedger("a", "b")
+	releaseA := l.serialize("a", true, wait.OnChannel)
 	done := make(chan struct{})
 	go func() {
-		releaseB := m.Lock("b")
-		releaseB()
+		l.serialize("b", true, wait.OnChannel)()
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(time.Second):
-		t.Fatal("lock on key b blocked by lock on key a")
+		t.Fatal("row b blocked by a grant of row a")
 	}
 	releaseA()
 }
 
-func TestIdleKeysReclaimed(t *testing.T) {
-	m := NewManager()
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r1 := m.Lock(string(rune('a' + i%5)))
-			r1()
-			r2 := m.RLock(string(rune('a' + i%5)))
-			r2()
-		}(i)
-	}
-	wg.Wait()
-	if m.Active() != 0 {
-		t.Fatalf("%d lock entries leaked", m.Active())
-	}
-}
-
-func TestReleaseIdempotent(t *testing.T) {
-	m := NewManager()
-	release := m.Lock("k")
+// A release is idempotent, and the row's record — its turns with it —
+// goes when its chain's last entry leaves.
+func TestGrantReleaseIdempotent(t *testing.T) {
+	l := grantLedger("k")
+	release := l.serialize("k", true, wait.OnChannel)
 	release()
-	release() // must not panic or corrupt refcounts
-	if m.Active() != 0 {
-		t.Fatalf("entries leaked: %d", m.Active())
+	release() // must not free a turn someone else holds
+	r2 := l.serialize("k", true, wait.OnChannel)
+	done := make(chan struct{})
+	go func() {
+		l.serialize("k", true, wait.OnChannel)()
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("a second release freed the row under its next holder")
+	case <-time.After(30 * time.Millisecond):
 	}
-	// Lock must be acquirable again.
-	r2 := m.Lock("k")
 	r2()
+	<-done
+	l.leave(l.rows["k"].last)
+	if len(l.rows) != 0 {
+		t.Fatalf("%d row records outlive their chains", len(l.rows))
+	}
 }
 
 // evented parks in the manner of the simulator's event fabric: wake only
@@ -208,25 +215,22 @@ func forEachParker(t *testing.T, f func(t *testing.T, park wait.Parker)) {
 	})
 }
 
-// queued reports how many callers wait for key.
-func (m *Manager) queued(key string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e := m.entries[key]; e != nil {
-		return len(e.queue)
-	}
-	return 0
-}
-
-// Grants are FIFO: behind a held exclusive lock queue a writer, two
+// Grants are FIFO: behind a held exclusive turn queue a writer, two
 // readers, a writer and a reader, in that order. They must be let in as
 // W1 alone, then R1 and R2 together (readers share), then W2 alone (a
 // writer excludes, and is not overtaken by R3), then R3 — every waiter
-// woken exactly once, and the key forgotten once idle.
-func TestFIFOGrantBothParkers(t *testing.T) {
+// woken exactly once.
+func TestGrantFIFOBothParkers(t *testing.T) {
 	forEachParker(t, func(t *testing.T, park wait.Parker) {
-		m := NewManager()
-		holder := m.Acquire("k", true, park)
+		l := grantLedger("k")
+		var queued atomic.Int32
+		counted := func(arm func(wake func())) {
+			park(func(wake func()) {
+				arm(wake) // queues the waiter
+				queued.Add(1)
+			})
+		}
+		holder := l.serialize("k", true, park)
 		var mu sync.Mutex
 		var granted []string
 		proceed := map[string]chan struct{}{}
@@ -239,14 +243,14 @@ func TestFIFOGrantBothParkers(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				release := m.Acquire("k", w.exclusive, park)
+				release := l.serialize("k", w.exclusive, counted)
 				mu.Lock()
 				granted = append(granted, w.name)
 				mu.Unlock()
 				<-proceed[w.name]
 				release()
 			}()
-			for m.queued("k") != i+1 { // queued before the next one arrives
+			for int(queued.Load()) != i+1 { // queued before the next one arrives
 				time.Sleep(100 * time.Microsecond)
 			}
 		}
@@ -286,16 +290,13 @@ func TestFIFOGrantBothParkers(t *testing.T) {
 		expect("W1", "R1", "R2", "W2", "R3")
 		close(proceed["R3"])
 		wg.Wait()
-		if m.Active() != 0 {
-			t.Fatalf("%d lock entries leaked", m.Active())
-		}
 	})
 }
 
-// Mutual exclusion and reclamation under contention, on both parkers.
-func TestContendedBothParkers(t *testing.T) {
+// Mutual exclusion under contention, on both parkers.
+func TestGrantContendedBothParkers(t *testing.T) {
 	forEachParker(t, func(t *testing.T, park wait.Parker) {
-		m := NewManager()
+		l := grantLedger("k")
 		var writers, readers int32
 		var wg sync.WaitGroup
 		for g := 0; g < 6; g++ {
@@ -304,10 +305,10 @@ func TestContendedBothParkers(t *testing.T) {
 				defer wg.Done()
 				for j := 0; j < 200; j++ {
 					exclusive := (g+j)%3 == 0
-					release := m.Acquire("k", exclusive, park)
+					release := l.serialize("k", exclusive, park)
 					if exclusive {
 						if atomic.AddInt32(&writers, 1) != 1 || atomic.LoadInt32(&readers) != 0 {
-							t.Error("a writer shares the lock")
+							t.Error("a writer shares the row")
 						}
 						atomic.AddInt32(&writers, -1)
 					} else {
@@ -322,8 +323,5 @@ func TestContendedBothParkers(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if m.Active() != 0 {
-			t.Fatalf("%d lock entries leaked", m.Active())
-		}
 	})
 }

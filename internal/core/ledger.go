@@ -15,17 +15,27 @@ import (
 // pending work — the backlog gauges, which rows may be stale right now,
 // a row's chain of propagations for the hand-off, what Close, Quiesce, a
 // session read and a bounded-staleness read wait for — is answered from
-// it, and every wait on pending work parks on it.
+// it, and every wait on pending work parks on it. It also grants a row
+// to its propagations' rounds (serialize): the wait for the row and the
+// wait for a predecessor (handOff) are on one record.
 type ledger struct {
 	mu sync.Mutex
 	// first and last end the entries in admission order, which is also
 	// enqueue-time order: both are taken under mu.
 	first, last *retry
-	// rows maps a Task.lockKey to the newest entry of that row, the head
-	// of the row's chain in schedule order (retry.prev, handOff).
-	rows    map[string]*retry
+	// rows maps a Task.lockKey to its row's chain.
+	rows    map[string]*rowChain
 	seq     uint64 // admission sequence number of the last entry
 	waiters []*waiter
+}
+
+// rowChain is one row's record: the newest of its entries, the head of
+// its chain in schedule order (retry.prev, handOff), and the turns its
+// rounds take. It lives as long as the chain: only an entry's attempt
+// asks for a turn, and gives it back before the entry leaves.
+type rowChain struct {
+	last  *retry
+	turns wait.Turns
 }
 
 // waiter is one wait on the ledger: a condition re-checked whenever an
@@ -55,11 +65,36 @@ func (l *ledger) admit(r *retry, sess *Session, now time.Time) bool {
 		l.first = r
 	}
 	l.last = r
-	if r.prev = l.rows[r.t.lockKey]; r.prev != nil {
+	c := l.rows[r.t.lockKey]
+	if c == nil {
+		c = &rowChain{}
+		l.rows[r.t.lockKey] = c
+	}
+	if r.prev = c.last; r.prev != nil {
 		r.prev.next = r
 	}
-	l.rows[r.t.lockKey] = r
+	c.last = r
 	return true
+}
+
+// serialize grants key's row to one round of an entry of its chain,
+// exclusive or shared with other shared rounds, parking through park
+// while it cannot (wait.Turns), and returns the release (idempotent).
+func (l *ledger) serialize(key string, exclusive bool, park wait.Parker) (release func()) {
+	l.mu.Lock()
+	c := l.rows[key]
+	c.turns.Take(&l.mu, exclusive, park)
+	l.mu.Unlock()
+	released := false
+	return func() {
+		l.mu.Lock()
+		if released {
+			l.mu.Unlock()
+			return
+		}
+		released = true
+		c.turns.Give(&l.mu, exclusive)
+	}
 }
 
 // leave takes r out of the ledger and its row's chain, then wakes the
@@ -85,7 +120,7 @@ func (l *ledger) leave(r *retry) {
 		case r.next != nil:
 			r.next.prev = r.prev
 		case r.prev != nil:
-			l.rows[r.t.lockKey] = r.prev
+			l.rows[r.t.lockKey].last = r.prev
 		default:
 			delete(l.rows, r.t.lockKey)
 		}

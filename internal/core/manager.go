@@ -154,7 +154,7 @@ func (m *Manager) Stats() *Stats { return &m.stats }
 func majority(co *coord.Coordinator) int { return co.N()/2 + 1 }
 
 // coordPort is the Port of a Manager: majority quorum rounds on its
-// coordinator, serialized by the registry's lock service.
+// coordinator, each granted its row by the registry's ledger.
 type coordPort struct{ m *Manager }
 
 func (p coordPort) Get(ctx context.Context, table, row string, cols []string) ([]model.Cell, error) {
@@ -181,9 +181,9 @@ func (p coordPort) Put(ctx context.Context, table, row string, updates []model.C
 	return p.m.co.Put(ctx, table, row, updates, majority(p.m.co))
 }
 
-// Serialize takes the row's lock, its waiters parked through the
-// coordinator. In ModePropagators a round already runs on the row's
-// dedicated propagator, which provides the serialization.
+// Serialize takes a turn of the row from the ledger, its waiters parked
+// through the coordinator. In ModePropagators a round already runs on
+// the row's dedicated propagator, which provides the serialization.
 func (p coordPort) Serialize(key string, exclusive bool) func() {
 	m := p.m
 	if m.reg.opts.Mode != ModeLocks {
@@ -192,7 +192,7 @@ func (p coordPort) Serialize(key string, exclusive bool) func() {
 	if !exclusive {
 		m.stats.SharedLocks.Add(1)
 	}
-	return m.reg.locks.Acquire(key, exclusive, m.co.Park)
+	return m.reg.ledger.serialize(key, exclusive, m.co.Park)
 }
 
 // sleep parks the caller for d of the registry's clock.
@@ -447,8 +447,8 @@ func (m *Manager) BackfillRow(ctx context.Context, view, base, row string) error
 // propagation machinery, targeted at a single view definition: the
 // merged current base row is treated like a replayed intent (pre-image
 // pool re-read at majority, anchored), so racing duplicate backfills of
-// the same key and concurrent live propagations serialize on the per-row
-// lock service and converge by LWW — a backfill write that loses the
+// the same key and concurrent live propagations serialize on the row's
+// turns in the ledger and converge by LWW — a backfill write that loses the
 // race degrades into a stale-chain insert stamped below the live row's
 // timestamps, exactly what path compression would later produce. The
 // fill keeps retrying for as long as ctx lives (its caller is waiting on

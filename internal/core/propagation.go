@@ -12,7 +12,7 @@ import (
 // This file is the single definition of one propagation round:
 // PropagateUpdate, GetLiveKey and CopyData (Algorithms 2-3), written
 // against the narrow Port below. Production (Manager over a
-// coord.Coordinator and the lock service), the deterministic simulator
+// coord.Coordinator and the ledger's row grant), the deterministic simulator
 // (internal/sim over its virtual-time quorum primitives) and tests
 // (fakes that fail chosen writes) all run these functions; only the
 // retry loops around a round differ per runtime.

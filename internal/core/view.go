@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"vstore/internal/clock"
-	"vstore/internal/locks"
 	"vstore/internal/model"
 	"vstore/internal/propagate"
 )
@@ -238,8 +237,8 @@ func (d *Def) isMaterialized(col string) bool {
 type Mode int
 
 const (
-	// ModeLocks has each update coordinator propagate its own updates
-	// under a shared/exclusive lock service keyed by base row.
+	// ModeLocks has each update coordinator propagate its own updates,
+	// each round granted its base row shared or exclusive by the ledger.
 	ModeLocks Mode = iota
 	// ModePropagators hands propagation to a pool of dedicated
 	// propagators; consistent hashing of the base key picks the one
@@ -338,8 +337,8 @@ type JoinSide struct {
 }
 
 // Registry holds the cluster-wide view catalog plus the shared
-// concurrency-control state (the lock service of Section IV-F, or the
-// dedicated propagator pool). Every node's view Manager shares one
+// concurrency-control state (the ledger, which also grants rows to
+// rounds as Section IV-F's lock, or the dedicated propagator pool). Every node's view Manager shares one
 // Registry.
 type Registry struct {
 	opts Options
@@ -352,9 +351,8 @@ type Registry struct {
 	filling  map[string]bool
 	managers []*Manager
 
-	locks *locks.Manager
-	pool  *propagate.Pool
-	obs   *ViewObs
+	pool *propagate.Pool
+	obs  *ViewObs
 	// ledger records every propagation in flight, on every manager.
 	ledger ledger
 }
@@ -368,9 +366,8 @@ func NewRegistry(opts Options) *Registry {
 		byName:  map[string][]*Def{},
 		byBase:  map[string][]*Def{},
 		filling: map[string]bool{},
-		locks:   locks.NewManager(),
 		obs:     NewViewObs(),
-		ledger:  ledger{rows: map[string]*retry{}},
+		ledger:  ledger{rows: map[string]*rowChain{}},
 	}
 	if opts.Mode == ModePropagators {
 		r.pool = propagate.NewPool(opts.Propagators)

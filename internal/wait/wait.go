@@ -1,5 +1,5 @@
 // Package wait is how the layers the simulator hosts on its one thread
-// of control wait (core, locks, backfill). Nothing here starts a
+// of control wait (core, backfill). Nothing here starts a
 // goroutine or blocks on a clock channel: a wait is "arm a wake, park"
 // through a Parker (coord.Coordinator.Park — a channel wait between
 // goroutines, a parked process on the simulator's event fabric).
@@ -131,6 +131,79 @@ func (s *Slots) Held() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.held
+}
+
+// Turns grants one row to its holders, exclusive ones one at a time and
+// shared ones together (Section IV-F's shared/exclusive lock). Waiters
+// are woken in arrival order — a reader together with the readers queued
+// directly behind it — when the row becomes free for the first of them;
+// a newcomer that finds the row free takes it, as with sync.Mutex,
+// except that a reader never passes a queue (so readers cannot starve a
+// waiting writer), and a woken waiter that lost to a newcomer goes back
+// to the head of the queue. On one thread of control a woken waiter runs
+// at once, and the order is strictly first come, first served. A Turns
+// has no mutex of its own: its owner's mu guards it, held on every call.
+// The zero Turns is free.
+type Turns struct {
+	readers int
+	writer  bool
+	queue   []turn
+}
+
+type turn struct {
+	exclusive bool
+	wake      func()
+}
+
+// admits reports whether a new holder may join the current ones.
+func (t *Turns) admits(exclusive bool) bool {
+	if exclusive {
+		return !t.writer && t.readers == 0
+	}
+	return !t.writer
+}
+
+// Take takes a turn, exclusive or shared, parking through park while it
+// cannot be admitted, with mu released while it is parked.
+func (t *Turns) Take(mu sync.Locker, exclusive bool, park Parker) {
+	for woken := false; !t.admits(exclusive) || !woken && !exclusive && len(t.queue) > 0; woken = true {
+		park(func(wake func()) {
+			if w := (turn{exclusive, wake}); woken {
+				t.queue = append([]turn{w}, t.queue...) // lost to a newcomer: keeps its turn
+			} else {
+				t.queue = append(t.queue, w)
+			}
+			mu.Unlock()
+		})
+		mu.Lock()
+	}
+	if exclusive {
+		t.writer = true
+	} else {
+		t.readers++
+	}
+}
+
+// Give ends a turn taken with exclusive. It unlocks mu, then wakes the
+// head of the queue if the row is now free for it, and with a reader the
+// readers directly behind it.
+func (t *Turns) Give(mu sync.Locker, exclusive bool) {
+	if exclusive {
+		t.writer = false
+	} else {
+		t.readers--
+	}
+	n := 0
+	if len(t.queue) > 0 && t.admits(t.queue[0].exclusive) {
+		for n = 1; !t.queue[0].exclusive && n < len(t.queue) && !t.queue[n].exclusive; n++ {
+		}
+	}
+	woken := t.queue[:n]
+	t.queue = t.queue[n:]
+	mu.Unlock()
+	for _, w := range woken {
+		w.wake()
+	}
 }
 
 // Countdown is finished by the last of a known number of pieces of
