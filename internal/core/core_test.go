@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1066,6 +1067,48 @@ func TestHandOffWaitsForTheRowItsGuessNames(t *testing.T) {
 		t.Fatalf("%d hand-offs, want 1", n)
 	}
 	if n := m.Stats().Abandoned.Load(); n != 0 {
+		t.Fatalf("%d propagations abandoned", n)
+	}
+}
+
+// A failed attempt parks on its predecessor on another coordinator: with
+// the creator of a row held in its PropagationDelay on manager 0, a
+// view-key update of the row through manager 1, whose guess is the
+// creator's key, hands off to the creator — on manager 1's counter — and
+// completes once the creator ends.
+func TestHandOffCrossesCoordinators(t *testing.T) {
+	const creator = time.Hour
+	var held atomic.Bool
+	clk := &holdClock{Clock: clock.Wall, only: func(d time.Duration) bool { return d >= time.Hour }}
+	h := newHarness(t, core.Options{Clock: clk, PropagationDelay: func() time.Duration {
+		if held.CompareAndSwap(false, true) {
+			return creator // the first propagation only
+		}
+		return 0
+	}}, 4)
+	mustDefine(t, h, ticketDef())
+	a, b := h.mgrs[0], h.mgrs[1]
+	created := putEnded(t, a, "assignedto", "1", []model.ColumnUpdate{model.Update("assignedto", []byte("rliu"), 1)}, 2)
+	eventually(t, "the creator's delay", func() bool { return clk.holds(creator) })
+	succeeded := putEnded(t, b, "assignedto", "1", []model.ColumnUpdate{model.Update("assignedto", []byte("cjin"), 2)}, 2)
+	eventually(t, "a hand-off of manager 1's failed attempt", func() bool { return b.Stats().HandOffs.Load() == 1 })
+
+	clk.releaseIf(func(d time.Duration) bool { return d == creator })
+	for _, ended := range []<-chan struct{}{created, succeeded} {
+		select {
+		case <-ended:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a propagation did not end once the creator was released")
+		}
+	}
+	h.quiesce(t)
+	if rows := getView(t, b, "assignedto", "cjin"); len(rows) != 1 || rows[0].BaseKey != "1" {
+		t.Fatalf("view under cjin = %v", rows)
+	}
+	if na, nb := a.Stats().HandOffs.Load(), b.Stats().HandOffs.Load(); na != 0 || nb != 1 {
+		t.Fatalf("hand-offs: %d on manager 0, %d on manager 1; want 0 and 1", na, nb)
+	}
+	if n := b.Stats().Abandoned.Load(); n != 0 {
 		t.Fatalf("%d propagations abandoned", n)
 	}
 }

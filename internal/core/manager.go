@@ -637,30 +637,21 @@ func (r *retry) drive() error {
 }
 
 // handOff parks a propagation whose attempt failed on its predecessor:
-// the newest older live propagation of the same row on this manager
-// whose view-key write one of the guesses names, and so whose row. (The
-// ledger chains a row's propagations on every manager; a propagation
-// parks only on its own manager's, so hand-offs stay within one
-// coordinator.) It wakes when that one ends or fails a retry: with concurrent
-// writers the older one may wait for this one's row, polling on its
-// back-off, and each of its failures is a retry here, so no timer is
-// needed. Edges point only to older propagations, so chains of them are
-// acyclic. It reports false, without parking, when there is no such
-// predecessor.
+// the newest older live propagation of the same row, on any manager,
+// whose view-key write one of the guesses names, and so whose row. It
+// wakes when that one ends or fails a retry: with concurrent writers the
+// older one may wait for this one's row, polling on its back-off, and
+// each of its failures is a retry here, so no timer is needed. Edges
+// point only to older propagations, so chains of them are acyclic. It
+// reports false, without parking, when there is no such predecessor.
 func (r *retry) handOff() bool {
 	m, l := r.m, &r.m.reg.ledger
 	l.mu.Lock()
-	var p *retry
-	var guesses []model.Cell
-	for p = r.prev; p != nil; p = p.prev {
-		if p.m != m {
-			continue
-		}
-		if guesses == nil {
-			guesses = r.vc.Versions()
-		}
-		if p.writes(guesses) {
-			break
+	p := r.prev
+	if p != nil {
+		guesses := r.vc.Versions()
+		for p != nil && !p.writes(guesses) {
+			p = p.prev
 		}
 	}
 	// p has not ended: it leaves the chain under l.mu before it wakes the
