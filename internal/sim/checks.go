@@ -370,6 +370,32 @@ func (w *world) checkAckedWrites() error {
 	return nil
 }
 
+// checkAckedNow checks a client write at the instant its Put returns:
+// at least a write quorum of its row's replicas hold a cell at its
+// column that the write does not beat. A hint the coordinator stored for
+// a replica the write missed is no such cell. A replica that acknowledges
+// a put it did not apply fails here, before anti-entropy can copy the
+// cell back and hide the loss from checkAckedWrites.
+func (w *world) checkAckedNow(bk string, u model.ColumnUpdate) error {
+	key := string(model.EncodeKey(bk, u.Column))
+	held := 0
+	for _, id := range w.coords[0].ReplicasFor(baseTable, bk) {
+		cell := model.NullCell
+		for _, e := range w.nodes[id].TableSnapshot(baseTable) {
+			if string(e.Key) == key {
+				cell = e.Cell
+			}
+		}
+		if !u.Cell.Wins(cell) {
+			held++
+		}
+	}
+	if q := w.cfg.N/2 + 1; held < q {
+		return fmt.Errorf("acknowledged write %v to %s.%s held at ack time by %d of its replicas (it or a newer cell), want at least %d", u.Cell, bk, u.Column, held, q)
+	}
+	return nil
+}
+
 // checkPendingGauge ties the ledger — the one record of the
 // propagations in flight, which the staleness gauges and the quiescence
 // gating above read — to a record kept apart from it: every manager,

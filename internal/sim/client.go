@@ -78,6 +78,9 @@ func (w *world) put(coordID transport.NodeID, bk string, u model.ColumnUpdate) {
 			continue
 		}
 		w.report.Acked++
+		if err := w.checkAckedNow(bk, u); err != nil {
+			w.s.Fail(err)
+		}
 		acct.class = w.classify(bk, u)
 		w.acked = append(w.acked, core.BaseUpdate{BaseKey: bk, Column: u.Column, Cell: u.Cell})
 		w.s.Record("put-ack", fmt.Sprintf("%s attempt=%d", what, attempt))
