@@ -15,9 +15,8 @@ import (
 // pending work — the backlog gauges, which rows may be stale right now,
 // a row's chain of propagations for the hand-off, what Close, Quiesce, a
 // session read and a bounded-staleness read wait for — is answered from
-// it, and every wait on pending work parks on it. It also grants a row
-// to its propagations' rounds (serialize): the wait for the row and the
-// wait for a predecessor (handOff) are on one record.
+// it, every wait on pending work parks on it, and it grants rows to
+// rounds (serialize).
 type ledger struct {
 	mu sync.Mutex
 	// first and last end the entries in admission order, which is also
@@ -29,10 +28,9 @@ type ledger struct {
 	waiters []*waiter
 }
 
-// rowChain is one row's record: the newest of its entries, the head of
-// its chain in schedule order (retry.prev, handOff), and the turns its
-// rounds take. It lives as long as the chain: only an entry's attempt
-// asks for a turn, and gives it back before the entry leaves.
+// rowChain is one row's record, alive as long as its chain: the newest
+// entry, the head of the chain (retry.prev, handOff), and the turns that
+// only its entries' attempts take, and give back before they leave.
 type rowChain struct {
 	last  *retry
 	turns wait.Turns
@@ -77,24 +75,12 @@ func (l *ledger) admit(r *retry, sess *Session, now time.Time) bool {
 	return true
 }
 
-// serialize grants key's row to one round of an entry of its chain,
-// exclusive or shared with other shared rounds, parking through park
-// while it cannot (wait.Turns), and returns the release (idempotent).
+// serialize gives a round of an entry of key's chain a turn of the row
+// (wait.Turns.Take).
 func (l *ledger) serialize(key string, exclusive bool, park wait.Parker) (release func()) {
 	l.mu.Lock()
-	c := l.rows[key]
-	c.turns.Take(&l.mu, exclusive, park)
-	l.mu.Unlock()
-	released := false
-	return func() {
-		l.mu.Lock()
-		if released {
-			l.mu.Unlock()
-			return
-		}
-		released = true
-		c.turns.Give(&l.mu, exclusive)
-	}
+	defer l.mu.Unlock()
+	return l.rows[key].turns.Take(&l.mu, exclusive, park)
 }
 
 // leave takes r out of the ledger and its row's chain, then wakes the

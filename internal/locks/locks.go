@@ -1,8 +1,7 @@
 // Package locks is a keyed table of the row grant core's ledger gives
-// propagation rounds (wait.Turns, Section IV-F's shared/exclusive
-// lock). Nothing in the store uses it: it is the face the benchmark's
-// micro rungs time an uncontended and a contended exclusive grant
-// through, and it goes when they do.
+// propagation rounds (wait.Turns). Nothing in the store uses it: the
+// benchmark's micro rungs time an exclusive grant through it, and it
+// goes when they do.
 package locks
 
 import (
@@ -25,15 +24,11 @@ func NewManager() *Manager { return &Manager{rows: map[string]*wait.Turns{}} }
 // returns its release function.
 func (m *Manager) Lock(key string) (release func()) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	t := m.rows[key]
 	if t == nil {
 		t = &wait.Turns{}
 		m.rows[key] = t
 	}
-	t.Take(&m.mu, true, wait.OnChannel)
-	m.mu.Unlock()
-	return func() {
-		m.mu.Lock()
-		t.Give(&m.mu, true)
-	}
+	return t.Take(&m.mu, true, wait.OnChannel)
 }

@@ -16,6 +16,7 @@ import (
 	"vstore/internal/core"
 	"vstore/internal/model"
 	"vstore/internal/sstable"
+	"vstore/internal/transport"
 )
 
 // viewRowsOf decodes a view table's merged storage across every node
@@ -347,39 +348,21 @@ func (w *world) checkLateFence(rows []core.VersionedRow) error {
 // must have spread each winner. A replica that lost a write that is
 // still the winner, or a write lost everywhere, fails here.
 func (w *world) checkAckedWrites() error {
-	states := make([]map[string]model.Cell, len(w.nodes)) // storage key → cell
-	for i, n := range w.nodes {
-		states[i] = map[string]model.Cell{}
-		for _, e := range n.TableSnapshot(baseTable) {
-			states[i][string(e.Key)] = e.Cell
-		}
-	}
 	for _, u := range w.acked {
-		key := string(model.EncodeKey(u.BaseKey, u.Column))
-		for _, id := range w.coords[0].ReplicasFor(baseTable, u.BaseKey) {
-			cell, ok := states[id][key]
-			if !ok {
-				cell = model.NullCell
-			}
-			if u.Cell.Wins(cell) {
-				return fmt.Errorf("acknowledged write lost: node %d holds %v at %s.%s, which the write %v beats",
-					id, cell, u.BaseKey, u.Column, u.Cell)
-			}
+		if ids, held := w.holding(u); len(held) < len(ids) {
+			return fmt.Errorf("acknowledged write lost: of %s.%s's replicas %v only %v hold %v or a newer cell",
+				u.BaseKey, u.Column, ids, held, u.Cell)
 		}
 	}
 	return nil
 }
 
-// checkAckedNow checks a client write at the instant its Put returns:
-// at least a write quorum of its row's replicas hold a cell at its
-// column that the write does not beat. A hint the coordinator stored for
-// a replica the write missed is no such cell. A replica that acknowledges
-// a put it did not apply fails here, before anti-entropy can copy the
-// cell back and hide the loss from checkAckedWrites.
-func (w *world) checkAckedNow(bk string, u model.ColumnUpdate) error {
-	key := string(model.EncodeKey(bk, u.Column))
-	held := 0
-	for _, id := range w.coords[0].ReplicasFor(baseTable, bk) {
+// holding returns the replicas of u's row, and those of them that hold a
+// cell at u's column that u does not beat.
+func (w *world) holding(u core.BaseUpdate) (ids, held []transport.NodeID) {
+	key := string(model.EncodeKey(u.BaseKey, u.Column))
+	ids = w.coords[0].ReplicasFor(baseTable, u.BaseKey)
+	for _, id := range ids {
 		cell := model.NullCell
 		for _, e := range w.nodes[id].TableSnapshot(baseTable) {
 			if string(e.Key) == key {
@@ -387,13 +370,10 @@ func (w *world) checkAckedNow(bk string, u model.ColumnUpdate) error {
 			}
 		}
 		if !u.Cell.Wins(cell) {
-			held++
+			held = append(held, id)
 		}
 	}
-	if q := w.cfg.N/2 + 1; held < q {
-		return fmt.Errorf("acknowledged write %v to %s.%s held at ack time by %d of its replicas (it or a newer cell), want at least %d", u.Cell, bk, u.Column, held, q)
-	}
-	return nil
+	return ids, held
 }
 
 // checkPendingGauge ties the ledger — the one record of the

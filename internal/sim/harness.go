@@ -139,14 +139,13 @@ type Config struct {
 	// rows, so view drop/re-create and backfill race a hot-key load.
 	SkewedWrites bool
 
-	// hotRows, set by the hot-row scenario, replaces the random client
-	// mix with hotRows writers, writer i the only one of base row r<i>:
-	// each issues its OpsPerClient view-key Puts back to back through one
-	// coordinator — a fresh view key at a rising timestamp, no think time
-	// — the shape of the benchmark's skew_write. hotWriters (default 1)
-	// gives each row that many such writers, each through a different
-	// coordinator, at timestamps no other writer of the row uses.
-	hotRows, hotWriters int
+	// hotRows, set by the hot-row scenarios, replaces the random client
+	// mix with Clients (default hotRows) writers, writer i one of base row
+	// r<i mod hotRows>: each issues its OpsPerClient view-key Puts back to
+	// back through a coordinator no other writer of its row uses — a fresh
+	// view key at a rising timestamp no other writer of the row uses, no
+	// think time — the shape of the benchmark's skew_write.
+	hotRows int
 	// scenario is the name WithScenario shaped the config with, for
 	// ReplayCommand.
 	scenario string
@@ -186,7 +185,7 @@ func WithScenario(cfg Config, name string) (Config, error) {
 		// The hot-row writers, three of each of two rows: a row's
 		// propagations run on three coordinators, and one that fails waits
 		// for a predecessor scheduled on another.
-		cfg.hotRows, cfg.hotWriters, cfg.OpsPerClient = 2, 3, 20
+		cfg.hotRows, cfg.Clients, cfg.OpsPerClient = 2, 6, 20
 		cfg.Crashes, cfg.Partitions, cfg.DropProb = -1, -1, -1
 	default:
 		return cfg, fmt.Errorf("unknown scenario %q (want backfill, drop-recreate, hot-row, shared-row or define-during-burst)", name)
@@ -204,8 +203,7 @@ func (c Config) withDefaults() Config {
 	orDefault(&c.BaseRows, 8)
 	orDefault(&c.ViewKeys, 6)
 	if c.hotRows > 0 {
-		orDefault(&c.hotWriters, 1)
-		c.Clients = c.hotRows * c.hotWriters
+		orDefault(&c.Clients, c.hotRows)
 	}
 	orDefault(&c.Clients, 4)
 	orDefault(&c.OpsPerClient, 30)

@@ -133,17 +133,13 @@ func (s *Slots) Held() int {
 	return s.held
 }
 
-// Turns grants one row to its holders, exclusive ones one at a time and
-// shared ones together (Section IV-F's shared/exclusive lock). Waiters
-// are woken in arrival order — a reader together with the readers queued
-// directly behind it — when the row becomes free for the first of them;
-// a newcomer that finds the row free takes it, as with sync.Mutex,
-// except that a reader never passes a queue (so readers cannot starve a
-// waiting writer), and a woken waiter that lost to a newcomer goes back
-// to the head of the queue. On one thread of control a woken waiter runs
-// at once, and the order is strictly first come, first served. A Turns
-// has no mutex of its own: its owner's mu guards it, held on every call.
-// The zero Turns is free.
+// Turns grants a row to exclusive holders one at a time and to shared
+// ones together (Section IV-F's lock), guarded by its owner's mutex. The
+// queue is woken in arrival order, readers in batches; a newcomer that
+// finds the row free takes it, as with sync.Mutex, but a reader never
+// passes a queue (so readers cannot starve a writer), and a woken waiter
+// that lost to a newcomer keeps its turn. On one thread of control a
+// woken waiter runs at once: strictly first come, first served.
 type Turns struct {
 	readers int
 	writer  bool
@@ -163,9 +159,11 @@ func (t *Turns) admits(exclusive bool) bool {
 	return !t.writer
 }
 
-// Take takes a turn, exclusive or shared, parking through park while it
-// cannot be admitted, with mu released while it is parked.
-func (t *Turns) Take(mu sync.Locker, exclusive bool, park Parker) {
+// Take takes a turn, parking through park while it cannot; it is called
+// and returns with mu locked. The release (idempotent) locks mu to give
+// the turn back, then wakes the head of the queue if the row is free for
+// it, with a reader the readers directly behind it.
+func (t *Turns) Take(mu sync.Locker, exclusive bool, park Parker) (release func()) {
 	for woken := false; !t.admits(exclusive) || !woken && !exclusive && len(t.queue) > 0; woken = true {
 		park(func(wake func()) {
 			if w := (turn{exclusive, wake}); woken {
@@ -182,27 +180,30 @@ func (t *Turns) Take(mu sync.Locker, exclusive bool, park Parker) {
 	} else {
 		t.readers++
 	}
-}
-
-// Give ends a turn taken with exclusive. It unlocks mu, then wakes the
-// head of the queue if the row is now free for it, and with a reader the
-// readers directly behind it.
-func (t *Turns) Give(mu sync.Locker, exclusive bool) {
-	if exclusive {
-		t.writer = false
-	} else {
-		t.readers--
-	}
-	n := 0
-	if len(t.queue) > 0 && t.admits(t.queue[0].exclusive) {
-		for n = 1; !t.queue[0].exclusive && n < len(t.queue) && !t.queue[n].exclusive; n++ {
+	released := false
+	return func() {
+		mu.Lock()
+		if released {
+			mu.Unlock()
+			return
 		}
-	}
-	woken := t.queue[:n]
-	t.queue = t.queue[n:]
-	mu.Unlock()
-	for _, w := range woken {
-		w.wake()
+		released = true
+		if exclusive {
+			t.writer = false
+		} else {
+			t.readers--
+		}
+		n := 0
+		if len(t.queue) > 0 && t.admits(t.queue[0].exclusive) {
+			for n = 1; !t.queue[0].exclusive && n < len(t.queue) && !t.queue[n].exclusive; n++ {
+			}
+		}
+		woken := t.queue[:n]
+		t.queue = t.queue[n:]
+		mu.Unlock()
+		for _, w := range woken {
+			w.wake()
+		}
 	}
 }
 
