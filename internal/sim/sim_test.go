@@ -443,9 +443,9 @@ func TestSimStorageFaultsConverge(t *testing.T) {
 // injection; fs and mem must produce byte-identical traces.
 func TestSimBackfillCrashRestart(t *testing.T) {
 	// A scan lasts tens of milliseconds of the two-second run, so about
-	// one seed in five has a crash interrupt one. These three do (the
-	// guard below needs one); re-choose them when schedules move.
-	seeds := []int64{5, 7, 31}
+	// one seed in ten has a crash interrupt one. 29 does (the guard below
+	// needs one); re-choose them when schedules move.
+	seeds := []int64{5, 7, 29}
 	if s := os.Getenv("MV_SEED"); s != "" {
 		seeds = []int64{seedFromEnv(t, 0)}
 	}
