@@ -76,7 +76,8 @@ func (l *ledger) admit(r *retry, sess *Session, now time.Time) bool {
 }
 
 // serialize gives a round of an entry of key's chain a turn of the row
-// (wait.Turns.Take).
+// (wait.Turns.Take). Only propagation rounds take turns: base-table
+// writes and reads and view reads never do (Section IV-F).
 func (l *ledger) serialize(key string, exclusive bool, park wait.Parker) (release func()) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
