@@ -68,7 +68,7 @@ func load(args []string, out io.Writer) error {
 		return op(conns[c], r)
 	})
 	fmt.Fprintf(out, "throughput: %.1f req/s\n", res.Throughput)
-	fmt.Fprintf(out, "latency:    %s\n", res.Latency.Summary())
+	fmt.Fprintf(out, "latency:    %s\n", res.Summary())
 	if res.Errors > 0 {
 		fmt.Fprintf(out, "errors:     %d\n", res.Errors)
 	}

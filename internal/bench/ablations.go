@@ -47,9 +47,9 @@ func AblationPreRead(cfg Config) (Figure, error) {
 		fig.Series = append(fig.Series, Series{
 			Label: v.label,
 			X:     []float64{float64(i + 1)},
-			Y:     []float64{ms(res.Latency.Mean())},
+			Y:     []float64{ms(res.Mean())},
 		})
-		fig.Notes = append(fig.Notes, fmt.Sprintf("%s: %s", v.label, res.Latency.Summary()))
+		fig.Notes = append(fig.Notes, fmt.Sprintf("%s: %s", v.label, res.Summary()))
 	}
 	return fig, nil
 }
@@ -189,7 +189,7 @@ func AblationMaterializedWidth(cfg Config) (Figure, error) {
 			return Figure{}, fmt.Errorf("bench: matwidth %d had %d errors", width, res.Errors)
 		}
 		s.X = append(s.X, float64(width))
-		s.Y = append(s.Y, ms(res.Latency.Mean()))
+		s.Y = append(s.Y, ms(res.Mean()))
 	}
 	fig.Series = append(fig.Series, s)
 	return fig, nil
@@ -229,9 +229,9 @@ func AblationSyncMaintenance(cfg Config) (Figure, error) {
 		fig.Series = append(fig.Series, Series{
 			Label: v.label,
 			X:     []float64{float64(i + 1)},
-			Y:     []float64{ms(res.Latency.Mean())},
+			Y:     []float64{ms(res.Mean())},
 		})
-		fig.Notes = append(fig.Notes, fmt.Sprintf("%s: %s", v.label, res.Latency.Summary()))
+		fig.Notes = append(fig.Notes, fmt.Sprintf("%s: %s", v.label, res.Summary()))
 	}
 	return fig, nil
 }

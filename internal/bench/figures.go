@@ -47,9 +47,9 @@ func Fig3(cfg Config) (Figure, error) {
 		fig.Series = append(fig.Series, Series{
 			Label: path,
 			X:     []float64{float64(i + 1)},
-			Y:     []float64{ms(res.Latency.Mean())},
+			Y:     []float64{ms(res.Mean())},
 		})
-		fig.Notes = append(fig.Notes, fmt.Sprintf("%s: %s", path, res.Latency.Summary()))
+		fig.Notes = append(fig.Notes, fmt.Sprintf("%s: %s", path, res.Summary()))
 	}
 	return fig, nil
 }
@@ -118,9 +118,9 @@ func Fig5(cfg Config) (Figure, error) {
 		fig.Series = append(fig.Series, Series{
 			Label: label,
 			X:     []float64{float64(i + 1)},
-			Y:     []float64{ms(res.Latency.Mean())},
+			Y:     []float64{ms(res.Mean())},
 		})
-		fig.Notes = append(fig.Notes, fmt.Sprintf("%s: %s", label, res.Latency.Summary()))
+		fig.Notes = append(fig.Notes, fmt.Sprintf("%s: %s", label, res.Summary()))
 	}
 	return fig, nil
 }

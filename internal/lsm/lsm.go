@@ -16,9 +16,9 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"vstore/internal/memtable"
-	"vstore/internal/metrics"
 	"vstore/internal/model"
 	"vstore/internal/sstable"
 )
@@ -86,8 +86,8 @@ type Store struct {
 	compactions int
 
 	// Read-path pruning counters (atomic; bumped outside mu).
-	prunedPoint metrics.Counter
-	prunedRow   metrics.Counter
+	prunedPoint atomic.Int64
+	prunedRow   atomic.Int64
 }
 
 // New returns an empty store.
@@ -321,7 +321,7 @@ func (s *Store) Get(row, column string) (model.Cell, bool) {
 func (s *Store) mergeRuns(key []byte, best model.Cell, found bool) (model.Cell, bool) {
 	for _, t := range s.segs {
 		if !t.MayContainKey(key) {
-			s.prunedPoint.Inc()
+			s.prunedPoint.Add(1)
 			continue
 		}
 		if c, ok := t.Get(key); ok {
@@ -391,7 +391,7 @@ func (s *Store) readRow(row string, buf *rowBufs) ([]model.Entry, int) {
 	}
 	for _, t := range s.segs {
 		if !t.MayContainRow(prefix) {
-			s.prunedRow.Inc()
+			s.prunedRow.Add(1)
 			continue
 		}
 		if es := t.ScanPrefix(prefix); len(es) > 0 {

@@ -1,33 +1,53 @@
+// Package metrics holds the store's one latency histogram, AtomicHist,
+// and the per-op-class set of them, LatencySet, that vstore.Stats, the
+// simulator's report, the figure harness and the load generator all
+// read.
 package metrics
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
 )
 
-// AtomicHist is a fixed power-of-two-bucket histogram whose Observe
-// path is two atomic adds — cheap enough to sit on every request.
-// Bucket 0 counts value 0; bucket i (i >= 1) counts values in
-// [2^(i-1), 2^i - 1]. Values are unitless int64s: the serving stack
-// records latencies in microseconds (ObserveDuration) and chain walks
-// record hop counts, both in the same type.
+// AtomicHist is a log-linear histogram whose Observe path is two atomic
+// adds — cheap enough to sit on every request. Values 0–15 each have a
+// bucket of their own; every higher power of two [2^e, 2^(e+1)) is split
+// into 16 equal sub-buckets. A quantile reads as its bucket's inclusive
+// upper edge, which is at most 1/16 above the true value (values below
+// 32 read exactly). Values are unitless int64s: the serving stack
+// records latencies in microseconds (ObserveDuration), the load driver
+// in nanoseconds, and chain walks record hop counts, all in this type.
 type AtomicHist struct {
 	buckets [histBuckets]atomic.Int64
 	sum     atomic.Int64
 }
 
-// histBuckets covers 0 .. 2^62-1: every representable positive value
-// lands in a real bucket, so no clamping branch on the hot path.
-const histBuckets = 64
+// histSub is the number of sub-buckets per power of two.
+const histSub = 16
 
-// histBucket maps a value to its bucket index: 0 for 0, else
-// 1 + floor(log2(v)).
+// histBuckets covers 0 .. 2^63-1: every non-negative int64 lands in a
+// real bucket, so no clamping branch on the hot path. The largest value
+// has bits.Len64 = 63, so the top shift is 63-5 and the top bucket
+// 58*16 + 31.
+const histBuckets = (63-5)*histSub + 2*histSub
+
+// histBucket maps a non-negative value to its bucket index. A value
+// below 32 is its own index; above, the shift keeps the value's top five
+// bits, whose low four pick the sub-bucket.
 func histBucket(v int64) int {
-	if v <= 0 {
-		return 0
+	shift := bits.Len64(uint64(v)|histSub) - 5
+	return shift*histSub + int(uint64(v)>>uint(shift))
+}
+
+// bucketUpper is the largest value bucket i can hold.
+func bucketUpper(i int) int64 {
+	if i < 2*histSub {
+		return int64(i)
 	}
-	return bits.Len64(uint64(v))
+	shift := i/histSub - 1
+	return int64(uint64(i%histSub+histSub+1)<<uint(shift) - 1)
 }
 
 // Observe records one value. Negative values count as zero.
@@ -44,17 +64,9 @@ func (h *AtomicHist) ObserveDuration(d time.Duration) {
 	h.Observe(d.Microseconds())
 }
 
-// Count returns the number of observations.
-func (h *AtomicHist) Count() int64 {
-	var n int64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1): the
-// inclusive upper edge (2^i - 1) of the bucket holding it.
+// inclusive upper edge of the bucket holding the ⌈q·n⌉-th smallest
+// observation.
 func (h *AtomicHist) Quantile(q float64) int64 {
 	var counts [histBuckets]int64
 	var total int64
@@ -69,10 +81,7 @@ func quantileOf(counts *[histBuckets]int64, total int64, q float64) int64 {
 	if total == 0 {
 		return 0
 	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(total))
+	target := int64(math.Ceil(min(q, 1) * float64(total)))
 	if target < 1 {
 		target = 1
 	}
@@ -84,14 +93,6 @@ func quantileOf(counts *[histBuckets]int64, total int64, q float64) int64 {
 		}
 	}
 	return bucketUpper(histBuckets - 1)
-}
-
-// bucketUpper is the largest value bucket i can hold.
-func bucketUpper(i int) int64 {
-	if i == 0 {
-		return 0
-	}
-	return int64(1)<<uint(i) - 1
 }
 
 // Snapshot summarizes the histogram. Concurrent Observes may land
@@ -119,9 +120,9 @@ func (h *AtomicHist) Snapshot() HistSnapshot {
 }
 
 // HistSnapshot is a point-in-time summary of an AtomicHist. Units are
-// whatever the histogram recorded — microseconds for latencies, hops
-// for chain lengths. Percentiles are bucket upper bounds (within 2x
-// of the true value).
+// whatever the histogram recorded — microseconds for the store's
+// latencies, hops for chain lengths. Percentiles and Max are bucket
+// upper edges, at most 1/16 above the true value.
 type HistSnapshot struct {
 	Count int64 `json:"count"`
 	Sum   int64 `json:"sum"`
@@ -160,9 +161,6 @@ const (
 	OpViewRead
 	// OpIndexRead is a QueryIndex.
 	OpIndexRead
-	// OpPropagation is Algorithm 2 end to end: Put enqueue to view
-	// rows applied.
-	OpPropagation
 	// OpSessionWait is time blocked in Definition-4 session waits
 	// before a view read, attributed separately from the read itself.
 	OpSessionWait
@@ -187,8 +185,6 @@ func (c OpClass) String() string {
 		return "view_read"
 	case OpIndexRead:
 		return "index_read"
-	case OpPropagation:
-		return "propagation"
 	case OpSessionWait:
 		return "session_wait"
 	case OpWALAppend:
@@ -214,9 +210,6 @@ func (l *LatencySet) Observe(c OpClass, d time.Duration) {
 	}
 	l.hists[c].ObserveDuration(d)
 }
-
-// Hist returns the histogram for class c.
-func (l *LatencySet) Hist(c OpClass) *AtomicHist { return &l.hists[c] }
 
 // Snapshot summarizes the histogram for class c. Nil-safe.
 func (l *LatencySet) Snapshot(c OpClass) HistSnapshot {

@@ -16,11 +16,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vstore/internal/clock"
 	"vstore/internal/lsm"
-	"vstore/internal/metrics"
 	"vstore/internal/model"
 	"vstore/internal/ring"
 	"vstore/internal/trace"
@@ -86,7 +86,7 @@ type Node struct {
 	rowLocks [64]sync.Mutex
 
 	// requests counts handled requests by kind.
-	requests [numKinds]metrics.Counter
+	requests [numKinds]atomic.Int64
 }
 
 // reqKind indexes the per-kind request counters; kindNames holds the
@@ -260,7 +260,7 @@ func (n *Node) acquire(kind reqKind, cost time.Duration) {
 	if cost > 0 {
 		n.clk.Sleep(cost)
 	}
-	n.requests[kind].Inc()
+	n.requests[kind].Add(1)
 }
 
 func (n *Node) release() {

@@ -94,8 +94,8 @@ type Result struct {
 	// Throughput is successful operations per second over the
 	// measured window.
 	Throughput float64
-	// Latency histograms successful operation latencies.
-	Latency *metrics.Histogram
+	// Latency summarizes successful operation latencies in nanoseconds.
+	Latency metrics.HistSnapshot
 	// Errors counts failed operations.
 	Errors int64
 	// Elapsed is the measured wall-clock window.
@@ -111,7 +111,7 @@ func RunClosedLoop(clients int, warmup, duration time.Duration, seed int64, op f
 		clients = 1
 	}
 	var (
-		hist      = metrics.NewHistogram()
+		hist      metrics.AtomicHist // shared by every client, lock-free
 		errs      atomic.Int64
 		succeeded atomic.Int64
 		measuring atomic.Bool
@@ -134,7 +134,7 @@ func RunClosedLoop(clients int, warmup, duration time.Duration, seed int64, op f
 					continue
 				}
 				succeeded.Add(1)
-				hist.Observe(wall.Now().Sub(start))
+				hist.Observe(int64(wall.Now().Sub(start)))
 			}
 		}(c)
 	}
@@ -148,7 +148,7 @@ func RunClosedLoop(clients int, warmup, duration time.Duration, seed int64, op f
 	wg.Wait()
 	return Result{
 		Throughput: float64(succeeded.Load()) / elapsed.Seconds(),
-		Latency:    hist,
+		Latency:    hist.Snapshot(),
 		Errors:     errs.Load(),
 		Elapsed:    elapsed,
 	}
@@ -158,7 +158,7 @@ func RunClosedLoop(clients int, warmup, duration time.Duration, seed int64, op f
 // returns their latency profile — the paper's latency methodology
 // ("we ran a single client until it had completed 100,000 requests").
 func RunFixedOps(n int, seed int64, op func(r *rand.Rand) error) Result {
-	hist := metrics.NewHistogram()
+	var hist metrics.AtomicHist
 	r := rand.New(rand.NewSource(seed))
 	var errs int64
 	begin := wall.Now()
@@ -168,13 +168,26 @@ func RunFixedOps(n int, seed int64, op func(r *rand.Rand) error) Result {
 			errs++
 			continue
 		}
-		hist.Observe(wall.Now().Sub(start))
+		hist.Observe(int64(wall.Now().Sub(start)))
 	}
 	elapsed := wall.Now().Sub(begin)
+	lat := hist.Snapshot()
 	return Result{
-		Throughput: float64(hist.Count()) / elapsed.Seconds(),
-		Latency:    hist,
+		Throughput: float64(lat.Count) / elapsed.Seconds(),
+		Latency:    lat,
 		Errors:     errs,
 		Elapsed:    elapsed,
 	}
+}
+
+// Mean returns the mean latency of the successful operations.
+func (r Result) Mean() time.Duration { return time.Duration(r.Latency.Mean()) }
+
+// Summary renders the latency profile on one line, to the microsecond.
+// Percentiles and max are bucket upper edges, at most 1/16 high.
+func (r Result) Summary() string {
+	us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
+	l := r.Latency
+	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
+		l.Count, r.Mean().Round(time.Microsecond), us(l.P50), us(l.P95), us(l.P99), us(l.Max))
 }

@@ -65,11 +65,11 @@ func TestRunClosedLoopMeasures(t *testing.T) {
 	if res.Throughput < 1000 || res.Throughput > 8000 {
 		t.Fatalf("throughput = %.0f, expected around 4000", res.Throughput)
 	}
-	if res.Latency.Count() == 0 {
+	if res.Latency.Count == 0 {
 		t.Fatal("no latencies recorded")
 	}
-	if res.Latency.Mean() < 500*time.Microsecond {
-		t.Fatalf("mean latency %v implausible for 1ms ops", res.Latency.Mean())
+	if res.Mean() < 500*time.Microsecond {
+		t.Fatalf("mean latency %v implausible for 1ms ops", res.Mean())
 	}
 	if res.Errors != 0 {
 		t.Fatalf("errors = %d", res.Errors)
@@ -88,7 +88,7 @@ func TestRunClosedLoopCountsErrors(t *testing.T) {
 	if res.Errors == 0 {
 		t.Fatal("errors not counted")
 	}
-	if res.Latency.Count() == 0 {
+	if res.Latency.Count == 0 {
 		t.Fatal("successful ops not measured")
 	}
 }
@@ -99,14 +99,25 @@ func TestRunFixedOps(t *testing.T) {
 		calls++
 		return nil
 	})
-	if calls != 100 || res.Latency.Count() != 100 {
-		t.Fatalf("calls=%d measured=%d", calls, res.Latency.Count())
+	if calls != 100 || res.Latency.Count != 100 {
+		t.Fatalf("calls=%d measured=%d", calls, res.Latency.Count)
 	}
 }
 
 func TestRunFixedOpsErrors(t *testing.T) {
 	res := RunFixedOps(10, 1, func(r *rand.Rand) error { return errors.New("x") })
-	if res.Errors != 10 || res.Latency.Count() != 0 {
+	if res.Errors != 10 || res.Latency.Count != 0 {
 		t.Fatalf("res = %+v", res)
+	}
+}
+
+func TestSummaryNonEmpty(t *testing.T) {
+	res := RunFixedOps(1, 1, func(r *rand.Rand) error {
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	s := res.Summary()
+	if !strings.HasPrefix(s, "n=1 mean=") || strings.Contains(s, "mean=0s") {
+		t.Fatalf("summary = %q", s)
 	}
 }
