@@ -6,6 +6,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"vstore/internal/core"
@@ -78,12 +79,21 @@ func (w *world) put(coordID transport.NodeID, bk string, u model.ColumnUpdate) {
 			continue
 		}
 		w.report.Acked++
-		// A write quorum of the row's replicas must hold the write or a
-		// newer cell now, before anti-entropy could hide a replica that
-		// acked without applying; a hint at the coordinator does not count.
+		// A write quorum of the row's replicas, and every replica that
+		// acknowledged a put carrying the write in any attempt, must hold
+		// it or a newer cell now, before anti-entropy could hide a replica
+		// that acked without applying; a hint at the coordinator does not
+		// count.
 		acked := core.BaseUpdate{BaseKey: bk, Column: u.Column, Cell: u.Cell}
-		if _, held := w.holding(acked); len(held) < w.cfg.N/2+1 {
+		_, held := w.holding(acked)
+		if len(held) < w.cfg.N/2+1 {
 			w.s.Fail(fmt.Errorf("acknowledged write %v to %s.%s held at ack time only by %v, fewer than a write quorum", u.Cell, bk, u.Column, held))
+		}
+		for _, a := range acct.acks {
+			if a.req.Row == bk && carries(a.req.Updates, u) && !slices.Contains(held, a.from) {
+				w.s.Fail(fmt.Errorf("acknowledged write %v to %s.%s: replica %d acked it but does not hold it (held by %v)", u.Cell, bk, u.Column, a.from, held))
+				break
+			}
 		}
 		acct.class = w.classify(bk, u)
 		w.acked = append(w.acked, acked)
@@ -91,4 +101,11 @@ func (w *world) put(coordID transport.NodeID, bk string, u model.ColumnUpdate) {
 		break
 	}
 	w.pendingOps[bk]--
+}
+
+// carries reports whether updates write exactly u.
+func carries(updates []model.ColumnUpdate, u model.ColumnUpdate) bool {
+	return slices.ContainsFunc(updates, func(x model.ColumnUpdate) bool {
+		return x.Column == u.Column && x.Cell.Equal(u.Cell)
+	})
 }

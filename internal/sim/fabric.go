@@ -121,7 +121,8 @@ func (f *Fabric) Spawn(fn func()) { f.s.Go(0, "coord-background", fn) }
 // partial writes and retried duplicates reachable states.
 func (f *Fabric) Send(from, to transport.NodeID, req transport.Request, cb func(transport.Result)) {
 	kind := reqKind(req)
-	f.s.account().charge(kind)
+	acct := f.s.account()
+	acct.charge(kind)
 	there := fmt.Sprintf("%d->%d %s", from, to, kind)
 	// lost surfaces a message that went nowhere, an RPC timeout later.
 	lost := func(kind, detail string, err error) {
@@ -149,7 +150,12 @@ func (f *Fabric) Send(from, to transport.NodeID, req transport.Request, cb func(
 			lost("drop", back+" reply", transport.ErrDropped)
 			return
 		}
-		f.s.Schedule(lat, "reply", back, func() { cb(transport.Result{From: to, Resp: resp, Err: err}) })
+		f.s.Schedule(lat, "reply", back, func() {
+			if put, ok := req.(transport.PutReq); ok && err == nil && put.Table == baseTable {
+				acct.acks = append(acct.acks, putAck{to, put})
+			}
+			cb(transport.Result{From: to, Resp: resp, Err: err})
+		})
 	})
 }
 
