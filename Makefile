@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build vet lint lint-diff test test-benchmark test-backends regression sim-sweep fault-sweep fuzz-smoke race-sim check bench-all bench-pairs
+.PHONY: build vet fmt lint lint-diff test test-benchmark test-backends regression sim-sweep fault-sweep fuzz-smoke race-sim check bench-all bench-pairs
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt over the tracked Go files, as CI's lint job runs it; any file
+# listed fails the build. Untracked trees (.bench_build/) are not scanned.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Repo-specific invariants (clockcheck, sinkerr, lockcheck, atomiccheck,
 # randcheck, physcheck, walorder, goexit, stalecheck); any
@@ -95,7 +101,7 @@ fuzz-smoke:
 race-sim:
 	$(GO) test -race -run 'Sim|Chaos' ./...
 
-check: build vet lint test test-benchmark test-backends regression race-sim
+check: build vet fmt lint test test-benchmark test-backends regression race-sim
 
 # Every Go benchmark, text output only. Numbers that count are recorded
 # by bench-pairs below, not here.
