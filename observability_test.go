@@ -274,3 +274,56 @@ func TestStatsBaseReads(t *testing.T) {
 		t.Fatalf("stats JSON lacks base_reads: %s, %v", blob, err)
 	}
 }
+
+// TestStatsJSONKeys pins the wire names of Stats, the shape `/stats`
+// and `mvctl stats` print: every histogram under its group with the
+// six snapshot keys, and a sample of counters.
+func TestStatsJSONKeys(t *testing.T) {
+	blob, err := json.Marshal(vstore.Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var groups map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &groups); err != nil {
+		t.Fatal(err)
+	}
+	hists := map[string][]string{
+		"reads":   {"latency_us", "index_latency_us"},
+		"writes":  {"latency_us"},
+		"views":   {"propagation_lag_us", "chain_length", "read_latency_us", "session_wait_us"},
+		"storage": {"wal_append_us", "wal_sync_us"},
+	}
+	counters := map[string][]string{
+		"reads":   {"gets", "digest_reads", "multi_gets", "read_repairs"},
+		"writes":  {"puts", "quorum_fails", "hints_stored"},
+		"views":   {"propagations", "propagation_failures", "hand_offs", "base_reads", "pending", "oldest_pending_lag_ns"},
+		"storage": {"runs_pruned", "recovery_time_ns"},
+	}
+	if len(groups) != len(hists) {
+		t.Errorf("stats groups = %d, want reads, writes, views, storage: %s", len(groups), blob)
+	}
+	for group, keys := range hists {
+		for _, key := range keys {
+			var h map[string]json.RawMessage
+			if err := json.Unmarshal(groups[group][key], &h); err != nil {
+				t.Errorf("%s.%s: %v", group, key, err)
+				continue
+			}
+			for _, k := range []string{"count", "sum", "p50", "p95", "p99", "max"} {
+				if _, ok := h[k]; !ok {
+					t.Errorf("%s.%s has no %q: %s", group, key, k, groups[group][key])
+				}
+			}
+			if len(h) != 6 {
+				t.Errorf("%s.%s has %d keys, want 6: %s", group, key, len(h), groups[group][key])
+			}
+		}
+	}
+	for group, keys := range counters {
+		for _, key := range keys {
+			if _, ok := groups[group][key]; !ok {
+				t.Errorf("%s has no %q", group, key)
+			}
+		}
+	}
+}

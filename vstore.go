@@ -667,8 +667,10 @@ func (db *DB) ViewState(name string) (string, error) {
 
 // Stats aggregates counters, latency percentiles and staleness gauges
 // across the cluster, grouped by concern. Latency percentiles are in
-// microseconds (log2-bucket upper bounds); counter fields are
-// cumulative since Open. Use Delta to report over an interval.
+// microseconds, each its histogram bucket's upper edge: never below the
+// true value and at most 1/16 above it (metrics.AtomicHist); counter
+// fields are cumulative since Open. Use Delta to report over an
+// interval.
 type Stats struct {
 	Reads   ReadStats    `json:"reads"`
 	Writes  WriteStats   `json:"writes"`
