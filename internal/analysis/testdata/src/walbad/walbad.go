@@ -98,3 +98,26 @@ func rowLogThenApply(log *wal.Log, mem *memtable.Memtable, cells, old []model.Ce
 	}
 	return nil
 }
+
+// rowHandleApplyOnly is lsm.Store.ApplyRow's shape with the append
+// gone: the row resolved once, each cell applied through its handle.
+func rowHandleApplyOnly(mem *memtable.Memtable, cells []model.Cell) {
+	h := mem.Row([]byte("\x01r"))
+	for _, c := range cells {
+		h.Apply([]byte("\x01rk"), c) // want "not dominated by a WAL append"
+	}
+}
+
+// rowHandleLogThenApply is the same loop with its guarded append.
+func rowHandleLogThenApply(log *wal.Log, mem *memtable.Memtable, cells []model.Cell) error {
+	h := mem.Row([]byte("\x01r"))
+	for _, c := range cells {
+		if log != nil {
+			if err := log.Append([]byte("rec")); err != nil {
+				return err
+			}
+		}
+		h.Apply([]byte("\x01rk"), c)
+	}
+	return nil
+}

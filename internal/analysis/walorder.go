@@ -25,9 +25,10 @@ import (
 //     append... }` generates the fact at its condition, because the
 //     path that skips the append is exactly the path that is not
 //     durable;
-//   - an apply is a call to (*memtable.Memtable).Apply, directly or
-//     through a one-hop summary of a same-package helper that applies
-//     without appending.
+//   - an apply is a call to an internal/memtable function named Apply
+//     — (*memtable.Memtable).Apply or the row handle's
+//     (*memtable.Row).Apply — directly or through a one-hop summary of
+//     a same-package helper that applies without appending.
 //
 // Replay paths (recovery applies entries that are already durable in
 // the log being replayed) are the sanctioned exception, annotated
@@ -214,7 +215,8 @@ func (w *walOrder) collectApplies(body *ast.BlockStmt) []*ast.CallExpr {
 	return out
 }
 
-// isDirectApply reports a call to (*memtable.Memtable).Apply.
+// isDirectApply reports a call to any internal/memtable function named
+// Apply: the memtable's and its row handle's.
 func (w *walOrder) isDirectApply(call *ast.CallExpr) bool {
 	fn := w.u.calleeFunc(call)
 	if fn == nil || fn.Name() != "Apply" {

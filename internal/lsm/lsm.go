@@ -135,11 +135,13 @@ func (s *Store) Apply(row, column string, c model.Cell) error {
 
 // ApplyRow merges the updates into one row, in order, under one
 // acquisition of the store lock: every write to the store takes this
-// path. Each cell is write-ahead-logged, when the store is durable,
-// and then applied with one memtable descent; the row's keys are built
-// in one reused buffer. The flush threshold is checked after every
-// cell, so a row flushes exactly where cell-at-a-time writes would and
-// the files on disk do not depend on how cells were batched.
+// path. The row is looked up in the memtable once (again only after a
+// flush swaps the memtable); each cell is write-ahead-logged, when the
+// store is durable, and then applied through that row handle; the
+// row's keys are built in one reused buffer. The flush threshold is
+// checked after every cell, so a row flushes exactly where
+// cell-at-a-time writes would and the files on disk do not depend on
+// how cells were batched.
 //
 // old, when non-nil, must be as long as updates; old[i] receives the
 // cell the store held for updates[i].Column just before that update
@@ -161,6 +163,7 @@ func (s *Store) ApplyRow(row string, updates []model.ColumnUpdate, old []model.C
 	defer s.mu.Unlock()
 	s.keyBuf = model.AppendKey(s.keyBuf[:0], row, "")
 	prefix := len(s.keyBuf)
+	mr := s.mem.Row(s.keyBuf)
 	for i := range updates {
 		u := &updates[i]
 		s.keyBuf = append(s.keyBuf[:prefix], u.Column...)
@@ -170,7 +173,7 @@ func (s *Store) ApplyRow(row string, updates []model.ColumnUpdate, old []model.C
 				return err
 			}
 		}
-		prev, found := s.mem.Apply(key, u.Cell)
+		prev, found := mr.Apply(key, u.Cell)
 		if old != nil {
 			old[i], _ = s.mergeRuns(key, prev, found)
 		}
@@ -178,6 +181,7 @@ func (s *Store) ApplyRow(row string, updates []model.ColumnUpdate, old []model.C
 			if err := s.flushLocked(); err != nil {
 				return err
 			}
+			mr = s.mem.Row(key[:prefix])
 		}
 	}
 	return nil
@@ -315,12 +319,15 @@ func (s *Store) Get(row, column string) (model.Cell, bool) {
 // mergeRuns folds the sstable runs' versions of one storage key into
 // the memtable's (best, found). Caller holds mu (read or write). Runs
 // whose bloom filter or key bounds exclude the key are skipped without
-// touching their indexes — but every run that may contain the key IS
+// touching their indexes, and so are runs whose newest cell is
+// strictly older than the best cell found so far, which no cell of
+// theirs can beat — but every other run that may contain the key IS
 // consulted, because client-supplied timestamps mean any run can hold
-// the winning cell.
+// the winning cell, and at an equal timestamp the tie-break may pick
+// the run's.
 func (s *Store) mergeRuns(key []byte, best model.Cell, found bool) (model.Cell, bool) {
 	for _, t := range s.segs {
-		if !t.MayContainKey(key) {
+		if found && best.TS > t.MaxTS() || !t.MayContainKey(key) {
 			s.prunedPoint.Add(1)
 			continue
 		}
@@ -378,15 +385,16 @@ func (s *Store) DigestRow(row string) uint64 {
 // readRow returns the row's cells LWW-merged across the memtable and
 // every run, in key order, and the length of the row prefix their keys
 // share. The entries live in buf (or alias a run) until buf is reused.
-// Only run discovery needs the store lock: the memtable's entries are
-// copied out under it and sstable runs are immutable, so the merge
+// Only run discovery needs the store lock: the memtable row's entries
+// are copied out under it and sstable runs are immutable, so the merge
 // happens after it is released.
 func (s *Store) readRow(row string, buf *rowBufs) ([]model.Entry, int) {
 	var scratch [keyScratch]byte
 	prefix := model.AppendKey(scratch[:0], row, "")
 	runs := buf.runs[:0]
 	s.mu.RLock()
-	if buf.mem = s.mem.AppendPrefix(buf.mem[:0], prefix); len(buf.mem) > 0 {
+	mr := s.mem.Row(prefix)
+	if buf.mem = mr.AppendTo(buf.mem[:0]); len(buf.mem) > 0 {
 		runs = append(runs, buf.mem)
 	}
 	for _, t := range s.segs {
@@ -433,17 +441,19 @@ func (s *Store) DigestColumns(row string, columns []string) uint64 {
 }
 
 // readColumns hands f the LWW-merged cell of each requested column, in
-// order. The row's keys are built in one stack buffer, under one
-// acquisition of the store lock, which f runs under too.
+// order. The row is looked up in the memtable once and its keys are
+// built in one stack buffer, under one acquisition of the store lock,
+// which f runs under too.
 func (s *Store) readColumns(row string, columns []string, f func(i int, col string, c model.Cell)) {
 	var scratch [keyScratch]byte
 	key := model.AppendKey(scratch[:0], row, "")
 	prefix := len(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	mr := s.mem.Row(key)
 	for i, col := range columns {
 		key = append(key[:prefix], col...)
-		c, ok := s.mem.Get(key)
+		c, ok := mr.Get(key)
 		c, _ = s.mergeRuns(key, c, ok)
 		f(i, col, c)
 	}
@@ -511,9 +521,10 @@ type Stats struct {
 	Segments      int
 	Flushes       int
 	Compactions   int
-	// RunsPrunedPoint counts sstable runs skipped by point Gets via
-	// bloom filter or key bounds; RunsPrunedRow the same for row
-	// scans.
+	// RunsPrunedPoint counts sstable runs a point lookup skipped: by
+	// bloom filter or key bounds, or because the cell already found is
+	// newer than every cell of the run. RunsPrunedRow counts those row
+	// scans skipped by bloom filter or key bounds.
 	RunsPrunedPoint int64
 	RunsPrunedRow   int64
 }

@@ -310,3 +310,62 @@ func TestReadsPruneRuns(t *testing.T) {
 		t.Fatalf("row read over disjoint runs pruned nothing: %+v", st)
 	}
 }
+
+// TestPointReadSkipsOlderRun checks that a point read skips, and counts,
+// a run whose newest cell is older than the memtable's cell, and that
+// the answer is the memtable's.
+func TestPointReadSkipsOlderRun(t *testing.T) {
+	s := New(Options{Seed: 1})
+	s.Apply("r", "c", model.Cell{Value: []byte("old"), TS: 5})
+	s.Flush()
+	s.Apply("r", "c", model.Cell{Value: []byte("new"), TS: 10})
+	before := s.Stats().RunsPrunedPoint
+	if c, _ := s.Get("r", "c"); string(c.Value) != "new" {
+		t.Fatalf("Get = %v, want the memtable's ts=10 cell", c)
+	}
+	if got := s.Stats().RunsPrunedPoint - before; got != 1 {
+		t.Fatalf("the read pruned %d runs, want the one older run", got)
+	}
+}
+
+// TestPointReadConsultsRunThatMayWin checks the two cases the timestamp
+// skip must not touch: a run holding a newer cell than the memtable's,
+// and a run whose cell ties the memtable's timestamp, where the
+// tie-break decides. Both runs are consulted and their cells win, on
+// reads and on the pre-images a write returns.
+func TestPointReadConsultsRunThatMayWin(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		run, mem  model.Cell
+		wantValue string
+	}{
+		{"newer run", model.Cell{Value: []byte("run"), TS: 20}, model.Cell{Value: []byte("mem"), TS: 10}, "run"},
+		{"equal timestamps", model.Cell{Value: []byte("zzz"), TS: 10}, model.Cell{Value: []byte("aaa"), TS: 10}, "zzz"},
+		{"equal-timestamp tombstone", model.Cell{TS: 10, Tombstone: true}, model.Cell{Value: []byte("mem"), TS: 10}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Options{Seed: 1})
+			s.Apply("r", "c", tc.run)
+			s.Flush()
+			s.Apply("r", "c", tc.mem)
+			before := s.Stats().RunsPrunedPoint
+			want := model.Merge(tc.run, tc.mem)
+			if string(want.Value) != tc.wantValue || !want.Equal(tc.run) {
+				t.Fatalf("test case: the run's cell %v must win over %v", tc.run, tc.mem)
+			}
+			if c, _ := s.Get("r", "c"); !c.Equal(want) {
+				t.Fatalf("Get = %v, want the run's %v", c, want)
+			}
+			if c := s.GetColumns("r", []string{"c"})[0]; !c.Equal(want) {
+				t.Fatalf("GetColumns = %v, want the run's %v", c, want)
+			}
+			old := make([]model.Cell, 1)
+			if err := s.ApplyRow("r", []model.ColumnUpdate{{Column: "c", Cell: model.Cell{Value: []byte("a"), TS: 1}}}, old); err != nil || !old[0].Equal(want) {
+				t.Fatalf("pre-image = %v (err %v), want the run's %v", old[0], err, want)
+			}
+			if got := s.Stats().RunsPrunedPoint - before; got != 0 {
+				t.Fatalf("%d runs pruned, want the run consulted every time", got)
+			}
+		})
+	}
+}

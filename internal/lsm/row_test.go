@@ -65,7 +65,7 @@ func TestApplyRowMatchesCellAtATime(t *testing.T) {
 
 // TestAllocations pins the steady state of the storage hot path in a
 // memory store: overwriting a cell allocates nothing, a new cell at
-// most its share of a skiplist slab, a two-column read only the row it
+// most its share of the memtable's slabs, a two-column read only the row it
 // returns, a two-column digest nothing, a whole-row read the entries it
 // returns, from the memtable or merged across runs, and a whole-row
 // digest nothing, even of a name too long to convert on the stack.

@@ -2,6 +2,7 @@ package memtable
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,14 +45,15 @@ func TestScanPrefixIsolatesRows(t *testing.T) {
 	m.Apply(key("a", "c2"), model.Cell{TS: 1})
 	m.Apply(key("ab", "c1"), model.Cell{TS: 1}) // must not leak into row "a"
 	m.Apply(key("b", "c1"), model.Cell{TS: 1})
-	got := m.AppendPrefix(nil, model.RowPrefix("a"))
+	h := m.Row(model.RowPrefix("a"))
+	got := h.AppendTo(nil)
 	if len(got) != 2 {
-		t.Fatalf("AppendPrefix(a) returned %d entries, want 2", len(got))
+		t.Fatalf("row a has %d entries, want 2", len(got))
 	}
 	for _, e := range got {
 		row, _, err := model.DecodeKey(e.Key)
 		if err != nil || row != "a" {
-			t.Fatalf("AppendPrefix leaked row %q", row)
+			t.Fatalf("row a leaked row %q", row)
 		}
 	}
 }
@@ -93,8 +95,12 @@ func TestReadersShare(t *testing.T) {
 				if _, ok := m.Get(key(row, "c3")); !ok {
 					t.Errorf("%s/c3 missing", row)
 				}
-				if got := len(m.AppendPrefix(nil, model.RowPrefix(row))); got != 20 {
-					t.Errorf("AppendPrefix(%s) = %d cells, want 20", row, got)
+				h := m.Row(model.RowPrefix(row))
+				if got := len(h.AppendTo(nil)); got != 20 {
+					t.Errorf("row %s has %d cells, want 20", row, got)
+				}
+				if _, ok := h.Get(key(row, "c7")); !ok {
+					t.Errorf("%s/c7 missing through the row handle", row)
 				}
 				if i%50 == 0 && (len(m.Snapshot()) != 400 || len(m.RowsFrom(nil, 100)) != 20) {
 					t.Error("snapshot or row scan came up short")
@@ -135,5 +141,35 @@ func TestApproxBytesTracksMergedValues(t *testing.T) {
 	m.Apply(k, model.Cell{Value: make([]byte, 1000), TS: 2})
 	if got := m.ApproxBytes(); got != after100-50 {
 		t.Fatalf("ApproxBytes after losing write = %d, want %d", got, after100-50)
+	}
+}
+
+// TestKeysSurviveArenaGrowth fills several arena chunks, one key larger
+// than a chunk among them, and checks that no key handed out earlier
+// moved or was overwritten.
+func TestKeysSurviveArenaGrowth(t *testing.T) {
+	m := New(5)
+	n := 3*arenaChunk/16 + 10
+	for i := 0; i < n; i++ {
+		m.Apply(key(fmt.Sprintf("r%d", i%7), fmt.Sprintf("c-%09d", i)), model.Cell{TS: 1})
+		if i == n/2 {
+			m.Apply(key("big", strings.Repeat("x", 2*arenaChunk)), model.Cell{TS: 1})
+		}
+	}
+	held := m.Snapshot()
+	copies := make([]string, len(held))
+	for i, e := range held {
+		copies[i] = string(e.Key)
+	}
+	for i := 0; i < n; i++ {
+		m.Apply(key(fmt.Sprintf("r%d", i%7), fmt.Sprintf("d-%09d", i)), model.Cell{TS: 2})
+	}
+	for i, e := range held {
+		if string(e.Key) != copies[i] {
+			t.Fatalf("key %d changed from %q to %q after later writes", i, copies[i], e.Key)
+		}
+	}
+	if got := m.Len(); got != 2*n+1 {
+		t.Fatalf("Len = %d, want %d", got, 2*n+1)
 	}
 }

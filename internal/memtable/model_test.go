@@ -150,22 +150,39 @@ func check(t *testing.T, data []byte) {
 		op, row := s.byte(), modelRows[s.byte()%len(modelRows)]
 		switch op % 8 {
 		case 0, 1, 2: // a row of cells, columns in any order, repeats allowed
+			// Through Apply(key) per cell, through one row handle as
+			// lsm.ApplyRow writes, or through a handle taken before an
+			// Apply(key) that may insert its row.
+			mode, h := s.byte()%3, m.Row(model.RowPrefix(row))
 			for n := 1 + s.byte()%6; n > 0; n-- {
 				key, c := model.EncodeKey(row, modelCols[s.byte()%len(modelCols)]), s.cell()
-				old, ok := m.Apply(key, c)
+				var old model.Cell
+				var ok bool
+				if mode == 0 || mode == 2 && n%2 == 0 {
+					old, ok = m.Apply(key, c)
+				} else {
+					old, ok = h.Apply(key, c)
+				}
 				wantOld, wantOK := ref.apply(key, c)
 				same(fmt.Sprintf("Apply(%q) old", key), old, wantOld)
 				same(fmt.Sprintf("Apply(%q) ok", key), ok, wantOK)
 			}
-		case 3, 4: // point read
-			key := model.EncodeKey(row, modelCols[s.byte()%len(modelCols)])
-			got, ok := m.Get(key)
-			want, wantOK := ref.get(key)
-			same(fmt.Sprintf("Get(%q)", key), got, want)
-			same(fmt.Sprintf("Get(%q) ok", key), ok, wantOK)
+		case 3, 4: // point reads, through Get(key) or one row handle
+			h := m.Row(model.RowPrefix(row))
+			for n := 1 + s.byte()%4; n > 0; n-- {
+				key := model.EncodeKey(row, modelCols[s.byte()%len(modelCols)])
+				got, ok := m.Get(key)
+				if op%8 == 4 {
+					got, ok = h.Get(key)
+				}
+				want, wantOK := ref.get(key)
+				same(fmt.Sprintf("Get(%q)", key), got, want)
+				same(fmt.Sprintf("Get(%q) ok", key), ok, wantOK)
+			}
 		case 5:
 			prefix := model.RowPrefix(row)
-			entries(fmt.Sprintf("AppendPrefix(%q)", row), m.AppendPrefix(nil, prefix), ref.scanPrefix(prefix))
+			h := m.Row(prefix)
+			entries(fmt.Sprintf("row %q", row), h.AppendTo(nil), ref.scanPrefix(prefix))
 		case 6:
 			var after []byte
 			if s.byte()%4 != 0 {
@@ -186,6 +203,35 @@ func check(t *testing.T, data []byte) {
 			t.Fatalf("snapshot out of order at %d: %q then %q", i, snap[i-1].Key, snap[i].Key)
 		}
 	}
+	checkLayout(t, m)
+}
+
+// checkLayout checks the row layout itself: every row is in the index
+// under its skiplist key, and its chunks are non-empty, hold at most
+// chunkCells, and share the row's prefix.
+func checkLayout(t *testing.T, m *Memtable) {
+	t.Helper()
+	rows := 0
+	for it := m.rows.Iter(); it.Valid(); it.Next() {
+		rows++
+		prefix, r := it.Key(), m.index[string(it.Key())]
+		if r == nil || len(r.chunks) == 0 {
+			t.Fatalf("row %q is not in the index or has no chunks", prefix)
+		}
+		for ci, c := range r.chunks {
+			if len(c) == 0 || cap(c) > chunkCells {
+				t.Fatalf("row %q chunk %d holds %d of %d cells", prefix, ci, len(c), cap(c))
+			}
+			for _, e := range c {
+				if !bytes.HasPrefix(e.Key, prefix) {
+					t.Fatalf("row %q holds key %q", prefix, e.Key)
+				}
+			}
+		}
+	}
+	if rows != len(m.index) {
+		t.Fatalf("%d rows in the skiplist, %d in the index", rows, len(m.index))
+	}
 }
 
 func TestAgainstReference(t *testing.T) {
@@ -205,9 +251,11 @@ func FuzzAgainstReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { check(t, data) })
 }
 
-// TestWideRows applies rows of 1, 5 and 5000 columns, columns shuffled,
-// between rows that sort around them, and reads them back in another
-// shuffled order.
+// TestWideRows applies rows of 1, 5, 63, 64, 65, 129, 5000 (twice)
+// and 30 000 columns — one chunk, a full one, a split, two splits, and
+// rows of hundreds of chunks — columns shuffled, between rows that
+// sort around them, through Apply(key) and through a row handle, and
+// reads them back in another shuffled order.
 func TestWideRows(t *testing.T) {
 	m := New(3)
 	ref := &reference{cells: map[string]model.Cell{}}
@@ -218,24 +266,38 @@ func TestWideRows(t *testing.T) {
 		m.Apply(key, c)
 		ref.apply(key, c)
 	}
-	for round, width := range []int{1, 5, 5000, 5000} {
-		row := fmt.Sprintf("r2%02d", width%100) // among the r000..r399 rows
+	for round, width := range []int{1, 5, 63, 64, 65, 129, 5000, 5000, 30000} {
+		row := fmt.Sprintf("r2%02d", width%97) // among the r000..r399 rows
+		h := m.Row(model.RowPrefix(row))
 		for _, j := range rng.Perm(width) {
 			key := model.EncodeKey(row, model.Qualify(fmt.Sprintf("base-%06d", j), "payload"))
 			c := model.Cell{Value: []byte(fmt.Sprintf("v%d", j)), TS: int64(10 + round)}
-			old, ok := m.Apply(key, c)
+			var old model.Cell
+			var ok bool
+			if round%2 == 0 {
+				old, ok = m.Apply(key, c)
+			} else {
+				old, ok = h.Apply(key, c)
+			}
 			wantOld, wantOK := ref.apply(key, c)
 			if ok != wantOK || !reflect.DeepEqual(old, wantOld) {
 				t.Fatalf("width %d col %d: old = %v,%v want %v,%v", width, j, old, ok, wantOld, wantOK)
 			}
 		}
+		h = m.Row(model.RowPrefix(row))
 		for _, j := range rng.Perm(width + 3) {
 			key := model.EncodeKey(row, model.Qualify(fmt.Sprintf("base-%06d", j), "payload"))
 			got, ok := m.Get(key)
+			if j%2 == 0 {
+				got, ok = h.Get(key)
+			}
 			want, wantOK := ref.get(key)
 			if ok != wantOK || !reflect.DeepEqual(got, want) {
 				t.Fatalf("width %d col %d: Get = %v,%v want %v,%v", width, j, got, ok, want, wantOK)
 			}
+		}
+		if got, want := h.AppendTo(nil), ref.scanPrefix(model.RowPrefix(row)); len(got) != len(want) {
+			t.Fatalf("width %d: the row has %d entries, want %d", width, len(got), len(want))
 		}
 		if m.ApproxBytes() != ref.bytes || m.Len() != len(ref.cells) {
 			t.Fatalf("width %d: ApproxBytes %d Len %d, want %d and %d", width, m.ApproxBytes(), m.Len(), ref.bytes, len(ref.cells))
@@ -245,6 +307,7 @@ func TestWideRows(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("snapshot has %d entries, want %d", len(got), len(want))
 	}
+	checkLayout(t, m)
 	for i := range got {
 		if !bytes.Equal(got[i].Key, want[i].Key) || !reflect.DeepEqual(got[i].Cell, want[i].Cell) {
 			t.Fatalf("snapshot[%d] = %q %v, want %q %v", i, got[i].Key, got[i].Cell, want[i].Key, want[i].Cell)

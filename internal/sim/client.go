@@ -83,7 +83,8 @@ func (w *world) put(coordID transport.NodeID, bk string, u model.ColumnUpdate) {
 		// acknowledged a put carrying the write in any attempt, must hold
 		// it or a newer cell now, before anti-entropy could hide a replica
 		// that acked without applying; a hint at the coordinator does not
-		// count.
+		// count. An ack that arrives after this point is checked the same
+		// way when it arrives.
 		acked := core.BaseUpdate{BaseKey: bk, Column: u.Column, Cell: u.Cell}
 		_, held := w.holding(acked)
 		if len(held) < w.cfg.N/2+1 {
@@ -93,6 +94,14 @@ func (w *world) put(coordID transport.NodeID, bk string, u model.ColumnUpdate) {
 			if a.req.Row == bk && carries(a.req.Updates, u) && !slices.Contains(held, a.from) {
 				w.s.Fail(fmt.Errorf("acknowledged write %v to %s.%s: replica %d acked it but does not hold it (held by %v)", u.Cell, bk, u.Column, a.from, held))
 				break
+			}
+		}
+		acct.late = func(a putAck) {
+			if a.req.Row != bk || !carries(a.req.Updates, u) {
+				return
+			}
+			if _, held := w.holding(acked); !slices.Contains(held, a.from) {
+				w.s.Fail(fmt.Errorf("acknowledged write %v to %s.%s: replica %d acked it after the write returned but does not hold it (held by %v)", u.Cell, bk, u.Column, a.from, held))
 			}
 		}
 		acct.class = w.classify(bk, u)

@@ -49,6 +49,9 @@ type account struct {
 	// puts, each with its request, in the order the replies arrived: what
 	// put checks every acknowledging replica against.
 	acks []putAck
+	// late, set once the account's write is acknowledged, checks each
+	// ack that arrives after that, as it arrives.
+	late func(putAck)
 }
 
 // putAck is one successful reply to a base-table put.

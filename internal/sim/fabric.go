@@ -153,6 +153,9 @@ func (f *Fabric) Send(from, to transport.NodeID, req transport.Request, cb func(
 		f.s.Schedule(lat, "reply", back, func() {
 			if put, ok := req.(transport.PutReq); ok && err == nil && put.Table == baseTable {
 				acct.acks = append(acct.acks, putAck{to, put})
+				if acct.late != nil {
+					acct.late(putAck{to, put})
+				}
 			}
 			cb(transport.Result{From: to, Resp: resp, Err: err})
 		})

@@ -1,16 +1,17 @@
-// Package skiplist implements an ordered byte-string map used as the
-// backbone of the storage engine's memtable. Keys are compared
-// lexicographically. The list supports point lookup, find-or-insert in
-// one descent, and ordered iteration from a seek position — everything
-// an LSM memtable needs.
+// Package skiplist implements an ordered byte-string map: the row
+// order of the storage engine's memtable. Keys are compared
+// lexicographically. The list supports find-or-insert in one descent
+// and ordered iteration from a seek position — what the memtable's
+// flush and row scans need; its point accesses go through its own row
+// index instead.
 //
 // The list is typed and allocation-lean: values live unboxed inside
-// the nodes, nodes are carved out of per-list slabs and keys copied
-// into a per-list bump arena, and towers of up to inlineHeight levels
+// the nodes, nodes are carved out of per-list slabs, keys are the
+// caller's (never copied), and towers of up to inlineHeight levels
 // (255 nodes in 256) sit inside the node, so an insert allocates only
-// when a slab or an arena chunk runs out — a few times in a thousand —
-// and an update of an existing key never. A list's nodes all die
-// together, as a memtable's do at flush.
+// when a slab runs out — a few times in a thousand — and an update of
+// an existing key never. A list's nodes all die together, as a
+// memtable's do at flush.
 //
 // The list is not safe for concurrent use: writers need exclusive
 // access, readers may share it. The storage engine's lock provides
@@ -31,8 +32,6 @@ const (
 	// Taller towers — one node in 4^inlineHeight — spill the rest into
 	// a second allocation.
 	inlineHeight = 4
-	// arenaChunk is the size of the blocks keys are copied into.
-	arenaChunk = 16 << 10
 	// nodeSlab is the most nodes one allocation carves out. A young
 	// list's slabs double from one node, so a list of a few entries
 	// holds no more than it uses.
@@ -71,7 +70,6 @@ type List[V any] struct {
 	height int
 	length int
 	rnd    uint64
-	arena  []byte
 	slab   []node[V] // nodes not handed out yet
 }
 
@@ -101,17 +99,6 @@ func (l *List[V]) randomHeight() int {
 	// Every pBits trailing zero bits (probability 1/4) add a level; the
 	// sentinel bit caps the height.
 	return 1 + bits.TrailingZeros64(l.rnd|1<<(pBits*(maxHeight-1)))/pBits
-}
-
-// copyKey copies key into the arena. The copy is never written again,
-// which is what lets iterators and scans hand it out without copying.
-func (l *List[V]) copyKey(key []byte) []byte {
-	if len(key) > cap(l.arena)-len(l.arena) {
-		l.arena = make([]byte, 0, max(arenaChunk, len(key)))
-	}
-	off := len(l.arena)
-	l.arena = append(l.arena, key...)
-	return l.arena[off:len(l.arena):len(l.arena)]
 }
 
 // newNode hands out the next node of the current slab, starting a new
@@ -154,21 +141,13 @@ func (l *List[V]) findGE(key []byte, prev *[maxHeight]*node[V]) (*node[V], bool)
 	return bound, false
 }
 
-// Get returns the value stored under key.
-func (l *List[V]) Get(key []byte) (V, bool) {
-	if n, ok := l.findGE(key, nil); ok {
-		return n.value, true
-	}
-	var zero V
-	return zero, false
-}
-
 // Upsert looks key up, inserting it with a zero value if absent, and
 // returns a pointer to the value with whether it was inserted. The
-// caller stores or merges through the pointer, so applying
-// last-writer-wins to a cell is one descent with no separate read. The
-// pointer stays valid for the list's life; writing through it needs
-// the same exclusive access Upsert does.
+// caller stores or merges through the pointer, so a find-or-insert is
+// one descent with no separate read. An inserted key is kept, not
+// copied: the caller must never modify it afterwards. The pointer
+// stays valid for the list's life; writing through it needs the same
+// exclusive access Upsert does.
 func (l *List[V]) Upsert(key []byte) (v *V, inserted bool) {
 	var prev [maxHeight]*node[V]
 	if n, ok := l.findGE(key, &prev); ok {
@@ -180,7 +159,7 @@ func (l *List[V]) Upsert(key []byte) (v *V, inserted bool) {
 		l.height++
 	}
 	n := l.newNode()
-	n.key = l.copyKey(key)
+	n.key = key
 	if h > inlineHeight {
 		n.tall = new([maxHeight - inlineHeight]*node[V])
 	}
@@ -210,9 +189,7 @@ func (l *List[V]) Seek(from []byte) Iterator[V] {
 // Valid reports whether the iterator is positioned at an entry.
 func (it *Iterator[V]) Valid() bool { return it.n != nil }
 
-// Key returns the current key. It aliases the list's arena and must
-// not be modified; it stays valid, and unchanged, for as long as the
-// caller holds it.
+// Key returns the current key, the slice the entry was inserted with.
 func (it *Iterator[V]) Key() []byte { return it.n.key }
 
 // Value returns the current value.

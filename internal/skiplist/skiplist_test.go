@@ -18,12 +18,22 @@ func set[V any](l *List[V], key string, value V) {
 	*v = value
 }
 
+// get looks key up with a seek: the list has no point lookup of its
+// own, since the memtable indexes its rows itself.
+func get[V any](l *List[V], key []byte) (V, bool) {
+	if it := l.Seek(key); it.Valid() && bytes.Equal(it.Key(), key) {
+		return it.Value(), true
+	}
+	var zero V
+	return zero, false
+}
+
 func TestEmpty(t *testing.T) {
 	l := New[int](1)
 	if l.Len() != 0 {
 		t.Fatal("new list not empty")
 	}
-	if _, ok := l.Get([]byte("x")); ok {
+	if _, ok := get(l, []byte("x")); ok {
 		t.Fatal("Get on empty list returned ok")
 	}
 	if it := l.Iter(); it.Valid() {
@@ -37,12 +47,12 @@ func TestSetGet(t *testing.T) {
 	set(l, "a", 1)
 	set(l, "c", 3)
 	for k, want := range map[string]int{"a": 1, "b": 2, "c": 3} {
-		got, ok := l.Get([]byte(k))
+		got, ok := get(l, []byte(k))
 		if !ok || got != want {
 			t.Fatalf("Get(%q) = %v,%v", k, got, ok)
 		}
 	}
-	if _, ok := l.Get([]byte("d")); ok {
+	if _, ok := get(l, []byte("d")); ok {
 		t.Fatal("Get of absent key returned ok")
 	}
 	if l.Len() != 3 {
@@ -62,7 +72,7 @@ func TestUpsertReportsInsertAndKeepsValue(t *testing.T) {
 		t.Fatalf("second Upsert = %d, %v; want the stored 5", *v, inserted)
 	}
 	*v += 7
-	if got, _ := l.Get([]byte("counter")); got != 12 {
+	if got, _ := get(l, []byte("counter")); got != 12 {
 		t.Fatalf("merged value = %v", got)
 	}
 	if l.Len() != 1 {
@@ -120,27 +130,31 @@ func TestSeek(t *testing.T) {
 	}
 }
 
-func TestKeyIsCopied(t *testing.T) {
+// TestKeyIsKept checks that an inserted key is the caller's slice,
+// not a copy: the memtable hands the list keys out of its own arena.
+func TestKeyIsKept(t *testing.T) {
 	l := New[int](1)
-	k := []byte("mutable")
+	k := []byte("kept")
 	l.Upsert(k)
-	k[0] = 'X'
-	if _, ok := l.Get([]byte("mutable")); !ok {
-		t.Fatal("list aliased the caller's key slice")
+	if it := l.Iter(); !it.Valid() || &it.Key()[0] != &k[0] {
+		t.Fatal("list copied the caller's key")
+	}
+	if _, inserted := l.Upsert([]byte("kept")); inserted {
+		t.Fatal("an equal key inserted twice")
 	}
 }
 
-// TestKeysSurviveArenaGrowth fills several arena chunks, one key larger
-// than a chunk among them, and checks that no earlier key moved or was
-// overwritten.
-func TestKeysSurviveArenaGrowth(t *testing.T) {
+// TestKeysSurviveSlabGrowth fills several node slabs, one key larger
+// than the rest among them, and checks that no earlier key moved or
+// was lost.
+func TestKeysSurviveSlabGrowth(t *testing.T) {
 	l := New[int](5)
 	var held [][]byte
-	n := 3*arenaChunk/16 + 10
+	n := 3*nodeSlab + 10
 	for i := 0; i < n; i++ {
 		set(l, fmt.Sprintf("key-%012d", i), i)
 		if i == n/2 {
-			set(l, "big-"+string(bytes.Repeat([]byte{'x'}, 2*arenaChunk)), -1)
+			set(l, "big-"+string(bytes.Repeat([]byte{'x'}, 1<<15)), -1)
 		}
 	}
 	for it := l.Iter(); it.Valid(); it.Next() {
@@ -150,8 +164,8 @@ func TestKeysSurviveArenaGrowth(t *testing.T) {
 		t.Fatalf("iterated %d keys, want %d", len(held), n+1)
 	}
 	for i := 0; i < n; i++ {
-		if got, ok := l.Get([]byte(fmt.Sprintf("key-%012d", i))); !ok || got != i {
-			t.Fatalf("key %d = %v,%v after arena growth", i, got, ok)
+		if got, ok := get(l, []byte(fmt.Sprintf("key-%012d", i))); !ok || got != i {
+			t.Fatalf("key %d = %v,%v after slab growth", i, got, ok)
 		}
 	}
 	if !sort.SliceIsSorted(held, func(i, j int) bool { return bytes.Compare(held[i], held[j]) < 0 }) {
@@ -188,7 +202,7 @@ func TestAgainstMap(t *testing.T) {
 				oracle[key] = i
 				continue
 			}
-			got, ok := l.Get([]byte(key))
+			got, ok := get(l, []byte(key))
 			want, had := oracle[key]
 			if ok != had || got != want {
 				t.Fatalf("seed %d step %d: Get(%q) = %v,%v, oracle %v,%v", seed, i, key, got, ok, want, had)
@@ -204,7 +218,7 @@ func checkAgainst(t *testing.T, l *List[int], oracle map[string]int) {
 		t.Fatalf("Len = %d, oracle %d", l.Len(), len(oracle))
 	}
 	for k, want := range oracle {
-		if got, ok := l.Get([]byte(k)); !ok || got != want {
+		if got, ok := get(l, []byte(k)); !ok || got != want {
 			t.Fatalf("Get(%q) = %v,%v want %d", k, got, ok, want)
 		}
 	}
@@ -267,8 +281,8 @@ func TestAllocations(t *testing.T) {
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%08d", i*2654435761%100000))
 	}
-	// Slabs, arena chunks and tall towers amortize to a few
-	// allocations per thousand inserts.
+	// Slabs and tall towers amortize to a few allocations per
+	// thousand inserts.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, k := range keys {
@@ -282,7 +296,7 @@ func TestAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(len(keys)-1, func() {
 		v, _ := l.Upsert(keys[i])
 		*v++
-		_, _ = l.Get(keys[i])
+		_, _ = get(l, keys[i])
 		i++
 	}); got != 0 {
 		t.Fatalf("update + get allocate %v times, want 0", got)
@@ -308,7 +322,7 @@ func BenchmarkSkiplistInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkSkiplistGet(b *testing.B) {
+func BenchmarkSkiplistSeek(b *testing.B) {
 	l := New[int](1)
 	keys := benchKeys()
 	for i, k := range keys {
@@ -317,6 +331,6 @@ func BenchmarkSkiplistGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Get(keys[i%len(keys)])
+		l.Seek(keys[i%len(keys)])
 	}
 }

@@ -41,6 +41,10 @@ type Table struct {
 	filter *bloom.Filter
 	minKey []byte
 	maxKey []byte
+	// maxTS is the largest timestamp of any cell in the run
+	// (model.NullTS for an empty one), found while building: the file
+	// format does not carry it.
+	maxTS int64
 }
 
 // Build constructs a table from entries that must already be sorted by
@@ -61,7 +65,7 @@ func buildWithFilter(entries []model.Entry, filter *bloom.Filter) *Table {
 }
 
 func build(entries []model.Entry, filter *bloom.Filter) *Table {
-	t := &Table{entries: entries, filter: filter}
+	t := &Table{entries: entries, filter: filter, maxTS: model.NullTS}
 	populate := filter == nil
 	if populate {
 		t.filter = bloom.New(2*len(entries), filterBitsPerKey)
@@ -73,6 +77,7 @@ func build(entries []model.Entry, filter *bloom.Filter) *Table {
 		}
 		prev = e.Key
 		t.dataBytes += int64(len(e.Key) + len(e.Cell.Value))
+		t.maxTS = max(t.maxTS, e.Cell.TS)
 		if i%indexInterval == 0 {
 			t.index = append(t.index, e.Key)
 			t.indexPos = append(t.indexPos, i)
@@ -122,6 +127,10 @@ func (t *Table) MinKey() []byte { return t.minKey }
 
 // MaxKey returns the largest key in the table.
 func (t *Table) MaxKey() []byte { return t.maxKey }
+
+// MaxTS returns the largest cell timestamp in the table: a cell with a
+// greater timestamp beats every cell of the run.
+func (t *Table) MaxTS() int64 { return t.maxTS }
 
 // MayContainKey reports whether a point Get for key could possibly
 // find an entry: false means the run definitely lacks the key, so the

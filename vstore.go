@@ -926,7 +926,9 @@ type TableStorageStats struct {
 	Flushes       int
 	Compactions   int
 	// RunsPrunedPoint and RunsPrunedRow count sstable runs skipped by
-	// the table's bloom filters or key bounds for point and row reads.
+	// the table's bloom filters or key bounds for point and row reads;
+	// a point read also skips a run whose newest cell is older than the
+	// cell it already holds.
 	RunsPrunedPoint int64
 	RunsPrunedRow   int64
 }
