@@ -45,7 +45,9 @@ type Options struct {
 	// FlushBytes is the approximate memtable size that triggers a
 	// flush. Default 4 MiB.
 	FlushBytes int64
-	// CompactAt is the sstable count that triggers a full compaction.
+	// CompactAt is the sstable count that triggers a compaction: the
+	// flush that brings the store to CompactAt runs merges the newest
+	// runs of one size tier (see tierSize), leaving at most CompactAt-1.
 	// Default 6.
 	CompactAt int
 	// Seed makes skiplist tower heights reproducible.
@@ -84,6 +86,10 @@ type Store struct {
 
 	flushes     int
 	compactions int
+	// flushedBytes and compactedBytes sum the DataBytes of the runs
+	// flushes and compactions built.
+	flushedBytes   int64
+	compactedBytes int64
 
 	// Read-path pruning counters (atomic; bumped outside mu).
 	prunedPoint atomic.Int64
@@ -228,19 +234,39 @@ func (s *Store) flushLocked() error {
 	s.segIDs = append([]uint64{id}, s.segIDs...)
 	s.mem = memtable.New(s.opts.Seed + int64(s.flushes) + 1)
 	s.flushes++
+	s.flushedBytes += t.DataBytes()
 	if len(s.segs) >= s.opts.CompactAt {
-		return s.compactLocked(nil)
+		return s.compactLocked(s.tierSize(), nil)
 	}
 	return nil
 }
 
-// compactLocked merges every sstable into one. Tombstones are retained
-// unless dropBefore is non-nil (see CollectGarbage): the memtable may
-// still hold cells the tombstones must shadow, and replicas may be
-// behind.
-func (s *Store) compactLocked(dropBefore *int64) error {
-	runs := make([][]model.Entry, 0, len(s.segs))
-	for _, t := range s.segs {
+// tierSize returns how many of the newest runs a compaction merges:
+// the smallest k >= 2 whose runs together hold no more data than the
+// next older run, or every run when no k qualifies. The merged run is
+// then no larger than the run behind it, so run sizes grow with age
+// and a flushed cell is rewritten about once per size tier instead of
+// once per compaction. Since k >= 2, a compaction at CompactAt runs
+// leaves at most CompactAt-1.
+func (s *Store) tierSize() int {
+	var sum int64
+	for k := 1; k < len(s.segs); k++ {
+		sum += s.segs[k-1].DataBytes()
+		if k >= 2 && sum <= s.segs[k].DataBytes() {
+			return k
+		}
+	}
+	return len(s.segs)
+}
+
+// compactLocked merges the newest k sstables into one, which takes
+// their place. Tombstones are retained unless dropBefore is non-nil
+// (see CollectGarbage, which merges every run): the memtable and older
+// runs may still hold cells the tombstones must shadow, and replicas
+// may be behind.
+func (s *Store) compactLocked(k int, dropBefore *int64) error {
+	runs := make([][]model.Entry, 0, k)
+	for _, t := range s.segs[:k] {
 		runs = append(runs, t.Entries())
 	}
 	merged := sstable.MergeRuns(runs, false)
@@ -258,13 +284,14 @@ func (s *Store) compactLocked(dropBefore *int64) error {
 	var id uint64
 	if s.opts.Persist != nil {
 		var err error
-		if id, err = s.opts.Persist.ReplaceRuns(append([]uint64(nil), s.segIDs...), t); err != nil {
+		if id, err = s.opts.Persist.ReplaceRuns(slices.Clone(s.segIDs[:k]), t); err != nil {
 			return err
 		}
 	}
-	s.segs = []*sstable.Table{t}
-	s.segIDs = []uint64{id}
+	s.segs = slices.Replace(s.segs, 0, k, t)
+	s.segIDs = slices.Replace(s.segIDs, 0, k, id)
 	s.compactions++
+	s.compactedBytes += t.DataBytes()
 	return nil
 }
 
@@ -289,7 +316,7 @@ func (s *Store) CollectGarbage(beforeTS int64) error {
 	if len(s.segs) == 0 {
 		return nil
 	}
-	return s.compactLocked(&beforeTS)
+	return s.compactLocked(len(s.segs), &beforeTS)
 }
 
 // RunCount returns the number of on-disk runs a read currently has to
@@ -521,6 +548,12 @@ type Stats struct {
 	Segments      int
 	Flushes       int
 	Compactions   int
+	// FlushedBytes and CompactedBytes sum the payload (sstable
+	// DataBytes) of the runs flushes and compactions built;
+	// (FlushedBytes+CompactedBytes)/FlushedBytes is the engine's write
+	// amplification.
+	FlushedBytes   int64
+	CompactedBytes int64
 	// RunsPrunedPoint counts sstable runs a point lookup skipped: by
 	// bloom filter or key bounds, or because the cell already found is
 	// newer than every cell of the run. RunsPrunedRow counts those row
@@ -538,6 +571,8 @@ func (s *Store) Stats() Stats {
 		Segments:        len(s.segs),
 		Flushes:         s.flushes,
 		Compactions:     s.compactions,
+		FlushedBytes:    s.flushedBytes,
+		CompactedBytes:  s.compactedBytes,
 		RunsPrunedPoint: s.prunedPoint.Load(),
 		RunsPrunedRow:   s.prunedRow.Load(),
 	}

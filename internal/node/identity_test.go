@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -9,11 +10,13 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"vstore/internal/lsm"
 	"vstore/internal/model"
 	physfs "vstore/internal/physical/fs"
+	"vstore/internal/sstable"
 	"vstore/internal/transport"
 	"vstore/internal/wal"
 )
@@ -22,9 +25,13 @@ import (
 // run and manifest a durable node writes, and every pre-image a put
 // returns. The script's cells carry no metadata since cells stopped
 // carrying dots; the commit before that change gives the same two
-// hashes for it. Re-record only for a deliberate on-disk format change.
+// hashes for it. The files hash was re-recorded once more when
+// compaction began merging only the newest size tier of runs: a
+// different set of runs exists at the end of the script, in the same
+// format. Re-record only for a deliberate on-disk format change or a
+// change in which runs the engine writes.
 const (
-	identityFilesHash = "acb05b9f6a1837054f4702e090e3fc76d05e3c141ae05491eccde135dda5b105"
+	identityFilesHash = "5b4628c68305dec9fd26d6bc819b4649ec4af339385dd42d3fe95519146f61f5"
 	identityReadsHash = "cae478ae955a5500436479d62669d85fdde5ee7d41ae925f02477579737a7183"
 )
 
@@ -121,6 +128,17 @@ func TestDurableBytesIdentical(t *testing.T) {
 			return err
 		}
 		fmt.Fprintf(files, "%s %d %x\n", filepath.ToSlash(rel), len(data), sha256.Sum256(data))
+		if strings.HasSuffix(rel, ".sst") {
+			// A run's bytes are a function of its entries alone.
+			tbl, err := sstable.DecodeFile(data)
+			if err != nil {
+				return fmt.Errorf("%s: %w", rel, err)
+			}
+			if !bytes.Equal(tbl.EncodeFile(), data) {
+				t.Errorf("%s: run file does not round-trip through DecodeFile and EncodeFile", rel)
+			}
+			t.Logf("run %s: %d bytes, %d entries", filepath.ToSlash(rel), len(data), tbl.Len())
+		}
 		return nil
 	})
 	if err != nil {

@@ -458,7 +458,10 @@ func (t *TableStorage) FlushRun(tbl *sstable.Table) (uint64, error) {
 // ReplaceRuns makes a compaction durable: write the merged run, commit
 // a MANIFEST where it replaces the inputs, then delete the input
 // files. A crash between commit and deletion leaves orphans for the
-// next open's GC.
+// next open's GC. The merged run goes first and the runs not in old
+// keep their order behind it, so a compaction of the newest runs (what
+// the LSM's size-tiered rule merges) keeps the list newest first, as
+// FlushRun does.
 func (t *TableStorage) ReplaceRuns(old []uint64, merged *sstable.Table) (uint64, error) {
 	id, err := t.s.writeRun(merged)
 	if err != nil {

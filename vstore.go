@@ -169,7 +169,8 @@ type StorageOptions struct {
 	// immutable sstable run. Default 4 MiB.
 	FlushBytes int64
 	// CompactAt is the run count that triggers a size-tiered
-	// compaction. Default 6.
+	// compaction: the newest runs of one size tier are merged, leaving
+	// at most CompactAt-1 runs. Default 6.
 	CompactAt int
 }
 
@@ -925,6 +926,11 @@ type TableStorageStats struct {
 	Segments      int
 	Flushes       int
 	Compactions   int
+	// FlushedBytes and CompactedBytes sum the payload of the sstable
+	// runs the table's flushes and compactions wrote; their sum over
+	// FlushedBytes is the engine's write amplification.
+	FlushedBytes   int64
+	CompactedBytes int64
 	// RunsPrunedPoint and RunsPrunedRow count sstable runs skipped by
 	// the table's bloom filters or key bounds for point and row reads;
 	// a point read also skips a run whose newest cell is older than the
@@ -944,6 +950,8 @@ func (db *DB) TableStats(table string) []TableStorageStats {
 			Segments:        ls.Segments,
 			Flushes:         ls.Flushes,
 			Compactions:     ls.Compactions,
+			FlushedBytes:    ls.FlushedBytes,
+			CompactedBytes:  ls.CompactedBytes,
 			RunsPrunedPoint: ls.RunsPrunedPoint,
 			RunsPrunedRow:   ls.RunsPrunedRow,
 		})
