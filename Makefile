@@ -87,17 +87,19 @@ fault-sweep:
 	echo "fault-sweep: $$(echo $$fails | wc -w) of $(FAULT_ROUNDS) seeds from $(FAULT_SEED) failed:" $$fails; \
 	rm -f $$out; exit $$status
 
-# Short runs of the fuzzers (the cell codec and sstable entry runs;
-# the memtable against its sorted-map reference); crashers land as
-# testdata corpus entries. The engine minimizes every input that finds
-# new coverage before fuzzing on, for up to -fuzzminimizetime (60 s by
-# default), and counts none of those runs: a memtable script costs about
-# a millisecond, so minimizing its first new inputs took both workers
-# for the whole 10 s ("execs: 13"). 100 runs per minimization bound it.
+# Short runs of the fuzzers (the cell codec, sstable entry runs and
+# WAL record payloads; the memtable against its sorted-map reference);
+# crashers land as testdata corpus entries. The engine minimizes every
+# input that finds new coverage before fuzzing on, for up to
+# -fuzzminimizetime (60 s by default), and counts none of those runs: a
+# memtable script costs about a millisecond, so minimizing its first new
+# inputs took both workers for the whole 10 s ("execs: 13"). 100 runs
+# per minimization bound it.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadCell -fuzztime=10s ./internal/model
 	$(GO) test -run=NONE -fuzz=FuzzMetaRoundTrip -fuzztime=10s ./internal/model
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalEntries -fuzztime=10s ./internal/sstable
+	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal
 	$(GO) test -run=NONE -fuzz=FuzzAgainstReference -fuzztime=10s -fuzzminimizetime=100x ./internal/memtable
 
 # The deterministic-simulation and chaos suites under the race

@@ -5,6 +5,7 @@
 package walbad
 
 import (
+	"vstore/internal/lsm"
 	"vstore/internal/memtable"
 	"vstore/internal/model"
 	"vstore/internal/wal"
@@ -84,7 +85,7 @@ func rowApplyOnly(mem *memtable.Memtable, cells []model.Cell) {
 	}
 }
 
-// rowLogThenApply is lsm.Store.ApplyRow's shape: per cell, a guarded
+// rowLogThenApply logs and applies cell by cell: per cell, a guarded
 // append that can end the row early, then the apply, whose pre-image
 // the caller keeps.
 func rowLogThenApply(log *wal.Log, mem *memtable.Memtable, cells, old []model.Cell) error {
@@ -99,8 +100,8 @@ func rowLogThenApply(log *wal.Log, mem *memtable.Memtable, cells, old []model.Ce
 	return nil
 }
 
-// rowHandleApplyOnly is lsm.Store.ApplyRow's shape with the append
-// gone: the row resolved once, each cell applied through its handle.
+// rowHandleApplyOnly resolves the row once and applies each cell
+// through its handle, logging none of them.
 func rowHandleApplyOnly(mem *memtable.Memtable, cells []model.Cell) {
 	h := mem.Row([]byte("\x01r"))
 	for _, c := range cells {
@@ -108,7 +109,8 @@ func rowHandleApplyOnly(mem *memtable.Memtable, cells []model.Cell) {
 	}
 }
 
-// rowHandleLogThenApply is the same loop with its guarded append.
+// rowHandleLogThenApply is the same loop with a guarded append per
+// cell.
 func rowHandleLogThenApply(log *wal.Log, mem *memtable.Memtable, cells []model.Cell) error {
 	h := mem.Row([]byte("\x01r"))
 	for _, c := range cells {
@@ -118,6 +120,32 @@ func rowHandleLogThenApply(log *wal.Log, mem *memtable.Memtable, cells []model.C
 			}
 		}
 		h.Apply([]byte("\x01rk"), c)
+	}
+	return nil
+}
+
+// rowBatchAppliedFirst applies a row's cells and only then logs them as
+// one record: the append dominates none of the applies.
+func rowBatchAppliedFirst(p lsm.Persist, mem *memtable.Memtable, es []model.Entry) error {
+	h := mem.Row([]byte("\x01r"))
+	for _, e := range es {
+		h.Apply(e.Key, e.Cell) // want "not dominated by a WAL append"
+	}
+	return p.AppendMutations(es)
+}
+
+// rowBatchLogThenApply is lsm.Store.ApplyRow's shape: the whole row
+// logged as one record behind its durability guard, then every cell
+// applied through the row handle.
+func rowBatchLogThenApply(p lsm.Persist, mem *memtable.Memtable, es []model.Entry) error {
+	if p != nil {
+		if err := p.AppendMutations(es); err != nil {
+			return err
+		}
+	}
+	h := mem.Row([]byte("\x01r"))
+	for _, e := range es {
+		h.Apply(e.Key, e.Cell)
 	}
 	return nil
 }

@@ -18,7 +18,7 @@ import (
 // checks, in each function's control-flow graph, that every memtable
 // apply is dominated by a WAL append:
 //
-//   - an append is a call to the lsm.Persist hook (AppendMutation) or
+//   - an append is a call to the lsm.Persist hook (AppendMutations) or
 //     to an internal/wal Append*/Log* function, directly or through a
 //     one-hop summary of a same-package helper that appends;
 //   - a durability guard counts too: `if <persist/wal hook> != nil {
@@ -248,7 +248,7 @@ func (w *walOrder) isDirectAppend(call *ast.CallExpr) bool {
 	if fn == nil {
 		return false
 	}
-	if fn.Name() == "AppendMutation" {
+	if fn.Name() == "AppendMutations" {
 		return true
 	}
 	if fn.Pkg() != nil && fn.Pkg().Path() == w.u.ModPath+"/internal/wal" &&

@@ -186,7 +186,7 @@ func newTierPersist(t *testing.T, compactAt int) *tierPersist {
 	return &tierPersist{t: t, compactAt: compactAt, tables: map[uint64]*sstable.Table{}, merged: map[*sstable.Table]bool{}}
 }
 
-func (p *tierPersist) AppendMutation([]byte, model.Cell) error { return nil }
+func (p *tierPersist) AppendMutations([]model.Entry) error { return nil }
 
 func (p *tierPersist) FlushRun(t *sstable.Table) (uint64, error) {
 	p.next++

@@ -13,6 +13,7 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 	"sort"
 	"sync"
@@ -24,14 +25,19 @@ import (
 )
 
 // Persist is the durability hook a store calls when one is
-// configured (internal/wal implements it). AppendMutation runs under
-// the store lock before the memtable apply, so a record can never be
-// truncated by a flush it was not part of; FlushRun and ReplaceRuns
-// must make the run durable and committed before returning so the
-// store can treat the returned id as stable.
+// configured (internal/wal implements it). AppendMutations runs under
+// the store lock before the memtable applies of the cells it logs, and
+// the store checks its flush threshold only once they are all applied,
+// so a record can never be truncated by a flush it was not part of;
+// FlushRun and ReplaceRuns must make the run durable and committed
+// before returning so the store can treat the returned id as stable.
 type Persist interface {
-	// AppendMutation logs one cell write ahead of applying it.
-	AppendMutation(key []byte, c model.Cell) error
+	// AppendMutations logs es — one row's cells, or a piece of a
+	// replicated batch — ahead of applying them, as one record: after
+	// a crash, replay restores all of es or none of it. After an error
+	// es may still replay (a sync can fail after the write), but never
+	// in part. es and its keys are only lent for the call.
+	AppendMutations(es []model.Entry) error
 	// FlushRun persists a frozen memtable as a new run and truncates
 	// the log past it, returning the run's id.
 	FlushRun(t *sstable.Table) (uint64, error)
@@ -76,10 +82,13 @@ type Store struct {
 	mu   sync.RWMutex
 	mem  *memtable.Memtable
 	segs []*sstable.Table // newest first
-	// keyBuf is the write path's storage-key scratch, reused across
-	// calls under mu. Nothing below the store keeps a key it is handed:
-	// the WAL encodes it into its record, the memtable copies it.
+	// keyBuf and rowBuf are the write path's scratch, reused across
+	// calls under mu: a row's storage keys, one after another, and, for
+	// the log, its entries, whose keys alias keyBuf. Nothing below the
+	// store keeps a key it is handed: the WAL encodes it into its
+	// record, the memtable copies it.
 	keyBuf []byte
+	rowBuf []model.Entry
 	// segIDs mirrors segs with the Persist-assigned run ids (all zero
 	// in memory-only mode).
 	segIDs []uint64
@@ -141,76 +150,133 @@ func (s *Store) Apply(row, column string, c model.Cell) error {
 
 // ApplyRow merges the updates into one row, in order, under one
 // acquisition of the store lock: every write to the store takes this
-// path. The row is looked up in the memtable once (again only after a
-// flush swaps the memtable); each cell is write-ahead-logged, when the
-// store is durable, and then applied through that row handle; the
-// row's keys are built in one reused buffer. The flush threshold is
-// checked after every cell, so a row flushes exactly where
-// cell-at-a-time writes would and the files on disk do not depend on
-// how cells were batched.
+// path. The row's storage keys are built one after another in a reused
+// buffer; when the store is durable, the whole row is then
+// write-ahead-logged as one record, and each cell is applied through
+// one handle on the memtable row. The flush threshold is checked once,
+// after the last cell: a flush inside the row would truncate the log
+// segment holding the record of cells not yet applied, and replay
+// would lose them. So the memtable flushes only at row boundaries, and
+// a row is in one run or in the log, never split between them.
 //
 // old, when non-nil, must be as long as updates; old[i] receives the
 // cell the store held for updates[i].Column just before that update
 // was applied, LWW-merged across the memtable and every run, or
-// model.NullCell if it held none. A caller that needs pre-images — a
-// pre-read, index maintenance — gets them from the lookup the write
-// makes anyway. With old nil the write is blind and no run is consulted.
-// The price of the single lookup: the runs' bloom probes and index
-// searches for a pre-image happen under the exclusive lock, where a
-// separate read before the write would have shared it, so readers of
-// this table wait for them. A store whose memtable has never flushed
-// has no runs to search.
+// model.NullCell if it held none — a column the row names twice gets
+// its first update as the second's pre-image. A caller that needs
+// pre-images — a pre-read, index maintenance — gets them from the
+// lookup the write makes anyway. With old nil the write is blind and
+// no run is consulted. The price of the single lookup: the runs' bloom
+// probes and index searches for a pre-image happen under the exclusive
+// lock, where a separate read before the write would have shared it,
+// so readers of this table wait for them. A store whose memtable has
+// never flushed has no runs to search.
 //
-// An error means the failing cell and those after it are neither
-// logged nor applied and the write must not be acknowledged; cells
-// before it stay applied, which LWW merging makes safe to retry whole.
+// An error from the log applies nothing, and the write must not be
+// acknowledged. An error from the flush after the row leaves the row
+// logged and applied; the write must not be acknowledged either, and
+// LWW merging makes retrying it whole safe.
 func (s *Store) ApplyRow(row string, updates []model.ColumnUpdate, old []model.Cell) error {
+	if len(updates) == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.keyBuf = model.AppendKey(s.keyBuf[:0], row, "")
-	prefix := len(s.keyBuf)
-	mr := s.mem.Row(s.keyBuf)
-	for i := range updates {
-		u := &updates[i]
-		s.keyBuf = append(s.keyBuf[:prefix], u.Column...)
-		key := s.keyBuf
-		if s.opts.Persist != nil {
-			if err := s.opts.Persist.AppendMutation(key, u.Cell); err != nil {
-				return err
-			}
+	prefix := s.rowKeys(row, updates)
+	if s.opts.Persist != nil {
+		if err := s.opts.Persist.AppendMutations(s.rowEntries(prefix, updates)); err != nil {
+			return err
 		}
-		prev, found := mr.Apply(key, u.Cell)
+	}
+	mr := s.mem.Row(s.keyBuf[:prefix])
+	end := prefix
+	for i := range updates {
+		start := end
+		end += prefix + len(updates[i].Column)
+		key := s.keyBuf[start:end:end]
+		prev, found := mr.Apply(key, updates[i].Cell)
 		if old != nil {
 			old[i], _ = s.mergeRuns(key, prev, found)
 		}
-		if s.mem.ApproxBytes() >= s.opts.FlushBytes {
-			if err := s.flushLocked(); err != nil {
-				return err
-			}
-			mr = s.mem.Row(key[:prefix])
-		}
-	}
-	return nil
-}
-
-// ApplyEntries merges a batch of raw entries (used by anti-entropy and
-// hinted handoff replay). On error a prefix of the batch may have been
-// applied; the batch is safe to retry whole (LWW merge is idempotent).
-func (s *Store) ApplyEntries(entries []model.Entry) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range entries {
-		if s.opts.Persist != nil {
-			if err := s.opts.Persist.AppendMutation(e.Key, e.Cell); err != nil {
-				return err
-			}
-		}
-		s.mem.Apply(e.Key, e.Cell)
 	}
 	if s.mem.ApproxBytes() >= s.opts.FlushBytes {
 		return s.flushLocked()
 	}
 	return nil
+}
+
+// rowKeys lays out in s.keyBuf the row prefix, then the storage key of
+// each update, one after another, and returns the prefix's length.
+// Caller holds mu.
+func (s *Store) rowKeys(row string, updates []model.ColumnUpdate) int {
+	s.keyBuf = model.AppendKey(s.keyBuf[:0], row, "")
+	prefix := len(s.keyBuf)
+	n := len(updates) * prefix
+	for i := range updates {
+		n += len(updates[i].Column)
+	}
+	s.keyBuf = slices.Grow(s.keyBuf, n)
+	for i := range updates {
+		s.keyBuf = append(append(s.keyBuf, s.keyBuf[:prefix]...), updates[i].Column...)
+	}
+	return prefix
+}
+
+// rowEntries returns the updates as entries in s.rowBuf, keyed by the
+// storage keys rowKeys laid out. Caller holds mu.
+func (s *Store) rowEntries(prefix int, updates []model.ColumnUpdate) []model.Entry {
+	s.rowBuf = slices.Grow(s.rowBuf[:0], len(updates))[:len(updates)]
+	end := prefix
+	for i := range updates {
+		start := end
+		end += prefix + len(updates[i].Column)
+		s.rowBuf[i] = model.Entry{Key: s.keyBuf[start:end:end], Cell: updates[i].Cell}
+	}
+	return s.rowBuf
+}
+
+// ApplyEntries merges a batch of raw entries (used by anti-entropy and
+// hinted handoff replay). A durable store logs the batch in pieces of
+// at most maxBatchBytes, each one record applied once logged. On error
+// a prefix of the pieces may have been applied; the batch is safe to
+// retry whole (LWW merge is idempotent). Like ApplyRow, it checks the
+// flush threshold once, after the batch.
+func (s *Store) ApplyEntries(entries []model.Entry) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(entries) > 0 {
+		n, size := 1, entryBytes(entries[0])
+		for n < len(entries) && size+entryBytes(entries[n]) <= maxBatchBytes {
+			size += entryBytes(entries[n])
+			n++
+		}
+		piece := entries[:n]
+		entries = entries[n:]
+		if s.opts.Persist != nil {
+			if err := s.opts.Persist.AppendMutations(piece); err != nil {
+				return err
+			}
+		}
+		for _, e := range piece {
+			s.mem.Apply(e.Key, e.Cell)
+		}
+	}
+	if s.mem.ApproxBytes() >= s.opts.FlushBytes {
+		return s.flushLocked()
+	}
+	return nil
+}
+
+// maxBatchBytes bounds the record each piece of an ApplyEntries batch
+// is logged in, in entryBytes: an anti-entropy diff or a hint backlog
+// can be any size, and a WAL record cannot (internal/wal refuses one
+// over 64 MiB). A single entry larger than this is a piece of its own.
+const maxBatchBytes = 1 << 20
+
+// entryBytes bounds the bytes e takes in a WAL record: its key and
+// value plus their two length prefixes, the timestamp and a flag.
+func entryBytes(e model.Entry) int {
+	return len(e.Key) + len(e.Cell.Value) + 3*binary.MaxVarintLen64 + 1
 }
 
 // flushLocked freezes the memtable into a new sstable. Caller holds

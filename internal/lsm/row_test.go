@@ -14,10 +14,12 @@ import (
 
 // TestApplyRowMatchesCellAtATime writes the same rows to two stores —
 // one ApplyRow per row, one Apply per cell — with a threshold that
-// flushes in the middle of rows. The stores must end up identical run
-// for run (same flush points, same compactions), and the pre-images
-// ApplyRow hands back must be what a Get just before each cell's write
-// returns, across memtable and runs.
+// rows cross in their middle. After every row both stores must hold
+// the same content, and the pre-images ApplyRow hands back must be
+// what a Get just before each cell's write returns, across memtable
+// and runs. The row store must flush only at row boundaries: a row
+// that brings its memtable to the threshold flushes all of it, and one
+// that does not flushes nothing.
 func TestApplyRowMatchesCellAtATime(t *testing.T) {
 	rows, cells := New(small()), New(small())
 	rng := rand.New(rand.NewSource(8))
@@ -43,23 +45,32 @@ func TestApplyRowMatchesCellAtATime(t *testing.T) {
 		if i%4 != 0 { // every fourth row is a blind write
 			old = make([]model.Cell, len(updates))
 		}
+		before := rows.Stats()
 		if err := rows.ApplyRow(row, updates, old); err != nil {
 			t.Fatal(err)
 		}
 		if old != nil && !reflect.DeepEqual(old, want) {
 			t.Fatalf("row %d: pre-images %v, want %v", i, old, want)
 		}
-		rs, cs := rows.Stats(), cells.Stats()
-		rs.RunsPrunedPoint, cs.RunsPrunedPoint = 0, 0 // the Gets above prune too
-		if rs != cs {
-			t.Fatalf("row %d: stats diverged: by row %+v, by cell %+v", i, rs, cs)
+		after := rows.Stats()
+		switch after.Flushes - before.Flushes {
+		case 0:
+			if b := rows.mem.ApproxBytes(); b >= rows.opts.FlushBytes {
+				t.Fatalf("row %d: memtable at %d bytes of %d did not flush", i, b, rows.opts.FlushBytes)
+			}
+		case 1:
+			if after.MemtableCells != 0 {
+				t.Fatalf("row %d: flushed inside the row, %d cells left in the memtable", i, after.MemtableCells)
+			}
+		default:
+			t.Fatalf("row %d flushed %d times", i, after.Flushes-before.Flushes)
+		}
+		if got, want := rows.Snapshot(), cells.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("row %d: stores differ: by row %d entries, by cell %d", i, len(got), len(want))
 		}
 	}
 	if st := rows.Stats(); st.Flushes < 10 || st.Compactions == 0 {
-		t.Fatalf("workload too small to flush mid-row and compact: %+v", st)
-	}
-	if got, want := rows.Snapshot(), cells.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("stores differ: by row %d entries, by cell %d", len(got), len(want))
+		t.Fatalf("workload too small to flush often and compact: %+v", st)
 	}
 }
 

@@ -224,18 +224,20 @@ func TestIndexCreatedWhilePutWaits(t *testing.T) {
 	}
 }
 
-// gatePersist is a memory store's log that parks the append of one key
-// until released, reporting when it got there: a write to that key then
+// gatePersist is a memory store's log that parks the append of a
+// record holding one key until released, reporting when it got there: a write to that key then
 // holds its store's lock for as long as the test likes.
 type gatePersist struct {
 	key              []byte
 	entered, release chan struct{}
 }
 
-func (g gatePersist) AppendMutation(key []byte, _ model.Cell) error {
-	if bytes.Equal(key, g.key) {
-		close(g.entered)
-		<-g.release
+func (g gatePersist) AppendMutations(es []model.Entry) error {
+	for _, e := range es {
+		if bytes.Equal(e.Key, g.key) {
+			close(g.entered)
+			<-g.release
+		}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"vstore/internal/model"
 )
@@ -12,7 +13,9 @@ import (
 // after is type-specific, uvarint-framed fields.
 const (
 	// recMutation logs one applied cell: uvarint keyLen + key, then the
-	// cell (model.AppendCell).
+	// cell (model.AppendCell). Stores logged every cell this way before
+	// they logged whole rows (recMutations); nothing writes it any
+	// more, but replay still decodes it, so older WAL tails open.
 	// The table is implicit — mutation logs are per-table directories.
 	recMutation byte = 1
 	// recIntentStart logs an acknowledged Put whose view propagation
@@ -21,7 +24,18 @@ const (
 	recIntentStart byte = 2
 	// recIntentDone marks an intent's propagation complete: uvarint id.
 	recIntentDone byte = 3
+	// recMutations logs the cells of one store write — a row, or a
+	// piece of a replicated batch — as a unit: uvarint count, then
+	// count (key, cell) pairs coded as in recMutation. Replay applies
+	// all of them or, when the record is torn, none.
+	recMutations byte = 4
 )
+
+// minEntryBytes is the fewest bytes one (key, cell) pair or intent
+// update encodes to: a key length, a timestamp, a flag and a value
+// length of one byte each. A count claiming more pairs than the
+// remaining payload can hold is corrupt.
+const minEntryBytes = 4
 
 // ErrBadRecord reports a structurally invalid record payload — frame
 // CRCs passed, so this is a logic-level corruption, not a torn write.
@@ -54,6 +68,11 @@ func appendBytes(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
 func readBytes(data []byte) ([]byte, []byte, error) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 || uint64(len(data)-sz) < n {
@@ -62,37 +81,74 @@ func readBytes(data []byte) ([]byte, []byte, error) {
 	return data[sz : sz+int(n)], data[sz+int(n):], nil
 }
 
-func encodeMutation(key []byte, c model.Cell) []byte {
-	buf := make([]byte, 0, len(key)+len(c.Value)+24)
-	buf = append(buf, recMutation)
-	buf = appendBytes(buf, key)
-	return model.AppendCell(buf, c)
+// appendMutations appends the recMutations record of es to buf.
+func appendMutations(buf []byte, es []model.Entry) []byte {
+	buf = append(buf, recMutations)
+	buf = binary.AppendUvarint(buf, uint64(len(es)))
+	for _, e := range es {
+		buf = appendBytes(buf, e.Key)
+		buf = model.AppendCell(buf, e.Cell)
+	}
+	return buf
 }
 
 func decodeMutation(p []byte) (model.Entry, error) {
-	key, rest, err := readBytes(p)
-	if err != nil {
-		return model.Entry{}, err
-	}
-	c, rest, err := readCell(rest)
+	e, rest, err := readEntry(p)
 	if err != nil {
 		return model.Entry{}, err
 	}
 	if len(rest) != 0 {
 		return model.Entry{}, ErrBadRecord
 	}
-	return model.Entry{Key: append([]byte(nil), key...), Cell: c}, nil
+	return e, nil
 }
 
-func encodeIntentStart(it Intent) []byte {
-	buf := make([]byte, 0, 64)
+// decodeMutations appends the entries of a recMutations payload to dst.
+// On error dst's new entries are unspecified; the caller drops them.
+func decodeMutations(p []byte, dst []model.Entry) ([]model.Entry, error) {
+	n, sz := binary.Uvarint(p)
+	if sz <= 0 || n > uint64(len(p)-sz)/minEntryBytes {
+		return dst, ErrBadRecord
+	}
+	rest := p[sz:]
+	dst = slices.Grow(dst, int(n))
+	for i := uint64(0); i < n; i++ {
+		e, r, err := readEntry(rest)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, e)
+		rest = r
+	}
+	if len(rest) != 0 {
+		return dst, ErrBadRecord
+	}
+	return dst, nil
+}
+
+// readEntry decodes one (key, cell) pair from the front of data,
+// copying the key and value out of it.
+func readEntry(data []byte) (model.Entry, []byte, error) {
+	key, rest, err := readBytes(data)
+	if err != nil {
+		return model.Entry{}, nil, err
+	}
+	c, rest, err := readCell(rest)
+	if err != nil {
+		return model.Entry{}, nil, err
+	}
+	return model.Entry{Key: append([]byte(nil), key...), Cell: c}, rest, nil
+}
+
+// appendIntentStart appends the recIntentStart record of it to buf.
+func appendIntentStart(buf []byte, it Intent) []byte {
 	buf = append(buf, recIntentStart)
 	buf = binary.AppendUvarint(buf, it.ID)
-	buf = appendBytes(buf, []byte(it.Table))
-	buf = appendBytes(buf, []byte(it.Row))
+	buf = appendString(buf, it.Table)
+	buf = appendString(buf, it.Row)
 	buf = binary.AppendUvarint(buf, uint64(len(it.Updates)))
 	for _, u := range it.Updates {
-		buf = appendBytes(buf, []byte(u.Column))
+		buf = appendString(buf, u.Column)
 		buf = model.AppendCell(buf, u.Cell)
 	}
 	return buf
@@ -120,9 +176,9 @@ func decodeIntentStart(p []byte) (Intent, error) {
 		return it, ErrBadRecord
 	}
 	rest = rest[sz:]
-	// Each update costs several bytes; a count beyond the remaining
-	// payload is corrupt — reject before it sizes an allocation.
-	if n > uint64(len(rest)) {
+	// A count beyond what the remaining payload can hold is corrupt —
+	// reject it before it sizes an allocation.
+	if n > uint64(len(rest))/minEntryBytes {
 		return it, ErrBadRecord
 	}
 	it.Updates = make([]model.ColumnUpdate, 0, n)
@@ -144,8 +200,8 @@ func decodeIntentStart(p []byte) (Intent, error) {
 	return it, nil
 }
 
-func encodeIntentDone(id uint64) []byte {
-	buf := make([]byte, 0, 10)
+// appendIntentDone appends the recIntentDone record of id to buf.
+func appendIntentDone(buf []byte, id uint64) []byte {
 	buf = append(buf, recIntentDone)
 	return binary.AppendUvarint(buf, id)
 }
@@ -163,7 +219,7 @@ func recordType(p []byte) (byte, []byte, error) {
 		return 0, nil, ErrBadRecord
 	}
 	switch p[0] {
-	case recMutation, recIntentStart, recIntentDone:
+	case recMutation, recIntentStart, recIntentDone, recMutations:
 		return p[0], p[1:], nil
 	}
 	return 0, nil, fmt.Errorf("%w: unknown type %d", ErrBadRecord, p[0])

@@ -7,6 +7,14 @@ import (
 	"vstore/internal/model"
 )
 
+// encodeMutation writes the one-cell recMutation record stores logged
+// before they logged rows: replay still reads it.
+func encodeMutation(key []byte, c model.Cell) []byte {
+	buf := []byte{recMutation}
+	buf = appendBytes(buf, key)
+	return model.AppendCell(buf, c)
+}
+
 // oldMutation is a mutation record of key "k" whose cell carries the
 // metadata cells were once written with: value "v" at timestamp 42,
 // then dot 1:7 and the context {0:3, 1:7} (the cell model's codec test
@@ -78,7 +86,7 @@ func TestIntentRecordRoundTrip(t *testing.T) {
 			{Column: "val", Cell: model.Cell{TS: 5, Tombstone: true}},
 		},
 	}
-	rec := encodeIntentStart(in)
+	rec := appendIntentStart(nil, in)
 	_, payload, err := recordType(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +109,7 @@ func TestIntentRecordRoundTrip(t *testing.T) {
 // metadata, a dotted value and a dotted tombstone, replays after a
 // crash as the plain cells the client wrote.
 func TestIntentRecordDotRoundTrip(t *testing.T) {
-	rec := encodeIntentStart(Intent{ID: 9, Table: "base", Row: "r1"})
+	rec := appendIntentStart(nil, Intent{ID: 9, Table: "base", Row: "r1"})
 	rec = append(rec[:len(rec)-1], 2) // two updates follow
 	rec = appendBytes(rec, []byte("vk"))
 	rec = append(rec, 0x54, 0x02, 0x01, 'v', 0x01, 0x07, 0x02, 0x00, 0x03, 0x01, 0x07)

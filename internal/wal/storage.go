@@ -39,7 +39,8 @@ type Storage struct {
 	intents     *Log
 	pending     map[uint64]Intent
 	nextIntent  uint64
-	intentBytes int64 // appended since the last checkpoint
+	intentBytes int64  // appended since the last checkpoint
+	intentBuf   []byte // frame scratch of intent-log appends
 
 	closed bool
 }
@@ -324,15 +325,19 @@ func (s *Storage) Recover() (*Recovery, error) {
 			if err != nil {
 				return err
 			}
-			if typ != recMutation {
-				return fmt.Errorf("%w: record type %d in mutation log", ErrBadRecord, typ)
-			}
-			e, err := decodeMutation(body)
-			if err != nil {
+			switch typ {
+			case recMutations:
+				rt.Tail, err = decodeMutations(body, rt.Tail)
 				return err
+			case recMutation:
+				e, err := decodeMutation(body)
+				if err != nil {
+					return err
+				}
+				rt.Tail = append(rt.Tail, e)
+				return nil
 			}
-			rt.Tail = append(rt.Tail, e)
-			return nil
+			return fmt.Errorf("%w: record type %d in mutation log", ErrBadRecord, typ)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("wal: replay %q: %w", table, err)
@@ -402,24 +407,68 @@ func (s *Storage) Recover() (*Recovery, error) {
 // --- Per-table persistence (the lsm.Persist contract) ----------------------
 
 // TableStorage adapts one table's slice of the Storage to the LSM's
-// persistence hooks.
+// persistence hooks. It holds its table's log once the first append
+// opens it, so an append does not take Storage.mu, which a MANIFEST
+// commit of any table holds across its fsyncs; and it encodes each
+// record into one reused buffer.
 type TableStorage struct {
 	s     *Storage
 	table string
+
+	mu  sync.Mutex // guards log and buf
+	log *Log
+	buf []byte // frame scratch
 }
+
+// maxScratchBytes bounds the record buffer a TableStorage keeps
+// between appends: one outsized record does not pin its buffer.
+const maxScratchBytes = 1 << 20
 
 // Table returns the persistence handle for one table.
 func (s *Storage) Table(table string) *TableStorage {
 	return &TableStorage{s: s, table: table}
 }
 
-// AppendMutation logs one cell write ahead of its memtable apply.
-func (t *TableStorage) AppendMutation(key []byte, c model.Cell) error {
-	l, err := t.s.tableLog(t.table)
+// logLocked returns the table's log, opening it on first use. Callers
+// hold t.mu.
+func (t *TableStorage) logLocked() (*Log, error) {
+	if t.log == nil {
+		l, err := t.s.tableLog(t.table)
+		if err != nil {
+			return nil, err
+		}
+		t.log = l
+	}
+	return t.log, nil
+}
+
+// AppendMutations logs es ahead of their memtable apply as one
+// recMutations record: replay restores all of them or, if the record
+// is torn, none. Entries whose record would exceed maxRecordBytes are
+// refused with ErrRecordTooLarge and nothing is written; an empty es
+// writes nothing. The log keeps nothing of es.
+func (t *TableStorage) AppendMutations(es []model.Entry) error {
+	if len(es) == 0 {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	l, err := t.logLocked()
 	if err != nil {
 		return err
 	}
-	return l.Append(encodeMutation(key, c))
+	t.buf = appendMutations(beginFrame(t.buf), es)
+	err = l.appendFrame(t.buf)
+	if cap(t.buf) > maxScratchBytes {
+		t.buf = nil
+	}
+	return err
+}
+
+// AppendMutation logs one cell: AppendMutations of one entry.
+func (t *TableStorage) AppendMutation(key []byte, c model.Cell) error {
+	e := [1]model.Entry{{Key: key, Cell: c}}
+	return t.AppendMutations(e[:])
 }
 
 // FlushRun makes a memtable flush durable: write the run file, commit
@@ -442,7 +491,9 @@ func (t *TableStorage) FlushRun(tbl *sstable.Table) (uint64, error) {
 	// Truncation: appends are blocked by the LSM's store lock for the
 	// duration of the flush, so rotating and dropping everything below
 	// the new active segment cannot lose records.
-	l, err := t.s.tableLog(t.table)
+	t.mu.Lock()
+	l, err := t.logLocked()
+	t.mu.Unlock()
 	if err != nil {
 		return id, err
 	}
@@ -583,12 +634,10 @@ func (s *Storage) LogIntentStart(it Intent) error {
 	if err != nil {
 		return err
 	}
-	p := encodeIntentStart(it)
-	if err := l.Append(p); err != nil {
+	if err := s.appendIntentLocked(l, it); err != nil {
 		return err
 	}
 	s.pending[it.ID] = it
-	s.intentBytes += int64(len(p))
 	return nil
 }
 
@@ -603,13 +652,28 @@ func (s *Storage) LogIntentDone(id uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := l.Append(encodeIntentDone(id)); err != nil {
+	s.intentBuf = appendIntentDone(beginFrame(s.intentBuf), id)
+	if err := l.appendFrame(s.intentBuf); err != nil {
 		return err
 	}
 	delete(s.pending, id)
 	s.intentBytes += 16
 	if s.intentBytes >= s.opts.SegmentBytes {
 		return s.checkpointIntentsLocked(l)
+	}
+	return nil
+}
+
+// appendIntentLocked logs the start record of it into l through the reused
+// intent buffer. Callers hold intentMu.
+func (s *Storage) appendIntentLocked(l *Log, it Intent) error {
+	s.intentBuf = appendIntentStart(beginFrame(s.intentBuf), it)
+	if err := l.appendFrame(s.intentBuf); err != nil {
+		return err
+	}
+	s.intentBytes += int64(len(s.intentBuf) - frameHeader)
+	if cap(s.intentBuf) > maxScratchBytes {
+		s.intentBuf = nil
 	}
 	return nil
 }
@@ -648,11 +712,9 @@ func (s *Storage) checkpointIntentsLocked(l *Log) error {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		p := encodeIntentStart(s.pending[id])
-		if err := l.Append(p); err != nil {
+		if err := s.appendIntentLocked(l, s.pending[id]); err != nil {
 			return err
 		}
-		s.intentBytes += int64(len(p))
 	}
 	if err := l.Sync(); err != nil {
 		return err

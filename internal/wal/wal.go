@@ -68,8 +68,9 @@ const (
 	DefaultSegmentBytes = 4 << 20
 	// DefaultSyncInterval is the flush cadence under SyncInterval.
 	DefaultSyncInterval = 50 * time.Millisecond
-	// maxRecordBytes bounds a single record frame; larger lengths in a
-	// segment are treated as corruption (or a torn tail).
+	// maxRecordBytes bounds a single record's payload: Append refuses a
+	// larger one, and replay treats a larger length in a segment as
+	// corruption (or a torn tail).
 	maxRecordBytes = 64 << 20
 	// frameHeader is u32 payload length + u32 CRC32-C of the payload.
 	frameHeader = 8
@@ -185,15 +186,45 @@ func segName(seq uint64) string {
 	return fmt.Sprintf("%016x%s", seq, segSuffix)
 }
 
+// ErrRecordTooLarge reports an append of a payload above the record
+// cap: replay would take its frame for a torn or corrupt one.
+var ErrRecordTooLarge = errors.New("wal: record larger than the cap")
+
 // Append frames and writes one record, rotating the segment when the
 // size threshold is crossed, then applies the sync policy. The record
-// is durable when Append returns under SyncAlways.
+// is durable when Append returns under SyncAlways. A payload above
+// maxRecordBytes is refused with ErrRecordTooLarge.
 func (l *Log) Append(payload []byte) error {
-	start := l.opts.Clock.Now()
+	if len(payload) > maxRecordBytes {
+		return recordTooLarge(len(payload))
+	}
 	frame := make([]byte, frameHeader+len(payload))
+	copy(frame[frameHeader:], payload)
+	return l.appendFrame(frame)
+}
+
+// beginFrame empties buf and reserves a frame header at its front; the
+// caller appends the record's payload after it and hands the frame to
+// appendFrame, so a record is encoded once, into a reused buffer.
+func beginFrame(buf []byte) []byte {
+	return append(buf[:0], make([]byte, frameHeader)...)
+}
+
+func recordTooLarge(n int) error {
+	return fmt.Errorf("%w: %d bytes, cap %d", ErrRecordTooLarge, n, maxRecordBytes)
+}
+
+// appendFrame is Append of the payload frame[frameHeader:], which it
+// frames in place: it fills the header and writes frame as it is. The
+// log does not keep frame.
+func (l *Log) appendFrame(frame []byte) error {
+	payload := frame[frameHeader:]
+	if len(payload) > maxRecordBytes {
+		return recordTooLarge(len(payload))
+	}
+	start := l.opts.Clock.Now()
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-	copy(frame[frameHeader:], payload)
 
 	l.mu.Lock()
 	if l.closed {
